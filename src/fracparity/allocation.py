@@ -7,6 +7,12 @@ volatility; they differ only in where the exponent comes from (estimated
 per asset vs pinned at 0.5). Naive risk parity skips the trend filter and
 weights every asset by inverse daily volatility, which matches the biased
 pipelines up to the horizon factor that normalization cancels anyway.
+
+A window is handled in one array pass over all portfolio columns: the
+prices become an (assets x days) block with one row per asset, so returns,
+means, ddof=1 deviations, minimal-cover paths and Hurst fits are each one
+call along the rows, and the trend filter, the ``h`` clamp and the
+inverse-volatility weights are masked array operations.
 """
 
 from __future__ import annotations
@@ -16,9 +22,10 @@ from enum import Enum
 
 import numpy as np
 
-from .data import AlignedPanel
+from .data import ROLE_PORTFOLIO, AlignedPanel
 from .errors import DegenerateVolatility, Empty, LengthMismatch
-from .fractal import HurstConfig, HurstEstimate, build_path, estimate_hurst
+from .fractal import HurstConfig, HurstEstimate, build_path, estimate_hurst_rows
+from .fractal import estimate_hurst  # noqa: F401  (perfbench/tracing.py wraps this binding)
 from .riskstats import RiskEstimate, log_returns, mean_return, rescale_volatility, unbiased_std
 
 WEIGHT_BUDGET_TOL = 1e-12
@@ -97,42 +104,38 @@ def compute_weights(
     """
     if window.n_rows != n:
         raise LengthMismatch(f"window has {window.n_rows} rows, expected horizon {n}")
-    assets = window.portfolio_assets()
-    if not assets:
+    columns = [i for i, a in enumerate(window.assets) if a.role == ROLE_PORTFOLIO]
+    if not columns:
         raise Empty("window contains no portfolio assets")
     variant = StrategyVariant(variant)
+    tickers = tuple(window.assets[i].ticker for i in columns)
 
-    returns = [log_returns(window.column(a.ticker), a.ticker) for a in assets]
-    mus = [mean_return(r) for r in returns]
-    std0s = [unbiased_std(r) for r in returns]
-    tickers = tuple(a.ticker for a in assets)
+    returns = log_returns(window.prices.T[columns]).values  # one row per asset
+    mus = mean_return(returns)
+    std0s = unbiased_std(returns)
 
     if variant is StrategyVariant.NAIVE_RISK_PARITY:
-        active = np.ones(len(assets), dtype=bool)
+        active = np.ones(len(tickers), dtype=bool)
     else:
-        active = np.array([mu > 0.0 for mu in mus], dtype=bool)
+        active = mus > 0.0
+    flat = np.flatnonzero(active & (std0s == 0.0))
+    if flat.size:
+        raise DegenerateVolatility(f"{tickers[flat[0]]}: zero volatility over the window")
 
+    h = np.full(len(tickers), 0.5)
     hurst_diag: dict[str, HurstEstimate] = {}
-    risk_diag: dict[str, RiskEstimate] = {}
-    std_invest = np.zeros(len(assets))
-    for i, a in enumerate(assets):
-        h = 0.5
-        if active[i] and variant is StrategyVariant.FRACTAL_BIASED:
-            est = estimate_hurst(build_path(returns[i].values), hurst_config)
-            hurst_diag[a.ticker] = est
-            h = est.h
-        if active[i] and std0s[i] == 0.0:
-            raise DegenerateVolatility(f"{a.ticker}: zero volatility over the window")
-        std_n = rescale_volatility(std0s[i], n, h)
-        risk_diag[a.ticker] = RiskEstimate(
-            ticker=a.ticker, mu=mus[i], std0=std0s[i], h=h, std_n=std_n
-        )
-        if active[i]:
-            # naive weighting uses the daily deviation; biased variants the
-            # horizon-rescaled one (a shared factor would cancel anyway)
-            std_invest[i] = std0s[i] if variant is StrategyVariant.NAIVE_RISK_PARITY else std_n
+    if variant is StrategyVariant.FRACTAL_BIASED and active.any():
+        estimates = estimate_hurst_rows(build_path(returns[active]), hurst_config)
+        h[active] = [est.h for est in estimates]
+        hurst_diag = dict(zip(np.array(tickers)[active].tolist(), estimates))
+    std_n = rescale_volatility(std0s, n, h)
+    fields = zip(tickers, mus.tolist(), std0s.tolist(), h.tolist(), std_n.tolist())
+    risk_diag = dict(zip(tickers, map(RiskEstimate._make, fields)))
 
-    weights = np.zeros(len(assets))
+    # naive weighting uses the daily deviation; biased variants the
+    # horizon-rescaled one (a shared factor would cancel anyway)
+    std_invest = std0s if variant is StrategyVariant.NAIVE_RISK_PARITY else std_n
+    weights = np.zeros(len(tickers))
     if active.any():
         weights[active] = inverse_volatility_weights(std_invest[active])
         cash = 0.0

@@ -13,12 +13,18 @@ style sample for the metric tables; ``reinvest`` chains each period's end
 capital into the next. The equity curve always compounds the per-period net
 returns; in reinvest mode that is exactly the simulated capital path, in
 fixed-capital mode it is the reinvested view of the per-period results.
+
+Each period is one array pass over the portfolio columns: the lookback
+window goes to :func:`compute_weights` as a block, and whole-share targets,
+trade deltas, commissions, the start and end marks and the expense drag are
+vectors in column order. Ticker lookups are dictionary hits, resolved once
+per call. Sums that feed the reported figures run left to right in column
+order, so results do not depend on how the arrays are blocked.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
@@ -28,11 +34,13 @@ from .allocation import PortfolioWeights, StrategyVariant, compute_weights
 from .data import AlignedPanel, slice_window
 from .errors import (
     ConfigError,
+    DeltaTooLarge,
     InsufficientCapital,
     InsufficientHistory,
     TickerMismatch,
+    TooShort,
 )
-from .fractal import HurstConfig
+from .fractal import MIN_RETURNS_FOR_PATH, HurstConfig, hurst_scales
 
 FIXED_CAPITAL = "fixed_capital"
 REINVEST = "reinvest"
@@ -71,10 +79,19 @@ class BacktestConfig:
         if self.compounding not in (FIXED_CAPITAL, REINVEST):
             raise ConfigError(f"unknown compounding mode {self.compounding!r}")
         object.__setattr__(self, "variant", StrategyVariant(self.variant))
+        if self.variant is StrategyVariant.FRACTAL_BIASED:
+            # a lookback of N prices is a path of N points built from N - 1 returns
+            try:
+                if self.horizon_n - 1 < MIN_RETURNS_FOR_PATH:
+                    raise TooShort(f"need {MIN_RETURNS_FOR_PATH} returns per lookback")
+                hurst_scales(self.horizon_n, self.hurst)
+            except (TooShort, DeltaTooLarge) as exc:
+                raise ConfigError(
+                    f"horizon_n {self.horizon_n} is too short for {self.variant.value}: {exc}"
+                ) from None
 
 
-@dataclass(frozen=True)
-class Trade:
+class Trade(NamedTuple):
     ticker: str
     shares: int  # signed: positive buys, negative sells
     price: float
@@ -118,17 +135,22 @@ class EquityCurve:
             raise ValueError("equity curve must stay strictly positive")
 
 
-def commission_for(shares: int, price: float, plan: CommissionPlan) -> float:
-    """Commission for one order of ``shares`` at ``price``; zero shares cost zero."""
-    if shares < 0:
+def commission_for(shares, price, plan: CommissionPlan):
+    """Commission for orders of ``shares`` at ``price``; zero shares cost zero.
+
+    Takes one order as scalars or many as equal-length arrays, and returns
+    a float or an array to match.
+    """
+    shares = np.asarray(shares)
+    price = np.asarray(price, dtype=float)
+    if np.any(shares < 0):
         raise ValueError(f"share count must be non-negative, got {shares}")
-    if price <= 0.0:
+    if np.any(price <= 0.0):
         raise ValueError(f"price must be positive, got {price}")
-    if shares == 0:
-        return 0.0
     raw = plan.per_share * shares
     cap = plan.max_pct_of_value * shares * price / 100.0
-    return min(max(raw, plan.min_per_order), cap)
+    fee = np.where(shares == 0, 0.0, np.minimum(np.maximum(raw, plan.min_per_order), cap))
+    return float(fee) if fee.ndim == 0 else fee
 
 
 def execute_rebalance(
@@ -153,25 +175,27 @@ def execute_rebalance(
     if unknown:
         raise TickerMismatch(f"prior holdings for unknown tickers {sorted(unknown)}")
 
-    trades: list[Trade] = []
-    holdings: dict[str, int] = {}
-    total_commission = 0.0
-    for ticker, w in zip(weights.tickers, weights.weights):
-        price = float(prices[ticker])
-        if price <= 0.0:
-            raise ValueError(f"{ticker}: non-positive execution price {price}")
-        target = int(math.floor(w * capital / price))
-        holdings[ticker] = target
-        delta = target - prior.get(ticker, 0)
-        if delta != 0:
-            fee = commission_for(abs(delta), price, plan)
-            trades.append(Trade(ticker=ticker, shares=delta, price=price, commission=fee))
-            total_commission += fee
+    tickers = weights.tickers
+    price = np.array([float(prices[t]) for t in tickers])
+    bad = np.flatnonzero(price <= 0.0)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{tickers[i]}: non-positive execution price {price[i]}")
+    target = np.floor(weights.weights * capital / price).astype(np.int64)
+    delta = target - np.array([prior.get(t, 0) for t in tickers], dtype=np.int64)
+
+    traded = np.flatnonzero(delta)
+    traded_price = price[traded]
+    fees = commission_for(np.abs(delta[traded]), traded_price, plan).tolist()
+    traded_tickers = [tickers[i] for i in traded.tolist()]
+    fields = zip(traded_tickers, delta[traded].tolist(), traded_price.tolist(), fees)
+    trades = list(map(Trade._make, fields))
+    total_commission = sum(fees, 0.0)
     if total_commission >= capital:
         raise InsufficientCapital(
             f"commissions {total_commission:.2f} would consume capital {capital:.2f}"
         )
-    return trades, holdings, total_commission
+    return trades, dict(zip(tickers, target.tolist())), total_commission
 
 
 def period_return(
@@ -187,26 +211,19 @@ def period_return(
     window length over a 252-day year and applied to that asset's share of
     start capital; commissions convert to percent of start capital.
     """
-    start_values = {}
-    for ticker, shares in holdings.items():
-        if shares:
-            col = window.column(ticker)
-            start_values[ticker] = shares * float(col[0])
-    v_start = sum(start_values.values()) + cash
+    held = [(window.index_of(t), shares) for t, shares in holdings.items() if shares]
+    columns = [c for c, _ in held]
+    shares = np.array([s for _, s in held], dtype=float)
+    start_values = shares * window.prices[0, columns]
+    v_start = sum(start_values.tolist(), 0.0) + cash
     if v_start <= 0.0:
         raise InsufficientCapital(f"period starts with non-positive value {v_start}")
-
-    v_end = cash
-    for ticker, shares in holdings.items():
-        if shares:
-            v_end += shares * float(window.column(ticker)[-1])
+    v_end = sum((shares * window.prices[-1, columns]).tolist(), cash)
     gross = 100.0 * (v_end - v_start) / v_start
 
     year_fraction = window.n_rows / TRADING_DAYS_PER_YEAR
-    drag = 0.0
-    by_ticker = {a.ticker: a for a in window.assets}
-    for ticker, value in start_values.items():
-        drag += by_ticker[ticker].expense_ratio * year_fraction * (value / v_start)
+    expense = np.array([window.assets[c].expense_ratio for c in columns])
+    drag = sum((expense * year_fraction * (start_values / v_start)).tolist(), 0.0)
 
     net = gross - drag - 100.0 * commissions / v_start
     return PeriodBreakdown(gross=gross, expense_drag=drag, net=net)
@@ -230,6 +247,8 @@ def run_walk_forward(
         raise InsufficientHistory(
             f"panel of {panel.n_rows} rows cannot fit lookback + holding of {n} days each"
         )
+    tickers = tuple(a.ticker for a in panel.portfolio_assets())
+    columns = [panel.index_of(t) for t in tickers]
     results: list[PeriodResult] = []
     equity_dates = [panel.dates[n]]
     equity_values = [config.initial_capital]
@@ -240,16 +259,17 @@ def run_walk_forward(
 
         start_row = (k + 1) * n
         end_row = (k + 2) * n - 1
-        exec_prices = {
-            t: float(panel.prices[start_row, panel.index_of(t)]) for t in weights.tickers
-        }
+        exec_prices = panel.prices[start_row, columns]
         start_capital = (
             config.initial_capital if config.compounding == FIXED_CAPITAL else equity_values[-1]
         )
         trades, holdings, commission = execute_rebalance(
-            weights, start_capital, exec_prices, config.commission, holdings
+            weights, start_capital, dict(zip(tickers, exec_prices.tolist())),
+            config.commission, holdings,
         )
-        cash = start_capital - sum(holdings[t] * exec_prices[t] for t in holdings)
+        # holdings are keyed by weights.tickers, the portfolio columns in panel order
+        shares = np.fromiter(holdings.values(), dtype=float, count=len(holdings))
+        cash = start_capital - sum((shares * exec_prices).tolist(), 0.0)
         hold_window = slice_window(panel, end_index=end_row, length=n)
         parts = period_return(holdings, cash, hold_window, commissions=commission)
 
@@ -278,34 +298,27 @@ def daily_marked_equity(
 ) -> EquityCurve:
     """Diagnostic equity path marked at every trading day, not just period ends.
 
-    Holdings are reconstructed from the stored trade deltas; within each
-    period the position is marked to market daily, with the period's costs
-    realized on its final day so the path lands exactly on the period-end
-    equity. The period-end curve is therefore a subset of this one, and
-    drawdowns measured here can only be equal or deeper.
+    Holdings are reconstructed from the stored trade deltas as one share
+    vector over the panel's columns; within each period the position is
+    marked to market daily as one (days x assets) product, with the period's
+    costs realized on its final day so the path lands exactly on the
+    period-end equity. The period-end curve is therefore a subset of this
+    one, and drawdowns measured here can only be equal or deeper.
     """
     n = config.horizon_n
     dates: list[dt.date] = [panel.dates[n]]
     values: list[float] = [config.initial_capital]
-    holdings: dict[str, int] = {}
+    shares = np.zeros(len(panel.assets))
     base = config.initial_capital
     for k, result in enumerate(results):
         for trade in result.trades:
-            holdings[trade.ticker] = holdings.get(trade.ticker, 0) + trade.shares
+            shares[panel.index_of(trade.ticker)] += trade.shares
         start_row = (k + 1) * n
         end_row = (k + 2) * n - 1
-        start_value = sum(
-            shares * float(panel.prices[start_row, panel.index_of(t)])
-            for t, shares in holdings.items()
-        )
-        cash = result.start_capital - start_value
-        for row in range(start_row + 1, end_row):
-            marked = cash + sum(
-                shares * float(panel.prices[row, panel.index_of(t)])
-                for t, shares in holdings.items()
-            )
-            dates.append(panel.dates[row])
-            values.append(base * marked / result.start_capital)
+        cash = result.start_capital - float(panel.prices[start_row] @ shares)
+        marked = cash + panel.prices[start_row + 1 : end_row] @ shares
+        dates.extend(panel.dates[start_row + 1 : end_row])
+        values.extend((base * marked / result.start_capital).tolist())
         base *= 1.0 + result.net_return / 100.0
         dates.append(panel.dates[end_row])
         values.append(base)

@@ -205,16 +205,15 @@ def cmd_backtest(args) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
+    configs = settings.variant_configs()  # overrides are checked before any CSV is read
     panel = load_universe_panel(settings)
-    base = settings.base_config()
 
-    bench_results, bench_equity = run_benchmark(panel, base)
+    bench_results, bench_equity = run_benchmark(panel, settings.base_config())
     names = [v.value for v in settings.variants]
     periods: dict[str, list[PeriodResult]] = {}
     curves: dict[str, EquityCurve] = {}
     reports: dict[str, PerformanceReport] = {}
-    for variant in settings.variants:
-        cfg = dataclasses.replace(base, variant=variant)
+    for variant, cfg in configs.items():
         results, equity = run_walk_forward(panel, cfg)
         periods[variant.value] = results
         curves[variant.value] = equity

@@ -105,6 +105,9 @@ class AlignedPanel:
         for i in range(1, len(self.dates)):
             if self.dates[i] <= self.dates[i - 1]:
                 raise DuplicateDate("<panel>", self.dates[i])
+        self._columns = {a.ticker: i for i, a in enumerate(self.assets)}
+        if len(self._columns) != len(self.assets):
+            raise TickerMismatch(f"duplicate tickers in panel {self.tickers}")
 
     @property
     def n_rows(self) -> int:
@@ -115,10 +118,10 @@ class AlignedPanel:
         return tuple(a.ticker for a in self.assets)
 
     def index_of(self, ticker: str) -> int:
-        for i, a in enumerate(self.assets):
-            if a.ticker == ticker:
-                return i
-        raise TickerMismatch(f"ticker {ticker!r} not in panel {self.tickers}")
+        try:
+            return self._columns[ticker]
+        except KeyError:
+            raise TickerMismatch(f"ticker {ticker!r} not in panel {self.tickers}") from None
 
     def column(self, ticker: str) -> np.ndarray:
         return self.prices[:, self.index_of(ticker)]

@@ -6,7 +6,10 @@ max-minus-min amplitude over the windows, and regress the log of that total
 variation against ``log(delta)``. For a self-affine path the variation
 behaves like ``delta**(H - 1)``, so the fitted slope recovers ``H``
 directly. The estimator stays usable on short windows (a few dozen points),
-which is what makes it suitable for walk-forward lookbacks.
+which is what makes it suitable for walk-forward lookbacks. The kernel
+works on a block with one path per row (every asset of a lookback window),
+block max/min per scale and one batched log-log fit; the single-path
+functions are one-row wrappers over it.
 
 The stable CDF is evaluated by Fourier inversion of the characteristic
 function in the continuous ("0-shift") parametrization: a sine-kernel
@@ -102,47 +105,67 @@ class StableParams:
 
 
 def build_path(returns) -> np.ndarray:
-    """Integrate a return series into a path starting at zero.
+    """Integrate returns into a path starting at zero, along the last axis.
 
-    ``path[0] = 0`` and ``path[k] = path[k-1] + r[k]``, so the estimator
-    sees the cumulative (log-price-like) path rather than the raw noise.
-    Accepts a plain array or anything exposing ``.values``.
+    ``path[..., 0] = 0`` and ``path[..., k] = path[..., k-1] + r[..., k]``,
+    so the estimator sees the cumulative (log-price-like) path rather than
+    the raw noise. A 1-d series gives one path; a block with one row per
+    asset gives one path per row.
     """
-    r = np.asarray(getattr(returns, "values", returns), dtype=float)
-    if r.ndim != 1:
-        raise ValueError(f"returns must be 1-d, got shape {r.shape}")
-    if r.size < MIN_RETURNS_FOR_PATH:
-        raise TooShort(f"need at least {MIN_RETURNS_FOR_PATH} returns, got {r.size}")
-    path = np.empty(r.size + 1)
-    path[0] = 0.0
-    np.cumsum(r, out=path[1:])
+    r = np.asarray(returns, dtype=float)
+    if r.ndim not in (1, 2):
+        raise ValueError(f"returns must be 1-d or one row per asset, got shape {r.shape}")
+    if r.shape[-1] < MIN_RETURNS_FOR_PATH:
+        raise TooShort(f"need at least {MIN_RETURNS_FOR_PATH} returns, got {r.shape[-1]}")
+    path = np.zeros(r.shape[:-1] + (r.shape[-1] + 1,))
+    np.cumsum(r, axis=-1, out=path[..., 1:])
     return path
 
 
-def minimal_cover_variation(path, delta: int) -> float:
-    """Total amplitude V(delta) of the minimal cover at scale ``delta``.
+def cover_variations(paths: np.ndarray, scales) -> np.ndarray:
+    """Minimal-cover amplitude V(delta) of every row of ``paths`` at every scale.
 
-    The path of ``len - 1`` intervals is partitioned into
-    ``(len - 1) // delta`` consecutive windows of ``delta`` intervals each
-    (adjacent windows share their boundary point; a trailing remainder is
-    discarded) and the max-minus-min amplitudes are summed.
+    ``paths`` holds one path per row, all of the same length; the result has
+    one row per path and one column per scale. At scale ``delta`` a path of
+    ``len - 1`` intervals is cut into ``(len - 1) // delta`` consecutive
+    windows of ``delta`` intervals (adjacent windows share their boundary
+    point; a trailing remainder is discarded), and the max-minus-min
+    amplitudes of the windows are summed.
+
+    A window is a block of ``delta`` points plus the first point of the next
+    block. Block extremes come from halving: the max of neighbouring pairs
+    of columns while the block width is even, then one reduction over what
+    is left of it, so a dyadic scale costs a few whole-array passes.
+    """
+    n_paths, size = paths.shape
+    out = np.empty((n_paths, len(scales)))
+    for j, delta in enumerate(scales):
+        n_windows = (size - 1) // delta
+        hi = lo = paths[:, : n_windows * delta]
+        width = delta
+        while width % 2 == 0:
+            hi = np.maximum(hi[:, 0::2], hi[:, 1::2])
+            lo = np.minimum(lo[:, 0::2], lo[:, 1::2])
+            width //= 2
+        if width > 1:
+            hi = hi.reshape(n_paths, n_windows, width).max(axis=2)
+            lo = lo.reshape(n_paths, n_windows, width).min(axis=2)
+        right = paths[:, delta : n_windows * delta + 1 : delta]
+        out[:, j] = (np.maximum(hi, right) - np.minimum(lo, right)).sum(axis=1)
+    return out
+
+
+def minimal_cover_variation(path, delta: int) -> float:
+    """Total amplitude V(delta) of the minimal cover of one path at scale ``delta``.
+
+    A one-row call of :func:`cover_variations`.
     """
     if delta < 2:
         raise ValueError(f"delta must be >= 2, got {delta}")
     p = np.asarray(path, dtype=float)
     if p.size < 2 * delta:
         raise DeltaTooLarge(f"path of {p.size} points cannot fit two windows of delta={delta}")
-    n_windows = (p.size - 1) // delta
-    pts = p[: n_windows * delta + 1]
-    starts = np.arange(n_windows) * delta
-    mx = np.maximum.reduceat(pts, starts)
-    mn = np.minimum.reduceat(pts, starts)
-    if n_windows > 1:
-        # reduceat segments exclude the shared right endpoint of each window
-        right = pts[starts[1:]]
-        mx[:-1] = np.maximum(mx[:-1], right)
-        mn[:-1] = np.minimum(mn[:-1], right)
-    return float(np.sum(mx - mn))
+    return float(cover_variations(p.reshape(1, -1), [delta])[0, 0])
 
 
 def scale_ladder(n_intervals: int, config: HurstConfig = HurstConfig()) -> list[int]:
@@ -157,54 +180,76 @@ def scale_ladder(n_intervals: int, config: HurstConfig = HurstConfig()) -> list[
     return scales
 
 
-def estimate_hurst(path, config: HurstConfig = HurstConfig()) -> HurstEstimate:
-    """Estimate the Hurst exponent of a path via minimal-cover scaling.
+def hurst_scales(n_points: int, config: HurstConfig = HurstConfig()) -> list[int]:
+    """The ladder the estimator fits on paths of ``n_points`` points.
 
-    Computes V(delta) on the dyadic ladder, fits ``ln V`` against
-    ``ln delta`` by least squares, and maps the slope ``s`` to the
-    variation index ``mu = -s``, the micro-fractal dimension
-    ``D = 1 + mu`` and the exponent ``h = 2 - D = 1 - mu``, clamped into
-    ``[h_min, h_max]``.
-
-    Raises ``TooShort`` when fewer than ``min_scales`` ladder scales fit and
-    ``DegeneratePath`` when the variation vanishes at some scale (constant
-    path), since ``ln V`` is undefined there.
+    Raises ``TooShort`` when fewer than ``min_scales`` scales fit and
+    ``DeltaTooLarge`` when the largest scale cannot fit two windows.
     """
-    p = np.asarray(path, dtype=float)
-    if p.ndim != 1:
-        raise ValueError(f"path must be 1-d, got shape {p.shape}")
-    scales = scale_ladder(p.size - 1, config)
+    scales = scale_ladder(n_points - 1, config)
     if len(scales) < config.min_scales:
         raise TooShort(
-            f"path of {p.size} points affords {len(scales)} scales, "
+            f"path of {n_points} points affords {len(scales)} scales, "
             f"need {config.min_scales}"
         )
-    variations = np.array([minimal_cover_variation(p, d) for d in scales])
+    if n_points < 2 * scales[-1]:
+        raise DeltaTooLarge(
+            f"path of {n_points} points cannot fit two windows of delta={scales[-1]}"
+        )
+    return scales
+
+
+def estimate_hurst_rows(paths, config: HurstConfig = HurstConfig()) -> list[HurstEstimate]:
+    """Estimate the Hurst exponent of every row of ``paths`` via minimal-cover scaling.
+
+    Computes V(delta) on the dyadic ladder for all rows at once, fits
+    ``ln V`` against ``ln delta`` by least squares (one batched fit), and
+    maps each slope ``s`` to the variation index ``mu = -s``, the
+    micro-fractal dimension ``D = 1 + mu`` and the exponent
+    ``h = 2 - D = 1 - mu``, clamped into ``[h_min, h_max]``.
+
+    Raises what :func:`hurst_scales` raises, and ``DegeneratePath`` when the
+    variation of some row vanishes at some scale (a constant path), since
+    ``ln V`` is undefined there.
+    """
+    p = np.asarray(paths, dtype=float)
+    if p.ndim != 2:
+        raise ValueError(f"paths must be 2-d, one path per row, got shape {p.shape}")
+    scales = hurst_scales(p.shape[1], config)
+    variations = cover_variations(p, scales)
     if np.any(variations <= 0.0):
         raise DegeneratePath("zero variation at some scale (constant path)")
 
     x = np.log(np.array(scales, dtype=float))
     y = np.log(variations)
     x_c = x - x.mean()
-    slope = float(np.dot(x_c, y - y.mean()) / np.dot(x_c, x_c))
-    resid = y - (y.mean() + slope * x_c)
-    ss_res = float(np.dot(resid, resid))
-    ss_tot = float(np.dot(y - y.mean(), y - y.mean()))
-    if ss_tot > 0.0:
-        r_squared = min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
-    else:
-        # flat ln V at every scale: a perfect fit with zero slope
-        r_squared = 1.0
+    y_mean = y.mean(axis=1, keepdims=True)
+    y_c = y - y_mean
+    slope = (y_c * x_c).sum(axis=1) / np.dot(x_c, x_c)
+    resid = y - (y_mean + slope[:, None] * x_c)
+    ss_res = (resid * resid).sum(axis=1)
+    ss_tot = (y_c * y_c).sum(axis=1)
+    # flat ln V at every scale is a perfect fit with zero slope
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_squared = np.where(ss_tot > 0.0, np.clip(1.0 - ss_res / ss_tot, 0.0, 1.0), 1.0)
 
     mu_index = -slope
-    h = min(max(1.0 - mu_index, config.h_min), config.h_max)
-    return HurstEstimate(
-        h=h,
-        mu_index=mu_index,
-        r_squared=r_squared,
-        scales=tuple(scales),
-        variations=tuple(float(v) for v in variations),
-    )
+    h = np.clip(1.0 - mu_index, config.h_min, config.h_max)
+    scales_t = tuple(scales)
+    return [
+        HurstEstimate(h=hi, mu_index=mi, r_squared=ri, scales=scales_t, variations=tuple(vi))
+        for hi, mi, ri, vi in zip(
+            h.tolist(), mu_index.tolist(), r_squared.tolist(), variations.tolist()
+        )
+    ]
+
+
+def estimate_hurst(path, config: HurstConfig = HurstConfig()) -> HurstEstimate:
+    """Estimate the Hurst exponent of one path; see :func:`estimate_hurst_rows`."""
+    p = np.asarray(path, dtype=float)
+    if p.ndim != 1:
+        raise ValueError(f"path must be 1-d, got shape {p.shape}")
+    return estimate_hurst_rows(p.reshape(1, -1), config)[0]
 
 
 def alpha_from_hurst(h: float) -> float:

@@ -4,21 +4,25 @@ Returns are daily log returns in percent (100 * delta-log-price); every
 standard deviation downstream inherits those units. The horizon rescaling
 ``std_n = std0 * n**h`` reduces to the familiar square-root-of-time rule at
 ``h = 0.5`` and is the only place the two allocation pipelines differ.
+
+Every function works along the last axis: a 1-d array is one series, and a
+2-d block with one row per asset gives one result per asset in a single
+array pass, which is how the walk-forward engine calls them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import PriceSeries
 from .errors import Empty, InvalidHurst, NonPositivePrice, TooShort
 
 
 @dataclass(eq=False)
 class ReturnSeries:
-    """Daily log returns in percent for one ticker."""
+    """Daily log returns in percent: one series, or a block with one row per asset."""
 
     ticker: str
     values: np.ndarray
@@ -32,8 +36,7 @@ class ReturnSeries:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class RiskEstimate:
+class RiskEstimate(NamedTuple):
     """Mean, daily volatility, exponent and rescaled volatility for one asset."""
 
     ticker: str
@@ -44,17 +47,15 @@ class RiskEstimate:
 
 
 def log_returns(prices, ticker: str | None = None) -> ReturnSeries:
-    """Percent log returns: ``values[k] = 100 * (ln p[k+1] - ln p[k])``."""
-    if isinstance(prices, PriceSeries):
-        ticker = prices.ticker if ticker is None else ticker
-        p = prices.closes
-    else:
-        p = np.asarray(prices, dtype=float)
-    if p.size < 2:
-        raise TooShort(f"need at least 2 prices, got {p.size}")
+    """Percent log returns: ``values[..., k] = 100 * (ln p[..., k+1] - ln p[..., k])``."""
+    p = np.asarray(prices, dtype=float)
+    if p.ndim not in (1, 2):
+        raise ValueError(f"prices must be 1-d or one row per asset, got shape {p.shape}")
+    if p.shape[-1] < 2:
+        raise TooShort(f"need at least 2 prices, got {p.shape[-1]}")
     if np.any(p <= 0.0):
         raise NonPositivePrice(ticker or "<series>", None, float(p.min()))
-    return ReturnSeries(ticker=ticker or "", values=100.0 * np.diff(np.log(p)))
+    return ReturnSeries(ticker=ticker or "", values=100.0 * np.diff(np.log(p), axis=-1))
 
 
 def _values(returns) -> np.ndarray:
@@ -63,28 +64,37 @@ def _values(returns) -> np.ndarray:
     return np.asarray(returns, dtype=float)
 
 
-def mean_return(returns) -> float:
+def _per_row(result):
+    """A float for one series, an array with one entry per row for a block."""
+    return float(result) if np.ndim(result) == 0 else result
+
+
+def mean_return(returns):
     """Arithmetic mean of the returns, percent per day."""
     v = _values(returns)
-    if v.size == 0:
+    if v.shape[-1] == 0:
         raise Empty("mean of an empty return series")
-    return float(np.mean(v))
+    return _per_row(np.mean(v, axis=-1))
 
 
-def unbiased_std(returns) -> float:
+def unbiased_std(returns):
     """Sample standard deviation with the n-1 denominator."""
     v = _values(returns)
-    if v.size < 2:
-        raise TooShort(f"need at least 2 returns for a standard deviation, got {v.size}")
-    return float(np.std(v, ddof=1))
+    if v.shape[-1] < 2:
+        raise TooShort(f"need at least 2 returns for a standard deviation, got {v.shape[-1]}")
+    return _per_row(np.std(v, axis=-1, ddof=1))
 
 
-def rescale_volatility(std0: float, n: int, h: float) -> float:
-    """Rescale a one-day standard deviation to an n-day horizon: std0 * n**h."""
-    if std0 < 0.0:
+def rescale_volatility(std0, n: int, h):
+    """Rescale one-day standard deviations to an n-day horizon: std0 * n**h.
+
+    ``std0`` and ``h`` may be scalars or arrays of the same shape.
+    """
+    if np.any(np.asarray(std0) < 0.0):
         raise ValueError(f"std0 must be non-negative, got {std0}")
     if n < 1:
         raise ValueError(f"horizon must be >= 1 day, got {n}")
-    if not 0.0 < h <= 1.0:
+    h_arr = np.asarray(h)
+    if not np.all((h_arr > 0.0) & (h_arr <= 1.0)):
         raise InvalidHurst(f"h must be in (0, 1], got {h}")
     return std0 * float(n) ** h

@@ -8,6 +8,7 @@ config file so committed fixtures stay relocatable.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .data import (
     load_price_csv,
 )
 from .errors import ConfigError
+from .fractal import HurstConfig
 
 
 @dataclass(frozen=True)
@@ -49,16 +51,25 @@ class RunSettings:
     config_path: Path | None = None
 
     def base_config(self) -> BacktestConfig:
-        from .fractal import HurstConfig
-
+        """Engine config of the first selected variant; raises ConfigError if it cannot run."""
+        try:
+            hurst = HurstConfig(**self.hurst_options)
+        except TypeError as exc:
+            raise ConfigError(f"hurst: {exc}") from None
         return BacktestConfig(
             horizon_n=self.horizon_n,
+            variant=self.variants[0],
             initial_capital=self.initial_capital,
             commission=self.commission,
             compounding=self.compounding,
             benchmark=self.benchmark,
-            hurst=HurstConfig(**self.hurst_options),
+            hurst=hurst,
         )
+
+    def variant_configs(self) -> dict[StrategyVariant, BacktestConfig]:
+        """One validated engine config per selected variant, in the configured order."""
+        base = self.base_config()
+        return {v: dataclasses.replace(base, variant=v) for v in self.variants}
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -67,8 +78,20 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _number(raw: dict, key: str, default: float, context: str) -> float:
+    value = raw.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{context}: {key} must be a number, got {value!r}") from None
+
+
 def load_run_settings(path: str | Path) -> RunSettings:
-    """Parse and validate a YAML run configuration."""
+    """Parse and validate a YAML run configuration.
+
+    The engine's configuration rules are applied here too, before any CSV
+    is read, so the result can run every selected variant at its horizon.
+    """
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text())
@@ -91,7 +114,7 @@ def load_run_settings(path: str | Path) -> RunSettings:
         try:
             spec = AssetSpec(
                 ticker=ticker,
-                expense_ratio=float(entry.get("expense_ratio", 0.0)),
+                expense_ratio=_number(entry, "expense_ratio", 0.0, f"{path}: universe[{i}]"),
                 role=str(entry.get("role", "portfolio_asset")),
             )
         except ValueError as exc:
@@ -114,6 +137,8 @@ def load_run_settings(path: str | Path) -> RunSettings:
         raise ConfigError(f"{path}: horizon must be an integer >= 8, got {horizon!r}")
 
     variants_raw = raw.get("variants", [v.value for v in StrategyVariant])
+    if not isinstance(variants_raw, list):
+        raise ConfigError(f"{path}: variants must be a list, got {variants_raw!r}")
     try:
         variants = [StrategyVariant(v) for v in variants_raw]
     except ValueError as exc:
@@ -148,11 +173,11 @@ def load_run_settings(path: str | Path) -> RunSettings:
     if not isinstance(columns, dict):
         raise ConfigError(f"{path}: columns must be a mapping")
 
-    initial_capital = float(raw.get("initial_capital", 1_000_000.0))
+    initial_capital = _number(raw, "initial_capital", 1_000_000.0, str(path))
     if initial_capital <= 0.0:
         raise ConfigError(f"{path}: initial_capital must be positive")
 
-    return RunSettings(
+    settings = RunSettings(
         universe=universe,
         benchmark=benchmark,
         horizon_n=horizon,
@@ -161,12 +186,17 @@ def load_run_settings(path: str | Path) -> RunSettings:
         compounding=compounding,
         commission=commission,
         hurst_options=hurst_options,
-        risk_free_rate=float(raw.get("risk_free_rate", 0.0)),
+        risk_free_rate=_number(raw, "risk_free_rate", 0.0, str(path)),
         figure_pair=figure_pair,
         date_column=str(columns.get("date", DEFAULT_DATE_COLUMN)),
         price_column=str(columns.get("price", DEFAULT_PRICE_COLUMN)),
         config_path=path,
     )
+    try:
+        settings.variant_configs()
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return settings
 
 
 def load_universe_panel(settings: RunSettings) -> AlignedPanel:

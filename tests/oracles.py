@@ -86,3 +86,91 @@ def peak_trough_drawdown_pct(values) -> float:
             dd = (values[i] - values[j]) / values[i]
             worst = max(worst, dd)
     return 100.0 * worst
+
+
+def minimal_cover_variation(path, delta: int) -> float:
+    """Sum of max-minus-min over consecutive windows of ``delta`` intervals.
+
+    Window ``w`` spans points ``w*delta .. (w+1)*delta`` inclusive, so
+    neighbours share a boundary point; a trailing remainder is dropped.
+    """
+    path = list(map(float, path))
+    n_intervals = len(path) - 1
+    total = 0.0
+    for w in range(n_intervals // delta):
+        segment = path[w * delta : (w + 1) * delta + 1]
+        total += max(segment) - min(segment)
+    return total
+
+
+def minimal_cover_hurst(
+    path, h_min=0.1, h_max=1.0, min_windows=4, max_rungs=4
+) -> float:
+    """Clamped Hurst exponent of one path from the minimal-cover scaling law.
+
+    Dyadic scales from 2 while at least ``min_windows`` windows fit, the
+    ``max_rungs`` largest kept; least-squares slope of ln V on ln delta;
+    ``h = 1 + slope`` (the variation index is ``-slope`` and ``h = 1 - mu``).
+    """
+    n_intervals = len(path) - 1
+    scales = []
+    delta = 2
+    while n_intervals // delta >= min_windows:
+        scales.append(delta)
+        delta *= 2
+    if max_rungs is not None:
+        scales = scales[-max_rungs:]
+    xs = [math.log(d) for d in scales]
+    ys = [math.log(minimal_cover_variation(path, d)) for d in scales]
+    mx, my = mean(xs), mean(ys)
+    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+    return min(max(1.0 + slope, h_min), h_max)
+
+
+def window_estimates(columns, variant: str, hurst_options=None) -> list[tuple]:
+    """(mean, sample std, h) of the percent log returns of each price list.
+
+    ``h`` is :func:`minimal_cover_hurst` of the cumulative return path for
+    ``fractal_biased`` assets with a positive mean, and 0.5 otherwise.
+    """
+    estimates = []
+    for prices in columns:
+        returns = [
+            100.0 * (math.log(prices[k + 1]) - math.log(prices[k]))
+            for k in range(len(prices) - 1)
+        ]
+        mu, h = mean(returns), 0.5
+        if variant == "fractal_biased" and mu > 0.0:
+            path = [0.0]
+            for r in returns:
+                path.append(path[-1] + r)
+            h = minimal_cover_hurst(path, **(hurst_options or {}))
+        estimates.append((mu, sample_std(returns), h))
+    return estimates
+
+
+def risk_parity_weights(columns, variant: str, n: int, hurst_options=None) -> list[float]:
+    """Weights of one lookback window, one price list per portfolio asset.
+
+    ``fractal_biased`` and ``standard_biased`` keep assets with a positive
+    mean return and weight them by ``1 / (std0 * n**h)``;
+    ``naive_risk_parity`` weights every asset by ``1 / std0``. All cash
+    (every weight zero) when nothing survives the trend filter.
+    """
+    inverse = []
+    for mu, std0, h in window_estimates(columns, variant, hurst_options):
+        if variant == "naive_risk_parity":
+            inverse.append(1.0 / std0)
+        elif mu > 0.0:
+            inverse.append(1.0 / (std0 * float(n) ** h))
+        else:
+            inverse.append(0.0)
+    total = sum(inverse)
+    return [x / total if total else 0.0 for x in inverse]
+
+
+def whole_share_trades(weights, capital: float, prices, prior):
+    """(asset index, signed share delta) for ``floor(w * capital / price)`` targets."""
+    targets = [math.floor(w * capital / p) for w, p in zip(weights, prices)]
+    trades = [(i, t - s) for i, (t, s) in enumerate(zip(targets, prior)) if t != s]
+    return trades, targets

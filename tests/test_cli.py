@@ -180,6 +180,60 @@ class TestBacktestCommand:
         assert bench["protection"] == pytest.approx(64.0, abs=1e-9)
 
 
+class TestConfigErrors:
+    """Bad configs end with exit 2 and one ``error: config:`` line, before any CSV is read."""
+
+    @staticmethod
+    def config_without_data(tmp_path: Path, extra: str, horizon: int = 63) -> Path:
+        # the CSVs do not exist: reading them first would end as a data error (exit 3)
+        config = tmp_path / "run.yaml"
+        config.write_text(
+            "universe:\n"
+            "  - {ticker: AAA, csv: missing_a.csv}\n"
+            "  - {ticker: BMK, csv: missing_b.csv, role: benchmark}\n"
+            "benchmark: BMK\n"
+            f"horizon: {horizon}\n"
+            f"{extra}\n"
+        )
+        return config
+
+    def assert_config_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            "hurst: {bogus: 1}",
+            "initial_capital: lots",
+            "risk_free_rate: [1]",
+            "variants: fractal_biased",
+            "hurst: {h_min: 0.9, h_max: 0.2}",
+        ],
+    )
+    def test_bad_value(self, tmp_path, capsys, extra):
+        config = self.config_without_data(tmp_path, extra)
+        self.assert_config_error(["backtest", "--config", str(config), "--out", str(tmp_path)], capsys)
+
+    def test_yaml_horizon_below_hurst_ladder(self, tmp_path, capsys):
+        config = self.config_without_data(tmp_path, "variants: [fractal_biased]", horizon=16)
+        self.assert_config_error(["backtest", "--config", str(config), "--out", str(tmp_path)], capsys)
+
+    def test_cli_horizon_below_hurst_ladder(self, tmp_path, capsys):
+        config = self.config_without_data(tmp_path, "variants: [fractal_biased]")
+        argv = ["backtest", "--config", str(config), "--out", str(tmp_path), "--horizon", "16"]
+        self.assert_config_error(argv, capsys)
+
+    def test_short_horizon_is_fine_without_fractal_variant(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["backtest", "--config", str(PANEL_CONFIG), "--out", str(out), "--horizon", "16",
+                "--variant", "standard_biased"]
+        assert main(argv) == 0
+
+
 class TestHurstCommand:
     def test_ramp_prints_exactly_one(self, capsys):
         assert main(["hurst", str(SERIES_DIR / "ramp.csv")]) == 0

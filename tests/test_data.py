@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import synthetic_panel
 from fracparity.data import (
+    AlignedPanel,
     AssetSpec,
     PriceSeries,
     align_panel,
@@ -152,6 +153,22 @@ class TestAlignPanel:
         )
         assert again.dates == panel.dates
         assert np.array_equal(again.prices, panel.prices)
+
+
+class TestAlignedPanel:
+    def test_index_of(self):
+        panel = synthetic_panel(seed=6, n_rows=10, n_assets=3)
+        assert [panel.index_of(t) for t in panel.tickers] == list(range(len(panel.assets)))
+        with pytest.raises(TickerMismatch):
+            panel.index_of("NOPE")
+
+    def test_duplicate_tickers_rejected(self):
+        with pytest.raises(TickerMismatch):
+            AlignedPanel(
+                dates=(dt.date(2020, 1, 1), dt.date(2020, 1, 2)),
+                assets=(AssetSpec("A"), AssetSpec("A")),
+                prices=np.ones((2, 2)),
+            )
 
 
 class TestSliceWindow:
