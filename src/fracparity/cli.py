@@ -1,7 +1,7 @@
 """Command-line front door: backtest, hurst, stable-cdf.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-error. All numeric file output uses fixed 6-decimal precision so repeated
+Exit codes: 0 success, 2 configuration error, 3 data error (including an
+input or output path that cannot be used), 4 numeric error. All numeric file output uses fixed 6-decimal precision so repeated
 runs over identical inputs produce byte-identical artifacts (the manifest's
 timestamp is the only permitted difference).
 """
@@ -335,7 +335,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _print_error("config", exc)
         return 2
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         _print_error("data", exc)
         return 3
     except NumericError as exc:

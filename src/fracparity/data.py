@@ -4,13 +4,20 @@ All downstream computation runs on an :class:`AlignedPanel`: a rectangular
 date-by-asset matrix of adjusted closes with no holes. Alignment is by
 intersection of trading dates, never by fill: an imputed price would leak
 into return and scaling statistics.
+
+Files are read as UTF-8 (a byte-order mark is dropped). A CSV is checked
+and parsed a whole column at a time; only when that fails are its rows
+scanned one by one, to name the first bad line. Dates are sorted, checked
+and intersected as integer day ordinals, which each series keeps.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
-from dataclasses import dataclass
+import io
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -52,6 +59,13 @@ class AssetSpec:
             raise ValueError(f"{self.ticker}: unknown role {self.role!r}")
 
 
+def _ordinals(dates) -> tuple[np.ndarray, int]:
+    """Day numbers of ``dates`` and the index of the first one not above its predecessor, or 0."""
+    days = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=len(dates))
+    bad = np.flatnonzero(np.diff(days) <= 0)
+    return days, int(bad[0]) + 1 if bad.size else 0
+
+
 @dataclass(eq=False)
 class PriceSeries:
     """Adjusted daily closes for one ticker, sorted by date."""
@@ -59,6 +73,7 @@ class PriceSeries:
     ticker: str
     dates: tuple[dt.date, ...]
     closes: np.ndarray
+    ordinals: np.ndarray = field(init=False, repr=False)  # day numbers of ``dates``
 
     def __post_init__(self):
         self.dates = tuple(self.dates)
@@ -67,11 +82,11 @@ class PriceSeries:
             raise MalformedRow(self.ticker, 0, "dates and closes differ in length")
         if len(self.dates) < 2:
             raise TooShort(f"{self.ticker}: need at least 2 prices, got {len(self.dates)}")
-        for i in range(1, len(self.dates)):
-            if self.dates[i] == self.dates[i - 1]:
-                raise DuplicateDate(self.ticker, self.dates[i])
-            if self.dates[i] < self.dates[i - 1]:
-                raise MalformedRow(self.ticker, 0, "dates not sorted ascending")
+        self.ordinals, i = _ordinals(self.dates)
+        if i and self.ordinals[i] == self.ordinals[i - 1]:
+            raise DuplicateDate(self.ticker, self.dates[i])
+        if i:
+            raise MalformedRow(self.ticker, 0, "dates not sorted ascending")
         if not np.all(np.isfinite(self.closes)):
             raise MalformedRow(self.ticker, 0, "non-finite price")
         bad = np.nonzero(self.closes <= 0.0)[0]
@@ -102,9 +117,9 @@ class AlignedPanel:
             )
         if not np.all(np.isfinite(self.prices)) or np.any(self.prices <= 0.0):
             raise NonPositivePrice("<panel>", None, float(np.min(self.prices)))
-        for i in range(1, len(self.dates)):
-            if self.dates[i] <= self.dates[i - 1]:
-                raise DuplicateDate("<panel>", self.dates[i])
+        _, i = _ordinals(self.dates)
+        if i:
+            raise DuplicateDate("<panel>", self.dates[i])
         self._columns = {a.ticker: i for i, a in enumerate(self.assets)}
         if len(self._columns) != len(self.assets):
             raise TickerMismatch(f"duplicate tickers in panel {self.tickers}")
@@ -130,6 +145,72 @@ class AlignedPanel:
         return tuple(a for a in self.assets if a.role == ROLE_PORTFOLIO)
 
 
+def read_text(path) -> str:
+    """Text of a UTF-8 file without its byte-order mark; bad bytes raise MalformedRow."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(str(path), raw.count(b"\n", 0, exc.start) + 1, "not UTF-8") from None
+
+
+def _raise_first_bad_row(path, rows, width, fields, ticker):
+    """Raise the error of the first bad row (line 2 on) at ``fields``: [date,] value."""
+    *date_at, value_at = fields
+    label = "price" if date_at else "value"
+    for line, row in enumerate(rows, start=2):
+        if len(row) != width:
+            raise MalformedRow(path, line, f"expected {width} fields, got {len(row)}")
+        if date_at:
+            try:
+                date = dt.date.fromisoformat(row[date_at[0]].strip())
+            except ValueError:
+                raise MalformedRow(path, line, f"unparseable date {row[date_at[0]]!r}") from None
+        try:
+            value = float(row[value_at])
+        except ValueError:
+            raise MalformedRow(path, line, f"unparseable {label} {row[value_at]!r}") from None
+        if not np.isfinite(value):
+            raise MalformedRow(path, line, f"non-finite {label} {row[value_at]!r}")
+        if date_at and value <= 0.0:
+            raise NonPositivePrice(ticker, date, value)
+
+
+def _read_columns(path: str, names: dict[str, str], ticker: str = ""):
+    """Dates (None if undated) and values of a headed CSV, in file order.
+
+    ``names`` maps "value", or "date" and "price", to header names; the
+    rules of :func:`_raise_first_bad_row` are applied to whole columns.
+    """
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise MalformedRow(path, reader.line_num, str(exc)) from None
+    if not rows:
+        raise MalformedRow(path, 1, "empty file")
+    header = [h.strip() for h in rows.pop(0)]
+    for kind, name in names.items():
+        if name not in header:
+            raise MalformedRow(path, 1, f"missing {kind} column {name!r}")
+    fields = [header.index(name) for name in names.values()]
+    if not set(map(len, rows)) <= {len(header)}:
+        _raise_first_bad_row(path, rows, len(header), fields, ticker)
+    columns = [list(map(itemgetter(i), rows)) for i in fields]
+    del rows  # the columns hold every field still needed
+    *date_col, value_col = columns
+    try:
+        dates = list(map(dt.date.fromisoformat, map(str.strip, date_col[0]))) if date_col else None
+        values = np.fromiter(map(float, value_col), dtype=float, count=len(value_col))
+        ok = np.isfinite(values).all() and (not date_col or (values > 0.0).all())
+    except ValueError:
+        ok = False
+    if not ok:
+        _raise_first_bad_row(path, zip(*columns), len(columns), range(len(columns)), ticker)
+    return dates, values
+
+
 def load_price_csv(
     path: str,
     ticker: str,
@@ -143,74 +224,16 @@ def load_price_csv(
     rejected with the offending line number, not skipped. The returned
     series is sorted ascending by date.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(path, 1, "empty file") from None
-        header = [h.strip() for h in header]
-        if date_column not in header:
-            raise MalformedRow(path, 1, f"missing date column {date_column!r}")
-        if price_column not in header:
-            raise MalformedRow(path, 1, f"missing price column {price_column!r}")
-        d_idx = header.index(date_column)
-        p_idx = header.index(price_column)
-
-        rows: list[tuple[dt.date, float]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise MalformedRow(path, line_no, f"expected {len(header)} fields, got {len(row)}")
-            try:
-                date = dt.date.fromisoformat(row[d_idx].strip())
-            except ValueError:
-                raise MalformedRow(path, line_no, f"unparseable date {row[d_idx]!r}") from None
-            try:
-                price = float(row[p_idx])
-            except ValueError:
-                raise MalformedRow(path, line_no, f"unparseable price {row[p_idx]!r}") from None
-            if not np.isfinite(price):
-                raise MalformedRow(path, line_no, f"non-finite price {row[p_idx]!r}")
-            if price <= 0.0:
-                raise NonPositivePrice(ticker, date, price)
-            rows.append((date, price))
-
-    rows.sort(key=lambda r: r[0])
-    for i in range(1, len(rows)):
-        if rows[i][0] == rows[i - 1][0]:
-            raise DuplicateDate(ticker, rows[i][0])
-    if len(rows) < 2:
-        raise TooShort(f"{ticker}: need at least 2 rows, got {len(rows)}")
-    return PriceSeries(
-        ticker=ticker,
-        dates=tuple(r[0] for r in rows),
-        closes=np.array([r[1] for r in rows]),
-    )
+    dates, closes = _read_columns(path, {"date": date_column, "price": price_column}, ticker)
+    if len(dates) < 2:
+        raise TooShort(f"{ticker}: need at least 2 rows, got {len(dates)}")
+    order = np.argsort(_ordinals(dates)[0], kind="stable")
+    return PriceSeries(ticker, tuple(map(dates.__getitem__, order.tolist())), closes[order])
 
 
 def load_series_csv(path: str, column: str) -> np.ndarray:
     """Read one numeric column from CSV, in file order, no date handling."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise MalformedRow(path, 1, "empty file") from None
-        if column not in header:
-            raise MalformedRow(path, 1, f"missing column {column!r}")
-        idx = header.index(column)
-        values: list[float] = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise MalformedRow(path, line_no, f"expected {len(header)} fields, got {len(row)}")
-            try:
-                v = float(row[idx])
-            except ValueError:
-                raise MalformedRow(path, line_no, f"unparseable value {row[idx]!r}") from None
-            if not np.isfinite(v):
-                raise MalformedRow(path, line_no, f"non-finite value {row[idx]!r}")
-            values.append(v)
-    return np.array(values)
+    return _read_columns(path, {"value": column})[1]
 
 
 def align_panel(series: list[PriceSeries], specs: list[AssetSpec]) -> AlignedPanel:
@@ -222,8 +245,6 @@ def align_panel(series: list[PriceSeries], specs: list[AssetSpec]) -> AlignedPan
     if not series:
         raise EmptyIntersection("no price series supplied")
     spec_tickers = [s.ticker for s in specs]
-    if len(set(spec_tickers)) != len(spec_tickers):
-        raise TickerMismatch(f"duplicate tickers in universe: {spec_tickers}")
     series_by_ticker = {s.ticker: s for s in series}
     if len(series_by_ticker) != len(series):
         raise TickerMismatch("duplicate tickers among price series")
@@ -233,20 +254,19 @@ def align_panel(series: list[PriceSeries], specs: list[AssetSpec]) -> AlignedPan
             f"universe tickers {sorted(spec_tickers)}"
         )
 
-    common = set(series[0].dates)
+    common = series[0].ordinals
     for s in series[1:]:
-        common &= set(s.dates)
+        common = np.intersect1d(common, s.ordinals, assume_unique=True)
     if len(common) < 2:
         raise EmptyIntersection(
             f"date intersection across {len(series)} series has {len(common)} dates"
         )
-    dates = tuple(sorted(common))
 
-    prices = np.empty((len(dates), len(specs)))
+    prices = np.empty((len(common), len(specs)))
     for j, spec in enumerate(specs):
         s = series_by_ticker[spec.ticker]
-        lookup = dict(zip(s.dates, s.closes))
-        prices[:, j] = [lookup[d] for d in dates]
+        prices[:, j] = s.closes[np.searchsorted(s.ordinals, common)]
+    dates = tuple(map(dt.date.fromordinal, common.tolist()))
     return AlignedPanel(dates=dates, assets=tuple(specs), prices=prices)
 
 

@@ -27,7 +27,7 @@ class NumericError(FracparityError):
 # --- data ingestion -------------------------------------------------------
 
 class MalformedRow(DataError):
-    """A CSV row (or header) could not be parsed."""
+    """A line of an input file (CSV row, header, or text that is not UTF-8) could not be parsed."""
 
     def __init__(self, path: str, line: int, detail: str):
         super().__init__(f"{path}:{line}: {detail}")

@@ -17,7 +17,8 @@ oscillatory integral handled by adaptive quadrature, with the ``alpha = 1``
 branch carrying its own logarithmic phase term. The derivative of the same
 integral (cosine kernel) is the density, which is what anchors the two
 closed forms used in validation: alpha = 2 is a Gaussian with variance two,
-alpha = 1 with zero skew is the Cauchy law.
+alpha = 1 with zero skew is the Cauchy law. The quadrature is scipy's,
+imported on the first CDF evaluation, so the backtest never loads scipy.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     DegeneratePath,
@@ -40,6 +40,15 @@ from .errors import (
 )
 
 MIN_RETURNS_FOR_PATH = 8
+
+
+def __getattr__(name: str):
+    # ``fractal.integrate`` names the quadrature module without importing it up front
+    if name == "integrate":
+        from scipy import integrate
+
+        return integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -276,6 +285,8 @@ def _phase(t: float, z: float, alpha: float, beta: float) -> float:
 
 
 def _cdf_quad_plain(z: float, alpha: float, beta: float) -> tuple[float, float]:
+    from scipy import integrate
+
     def f(t):
         return math.sin(_phase(t, z, alpha, beta)) * math.exp(-(t**alpha)) / t
 
@@ -291,6 +302,8 @@ def _cdf_quad_split(z: float, alpha: float, beta: float) -> tuple[float, float]:
     lets QUADPACK's oscillatory machinery extrapolate over the cycles.
     Only valid for ``alpha != 1``.
     """
+    from scipy import integrate
+
     c = beta * math.tan(math.pi * alpha / 2.0)
     a_lin = z + c  # linear phase coefficient for t -> inf
 
@@ -323,14 +336,19 @@ def stable_cdf_with_error(
 
     where the phase is ``z t + beta tan(pi alpha / 2)(t - t^alpha)`` away
     from ``alpha = 1`` and ``z t + (2 beta / pi) t ln t`` on that branch.
-    Raises :class:`QuadratureFailure` when the error estimate ends up above
+    Raises :class:`InvalidStableParams` when ``z`` is not finite and
+    :class:`QuadratureFailure` when the error estimate ends up above
     ``tol``; the value is clipped into [0, 1] at machine-level overshoot.
     """
     z = (r - params.mu_loc) / params.sigma
+    if not math.isfinite(z):
+        raise InvalidStableParams(f"r must give a finite (r - mu_loc) / sigma, got r = {r}")
     alpha, beta = params.alpha, params.beta
     if z == 0.0 and beta == 0.0:
         # integrand vanishes identically at the symmetry point
         return 0.5, 0.0
+
+    from scipy import integrate
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)

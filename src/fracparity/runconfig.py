@@ -23,6 +23,7 @@ from .data import (
     AssetSpec,
     align_panel,
     load_price_csv,
+    read_text,
 )
 from .errors import ConfigError
 from .fractal import HurstConfig
@@ -93,10 +94,9 @@ def load_run_settings(path: str | Path) -> RunSettings:
     is read, so the result can run every selected variant at its horizon.
     """
     path = Path(path)
+    text = read_text(path)
     try:
-        raw = yaml.safe_load(path.read_text())
-    except FileNotFoundError:
-        raise
+        raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from None
     if not isinstance(raw, dict):

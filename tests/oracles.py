@@ -8,6 +8,8 @@ they validate.
 
 from __future__ import annotations
 
+import csv
+import datetime as dt
 import math
 
 import numpy as np
@@ -174,3 +176,82 @@ def whole_share_trades(weights, capital: float, prices, prior):
     targets = [math.floor(w * capital / p) for w, p in zip(weights, prices)]
     trades = [(i, t - s) for i, (t, s) in enumerate(zip(targets, prior)) if t != s]
     return trades, targets
+
+
+class Rejected(Exception):
+    """A reference loader's verdict on bad input: error class name, message, line."""
+
+    def __init__(self, kind: str, message: str, line: int | None = None):
+        super().__init__(f"{kind}: {message}")
+        self.kind = kind
+        self.message = message
+        self.line = line
+
+
+def _malformed(path: str, line: int, detail: str) -> Rejected:
+    return Rejected("MalformedRow", f"{path}:{line}: {detail}", line)
+
+
+def load_price_rows(path: str, ticker: str, date_column: str = "date",
+                    price_column: str = "adj_close") -> tuple[list[dt.date], list[float]]:
+    """Row-by-row reference CSV loader: ``(dates, closes)`` sorted by date.
+
+    Each row in file order must have the header's width, an ISO-8601 date,
+    a float price that is finite and positive; after a stable sort no date
+    may repeat and at least two rows must remain. The first failure raises
+    :class:`Rejected` with the error the package is expected to raise.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise _malformed(path, 1, "empty file") from None
+        if date_column not in header:
+            raise _malformed(path, 1, f"missing date column {date_column!r}")
+        if price_column not in header:
+            raise _malformed(path, 1, f"missing price column {price_column!r}")
+        d_idx = header.index(date_column)
+        p_idx = header.index(price_column)
+        rows = []
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise _malformed(path, line_no, f"expected {len(header)} fields, got {len(row)}")
+            try:
+                date = dt.date.fromisoformat(row[d_idx].strip())
+            except ValueError:
+                raise _malformed(path, line_no, f"unparseable date {row[d_idx]!r}") from None
+            try:
+                price = float(row[p_idx])
+            except ValueError:
+                raise _malformed(path, line_no, f"unparseable price {row[p_idx]!r}") from None
+            if not math.isfinite(price):
+                raise _malformed(path, line_no, f"non-finite price {row[p_idx]!r}")
+            if price <= 0.0:
+                message = f"{ticker}: non-positive price {price} on {date}"
+                raise Rejected("NonPositivePrice", message)
+            rows.append((date, price))
+    rows.sort(key=lambda r: r[0])
+    for (prev, _), (date, _) in zip(rows, rows[1:]):
+        if date == prev:
+            raise Rejected("DuplicateDate", f"{ticker}: duplicate date {date}")
+    if len(rows) < 2:
+        raise Rejected("TooShort", f"{ticker}: need at least 2 rows, got {len(rows)}")
+    return [r[0] for r in rows], [r[1] for r in rows]
+
+
+def align_rows(series, tickers) -> tuple[list[dt.date], list[list[float]]]:
+    """Reference alignment: dates every series has, one row of closes per date.
+
+    ``series`` is a list of ``(ticker, dates, closes)``; columns follow
+    ``tickers``. Fewer than two common dates raise :class:`Rejected`.
+    """
+    common = set(series[0][1])
+    for _, dates, _ in series[1:]:
+        common &= set(dates)
+    if len(common) < 2:
+        raise Rejected("EmptyIntersection",
+                       f"date intersection across {len(series)} series has {len(common)} dates")
+    lookup = {ticker: dict(zip(dates, closes)) for ticker, dates, closes in series}
+    dates = sorted(common)
+    return dates, [[lookup[t][d] for t in tickers] for d in dates]

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -276,3 +279,96 @@ class TestStableCdfCommand:
     def test_invalid_alpha_exits_2(self, capsys):
         assert main(["stable-cdf", "1.0", "--alpha", "2.5"]) == 2
         assert "InvalidStableParams" in capsys.readouterr().err
+
+
+class TestInputOutputErrors:
+    """Unreadable inputs and an unusable --out end with exit 3 and one ``error: data:`` line."""
+
+    def assert_data_error(self, argv, capsys, detail: str):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ")
+        assert err.count("\n") == 1
+        assert detail in err
+
+    def fixture_copy(self, tmp_path: Path) -> Path:
+        for src in PANEL_CONFIG.parent.iterdir():
+            (tmp_path / src.name).write_bytes(src.read_bytes())
+        return tmp_path / PANEL_CONFIG.name
+
+    def test_non_utf8_price_csv(self, tmp_path, capsys):
+        config = self.fixture_copy(tmp_path)
+        lines = (tmp_path / "eqt.csv").read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b"-", b"\xff", 1)
+        (tmp_path / "eqt.csv").write_bytes(b"\n".join(lines))
+        argv = ["backtest", "--config", str(config), "--out", str(tmp_path / "out")]
+        self.assert_data_error(argv, capsys, "eqt.csv:3: not UTF-8")
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        config = self.fixture_copy(tmp_path)
+        config.write_bytes(b"# \xe9t\xe9\n" + config.read_bytes())
+        argv = ["backtest", "--config", str(config), "--out", str(tmp_path / "out")]
+        self.assert_data_error(argv, capsys, "universe.yaml:1: not UTF-8")
+
+    def test_byte_order_marks_are_accepted(self, tmp_path):
+        config = self.fixture_copy(tmp_path)
+        for path in (config, tmp_path / "bnd.csv"):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        out = tmp_path / "out"
+        assert main(["backtest", "--config", str(config), "--out", str(out)]) == 0
+        expected = tmp_path / "expected"
+        assert main(["backtest", "--config", str(PANEL_CONFIG), "--out", str(expected)]) == 0
+        for name in ARTIFACTS[:-1]:
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+    def test_price_csv_is_a_directory(self, tmp_path, capsys):
+        config = self.fixture_copy(tmp_path)
+        (tmp_path / "rei.csv").unlink()
+        (tmp_path / "rei.csv").mkdir()
+        argv = ["backtest", "--config", str(config), "--out", str(tmp_path / "out")]
+        self.assert_data_error(argv, capsys, "IsADirectoryError")
+
+    def test_hurst_csv_is_a_directory(self, tmp_path, capsys):
+        self.assert_data_error(["hurst", str(tmp_path)], capsys, "IsADirectoryError")
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        argv = ["backtest", "--config", str(tmp_path), "--out", str(tmp_path / "out")]
+        self.assert_data_error(argv, capsys, "IsADirectoryError")
+
+    def test_oversized_csv_field(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("value\n1.0\n" + '"' + "9" * 200_000 + '"\n')
+        detail = "big.csv:3: field larger than field limit"
+        self.assert_data_error(["hurst", str(path)], capsys, detail)
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        argv = ["backtest", "--config", str(PANEL_CONFIG), "--out", str(out)]
+        self.assert_data_error(argv, capsys, "FileExistsError")
+
+
+class TestStableCdfNonFinitePoint:
+    @pytest.mark.parametrize("r", ["nan", "inf", "-inf"])
+    def test_exits_2(self, capsys, r):
+        assert main(["stable-cdf", "--alpha", "1.5", "--", r]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: config: InvalidStableParams: ")
+        assert captured.err.count("\n") == 1
+
+
+def test_backtest_does_not_import_scipy(tmp_path):
+    argv = ["backtest", "--config", str(PANEL_CONFIG), "--out", str(tmp_path)]
+    code = (
+        "import sys\n"
+        "from fracparity.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

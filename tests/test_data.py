@@ -109,6 +109,22 @@ class TestLoadSeriesCsv:
         with pytest.raises(MalformedRow):
             load_series_csv(path, "other")
 
+    def test_values_need_not_be_positive(self, tmp_path):
+        path = write_csv(tmp_path, "s.csv", ["-1.5,a", "0,b", " 2.5 ,c"], header="value,note")
+        assert load_series_csv(path, "value").tolist() == [-1.5, 0.0, 2.5]
+
+    @pytest.mark.parametrize(
+        "bad, detail",
+        [("1.0,2.0", "expected 1 fields, got 2"), ("x", "unparseable value 'x'"),
+         ("inf", "non-finite value 'inf'"), ("", "expected 1 fields, got 0")],
+    )
+    def test_first_bad_line_is_named(self, tmp_path, bad, detail):
+        path = write_csv(tmp_path, "s.csv", ["1.0", bad, "-2.0", "nan", "y"], header="value")
+        with pytest.raises(MalformedRow) as info:
+            load_series_csv(path, "value")
+        assert info.value.line == 3
+        assert str(info.value) == f"{path}:3: {detail}"
+
 
 class TestAlignPanel:
     def test_intersection(self):
