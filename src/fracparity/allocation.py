@@ -12,19 +12,22 @@ A window is handled in one array pass over all portfolio columns: the
 prices become an (assets x days) block with one row per asset, so returns,
 means, ddof=1 deviations, minimal-cover paths and Hurst fits are each one
 call along the rows, and the trend filter, the ``h`` clamp and the
-inverse-volatility weights are masked array operations.
+inverse-volatility weights are masked array operations. The per-asset
+diagnostics stay vectors on :class:`PortfolioWeights`; its ``risk`` and
+``hurst`` records are built from them only when a caller reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .data import ROLE_PORTFOLIO, AlignedPanel
+from .data import AlignedPanel
 from .errors import DegenerateVolatility, Empty, LengthMismatch
-from .fractal import HurstConfig, HurstEstimate, build_path, estimate_hurst_rows
+from .fractal import HurstConfig, HurstEstimate, HurstFit, build_path, fit_hurst_rows
 from .fractal import estimate_hurst  # noqa: F401  (perfbench/tracing.py wraps this binding)
 from .riskstats import RiskEstimate, log_returns, mean_return, rescale_volatility, unbiased_std
 
@@ -42,15 +45,26 @@ class PortfolioWeights:
     """Long-only weights per asset plus the cash remainder.
 
     Weights are normalized to full investment whenever any asset survives;
-    cash is 1 only when the trend filter removed everything. ``risk`` and
-    ``hurst`` carry the per-asset diagnostics the weights were built from.
+    cash is 1 only when the trend filter removed everything.
+
+    The diagnostics the weights were built from are vectors in ``tickers``
+    order: ``mu`` and ``std0`` (mean and ddof=1 deviation of the percent log
+    returns, per day), the exponent ``h`` and the horizon deviation
+    ``std_n``. ``fit`` is the minimal-cover fit of the ``fitted`` columns
+    (the active assets of ``fractal_biased``; ``None`` otherwise), from
+    which ``r_squared`` and ``clamped`` are spread over all columns. The
+    ``risk`` and ``hurst`` records are built from these on first read.
     """
 
     tickers: tuple[str, ...]
     weights: np.ndarray
     cash: float
-    risk: dict[str, RiskEstimate] = field(default_factory=dict)
-    hurst: dict[str, HurstEstimate] = field(default_factory=dict)
+    mu: np.ndarray | None = None
+    std0: np.ndarray | None = None
+    h: np.ndarray | None = None
+    std_n: np.ndarray | None = None
+    fit: HurstFit | None = None
+    fitted: np.ndarray | None = None
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -70,6 +84,40 @@ class PortfolioWeights:
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.tickers, (float(w) for w in self.weights)))
+
+    @property
+    def r_squared(self) -> np.ndarray:
+        """r² of each column's log-log fit; NaN where no exponent was fitted."""
+        out = np.full(len(self.tickers), np.nan)
+        if self.fit is not None:
+            out[self.fitted] = self.fit.r_squared
+        return out
+
+    @property
+    def clamped(self) -> np.ndarray:
+        """True where the fitted exponent was clamped to ``h_min`` or ``h_max``."""
+        out = np.zeros(len(self.tickers), dtype=bool)
+        if self.fit is not None:
+            out[self.fitted] = self.fit.clamped
+        return out
+
+    @cached_property
+    def risk(self) -> dict[str, RiskEstimate]:
+        """One :class:`RiskEstimate` per ticker; empty without diagnostics."""
+        if self.mu is None:
+            return {}
+        fields = zip(
+            self.tickers, self.mu.tolist(), self.std0.tolist(), self.h.tolist(),
+            self.std_n.tolist(),
+        )
+        return dict(zip(self.tickers, map(RiskEstimate._make, fields)))
+
+    @cached_property
+    def hurst(self) -> dict[str, HurstEstimate]:
+        """One :class:`HurstEstimate` per fitted ticker."""
+        if self.fit is None:
+            return {}
+        return dict(zip(map(self.tickers.__getitem__, self.fitted.tolist()), self.fit.estimates()))
 
 
 def trend_filter(risk: list[RiskEstimate]) -> np.ndarray:
@@ -104,11 +152,11 @@ def compute_weights(
     """
     if window.n_rows != n:
         raise LengthMismatch(f"window has {window.n_rows} rows, expected horizon {n}")
-    columns = [i for i, a in enumerate(window.assets) if a.role == ROLE_PORTFOLIO]
-    if not columns:
+    columns = window.portfolio_columns
+    if not columns.size:
         raise Empty("window contains no portfolio assets")
     variant = StrategyVariant(variant)
-    tickers = tuple(window.assets[i].ticker for i in columns)
+    tickers = window.portfolio_tickers
 
     returns = log_returns(window.prices.T[columns]).values  # one row per asset
     mus = mean_return(returns)
@@ -123,14 +171,12 @@ def compute_weights(
         raise DegenerateVolatility(f"{tickers[flat[0]]}: zero volatility over the window")
 
     h = np.full(len(tickers), 0.5)
-    hurst_diag: dict[str, HurstEstimate] = {}
+    fit = fitted = None
     if variant is StrategyVariant.FRACTAL_BIASED and active.any():
-        estimates = estimate_hurst_rows(build_path(returns[active]), hurst_config)
-        h[active] = [est.h for est in estimates]
-        hurst_diag = dict(zip(np.array(tickers)[active].tolist(), estimates))
+        fitted = np.flatnonzero(active)
+        fit = fit_hurst_rows(build_path(returns[fitted]), hurst_config)
+        h[fitted] = fit.h
     std_n = rescale_volatility(std0s, n, h)
-    fields = zip(tickers, mus.tolist(), std0s.tolist(), h.tolist(), std_n.tolist())
-    risk_diag = dict(zip(tickers, map(RiskEstimate._make, fields)))
 
     # naive weighting uses the daily deviation; biased variants the
     # horizon-rescaled one (a shared factor would cancel anyway)
@@ -142,5 +188,6 @@ def compute_weights(
     else:
         cash = 1.0
     return PortfolioWeights(
-        tickers=tickers, weights=weights, cash=cash, risk=risk_diag, hurst=hurst_diag
+        tickers=tickers, weights=weights, cash=cash,
+        mu=mus, std0=std0s, h=h, std_n=std_n, fit=fit, fitted=fitted,
     )

@@ -14,19 +14,25 @@ capital into the next. The equity curve always compounds the per-period net
 returns; in reinvest mode that is exactly the simulated capital path, in
 fixed-capital mode it is the reinvested view of the per-period results.
 
-Each period is one array pass over the portfolio columns: the lookback
-window goes to :func:`compute_weights` as a block, and whole-share targets,
-trade deltas, commissions, the start and end marks and the expense drag are
-vectors in column order. Ticker lookups are dictionary hits, resolved once
-per call. Sums that feed the reported figures run left to right in column
-order, so results do not depend on how the arrays are blocked.
+Each period is a fixed set of array operations over the portfolio
+columns, from the lookback window to the net return, and builds no
+per-asset Python object. The lookback and holding windows are read-only
+views of the panel (:func:`slice_window`). :func:`compute_weights` returns
+the weights with their diagnostics as vectors; the holdings are an int64
+share vector in column order; a rebalance returns its orders as
+:class:`Trades`, parallel vectors of column, signed shares, price and fee,
+whose :class:`Trade` records are built only when read. Sums that feed the
+reported figures run left to right in column order, so results do not
+depend on how the arrays are blocked.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +43,7 @@ from .errors import (
     DeltaTooLarge,
     InsufficientCapital,
     InsufficientHistory,
-    TickerMismatch,
+    LengthMismatch,
     TooShort,
 )
 from .fractal import MIN_RETURNS_FOR_PATH, HurstConfig, hurst_scales
@@ -98,6 +104,45 @@ class Trade(NamedTuple):
     commission: float
 
 
+@dataclass(frozen=True, eq=False)
+class Trades(Sequence):
+    """The orders of one rebalance, held as parallel vectors.
+
+    ``columns`` index ``tickers``; ``shares`` are signed (positive buys,
+    negative sells), ``prices`` the fills and ``fees`` the commissions.
+    As a sequence it yields one :class:`Trade` per order, built on first
+    read, and it compares equal to any sequence of the same records.
+    """
+
+    tickers: tuple[str, ...]
+    columns: np.ndarray
+    shares: np.ndarray
+    prices: np.ndarray
+    fees: np.ndarray
+
+    @cached_property
+    def records(self) -> tuple[Trade, ...]:
+        names = map(self.tickers.__getitem__, self.columns.tolist())
+        fields = zip(names, self.shares.tolist(), self.prices.tolist(), self.fees.tolist())
+        return tuple(map(Trade._make, fields))
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __getitem__(self, i):
+        return self.records[i]
+
+    def __iter__(self):
+        return iter(self.records)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self.records == tuple(other)
+
+    __hash__ = None
+
+
 class PeriodBreakdown(NamedTuple):
     gross: float         # percent over the window
     expense_drag: float  # percent of start capital
@@ -111,7 +156,7 @@ class PeriodResult:
     start_date: dt.date
     end_date: dt.date
     weights: PortfolioWeights | None
-    trades: tuple[Trade, ...]
+    trades: Sequence[Trade]
     gross_return: float
     expense_drag: float
     commission_cost: float
@@ -156,74 +201,75 @@ def commission_for(shares, price, plan: CommissionPlan):
 def execute_rebalance(
     weights: PortfolioWeights,
     capital: float,
-    prices: Mapping[str, float],
+    prices,
     plan: CommissionPlan,
-    prior_holdings: Mapping[str, int] | None = None,
-) -> tuple[list[Trade], dict[str, int], float]:
+    prior=None,
+) -> tuple[Trades, np.ndarray, float]:
     """Realize target weights as whole-share positions.
 
-    Target shares per asset are ``floor(weight * capital / price)``; trades
-    are the deltas against ``prior_holdings`` and each one pays its own
-    commission. The unspent remainder stays in cash. Raises
+    ``prices`` (execution prices) and ``prior`` (shares held before, none
+    if ``None``) are vectors in ``weights.tickers`` order. Target shares
+    per asset are ``floor(weight * capital / price)``; trades are the
+    deltas against ``prior`` and each one pays its own commission. The
+    unspent remainder stays in cash. Returns the trades, the int64 target
+    share vector and the total commission. Raises
     :class:`InsufficientCapital` when the commissions alone would consume
     the whole capital.
     """
     if capital <= 0.0:
         raise InsufficientCapital(f"capital must be positive, got {capital}")
-    prior = dict(prior_holdings or {})
-    unknown = set(prior) - set(weights.tickers)
-    if unknown:
-        raise TickerMismatch(f"prior holdings for unknown tickers {sorted(unknown)}")
-
     tickers = weights.tickers
-    price = np.array([float(prices[t]) for t in tickers])
+    price = np.asarray(prices, dtype=float)
+    held = np.zeros(len(tickers), np.int64) if prior is None else np.asarray(prior, np.int64)
+    if price.shape != (len(tickers),) or held.shape != price.shape:
+        raise LengthMismatch(
+            f"{len(tickers)} tickers vs prices {price.shape} and prior holdings {held.shape}"
+        )
     bad = np.flatnonzero(price <= 0.0)
     if bad.size:
         i = bad[0]
         raise ValueError(f"{tickers[i]}: non-positive execution price {price[i]}")
     target = np.floor(weights.weights * capital / price).astype(np.int64)
-    delta = target - np.array([prior.get(t, 0) for t in tickers], dtype=np.int64)
+    delta = target - held
 
     traded = np.flatnonzero(delta)
+    traded_shares = delta[traded]
     traded_price = price[traded]
-    fees = commission_for(np.abs(delta[traded]), traded_price, plan).tolist()
-    traded_tickers = [tickers[i] for i in traded.tolist()]
-    fields = zip(traded_tickers, delta[traded].tolist(), traded_price.tolist(), fees)
-    trades = list(map(Trade._make, fields))
-    total_commission = sum(fees, 0.0)
+    fees = commission_for(np.abs(traded_shares), traded_price, plan)
+    total_commission = sum(fees.tolist(), 0.0)
     if total_commission >= capital:
         raise InsufficientCapital(
             f"commissions {total_commission:.2f} would consume capital {capital:.2f}"
         )
-    return trades, dict(zip(tickers, target.tolist())), total_commission
+    return Trades(tickers, traded, traded_shares, traded_price, fees), target, total_commission
 
 
 def period_return(
-    holdings: Mapping[str, int],
+    shares,
     cash: float,
     window: AlignedPanel,
     commissions: float = 0.0,
 ) -> PeriodBreakdown:
     """Gross and net percent return of fixed holdings over one window.
 
+    ``shares`` holds the position of every window column, in column order.
     Positions are priced at the window's first row. The gross return is the
     mark-to-market change; each asset's expense ratio is pro-rated by the
     window length over a 252-day year and applied to that asset's share of
     start capital; commissions convert to percent of start capital.
     """
-    held = [(window.index_of(t), shares) for t, shares in holdings.items() if shares]
-    columns = [c for c, _ in held]
-    shares = np.array([s for _, s in held], dtype=float)
-    start_values = shares * window.prices[0, columns]
+    shares = np.asarray(shares, dtype=float)
+    if shares.shape != (len(window.assets),):
+        raise LengthMismatch(f"{len(window.assets)} columns vs shares shape {shares.shape}")
+    start_values = shares * window.prices[0]
     v_start = sum(start_values.tolist(), 0.0) + cash
     if v_start <= 0.0:
         raise InsufficientCapital(f"period starts with non-positive value {v_start}")
-    v_end = sum((shares * window.prices[-1, columns]).tolist(), cash)
+    v_end = sum((shares * window.prices[-1]).tolist(), cash)
     gross = 100.0 * (v_end - v_start) / v_start
 
     year_fraction = window.n_rows / TRADING_DAYS_PER_YEAR
-    expense = np.array([window.assets[c].expense_ratio for c in columns])
-    drag = sum((expense * year_fraction * (start_values / v_start)).tolist(), 0.0)
+    drag = sum((window.expense_ratios * year_fraction * (start_values / v_start)).tolist(), 0.0)
 
     net = gross - drag - 100.0 * commissions / v_start
     return PeriodBreakdown(gross=gross, expense_drag=drag, net=net)
@@ -247,12 +293,12 @@ def run_walk_forward(
         raise InsufficientHistory(
             f"panel of {panel.n_rows} rows cannot fit lookback + holding of {n} days each"
         )
-    tickers = tuple(a.ticker for a in panel.portfolio_assets())
-    columns = [panel.index_of(t) for t in tickers]
+    columns = panel.portfolio_columns
     results: list[PeriodResult] = []
     equity_dates = [panel.dates[n]]
     equity_values = [config.initial_capital]
-    holdings: dict[str, int] = {}
+    held = np.zeros(len(columns), dtype=np.int64)  # in weights.tickers order
+    shares = np.zeros(len(panel.assets), dtype=np.int64)  # in panel column order
     for k in range(_period_count(panel.n_rows, n)):
         lookback = slice_window(panel, end_index=(k + 1) * n - 1, length=n)
         weights = compute_weights(lookback, config.variant, n, config.hurst)
@@ -263,15 +309,14 @@ def run_walk_forward(
         start_capital = (
             config.initial_capital if config.compounding == FIXED_CAPITAL else equity_values[-1]
         )
-        trades, holdings, commission = execute_rebalance(
-            weights, start_capital, dict(zip(tickers, exec_prices.tolist())),
-            config.commission, holdings,
+        # weights.tickers are the portfolio columns in panel order
+        trades, held, commission = execute_rebalance(
+            weights, start_capital, exec_prices, config.commission, held
         )
-        # holdings are keyed by weights.tickers, the portfolio columns in panel order
-        shares = np.fromiter(holdings.values(), dtype=float, count=len(holdings))
-        cash = start_capital - sum((shares * exec_prices).tolist(), 0.0)
+        cash = start_capital - sum((held * exec_prices).tolist(), 0.0)
+        shares[columns] = held
         hold_window = slice_window(panel, end_index=end_row, length=n)
-        parts = period_return(holdings, cash, hold_window, commissions=commission)
+        parts = period_return(shares, cash, hold_window, commissions=commission)
 
         end_capital = start_capital * (1.0 + parts.net / 100.0)
         results.append(
@@ -279,7 +324,7 @@ def run_walk_forward(
                 start_date=panel.dates[start_row],
                 end_date=panel.dates[end_row],
                 weights=weights,
-                trades=tuple(trades),
+                trades=trades,
                 gross_return=parts.gross,
                 expense_drag=parts.expense_drag,
                 commission_cost=commission,

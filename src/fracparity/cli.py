@@ -206,6 +206,8 @@ def cmd_backtest(args) -> int:
             raise ConfigError(str(exc)) from None
 
     configs = settings.variant_configs()  # overrides are checked before any CSV is read
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any CSV is read
     panel = load_universe_panel(settings)
 
     bench_results, bench_equity = run_benchmark(panel, settings.base_config())
@@ -228,8 +230,6 @@ def cmd_backtest(args) -> int:
         mode=settings.compounding, risk_free_rate=settings.risk_free_rate,
     )
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report_json = out_dir / "report.json"
     report_txt = out_dir / "report.txt"
     period_csv = out_dir / "period_returns.csv"

@@ -13,6 +13,7 @@ and intersected as integer day ordinals, which each series keeps.
 
 from __future__ import annotations
 
+import copy
 import csv
 import datetime as dt
 import io
@@ -59,21 +60,29 @@ class AssetSpec:
             raise ValueError(f"{self.ticker}: unknown role {self.role!r}")
 
 
-def _ordinals(dates) -> tuple[np.ndarray, int]:
-    """Day numbers of ``dates`` and the index of the first one not above its predecessor, or 0."""
-    days = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=len(dates))
+def _ordinals(dates) -> np.ndarray:
+    """Day numbers of ``dates``."""
+    return np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=len(dates))
+
+
+def _first_unordered(days: np.ndarray) -> int:
+    """Index of the first day number not above its predecessor, or 0."""
     bad = np.flatnonzero(np.diff(days) <= 0)
-    return days, int(bad[0]) + 1 if bad.size else 0
+    return int(bad[0]) + 1 if bad.size else 0
 
 
 @dataclass(eq=False)
 class PriceSeries:
-    """Adjusted daily closes for one ticker, sorted by date."""
+    """Adjusted daily closes for one ticker, sorted by date.
+
+    ``ordinals`` are the day numbers of ``dates``; a caller that already has
+    them may pass them, otherwise they are computed here.
+    """
 
     ticker: str
     dates: tuple[dt.date, ...]
     closes: np.ndarray
-    ordinals: np.ndarray = field(init=False, repr=False)  # day numbers of ``dates``
+    ordinals: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.dates = tuple(self.dates)
@@ -82,7 +91,11 @@ class PriceSeries:
             raise MalformedRow(self.ticker, 0, "dates and closes differ in length")
         if len(self.dates) < 2:
             raise TooShort(f"{self.ticker}: need at least 2 prices, got {len(self.dates)}")
-        self.ordinals, i = _ordinals(self.dates)
+        if self.ordinals is None:
+            self.ordinals = _ordinals(self.dates)
+        elif np.shape(self.ordinals) != (len(self.dates),):
+            raise MalformedRow(self.ticker, 0, "dates and ordinals differ in length")
+        i = _first_unordered(self.ordinals)
         if i and self.ordinals[i] == self.ordinals[i - 1]:
             raise DuplicateDate(self.ticker, self.dates[i])
         if i:
@@ -100,11 +113,21 @@ class PriceSeries:
 
 @dataclass(eq=False)
 class AlignedPanel:
-    """Date-aligned close-price matrix for a universe (plus benchmark)."""
+    """Date-aligned close-price matrix for a universe (plus benchmark).
+
+    The column lookups the engine needs every period are built once here:
+    the ticker index, the ``portfolio_columns`` (role ``portfolio_asset``,
+    in panel order) with their ``portfolio_tickers``, and the annual
+    ``expense_ratios`` (percent, one per column). Windows made by
+    :func:`slice_window` share them.
+    """
 
     dates: tuple[dt.date, ...]
     assets: tuple[AssetSpec, ...]
     prices: np.ndarray  # shape (n_dates, n_assets)
+    portfolio_columns: np.ndarray = field(init=False, repr=False)
+    portfolio_tickers: tuple[str, ...] = field(init=False, repr=False)
+    expense_ratios: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.dates = tuple(self.dates)
@@ -117,12 +140,17 @@ class AlignedPanel:
             )
         if not np.all(np.isfinite(self.prices)) or np.any(self.prices <= 0.0):
             raise NonPositivePrice("<panel>", None, float(np.min(self.prices)))
-        _, i = _ordinals(self.dates)
+        i = _first_unordered(_ordinals(self.dates))
         if i:
             raise DuplicateDate("<panel>", self.dates[i])
         self._columns = {a.ticker: i for i, a in enumerate(self.assets)}
         if len(self._columns) != len(self.assets):
             raise TickerMismatch(f"duplicate tickers in panel {self.tickers}")
+        self.portfolio_columns = np.flatnonzero([a.role == ROLE_PORTFOLIO for a in self.assets])
+        self.portfolio_tickers = tuple(self.assets[i].ticker for i in self.portfolio_columns)
+        self.expense_ratios = np.array([a.expense_ratio for a in self.assets], dtype=float)
+        self.portfolio_columns.flags.writeable = False
+        self.expense_ratios.flags.writeable = False
 
     @property
     def n_rows(self) -> int:
@@ -227,8 +255,10 @@ def load_price_csv(
     dates, closes = _read_columns(path, {"date": date_column, "price": price_column}, ticker)
     if len(dates) < 2:
         raise TooShort(f"{ticker}: need at least 2 rows, got {len(dates)}")
-    order = np.argsort(_ordinals(dates)[0], kind="stable")
-    return PriceSeries(ticker, tuple(map(dates.__getitem__, order.tolist())), closes[order])
+    days = _ordinals(dates)
+    order = np.argsort(days, kind="stable")
+    sorted_dates = tuple(map(dates.__getitem__, order.tolist()))
+    return PriceSeries(ticker, sorted_dates, closes[order], ordinals=days[order])
 
 
 def load_series_csv(path: str, column: str) -> np.ndarray:
@@ -271,7 +301,12 @@ def align_panel(series: list[PriceSeries], specs: list[AssetSpec]) -> AlignedPan
 
 
 def slice_window(panel: AlignedPanel, end_index: int, length: int) -> AlignedPanel:
-    """Contiguous sub-panel of exactly ``length`` rows ending at ``end_index``."""
+    """Contiguous sub-panel of exactly ``length`` rows ending at ``end_index``.
+
+    The window is a read-only view of ``panel``: its prices share the
+    panel's memory and cannot be written, and it shares the panel's column
+    lookups. A slice of a valid panel is valid, so it is not checked again.
+    """
     if length < 1:
         raise OutOfRange(f"window length must be >= 1, got {length}")
     start = end_index - length + 1
@@ -279,8 +314,8 @@ def slice_window(panel: AlignedPanel, end_index: int, length: int) -> AlignedPan
         raise OutOfRange(
             f"window [{start}, {end_index}] does not fit in panel of {panel.n_rows} rows"
         )
-    return AlignedPanel(
-        dates=panel.dates[start : end_index + 1],
-        assets=panel.assets,
-        prices=panel.prices[start : end_index + 1, :].copy(),
-    )
+    window = copy.copy(panel)
+    window.dates = panel.dates[start : end_index + 1]
+    window.prices = panel.prices[start : end_index + 1]
+    window.prices.flags.writeable = False
+    return window

@@ -8,8 +8,12 @@ behaves like ``delta**(H - 1)``, so the fitted slope recovers ``H``
 directly. The estimator stays usable on short windows (a few dozen points),
 which is what makes it suitable for walk-forward lookbacks. The kernel
 works on a block with one path per row (every asset of a lookback window),
-block max/min per scale and one batched log-log fit; the single-path
-functions are one-row wrappers over it.
+block max/min per scale and one batched log-log fit, and returns a
+:class:`HurstFit` of per-row vectors (``h``, variation index, r², clamp
+hits, V(delta)). The walk-forward engine keeps those vectors;
+:class:`HurstEstimate` records are built from them only for callers that
+ask for records, such as the ``hurst`` CLI, whose single-path functions
+are one-row wrappers over the same kernel.
 
 The stable CDF is evaluated by Fourier inversion of the characteristic
 function in the continuous ("0-shift") parametrization: a sine-kernel
@@ -208,7 +212,35 @@ def hurst_scales(n_points: int, config: HurstConfig = HurstConfig()) -> list[int
     return scales
 
 
-def estimate_hurst_rows(paths, config: HurstConfig = HurstConfig()) -> list[HurstEstimate]:
+@dataclass(frozen=True, eq=False)
+class HurstFit:
+    """Minimal-cover fits of a block of paths: one entry per row, as vectors.
+
+    ``h`` is clamped into ``[h_min, h_max]``; ``clamped`` marks the rows
+    whose unclamped exponent ``1 - mu_index`` fell outside that range.
+    ``variations`` holds V(delta) with one row per path and one column per
+    entry of ``scales``.
+    """
+
+    h: np.ndarray
+    mu_index: np.ndarray
+    r_squared: np.ndarray
+    clamped: np.ndarray
+    scales: tuple[int, ...]
+    variations: np.ndarray
+
+    def estimates(self) -> list[HurstEstimate]:
+        """One :class:`HurstEstimate` record per row."""
+        return [
+            HurstEstimate(h=hi, mu_index=mi, r_squared=ri, scales=self.scales, variations=tuple(vi))
+            for hi, mi, ri, vi in zip(
+                self.h.tolist(), self.mu_index.tolist(), self.r_squared.tolist(),
+                self.variations.tolist(),
+            )
+        ]
+
+
+def fit_hurst_rows(paths, config: HurstConfig = HurstConfig()) -> HurstFit:
     """Estimate the Hurst exponent of every row of ``paths`` via minimal-cover scaling.
 
     Computes V(delta) on the dyadic ladder for all rows at once, fits
@@ -243,18 +275,24 @@ def estimate_hurst_rows(paths, config: HurstConfig = HurstConfig()) -> list[Hurs
         r_squared = np.where(ss_tot > 0.0, np.clip(1.0 - ss_res / ss_tot, 0.0, 1.0), 1.0)
 
     mu_index = -slope
-    h = np.clip(1.0 - mu_index, config.h_min, config.h_max)
-    scales_t = tuple(scales)
-    return [
-        HurstEstimate(h=hi, mu_index=mi, r_squared=ri, scales=scales_t, variations=tuple(vi))
-        for hi, mi, ri, vi in zip(
-            h.tolist(), mu_index.tolist(), r_squared.tolist(), variations.tolist()
-        )
-    ]
+    raw = 1.0 - mu_index
+    return HurstFit(
+        h=np.clip(raw, config.h_min, config.h_max),
+        mu_index=mu_index,
+        r_squared=r_squared,
+        clamped=(raw < config.h_min) | (raw > config.h_max),
+        scales=tuple(scales),
+        variations=variations,
+    )
+
+
+def estimate_hurst_rows(paths, config: HurstConfig = HurstConfig()) -> list[HurstEstimate]:
+    """One :class:`HurstEstimate` per row of ``paths``; see :func:`fit_hurst_rows`."""
+    return fit_hurst_rows(paths, config).estimates()
 
 
 def estimate_hurst(path, config: HurstConfig = HurstConfig()) -> HurstEstimate:
-    """Estimate the Hurst exponent of one path; see :func:`estimate_hurst_rows`."""
+    """Estimate the Hurst exponent of one path; see :func:`fit_hurst_rows`."""
     p = np.asarray(path, dtype=float)
     if p.ndim != 1:
         raise ValueError(f"path must be 1-d, got shape {p.shape}")

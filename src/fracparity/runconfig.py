@@ -28,6 +28,9 @@ from .data import (
 from .errors import ConfigError
 from .fractal import HurstConfig
 
+# libyaml's parser when PyYAML was built with it; both build the same objects
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass(frozen=True)
 class UniverseEntry:
@@ -96,9 +99,12 @@ def load_run_settings(path: str | Path) -> RunSettings:
     path = Path(path)
     text = read_text(path)
     try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML ({exc})") from None
+        raw = yaml.load(text, Loader=YAML_LOADER)
+    except yaml.YAMLError as exc:  # PyYAML's message spans lines; the error line may not
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = " ".join(str(getattr(exc, "problem", None) or exc).split())
+        raise ConfigError(f"{path}: invalid YAML{where}: {problem}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
 

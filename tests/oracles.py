@@ -105,14 +105,16 @@ def minimal_cover_variation(path, delta: int) -> float:
     return total
 
 
-def minimal_cover_hurst(
+def minimal_cover_fit(
     path, h_min=0.1, h_max=1.0, min_windows=4, max_rungs=4
-) -> float:
-    """Clamped Hurst exponent of one path from the minimal-cover scaling law.
+) -> tuple[float, float, bool]:
+    """(clamped h, r², clamp hit) of one path from the minimal-cover scaling law.
 
     Dyadic scales from 2 while at least ``min_windows`` windows fit, the
     ``max_rungs`` largest kept; least-squares slope of ln V on ln delta;
     ``h = 1 + slope`` (the variation index is ``-slope`` and ``h = 1 - mu``).
+    r² is one minus residual over total sum of squares (1 for a flat ln V);
+    the clamp is hit when ``1 + slope`` lies outside ``[h_min, h_max]``.
     """
     n_intervals = len(path) - 1
     scales = []
@@ -126,29 +128,44 @@ def minimal_cover_hurst(
     ys = [math.log(minimal_cover_variation(path, d)) for d in scales]
     mx, my = mean(xs), mean(ys)
     slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
-    return min(max(1.0 + slope, h_min), h_max)
+    ss_res = sum((y - my - slope * (x - mx)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = sum((y - my) ** 2 for y in ys)
+    r_squared = min(max(1.0 - ss_res / ss_tot, 0.0), 1.0) if ss_tot > 0.0 else 1.0
+    raw = 1.0 + slope
+    return min(max(raw, h_min), h_max), r_squared, not h_min <= raw <= h_max
 
 
-def window_estimates(columns, variant: str, hurst_options=None) -> list[tuple]:
-    """(mean, sample std, h) of the percent log returns of each price list.
+def minimal_cover_hurst(path, **options) -> float:
+    """Clamped Hurst exponent of one path; see :func:`minimal_cover_fit`."""
+    return minimal_cover_fit(path, **options)[0]
 
-    ``h`` is :func:`minimal_cover_hurst` of the cumulative return path for
-    ``fractal_biased`` assets with a positive mean, and 0.5 otherwise.
+
+def window_diagnostics(columns, variant: str, hurst_options=None) -> list[tuple]:
+    """(mean, sample std, h, r², clamp hit) of the percent log returns of each price list.
+
+    ``h``, r² and the clamp hit come from :func:`minimal_cover_fit` of the
+    cumulative return path for ``fractal_biased`` assets with a positive
+    mean; otherwise ``h`` is 0.5, r² is NaN and the clamp is not hit.
     """
-    estimates = []
+    diagnostics = []
     for prices in columns:
         returns = [
             100.0 * (math.log(prices[k + 1]) - math.log(prices[k]))
             for k in range(len(prices) - 1)
         ]
-        mu, h = mean(returns), 0.5
+        mu, fit = mean(returns), (0.5, math.nan, False)
         if variant == "fractal_biased" and mu > 0.0:
             path = [0.0]
             for r in returns:
                 path.append(path[-1] + r)
-            h = minimal_cover_hurst(path, **(hurst_options or {}))
-        estimates.append((mu, sample_std(returns), h))
-    return estimates
+            fit = minimal_cover_fit(path, **(hurst_options or {}))
+        diagnostics.append((mu, sample_std(returns), *fit))
+    return diagnostics
+
+
+def window_estimates(columns, variant: str, hurst_options=None) -> list[tuple]:
+    """(mean, sample std, h) of each price list; see :func:`window_diagnostics`."""
+    return [d[:3] for d in window_diagnostics(columns, variant, hurst_options)]
 
 
 def risk_parity_weights(columns, variant: str, n: int, hurst_options=None) -> list[float]:
@@ -176,6 +193,31 @@ def whole_share_trades(weights, capital: float, prices, prior):
     targets = [math.floor(w * capital / p) for w, p in zip(weights, prices)]
     trades = [(i, t - s) for i, (t, s) in enumerate(zip(targets, prior)) if t != s]
     return trades, targets
+
+
+def order_commission(shares: int, price: float, per_share: float, min_per_order: float,
+                     max_pct_of_value: float) -> float:
+    """Per-share fee floored per order and capped at a percentage of the order's value."""
+    if shares == 0:
+        return 0.0
+    return min(max(per_share * shares, min_per_order), max_pct_of_value * shares * price / 100.0)
+
+
+def holding_net_return(targets, capital: float, start_prices, end_prices, expense_ratios,
+                       days: int, commissions: float) -> float:
+    """Net percent return of whole-share ``targets`` bought at ``start_prices`` and held.
+
+    The capital not spent on shares stays in cash at zero return. Each
+    asset's annual expense ratio (percent) is charged on its share of the
+    start value for ``days / 252`` of a year; commissions are a percentage
+    of the start value.
+    """
+    invested = [t * p for t, p in zip(targets, start_prices)]
+    cash = capital - sum(invested)
+    v_start = sum(invested) + cash
+    v_end = sum(t * p for t, p in zip(targets, end_prices)) + cash
+    drag = sum(e * days / 252 * v / v_start for e, v in zip(expense_ratios, invested))
+    return 100.0 * (v_end - v_start) / v_start - drag - 100.0 * commissions / v_start
 
 
 class Rejected(Exception):

@@ -69,65 +69,65 @@ class TestCommissionFor:
 class TestExecuteRebalance:
     def test_full_deployment(self):
         trades, holdings, fee = execute_rebalance(
-            single_weights(), 1_000_000.0, {"A": 100.0}, PLAN
+            single_weights(), 1_000_000.0, [100.0], PLAN
         )
-        assert holdings == {"A": 10_000}
+        assert holdings.tolist() == [10_000]
         assert fee == pytest.approx(35.00, abs=1e-12)
         assert len(trades) == 1 and trades[0].shares == 10_000
 
     def test_noop_rebalance(self):
         trades, holdings, fee = execute_rebalance(
-            single_weights(), 1_000_000.0, {"A": 100.0}, PLAN, {"A": 10_000}
+            single_weights(), 1_000_000.0, [100.0], PLAN, [10_000]
         )
         assert trades == [] and fee == 0.0
-        assert holdings == {"A": 10_000}
+        assert holdings.tolist() == [10_000]
 
     def test_liquidation(self):
         all_cash = PortfolioWeights(tickers=("A",), weights=np.array([0.0]), cash=1.0)
         trades, holdings, fee = execute_rebalance(
-            all_cash, 1_000_000.0, {"A": 100.0}, PLAN, {"A": 10_000}
+            all_cash, 1_000_000.0, [100.0], PLAN, [10_000]
         )
-        assert holdings == {"A": 0}
+        assert holdings.tolist() == [0]
         assert len(trades) == 1 and trades[0].shares == -10_000
         assert fee == pytest.approx(35.00, abs=1e-12)
 
     def test_whole_shares_leave_remainder(self):
-        _, holdings, _ = execute_rebalance(single_weights(), 1_050.0, {"A": 100.0}, PLAN)
-        assert holdings == {"A": 10}
+        _, holdings, _ = execute_rebalance(single_weights(), 1_050.0, [100.0], PLAN)
+        assert holdings.tolist() == [10]
 
     def test_insufficient_capital(self):
         all_cash = PortfolioWeights(tickers=("A",), weights=np.array([0.0]), cash=1.0)
         with pytest.raises(InsufficientCapital):
-            execute_rebalance(all_cash, 0.30, {"A": 100.0}, PLAN, {"A": 1000})
+            execute_rebalance(all_cash, 0.30, [100.0], PLAN, [1000])
 
     def test_non_positive_capital(self):
         with pytest.raises(InsufficientCapital):
-            execute_rebalance(single_weights(), 0.0, {"A": 100.0}, PLAN)
+            execute_rebalance(single_weights(), 0.0, [100.0], PLAN)
 
 
 class TestPeriodReturn:
     def test_cost_model(self):
         window = flat_window(126, 100.0, 110.0, expense_ratio=0.40)
-        parts = period_return({"A": 50}, 0.0, window)
+        parts = period_return([50], 0.0, window)
         assert parts.gross == pytest.approx(10.0, abs=1e-12)
         assert parts.expense_drag == pytest.approx(0.20, abs=1e-12)
         assert parts.net == pytest.approx(9.80, abs=1e-12)
 
     def test_flat_prices(self):
         window = flat_window(20, 100.0, 100.0)
-        parts = period_return({"A": 10}, 0.0, window)
+        parts = period_return([10], 0.0, window)
         assert parts.gross == 0.0 and parts.net == 0.0
 
     def test_cash_only_pays_commissions(self):
         window = flat_window(20, 100.0, 105.0)
-        parts = period_return({}, 1_000_000.0, window, commissions=35.0)
+        parts = period_return([0], 1_000_000.0, window, commissions=35.0)
         assert parts.gross == 0.0
         assert parts.net == pytest.approx(-100.0 * 35.0 / 1_000_000.0, abs=1e-15)
 
     def test_cash_drag_free(self):
         # half in cash halves both the move and the expense drag
         window = flat_window(126, 100.0, 110.0, expense_ratio=0.40)
-        parts = period_return({"A": 50}, 5_000.0, window)
+        parts = period_return([50], 5_000.0, window)
         assert parts.gross == pytest.approx(5.0, abs=1e-12)
         assert parts.expense_drag == pytest.approx(0.10, abs=1e-12)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,8 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from conftest import synthetic_panel
+from fracparity import cli, runconfig
 from fracparity.cli import main
 
 PANEL_CONFIG = Path(__file__).parent / "fixtures" / "panel4" / "universe.yaml"
@@ -346,6 +349,45 @@ class TestInputOutputErrors:
         out.write_text("not a directory\n")
         argv = ["backtest", "--config", str(PANEL_CONFIG), "--out", str(out)]
         self.assert_data_error(argv, capsys, "FileExistsError")
+
+    def test_unusable_out_fails_before_any_csv_is_read(self, tmp_path, capsys, monkeypatch):
+        def no_load(settings):
+            raise AssertionError("the price CSVs were read")
+
+        monkeypatch.setattr(cli, "load_universe_panel", no_load)
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        argv = ["backtest", "--config", str(PANEL_CONFIG), "--out", str(out / "run")]
+        self.assert_data_error(argv, capsys, "NotADirectoryError")
+        self.assert_data_error(argv[:-1] + [str(out)], capsys, "FileExistsError")
+
+
+class TestYamlLoader:
+    """The run YAML goes through libyaml when PyYAML has it, with the same result."""
+
+    def test_libyaml_is_used_when_available(self):
+        if yaml.__with_libyaml__:
+            assert runconfig.YAML_LOADER is yaml.CSafeLoader
+        else:
+            assert runconfig.YAML_LOADER is yaml.SafeLoader
+
+    def test_panel4_settings_unchanged(self, monkeypatch):
+        fast = dataclasses.asdict(runconfig.load_run_settings(PANEL_CONFIG))
+        monkeypatch.setattr(runconfig, "YAML_LOADER", yaml.SafeLoader)
+        assert dataclasses.asdict(runconfig.load_run_settings(PANEL_CONFIG)) == fast
+        assert fast["horizon_n"] == 63 and len(fast["universe"]) == 5
+
+    @pytest.mark.parametrize("loader", ["default", "SafeLoader"])
+    def test_invalid_yaml_exits_2(self, tmp_path, capsys, monkeypatch, loader):
+        if loader != "default":
+            monkeypatch.setattr(runconfig, "YAML_LOADER", getattr(yaml, loader))
+        config = tmp_path / "run.yaml"
+        config.write_text("universe: [{ticker: AAA, csv: a.csv}\nbenchmark: AAA\n")
+        assert main(["backtest", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ConfigError: ")
+        assert "invalid YAML" in err
+        assert err.count("\n") == 1
 
 
 class TestStableCdfNonFinitePoint:

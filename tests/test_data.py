@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import synthetic_panel
+from fracparity import data
 from fracparity.data import (
     AlignedPanel,
     AssetSpec,
@@ -97,6 +98,33 @@ class TestLoadPriceCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_price_csv(str(tmp_path / "nope.csv"), "AAA")
+
+    def test_day_numbers_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(dates):
+            calls.append(len(dates))
+            return real(dates)
+
+        real = data._ordinals
+        monkeypatch.setattr(data, "_ordinals", counting)
+        rows = ["2016-01-05,101.0", "2016-01-04,100.0", "2016-01-06,102.0"]
+        s = load_price_csv(write_csv(tmp_path, "a.csv", rows), "AAA")
+        assert calls == [3]
+        assert s.ordinals.tolist() == [d.toordinal() for d in s.dates]
+
+
+class TestPriceSeries:
+    def test_day_numbers_computed_when_not_given(self):
+        s = series("AAA", dt.date(2016, 1, 4), [100.0, 101.0, 102.0])
+        assert s.ordinals.tolist() == [d.toordinal() for d in s.dates]
+
+    def test_given_day_numbers_are_checked(self):
+        dates = (dt.date(2016, 1, 4), dt.date(2016, 1, 5))
+        with pytest.raises(MalformedRow):
+            PriceSeries("AAA", dates, [100.0, 101.0], ordinals=np.array([1]))
+        with pytest.raises(DuplicateDate):
+            PriceSeries("AAA", dates, [100.0, 101.0], ordinals=np.array([7, 7]))
 
 
 class TestLoadSeriesCsv:

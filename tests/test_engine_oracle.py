@@ -2,11 +2,14 @@
 
 The engine computes each lookback window as one array pass over all
 portfolio columns; the oracle recomputes every window asset by asset on
-Python floats, with its own minimal-cover Hurst estimate.
+Python floats, with its own minimal-cover Hurst estimate. The engine keeps
+per-asset diagnostics, holdings and trades as vectors and builds records
+from them on demand; both views are checked here.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,8 @@ import pytest
 import oracles
 from conftest import synthetic_panel
 from fracparity.allocation import StrategyVariant
-from fracparity.backtest import BacktestConfig, run_walk_forward
+from fracparity.backtest import BacktestConfig, Trade, run_walk_forward
+from fracparity.data import slice_window
 from fracparity.fractal import (
     HurstConfig,
     cover_variations,
@@ -23,6 +27,7 @@ from fracparity.fractal import (
     estimate_hurst_rows,
     minimal_cover_variation,
 )
+from fracparity.riskstats import RiskEstimate
 from fracparity.runconfig import load_run_settings, load_universe_panel
 
 PANEL_CONFIG = Path(__file__).parent / "fixtures" / "panel4" / "universe.yaml"
@@ -60,6 +65,21 @@ def assert_weights_match_oracle(panel, config, hurst_options=None):
             assert risk.h == pytest.approx(h, rel=WEIGHT_RTOL)
             if ticker in result.weights.hurst:
                 assert result.weights.hurst[ticker].h == risk.h
+        assert_diagnostic_vectors_match_oracle(
+            result.weights, lookback_columns(panel, n, k), config.variant, hurst_options
+        )
+
+
+def assert_diagnostic_vectors_match_oracle(weights, columns, variant, hurst_options):
+    mu, std0, h, r_squared, clamped = map(
+        np.array, zip(*oracles.window_diagnostics(columns, variant.value, hurst_options))
+    )
+    np.testing.assert_allclose(weights.mu, mu, rtol=WEIGHT_RTOL, atol=1e-12)
+    np.testing.assert_allclose(weights.std0, std0, rtol=WEIGHT_RTOL, atol=0.0)
+    np.testing.assert_allclose(weights.h, h, rtol=WEIGHT_RTOL, atol=0.0)
+    # NaN marks the columns without a fit on both sides
+    np.testing.assert_allclose(weights.r_squared, r_squared, rtol=WEIGHT_RTOL, atol=1e-12)
+    assert weights.clamped.tolist() == clamped.tolist()
 
 
 @pytest.mark.parametrize("variant", list(StrategyVariant))
@@ -104,6 +124,8 @@ def test_fixture_trades_match_oracle(variant):
     columns = [panel.index_of(t) for t in tickers]
     results, _ = run_walk_forward(panel, config)
 
+    plan = dataclasses.asdict(config.commission)
+    expense = [a.expense_ratio for a in panel.portfolio_assets()]
     prior = [0] * len(tickers)
     for k, result in enumerate(results):
         prices = panel.prices[(k + 1) * n, columns].tolist()
@@ -113,6 +135,15 @@ def test_fixture_trades_match_oracle(variant):
         )
         got = [(t.ticker, t.shares, t.price) for t in result.trades]
         assert got == [(tickers[i], shares, prices[i]) for i, shares in want], k
+
+        fees = [oracles.order_commission(abs(s), prices[i], **plan) for i, s in want]
+        assert [t.commission for t in result.trades] == pytest.approx(fees, rel=1e-12)
+        end_prices = panel.prices[(k + 2) * n - 1, columns].tolist()
+        net = oracles.holding_net_return(
+            prior, config.initial_capital, prices, end_prices, expense, n, sum(fees)
+        )
+        # percent returns of O(1): the two summation orders agree to rounding
+        assert result.net_return == pytest.approx(net, rel=1e-12, abs=1e-12), k
 
 
 def test_cover_variations_match_oracle():
@@ -139,3 +170,68 @@ def test_batched_hurst_rows_equal_single_paths_bitwise():
             )
             assert est.variations == single.variations
             assert est.h == pytest.approx(oracles.minimal_cover_hurst(path), rel=1e-12)
+
+
+def assert_records_equal_vectors(result):
+    """The on-demand ``risk``, ``hurst`` and ``Trade`` records of one period."""
+    w = result.weights
+    assert list(w.risk) == list(w.tickers)
+    for i, ticker in enumerate(w.tickers):
+        want = RiskEstimate(ticker, w.mu[i], w.std0[i], w.h[i], w.std_n[i])
+        assert w.risk[ticker] == want
+    if w.fit is None:
+        assert w.hurst == {}
+    else:
+        assert list(w.hurst) == [w.tickers[i] for i in w.fitted]
+        for row, i in enumerate(w.fitted):
+            est = w.hurst[w.tickers[i]]
+            assert (est.h, est.mu_index, est.r_squared) == (
+                w.fit.h[row], w.fit.mu_index[row], w.fit.r_squared[row]
+            )
+            assert est.h == w.h[i]
+            assert est.scales == w.fit.scales
+            assert est.variations == tuple(w.fit.variations[row])
+
+    trades = result.trades
+    want = [
+        Trade(trades.tickers[c], s, p, f)
+        for c, s, p, f in zip(trades.columns, trades.shares, trades.prices, trades.fees)
+    ]
+    assert len(trades) == len(want)
+    assert list(trades) == want
+    assert trades == want and trades == tuple(want)
+    assert [trades[i] for i in range(len(trades))] == want
+    assert sum(t.commission for t in trades) == result.commission_cost
+
+
+@pytest.mark.parametrize("variant", list(StrategyVariant))
+def test_records_equal_their_vectors(variant):
+    settings = load_run_settings(PANEL_CONFIG)
+    fixture = load_universe_panel(settings)
+    runs = [(fixture, settings.variant_configs()[variant])]
+    for seed in range(3):
+        panel = synthetic_panel(seed=seed, n_rows=1260, n_assets=4)
+        runs.append((panel, BacktestConfig(horizon_n=42, variant=variant)))
+    for panel, config in runs:
+        results, _ = run_walk_forward(panel, config)
+        assert sum(len(r.trades) for r in results) > 0
+        for result in results:
+            assert_records_equal_vectors(result)
+        again, _ = run_walk_forward(panel, config)
+        assert [r.trades for r in again] == [r.trades for r in results]
+
+
+def test_slice_window_is_a_read_only_view():
+    panel = synthetic_panel(seed=11, n_rows=120, n_assets=3)
+    before = panel.prices.copy()
+    window = slice_window(panel, end_index=59, length=30)
+    assert np.shares_memory(window.prices, panel.prices)
+    with pytest.raises(ValueError):
+        window.prices[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        window.prices[:] *= 2.0
+    inner = slice_window(window, end_index=9, length=5)
+    with pytest.raises(ValueError):
+        inner.prices[-1, -1] = 1.0
+    assert np.array_equal(panel.prices, before)
+    assert np.array_equal(window.prices, before[30:60])
