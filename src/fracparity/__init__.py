@@ -1,109 +1,3 @@
 """Risk parity backtesting with a fractal (Hurst-exponent) volatility model."""
 
 __version__ = "0.1.0"
-
-from .allocation import PortfolioWeights, StrategyVariant, compute_weights, trend_filter
-from .backtest import (
-    BacktestConfig,
-    CommissionPlan,
-    EquityCurve,
-    PeriodResult,
-    Trade,
-    commission_for,
-    daily_marked_equity,
-    execute_rebalance,
-    period_return,
-    run_benchmark,
-    run_walk_forward,
-)
-from .data import (
-    AlignedPanel,
-    AssetSpec,
-    PriceSeries,
-    align_panel,
-    load_price_csv,
-    slice_window,
-)
-from .fractal import (
-    HurstConfig,
-    HurstEstimate,
-    StableParams,
-    alpha_from_hurst,
-    build_path,
-    estimate_hurst,
-    minimal_cover_variation,
-    stable_cdf,
-    stable_cdf_with_error,
-)
-from .metrics import (
-    PerformanceReport,
-    annualize_return,
-    annualize_std,
-    beta,
-    build_report,
-    capital_protection,
-    max_drawdown,
-    sharpe,
-    treynor,
-)
-from .riskstats import (
-    ReturnSeries,
-    RiskEstimate,
-    log_returns,
-    mean_return,
-    rescale_volatility,
-    unbiased_std,
-)
-from .runconfig import RunSettings, load_run_settings, load_universe_panel
-
-__all__ = [
-    "__version__",
-    "AlignedPanel",
-    "AssetSpec",
-    "BacktestConfig",
-    "CommissionPlan",
-    "EquityCurve",
-    "HurstConfig",
-    "HurstEstimate",
-    "PerformanceReport",
-    "PeriodResult",
-    "PortfolioWeights",
-    "PriceSeries",
-    "ReturnSeries",
-    "RiskEstimate",
-    "RunSettings",
-    "StableParams",
-    "StrategyVariant",
-    "Trade",
-    "align_panel",
-    "alpha_from_hurst",
-    "annualize_return",
-    "annualize_std",
-    "beta",
-    "build_path",
-    "build_report",
-    "capital_protection",
-    "commission_for",
-    "compute_weights",
-    "daily_marked_equity",
-    "estimate_hurst",
-    "execute_rebalance",
-    "load_price_csv",
-    "load_run_settings",
-    "load_universe_panel",
-    "log_returns",
-    "max_drawdown",
-    "mean_return",
-    "minimal_cover_variation",
-    "period_return",
-    "rescale_volatility",
-    "run_benchmark",
-    "run_walk_forward",
-    "sharpe",
-    "slice_window",
-    "stable_cdf",
-    "stable_cdf_with_error",
-    "trend_filter",
-    "treynor",
-    "unbiased_std",
-]

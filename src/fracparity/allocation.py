@@ -120,13 +120,6 @@ class PortfolioWeights:
         return dict(zip(map(self.tickers.__getitem__, self.fitted.tolist()), self.fit.estimates()))
 
 
-def trend_filter(risk: list[RiskEstimate]) -> np.ndarray:
-    """Active mask: asset i stays investable iff its mean return is positive."""
-    if not risk:
-        raise Empty("trend filter needs at least one estimate")
-    return np.array([r.mu > 0.0 for r in risk], dtype=bool)
-
-
 def inverse_volatility_weights(stds: np.ndarray) -> np.ndarray:
     """Normalize 1/std across assets; uniform rescaling of stds cancels."""
     stds = np.asarray(stds, dtype=float)
@@ -158,14 +151,14 @@ def compute_weights(
     variant = StrategyVariant(variant)
     tickers = window.portfolio_tickers
 
-    returns = log_returns(window.prices.T[columns]).values  # one row per asset
+    returns = log_returns(window.prices.T[columns])  # one row per asset
     mus = mean_return(returns)
     std0s = unbiased_std(returns)
 
     if variant is StrategyVariant.NAIVE_RISK_PARITY:
         active = np.ones(len(tickers), dtype=bool)
     else:
-        active = mus > 0.0
+        active = mus > 0.0  # the trend filter: a non-positive mean return drops the asset
     flat = np.flatnonzero(active & (std0s == 0.0))
     if flat.size:
         raise DegenerateVolatility(f"{tickers[flat[0]]}: zero volatility over the window")

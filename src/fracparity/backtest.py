@@ -1,11 +1,15 @@
 """Walk-forward out-of-sample simulator.
 
 The engine tiles the panel after an initial lookback: optimize on rows
-``[k*N, (k+1)*N)``, hold over ``[(k+1)*N, (k+2)*N)``, repeat. Trades fill at
-the holding window's first close with zero slippage; whole shares only,
-with the remainder parked in zero-earning cash. Costs are commissions per
-trade (per-share rate floored per order and capped as a percentage of trade
-value) plus each fund's expense ratio pro-rated over the holding period.
+``[k*N, (k+1)*N)``, hold over ``[(k+1)*N, (k+2)*N)``, repeat. Those rows are
+defined in one place, :func:`_walk`, the period loop that both the
+strategies (:func:`run_walk_forward`) and the cost-free benchmark
+(:func:`run_benchmark`) run through; each supplies only what one period
+earns. Trades fill at the holding window's first close with zero slippage;
+whole shares only, with the remainder parked in zero-earning cash. Costs are
+commissions per trade (per-share rate floored per order and capped as a
+percentage of trade value) plus each fund's expense ratio pro-rated over the
+holding period.
 
 Two compounding modes ship: ``fixed_capital`` resets the deployed capital
 to the initial amount every period, so the period returns form an i.i.d.-
@@ -29,6 +33,7 @@ depend on how the arrays are blocked.
 from __future__ import annotations
 
 import datetime as dt
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -44,6 +49,7 @@ from .errors import (
     InsufficientCapital,
     InsufficientHistory,
     LengthMismatch,
+    NumericError,
     TooShort,
 )
 from .fractal import MIN_RETURNS_FOR_PATH, HurstConfig, hurst_scales
@@ -63,8 +69,14 @@ class CommissionPlan:
 
     def __post_init__(self):
         for name in ("per_share", "min_per_order", "max_pct_of_value"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"commission {name} must be >= 0")
+            value = getattr(self, name)
+            if not (_finite_number(value) and value >= 0.0):
+                raise ConfigError(f"commission {name} must be a finite number >= 0")
+
+
+def _finite_number(value) -> bool:
+    """True for an int or float inside the range of finite floats."""
+    return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -78,10 +90,12 @@ class BacktestConfig:
     hurst: HurstConfig = field(default_factory=HurstConfig)
 
     def __post_init__(self):
-        if self.horizon_n < 8:
-            raise ConfigError(f"horizon_n must be >= 8 trading days, got {self.horizon_n}")
-        if not self.initial_capital > 0.0:
-            raise ConfigError(f"initial_capital must be positive, got {self.initial_capital}")
+        if not isinstance(self.horizon_n, int) or self.horizon_n < 8:
+            raise ConfigError(f"horizon must be an integer >= 8 days, got {self.horizon_n!r}")
+        if not (_finite_number(self.initial_capital) and self.initial_capital > 0.0):
+            raise ConfigError(
+                f"initial_capital must be finite and positive, got {self.initial_capital!r}"
+            )
         if self.compounding not in (FIXED_CAPITAL, REINVEST):
             raise ConfigError(f"unknown compounding mode {self.compounding!r}")
         object.__setattr__(self, "variant", StrategyVariant(self.variant))
@@ -143,12 +157,6 @@ class Trades(Sequence):
     __hash__ = None
 
 
-class PeriodBreakdown(NamedTuple):
-    gross: float         # percent over the window
-    expense_drag: float  # percent of start capital
-    net: float           # percent over the window
-
-
 @dataclass(eq=False)
 class PeriodResult:
     """One out-of-sample holding period."""
@@ -192,8 +200,11 @@ def commission_for(shares, price, plan: CommissionPlan):
         raise ValueError(f"share count must be non-negative, got {shares}")
     if np.any(price <= 0.0):
         raise ValueError(f"price must be positive, got {price}")
-    raw = plan.per_share * shares
-    cap = plan.max_pct_of_value * shares * price / 100.0
+    # float rates: an integer rate beyond int64 must not meet the int64 share counts;
+    # a fee or cap that overflows to inf still orders correctly against the other
+    with np.errstate(over="ignore"):
+        raw = float(plan.per_share) * shares
+        cap = float(plan.max_pct_of_value) * shares * price / 100.0
     fee = np.where(shares == 0, 0.0, np.minimum(np.maximum(raw, plan.min_per_order), cap))
     return float(fee) if fee.ndim == 0 else fee
 
@@ -214,7 +225,8 @@ def execute_rebalance(
     unspent remainder stays in cash. Returns the trades, the int64 target
     share vector and the total commission. Raises
     :class:`InsufficientCapital` when the commissions alone would consume
-    the whole capital.
+    the whole capital, and :class:`NumericError` when a target share count
+    does not fit in int64.
     """
     if capital <= 0.0:
         raise InsufficientCapital(f"capital must be positive, got {capital}")
@@ -229,7 +241,12 @@ def execute_rebalance(
     if bad.size:
         i = bad[0]
         raise ValueError(f"{tickers[i]}: non-positive execution price {price[i]}")
-    target = np.floor(weights.weights * capital / price).astype(np.int64)
+    target = np.floor(weights.weights * capital / price)
+    too_many = np.flatnonzero(~(target < 2.0**63))
+    if too_many.size:
+        i = too_many[0]
+        raise NumericError(f"{tickers[i]}: target of {target[i]:.6g} shares overflows int64")
+    target = target.astype(np.int64)
     delta = target - held
 
     traded = np.flatnonzero(delta)
@@ -249,14 +266,15 @@ def period_return(
     cash: float,
     window: AlignedPanel,
     commissions: float = 0.0,
-) -> PeriodBreakdown:
-    """Gross and net percent return of fixed holdings over one window.
+) -> tuple[float, float, float]:
+    """Gross return, expense drag and net return of fixed holdings over one window.
 
     ``shares`` holds the position of every window column, in column order.
     Positions are priced at the window's first row. The gross return is the
-    mark-to-market change; each asset's expense ratio is pro-rated by the
-    window length over a 252-day year and applied to that asset's share of
-    start capital; commissions convert to percent of start capital.
+    mark-to-market change in percent; each asset's expense ratio is
+    pro-rated by the window length over a 252-day year and applied to that
+    asset's share of start capital; commissions convert to percent of start
+    capital. The net return is gross minus both costs.
     """
     shares = np.asarray(shares, dtype=float)
     if shares.shape != (len(window.assets),):
@@ -271,12 +289,57 @@ def period_return(
     year_fraction = window.n_rows / TRADING_DAYS_PER_YEAR
     drag = sum((window.expense_ratios * year_fraction * (start_values / v_start)).tolist(), 0.0)
 
-    net = gross - drag - 100.0 * commissions / v_start
-    return PeriodBreakdown(gross=gross, expense_drag=drag, net=net)
+    return gross, drag, gross - drag - 100.0 * commissions / v_start
 
 
-def _period_count(n_rows: int, n: int) -> int:
-    return max(n_rows // n - 1, 0)
+def _walk(
+    panel: AlignedPanel, config: BacktestConfig, earn
+) -> tuple[list[PeriodResult], EquityCurve]:
+    """The period loop that every strategy and the benchmark run through.
+
+    Period ``k`` trades at the close of row ``(k+1)*N`` and is marked at the
+    close of row ``(k+2)*N - 1``; this is the one place those rows are
+    defined. Each period starts from the initial capital in
+    ``fixed_capital`` mode and from the end of the equity chain in
+    ``reinvest`` mode. ``earn(start_row, end_row, start_capital)`` returns
+    the period's ``(weights, trades, commission, (gross, drag, net))``.
+    """
+    n = config.horizon_n
+    if panel.n_rows < 2 * n:
+        raise InsufficientHistory(
+            f"panel of {panel.n_rows} rows cannot fit lookback + holding of {n} days each"
+        )
+    results: list[PeriodResult] = []
+    equity_dates = [panel.dates[n]]
+    equity_values = [config.initial_capital]
+    for k in range(panel.n_rows // n - 1):
+        start_row = (k + 1) * n
+        end_row = (k + 2) * n - 1
+        start_capital = (
+            config.initial_capital if config.compounding == FIXED_CAPITAL else equity_values[-1]
+        )
+        weights, trades, commission, (gross, drag, net) = earn(start_row, end_row, start_capital)
+        if not net > -100.0:
+            raise InsufficientCapital(
+                f"period ending {panel.dates[end_row]} returns {net:.2f}%, wiping out its capital"
+            )
+        results.append(
+            PeriodResult(
+                start_date=panel.dates[start_row],
+                end_date=panel.dates[end_row],
+                weights=weights,
+                trades=trades,
+                gross_return=gross,
+                expense_drag=drag,
+                commission_cost=commission,
+                net_return=net,
+                start_capital=start_capital,
+                end_capital=start_capital * (1.0 + net / 100.0),
+            )
+        )
+        equity_values.append(equity_values[-1] * (1.0 + net / 100.0))
+        equity_dates.append(panel.dates[end_row])
+    return results, EquityCurve(dates=tuple(equity_dates), values=np.array(equity_values))
 
 
 def run_walk_forward(
@@ -284,131 +347,45 @@ def run_walk_forward(
 ) -> tuple[list[PeriodResult], EquityCurve]:
     """Simulate one strategy variant over every non-overlapping period.
 
-    Weights for period ``k`` are computed strictly from lookback rows
-    ``[k*N, (k+1)*N)``; no holding-window price can influence them. The run
-    is fully deterministic in its inputs.
+    Weights for a period are computed strictly from the ``N`` lookback rows
+    that end just before its first row; no holding-window price can
+    influence them. The run is fully deterministic in its inputs.
     """
     n = config.horizon_n
-    if panel.n_rows < 2 * n:
-        raise InsufficientHistory(
-            f"panel of {panel.n_rows} rows cannot fit lookback + holding of {n} days each"
-        )
     columns = panel.portfolio_columns
-    results: list[PeriodResult] = []
-    equity_dates = [panel.dates[n]]
-    equity_values = [config.initial_capital]
     held = np.zeros(len(columns), dtype=np.int64)  # in weights.tickers order
     shares = np.zeros(len(panel.assets), dtype=np.int64)  # in panel column order
-    for k in range(_period_count(panel.n_rows, n)):
-        lookback = slice_window(panel, end_index=(k + 1) * n - 1, length=n)
-        weights = compute_weights(lookback, config.variant, n, config.hurst)
 
-        start_row = (k + 1) * n
-        end_row = (k + 2) * n - 1
+    def rebalance_and_hold(start_row: int, end_row: int, start_capital: float):
+        nonlocal held
+        lookback = slice_window(panel, end_index=start_row - 1, length=n)
+        weights = compute_weights(lookback, config.variant, n, config.hurst)
         exec_prices = panel.prices[start_row, columns]
-        start_capital = (
-            config.initial_capital if config.compounding == FIXED_CAPITAL else equity_values[-1]
-        )
         # weights.tickers are the portfolio columns in panel order
         trades, held, commission = execute_rebalance(
             weights, start_capital, exec_prices, config.commission, held
         )
         cash = start_capital - sum((held * exec_prices).tolist(), 0.0)
         shares[columns] = held
-        hold_window = slice_window(panel, end_index=end_row, length=n)
-        parts = period_return(shares, cash, hold_window, commissions=commission)
+        hold_window = slice_window(panel, end_index=end_row, length=end_row - start_row + 1)
+        return weights, trades, commission, period_return(shares, cash, hold_window, commission)
 
-        end_capital = start_capital * (1.0 + parts.net / 100.0)
-        results.append(
-            PeriodResult(
-                start_date=panel.dates[start_row],
-                end_date=panel.dates[end_row],
-                weights=weights,
-                trades=trades,
-                gross_return=parts.gross,
-                expense_drag=parts.expense_drag,
-                commission_cost=commission,
-                net_return=parts.net,
-                start_capital=start_capital,
-                end_capital=end_capital,
-            )
-        )
-        equity_values.append(equity_values[-1] * (1.0 + parts.net / 100.0))
-        equity_dates.append(panel.dates[end_row])
-    return results, EquityCurve(dates=tuple(equity_dates), values=np.array(equity_values))
-
-
-def daily_marked_equity(
-    panel: AlignedPanel, results: list[PeriodResult], config: BacktestConfig
-) -> EquityCurve:
-    """Diagnostic equity path marked at every trading day, not just period ends.
-
-    Holdings are reconstructed from the stored trade deltas as one share
-    vector over the panel's columns; within each period the position is
-    marked to market daily as one (days x assets) product, with the period's
-    costs realized on its final day so the path lands exactly on the
-    period-end equity. The period-end curve is therefore a subset of this
-    one, and drawdowns measured here can only be equal or deeper.
-    """
-    n = config.horizon_n
-    dates: list[dt.date] = [panel.dates[n]]
-    values: list[float] = [config.initial_capital]
-    shares = np.zeros(len(panel.assets))
-    base = config.initial_capital
-    for k, result in enumerate(results):
-        for trade in result.trades:
-            shares[panel.index_of(trade.ticker)] += trade.shares
-        start_row = (k + 1) * n
-        end_row = (k + 2) * n - 1
-        cash = result.start_capital - float(panel.prices[start_row] @ shares)
-        marked = cash + panel.prices[start_row + 1 : end_row] @ shares
-        dates.extend(panel.dates[start_row + 1 : end_row])
-        values.extend((base * marked / result.start_capital).tolist())
-        base *= 1.0 + result.net_return / 100.0
-        dates.append(panel.dates[end_row])
-        values.append(base)
-    return EquityCurve(dates=tuple(dates), values=np.array(values))
+    return _walk(panel, config, rebalance_and_hold)
 
 
 def run_benchmark(
     panel: AlignedPanel, config: BacktestConfig
 ) -> tuple[list[PeriodResult], EquityCurve]:
-    """Benchmark returns over the same holding windows, free of costs.
+    """Benchmark returns over the same holding periods, free of costs.
 
     The benchmark is a reference series, not a traded strategy: each period
-    return is the raw close-to-close change of the benchmark column.
+    return is the raw close-to-close change of the benchmark column, with
+    no weights, trades or costs.
     """
-    n = config.horizon_n
-    if panel.n_rows < 2 * n:
-        raise InsufficientHistory(
-            f"panel of {panel.n_rows} rows cannot fit lookback + holding of {n} days each"
-        )
     col = panel.column(config.benchmark)
-    results: list[PeriodResult] = []
-    equity_dates = [panel.dates[n]]
-    equity_values = [config.initial_capital]
-    for k in range(_period_count(panel.n_rows, n)):
-        start_row = (k + 1) * n
-        end_row = (k + 2) * n - 1
+
+    def close_to_close(start_row: int, end_row: int, start_capital: float):
         ret = 100.0 * (float(col[end_row]) / float(col[start_row]) - 1.0)
-        start_capital = (
-            config.initial_capital if config.compounding == FIXED_CAPITAL else equity_values[-1]
-        )
-        end_capital = start_capital * (1.0 + ret / 100.0)
-        results.append(
-            PeriodResult(
-                start_date=panel.dates[start_row],
-                end_date=panel.dates[end_row],
-                weights=None,
-                trades=(),
-                gross_return=ret,
-                expense_drag=0.0,
-                commission_cost=0.0,
-                net_return=ret,
-                start_capital=start_capital,
-                end_capital=end_capital,
-            )
-        )
-        equity_values.append(equity_values[-1] * (1.0 + ret / 100.0))
-        equity_dates.append(panel.dates[end_row])
-    return results, EquityCurve(dates=tuple(equity_dates), values=np.array(equity_values))
+        return None, (), 0.0, (ret, 0.0, ret)
+
+    return _walk(panel, config, close_to_close)

@@ -27,9 +27,7 @@ from .errors import ConfigError, DataError, NumericError
 from .fractal import HurstConfig, StableParams, build_path, estimate_hurst, stable_cdf_with_error
 from .metrics import PerformanceReport, build_report
 from .riskstats import log_returns
-from .runconfig import RunSettings, load_run_settings, load_universe_panel
-
-BENCHMARK_LABEL = "benchmark"
+from .runconfig import BENCHMARK_LABEL, RunSettings, load_run_settings, load_universe_panel
 
 
 def _fmt(x: float) -> str:
@@ -145,7 +143,6 @@ def _write_manifest(
     path: Path,
     settings: RunSettings,
     outputs: list[Path],
-    seed: int | None,
 ):
     inputs = {str(settings.config_path): _sha256(settings.config_path)}
     for entry in settings.universe:
@@ -153,7 +150,6 @@ def _write_manifest(
     doc = {
         "engine_version": __version__,
         "timestamp": dt.datetime.now(dt.timezone.utc).isoformat(),
-        "seed": seed,
         "config": {
             "benchmark": settings.benchmark,
             "horizon_n": settings.horizon_n,
@@ -179,22 +175,6 @@ def _write_manifest(
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _pick_figure_pair(settings: RunSettings, names: list[str]) -> tuple[str, str]:
-    if settings.figure_pair is not None:
-        a, b = settings.figure_pair
-        known = set(names) | {BENCHMARK_LABEL}
-        if a not in known or b not in known:
-            raise ConfigError(f"figure_pair {settings.figure_pair} not among {sorted(known)}")
-        return a, b
-    fractal = StrategyVariant.FRACTAL_BIASED.value
-    standard = StrategyVariant.STANDARD_BIASED.value
-    if fractal in names and standard in names:
-        return fractal, standard
-    if len(names) >= 2:
-        return names[0], names[1]
-    return names[0], BENCHMARK_LABEL
-
-
 def cmd_backtest(args) -> int:
     settings = load_run_settings(args.config)
     if args.horizon is not None:
@@ -206,6 +186,7 @@ def cmd_backtest(args) -> int:
             raise ConfigError(str(exc)) from None
 
     configs = settings.variant_configs()  # overrides are checked before any CSV is read
+    pair = settings.difference_pair()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any CSV is read
     panel = load_universe_panel(settings)
@@ -242,10 +223,9 @@ def cmd_backtest(args) -> int:
     all_names = [*names, BENCHMARK_LABEL]
     _write_period_csv(period_csv, all_names, periods)
     _write_cumulated_csv(cumulated_csv, all_names, curves)
-    pair = _pick_figure_pair(settings, names)
     _write_difference_csv(difference_csv, pair, curves)
     outputs = [report_json, report_txt, period_csv, cumulated_csv, difference_csv]
-    _write_manifest(out_dir / "manifest.json", settings, outputs, args.seed)
+    _write_manifest(out_dir / "manifest.json", settings, outputs)
 
     print(table, end="")
     print(f"artifacts written to {out_dir}")
@@ -255,7 +235,7 @@ def cmd_backtest(args) -> int:
 def cmd_hurst(args) -> int:
     values = load_series_csv(args.csv, args.column)
     if args.prices:
-        path = build_path(log_returns(values).values)
+        path = build_path(log_returns(values))
     else:
         path = np.asarray(values, dtype=float)
     config = HurstConfig(
@@ -300,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="strategy variant to run (repeatable; overrides config)",
     )
-    p_bt.add_argument("--seed", type=int, default=None, help="recorded in the manifest; fixtures only")
     p_bt.set_defaults(func=cmd_backtest)
 
     p_h = sub.add_parser("hurst", help="estimate the Hurst exponent of a CSV series")

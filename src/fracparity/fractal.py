@@ -28,6 +28,7 @@ imported on the first CDF evaluation, so the backtest never loads scipy.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -76,8 +77,14 @@ class HurstConfig:
     min_scales: int = 3
 
     def __post_init__(self):
-        if not 0.0 < self.h_min <= self.h_max:
+        bounds = (self.h_min, self.h_max)
+        if not all(isinstance(x, (int, float)) for x in bounds) or not (
+            0.0 < self.h_min <= self.h_max <= sys.float_info.max
+        ):
             raise InvalidHurst(f"clamp bounds [{self.h_min}, {self.h_max}] invalid")
+        counts = (self.min_windows, self.min_scales, self.max_rungs)
+        if not all(isinstance(x, int) for x in counts if x is not None):
+            raise InvalidHurst("min_windows, min_scales and max_rungs must be integers")
         if self.min_windows < 1 or self.min_scales < 2:
             raise InvalidHurst("need min_windows >= 1 and min_scales >= 2")
         if self.max_rungs is not None and self.max_rungs < self.min_scales:
@@ -286,17 +293,12 @@ def fit_hurst_rows(paths, config: HurstConfig = HurstConfig()) -> HurstFit:
     )
 
 
-def estimate_hurst_rows(paths, config: HurstConfig = HurstConfig()) -> list[HurstEstimate]:
-    """One :class:`HurstEstimate` per row of ``paths``; see :func:`fit_hurst_rows`."""
-    return fit_hurst_rows(paths, config).estimates()
-
-
 def estimate_hurst(path, config: HurstConfig = HurstConfig()) -> HurstEstimate:
     """Estimate the Hurst exponent of one path; see :func:`fit_hurst_rows`."""
     p = np.asarray(path, dtype=float)
     if p.ndim != 1:
         raise ValueError(f"path must be 1-d, got shape {p.shape}")
-    return estimate_hurst_rows(p.reshape(1, -1), config)[0]
+    return fit_hurst_rows(p.reshape(1, -1), config).estimates()[0]
 
 
 def alpha_from_hurst(h: float) -> float:

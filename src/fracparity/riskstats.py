@@ -12,28 +12,11 @@ array pass, which is how the walk-forward engine calls them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import Empty, InvalidHurst, NonPositivePrice, TooShort
-
-
-@dataclass(eq=False)
-class ReturnSeries:
-    """Daily log returns in percent: one series, or a block with one row per asset."""
-
-    ticker: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError(f"{self.ticker}: non-finite return")
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 class RiskEstimate(NamedTuple):
@@ -46,8 +29,8 @@ class RiskEstimate(NamedTuple):
     std_n: float    # percent per horizon
 
 
-def log_returns(prices, ticker: str | None = None) -> ReturnSeries:
-    """Percent log returns: ``values[..., k] = 100 * (ln p[..., k+1] - ln p[..., k])``."""
+def log_returns(prices, ticker: str | None = None) -> np.ndarray:
+    """Percent log returns: ``r[..., k] = 100 * (ln p[..., k+1] - ln p[..., k])``."""
     p = np.asarray(prices, dtype=float)
     if p.ndim not in (1, 2):
         raise ValueError(f"prices must be 1-d or one row per asset, got shape {p.shape}")
@@ -55,13 +38,10 @@ def log_returns(prices, ticker: str | None = None) -> ReturnSeries:
         raise TooShort(f"need at least 2 prices, got {p.shape[-1]}")
     if np.any(p <= 0.0):
         raise NonPositivePrice(ticker or "<series>", None, float(p.min()))
-    return ReturnSeries(ticker=ticker or "", values=100.0 * np.diff(np.log(p), axis=-1))
-
-
-def _values(returns) -> np.ndarray:
-    if isinstance(returns, ReturnSeries):
-        return returns.values
-    return np.asarray(returns, dtype=float)
+    r = 100.0 * np.diff(np.log(p), axis=-1)
+    if not np.all(np.isfinite(r)):
+        raise ValueError(f"{ticker or '<series>'}: non-finite return")
+    return r
 
 
 def _per_row(result):
@@ -71,7 +51,7 @@ def _per_row(result):
 
 def mean_return(returns):
     """Arithmetic mean of the returns, percent per day."""
-    v = _values(returns)
+    v = np.asarray(returns, dtype=float)
     if v.shape[-1] == 0:
         raise Empty("mean of an empty return series")
     return _per_row(np.mean(v, axis=-1))
@@ -79,7 +59,7 @@ def mean_return(returns):
 
 def unbiased_std(returns):
     """Sample standard deviation with the n-1 denominator."""
-    v = _values(returns)
+    v = np.asarray(returns, dtype=float)
     if v.shape[-1] < 2:
         raise TooShort(f"need at least 2 returns for a standard deviation, got {v.shape[-1]}")
     return _per_row(np.std(v, axis=-1, ddof=1))

@@ -4,18 +4,21 @@ The document lists the universe (ticker, csv path, expense ratio, role),
 the benchmark ticker, horizon, variants to run, capital, compounding mode,
 commission plan and estimator knobs. CSV paths are resolved relative to the
 config file so committed fixtures stay relocatable.
+Loading checks the document's shape, the universe and the benchmark; the
+rules for every other value belong to the engine's config classes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
 from .allocation import StrategyVariant
-from .backtest import FIXED_CAPITAL, REINVEST, BacktestConfig, CommissionPlan
+from .backtest import FIXED_CAPITAL, BacktestConfig, CommissionPlan
 from .data import (
     DEFAULT_DATE_COLUMN,
     DEFAULT_PRICE_COLUMN,
@@ -30,6 +33,9 @@ from .fractal import HurstConfig
 
 # libyaml's parser when PyYAML was built with it; both build the same objects
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# the name the benchmark's run goes by in reports, next to the variants'
+BENCHMARK_LABEL = "benchmark"
 
 
 @dataclass(frozen=True)
@@ -75,6 +81,26 @@ class RunSettings:
         base = self.base_config()
         return {v: dataclasses.replace(base, variant=v) for v in self.variants}
 
+    def difference_pair(self) -> tuple[str, str]:
+        """The two runs that ``difference.csv`` compares; raises ConfigError for unknown names.
+
+        ``figure_pair`` when given, else fractal vs standard biased when both
+        run, else the first two variants, else the one variant vs the benchmark.
+        """
+        names = [v.value for v in self.variants]
+        if self.figure_pair is not None:
+            known = {*names, BENCHMARK_LABEL}
+            if not known.issuperset(self.figure_pair):
+                raise ConfigError(f"figure_pair {self.figure_pair} not among {sorted(known)}")
+            return self.figure_pair
+        fractal = StrategyVariant.FRACTAL_BIASED.value
+        standard = StrategyVariant.STANDARD_BIASED.value
+        if fractal in names and standard in names:
+            return fractal, standard
+        if len(names) >= 2:
+            return names[0], names[1]
+        return names[0], BENCHMARK_LABEL
+
 
 def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
@@ -85,16 +111,19 @@ def _require(mapping: dict, key: str, context: str):
 def _number(raw: dict, key: str, default: float, context: str) -> float:
     value = raw.get(key, default)
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{context}: {key} must be a number, got {value!r}") from None
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{context}: {key} must be a finite number, got {value!r}")
+    return number
 
 
 def load_run_settings(path: str | Path) -> RunSettings:
     """Parse and validate a YAML run configuration.
 
-    The engine's configuration rules are applied here too, before any CSV
-    is read, so the result can run every selected variant at its horizon.
+    Every selected variant's engine config and the figure pair are checked
+    before any CSV is read, so the result can run and write its artifacts.
     """
     path = Path(path)
     text = read_text(path)
@@ -117,6 +146,8 @@ def load_run_settings(path: str | Path) -> RunSettings:
             raise ConfigError(f"{path}: universe[{i}] must be a mapping")
         ticker = str(_require(entry, "ticker", f"universe[{i}]"))
         csv_rel = str(_require(entry, "csv", f"universe[{i}]"))
+        if "\0" in csv_rel:  # no file system takes it, and open() would raise ValueError
+            raise ConfigError(f"{path}: universe[{i}]: csv path contains a NUL character")
         try:
             spec = AssetSpec(
                 ticker=ticker,
@@ -138,10 +169,6 @@ def load_run_settings(path: str | Path) -> RunSettings:
     if benchmark not in tickers:
         raise ConfigError(f"{path}: benchmark {benchmark!r} is not in the universe")
 
-    horizon = raw.get("horizon", 252)
-    if not isinstance(horizon, int) or horizon < 8:
-        raise ConfigError(f"{path}: horizon must be an integer >= 8, got {horizon!r}")
-
     variants_raw = raw.get("variants", [v.value for v in StrategyVariant])
     if not isinstance(variants_raw, list):
         raise ConfigError(f"{path}: variants must be a list, got {variants_raw!r}")
@@ -151,10 +178,6 @@ def load_run_settings(path: str | Path) -> RunSettings:
         raise ConfigError(f"{path}: {exc}") from None
     if not variants:
         raise ConfigError(f"{path}: variants must not be empty")
-
-    compounding = str(raw.get("compounding", FIXED_CAPITAL))
-    if compounding not in (FIXED_CAPITAL, REINVEST):
-        raise ConfigError(f"{path}: unknown compounding mode {compounding!r}")
 
     commission_raw = raw.get("commission", {})
     if not isinstance(commission_raw, dict):
@@ -179,17 +202,13 @@ def load_run_settings(path: str | Path) -> RunSettings:
     if not isinstance(columns, dict):
         raise ConfigError(f"{path}: columns must be a mapping")
 
-    initial_capital = _number(raw, "initial_capital", 1_000_000.0, str(path))
-    if initial_capital <= 0.0:
-        raise ConfigError(f"{path}: initial_capital must be positive")
-
     settings = RunSettings(
         universe=universe,
         benchmark=benchmark,
-        horizon_n=horizon,
+        horizon_n=raw.get("horizon", 252),
         variants=variants,
-        initial_capital=initial_capital,
-        compounding=compounding,
+        initial_capital=_number(raw, "initial_capital", 1_000_000.0, str(path)),
+        compounding=str(raw.get("compounding", FIXED_CAPITAL)),
         commission=commission,
         hurst_options=hurst_options,
         risk_free_rate=_number(raw, "risk_free_rate", 0.0, str(path)),
@@ -200,6 +219,7 @@ def load_run_settings(path: str | Path) -> RunSettings:
     )
     try:
         settings.variant_configs()
+        settings.difference_pair()
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return settings

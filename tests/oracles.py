@@ -220,6 +220,48 @@ def holding_net_return(targets, capital: float, start_prices, end_prices, expens
     return 100.0 * (v_end - v_start) / v_start - drag - 100.0 * commissions / v_start
 
 
+def benchmark_period_returns(closes, n: int) -> list[float]:
+    """Close-to-close percent change of ``closes`` over each holding period.
+
+    After the first ``n`` lookback rows the closes tile into
+    ``len(closes) // n - 1`` periods; period ``k`` starts at row ``(k+1)*n``
+    and ends at row ``(k+2)*n - 1``.
+    """
+    closes = [float(c) for c in closes]
+    return [
+        100.0 * (closes[(k + 2) * n - 1] / closes[(k + 1) * n] - 1.0)
+        for k in range(len(closes) // n - 1)
+    ]
+
+
+def daily_marked_equity(rows, n: int, initial_capital: float, periods) -> list[tuple[int, float]]:
+    """Equity marked at every close of every holding period, as ``(row, value)`` pairs.
+
+    ``rows`` holds one list of closes per date, in panel column order;
+    ``periods`` lists ``(start_capital, net_return, trades)`` per period,
+    with ``trades`` as ``(column, signed shares)`` pairs. Holdings add up
+    the trades. Inside period ``k`` (rows ``(k+1)*n`` to ``(k+2)*n - 1``) the
+    shares plus the cash left at the start are marked at each close and
+    scaled onto the chained equity; the period's last close carries its
+    net return, costs included. The first point is the initial capital at
+    row ``n``.
+    """
+    shares = [0] * len(rows[0])
+    marks = [(n, initial_capital)]
+    base = initial_capital
+    for k, (start_capital, net_return, trades) in enumerate(periods):
+        for column, delta in trades:
+            shares[column] += delta
+        start, end = (k + 1) * n, (k + 2) * n - 1
+        cash = start_capital - sum(s * p for s, p in zip(shares, rows[start]))
+        for row in range(start + 1, end):
+            value = cash + sum(s * p for s, p in zip(shares, rows[row]))
+            marks.append((row, base * value / start_capital))
+        base *= 1.0 + net_return / 100.0
+        marks.append((end, base))
+    return marks
+
+
 class Rejected(Exception):
     """A reference loader's verdict on bad input: error class name, message, line."""
 

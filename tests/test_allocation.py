@@ -13,16 +13,10 @@ from fracparity.allocation import (
     StrategyVariant,
     compute_weights,
     inverse_volatility_weights,
-    trend_filter,
 )
 from fracparity.data import AlignedPanel, AssetSpec
 from fracparity.errors import DegenerateVolatility, Empty, LengthMismatch
 from fracparity.fractal import HurstConfig
-from fracparity.riskstats import RiskEstimate
-
-
-def risk(mu, ticker="X"):
-    return RiskEstimate(ticker=ticker, mu=mu, std0=1.0, h=0.5, std_n=1.0)
 
 
 def panel_from_columns(columns: dict[str, np.ndarray], benchmark: str | None = None):
@@ -42,20 +36,47 @@ def drifted(seed, n, drift, vol=0.01):
     return 100.0 * np.exp(np.cumsum(steps))
 
 
+def zigzag(up, down, rows=65):
+    """Closes whose log returns alternate ``+up, -down``: the mean has the sign of up - down."""
+    steps = np.tile([up, -down], rows)[: rows - 1]
+    return 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
+
+
+RISING, FALLING = zigzag(0.02, 0.01), zigzag(0.01, 0.02)
+ROUND_TRIP = np.tile([100.0, 110.0], 33)[:65]  # the returns cancel exactly
+
+
 class TestTrendFilter:
+    """The trend filter is ``compute_weights``' active mask in both biased variants."""
+
+    @staticmethod
+    def active(*closes):
+        window = panel_from_columns({f"T{i}": c for i, c in enumerate(closes)})
+        masks = []
+        for variant in (StrategyVariant.FRACTAL_BIASED, StrategyVariant.STANDARD_BIASED):
+            w = compute_weights(window, variant, window.n_rows)
+            assert ((w.weights > 0.0) == (w.mu > 0.0)).all()
+            masks.append((w.weights > 0.0).tolist())
+        assert masks[0] == masks[1]
+        return masks[0]
+
     def test_mixed_signs(self):
-        mask = trend_filter([risk(0.02), risk(-0.01), risk(0.03)])
-        assert mask.tolist() == [True, False, True]
+        assert self.active(RISING, FALLING, RISING) == [True, False, True]
 
     def test_all_positive(self):
-        assert trend_filter([risk(0.1), risk(0.2)]).tolist() == [True, True]
+        assert self.active(RISING, RISING) == [True, True]
 
     def test_zero_mean_is_inactive(self):
-        assert trend_filter([risk(0.0)]).tolist() == [False]
+        window = panel_from_columns({"RT": ROUND_TRIP})
+        assert compute_weights(window, StrategyVariant.STANDARD_BIASED, 65).mu == [0.0]
+        assert self.active(ROUND_TRIP) == [False]
 
     def test_empty(self):
-        with pytest.raises(Empty):
-            trend_filter([])
+        n = 63
+        panel = panel_from_columns({"BMK": drifted(24, n, 0.004)}, benchmark="BMK")
+        for variant in (StrategyVariant.FRACTAL_BIASED, StrategyVariant.STANDARD_BIASED):
+            with pytest.raises(Empty):
+                compute_weights(panel, variant, n)
 
 
 class TestInverseVolatilityWeights:

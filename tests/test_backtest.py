@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import datetime as dt
+import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
 from conftest import business_days, synthetic_panel
 from fracparity.allocation import PortfolioWeights, StrategyVariant
 from fracparity.backtest import (
@@ -14,7 +18,6 @@ from fracparity.backtest import (
     CommissionPlan,
     EquityCurve,
     commission_for,
-    daily_marked_equity,
     execute_rebalance,
     period_return,
     run_benchmark,
@@ -22,9 +25,11 @@ from fracparity.backtest import (
 )
 from fracparity.metrics import max_drawdown
 from fracparity.data import AlignedPanel, AssetSpec
-from fracparity.errors import ConfigError, InsufficientCapital, InsufficientHistory
+from fracparity.errors import ConfigError, InsufficientCapital, InsufficientHistory, NumericError
+from fracparity.runconfig import load_run_settings, load_universe_panel
 
 PLAN = CommissionPlan()
+PANEL_CONFIG = Path(__file__).parent / "fixtures" / "panel4" / "universe.yaml"
 
 
 def single_weights(ticker="A", weight=1.0):
@@ -60,6 +65,11 @@ class TestCommissionFor:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             commission_for(-1, 100.0, PLAN)
+
+    def test_overflowing_fee_is_capped_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert commission_for(10, 100.0, CommissionPlan(per_share=1e308)) == 10.0
 
     def test_plan_fields_validated(self):
         with pytest.raises(ConfigError):
@@ -104,32 +114,39 @@ class TestExecuteRebalance:
         with pytest.raises(InsufficientCapital):
             execute_rebalance(single_weights(), 0.0, [100.0], PLAN)
 
+    def test_share_count_beyond_int64(self):
+        # 2**63 shares at $1 is one share more than int64 holds
+        with pytest.raises(NumericError, match="overflows int64"):
+            execute_rebalance(single_weights(), 2.0**63, [1.0], PLAN)
+        _, holdings, _ = execute_rebalance(single_weights(), 2.0**62, [1.0], PLAN)
+        assert holdings.tolist() == [2**62]
+
 
 class TestPeriodReturn:
     def test_cost_model(self):
         window = flat_window(126, 100.0, 110.0, expense_ratio=0.40)
-        parts = period_return([50], 0.0, window)
-        assert parts.gross == pytest.approx(10.0, abs=1e-12)
-        assert parts.expense_drag == pytest.approx(0.20, abs=1e-12)
-        assert parts.net == pytest.approx(9.80, abs=1e-12)
+        gross, drag, net = period_return([50], 0.0, window)
+        assert gross == pytest.approx(10.0, abs=1e-12)
+        assert drag == pytest.approx(0.20, abs=1e-12)
+        assert net == pytest.approx(9.80, abs=1e-12)
 
     def test_flat_prices(self):
         window = flat_window(20, 100.0, 100.0)
-        parts = period_return([10], 0.0, window)
-        assert parts.gross == 0.0 and parts.net == 0.0
+        gross, _, net = period_return([10], 0.0, window)
+        assert gross == 0.0 and net == 0.0
 
     def test_cash_only_pays_commissions(self):
         window = flat_window(20, 100.0, 105.0)
-        parts = period_return([0], 1_000_000.0, window, commissions=35.0)
-        assert parts.gross == 0.0
-        assert parts.net == pytest.approx(-100.0 * 35.0 / 1_000_000.0, abs=1e-15)
+        gross, _, net = period_return([0], 1_000_000.0, window, commissions=35.0)
+        assert gross == 0.0
+        assert net == pytest.approx(-100.0 * 35.0 / 1_000_000.0, abs=1e-15)
 
     def test_cash_drag_free(self):
         # half in cash halves both the move and the expense drag
         window = flat_window(126, 100.0, 110.0, expense_ratio=0.40)
-        parts = period_return([50], 5_000.0, window)
-        assert parts.gross == pytest.approx(5.0, abs=1e-12)
-        assert parts.expense_drag == pytest.approx(0.10, abs=1e-12)
+        gross, drag, _ = period_return([50], 5_000.0, window)
+        assert gross == pytest.approx(5.0, abs=1e-12)
+        assert drag == pytest.approx(0.10, abs=1e-12)
 
 
 class TestWalkForward:
@@ -229,6 +246,22 @@ class TestWalkForward:
         for j in range(k + 1):
             assert np.array_equal(base[j].weights.weights, mutated[j].weights.weights)
 
+    def test_period_losing_all_its_capital_is_a_numeric_error(self):
+        # a 10% fall plus fees of 99.9% of the order's value: the period returns below -100%
+        n = 20
+        lookback = np.tile([100.0, 101.0], n // 2)
+        prices = np.concatenate([lookback, np.linspace(100.0, 90.0, n)]).reshape(-1, 1)
+        panel = AlignedPanel(
+            dates=business_days(dt.date(2012, 1, 2), 2 * n), assets=(AssetSpec("A"),),
+            prices=prices,
+        )
+        ruinous = CommissionPlan(per_share=1e6, min_per_order=0.0, max_pct_of_value=99.9)
+        cfg = BacktestConfig(
+            horizon_n=n, variant=StrategyVariant.NAIVE_RISK_PARITY, commission=ruinous
+        )
+        with pytest.raises(InsufficientCapital, match="wiping out its capital"):
+            run_walk_forward(panel, cfg)
+
     def test_net_below_gross_when_costs_positive(self):
         n = 63
         panel = synthetic_panel(seed=17, n_rows=5 * n, n_assets=3)
@@ -238,17 +271,28 @@ class TestWalkForward:
                 assert r.net_return < r.gross_return
 
 
+def daily_marks(panel, results, cfg):
+    """The oracle's daily-marked equity of one run, rebuilt from its stored trades."""
+    periods = [
+        (r.start_capital, r.net_return, [(panel.index_of(t.ticker), t.shares) for t in r.trades])
+        for r in results
+    ]
+    return oracles.daily_marked_equity(panel.prices.tolist(), cfg.horizon_n,
+                                       cfg.initial_capital, periods)
+
+
 class TestDailyMarkedEquity:
+    """The stored trades, capitals and net returns, marked at every close by the oracle."""
+
     def test_lands_on_period_end_values(self):
         n = 63
         panel = synthetic_panel(seed=41, n_rows=5 * n, n_assets=3)
         cfg = BacktestConfig(horizon_n=n)
         results, equity = run_walk_forward(panel, cfg)
-        daily = daily_marked_equity(panel, results, cfg)
+        daily = dict(daily_marks(panel, results, cfg))
         # every period-end point of the coarse curve appears in the daily path
-        daily_by_date = dict(zip(daily.dates, daily.values))
         for date, value in zip(equity.dates, equity.values):
-            assert daily_by_date[date] == pytest.approx(value, rel=1e-12)
+            assert daily[panel.dates.index(date)] == pytest.approx(value, rel=1e-12)
 
     def test_daily_drawdown_at_least_period_drawdown(self):
         n = 63
@@ -256,7 +300,7 @@ class TestDailyMarkedEquity:
             panel = synthetic_panel(seed=seed, n_rows=5 * n, n_assets=3)
             cfg = BacktestConfig(horizon_n=n)
             results, equity = run_walk_forward(panel, cfg)
-            daily = daily_marked_equity(panel, results, cfg)
+            daily = [value for _, value in daily_marks(panel, results, cfg)]
             assert max_drawdown(daily) >= max_drawdown(equity) - 1e-12
 
 
@@ -285,11 +329,71 @@ class TestRunBenchmark:
             (r.start_date, r.end_date) for r in bench
         ]
 
+    @pytest.mark.parametrize("mode", [FIXED_CAPITAL, REINVEST])
+    @pytest.mark.parametrize("variant", list(StrategyVariant))
+    def test_periods_match_every_strategy(self, variant, mode):
+        # the period_returns.csv rows pair the benchmark with every variant by position
+        n = 63
+        panel = synthetic_panel(seed=29, n_rows=6 * n + 17, n_assets=3)  # a partial last block
+        cfg = BacktestConfig(horizon_n=n, variant=variant, compounding=mode, benchmark="BMK")
+        strategy, strategy_equity = run_walk_forward(panel, cfg)
+        bench, bench_equity = run_benchmark(panel, cfg)
+        assert len(bench) == 5
+        assert [(r.start_date, r.end_date) for r in strategy] == [
+            (r.start_date, r.end_date) for r in bench
+        ]
+        assert strategy_equity.dates == bench_equity.dates
+
+    @pytest.mark.parametrize("mode", [FIXED_CAPITAL, REINVEST])
+    def test_net_returns_match_close_to_close_oracle(self, mode):
+        settings = load_run_settings(PANEL_CONFIG)
+        cases = [(load_universe_panel(settings), "BMK", n) for n in (42, 63, 126)]
+        cases += [(synthetic_panel(seed=31, n_rows=rows, n_assets=2), "BMK", n)
+                  for n, rows in ((42, 400), (63, 5 * 63), (252, 1000))]
+        for panel, ticker, n in cases:
+            cfg = BacktestConfig(horizon_n=n, compounding=mode, benchmark=ticker)
+            results, equity = run_benchmark(panel, cfg)
+            want = oracles.benchmark_period_returns(panel.column(ticker).tolist(), n)
+            assert [r.net_return for r in results] == want  # bit for bit
+            assert [r.gross_return for r in results] == want
+            for r in results:
+                assert (r.weights, tuple(r.trades), r.commission_cost, r.expense_drag) == (
+                    None, (), 0.0, 0.0
+                )
+            chained = [cfg.initial_capital]
+            for r in want:
+                chained.append(chained[-1] * (1.0 + r / 100.0))
+            assert equity.values.tolist() == chained
+            if mode == REINVEST:
+                assert [r.start_capital for r in results] == chained[:-1]
+            else:
+                assert all(r.start_capital == cfg.initial_capital for r in results)
+
 
 class TestConfigValidation:
     def test_horizon_floor(self):
         with pytest.raises(ConfigError):
             BacktestConfig(horizon_n=7)
+
+    @pytest.mark.parametrize("horizon", [7, 63.0, "63", None])
+    def test_horizon_is_an_integer_of_at_least_8(self, horizon):
+        with pytest.raises(ConfigError):
+            BacktestConfig(horizon_n=horizon, variant=StrategyVariant.STANDARD_BIASED)
+
+    @pytest.mark.parametrize(
+        "capital", [0.0, -1.0, math.inf, math.nan, pytest.param(10**400, id="10**400"), "1"]
+    )
+    def test_capital_finite_and_positive(self, capital):
+        with pytest.raises(ConfigError):
+            BacktestConfig(initial_capital=capital)
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, pytest.param(10**400, id="10**400"), "0.01", None]
+    )
+    def test_commission_rates_finite_numbers(self, value):
+        for name in ("per_share", "min_per_order", "max_pct_of_value"):
+            with pytest.raises(ConfigError):
+                CommissionPlan(**{name: value})
 
     def test_compounding_mode(self):
         with pytest.raises(ConfigError):

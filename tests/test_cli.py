@@ -218,6 +218,9 @@ class TestConfigErrors:
             "risk_free_rate: [1]",
             "variants: fractal_biased",
             "hurst: {h_min: 0.9, h_max: 0.2}",
+            "figure_pair: [bogus, benchmark]",
+            "initial_capital: .inf",
+            "risk_free_rate: .nan",
         ],
     )
     def test_bad_value(self, tmp_path, capsys, extra):
@@ -233,11 +236,30 @@ class TestConfigErrors:
         argv = ["backtest", "--config", str(config), "--out", str(tmp_path), "--horizon", "16"]
         self.assert_config_error(argv, capsys)
 
+    def test_figure_pair_checked_after_variant_override(self, tmp_path, capsys):
+        config = self.config_without_data(tmp_path, "figure_pair: [fractal_biased, benchmark]")
+        argv = ["backtest", "--config", str(config), "--out", str(tmp_path / "out"),
+                "--variant", "naive_risk_parity"]
+        self.assert_config_error(argv, capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_short_horizon_is_fine_without_fractal_variant(self, tmp_path):
         out = tmp_path / "out"
         argv = ["backtest", "--config", str(PANEL_CONFIG), "--out", str(out), "--horizon", "16",
                 "--variant", "standard_biased"]
         assert main(argv) == 0
+
+
+class TestNumericErrors:
+    def test_capital_beyond_int64_shares_exits_4(self, tmp_path, capsys):
+        text = PANEL_CONFIG.read_text().replace("capital: 1000000", "capital: 1.0e+30")
+        config = tmp_path / "run.yaml"
+        config.write_text(text.replace("csv: ", f"csv: {PANEL_CONFIG.parent}/"))
+        assert main(["backtest", "--config", str(config), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric: ")
+        assert err.count("\n") == 1
+        assert "int64" in err
 
 
 class TestHurstCommand:

@@ -24,7 +24,7 @@ from fracparity.fractal import (
     HurstConfig,
     cover_variations,
     estimate_hurst,
-    estimate_hurst_rows,
+    fit_hurst_rows,
     minimal_cover_variation,
 )
 from fracparity.riskstats import RiskEstimate
@@ -163,7 +163,7 @@ def test_batched_hurst_rows_equal_single_paths_bitwise():
     rng = np.random.default_rng(6)
     for size in (42, 63, 126, 252):
         paths = np.cumsum(rng.standard_normal((12, size)), axis=1)
-        for path, est in zip(paths, estimate_hurst_rows(paths)):
+        for path, est in zip(paths, fit_hurst_rows(paths).estimates()):
             single = estimate_hurst(path)
             assert (est.h, est.mu_index, est.r_squared) == (
                 single.h, single.mu_index, single.r_squared

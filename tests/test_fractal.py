@@ -128,6 +128,15 @@ class TestEstimateHurst:
         path = np.cumsum(np.random.default_rng(3).standard_normal(256))
         assert estimate_hurst(path, cfg).h == 0.5
 
+    @pytest.mark.parametrize("options", [
+        {"h_min": math.nan}, {"h_max": math.inf}, {"h_min": "0.1"},
+        pytest.param({"h_max": 10**400}, id="h_max=10**400"),
+        {"min_windows": 2.5}, {"max_rungs": 3.5}, {"min_scales": "3"},
+    ])
+    def test_config_rejects_non_finite_and_wrong_types(self, options):
+        with pytest.raises(InvalidHurst):
+            HurstConfig(**options)
+
     def test_reports_ladder(self):
         path = np.cumsum(np.random.default_rng(4).standard_normal(256))
         est = estimate_hurst(path)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fracparity.errors import Empty, InvalidHurst, TooShort
 from fracparity.riskstats import (
-    ReturnSeries,
     log_returns,
     mean_return,
     rescale_volatility,
@@ -20,18 +19,22 @@ from fracparity.riskstats import (
 class TestLogReturns:
     def test_single_step(self):
         r = log_returns([100.0, 101.0], "X")
-        assert r.values.tolist() == [pytest.approx(100 * math.log(101 / 100), rel=1e-12)]
+        assert r.tolist() == [pytest.approx(100 * math.log(101 / 100), rel=1e-12)]
 
     def test_symmetry(self):
         r = log_returns([100.0, 101.0, 100.0], "X")
-        assert r.values[0] == pytest.approx(-r.values[1], rel=1e-12)
+        assert r[0] == pytest.approx(-r[1], rel=1e-12)
 
     def test_constant_prices(self):
-        assert np.all(log_returns([5.0, 5.0, 5.0], "X").values == 0.0)
+        assert np.all(log_returns([5.0, 5.0, 5.0], "X") == 0.0)
 
     def test_too_short(self):
         with pytest.raises(TooShort):
             log_returns([100.0], "X")
+
+    def test_non_finite_return_rejected(self):
+        with pytest.raises(ValueError, match="X: non-finite return"):
+            log_returns([100.0, math.inf], "X")
 
     @given(
         c=st.floats(min_value=0.01, max_value=100.0),
@@ -40,8 +43,8 @@ class TestLogReturns:
     @settings(max_examples=25)
     def test_scale_invariance(self, c, seed):
         prices = 100.0 * np.exp(np.cumsum(np.random.default_rng(seed).normal(0, 0.01, 20)))
-        base = log_returns(prices, "X").values
-        scaled = log_returns(c * prices, "X").values
+        base = log_returns(prices, "X")
+        scaled = log_returns(c * prices, "X")
         assert np.allclose(base, scaled, atol=1e-9)
 
 
@@ -57,7 +60,9 @@ class TestMeanReturn:
             mean_return([])
 
     def test_accepts_return_series(self):
-        assert mean_return(ReturnSeries("X", np.array([2.0, 4.0]))) == 3.0
+        # the array log_returns gives: 100 * ln(e^0.02), 100 * ln(e^0.04)
+        returns = log_returns(100.0 * np.exp([0.0, 0.02, 0.06]), "X")
+        assert mean_return(returns) == pytest.approx(3.0, rel=1e-12)
 
 
 class TestUnbiasedStd:
