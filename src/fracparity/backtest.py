@@ -100,6 +100,11 @@ class BacktestConfig:
             raise ConfigError(f"unknown compounding mode {self.compounding!r}")
         object.__setattr__(self, "variant", StrategyVariant(self.variant))
         if self.variant is StrategyVariant.FRACTAL_BIASED:
+            if self.hurst.h_max > 1.0:
+                raise ConfigError(
+                    f"{self.variant.value} rescales volatility as n**h for h in (0, 1], "
+                    f"but hurst h_max is {self.hurst.h_max}"
+                )
             # a lookback of N prices is a path of N points built from N - 1 returns
             try:
                 if self.horizon_n - 1 < MIN_RETURNS_FOR_PATH:

@@ -5,10 +5,18 @@ date-by-asset matrix of adjusted closes with no holes. Alignment is by
 intersection of trading dates, never by fill: an imputed price would leak
 into return and scaling statistics.
 
-Files are read as UTF-8 (a byte-order mark is dropped). A CSV is checked
-and parsed a whole column at a time; only when that fails are its rows
-scanned one by one, to name the first bad line. Dates are sorted, checked
-and intersected as integer day ordinals, which each series keeps.
+Files are read as UTF-8 (a byte-order mark is dropped). A CSV of the common
+shape is parsed from the whole text at once: ASCII with no quote, carriage
+return or NUL, at least two data rows, every line with the header's field
+count (found from the byte positions of newlines and commas), no field over
+``csv.field_size_limit()``, every date exactly ``YYYY-MM-DD`` naming a real
+day of year 1 or later, and every value a finite Python ``float`` (above 0
+for prices). Any other file goes through ``csv.reader`` and is checked a
+whole column at a time; only when that fails are its rows scanned one by
+one, to name the first bad line. Both routes give the same dates, values
+and errors. Dates are sorted, checked and intersected as integer day
+ordinals, which each series keeps; a loaded :class:`PriceSeries` builds its
+``datetime.date`` tuple only when ``dates`` is first read.
 """
 
 from __future__ import annotations
@@ -18,9 +26,11 @@ import csv
 import datetime as dt
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DuplicateDate,
@@ -71,44 +81,49 @@ def _first_unordered(days: np.ndarray) -> int:
     return int(bad[0]) + 1 if bad.size else 0
 
 
-@dataclass(eq=False)
 class PriceSeries:
     """Adjusted daily closes for one ticker, sorted by date.
 
-    ``ordinals`` are the day numbers of ``dates``; a caller that already has
-    them may pass them, otherwise they are computed here.
+    Give the ``dates``, their day numbers as ``ordinals``, or both. The
+    series keeps the ordinals; when only they are given, ``dates`` is built
+    from them on first read.
     """
 
-    ticker: str
-    dates: tuple[dt.date, ...]
-    closes: np.ndarray
-    ordinals: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.dates = tuple(self.dates)
-        self.closes = np.asarray(self.closes, dtype=float)
-        if len(self.dates) != len(self.closes):
-            raise MalformedRow(self.ticker, 0, "dates and closes differ in length")
-        if len(self.dates) < 2:
-            raise TooShort(f"{self.ticker}: need at least 2 prices, got {len(self.dates)}")
-        if self.ordinals is None:
-            self.ordinals = _ordinals(self.dates)
-        elif np.shape(self.ordinals) != (len(self.dates),):
-            raise MalformedRow(self.ticker, 0, "dates and ordinals differ in length")
-        i = _first_unordered(self.ordinals)
-        if i and self.ordinals[i] == self.ordinals[i - 1]:
-            raise DuplicateDate(self.ticker, self.dates[i])
+    def __init__(self, ticker: str, dates, closes, ordinals: np.ndarray | None = None):
+        self.ticker = ticker
+        self.closes = np.asarray(closes, dtype=float)
+        n = len(self.closes)
+        if dates is not None:
+            self.dates = tuple(dates)
+            if len(self.dates) != n:
+                raise MalformedRow(ticker, 0, "dates and closes differ in length")
+        elif ordinals is None:
+            raise TypeError("PriceSeries needs dates or ordinals")
+        if n < 2:
+            raise TooShort(f"{ticker}: need at least 2 prices, got {n}")
+        if ordinals is None:
+            ordinals = _ordinals(self.dates)
+        elif np.shape(ordinals) != (n,):
+            raise MalformedRow(ticker, 0, "ordinals and closes differ in length")
+        self.ordinals = ordinals = np.asarray(ordinals)
+        i = _first_unordered(ordinals)
+        if i and ordinals[i] == ordinals[i - 1]:
+            raise DuplicateDate(ticker, self.dates[i])
         if i:
-            raise MalformedRow(self.ticker, 0, "dates not sorted ascending")
+            raise MalformedRow(ticker, 0, "dates not sorted ascending")
         if not np.all(np.isfinite(self.closes)):
-            raise MalformedRow(self.ticker, 0, "non-finite price")
+            raise MalformedRow(ticker, 0, "non-finite price")
         bad = np.nonzero(self.closes <= 0.0)[0]
         if bad.size:
             i = int(bad[0])
-            raise NonPositivePrice(self.ticker, self.dates[i], float(self.closes[i]))
+            raise NonPositivePrice(ticker, self.dates[i], float(self.closes[i]))
+
+    @cached_property
+    def dates(self) -> tuple[dt.date, ...]:
+        return tuple(map(dt.date.fromordinal, self.ordinals.tolist()))
 
     def __len__(self) -> int:
-        return len(self.dates)
+        return len(self.closes)
 
 
 @dataclass(eq=False)
@@ -205,13 +220,94 @@ def _raise_first_bad_row(path, rows, width, fields, ticker):
             raise NonPositivePrice(ticker, date, value)
 
 
-def _read_columns(path: str, names: dict[str, str], ticker: str = ""):
-    """Dates (None if undated) and values of a headed CSV, in file order.
+# days in each month of a common year, and before each month, indexed by month 1..12
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
+# bytewise bounds of a YYYY-MM-DD date
+_DATE_LOW = np.frombuffer(b"0000-00-00", dtype=np.uint8)
+_DATE_HIGH = np.frombuffer(b"9999-99-99", dtype=np.uint8)
 
-    ``names`` maps "value", or "date" and "price", to header names; the
-    rules of :func:`_raise_first_bad_row` are applied to whole columns.
+
+def _day_ordinals(chars: np.ndarray) -> np.ndarray | None:
+    """Day numbers of ``YYYY-MM-DD`` byte rows, or None unless each names a real day."""
+    if not ((chars >= _DATE_LOW) & (chars <= _DATE_HIGH)).all():
+        return None
+    d = chars.astype(np.int64) - ord("0")
+    year = ((d[:, 0] * 10 + d[:, 1]) * 10 + d[:, 2]) * 10 + d[:, 3]
+    month = d[:, 5] * 10 + d[:, 6]
+    day = d[:, 8] * 10 + d[:, 9]
+    if not ((year >= 1).all() and ((month >= 1) & (month <= 12)).all() and (day >= 1).all()):
+        return None
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    if not (day <= _MONTH_DAYS[month] + (leap & (month == 2))).all():
+        return None
+    # as date.toordinal: the days before the year and before the month, plus the day
+    y = year - 1
+    before_month = _DAYS_BEFORE_MONTH[month] + (leap & (month > 2))
+    return y * 365 + y // 4 - y // 100 + y // 400 + before_month + day
+
+
+def _fast_columns(text: str, names: dict[str, str]):
+    """Day ordinals (None if undated) and values of a common-shape ``text``, else None.
+
+    For the common shape (see the module docstring) ``csv.reader`` yields
+    the same fields as splitting on newlines and commas, and
+    ``date.fromisoformat`` the same dates as the digits, so the result is
+    that of :func:`_row_columns`. Any other text returns None.
     """
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    # csv.reader before Python 3.11 rejects NUL
+    if not text.isascii() or '"' in text or "\r" in text or "\0" in text:
+        return None
+    head, _, body = text.partition("\n")
+    raw_header = head.split(",")
+    limit = csv.field_size_limit()
+    header = [h.strip() for h in raw_header]
+    if not head or max(map(len, raw_header)) > limit or not set(names.values()) <= set(header):
+        return None
+    *date_at, value_at = [header.index(name) for name in names.values()]
+    width = len(header)
+    if not body.endswith("\n"):
+        body += "\n"
+    buf = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    newline = buf == ord("\n")
+    ends = np.flatnonzero(newline | (buf == ord(",")))  # one past each field
+    n_rows = len(ends) // width
+    if n_rows < 2 or len(ends) != n_rows * width:
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1)).reshape(n_rows, width)
+    ends = ends.reshape(n_rows, width)
+    # every line is width - 1 commas and then a newline; an empty line, which
+    # csv.reader reads as no field, fails this or, in a one-column file, float()
+    if np.count_nonzero(newline) != n_rows or not newline[ends[:, -1]].all():
+        return None
+    lengths = ends - starts
+    if lengths.max() > limit:
+        return None
+    days = None
+    if date_at:
+        if not (lengths[:, date_at[0]] == 10).all():
+            return None
+        days = _day_ordinals(sliding_window_view(buf, 10)[starts[:, date_at[0]]])
+        if days is None:
+            return None
+    fields = body.replace("\n", ",").split(",")
+    try:
+        values = np.fromiter(map(float, fields[value_at : n_rows * width : width]), float, n_rows)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all() or (date_at and not (values > 0.0).all()):
+        return None
+    return days, values
+
+
+def _row_columns(path: str, text: str, names: dict[str, str], ticker: str = ""):
+    """Day ordinals (None if undated) and values of a headed CSV ``text``, in file order.
+
+    ``names`` maps "value", or "date" and "price", to header names. The text
+    goes through ``csv.reader``; the rules of :func:`_raise_first_bad_row`
+    are applied to whole columns.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         rows = list(reader)
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
@@ -236,7 +332,14 @@ def _read_columns(path: str, names: dict[str, str], ticker: str = ""):
         ok = False
     if not ok:
         _raise_first_bad_row(path, zip(*columns), len(columns), range(len(columns)), ticker)
-    return dates, values
+    return (_ordinals(dates) if date_col else None), values
+
+
+def _read_columns(path: str, names: dict[str, str], ticker: str = ""):
+    """Day ordinals (None if undated) and values of a headed CSV, in file order."""
+    text = read_text(path)
+    columns = _fast_columns(text, names)
+    return columns if columns is not None else _row_columns(path, text, names, ticker)
 
 
 def load_price_csv(
@@ -252,13 +355,11 @@ def load_price_csv(
     rejected with the offending line number, not skipped. The returned
     series is sorted ascending by date.
     """
-    dates, closes = _read_columns(path, {"date": date_column, "price": price_column}, ticker)
-    if len(dates) < 2:
-        raise TooShort(f"{ticker}: need at least 2 rows, got {len(dates)}")
-    days = _ordinals(dates)
+    days, closes = _read_columns(path, {"date": date_column, "price": price_column}, ticker)
+    if len(days) < 2:
+        raise TooShort(f"{ticker}: need at least 2 rows, got {len(days)}")
     order = np.argsort(days, kind="stable")
-    sorted_dates = tuple(map(dates.__getitem__, order.tolist()))
-    return PriceSeries(ticker, sorted_dates, closes[order], ordinals=days[order])
+    return PriceSeries(ticker, None, closes[order], ordinals=days[order])
 
 
 def load_series_csv(path: str, column: str) -> np.ndarray:

@@ -4,8 +4,9 @@ The document lists the universe (ticker, csv path, expense ratio, role),
 the benchmark ticker, horizon, variants to run, capital, compounding mode,
 commission plan and estimator knobs. CSV paths are resolved relative to the
 config file so committed fixtures stay relocatable.
-Loading checks the document's shape, the universe and the benchmark; the
-rules for every other value belong to the engine's config classes.
+Loading checks the document's shape, the universe (which must hold at
+least one ``portfolio_asset``) and the benchmark; the rules for every other
+value belong to the engine's config classes.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .backtest import FIXED_CAPITAL, BacktestConfig, CommissionPlan
 from .data import (
     DEFAULT_DATE_COLUMN,
     DEFAULT_PRICE_COLUMN,
+    ROLE_PORTFOLIO,
     AlignedPanel,
     AssetSpec,
     align_panel,
@@ -168,6 +170,8 @@ def load_run_settings(path: str | Path) -> RunSettings:
     benchmark = str(_require(raw, "benchmark", str(path)))
     if benchmark not in tickers:
         raise ConfigError(f"{path}: benchmark {benchmark!r} is not in the universe")
+    if all(u.spec.role != ROLE_PORTFOLIO for u in universe):
+        raise ConfigError(f"{path}: universe has no {ROLE_PORTFOLIO!r} entry to trade")
 
     variants_raw = raw.get("variants", [v.value for v in StrategyVariant])
     if not isinstance(variants_raw, list):

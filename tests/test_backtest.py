@@ -26,6 +26,7 @@ from fracparity.backtest import (
 from fracparity.metrics import max_drawdown
 from fracparity.data import AlignedPanel, AssetSpec
 from fracparity.errors import ConfigError, InsufficientCapital, InsufficientHistory, NumericError
+from fracparity.fractal import HurstConfig
 from fracparity.runconfig import load_run_settings, load_universe_panel
 
 PLAN = CommissionPlan()
@@ -398,6 +399,14 @@ class TestConfigValidation:
     def test_compounding_mode(self):
         with pytest.raises(ConfigError):
             BacktestConfig(compounding="martingale")
+
+    def test_fractal_clamp_at_most_one(self):
+        hurst = HurstConfig(h_min=0.5, h_max=1.5)
+        with pytest.raises(ConfigError, match="h_max is 1.5"):
+            BacktestConfig(hurst=hurst)
+        BacktestConfig(hurst=HurstConfig(h_min=0.5, h_max=1.0))
+        for variant in (StrategyVariant.STANDARD_BIASED, StrategyVariant.NAIVE_RISK_PARITY):
+            BacktestConfig(variant=variant, hurst=hurst)
 
     def test_equity_curve_positive(self):
         with pytest.raises(ValueError):

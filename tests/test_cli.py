@@ -227,6 +227,18 @@ class TestConfigErrors:
         config = self.config_without_data(tmp_path, extra)
         self.assert_config_error(["backtest", "--config", str(config), "--out", str(tmp_path)], capsys)
 
+    def test_universe_without_portfolio_asset(self, tmp_path, capsys):
+        config = self.config_without_data(tmp_path, "")
+        text = config.read_text().replace("missing_a.csv}", "missing_a.csv, role: benchmark}")
+        config.write_text(text)
+        self.assert_config_error(["backtest", "--config", str(config), "--out", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize("variants", ["[fractal_biased]", "[standard_biased, fractal_biased]"])
+    def test_fractal_clamp_above_one(self, tmp_path, capsys, variants):
+        extra = f"variants: {variants}\nhurst: {{h_min: 1.2, h_max: 1.5}}"
+        config = self.config_without_data(tmp_path, extra)
+        self.assert_config_error(["backtest", "--config", str(config), "--out", str(tmp_path)], capsys)
+
     def test_yaml_horizon_below_hurst_ladder(self, tmp_path, capsys):
         config = self.config_without_data(tmp_path, "variants: [fractal_biased]", horizon=16)
         self.assert_config_error(["backtest", "--config", str(config), "--out", str(tmp_path)], capsys)
