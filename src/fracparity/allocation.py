@@ -13,23 +13,22 @@ prices become an (assets x days) block with one row per asset, so returns,
 means, ddof=1 deviations, minimal-cover paths and Hurst fits are each one
 call along the rows, and the trend filter, the ``h`` clamp and the
 inverse-volatility weights are masked array operations. The per-asset
-diagnostics stay vectors on :class:`PortfolioWeights`; its ``risk`` and
-``hurst`` records are built from them only when a caller reads them.
+diagnostics are vectors on :class:`PortfolioWeights`, one entry per ticker,
+and are not kept in any other form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
 from .data import AlignedPanel
 from .errors import DegenerateVolatility, Empty, LengthMismatch
-from .fractal import HurstConfig, HurstEstimate, HurstFit, build_path, fit_hurst_rows
+from .fractal import HurstConfig, HurstFit, build_path, fit_hurst_rows
 from .fractal import estimate_hurst  # noqa: F401  (perfbench/tracing.py wraps this binding)
-from .riskstats import RiskEstimate, log_returns, mean_return, rescale_volatility, unbiased_std
+from .riskstats import log_returns, mean_return, rescale_volatility, unbiased_std
 
 WEIGHT_BUDGET_TOL = 1e-12
 
@@ -52,8 +51,7 @@ class PortfolioWeights:
     returns, per day), the exponent ``h`` and the horizon deviation
     ``std_n``. ``fit`` is the minimal-cover fit of the ``fitted`` columns
     (the active assets of ``fractal_biased``; ``None`` otherwise), from
-    which ``r_squared`` and ``clamped`` are spread over all columns. The
-    ``risk`` and ``hurst`` records are built from these on first read.
+    which ``r_squared`` and ``clamped`` are spread over all columns.
     """
 
     tickers: tuple[str, ...]
@@ -100,24 +98,6 @@ class PortfolioWeights:
         if self.fit is not None:
             out[self.fitted] = self.fit.clamped
         return out
-
-    @cached_property
-    def risk(self) -> dict[str, RiskEstimate]:
-        """One :class:`RiskEstimate` per ticker; empty without diagnostics."""
-        if self.mu is None:
-            return {}
-        fields = zip(
-            self.tickers, self.mu.tolist(), self.std0.tolist(), self.h.tolist(),
-            self.std_n.tolist(),
-        )
-        return dict(zip(self.tickers, map(RiskEstimate._make, fields)))
-
-    @cached_property
-    def hurst(self) -> dict[str, HurstEstimate]:
-        """One :class:`HurstEstimate` per fitted ticker."""
-        if self.fit is None:
-            return {}
-        return dict(zip(map(self.tickers.__getitem__, self.fitted.tolist()), self.fit.estimates()))
 
 
 def inverse_volatility_weights(stds: np.ndarray) -> np.ndarray:

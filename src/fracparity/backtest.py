@@ -24,8 +24,8 @@ per-asset Python object. The lookback and holding windows are read-only
 views of the panel (:func:`slice_window`). :func:`compute_weights` returns
 the weights with their diagnostics as vectors; the holdings are an int64
 share vector in column order; a rebalance returns its orders as
-:class:`Trades`, parallel vectors of column, signed shares, price and fee,
-whose :class:`Trade` records are built only when read. Sums that feed the
+:class:`Trades`, parallel vectors of column, signed shares, price and fee.
+These vectors are the only form of a period's result. Sums that feed the
 reported figures run left to right in column order, so results do not
 depend on how the arrays are blocked.
 """
@@ -34,10 +34,7 @@ from __future__ import annotations
 
 import datetime as dt
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -116,60 +113,31 @@ class BacktestConfig:
                 ) from None
 
 
-class Trade(NamedTuple):
-    ticker: str
-    shares: int  # signed: positive buys, negative sells
-    price: float
-    commission: float
-
-
 @dataclass(frozen=True, eq=False)
-class Trades(Sequence):
+class Trades:
     """The orders of one rebalance, held as parallel vectors.
 
-    ``columns`` index ``tickers``; ``shares`` are signed (positive buys,
-    negative sells), ``prices`` the fills and ``fees`` the commissions.
-    As a sequence it yields one :class:`Trade` per order, built on first
-    read, and it compares equal to any sequence of the same records.
+    ``columns`` index the weights' tickers; ``shares`` are signed (positive
+    buys, negative sells), ``prices`` the fills and ``fees`` the commissions.
     """
 
-    tickers: tuple[str, ...]
     columns: np.ndarray
     shares: np.ndarray
     prices: np.ndarray
     fees: np.ndarray
 
-    @cached_property
-    def records(self) -> tuple[Trade, ...]:
-        names = map(self.tickers.__getitem__, self.columns.tolist())
-        fields = zip(names, self.shares.tolist(), self.prices.tolist(), self.fees.tolist())
-        return tuple(map(Trade._make, fields))
-
     def __len__(self) -> int:
         return len(self.columns)
-
-    def __getitem__(self, i):
-        return self.records[i]
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return self.records == tuple(other)
-
-    __hash__ = None
 
 
 @dataclass(eq=False)
 class PeriodResult:
-    """One out-of-sample holding period."""
+    """One out-of-sample holding period; the benchmark's has no weights or trades."""
 
     start_date: dt.date
     end_date: dt.date
     weights: PortfolioWeights | None
-    trades: Sequence[Trade]
+    trades: Trades | None
     gross_return: float
     expense_drag: float
     commission_cost: float
@@ -263,7 +231,7 @@ def execute_rebalance(
         raise InsufficientCapital(
             f"commissions {total_commission:.2f} would consume capital {capital:.2f}"
         )
-    return Trades(tickers, traded, traded_shares, traded_price, fees), target, total_commission
+    return Trades(traded, traded_shares, traded_price, fees), target, total_commission
 
 
 def period_return(
@@ -391,6 +359,6 @@ def run_benchmark(
 
     def close_to_close(start_row: int, end_row: int, start_capital: float):
         ret = 100.0 * (float(col[end_row]) / float(col[start_row]) - 1.0)
-        return None, (), 0.0, (ret, 0.0, ret)
+        return None, None, 0.0, (ret, 0.0, ret)
 
     return _walk(panel, config, close_to_close)

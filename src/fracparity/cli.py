@@ -1,8 +1,9 @@
 """Command-line front door: backtest, hurst, stable-cdf.
 
 Exit codes: 0 success, 2 configuration error, 3 data error (including an
-input or output path that cannot be used), 4 numeric error. All numeric file output uses fixed 6-decimal precision so repeated
-runs over identical inputs produce byte-identical artifacts (the manifest's
+input or output path that cannot be used), 4 numeric error. All numeric
+file output uses fixed 6-decimal precision, so repeated runs over
+identical inputs produce byte-identical artifacts (the manifest's
 timestamp is the only permitted difference).
 """
 

@@ -15,8 +15,8 @@ for prices). Any other file goes through ``csv.reader`` and is checked a
 whole column at a time; only when that fails are its rows scanned one by
 one, to name the first bad line. Both routes give the same dates, values
 and errors. Dates are sorted, checked and intersected as integer day
-ordinals, which each series keeps; a loaded :class:`PriceSeries` builds its
-``datetime.date`` tuple only when ``dates`` is first read.
+ordinals: a :class:`PriceSeries` is made from its ordinals alone and builds
+its ``datetime.date`` tuple only when ``dates`` is first read.
 """
 
 from __future__ import annotations
@@ -84,28 +84,19 @@ def _first_unordered(days: np.ndarray) -> int:
 class PriceSeries:
     """Adjusted daily closes for one ticker, sorted by date.
 
-    Give the ``dates``, their day numbers as ``ordinals``, or both. The
-    series keeps the ordinals; when only they are given, ``dates`` is built
-    from them on first read.
+    ``ordinals`` are the day numbers (``date.toordinal()``) of the closes;
+    ``dates`` is built from them on first read.
     """
 
-    def __init__(self, ticker: str, dates, closes, ordinals: np.ndarray | None = None):
+    def __init__(self, ticker: str, ordinals, closes):
         self.ticker = ticker
+        self.ordinals = ordinals = np.asarray(ordinals)
         self.closes = np.asarray(closes, dtype=float)
         n = len(self.closes)
-        if dates is not None:
-            self.dates = tuple(dates)
-            if len(self.dates) != n:
-                raise MalformedRow(ticker, 0, "dates and closes differ in length")
-        elif ordinals is None:
-            raise TypeError("PriceSeries needs dates or ordinals")
+        if ordinals.shape != (n,):
+            raise MalformedRow(ticker, 0, "ordinals and closes differ in length")
         if n < 2:
             raise TooShort(f"{ticker}: need at least 2 prices, got {n}")
-        if ordinals is None:
-            ordinals = _ordinals(self.dates)
-        elif np.shape(ordinals) != (n,):
-            raise MalformedRow(ticker, 0, "ordinals and closes differ in length")
-        self.ordinals = ordinals = np.asarray(ordinals)
         i = _first_unordered(ordinals)
         if i and ordinals[i] == ordinals[i - 1]:
             raise DuplicateDate(ticker, self.dates[i])
@@ -183,9 +174,6 @@ class AlignedPanel:
 
     def column(self, ticker: str) -> np.ndarray:
         return self.prices[:, self.index_of(ticker)]
-
-    def portfolio_assets(self) -> tuple[AssetSpec, ...]:
-        return tuple(a for a in self.assets if a.role == ROLE_PORTFOLIO)
 
 
 def read_text(path) -> str:
@@ -359,7 +347,7 @@ def load_price_csv(
     if len(days) < 2:
         raise TooShort(f"{ticker}: need at least 2 rows, got {len(days)}")
     order = np.argsort(days, kind="stable")
-    return PriceSeries(ticker, None, closes[order], ordinals=days[order])
+    return PriceSeries(ticker, days[order], closes[order])
 
 
 def load_series_csv(path: str, column: str) -> np.ndarray:

@@ -10,10 +10,10 @@ which is what makes it suitable for walk-forward lookbacks. The kernel
 works on a block with one path per row (every asset of a lookback window),
 block max/min per scale and one batched log-log fit, and returns a
 :class:`HurstFit` of per-row vectors (``h``, variation index, r², clamp
-hits, V(delta)). The walk-forward engine keeps those vectors;
-:class:`HurstEstimate` records are built from them only for callers that
-ask for records, such as the ``hurst`` CLI, whose single-path functions
-are one-row wrappers over the same kernel.
+hits, V(delta)), which the walk-forward engine keeps as they are. The
+single-path functions, which the ``hurst`` CLI uses, are one-row wrappers
+over the same kernel; :func:`estimate_hurst` returns its row as a
+:class:`HurstEstimate`.
 
 The stable CDF is evaluated by Fourier inversion of the characteristic
 function in the continuous ("0-shift") parametrization: a sine-kernel
@@ -118,8 +118,8 @@ class StableParams:
             raise InvalidStableParams(f"alpha must be in (0, 2], got {self.alpha}")
         if not -1.0 <= self.beta <= 1.0:
             raise InvalidStableParams(f"beta must be in [-1, 1], got {self.beta}")
-        if not self.sigma > 0.0:
-            raise InvalidStableParams(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise InvalidStableParams(f"sigma must be positive and finite, got {self.sigma}")
         if not math.isfinite(self.mu_loc):
             raise InvalidStableParams(f"mu_loc must be finite, got {self.mu_loc}")
 
@@ -236,16 +236,6 @@ class HurstFit:
     scales: tuple[int, ...]
     variations: np.ndarray
 
-    def estimates(self) -> list[HurstEstimate]:
-        """One :class:`HurstEstimate` record per row."""
-        return [
-            HurstEstimate(h=hi, mu_index=mi, r_squared=ri, scales=self.scales, variations=tuple(vi))
-            for hi, mi, ri, vi in zip(
-                self.h.tolist(), self.mu_index.tolist(), self.r_squared.tolist(),
-                self.variations.tolist(),
-            )
-        ]
-
 
 def fit_hurst_rows(paths, config: HurstConfig = HurstConfig()) -> HurstFit:
     """Estimate the Hurst exponent of every row of ``paths`` via minimal-cover scaling.
@@ -298,7 +288,14 @@ def estimate_hurst(path, config: HurstConfig = HurstConfig()) -> HurstEstimate:
     p = np.asarray(path, dtype=float)
     if p.ndim != 1:
         raise ValueError(f"path must be 1-d, got shape {p.shape}")
-    return fit_hurst_rows(p.reshape(1, -1), config).estimates()[0]
+    fit = fit_hurst_rows(p.reshape(1, -1), config)
+    return HurstEstimate(
+        h=float(fit.h[0]),
+        mu_index=float(fit.mu_index[0]),
+        r_squared=float(fit.r_squared[0]),
+        scales=fit.scales,
+        variations=tuple(fit.variations[0].tolist()),
+    )
 
 
 def alpha_from_hurst(h: float) -> float:

@@ -12,21 +12,9 @@ array pass, which is how the walk-forward engine calls them.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import Empty, InvalidHurst, NonPositivePrice, TooShort
-
-
-class RiskEstimate(NamedTuple):
-    """Mean, daily volatility, exponent and rescaled volatility for one asset."""
-
-    ticker: str
-    mu: float       # percent per day
-    std0: float     # percent per day
-    h: float
-    std_n: float    # percent per horizon
 
 
 def log_returns(prices, ticker: str | None = None) -> np.ndarray:

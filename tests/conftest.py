@@ -21,6 +21,12 @@ def business_days(start: dt.date, count: int) -> tuple[dt.date, ...]:
     return tuple(days)
 
 
+def trade_rows(trades) -> list[tuple]:
+    """One ``(column, shares, price, fee)`` tuple per order of a rebalance's trades."""
+    vectors = (trades.columns, trades.shares, trades.prices, trades.fees)
+    return list(zip(*(v.tolist() for v in vectors), strict=True))
+
+
 def synthetic_panel(
     seed: int,
     n_rows: int,

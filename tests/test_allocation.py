@@ -184,23 +184,23 @@ class TestComputeWeights:
         # the variants may only differ through the exponent h
         n = 126
         panel = synthetic_panel(seed=8, n_rows=n, n_assets=4)
-        by_variant = {
-            v: compute_weights(panel, v, n).risk for v in StrategyVariant
-        }
-        for ticker in by_variant[StrategyVariant.FRACTAL_BIASED]:
-            estimates = [by_variant[v][ticker] for v in StrategyVariant]
-            assert len({e.mu for e in estimates}) == 1
-            assert len({e.std0 for e in estimates}) == 1
+        fractal, *others = (compute_weights(panel, v, n) for v in StrategyVariant)
+        for w in others:
+            assert np.array_equal(w.mu, fractal.mu)
+            assert np.array_equal(w.std0, fractal.std0)
 
     def test_diagnostics_populated(self):
         n = 126
         panel = synthetic_panel(seed=9, n_rows=n, n_assets=3)
         w = compute_weights(panel, StrategyVariant.FRACTAL_BIASED, n)
-        assert set(w.risk) == set(w.tickers)
-        active = {t for t, wt in w.as_dict().items() if wt > 0}
-        assert set(w.hurst) == active
-        for t in active:
-            assert w.risk[t].h == w.hurst[t].h
+        for diagnostic in (w.mu, w.std0, w.h, w.std_n):
+            assert diagnostic.shape == (len(w.tickers),)
+            assert np.isfinite(diagnostic).all()
+        active = np.flatnonzero(w.weights > 0)
+        assert active.size and w.fitted.tolist() == active.tolist()
+        assert np.array_equal(w.h[active], w.fit.h)
+        assert np.isfinite(w.r_squared[active]).all()
+        assert np.isnan(np.delete(w.r_squared, active)).all()
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)

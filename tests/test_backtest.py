@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import business_days, synthetic_panel
+from conftest import business_days, synthetic_panel, trade_rows
 from fracparity.allocation import PortfolioWeights, StrategyVariant
 from fracparity.backtest import (
     FIXED_CAPITAL,
@@ -84,13 +84,13 @@ class TestExecuteRebalance:
         )
         assert holdings.tolist() == [10_000]
         assert fee == pytest.approx(35.00, abs=1e-12)
-        assert len(trades) == 1 and trades[0].shares == 10_000
+        assert trades.shares.tolist() == [10_000]
 
     def test_noop_rebalance(self):
         trades, holdings, fee = execute_rebalance(
             single_weights(), 1_000_000.0, [100.0], PLAN, [10_000]
         )
-        assert trades == [] and fee == 0.0
+        assert len(trades) == 0 and fee == 0.0
         assert holdings.tolist() == [10_000]
 
     def test_liquidation(self):
@@ -99,7 +99,7 @@ class TestExecuteRebalance:
             all_cash, 1_000_000.0, [100.0], PLAN, [10_000]
         )
         assert holdings.tolist() == [0]
-        assert len(trades) == 1 and trades[0].shares == -10_000
+        assert trades.shares.tolist() == [-10_000]
         assert fee == pytest.approx(35.00, abs=1e-12)
 
     def test_whole_shares_leave_remainder(self):
@@ -189,7 +189,7 @@ class TestWalkForward:
         assert np.array_equal(e1.values, e2.values)
         for a, b in zip(r1, r2):
             assert a.net_return == b.net_return
-            assert a.trades == b.trades
+            assert trade_rows(a.trades) == trade_rows(b.trades)
             assert np.array_equal(a.weights.weights, b.weights.weights)
 
     def test_accounting_identity_both_modes(self):
@@ -274,8 +274,9 @@ class TestWalkForward:
 
 def daily_marks(panel, results, cfg):
     """The oracle's daily-marked equity of one run, rebuilt from its stored trades."""
+    columns = panel.portfolio_columns.tolist()  # trade columns index the portfolio tickers
     periods = [
-        (r.start_capital, r.net_return, [(panel.index_of(t.ticker), t.shares) for t in r.trades])
+        (r.start_capital, r.net_return, [(columns[c], s) for c, s, _, _ in trade_rows(r.trades)])
         for r in results
     ]
     return oracles.daily_marked_equity(panel.prices.tolist(), cfg.horizon_n,
@@ -358,8 +359,8 @@ class TestRunBenchmark:
             assert [r.net_return for r in results] == want  # bit for bit
             assert [r.gross_return for r in results] == want
             for r in results:
-                assert (r.weights, tuple(r.trades), r.commission_cost, r.expense_drag) == (
-                    None, (), 0.0, 0.0
+                assert (r.weights, r.trades, r.commission_cost, r.expense_drag) == (
+                    None, None, 0.0, 0.0
                 )
             chained = [cfg.initial_capital]
             for r in want:

@@ -36,8 +36,8 @@ def write_csv(tmp_path, name, rows, header="date,adj_close"):
 
 
 def series(ticker, start, closes):
-    dates = tuple(start + dt.timedelta(days=i) for i in range(len(closes)))
-    return PriceSeries(ticker=ticker, dates=dates, closes=np.array(closes, dtype=float))
+    ordinals = start.toordinal() + np.arange(len(closes))
+    return PriceSeries(ticker=ticker, ordinals=ordinals, closes=np.array(closes, dtype=float))
 
 
 class TestLoadPriceCsv:
@@ -115,16 +115,18 @@ class TestLoadPriceCsv:
 
 
 class TestPriceSeries:
-    def test_day_numbers_computed_when_not_given(self):
+    def test_dates_built_from_day_numbers_on_read(self):
         s = series("AAA", dt.date(2016, 1, 4), [100.0, 101.0, 102.0])
-        assert s.ordinals.tolist() == [d.toordinal() for d in s.dates]
+        assert "dates" not in vars(s)
+        assert s.dates == (dt.date(2016, 1, 4), dt.date(2016, 1, 5), dt.date(2016, 1, 6))
 
     def test_given_day_numbers_are_checked(self):
-        dates = (dt.date(2016, 1, 4), dt.date(2016, 1, 5))
         with pytest.raises(MalformedRow):
-            PriceSeries("AAA", dates, [100.0, 101.0], ordinals=np.array([1]))
+            PriceSeries("AAA", np.array([1]), [100.0, 101.0])
         with pytest.raises(DuplicateDate):
-            PriceSeries("AAA", dates, [100.0, 101.0], ordinals=np.array([7, 7]))
+            PriceSeries("AAA", np.array([7, 7]), [100.0, 101.0])
+        with pytest.raises(MalformedRow):
+            PriceSeries("AAA", np.array([8, 7]), [100.0, 101.0])
 
 
 class TestLoadSeriesCsv:
@@ -190,7 +192,7 @@ class TestAlignPanel:
         panel = synthetic_panel(seed=1, n_rows=30, n_assets=3)
         again = align_panel(
             [
-                PriceSeries(a.ticker, panel.dates, panel.column(a.ticker))
+                PriceSeries(a.ticker, [d.toordinal() for d in panel.dates], panel.column(a.ticker))
                 for a in panel.assets
             ],
             list(panel.assets),

@@ -3,8 +3,8 @@
 The engine computes each lookback window as one array pass over all
 portfolio columns; the oracle recomputes every window asset by asset on
 Python floats, with its own minimal-cover Hurst estimate. The engine keeps
-per-asset diagnostics, holdings and trades as vectors and builds records
-from them on demand; both views are checked here.
+per-asset diagnostics, holdings and trades as vectors, and the checks here
+read those vectors.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import synthetic_panel
+from conftest import synthetic_panel, trade_rows
 from fracparity.allocation import StrategyVariant
-from fracparity.backtest import BacktestConfig, Trade, run_walk_forward
+from fracparity.backtest import BacktestConfig, run_walk_forward
 from fracparity.data import slice_window
 from fracparity.fractal import (
     HurstConfig,
@@ -27,7 +27,6 @@ from fracparity.fractal import (
     fit_hurst_rows,
     minimal_cover_variation,
 )
-from fracparity.riskstats import RiskEstimate
 from fracparity.runconfig import load_run_settings, load_universe_panel
 
 PANEL_CONFIG = Path(__file__).parent / "fixtures" / "panel4" / "universe.yaml"
@@ -37,7 +36,7 @@ WEIGHT_RTOL = 1e-12
 def lookback_columns(panel, n, k):
     """Price lists of the portfolio assets over lookback rows ``[k*n, (k+1)*n)``."""
     rows = panel.prices[k * n : (k + 1) * n]
-    return [rows[:, panel.index_of(a.ticker)].tolist() for a in panel.portfolio_assets()]
+    return rows[:, panel.portfolio_columns].T.tolist()
 
 
 def oracle_weights(panel, variant, n, k, hurst_options=None):
@@ -54,17 +53,6 @@ def assert_weights_match_oracle(panel, config, hurst_options=None):
         np.testing.assert_allclose(result.weights.weights, want, rtol=WEIGHT_RTOL, atol=0.0)
         assert result.weights.cash == (0.0 if any(want) else 1.0)
 
-        estimates = oracles.window_estimates(
-            lookback_columns(panel, n, k), config.variant.value, hurst_options
-        )
-        for ticker, (mu, std0, h) in zip(result.weights.tickers, estimates):
-            risk = result.weights.risk[ticker]
-            # a mean near zero carries the rounding of a sum of O(1) returns
-            assert risk.mu == pytest.approx(mu, rel=WEIGHT_RTOL, abs=1e-12)
-            assert risk.std0 == pytest.approx(std0, rel=WEIGHT_RTOL)
-            assert risk.h == pytest.approx(h, rel=WEIGHT_RTOL)
-            if ticker in result.weights.hurst:
-                assert result.weights.hurst[ticker].h == risk.h
         assert_diagnostic_vectors_match_oracle(
             result.weights, lookback_columns(panel, n, k), config.variant, hurst_options
         )
@@ -74,6 +62,7 @@ def assert_diagnostic_vectors_match_oracle(weights, columns, variant, hurst_opti
     mu, std0, h, r_squared, clamped = map(
         np.array, zip(*oracles.window_diagnostics(columns, variant.value, hurst_options))
     )
+    # a mean near zero carries the rounding of a sum of O(1) returns
     np.testing.assert_allclose(weights.mu, mu, rtol=WEIGHT_RTOL, atol=1e-12)
     np.testing.assert_allclose(weights.std0, std0, rtol=WEIGHT_RTOL, atol=0.0)
     np.testing.assert_allclose(weights.h, h, rtol=WEIGHT_RTOL, atol=0.0)
@@ -120,24 +109,23 @@ def test_fixture_trades_match_oracle(variant):
     config = settings.variant_configs()[variant]
     assert config.compounding == "fixed_capital"
     n = config.horizon_n
-    tickers = [a.ticker for a in panel.portfolio_assets()]
-    columns = [panel.index_of(t) for t in tickers]
+    columns = panel.portfolio_columns
     results, _ = run_walk_forward(panel, config)
 
     plan = dataclasses.asdict(config.commission)
-    expense = [a.expense_ratio for a in panel.portfolio_assets()]
-    prior = [0] * len(tickers)
+    expense = panel.expense_ratios[columns].tolist()
+    prior = [0] * len(columns)
     for k, result in enumerate(results):
         prices = panel.prices[(k + 1) * n, columns].tolist()
         weights = oracle_weights(panel, variant, n, k)
         want, prior = oracles.whole_share_trades(
             weights, config.initial_capital, prices, prior
         )
-        got = [(t.ticker, t.shares, t.price) for t in result.trades]
-        assert got == [(tickers[i], shares, prices[i]) for i, shares in want], k
+        rows = trade_rows(result.trades)
+        assert [(c, s, p) for c, s, p, _ in rows] == [(i, s, prices[i]) for i, s in want], k
 
         fees = [oracles.order_commission(abs(s), prices[i], **plan) for i, s in want]
-        assert [t.commission for t in result.trades] == pytest.approx(fees, rel=1e-12)
+        assert [fee for *_, fee in rows] == pytest.approx(fees, rel=1e-12)
         end_prices = panel.prices[(k + 2) * n - 1, columns].tolist()
         net = oracles.holding_net_return(
             prior, config.initial_capital, prices, end_prices, expense, n, sum(fees)
@@ -163,49 +151,18 @@ def test_batched_hurst_rows_equal_single_paths_bitwise():
     rng = np.random.default_rng(6)
     for size in (42, 63, 126, 252):
         paths = np.cumsum(rng.standard_normal((12, size)), axis=1)
-        for path, est in zip(paths, fit_hurst_rows(paths).estimates()):
+        fit = fit_hurst_rows(paths)
+        for row, path in enumerate(paths):
             single = estimate_hurst(path)
-            assert (est.h, est.mu_index, est.r_squared) == (
+            assert (fit.h[row], fit.mu_index[row], fit.r_squared[row]) == (
                 single.h, single.mu_index, single.r_squared
             )
-            assert est.variations == single.variations
-            assert est.h == pytest.approx(oracles.minimal_cover_hurst(path), rel=1e-12)
-
-
-def assert_records_equal_vectors(result):
-    """The on-demand ``risk``, ``hurst`` and ``Trade`` records of one period."""
-    w = result.weights
-    assert list(w.risk) == list(w.tickers)
-    for i, ticker in enumerate(w.tickers):
-        want = RiskEstimate(ticker, w.mu[i], w.std0[i], w.h[i], w.std_n[i])
-        assert w.risk[ticker] == want
-    if w.fit is None:
-        assert w.hurst == {}
-    else:
-        assert list(w.hurst) == [w.tickers[i] for i in w.fitted]
-        for row, i in enumerate(w.fitted):
-            est = w.hurst[w.tickers[i]]
-            assert (est.h, est.mu_index, est.r_squared) == (
-                w.fit.h[row], w.fit.mu_index[row], w.fit.r_squared[row]
-            )
-            assert est.h == w.h[i]
-            assert est.scales == w.fit.scales
-            assert est.variations == tuple(w.fit.variations[row])
-
-    trades = result.trades
-    want = [
-        Trade(trades.tickers[c], s, p, f)
-        for c, s, p, f in zip(trades.columns, trades.shares, trades.prices, trades.fees)
-    ]
-    assert len(trades) == len(want)
-    assert list(trades) == want
-    assert trades == want and trades == tuple(want)
-    assert [trades[i] for i in range(len(trades))] == want
-    assert sum(t.commission for t in trades) == result.commission_cost
+            assert tuple(fit.variations[row].tolist()) == single.variations
+            assert fit.h[row] == pytest.approx(oracles.minimal_cover_hurst(path), rel=1e-12)
 
 
 @pytest.mark.parametrize("variant", list(StrategyVariant))
-def test_records_equal_their_vectors(variant):
+def test_trade_vectors_add_up_and_repeat(variant):
     settings = load_run_settings(PANEL_CONFIG)
     fixture = load_universe_panel(settings)
     runs = [(fixture, settings.variant_configs()[variant])]
@@ -216,9 +173,10 @@ def test_records_equal_their_vectors(variant):
         results, _ = run_walk_forward(panel, config)
         assert sum(len(r.trades) for r in results) > 0
         for result in results:
-            assert_records_equal_vectors(result)
+            assert len(trade_rows(result.trades)) == len(result.trades)
+            assert sum(result.trades.fees.tolist(), 0.0) == result.commission_cost
         again, _ = run_walk_forward(panel, config)
-        assert [r.trades for r in again] == [r.trades for r in results]
+        assert [trade_rows(r.trades) for r in again] == [trade_rows(r.trades) for r in results]
 
 
 def test_slice_window_is_a_read_only_view():

@@ -22,6 +22,7 @@ from fracparity.fractal import (
     alpha_from_hurst,
     build_path,
     estimate_hurst,
+    fit_hurst_rows,
     minimal_cover_variation,
     scale_ladder,
     stable_cdf,
@@ -159,6 +160,34 @@ class TestEstimateHurst:
         assert moved.mu_index == pytest.approx(base.mu_index, abs=1e-9)
 
 
+class TestBiasAtEngineHorizons:
+    """What the engine's ``h`` means on lookbacks of N = 63, 126 and 252 prices.
+
+    Each cell is the median estimate over 300 seeded fBm paths of N points
+    (Davies-Harte, ``oracles.fbm_path``), fitted with the default ladder and
+    a clamp wide enough never to bind. At these lengths the estimate reads
+    high for anti-persistent and random-walk paths, so the range of H is
+    compressed: at N = 126 the median rises by only about 0.6 per unit of
+    true H.
+    """
+
+    MEDIANS = {  # N -> median h for true H = 0.3, 0.5, 0.7
+        63: (0.50, 0.61, 0.73),
+        126: (0.49, 0.60, 0.73),
+        252: (0.43, 0.56, 0.70),
+    }
+
+    @pytest.mark.parametrize("n", sorted(MEDIANS))
+    def test_median_h_is_pinned(self, n):
+        config = HurstConfig(h_min=1e-6, h_max=1.5)
+        for h_true, want in zip((0.3, 0.5, 0.7), self.MEDIANS[n]):
+            rngs = map(np.random.default_rng, range(300))
+            paths = np.array([oracles.fbm_path(n - 1, h_true, rng) for rng in rngs])
+            fit = fit_hurst_rows(paths, config)
+            assert not fit.clamped.any()
+            assert float(np.median(fit.h)) == pytest.approx(want, abs=0.03), h_true
+
+
 class TestAlphaFromHurst:
     def test_half_gives_two(self):
         assert alpha_from_hurst(0.5) == 2.0
@@ -188,6 +217,7 @@ class TestStableParams:
             dict(alpha=1.5, beta=1.5),
             dict(alpha=1.5, sigma=0.0),
             dict(alpha=1.5, sigma=-1.0),
+            dict(alpha=1.5, sigma=math.inf),
             dict(alpha=1.5, mu_loc=math.inf),
         ],
     )

@@ -118,7 +118,7 @@ def test_align_matches_reference(series, rng):
     tickers = [t for t, _, _ in series]
     rng.shuffle(tickers)
     specs = [AssetSpec(t) for t in tickers]
-    price_series = [PriceSeries(t, d, np.array(c)) for t, d, c in series]
+    price_series = [PriceSeries(t, [x.toordinal() for x in d], np.array(c)) for t, d, c in series]
     try:
         dates, rows = oracles.align_rows(series, tickers)
     except oracles.Rejected as expected:
