@@ -22,9 +22,9 @@ import numpy as np
 
 from . import __version__
 from .allocation import StrategyVariant
-from .backtest import EquityCurve, PeriodResult, run_benchmark, run_walk_forward
+from .backtest import run_benchmark, run_walk_forward
 from .data import load_series_csv
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NonPositivePrice, NumericError
 from .fractal import HurstConfig, StableParams, build_path, estimate_hurst, stable_cdf_with_error
 from .metrics import PerformanceReport, build_report
 from .riskstats import log_returns
@@ -32,7 +32,9 @@ from .runconfig import BENCHMARK_LABEL, RunSettings, load_run_settings, load_uni
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.6f}"
+    """``x`` to 6 decimals; a value that rounds to zero prints without a sign."""
+    text = f"{x:.6f}"
+    return "0.000000" if text == "-0.000000" else text
 
 
 def _print_error(category: str, exc: BaseException) -> None:
@@ -69,69 +71,33 @@ def _report_table(
     return "\n".join(lines) + "\n"
 
 
-def _write_report_json(path: Path, reports: dict[str, PerformanceReport], settings: RunSettings):
-    def round6(obj):
-        if isinstance(obj, float):
-            return round(obj, 6)
-        if isinstance(obj, list):
-            return [round6(v) for v in obj]
-        if isinstance(obj, dict):
-            return {k: round6(v) for k, v in obj.items()}
-        return obj
+def _round6(doc: dict) -> dict:
+    """``doc`` with each float, and each float of a list value, rounded to 6 decimals."""
 
+    def rounded(x):
+        return round(x, 6) if isinstance(x, float) else x
+
+    return {
+        k: list(map(rounded, v)) if isinstance(v, list) else rounded(v) for k, v in doc.items()
+    }
+
+
+def _write_report_json(path: Path, reports: dict[str, PerformanceReport], settings: RunSettings):
     doc = {
         "horizon_n": settings.horizon_n,
         "mode": settings.compounding,
         "risk_free_rate": settings.risk_free_rate,
         "benchmark": settings.benchmark,
-        "reports": {name: round6(rep.to_dict()) for name, rep in reports.items()},
+        "reports": {name: _round6(rep.to_dict()) for name, rep in reports.items()},
     }
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write_period_csv(
-    path: Path,
-    names: list[str],
-    periods: dict[str, list[PeriodResult]],
-):
-    first = periods[names[0]]
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["period", "start_date", "end_date", *names])
-        for i, ref in enumerate(first):
-            writer.writerow(
-                [
-                    i,
-                    ref.start_date.isoformat(),
-                    ref.end_date.isoformat(),
-                    *(_fmt(periods[n][i].net_return) for n in names),
-                ]
-            )
-
-
-def _cumulated_percent(curve: EquityCurve) -> np.ndarray:
-    return 100.0 * (curve.values / curve.values[0] - 1.0)
-
-
-def _write_cumulated_csv(path: Path, names: list[str], curves: dict[str, EquityCurve]):
-    ref = curves[names[0]]
-    cum = {n: _cumulated_percent(curves[n]) for n in names}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", *names])
-        for i, date in enumerate(ref.dates):
-            writer.writerow([date.isoformat(), *(_fmt(cum[n][i]) for n in names)])
-
-
-def _write_difference_csv(path: Path, pair: tuple[str, str], curves: dict[str, EquityCurve]):
-    a, b = pair
-    cum_a = _cumulated_percent(curves[a])
-    cum_b = _cumulated_percent(curves[b])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", f"{a}_minus_{b}"])
-        for i, date in enumerate(curves[a].dates):
-            writer.writerow([date.isoformat(), _fmt(cum_a[i] - cum_b[i])])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _sha256(path: Path) -> str:
@@ -187,45 +153,51 @@ def cmd_backtest(args) -> int:
             raise ConfigError(str(exc)) from None
 
     configs = settings.variant_configs()  # overrides are checked before any CSV is read
-    pair = settings.difference_pair()
+    a, b = settings.difference_pair()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any CSV is read
     panel = load_universe_panel(settings)
 
-    bench_results, bench_equity = run_benchmark(panel, settings.base_config())
-    names = [v.value for v in settings.variants]
-    periods: dict[str, list[PeriodResult]] = {}
-    curves: dict[str, EquityCurve] = {}
-    reports: dict[str, PerformanceReport] = {}
-    for variant, cfg in configs.items():
-        results, equity = run_walk_forward(panel, cfg)
-        periods[variant.value] = results
-        curves[variant.value] = equity
-        reports[variant.value] = build_report(
-            results, equity, bench_results, settings.horizon_n,
+    jobs = {v.value: (run_walk_forward, cfg) for v, cfg in configs.items()}
+    jobs[BENCHMARK_LABEL] = (run_benchmark, settings.base_config())
+    runs = {name: run(panel, cfg) for name, (run, cfg) in jobs.items()}
+    periods, equity = runs[BENCHMARK_LABEL]  # every run shares these dates
+    reports = {
+        name: build_report(
+            results, curve, periods, settings.horizon_n,
             mode=settings.compounding, risk_free_rate=settings.risk_free_rate,
         )
-    periods[BENCHMARK_LABEL] = bench_results
-    curves[BENCHMARK_LABEL] = bench_equity
-    reports[BENCHMARK_LABEL] = build_report(
-        bench_results, bench_equity, bench_results, settings.horizon_n,
-        mode=settings.compounding, risk_free_rate=settings.risk_free_rate,
-    )
+        for name, (results, curve) in runs.items()
+    }
+    cumulated = {name: 100.0 * (c.values / c.values[0] - 1.0) for name, (_, c) in runs.items()}
+    dates = [d.isoformat() for d in equity.dates]
 
-    report_json = out_dir / "report.json"
-    report_txt = out_dir / "report.txt"
-    period_csv = out_dir / "period_returns.csv"
-    cumulated_csv = out_dir / "cumulated_returns.csv"
-    difference_csv = out_dir / "difference.csv"
-
-    _write_report_json(report_json, reports, settings)
     table = _report_table(reports, settings.benchmark)
+    names = ("report.json", "report.txt", "period_returns.csv", "cumulated_returns.csv",
+             "difference.csv")
+    outputs = [out_dir / name for name in names]
+    report_json, report_txt, period_csv, cumulated_csv, difference_csv = outputs
+    _write_report_json(report_json, reports, settings)
     report_txt.write_text(table)
-    all_names = [*names, BENCHMARK_LABEL]
-    _write_period_csv(period_csv, all_names, periods)
-    _write_cumulated_csv(cumulated_csv, all_names, curves)
-    _write_difference_csv(difference_csv, pair, curves)
-    outputs = [report_json, report_txt, period_csv, cumulated_csv, difference_csv]
+    _write_csv(
+        period_csv,
+        ["period", "start_date", "end_date", *runs],
+        (
+            [i, p.start_date.isoformat(), p.end_date.isoformat(),
+             *(_fmt(rep.period_returns[i]) for rep in reports.values())]
+            for i, p in enumerate(periods)
+        ),
+    )
+    _write_csv(
+        cumulated_csv,
+        ["date", *runs],
+        ([d, *map(_fmt, cums)] for d, *cums in zip(dates, *cumulated.values())),
+    )
+    _write_csv(
+        difference_csv,
+        ["date", f"{a}_minus_{b}"],
+        ([d, _fmt(x)] for d, x in zip(dates, cumulated[a] - cumulated[b])),
+    )
     _write_manifest(out_dir / "manifest.json", settings, outputs)
 
     print(table, end="")
@@ -236,6 +208,10 @@ def cmd_backtest(args) -> int:
 def cmd_hurst(args) -> int:
     values = load_series_csv(args.csv, args.column)
     if args.prices:
+        bad = np.flatnonzero(values <= 0.0)
+        if bad.size:  # the header is line 1
+            i = int(bad[0])
+            raise NonPositivePrice(args.csv, f"line {i + 2}", float(values[i]))
         path = build_path(log_returns(values))
     else:
         path = np.asarray(values, dtype=float)

@@ -11,12 +11,12 @@ return or NUL, at least two data rows, every line with the header's field
 count (found from the byte positions of newlines and commas), no field over
 ``csv.field_size_limit()``, every date exactly ``YYYY-MM-DD`` naming a real
 day of year 1 or later, and every value a finite Python ``float`` (above 0
-for prices). Any other file goes through ``csv.reader`` and is checked a
-whole column at a time; only when that fails are its rows scanned one by
-one, to name the first bad line. Both routes give the same dates, values
-and errors. Dates are sorted, checked and intersected as integer day
-ordinals: a :class:`PriceSeries` is made from its ordinals alone and builds
-its ``datetime.date`` tuple only when ``dates`` is first read.
+for prices). Any other file goes through ``csv.reader`` in one scan that
+parses and checks each row in file order, so the first bad line is the one
+named. Both routes give the same dates, values and errors. Dates are
+sorted, checked and intersected as integer day ordinals: a
+:class:`PriceSeries` is made from its ordinals alone and builds its
+``datetime.date`` tuple only when ``dates`` is first read.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import copy
 import csv
 import datetime as dt
 import io
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -186,28 +186,6 @@ def read_text(path) -> str:
         raise MalformedRow(str(path), raw.count(b"\n", 0, exc.start) + 1, "not UTF-8") from None
 
 
-def _raise_first_bad_row(path, rows, width, fields, ticker):
-    """Raise the error of the first bad row (line 2 on) at ``fields``: [date,] value."""
-    *date_at, value_at = fields
-    label = "price" if date_at else "value"
-    for line, row in enumerate(rows, start=2):
-        if len(row) != width:
-            raise MalformedRow(path, line, f"expected {width} fields, got {len(row)}")
-        if date_at:
-            try:
-                date = dt.date.fromisoformat(row[date_at[0]].strip())
-            except ValueError:
-                raise MalformedRow(path, line, f"unparseable date {row[date_at[0]]!r}") from None
-        try:
-            value = float(row[value_at])
-        except ValueError:
-            raise MalformedRow(path, line, f"unparseable {label} {row[value_at]!r}") from None
-        if not np.isfinite(value):
-            raise MalformedRow(path, line, f"non-finite {label} {row[value_at]!r}")
-        if date_at and value <= 0.0:
-            raise NonPositivePrice(ticker, date, value)
-
-
 # days in each month of a common year, and before each month, indexed by month 1..12
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
@@ -291,36 +269,45 @@ def _fast_columns(text: str, names: dict[str, str]):
 def _row_columns(path: str, text: str, names: dict[str, str], ticker: str = ""):
     """Day ordinals (None if undated) and values of a headed CSV ``text``, in file order.
 
-    ``names`` maps "value", or "date" and "price", to header names. The text
-    goes through ``csv.reader``; the rules of :func:`_raise_first_bad_row`
-    are applied to whole columns.
+    ``names`` maps "value", or "date" and "price", to header names. The rows
+    of ``csv.reader`` are parsed and checked one at a time, in file order;
+    the first bad one raises, named by its line (the header is line 1).
     """
     reader = csv.reader(io.StringIO(text, newline=""))
+    days, values = [], []
     try:
-        rows = list(reader)
+        header = next(reader, None)
+        if header is None:
+            raise MalformedRow(path, 1, "empty file")
+        header = [h.strip() for h in header]
+        for kind, name in names.items():
+            if name not in header:
+                raise MalformedRow(path, 1, f"missing {kind} column {name!r}")
+        width = len(header)
+        *date_at, value_at = [header.index(name) for name in names.values()]
+        label = "price" if date_at else "value"
+        for line, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise MalformedRow(path, line, f"expected {width} fields, got {len(row)}")
+            if date_at:
+                try:
+                    date = dt.date.fromisoformat(row[date_at[0]].strip())
+                except ValueError:
+                    detail = f"unparseable date {row[date_at[0]]!r}"
+                    raise MalformedRow(path, line, detail) from None
+                days.append(date.toordinal())
+            try:
+                value = float(row[value_at])
+            except ValueError:
+                raise MalformedRow(path, line, f"unparseable {label} {row[value_at]!r}") from None
+            if not math.isfinite(value):
+                raise MalformedRow(path, line, f"non-finite {label} {row[value_at]!r}")
+            if date_at and value <= 0.0:
+                raise NonPositivePrice(ticker, date, value)
+            values.append(value)
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise MalformedRow(path, reader.line_num, str(exc)) from None
-    if not rows:
-        raise MalformedRow(path, 1, "empty file")
-    header = [h.strip() for h in rows.pop(0)]
-    for kind, name in names.items():
-        if name not in header:
-            raise MalformedRow(path, 1, f"missing {kind} column {name!r}")
-    fields = [header.index(name) for name in names.values()]
-    if not set(map(len, rows)) <= {len(header)}:
-        _raise_first_bad_row(path, rows, len(header), fields, ticker)
-    columns = [list(map(itemgetter(i), rows)) for i in fields]
-    del rows  # the columns hold every field still needed
-    *date_col, value_col = columns
-    try:
-        dates = list(map(dt.date.fromisoformat, map(str.strip, date_col[0]))) if date_col else None
-        values = np.fromiter(map(float, value_col), dtype=float, count=len(value_col))
-        ok = np.isfinite(values).all() and (not date_col or (values > 0.0).all())
-    except ValueError:
-        ok = False
-    if not ok:
-        _raise_first_bad_row(path, zip(*columns), len(columns), range(len(columns)), ticker)
-    return (_ordinals(dates) if date_col else None), values
+    return (np.array(days, dtype=np.int64) if date_at else None), np.array(values, dtype=float)
 
 
 def _read_columns(path: str, names: dict[str, str], ticker: str = ""):

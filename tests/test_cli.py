@@ -13,6 +13,7 @@ import yaml
 
 from conftest import synthetic_panel
 from fracparity import cli, runconfig
+from fracparity.backtest import run_benchmark, run_walk_forward
 from fracparity.cli import main
 
 PANEL_CONFIG = Path(__file__).parent / "fixtures" / "panel4" / "universe.yaml"
@@ -186,6 +187,55 @@ class TestBacktestCommand:
         assert bench["protection"] == pytest.approx(64.0, abs=1e-9)
 
 
+class TestArtifactCells:
+    """Every cell of the CSV artifacts is ``_fmt`` of a number the engine returned."""
+
+    @pytest.mark.parametrize("pair", [None, ("benchmark", "naive_risk_parity")])
+    @pytest.mark.parametrize("mode", ["fixed_capital", "reinvest"])
+    def test_csv_cells_match_engine(self, tmp_path, mode, pair):
+        text = PANEL_CONFIG.read_text().replace("fixed_capital", mode)  # the compounding key
+        text = text.replace("csv: ", f"csv: {PANEL_CONFIG.parent}/")
+        if pair:
+            text += f"figure_pair: [{pair[0]}, {pair[1]}]\n"
+        config = tmp_path / "run.yaml"
+        config.write_text(text)
+        out = tmp_path / "out"
+        assert main(["backtest", "--config", str(config), "--out", str(out)]) == 0
+
+        settings = runconfig.load_run_settings(config)
+        panel = runconfig.load_universe_panel(settings)
+        runs = {v.value: run_walk_forward(panel, c) for v, c in settings.variant_configs().items()}
+        runs["benchmark"] = run_benchmark(panel, settings.base_config())
+        names = ["fractal_biased", "standard_biased", "naive_risk_parity", "benchmark"]
+        assert list(runs) == names
+        periods, equity = runs["benchmark"]
+        for results, curve in runs.values():
+            assert [(p.start_date, p.end_date) for p in results] == [
+                (p.start_date, p.end_date) for p in periods
+            ]
+            assert curve.dates == equity.dates
+
+        def cells(name):
+            with open(out / name, newline="") as fh:
+                return list(csv.reader(fh))
+
+        fmt = cli._fmt
+        assert cells("period_returns.csv") == [["period", "start_date", "end_date", *names]] + [
+            [str(i), p.start_date.isoformat(), p.end_date.isoformat(),
+             *(fmt(runs[n][0][i].net_return) for n in names)]
+            for i, p in enumerate(periods)
+        ]
+        cum = {n: 100 * (curve.values / curve.values[0] - 1) for n, (_, curve) in runs.items()}
+        dates = [d.isoformat() for d in equity.dates]
+        assert cells("cumulated_returns.csv") == [["date", *names]] + [
+            [d, *(fmt(cum[n][i]) for n in names)] for i, d in enumerate(dates)
+        ]
+        a, b = pair or ("fractal_biased", "standard_biased")
+        assert cells("difference.csv") == [["date", f"{a}_minus_{b}"]] + [
+            [d, fmt(cum[a][i] - cum[b][i])] for i, d in enumerate(dates)
+        ]
+
+
 class TestConfigErrors:
     """Bad configs end with exit 2 and one ``error: config:`` line, before any CSV is read."""
 
@@ -276,10 +326,13 @@ class TestNumericErrors:
 
 class TestHurstCommand:
     def test_ramp_prints_exactly_one(self, capsys):
-        assert main(["hurst", str(SERIES_DIR / "ramp.csv")]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[0] == "h,1.000000"
-        assert out[3] == "delta,variation"
+        for prices in ([], ["--prices"]):
+            assert main(["hurst", str(SERIES_DIR / "ramp.csv"), *prices]) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert out[0] == "h,1.000000"
+            assert out[1] == "mu_index,0.000000"  # the slope's sign is rounding noise
+            assert out[3] == "delta,variation"
+        assert cli._fmt(-0.0) == cli._fmt(-4e-7) == "0.000000"
 
     def test_random_walk_fixture_in_band(self, capsys):
         assert main(["hurst", str(SERIES_DIR / "randwalk.csv")]) == 0
@@ -292,6 +345,13 @@ class TestHurstCommand:
     def test_too_short_exits_3(self, capsys):
         assert main(["hurst", str(SERIES_DIR / "tooshort.csv")]) == 3
         assert "TooShort" in capsys.readouterr().err
+
+    def test_prices_mode_names_first_non_positive_line(self, capsys):
+        path = SERIES_DIR / "randwalk.csv"  # line 3 holds the first value at or below zero
+        assert main(["hurst", str(path), "--prices"]) == 3
+        err = capsys.readouterr().err
+        detail = f"{path}: non-positive price -1.251575 on line 3"
+        assert err == f"error: data: NonPositivePrice: {detail}\n"
 
     def test_prices_mode(self, tmp_path, capsys):
         # exponential growth at a constant rate is a linear log-price path

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import datetime as dt
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import synthetic_panel
 from fracparity import data
+from fracparity.cli import main
 from fracparity.data import (
     AlignedPanel,
     AssetSpec,
@@ -69,6 +72,17 @@ class TestLoadPriceCsv:
         path = write_csv(tmp_path, "a.csv", ["2016-01-04,abc", "2016-01-05,101.0"])
         with pytest.raises(MalformedRow):
             load_price_csv(path, "AAA")
+
+    def test_first_bad_line_wins_over_a_later_oversized_field(self, tmp_path):
+        big = "9" * (csv.field_size_limit() + 1)
+        rows = ["2016-01-04,100.0", "2016-01-05,abc", f"2016-01-06,{big}"]
+        path = write_csv(tmp_path, "a.csv", rows)
+        with pytest.raises(oracles.Rejected) as expected:
+            oracles.load_price_rows(path, "AAA")
+        with pytest.raises(MalformedRow) as info:
+            load_price_csv(path, "AAA")
+        assert str(info.value) == expected.value.message == f"{path}:3: unparseable price 'abc'"
+        assert main(["hurst", path, "--column", "adj_close"]) == 3
 
     def test_wrong_field_count(self, tmp_path):
         path = write_csv(tmp_path, "a.csv", ["2016-01-04,100.0,extra"])
