@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Record the stable-CDF golden fixture.
+
+Writes tests/fixtures/stable_cdf_golden.json: about 300 inputs of
+``fractal.stable_cdf_with_error`` with the ``repr`` of the value and of the
+error estimate each one returned, or the type and message of the error it
+raised. ``tests/test_fractal.py`` asserts exact equality on every point, so
+a rewrite of the quadrature has to reproduce the recorded bits. Each point
+also records whether it took the split quadrature (``_cdf_quad_split``).
+
+The points cover every branch: seeded (r, alpha, beta) draws in the ranges
+of the ``stable_grid`` benchmark workload, alpha = 1 with and without skew,
+the ``z == 0, beta == 0`` short-circuit, the totally skewed Levy law (whose
+points near r = 1..5 fall back to the split quadrature), non-unit scale and
+location, and the inputs that raise. Rerunning on unchanged code
+reproduces the file byte for byte; run it only on code whose values are
+the reference.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from fracparity import fractal  # noqa: E402
+from fracparity.errors import FracparityError  # noqa: E402
+
+OUT = ROOT / "tests" / "fixtures" / "stable_cdf_golden.json"
+SEED = 20171
+N_RANDOM = 258
+
+
+def points() -> list[dict]:
+    rng = np.random.default_rng(SEED)
+    alphas = rng.uniform(0.5, 2.0, N_RANDOM)
+    betas = rng.uniform(-1.0, 1.0, N_RANDOM)
+    rs = 2.0 * rng.standard_t(3, N_RANDOM)
+    grid = [(float(r), float(a), float(b)) for r, a, b in zip(rs, alphas, betas)]
+    grid += [(r, 1.0, b) for r in (-6.0, -1.5, -0.2, 0.0, 0.4, 2.5, 9.0)
+             for b in (-1.0, 0.35)]
+    grid += [(r, 1.0, 0.0) for r in (-3.0, 0.75, 4.0)]
+    grid += [(0.0, a, 0.0) for a in (0.5, 1.0, 1.3, 2.0)]
+    grid += [(r, 0.5, b) for r in (-2.0, 0.5, 1.0, 2.0, 5.0, 40.0) for b in (1.0, -1.0)]
+    grid += [(r, 2.0, 0.0) for r in (-1.0, 0.3, 3.0)]
+    grid += [(1e300, 1.5, 0.0), (1e10, 1.0, -1.0), (float("inf"), 1.5, 0.0)]
+    out = [dict(r=r, alpha=a, beta=b, sigma=1.0, mu_loc=0.0) for r, a, b in grid]
+    out += [
+        dict(r=2.0, alpha=1.5, beta=0.0, sigma=0.5, mu_loc=2.0),
+        dict(r=1.2, alpha=0.8, beta=-0.6, sigma=2.0, mu_loc=-0.5),
+        dict(r=-3.0, alpha=1.0, beta=0.9, sigma=0.25, mu_loc=1.0),
+    ]
+    return out
+
+
+def record(point: dict) -> dict:
+    params = fractal.StableParams(point["alpha"], point["beta"], point["sigma"], point["mu_loc"])
+    split_calls = []
+    split = fractal._cdf_quad_split
+
+    def counting(*args):
+        split_calls.append(args)
+        return split(*args)
+
+    fractal._cdf_quad_split = counting
+    try:
+        value, err = fractal.stable_cdf_with_error(point["r"], params)
+        outcome = dict(value=repr(value), error=repr(err))
+    except FracparityError as exc:
+        outcome = dict(raises=type(exc).__name__, message=str(exc))
+    finally:
+        fractal._cdf_quad_split = split
+    return dict(point, split=bool(split_calls), **outcome)
+
+
+def main() -> None:
+    rows = [record(p) for p in points()]
+    OUT.write_text(json.dumps(rows, indent=1) + "\n")
+    n_split = sum(row["split"] for row in rows)
+    n_raise = sum("raises" in row for row in rows)
+    print(f"{len(rows)} points ({n_split} split, {n_raise} raising) written to {OUT}")
+
+
+if __name__ == "__main__":
+    main()

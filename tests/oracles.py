@@ -61,6 +61,13 @@ def cauchy_cdf(x: float, loc: float = 0.0, scale: float = 1.0) -> float:
     return 0.5 + math.atan((x - loc) / scale) / math.pi
 
 
+def levy_cdf(x: float, loc: float = 0.0, scale: float = 1.0) -> float:
+    """Closed-form Levy CDF on the support ``(loc, inf)``."""
+    if x <= loc:
+        return 0.0
+    return math.erfc(math.sqrt(scale / (2.0 * (x - loc))))
+
+
 def mean(xs) -> float:
     xs = list(map(float, xs))
     return sum(xs) / len(xs)

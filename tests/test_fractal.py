@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fracparity import fractal
 from fracparity.errors import (
     DegeneratePath,
     DeltaTooLarge,
+    FracparityError,
     InvalidHurst,
     InvalidStableParams,
     OutOfStableRange,
@@ -240,6 +244,22 @@ class TestStableCdf:
         got = stable_cdf(1.0, StableParams(alpha=1.0))
         assert got == pytest.approx(0.75, abs=1e-10)
 
+    @pytest.mark.parametrize("beta", [1.0, -1.0])
+    def test_levy_anchor(self, beta):
+        # alpha = 1/2 with full skew is the Levy law; in the 0-shift parametrization
+        # its support starts at r = -tan(pi/4) = -1, and beta = -1 mirrors it. Points
+        # such as r = 1, 2 and 5 take the split quadrature, whose error estimate is
+        # about 5e-9; the largest miss on a 0.1-step grid over [-3, 100] is 2.4e-9
+        # (r = 6.8 and 8.8), while integer r stay within 2e-10
+        p = StableParams(alpha=0.5, beta=beta)
+        grid = {*np.linspace(-3.0, 100.0, 31).tolist(), -1.0, 1.0, 2.0, 5.0, 6.8, 8.8}
+        for r in sorted(grid):
+            if beta > 0:
+                want = oracles.levy_cdf(r, loc=-1.0)
+            else:
+                want = 1.0 - oracles.levy_cdf(-r, loc=-1.0)
+            assert stable_cdf(r, p) == pytest.approx(want, abs=5e-9), r
+
     def test_location_scale_standardization(self):
         p = StableParams(alpha=1.0, beta=0.0, sigma=2.0, mu_loc=-1.0)
         assert stable_cdf(-1.0 + 2.0, p) == pytest.approx(oracles.cauchy_cdf(1.0), abs=1e-10)
@@ -273,3 +293,47 @@ class TestStableCdf:
         grid = np.linspace(-6.0, 6.0, 25)
         values = [stable_cdf(r, p) for r in grid]
         assert all(b - a >= -1e-7 for a, b in zip(values, values[1:]))
+
+
+GOLDEN = Path(__file__).parent / "fixtures" / "stable_cdf_golden.json"
+
+
+class TestStableCdfGolden:
+    """Every point of ``scripts/make_stable_cdf_golden.py`` reproduces bit for bit.
+
+    A point records the ``repr`` of the value and of the error estimate, or
+    the type and message of the error it raised, and whether it took the
+    split quadrature.
+    """
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN.read_text())
+
+    def test_covers_every_branch(self, golden):
+        assert len(golden) >= 250
+        assert sum(row["split"] for row in golden) >= 5
+        assert any(row["alpha"] == 1.0 and row["beta"] != 0.0 for row in golden)
+        assert any(row["r"] == 0.0 and row["beta"] == 0.0 for row in golden)
+        raised = [row["raises"] for row in golden if "raises" in row]
+        assert raised.count("QuadratureFailure") == 2 and "InvalidStableParams" in raised
+
+    def test_bitwise(self, golden, monkeypatch):
+        split_args = []
+        split = fractal._cdf_quad_split
+        monkeypatch.setattr(
+            fractal, "_cdf_quad_split", lambda *args: split_args.append(args) or split(*args)
+        )
+        mismatches = []
+        for row in golden:
+            params = StableParams(row["alpha"], row["beta"], row["sigma"], row["mu_loc"])
+            split_args.clear()
+            try:
+                value, err = stable_cdf_with_error(row["r"], params)
+                got = dict(value=repr(value), error=repr(err))
+            except FracparityError as exc:
+                got = dict(raises=type(exc).__name__, message=str(exc))
+            got["split"] = bool(split_args)
+            if got != {key: row[key] for key in got}:
+                mismatches.append((row, got))
+        assert not mismatches, mismatches[:5]
