@@ -5,15 +5,21 @@ date-by-asset matrix of adjusted closes with no holes. Alignment is by
 intersection of trading dates, never by fill: an imputed price would leak
 into return and scaling statistics.
 
-Files are read as UTF-8 (a byte-order mark is dropped). A CSV of the common
-shape is parsed from the whole text at once: ASCII with no quote, carriage
-return or NUL, at least two data rows, every line with the header's field
-count (found from the byte positions of newlines and commas), no field over
-``csv.field_size_limit()``, every date exactly ``YYYY-MM-DD`` naming a real
-day of year 1 or later, and every value a finite Python ``float`` (above 0
-for prices). Any other file goes through ``csv.reader`` in one scan that
+Files are read as UTF-8 (a byte-order mark is dropped), by one of three
+routes. A CSV of the common shape is parsed from the whole text at once:
+ASCII with no quote, carriage return or NUL, at least two data rows, every
+line with the header's field count (found from the byte positions of
+newlines and commas), no field over ``csv.field_size_limit()``, every date
+exactly ``YYYY-MM-DD`` naming a real day of year 1 or later, and every
+value a finite Python ``float`` (above 0 for prices). Its dates are read
+from their bytes. Its values are too when every one is ``digits.digits``
+with one fraction width k and at most 15 digits: the digits make an
+integer below 10**15 < 2**53, exact in any summation order, and one
+division by the exact float 10**k rounds it as ``float()`` rounds the
+text. Other values of a common-shape file are read by ``float()`` on the
+split text. Any other file goes through ``csv.reader`` in one scan that
 parses and checks each row in file order, so the first bad line is the one
-named. Both routes give the same dates, values and errors. Dates are
+named. All three routes give the same dates, values and errors. Dates are
 sorted, checked and intersected as integer day ordinals: a
 :class:`PriceSeries` is made from its ordinals alone and builds its
 ``datetime.date`` tuple only when ``dates`` is first read.
@@ -30,7 +36,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DuplicateDate,
@@ -189,28 +194,74 @@ def read_text(path) -> str:
 # days in each month of a common year, and before each month, indexed by month 1..12
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
-# bytewise bounds of a YYYY-MM-DD date
-_DATE_LOW = np.frombuffer(b"0000-00-00", dtype=np.uint8)
-_DATE_HIGH = np.frombuffer(b"9999-99-99", dtype=np.uint8)
+# leap years, and the days from year 1 to each year, indexed by year 0..9999
+_LEAP = np.zeros(10000, dtype=bool)
+_LEAP[::4], _LEAP[::100], _LEAP[::400] = True, False, True
+_DAYS_BEFORE_YEAR = np.concatenate(([0, 0], np.cumsum(365 + _LEAP[1:-1])))
+# bytewise bounds of a YYYY-MM-DD date, one row per byte
+_DATE_LOW = np.frombuffer(b"0000-00-00", dtype=np.uint8)[:, None]
+_DATE_HIGH = np.frombuffer(b"9999-99-99", dtype=np.uint8)[:, None]
+# place values of a date's digits, one row each for year, month and day
+_DATE_PLACES = np.array(
+    [[1000, 100, 10, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 10, 1, 0, 0, 0], [0] * 8 + [10, 1]],
+    dtype=float,
+)
+# the byte route reads fields of at most 15 digits and a point
+_MAX_DIGITS = 15
+_SPAN = np.arange(_MAX_DIGITS + 1)[:, None]
+# 10**0 .. 10**15, each exact as a float
+_POWERS = np.array([float(10**e) for e in range(_MAX_DIGITS + 1)])
 
 
-def _day_ordinals(chars: np.ndarray) -> np.ndarray | None:
-    """Day numbers of ``YYYY-MM-DD`` byte rows, or None unless each names a real day."""
+def _day_ordinals(buf: np.ndarray, starts: np.ndarray) -> np.ndarray | None:
+    """Day numbers of the ``YYYY-MM-DD`` dates at ``starts`` in ``buf``.
+
+    None unless every date names a real day of year 1 or later.
+    """
+    chars = buf[starts + _SPAN[:10]]  # (byte x row)
     if not ((chars >= _DATE_LOW) & (chars <= _DATE_HIGH)).all():
         return None
-    d = chars.astype(np.int64) - ord("0")
-    year = ((d[:, 0] * 10 + d[:, 1]) * 10 + d[:, 2]) * 10 + d[:, 3]
-    month = d[:, 5] * 10 + d[:, 6]
-    day = d[:, 8] * 10 + d[:, 9]
+    # the dashes wrap around below "0", but their place value is 0
+    year, month, day = (_DATE_PLACES @ (chars - np.uint8(ord("0")))).astype(np.int64)
     if not ((year >= 1).all() and ((month >= 1) & (month <= 12)).all() and (day >= 1).all()):
         return None
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    leap = _LEAP[year]
     if not (day <= _MONTH_DAYS[month] + (leap & (month == 2))).all():
         return None
     # as date.toordinal: the days before the year and before the month, plus the day
-    y = year - 1
-    before_month = _DAYS_BEFORE_MONTH[month] + (leap & (month > 2))
-    return y * 365 + y // 4 - y // 100 + y // 400 + before_month + day
+    return _DAYS_BEFORE_YEAR[year] + _DAYS_BEFORE_MONTH[month] + (leap & (month > 2)) + day
+
+
+def _decimal_values(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """``float()`` of the fields ending at ``ends`` in ``buf``, or None.
+
+    None unless every field is ``digits.digits`` with one number k of
+    digits after the point, at least one before it and at most 15 in all.
+    The digits of a field then make an integer m below 10**15 < 2**53: each
+    place value is an exact power of ten, so each product and partial sum
+    is an integer below 2**53 and m is exact in any summation order. The
+    value m / 10**k is one division of two exact floats, correctly rounded
+    as ``float()`` rounds the decimal (Clinger's fast path).
+    """
+    width = int(lengths.max())
+    first = buf[ends[0] - lengths[0] : ends[0]].tobytes()
+    k = len(first) - 1 - first.find(b".")
+    if width > _MAX_DIGITS + 1 or not 1 <= k <= lengths.min() - 2:
+        return None
+    # right-aligned (byte x row) gather, clipped to the buffer; the bytes
+    # left of a narrower field are zeroed
+    span = _SPAN[:width]
+    chars = buf.take(ends - width + span, mode="clip")
+    point = width - 1 - k
+    if not (chars[point] == ord(".")).all():
+        return None
+    digits = chars - np.uint8(ord("0"))
+    digits *= span >= width - lengths
+    digits[point] = 0
+    if not (digits <= 9).all():
+        return None
+    places = np.insert(_POWERS[width - 2 :: -1], point, 0.0)
+    return (places @ digits) / _POWERS[k]
 
 
 def _fast_columns(text: str, names: dict[str, str]):
@@ -219,7 +270,9 @@ def _fast_columns(text: str, names: dict[str, str]):
     For the common shape (see the module docstring) ``csv.reader`` yields
     the same fields as splitting on newlines and commas, and
     ``date.fromisoformat`` the same dates as the digits, so the result is
-    that of :func:`_row_columns`. Any other text returns None.
+    that of :func:`_row_columns`. The values are read from the bytes when
+    :func:`_decimal_values` can, else by ``float()``. Any other text
+    returns None.
     """
     # csv.reader before Python 3.11 rejects NUL
     if not text.isascii() or '"' in text or "\r" in text or "\0" in text:
@@ -253,14 +306,16 @@ def _fast_columns(text: str, names: dict[str, str]):
     if date_at:
         if not (lengths[:, date_at[0]] == 10).all():
             return None
-        days = _day_ordinals(sliding_window_view(buf, 10)[starts[:, date_at[0]]])
+        days = _day_ordinals(buf, starts[:, date_at[0]])
         if days is None:
             return None
-    fields = body.replace("\n", ",").split(",")
-    try:
-        values = np.fromiter(map(float, fields[value_at : n_rows * width : width]), float, n_rows)
-    except ValueError:
-        return None
+    values = _decimal_values(buf, ends[:, value_at], lengths[:, value_at])
+    if values is None:
+        fields = body.replace("\n", ",").split(",")
+        try:
+            values = np.fromiter(map(float, fields[value_at : n_rows * width : width]), float, n_rows)
+        except ValueError:
+            return None
     if not np.isfinite(values).all() or (date_at and not (values > 0.0).all()):
         return None
     return days, values
@@ -360,19 +415,27 @@ def align_panel(series: list[PriceSeries], specs: list[AssetSpec]) -> AlignedPan
             f"universe tickers {sorted(spec_tickers)}"
         )
 
-    common = series[0].ordinals
-    for s in series[1:]:
-        common = np.intersect1d(common, s.ordinals, assume_unique=True)
-    if len(common) < 2:
+    # how many series have each day of the overlap window, from the latest
+    # first day to the earliest last day; the days all of them have survive
+    first = max(s.ordinals[0] for s in series)
+    last = min(s.ordinals[-1] for s in series)
+    counts = np.zeros(max(last - first + 1, 0), dtype=np.intp)
+    for s in series:
+        lo, hi = s.ordinals.searchsorted((first, last + 1))
+        counts[s.ordinals[lo:hi] - first] += 1
+    common = counts == len(series)
+    n_common = np.count_nonzero(common)
+    if n_common < 2:
         raise EmptyIntersection(
-            f"date intersection across {len(series)} series has {len(common)} dates"
+            f"date intersection across {len(series)} series has {n_common} dates"
         )
 
-    prices = np.empty((len(common), len(specs)))
+    prices = np.empty((n_common, len(specs)))
     for j, spec in enumerate(specs):
         s = series_by_ticker[spec.ticker]
-        prices[:, j] = s.closes[np.searchsorted(s.ordinals, common)]
-    dates = tuple(map(dt.date.fromordinal, common.tolist()))
+        lo, hi = s.ordinals.searchsorted((first, last + 1))
+        prices[:, j] = s.closes[lo:hi][common[s.ordinals[lo:hi] - first]]
+    dates = tuple(map(dt.date.fromordinal, (np.flatnonzero(common) + first).tolist()))
     return AlignedPanel(dates=dates, assets=tuple(specs), prices=prices)
 
 

@@ -1,19 +1,26 @@
 """The whole-text CSV parse against the ``csv.reader`` route.
 
-Generated files mix the common shape with the ways out of it: quotes, CRLF,
-a byte-order mark, padded fields, blank and trailing lines, extra and
-reordered columns, dates that are not ``YYYY-MM-DD`` or not a real day,
-values that Python's ``float`` reads (or refuses) in odd ways, and fields
-at and over ``csv.field_size_limit()``. For every file, loading it must give
-bitwise the same day ordinals and values as the ``csv.reader`` route alone,
-or raise the same error class with the same message and line.
+A file is read by one of three routes: its values straight from the bytes,
+by ``float()`` on the split text, or through ``csv.reader``. Generated files
+mix the common shape with the ways out of it: quotes, CRLF, a byte-order
+mark, padded fields, blank and trailing lines, extra and reordered columns,
+dates that are not ``YYYY-MM-DD`` or not a real day, values that Python's
+``float`` reads (or refuses) in odd ways, and fields at and over
+``csv.field_size_limit()``; about half of them write every value with one
+``%.{k}f``. For every file, loading it must give bitwise the same day
+ordinals and values as the ``csv.reader`` route alone, or raise the same
+error class with the same message and line. The byte route and the date
+digits are also checked in bulk against ``float()`` and ``datetime.date``.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -36,6 +43,9 @@ ODD_VALUES = [
     "1_000", "nan", "inf", "-inf", "1e999", "0", "-0.0", "-1.5", " 2.5 ", '"3.5"',
     "١٢٣", "７", "abc", "", "1,5", "0x10",
 ]
+# the prices of test_which_files_take_the_fast_path that the byte route reads
+# after a first row of 100.0; the other fast ones go through float()
+BYTE_ROUTE = {"101.0", "12345678901234.5", "99999999999999.9", "00000000000101.0"}
 ODD_EXTRAS = ["", "x y", '"a,b"', '"say ""hi"""', "x" * LIMIT, "x" * (LIMIT + 1), "\0"]
 
 
@@ -47,6 +57,23 @@ def outcome(load):
         return type(exc).__name__, str(exc), getattr(exc, "line", None)
     return (None if days is None else (days.dtype.str, days.tobytes()),
             values.dtype.str, values.tobytes())
+
+
+def route(text, names):
+    """The route that reads ``text``: "bytes", "float()" or "csv.reader"."""
+    declined = []
+    decimal_values = data._decimal_values
+
+    def spy(*args):
+        values = decimal_values(*args)
+        declined.append(values is None)
+        return values
+
+    with mock.patch.object(data, "_decimal_values", spy):
+        columns = data._fast_columns(text, names)
+    if columns is None:
+        return "csv.reader"
+    return "float()" if declined[0] else "bytes"
 
 
 def both_routes(path, names):
@@ -64,12 +91,14 @@ def csv_files(draw):
     header = draw(st.permutations([*names.values(), *extras]))
     n = draw(st.integers(0, 6))
     value = st.floats(1e-3, 1e6) if names is DATED else st.floats(-1e6, 1e6)
+    fixed = draw(st.integers(1, 9)) if draw(st.booleans()) else None  # one %.{k}f for all
     rows = []
     for _ in range(n):
         day = dt.date.fromordinal(FIRST_DAY + draw(st.integers(0, 3000))).isoformat()
         x = draw(value)
+        formats = [f"{x:.{fixed}f}"] if fixed else [repr(x), f"{x:.6f}", f"{x:e}"]
         row = {"date": day,
-               "adj_close": draw(st.sampled_from([repr(x), f"{x:.6f}", f"{x:e}"])),
+               "adj_close": draw(st.sampled_from(formats)),
                "volume": draw(st.sampled_from(["", "7"])), "note": "n"}
         row["value"] = row["adj_close"]
         rows.append([row[name] for name in header])
@@ -102,7 +131,7 @@ def test_fast_path_agrees_with_csv_reader(tmp_path_factory, case):
     path = str(tmp_path_factory.getbasetemp() / "fast_path_case.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    event("fast path" if data._fast_columns(data.read_text(path), names) else "csv.reader")
+    event(route(data.read_text(path), names))
     shipped, rows = both_routes(path, names)
     assert shipped == rows
 
@@ -133,6 +162,20 @@ def test_fast_path_agrees_with_csv_reader(tmp_path_factory, case):
         ("2016-01-05", "0", False),
         ("2016-01-05", "١٢٣", False),
         ("2016-01-05", '"101.0"', False),
+        # the byte route: every value digits.digits, one fraction width, at most 15 digits
+        ("2016-01-05", "12345678901234.5", True),
+        ("2016-01-05", "99999999999999.9", True),
+        ("2016-01-05", "00000000000101.0", True),
+        ("2016-01-05", "123456789012345.6", True),
+        ("2016-01-05", "000000000000101.0", True),
+        ("2016-01-05", "+101.0", True),
+        ("2016-01-05", "-101.0", False),
+        ("2016-01-05", "101.", True),
+        ("2016-01-05", ".5", True),
+        ("2016-01-05", "1e5", True),
+        ("2016-01-05", "101.00", True),
+        ("2016-01-05", "101", True),
+        ("2016-01-05", "1.0.1", False),
     ],
 )
 def test_which_files_take_the_fast_path(tmp_path, date, price, fast):
@@ -140,6 +183,8 @@ def test_which_files_take_the_fast_path(tmp_path, date, price, fast):
     path = tmp_path / "a.csv"
     path.write_text(text, encoding="utf-8")
     assert (data._fast_columns(text, DATED) is not None) == fast
+    expected = "csv.reader" if not fast else "bytes" if price in BYTE_ROUTE else "float()"
+    assert route(text, DATED) == expected
     shipped, rows = both_routes(str(path), DATED)
     assert shipped == rows
 
@@ -189,6 +234,10 @@ def test_undated_values_may_be_negative():
     days, values = data._fast_columns("value,note\n-1.5,a\n0,b\n2.5,c", UNDATED)
     assert days is None
     assert values.tolist() == [-1.5, 0.0, 2.5]
+    # a sign leaves the byte route to float()
+    assert route("value\n1.5\n2.5\n", UNDATED) == "bytes"
+    assert route("value\n1.5\n-2.5\n", UNDATED) == "float()"
+    assert route("value\n1.5\n+2.5\n", UNDATED) == "float()"
 
 
 def test_dated_ordinals_are_day_numbers():
@@ -196,3 +245,74 @@ def test_dated_ordinals_are_day_numbers():
     text = "date,adj_close\n" + "".join(f"{d.isoformat()},1.0\n" for d in dates)
     days, _ = data._fast_columns(text, DATED)
     assert days.tolist() == [d.toordinal() for d in dates]
+
+
+def field_columns(fields):
+    """The bytes of ``fields`` one a line, and the end and length of each."""
+    buf = np.frombuffer("".join(f + "\n" for f in fields).encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    return buf, ends, np.diff(ends, prepend=-1) - 1
+
+
+def decimal_fields(rng, n_digits, k, count):
+    """``count`` fields of ``n_digits`` digits, ``k`` after the point: random, zeros, nines."""
+    fields = ["".join(rng.choices("0123456789", k=n_digits)) for _ in range(count - 3)]
+    fields += ["0" * n_digits, "9" * n_digits, "0" * (n_digits - 1) + "1"]
+    return [f[: n_digits - k] + "." + f[n_digits - k :] for f in fields]
+
+
+@pytest.mark.parametrize("k", range(1, 15))
+def test_byte_route_is_float_bit_for_bit(k):
+    # every digit count from k + 1 (one before the point) to 15, 1000 fields each
+    rng = random.Random(k)
+    fields = [f for n in range(k + 1, 16) for f in decimal_fields(rng, n, k, 1000)]
+    rng.shuffle(fields)
+    expected = np.fromiter(map(float, fields), float, len(fields))
+    assert data._decimal_values(*field_columns(fields)).tobytes() == expected.tobytes()
+
+    # the narrowest field first: the right-aligned gather starts before the buffer
+    fields.sort(key=len)
+    assert data._decimal_values(*field_columns(fields)).tobytes() == (
+        np.fromiter(map(float, fields), float, len(fields)).tobytes()
+    )
+
+    # the same fields at 16 digits, or just one of them
+    padded = ["".join(rng.choices("0123456789", k=17 - len(f))) + f for f in fields]
+    assert data._decimal_values(*field_columns(padded)) is None
+    fields[rng.randrange(len(fields))] = padded[0]
+    assert data._decimal_values(*field_columns(fields)) is None
+
+
+# leap and common years at every rule of the Gregorian calendar, and both ends
+ORACLE_YEARS = [1, 4, 100, 400, 1600, 1900, 2000, 2023, 2024, 9999]
+
+
+def day_ordinals(dates):
+    """:func:`data._day_ordinals` of ISO date strings, comma-separated in one buffer."""
+    buf = np.frombuffer(",".join(dates).encode("ascii"), dtype=np.uint8)
+    return data._day_ordinals(buf, np.arange(len(dates)) * 11)
+
+
+def test_day_ordinals_of_every_real_day():
+    dates = [
+        dt.date.fromordinal(n).isoformat()
+        for year in ORACLE_YEARS
+        for n in range(dt.date(year, 1, 1).toordinal(), dt.date(year, 12, 31).toordinal() + 1)
+    ]
+    assert day_ordinals(dates).tolist() == [dt.date.fromisoformat(s).toordinal() for s in dates]
+
+
+def test_day_ordinals_refuse_every_impossible_day():
+    bad = []
+    for year in ORACLE_YEARS:
+        y = f"{year:04d}"
+        bad += [f"{y}-00-15", f"{y}-13-15", f"{y}-04-31"]
+        bad += [f"{y}-{month:02d}-{day}" for month in range(1, 13) for day in ("00", "32")]
+        if year % 4 or (year % 100 == 0 and year % 400):
+            bad.append(f"{y}-02-29")
+    assert "1900-02-29" in bad and "2000-02-29" not in bad
+    for date in bad:
+        with pytest.raises(ValueError):
+            dt.date.fromisoformat(date)
+        assert day_ordinals(["2024-02-29", date]) is None
+        assert day_ordinals([date]) is None
