@@ -8,13 +8,15 @@ per asset vs pinned at 0.5). Naive risk parity skips the trend filter and
 weights every asset by inverse daily volatility, which matches the biased
 pipelines up to the horizon factor that normalization cancels anyway.
 
-A window is handled in one array pass over all portfolio columns: the
-prices become an (assets x days) block with one row per asset, so returns,
-means, ddof=1 deviations, minimal-cover paths and Hurst fits are each one
-call along the rows, and the trend filter, the ``h`` clamp and the
-inverse-volatility weights are masked array operations. The per-asset
-diagnostics are vectors on :class:`PortfolioWeights`, one entry per ticker,
-and are not kept in any other form.
+A window is handled in two array passes over all portfolio columns.
+:func:`lookback_stats`, shared by every variant, turns the prices into an
+(assets x days) block with one row per asset; returns, means and ddof=1
+deviations are each one call along the rows. :func:`compute_weights` runs
+one variant: minimal-cover paths and Hurst fits are one call along the
+rows, and the trend filter, the ``h`` clamp and the inverse-volatility
+weights are masked array operations. The per-asset diagnostics are vectors
+on :class:`PortfolioWeights`, one entry per ticker, and are not kept in any
+other form.
 """
 
 from __future__ import annotations
@@ -111,34 +113,43 @@ def inverse_volatility_weights(stds: np.ndarray) -> np.ndarray:
     return inv / np.sum(inv)
 
 
-def compute_weights(
-    window: AlignedPanel,
-    variant: StrategyVariant,
-    n: int,
-    hurst_config: HurstConfig = HurstConfig(),
-) -> PortfolioWeights:
-    """Run one variant's pipeline on a lookback window of exactly ``n`` rows.
+@dataclass(frozen=True, eq=False)
+class LookbackStats:
+    """Per-column percent log returns of a window, with their means and ddof=1 deviations."""
 
-    Benchmark-role columns ride along in the panel but never receive
-    weight. When a biased variant filters out every asset the result is all
-    zeros with cash = 1.
-    """
+    tickers: tuple[str, ...]
+    returns: np.ndarray
+    mu: np.ndarray
+    std0: np.ndarray
+
+
+def lookback_stats(window: AlignedPanel, n: int) -> LookbackStats:
+    """Statistics of a window of exactly ``n`` rows; benchmark-role columns are left out."""
     if window.n_rows != n:
         raise LengthMismatch(f"window has {window.n_rows} rows, expected horizon {n}")
     columns = window.portfolio_columns
     if not columns.size:
         raise Empty("window contains no portfolio assets")
-    variant = StrategyVariant(variant)
-    tickers = window.portfolio_tickers
-
     returns = log_returns(window.prices.T[columns])  # one row per asset
-    mus = mean_return(returns)
-    std0s = unbiased_std(returns)
+    mu, std0 = mean_return(returns), unbiased_std(returns)
+    return LookbackStats(window.portfolio_tickers, returns, mu, std0)
 
-    if variant is StrategyVariant.NAIVE_RISK_PARITY:
-        active = np.ones(len(tickers), dtype=bool)
-    else:
-        active = mus > 0.0  # the trend filter: a non-positive mean return drops the asset
+
+def compute_weights(
+    stats: LookbackStats,
+    variant: StrategyVariant,
+    n: int,
+    hurst_config: HurstConfig = HurstConfig(),
+) -> PortfolioWeights:
+    """Run one variant's pipeline on the statistics of an ``n``-row lookback window.
+
+    When a biased variant filters out every asset the result is all zeros
+    with cash = 1.
+    """
+    variant = StrategyVariant(variant)
+    tickers, mus, std0s = stats.tickers, stats.mu, stats.std0
+    # the trend filter drops an asset with a non-positive mean return; naive risk parity has none
+    active = (mus > 0.0) | (variant is StrategyVariant.NAIVE_RISK_PARITY)
     flat = np.flatnonzero(active & (std0s == 0.0))
     if flat.size:
         raise DegenerateVolatility(f"{tickers[flat[0]]}: zero volatility over the window")
@@ -147,7 +158,7 @@ def compute_weights(
     fit = fitted = None
     if variant is StrategyVariant.FRACTAL_BIASED and active.any():
         fitted = np.flatnonzero(active)
-        fit = fit_hurst_rows(build_path(returns[fitted]), hurst_config)
+        fit = fit_hurst_rows(build_path(stats.returns[fitted]), hurst_config)
         h[fitted] = fit.h
     std_n = rescale_volatility(std0s, n, h)
 

@@ -2,14 +2,13 @@
 
 The engine tiles the panel after an initial lookback: optimize on rows
 ``[k*N, (k+1)*N)``, hold over ``[(k+1)*N, (k+2)*N)``, repeat. Those rows are
-defined in one place, :func:`_walk`, the period loop that both the
-strategies (:func:`run_walk_forward`) and the cost-free benchmark
-(:func:`run_benchmark`) run through; each supplies only what one period
-earns. Trades fill at the holding window's first close with zero slippage;
-whole shares only, with the remainder parked in zero-earning cash. Costs are
-commissions per trade (per-share rate floored per order and capped as a
-percentage of trade value) plus each fund's expense ratio pro-rated over the
-holding period.
+defined in one place, :func:`run_strategies`, the one period loop of the
+three variants and the cost-free benchmark; each lookback window's return
+statistics are computed there once for all variants. Trades fill at the
+holding window's first close with zero slippage; whole shares only, with
+the remainder parked in zero-earning cash. Costs are commissions per trade
+(per-share rate floored per order and capped as a percentage of trade
+value) plus each fund's expense ratio pro-rated over the holding period.
 
 Two compounding modes ship: ``fixed_capital`` resets the deployed capital
 to the initial amount every period, so the period returns form an i.i.d.-
@@ -21,10 +20,11 @@ fixed-capital mode it is the reinvested view of the per-period results.
 Each period is a fixed set of array operations over the portfolio
 columns, from the lookback window to the net return, and builds no
 per-asset Python object. The lookback and holding windows are read-only
-views of the panel (:func:`slice_window`). :func:`compute_weights` returns
-the weights with their diagnostics as vectors; the holdings are an int64
-share vector in column order; a rebalance returns its orders as
-:class:`Trades`, parallel vectors of column, signed shares, price and fee.
+views of the panel (:func:`slice_window`). :func:`lookback_stats` returns
+the window's statistics and :func:`compute_weights` a variant's weights
+with their diagnostics, as vectors; the holdings are an int64 share vector
+in column order; a rebalance returns its orders as :class:`Trades`,
+parallel vectors of column, signed shares, price and fee.
 These vectors are the only form of a period's result. Sums that feed the
 reported figures run left to right in column order, so results do not
 depend on how the arrays are blocked.
@@ -32,13 +32,14 @@ depend on how the arrays are blocked.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import PortfolioWeights, StrategyVariant, compute_weights
+from .allocation import PortfolioWeights, StrategyVariant, compute_weights, lookback_stats
 from .data import AlignedPanel, slice_window
 from .errors import (
     ConfigError,
@@ -54,6 +55,8 @@ from .fractal import MIN_RETURNS_FOR_PATH, HurstConfig, hurst_scales
 FIXED_CAPITAL = "fixed_capital"
 REINVEST = "reinvest"
 TRADING_DAYS_PER_YEAR = 252
+# the name the benchmark's run goes by in reports, next to the variants'
+BENCHMARK_LABEL = "benchmark"
 
 
 @dataclass(frozen=True)
@@ -161,6 +164,10 @@ class EquityCurve:
             raise ValueError("equity curve must stay strictly positive")
 
 
+# a strategy's period results and equity curve
+Run = tuple[list[PeriodResult], EquityCurve]
+
+
 def commission_for(shares, price, plan: CommissionPlan):
     """Commission for orders of ``shares`` at ``price``; zero shares cost zero.
 
@@ -265,100 +272,81 @@ def period_return(
     return gross, drag, gross - drag - 100.0 * commissions / v_start
 
 
-def _walk(
-    panel: AlignedPanel, config: BacktestConfig, earn
-) -> tuple[list[PeriodResult], EquityCurve]:
-    """The period loop that every strategy and the benchmark run through.
+def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]) -> dict[str, Run]:
+    """Walk the named strategies over the same periods; results by name, in ``names`` order.
 
-    Period ``k`` trades at the close of row ``(k+1)*N`` and is marked at the
-    close of row ``(k+2)*N - 1``; this is the one place those rows are
-    defined. Each period starts from the initial capital in
-    ``fixed_capital`` mode and from the end of the equity chain in
-    ``reinvest`` mode. ``earn(start_row, end_row, start_capital)`` returns
-    the period's ``(weights, trades, commission, (gross, drag, net))``.
+    ``names`` lists variant values, each run as ``config`` with that variant
+    (checked before the walk starts), and :data:`BENCHMARK_LABEL`, the raw
+    close-to-close change of the ``config.benchmark`` column with no weights,
+    trades or costs. Period ``k`` trades at the close of row ``(k+1)*N`` and
+    is marked at the close of row ``(k+2)*N - 1``; its weights come from the
+    ``N`` rows before, so no holding-window price can influence them. Each
+    period starts from the initial capital in ``fixed_capital`` mode and from
+    the end of the strategy's equity chain in ``reinvest`` mode.
     """
+    names = list(dict.fromkeys(names))  # a strategy named twice runs once
+    variants = {  # each checked by BacktestConfig's rules; hurst and commission are shared
+        name: dataclasses.replace(config, variant=name).variant
+        for name in names if name != BENCHMARK_LABEL
+    }
     n = config.horizon_n
     if panel.n_rows < 2 * n:
         raise InsufficientHistory(
             f"panel of {panel.n_rows} rows cannot fit lookback + holding of {n} days each"
         )
-    results: list[PeriodResult] = []
-    equity_dates = [panel.dates[n]]
-    equity_values = [config.initial_capital]
-    for k in range(panel.n_rows // n - 1):
+    bench = panel.column(config.benchmark) if BENCHMARK_LABEL in names else None
+    columns = panel.portfolio_columns
+    held = {name: np.zeros(len(columns), np.int64) for name in variants}  # weights.tickers order
+    shares = np.zeros(len(panel.assets), np.int64)  # panel column order, refilled per variant
+    runs = {name: ([], [config.initial_capital]) for name in names}  # results, equity values
+    reinvest = config.compounding == REINVEST
+    n_periods = panel.n_rows // n - 1
+    for k in range(n_periods):
         start_row = (k + 1) * n
         end_row = (k + 2) * n - 1
-        start_capital = (
-            config.initial_capital if config.compounding == FIXED_CAPITAL else equity_values[-1]
-        )
-        weights, trades, commission, (gross, drag, net) = earn(start_row, end_row, start_capital)
-        if not net > -100.0:
-            raise InsufficientCapital(
-                f"period ending {panel.dates[end_row]} returns {net:.2f}%, wiping out its capital"
-            )
-        results.append(
-            PeriodResult(
-                start_date=panel.dates[start_row],
-                end_date=panel.dates[end_row],
-                weights=weights,
-                trades=trades,
-                gross_return=gross,
-                expense_drag=drag,
-                commission_cost=commission,
-                net_return=net,
-                start_capital=start_capital,
+        if variants:
+            stats = lookback_stats(slice_window(panel, end_index=start_row - 1, length=n), n)
+            hold_window = slice_window(panel, end_index=end_row, length=n)
+            exec_prices = panel.prices[start_row, columns]
+        for name, (results, equity) in runs.items():
+            start_capital = equity[-1] if reinvest else config.initial_capital
+            if name == BENCHMARK_LABEL:
+                weights = trades = None
+                commission = drag = 0.0
+                gross = net = 100.0 * (float(bench[end_row]) / float(bench[start_row]) - 1.0)
+            else:
+                weights = compute_weights(stats, variants[name], n, config.hurst)
+                # weights.tickers are the portfolio columns in panel order
+                trades, held[name], commission = execute_rebalance(
+                    weights, start_capital, exec_prices, config.commission, held[name]
+                )
+                cash = start_capital - sum((held[name] * exec_prices).tolist(), 0.0)
+                shares[columns] = held[name]
+                gross, drag, net = period_return(shares, cash, hold_window, commission)
+            if not net > -100.0:
+                raise InsufficientCapital(
+                    f"period ending {panel.dates[end_row]} returns {net:.2f}%, "
+                    "wiping out its capital"
+                )
+            results.append(PeriodResult(
+                start_date=panel.dates[start_row], end_date=panel.dates[end_row],
+                weights=weights, trades=trades, gross_return=gross, expense_drag=drag,
+                commission_cost=commission, net_return=net, start_capital=start_capital,
                 end_capital=start_capital * (1.0 + net / 100.0),
-            )
-        )
-        equity_values.append(equity_values[-1] * (1.0 + net / 100.0))
-        equity_dates.append(panel.dates[end_row])
-    return results, EquityCurve(dates=tuple(equity_dates), values=np.array(equity_values))
+            ))
+            equity.append(equity[-1] * (1.0 + net / 100.0))
+    dates = (panel.dates[n], *(panel.dates[(k + 2) * n - 1] for k in range(n_periods)))
+    return {
+        name: (results, EquityCurve(dates=dates, values=np.array(equity)))
+        for name, (results, equity) in runs.items()
+    }
 
 
-def run_walk_forward(
-    panel: AlignedPanel, config: BacktestConfig
-) -> tuple[list[PeriodResult], EquityCurve]:
-    """Simulate one strategy variant over every non-overlapping period.
-
-    Weights for a period are computed strictly from the ``N`` lookback rows
-    that end just before its first row; no holding-window price can
-    influence them. The run is fully deterministic in its inputs.
-    """
-    n = config.horizon_n
-    columns = panel.portfolio_columns
-    held = np.zeros(len(columns), dtype=np.int64)  # in weights.tickers order
-    shares = np.zeros(len(panel.assets), dtype=np.int64)  # in panel column order
-
-    def rebalance_and_hold(start_row: int, end_row: int, start_capital: float):
-        nonlocal held
-        lookback = slice_window(panel, end_index=start_row - 1, length=n)
-        weights = compute_weights(lookback, config.variant, n, config.hurst)
-        exec_prices = panel.prices[start_row, columns]
-        # weights.tickers are the portfolio columns in panel order
-        trades, held, commission = execute_rebalance(
-            weights, start_capital, exec_prices, config.commission, held
-        )
-        cash = start_capital - sum((held * exec_prices).tolist(), 0.0)
-        shares[columns] = held
-        hold_window = slice_window(panel, end_index=end_row, length=end_row - start_row + 1)
-        return weights, trades, commission, period_return(shares, cash, hold_window, commission)
-
-    return _walk(panel, config, rebalance_and_hold)
+def run_walk_forward(panel: AlignedPanel, config: BacktestConfig) -> Run:
+    """Simulate ``config.variant`` alone (see :func:`run_strategies`)."""
+    return run_strategies(panel, config, [config.variant.value])[config.variant.value]
 
 
-def run_benchmark(
-    panel: AlignedPanel, config: BacktestConfig
-) -> tuple[list[PeriodResult], EquityCurve]:
-    """Benchmark returns over the same holding periods, free of costs.
-
-    The benchmark is a reference series, not a traded strategy: each period
-    return is the raw close-to-close change of the benchmark column, with
-    no weights, trades or costs.
-    """
-    col = panel.column(config.benchmark)
-
-    def close_to_close(start_row: int, end_row: int, start_capital: float):
-        ret = 100.0 * (float(col[end_row]) / float(col[start_row]) - 1.0)
-        return None, None, 0.0, (ret, 0.0, ret)
-
-    return _walk(panel, config, close_to_close)
+def run_benchmark(panel: AlignedPanel, config: BacktestConfig) -> Run:
+    """The cost-free benchmark alone (see :func:`run_strategies`)."""
+    return run_strategies(panel, config, [BENCHMARK_LABEL])[BENCHMARK_LABEL]

@@ -21,14 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocation import StrategyVariant
-from .backtest import run_benchmark, run_walk_forward
+from .backtest import BENCHMARK_LABEL, run_strategies
+# perfbench/tracing.py wraps these bindings
+from .backtest import run_benchmark, run_walk_forward  # noqa: F401
 from .data import load_series_csv
 from .errors import ConfigError, DataError, NonPositivePrice, NumericError
 from .fractal import HurstConfig, StableParams, build_path, estimate_hurst, stable_cdf_with_error
 from .metrics import PerformanceReport, build_report
 from .riskstats import log_returns
-from .runconfig import BENCHMARK_LABEL, RunSettings, load_run_settings, load_universe_panel
+from .runconfig import RunSettings, load_run_settings, load_universe_panel
 
 
 def _fmt(x: float) -> str:
@@ -44,9 +45,7 @@ def _print_error(category: str, exc: BaseException) -> None:
 # --- backtest artifacts -----------------------------------------------------
 
 
-def _report_table(
-    reports: dict[str, PerformanceReport], benchmark_ticker: str
-) -> str:
+def _report_table(reports: dict[str, PerformanceReport], benchmark_ticker: str) -> str:
     headers = ["", "Sharpe", "Treynor x 0.01", "Return, %", "Protection, %", "STD, %", "beta"]
     rows = []
     for name, rep in reports.items():
@@ -106,11 +105,7 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(
-    path: Path,
-    settings: RunSettings,
-    outputs: list[Path],
-):
+def _write_manifest(path: Path, settings: RunSettings, outputs: list[Path]):
     inputs = {str(settings.config_path): _sha256(settings.config_path)}
     for entry in settings.universe:
         inputs[str(entry.csv_path)] = _sha256(entry.csv_path)
@@ -143,24 +138,14 @@ def _write_manifest(
 
 
 def cmd_backtest(args) -> int:
-    settings = load_run_settings(args.config)
-    if args.horizon is not None:
-        settings.horizon_n = args.horizon
-    if args.variant:
-        try:
-            settings.variants = [StrategyVariant(v) for v in args.variant]
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    configs = settings.variant_configs()  # overrides are checked before any CSV is read
+    settings = load_run_settings(args.config, args.horizon, args.variant)
     a, b = settings.difference_pair()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any CSV is read
     panel = load_universe_panel(settings)
 
-    jobs = {v.value: (run_walk_forward, cfg) for v, cfg in configs.items()}
-    jobs[BENCHMARK_LABEL] = (run_benchmark, settings.base_config())
-    runs = {name: run(panel, cfg) for name, (run, cfg) in jobs.items()}
+    strategies = [*(v.value for v in settings.variants), BENCHMARK_LABEL]
+    runs = run_strategies(panel, settings.base_config(), strategies)
     periods, equity = runs[BENCHMARK_LABEL]  # every run shares these dates
     reports = {
         name: build_report(

@@ -32,6 +32,7 @@ import csv
 import datetime as dt
 import io
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -206,6 +207,8 @@ _DATE_PLACES = np.array(
     [[1000, 100, 10, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 10, 1, 0, 0, 0], [0] * 8 + [10, 1]],
     dtype=float,
 )
+# the one date form; Python 3.11's date.fromisoformat also reads 20100104 and 2010-W01-1
+_ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 # the byte route reads fields of at most 15 digits and a point
 _MAX_DIGITS = 15
 _SPAN = np.arange(_MAX_DIGITS + 1)[:, None]
@@ -345,8 +348,11 @@ def _row_columns(path: str, text: str, names: dict[str, str], ticker: str = ""):
             if len(row) != width:
                 raise MalformedRow(path, line, f"expected {width} fields, got {len(row)}")
             if date_at:
+                day = row[date_at[0]].strip()
                 try:
-                    date = dt.date.fromisoformat(row[date_at[0]].strip())
+                    if not _ISO_DATE.fullmatch(day):
+                        raise ValueError
+                    date = dt.date.fromisoformat(day)
                 except ValueError:
                     detail = f"unparseable date {row[date_at[0]]!r}"
                     raise MalformedRow(path, line, detail) from None

@@ -19,7 +19,7 @@ from pathlib import Path
 import yaml
 
 from .allocation import StrategyVariant
-from .backtest import FIXED_CAPITAL, BacktestConfig, CommissionPlan
+from .backtest import BENCHMARK_LABEL, FIXED_CAPITAL, BacktestConfig, CommissionPlan
 from .data import (
     DEFAULT_DATE_COLUMN,
     DEFAULT_PRICE_COLUMN,
@@ -35,9 +35,6 @@ from .fractal import HurstConfig
 
 # libyaml's parser when PyYAML was built with it; both build the same objects
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-# the name the benchmark's run goes by in reports, next to the variants'
-BENCHMARK_LABEL = "benchmark"
 
 
 @dataclass(frozen=True)
@@ -110,6 +107,13 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _text(value, context: str) -> str:
+    """``value`` if it is a non-empty string, which YAML's ``ON``, ``null`` or ``0700`` is not."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{context} must be a non-empty string, got {value!r}")
+    return value
+
+
 def _number(raw: dict, key: str, default: float, context: str) -> float:
     value = raw.get(key, default)
     try:
@@ -121,11 +125,14 @@ def _number(raw: dict, key: str, default: float, context: str) -> float:
     return number
 
 
-def load_run_settings(path: str | Path) -> RunSettings:
+def load_run_settings(
+    path: str | Path, horizon: int | None = None, variants: list[str] | None = None
+) -> RunSettings:
     """Parse and validate a YAML run configuration.
 
-    Every selected variant's engine config and the figure pair are checked
-    before any CSV is read, so the result can run and write its artifacts.
+    ``horizon`` and ``variants`` (names), when given, replace the document's
+    values. Every selected variant's engine config and the figure pair are
+    then checked before any CSV is read, so the result can run.
     """
     path = Path(path)
     text = read_text(path)
@@ -146,18 +153,19 @@ def load_run_settings(path: str | Path) -> RunSettings:
     for i, entry in enumerate(universe_raw):
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: universe[{i}] must be a mapping")
-        ticker = str(_require(entry, "ticker", f"universe[{i}]"))
-        csv_rel = str(_require(entry, "csv", f"universe[{i}]"))
+        where = f"{path}: universe[{i}]"
+        ticker = _text(_require(entry, "ticker", where), f"{where}: ticker")
+        csv_rel = _text(_require(entry, "csv", where), f"{where}: csv")
         if "\0" in csv_rel:  # no file system takes it, and open() would raise ValueError
-            raise ConfigError(f"{path}: universe[{i}]: csv path contains a NUL character")
+            raise ConfigError(f"{where}: csv path contains a NUL character")
         try:
             spec = AssetSpec(
                 ticker=ticker,
-                expense_ratio=_number(entry, "expense_ratio", 0.0, f"{path}: universe[{i}]"),
-                role=str(entry.get("role", "portfolio_asset")),
+                expense_ratio=_number(entry, "expense_ratio", 0.0, where),
+                role=_text(entry.get("role", ROLE_PORTFOLIO), f"{where}: role"),
             )
         except ValueError as exc:
-            raise ConfigError(f"{path}: universe[{i}]: {exc}") from None
+            raise ConfigError(f"{where}: {exc}") from None
         csv_path = Path(csv_rel)
         if not csv_path.is_absolute():
             csv_path = path.parent / csv_path
@@ -167,17 +175,18 @@ def load_run_settings(path: str | Path) -> RunSettings:
     if len(set(tickers)) != len(tickers):
         raise ConfigError(f"{path}: duplicate tickers in universe: {tickers}")
 
-    benchmark = str(_require(raw, "benchmark", str(path)))
+    benchmark = _text(_require(raw, "benchmark", str(path)), f"{path}: benchmark")
     if benchmark not in tickers:
         raise ConfigError(f"{path}: benchmark {benchmark!r} is not in the universe")
     if all(u.spec.role != ROLE_PORTFOLIO for u in universe):
         raise ConfigError(f"{path}: universe has no {ROLE_PORTFOLIO!r} entry to trade")
 
-    variants_raw = raw.get("variants", [v.value for v in StrategyVariant])
-    if not isinstance(variants_raw, list):
-        raise ConfigError(f"{path}: variants must be a list, got {variants_raw!r}")
+    if variants is None:
+        variants = raw.get("variants", [v.value for v in StrategyVariant])
+    if not isinstance(variants, list):
+        raise ConfigError(f"{path}: variants must be a list, got {variants!r}")
     try:
-        variants = [StrategyVariant(v) for v in variants_raw]
+        variants = [StrategyVariant(v) for v in variants]
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if not variants:
@@ -200,7 +209,7 @@ def load_run_settings(path: str | Path) -> RunSettings:
         pair = raw["figure_pair"]
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(f"{path}: figure_pair must list exactly two strategy names")
-        figure_pair = (str(pair[0]), str(pair[1]))
+        figure_pair = tuple(_text(p, f"{path}: figure_pair[{j}]") for j, p in enumerate(pair))
 
     columns = raw.get("columns", {})
     if not isinstance(columns, dict):
@@ -209,7 +218,7 @@ def load_run_settings(path: str | Path) -> RunSettings:
     settings = RunSettings(
         universe=universe,
         benchmark=benchmark,
-        horizon_n=raw.get("horizon", 252),
+        horizon_n=raw.get("horizon", 252) if horizon is None else horizon,
         variants=variants,
         initial_capital=_number(raw, "initial_capital", 1_000_000.0, str(path)),
         compounding=str(raw.get("compounding", FIXED_CAPITAL)),
@@ -217,8 +226,8 @@ def load_run_settings(path: str | Path) -> RunSettings:
         hurst_options=hurst_options,
         risk_free_rate=_number(raw, "risk_free_rate", 0.0, str(path)),
         figure_pair=figure_pair,
-        date_column=str(columns.get("date", DEFAULT_DATE_COLUMN)),
-        price_column=str(columns.get("price", DEFAULT_PRICE_COLUMN)),
+        date_column=_text(columns.get("date", DEFAULT_DATE_COLUMN), f"{path}: columns: date"),
+        price_column=_text(columns.get("price", DEFAULT_PRICE_COLUMN), f"{path}: columns: price"),
         config_path=path,
     )
     try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+import re
 
 import numpy as np
 
@@ -287,7 +288,7 @@ def load_price_rows(path: str, ticker: str, date_column: str = "date",
                     price_column: str = "adj_close") -> tuple[list[dt.date], list[float]]:
     """Row-by-row reference CSV loader: ``(dates, closes)`` sorted by date.
 
-    Each row in file order must have the header's width, an ISO-8601 date,
+    Each row in file order must have the header's width, a YYYY-MM-DD date,
     a float price that is finite and positive; after a stable sort no date
     may repeat and at least two rows must remain. The first failure raises
     :class:`Rejected` with the error the package is expected to raise.
@@ -308,8 +309,12 @@ def load_price_rows(path: str, ticker: str, date_column: str = "date",
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise _malformed(path, line_no, f"expected {len(header)} fields, got {len(row)}")
+            day = row[d_idx].strip()
             try:
-                date = dt.date.fromisoformat(row[d_idx].strip())
+                # only YYYY-MM-DD: Python 3.11 would also read 20100104 and week dates
+                if not re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", day):
+                    raise ValueError
+                date = dt.date.fromisoformat(day)
             except ValueError:
                 raise _malformed(path, line_no, f"unparseable date {row[d_idx]!r}") from None
             try:

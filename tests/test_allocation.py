@@ -13,6 +13,7 @@ from fracparity.allocation import (
     StrategyVariant,
     compute_weights,
     inverse_volatility_weights,
+    lookback_stats,
 )
 from fracparity.data import AlignedPanel, AssetSpec
 from fracparity.errors import DegenerateVolatility, Empty, LengthMismatch
@@ -54,7 +55,7 @@ class TestTrendFilter:
         window = panel_from_columns({f"T{i}": c for i, c in enumerate(closes)})
         masks = []
         for variant in (StrategyVariant.FRACTAL_BIASED, StrategyVariant.STANDARD_BIASED):
-            w = compute_weights(window, variant, window.n_rows)
+            w = compute_weights(lookback_stats(window, window.n_rows), variant, window.n_rows)
             assert ((w.weights > 0.0) == (w.mu > 0.0)).all()
             masks.append((w.weights > 0.0).tolist())
         assert masks[0] == masks[1]
@@ -68,7 +69,7 @@ class TestTrendFilter:
 
     def test_zero_mean_is_inactive(self):
         window = panel_from_columns({"RT": ROUND_TRIP})
-        assert compute_weights(window, StrategyVariant.STANDARD_BIASED, 65).mu == [0.0]
+        assert lookback_stats(window, 65).mu == [0.0]
         assert self.active(ROUND_TRIP) == [False]
 
     def test_empty(self):
@@ -76,7 +77,7 @@ class TestTrendFilter:
         panel = panel_from_columns({"BMK": drifted(24, n, 0.004)}, benchmark="BMK")
         for variant in (StrategyVariant.FRACTAL_BIASED, StrategyVariant.STANDARD_BIASED):
             with pytest.raises(Empty):
-                compute_weights(panel, variant, n)
+                compute_weights(lookback_stats(panel, n), variant, n)
 
 
 class TestInverseVolatilityWeights:
@@ -113,7 +114,7 @@ class TestComputeWeights:
         falling = drifted(seed=12, n=n, drift=-0.005)
         panel = panel_from_columns({"DN": falling, "T1": twin, "T2": twin.copy()})
         for variant in (StrategyVariant.FRACTAL_BIASED, StrategyVariant.STANDARD_BIASED):
-            w = compute_weights(panel, variant, n)
+            w = compute_weights(lookback_stats(panel, n), variant, n)
             assert w.as_dict()["DN"] == 0.0
             assert w.as_dict()["T1"] == 0.5
             assert w.as_dict()["T2"] == 0.5
@@ -124,7 +125,7 @@ class TestComputeWeights:
         panel = panel_from_columns(
             {"D1": drifted(21, n, -0.004), "D2": drifted(22, n, -0.006)}
         )
-        w = compute_weights(panel, StrategyVariant.FRACTAL_BIASED, n)
+        w = compute_weights(lookback_stats(panel, n), StrategyVariant.FRACTAL_BIASED, n)
         assert np.all(w.weights == 0.0)
         assert w.cash == 1.0
 
@@ -133,7 +134,7 @@ class TestComputeWeights:
         panel = panel_from_columns(
             {"D1": drifted(21, n, -0.004), "UP": drifted(23, n, 0.004)}
         )
-        w = compute_weights(panel, StrategyVariant.NAIVE_RISK_PARITY, n)
+        w = compute_weights(lookback_stats(panel, n), StrategyVariant.NAIVE_RISK_PARITY, n)
         assert np.all(w.weights > 0.0)
         assert w.cash == 0.0
 
@@ -144,8 +145,8 @@ class TestComputeWeights:
         )
         # constant prices mean zero volatility: an error for naive, filtered for biased
         with pytest.raises(DegenerateVolatility):
-            compute_weights(panel, StrategyVariant.NAIVE_RISK_PARITY, n)
-        w = compute_weights(panel, StrategyVariant.FRACTAL_BIASED, n)
+            compute_weights(lookback_stats(panel, n), StrategyVariant.NAIVE_RISK_PARITY, n)
+        w = compute_weights(lookback_stats(panel, n), StrategyVariant.FRACTAL_BIASED, n)
         assert w.as_dict()["C"] == 0.0
         assert w.as_dict()["UP"] == 1.0
 
@@ -154,28 +155,29 @@ class TestComputeWeights:
         panel = panel_from_columns(
             {"UP": drifted(23, n, 0.004), "BMK": drifted(24, n, 0.004)}, benchmark="BMK"
         )
-        w = compute_weights(panel, StrategyVariant.NAIVE_RISK_PARITY, n)
+        w = compute_weights(lookback_stats(panel, n), StrategyVariant.NAIVE_RISK_PARITY, n)
         assert w.tickers == ("UP",)
         assert w.as_dict()["UP"] == 1.0
 
     def test_window_length_mismatch(self):
         panel = synthetic_panel(seed=6, n_rows=64, n_assets=2)
         with pytest.raises(LengthMismatch):
-            compute_weights(panel, StrategyVariant.NAIVE_RISK_PARITY, 63)
+            compute_weights(lookback_stats(panel, 63), StrategyVariant.NAIVE_RISK_PARITY, 63)
 
     def test_no_portfolio_assets(self):
         n = 63
         panel = panel_from_columns({"BMK": drifted(24, n, 0.004)}, benchmark="BMK")
         with pytest.raises(Empty):
-            compute_weights(panel, StrategyVariant.NAIVE_RISK_PARITY, n)
+            compute_weights(lookback_stats(panel, n), StrategyVariant.NAIVE_RISK_PARITY, n)
 
     def test_clamped_hurst_makes_variants_identical_bitwise(self):
         n = 126
         pinned = HurstConfig(h_min=0.5, h_max=0.5)
         for seed in range(8):
             panel = synthetic_panel(seed=seed, n_rows=n, n_assets=4)
-            wf = compute_weights(panel, StrategyVariant.FRACTAL_BIASED, n, pinned)
-            ws = compute_weights(panel, StrategyVariant.STANDARD_BIASED, n, pinned)
+            stats = lookback_stats(panel, n)
+            wf = compute_weights(stats, StrategyVariant.FRACTAL_BIASED, n, pinned)
+            ws = compute_weights(stats, StrategyVariant.STANDARD_BIASED, n, pinned)
             assert wf.tickers == ws.tickers
             assert np.array_equal(wf.weights, ws.weights)
             assert wf.cash == ws.cash
@@ -184,7 +186,8 @@ class TestComputeWeights:
         # the variants may only differ through the exponent h
         n = 126
         panel = synthetic_panel(seed=8, n_rows=n, n_assets=4)
-        fractal, *others = (compute_weights(panel, v, n) for v in StrategyVariant)
+        stats = lookback_stats(panel, n)
+        fractal, *others = (compute_weights(stats, v, n) for v in StrategyVariant)
         for w in others:
             assert np.array_equal(w.mu, fractal.mu)
             assert np.array_equal(w.std0, fractal.std0)
@@ -192,7 +195,7 @@ class TestComputeWeights:
     def test_diagnostics_populated(self):
         n = 126
         panel = synthetic_panel(seed=9, n_rows=n, n_assets=3)
-        w = compute_weights(panel, StrategyVariant.FRACTAL_BIASED, n)
+        w = compute_weights(lookback_stats(panel, n), StrategyVariant.FRACTAL_BIASED, n)
         for diagnostic in (w.mu, w.std0, w.h, w.std_n):
             assert diagnostic.shape == (len(w.tickers),)
             assert np.isfinite(diagnostic).all()
@@ -208,7 +211,7 @@ class TestComputeWeights:
         n = 63
         panel = synthetic_panel(seed=seed, n_rows=n, n_assets=4)
         for variant in StrategyVariant:
-            w = compute_weights(panel, variant, n)
+            w = compute_weights(lookback_stats(panel, n), variant, n)
             assert float(np.sum(w.weights)) + w.cash == pytest.approx(1.0, abs=1e-12)
 
     def test_permuting_assets_permutes_weights(self):
@@ -219,11 +222,11 @@ class TestComputeWeights:
             "C": drifted(33, n, 0.002),
         }
         base = compute_weights(
-            panel_from_columns(cols), StrategyVariant.FRACTAL_BIASED, n
+            lookback_stats(panel_from_columns(cols), n), StrategyVariant.FRACTAL_BIASED, n
         ).as_dict()
         shuffled = {"C": cols["C"], "A": cols["A"], "B": cols["B"]}
         perm = compute_weights(
-            panel_from_columns(shuffled), StrategyVariant.FRACTAL_BIASED, n
+            lookback_stats(panel_from_columns(shuffled), n), StrategyVariant.FRACTAL_BIASED, n
         ).as_dict()
         for t in cols:
             assert perm[t] == pytest.approx(base[t], abs=1e-15)

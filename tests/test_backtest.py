@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import math
 import warnings
@@ -11,7 +12,9 @@ import pytest
 import oracles
 from conftest import business_days, synthetic_panel, trade_rows
 from fracparity.allocation import PortfolioWeights, StrategyVariant
+from fracparity import backtest
 from fracparity.backtest import (
+    BENCHMARK_LABEL,
     FIXED_CAPITAL,
     REINVEST,
     BacktestConfig,
@@ -21,6 +24,7 @@ from fracparity.backtest import (
     execute_rebalance,
     period_return,
     run_benchmark,
+    run_strategies,
     run_walk_forward,
 )
 from fracparity.metrics import max_drawdown
@@ -414,3 +418,76 @@ class TestConfigValidation:
             EquityCurve(
                 dates=business_days(dt.date(2012, 1, 2), 2), values=np.array([1.0, -1.0])
             )
+
+
+def period_fields(p):
+    """Every field of a period result, floats and arrays as bytes, for a bitwise comparison."""
+    w, t = p.weights, p.trades
+    weights = None if w is None else (w.tickers, w.cash, *(
+        np.asarray(a).tobytes() for a in (w.weights, w.mu, w.std0, w.h, w.std_n, w.r_squared,
+                                          w.clamped)
+    ))
+    trades = None if t is None else tuple(
+        a.tobytes() for a in (t.columns, t.shares, t.prices, t.fees)
+    )
+    scalars = np.array([p.gross_return, p.expense_drag, p.commission_cost, p.net_return,
+                        p.start_capital, p.end_capital])
+    return p.start_date, p.end_date, weights, trades, scalars.tobytes()
+
+
+class TestRunStrategies:
+    """One walk of all four strategies equals four walks of one strategy each."""
+
+    NAMES = [*(v.value for v in StrategyVariant), BENCHMARK_LABEL]
+
+    @pytest.mark.parametrize("mode", [FIXED_CAPITAL, REINVEST])
+    @pytest.mark.parametrize("source", ["panel4", "synthetic"])
+    def test_one_walk_equals_the_wrappers_bitwise(self, source, mode):
+        if source == "panel4":
+            settings = load_run_settings(PANEL_CONFIG)
+            panel = load_universe_panel(settings)
+            cfg = dataclasses.replace(settings.base_config(), compounding=mode)
+        else:
+            panel = synthetic_panel(seed=41, n_rows=6 * 63 + 17, n_assets=5)
+            cfg = BacktestConfig(horizon_n=63, compounding=mode, benchmark="BMK")
+        runs = run_strategies(panel, cfg, self.NAMES)
+        assert list(runs) == self.NAMES
+        traded = 0
+        for name, (results, equity) in runs.items():
+            if name == BENCHMARK_LABEL:
+                alone, alone_equity = run_benchmark(panel, cfg)
+            else:
+                variant_cfg = dataclasses.replace(cfg, variant=name)
+                alone, alone_equity = run_walk_forward(panel, variant_cfg)
+                traded += sum(len(p.trades) for p in results)
+            assert len(results) == len(alone) > 0
+            assert [period_fields(p) for p in results] == [period_fields(p) for p in alone]
+            assert equity.dates == alone_equity.dates
+            assert equity.values.tobytes() == alone_equity.values.tobytes()
+        assert traded > 0
+
+    def test_benchmark_alone_computes_no_lookback_statistics(self, monkeypatch):
+        def no_stats(window, n):
+            raise AssertionError("lookback statistics computed for the benchmark")
+
+        monkeypatch.setattr(backtest, "lookback_stats", no_stats)
+        panel = synthetic_panel(seed=43, n_rows=4 * 63, n_assets=2)
+        results, _ = run_benchmark(panel, BacktestConfig(horizon_n=63, benchmark="BMK"))
+        assert len(results) == 3
+
+    def test_a_strategy_named_twice_runs_once(self):
+        panel = synthetic_panel(seed=47, n_rows=4 * 63, n_assets=2)
+        cfg = BacktestConfig(horizon_n=63, benchmark="BMK")
+        twice = run_strategies(panel, cfg, ["naive_risk_parity", BENCHMARK_LABEL] * 2)
+        assert list(twice) == ["naive_risk_parity", BENCHMARK_LABEL]
+        assert [len(results) for results, _ in twice.values()] == [3, 3]
+
+    def test_every_variant_is_checked_before_the_walk(self):
+        # a clamp above 1 is fine for standard_biased but not for fractal_biased
+        cfg = BacktestConfig(horizon_n=63, variant="standard_biased",
+                             hurst=HurstConfig(h_min=1.2, h_max=1.5))
+        panel = synthetic_panel(seed=53, n_rows=63, n_assets=2)  # too short to walk at all
+        with pytest.raises(ConfigError):
+            run_strategies(panel, cfg, ["standard_biased", "fractal_biased"])
+        with pytest.raises(InsufficientHistory):
+            run_strategies(panel, cfg, ["standard_biased"])

@@ -12,9 +12,10 @@ import pytest
 import yaml
 
 from conftest import synthetic_panel
-from fracparity import cli, runconfig
+from fracparity import allocation, cli, runconfig
 from fracparity.backtest import run_benchmark, run_walk_forward
 from fracparity.cli import main
+from fracparity.riskstats import log_returns
 
 PANEL_CONFIG = Path(__file__).parent / "fixtures" / "panel4" / "universe.yaml"
 SERIES_DIR = Path(__file__).parent / "fixtures" / "series"
@@ -127,6 +128,18 @@ class TestBacktestCommand:
             ]
         )
         assert code == 2
+
+    def test_each_lookback_returns_computed_once(self, tmp_path, monkeypatch):
+        # three variants share one log_returns call per period, not one each
+        calls = []
+
+        def counted(prices):
+            calls.append(prices.shape)
+            return log_returns(prices)
+
+        monkeypatch.setattr(allocation, "log_returns", counted)
+        assert main(["backtest", "--config", str(PANEL_CONFIG), "--out", str(tmp_path)]) == 0
+        assert calls == [(4, 63)] * 5  # five periods of four portfolio assets
 
     def test_horizon_override(self, tmp_path):
         out = tmp_path / "out"
@@ -253,12 +266,13 @@ class TestConfigErrors:
         )
         return config
 
-    def assert_config_error(self, argv, capsys):
+    def assert_config_error(self, argv, capsys) -> str:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        return err
 
     @pytest.mark.parametrize(
         "extra",
@@ -276,6 +290,35 @@ class TestConfigErrors:
     def test_bad_value(self, tmp_path, capsys, extra):
         config = self.config_without_data(tmp_path, extra)
         self.assert_config_error(["backtest", "--config", str(config), "--out", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize(
+        ("old", "new", "key"),
+        [
+            # YAML 1.1 reads ON as True, null as None and 0700 as the octal 448
+            ("ticker: AAA", "ticker: ON", "universe[0]: ticker"),
+            ("ticker: AAA", "ticker: null", "universe[0]: ticker"),
+            ("ticker: AAA", "ticker: ''", "universe[0]: ticker"),
+            ("ticker: AAA", "ticker: 0700", "universe[0]: ticker"),
+            ("csv: missing_a.csv", "csv: null", "universe[0]: csv"),
+            ("role: benchmark", "role: 1", "universe[1]: role"),
+            ("benchmark: BMK", "benchmark: [BMK]", "benchmark"),
+            ("horizon: 63", "figure_pair: [fractal_biased, 1]", "figure_pair[1]"),
+            ("horizon: 63", "columns: {date: 0}", "columns: date"),
+            ("horizon: 63", "columns: {price: null}", "columns: price"),
+        ],
+    )
+    def test_text_field_must_be_a_string(self, tmp_path, capsys, old, new, key):
+        config = self.config_without_data(tmp_path, "")
+        config.write_text(config.read_text().replace(old, new))
+        argv = ["backtest", "--config", str(config), "--out", str(tmp_path / "out")]
+        err = self.assert_config_error(argv, capsys)
+        assert f"error: config: ConfigError: {config}: {key} must be a non-empty string" in err
+
+    def test_unknown_variant_override_names_the_config(self, tmp_path, capsys):
+        config = self.config_without_data(tmp_path, "")
+        argv = ["backtest", "--config", str(config), "--out", str(tmp_path), "--variant", "bogus"]
+        err = self.assert_config_error(argv, capsys)
+        assert f"{config}: 'bogus' is not a valid StrategyVariant" in err
 
     def test_universe_without_portfolio_asset(self, tmp_path, capsys):
         config = self.config_without_data(tmp_path, "")
@@ -417,6 +460,14 @@ class TestInputOutputErrors:
         assert main(["backtest", "--config", str(PANEL_CONFIG), "--out", str(expected)]) == 0
         for name in ARTIFACTS[:-1]:
             assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+    @pytest.mark.parametrize("day", ["20100105", "2010W012", "2010-W01-2"])
+    def test_date_outside_the_one_form(self, tmp_path, capsys, day):
+        config = self.fixture_copy(tmp_path)
+        text = (tmp_path / "bnd.csv").read_text()
+        (tmp_path / "bnd.csv").write_text(text.replace("\n2010-01-05,", f"\n{day},"))
+        argv = ["backtest", "--config", str(config), "--out", str(tmp_path / "out")]
+        self.assert_data_error(argv, capsys, f"bnd.csv:3: unparseable date {day!r}")
 
     def test_price_csv_is_a_directory(self, tmp_path, capsys):
         config = self.fixture_copy(tmp_path)

@@ -68,6 +68,18 @@ class TestLoadPriceCsv:
             load_price_csv(path, "AAA")
         assert info.value.line == 3
 
+    @pytest.mark.parametrize("day", ["20160105", "2016W011", "2016-W01-1"])
+    def test_only_the_dashed_date_form(self, tmp_path, day):
+        # Python 3.11's date.fromisoformat reads each of these, Python 3.10's none
+        path = write_csv(tmp_path, "a.csv", ["2016-01-04,100.0", f"{day},101.0"])
+        message = f"{path}:3: unparseable date {day!r}"
+        with pytest.raises(MalformedRow) as info:
+            load_price_csv(path, "AAA")
+        assert (str(info.value), info.value.line) == (message, 3)
+        with pytest.raises(oracles.Rejected) as reference:
+            oracles.load_price_rows(path, "AAA")
+        assert (reference.value.message, reference.value.line) == (message, 3)
+
     def test_unparseable_price(self, tmp_path):
         path = write_csv(tmp_path, "a.csv", ["2016-01-04,abc", "2016-01-05,101.0"])
         with pytest.raises(MalformedRow):
