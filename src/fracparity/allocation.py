@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import AlignedPanel
 from .errors import DegenerateVolatility, Empty, LengthMismatch
-from .fractal import HurstConfig, HurstFit, build_path, fit_hurst_rows
+from .fractal import HurstConfig, build_path, fit_hurst_rows
 from .fractal import estimate_hurst  # noqa: F401  (perfbench/tracing.py wraps this binding)
 from .riskstats import log_returns, mean_return, rescale_volatility, unbiased_std
 
@@ -50,10 +50,10 @@ class PortfolioWeights:
 
     The diagnostics the weights were built from are vectors in ``tickers``
     order: ``mu`` and ``std0`` (mean and ddof=1 deviation of the percent log
-    returns, per day), the exponent ``h`` and the horizon deviation
-    ``std_n``. ``fit`` is the minimal-cover fit of the ``fitted`` columns
-    (the active assets of ``fractal_biased``; ``None`` otherwise), from
-    which ``r_squared`` and ``clamped`` are spread over all columns.
+    returns, per day), the exponent ``h``, the horizon deviation ``std_n``,
+    and the r² and clamp flag of each minimal-cover fit (``r_squared``,
+    ``clamped``). Only the active assets of ``fractal_biased`` are fitted;
+    every other column holds NaN and False.
     """
 
     tickers: tuple[str, ...]
@@ -63,8 +63,8 @@ class PortfolioWeights:
     std0: np.ndarray | None = None
     h: np.ndarray | None = None
     std_n: np.ndarray | None = None
-    fit: HurstFit | None = None
-    fitted: np.ndarray | None = None
+    r_squared: np.ndarray | None = None
+    clamped: np.ndarray | None = None
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -84,22 +84,6 @@ class PortfolioWeights:
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.tickers, (float(w) for w in self.weights)))
-
-    @property
-    def r_squared(self) -> np.ndarray:
-        """r² of each column's log-log fit; NaN where no exponent was fitted."""
-        out = np.full(len(self.tickers), np.nan)
-        if self.fit is not None:
-            out[self.fitted] = self.fit.r_squared
-        return out
-
-    @property
-    def clamped(self) -> np.ndarray:
-        """True where the fitted exponent was clamped to ``h_min`` or ``h_max``."""
-        out = np.zeros(len(self.tickers), dtype=bool)
-        if self.fit is not None:
-            out[self.fitted] = self.fit.clamped
-        return out
 
 
 def inverse_volatility_weights(stds: np.ndarray) -> np.ndarray:
@@ -155,11 +139,11 @@ def compute_weights(
         raise DegenerateVolatility(f"{tickers[flat[0]]}: zero volatility over the window")
 
     h = np.full(len(tickers), 0.5)
-    fit = fitted = None
+    r_squared = np.full(len(tickers), np.nan)
+    clamped = np.zeros(len(tickers), dtype=bool)
     if variant is StrategyVariant.FRACTAL_BIASED and active.any():
-        fitted = np.flatnonzero(active)
-        fit = fit_hurst_rows(build_path(stats.returns[fitted]), hurst_config)
-        h[fitted] = fit.h
+        fit = fit_hurst_rows(build_path(stats.returns[active]), hurst_config)
+        h[active], r_squared[active], clamped[active] = fit.h, fit.r_squared, fit.clamped
     std_n = rescale_volatility(std0s, n, h)
 
     # naive weighting uses the daily deviation; biased variants the
@@ -173,5 +157,5 @@ def compute_weights(
         cash = 1.0
     return PortfolioWeights(
         tickers=tickers, weights=weights, cash=cash,
-        mu=mus, std0=std0s, h=h, std_n=std_n, fit=fit, fitted=fitted,
+        mu=mus, std0=std0s, h=h, std_n=std_n, r_squared=r_squared, clamped=clamped,
     )

@@ -75,8 +75,9 @@ class CommissionPlan:
 
 
 def _finite_number(value) -> bool:
-    """True for an int or float inside the range of finite floats."""
-    return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    """True for an int or float, not a bool, inside the range of finite floats."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)

@@ -5,22 +5,19 @@ date-by-asset matrix of adjusted closes with no holes. Alignment is by
 intersection of trading dates, never by fill: an imputed price would leak
 into return and scaling statistics.
 
-Files are read as UTF-8 (a byte-order mark is dropped), by one of three
-routes. A CSV of the common shape is parsed from the whole text at once:
-ASCII with no quote, carriage return or NUL, at least two data rows, every
-line with the header's field count (found from the byte positions of
-newlines and commas), no field over ``csv.field_size_limit()``, every date
-exactly ``YYYY-MM-DD`` naming a real day of year 1 or later, and every
-value a finite Python ``float`` (above 0 for prices). Its dates are read
-from their bytes. Its values are too when every one is ``digits.digits``
-with one fraction width k and at most 15 digits: the digits make an
-integer below 10**15 < 2**53, exact in any summation order, and one
-division by the exact float 10**k rounds it as ``float()`` rounds the
-text. Other values of a common-shape file are read by ``float()`` on the
-split text. Any other file goes through ``csv.reader`` in one scan that
-parses and checks each row in file order, so the first bad line is the one
-named. All three routes give the same dates, values and errors. Dates are
-sorted, checked and intersected as integer day ordinals: a
+Files are read as UTF-8 (a byte-order mark is dropped), by one of two
+routes. A CSV of the common shape is read straight from its bytes: ASCII
+with no quote, carriage return or NUL, at least two data rows, every line
+with the header's field count (found from the byte positions of newlines
+and commas), no field over ``csv.field_size_limit()``, every date exactly
+``YYYY-MM-DD`` naming a real day of year 1 or later, and every value
+``digits.digits`` with one fraction width k and at most 15 digits (above 0
+for prices). The digits make an integer below 10**15 < 2**53, exact in any
+summation order, and one division by the exact float 10**k rounds it as
+``float()`` rounds the text. Any other file goes through ``csv.reader`` in
+one scan that parses and checks each row in file order, so the first bad
+line is the one named. Both routes give the same dates, values and errors.
+Dates are sorted, checked and intersected as integer day ordinals: a
 :class:`PriceSeries` is made from its ordinals alone and builds its
 ``datetime.date`` tuple only when ``dates`` is first read.
 """
@@ -31,7 +28,9 @@ import copy
 import csv
 import datetime as dt
 import io
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -76,17 +75,6 @@ class AssetSpec:
             raise ValueError(f"{self.ticker}: unknown role {self.role!r}")
 
 
-def _ordinals(dates) -> np.ndarray:
-    """Day numbers of ``dates``."""
-    return np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=len(dates))
-
-
-def _first_unordered(days: np.ndarray) -> int:
-    """Index of the first day number not above its predecessor, or 0."""
-    bad = np.flatnonzero(np.diff(days) <= 0)
-    return int(bad[0]) + 1 if bad.size else 0
-
-
 class PriceSeries:
     """Adjusted daily closes for one ticker, sorted by date.
 
@@ -103,10 +91,10 @@ class PriceSeries:
             raise MalformedRow(ticker, 0, "ordinals and closes differ in length")
         if n < 2:
             raise TooShort(f"{ticker}: need at least 2 prices, got {n}")
-        i = _first_unordered(ordinals)
-        if i and ordinals[i] == ordinals[i - 1]:
-            raise DuplicateDate(ticker, self.dates[i])
-        if i:
+        stalled = np.flatnonzero(np.diff(ordinals) <= 0) + 1  # days not above the one before
+        if stalled.size and ordinals[stalled[0]] == ordinals[stalled[0] - 1]:
+            raise DuplicateDate(ticker, self.dates[stalled[0]])
+        if stalled.size:
             raise MalformedRow(ticker, 0, "dates not sorted ascending")
         if not np.all(np.isfinite(self.closes)):
             raise MalformedRow(ticker, 0, "non-finite price")
@@ -152,7 +140,9 @@ class AlignedPanel:
             )
         if not np.all(np.isfinite(self.prices)) or np.any(self.prices <= 0.0):
             raise NonPositivePrice("<panel>", None, float(np.min(self.prices)))
-        i = _first_unordered(_ordinals(self.dates))
+        # the index of the first date not above the one before it, or 0
+        stalled = map(operator.le, self.dates[1:], self.dates)
+        i = next(itertools.compress(itertools.count(1), stalled), 0)
         if i:
             raise DuplicateDate("<panel>", self.dates[i])
         self._columns = {a.ticker: i for i, a in enumerate(self.assets)}
@@ -271,11 +261,10 @@ def _fast_columns(text: str, names: dict[str, str]):
     """Day ordinals (None if undated) and values of a common-shape ``text``, else None.
 
     For the common shape (see the module docstring) ``csv.reader`` yields
-    the same fields as splitting on newlines and commas, and
-    ``date.fromisoformat`` the same dates as the digits, so the result is
-    that of :func:`_row_columns`. The values are read from the bytes when
-    :func:`_decimal_values` can, else by ``float()``. Any other text
-    returns None.
+    the same fields as splitting on newlines and commas, ``date.fromisoformat``
+    the same dates as the digits and ``float()`` the same values as
+    :func:`_decimal_values`, so the result is that of :func:`_row_columns`.
+    Any other text returns None.
     """
     # csv.reader before Python 3.11 rejects NUL
     if not text.isascii() or '"' in text or "\r" in text or "\0" in text:
@@ -299,7 +288,7 @@ def _fast_columns(text: str, names: dict[str, str]):
     starts = np.concatenate(([0], ends[:-1] + 1)).reshape(n_rows, width)
     ends = ends.reshape(n_rows, width)
     # every line is width - 1 commas and then a newline; an empty line, which
-    # csv.reader reads as no field, fails this or, in a one-column file, float()
+    # csv.reader reads as no field, fails this or, in a one-column file, _decimal_values
     if np.count_nonzero(newline) != n_rows or not newline[ends[:, -1]].all():
         return None
     lengths = ends - starts
@@ -313,13 +302,7 @@ def _fast_columns(text: str, names: dict[str, str]):
         if days is None:
             return None
     values = _decimal_values(buf, ends[:, value_at], lengths[:, value_at])
-    if values is None:
-        fields = body.replace("\n", ",").split(",")
-        try:
-            values = np.fromiter(map(float, fields[value_at : n_rows * width : width]), float, n_rows)
-        except ValueError:
-            return None
-    if not np.isfinite(values).all() or (date_at and not (values > 0.0).all()):
+    if values is None or (date_at and not (values > 0.0).all()):
         return None
     return days, values
 

@@ -117,14 +117,6 @@ class InsufficientCapital(NumericError):
     """Commissions for the required trades exceed the available capital."""
 
 
-class ZeroVolatility(NumericError):
-    """Sharpe ratio is undefined at zero standard deviation."""
-
-
-class ZeroBeta(NumericError):
-    """Treynor ratio is undefined at zero beta."""
-
-
 class DegenerateBenchmark(NumericError):
     """Benchmark returns have zero variance; beta is undefined."""
 

@@ -80,12 +80,12 @@ class HurstConfig:
 
     def __post_init__(self):
         bounds = (self.h_min, self.h_max)
-        if not all(isinstance(x, (int, float)) for x in bounds) or not (
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in bounds) or not (
             0.0 < self.h_min <= self.h_max <= sys.float_info.max
         ):
             raise InvalidHurst(f"clamp bounds [{self.h_min}, {self.h_max}] invalid")
         counts = (self.min_windows, self.min_scales, self.max_rungs)
-        if not all(isinstance(x, int) for x in counts if x is not None):
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in counts if x is not None):
             raise InvalidHurst("min_windows, min_scales and max_rungs must be integers")
         if self.min_windows < 1 or self.min_scales < 2:
             raise InvalidHurst("need min_windows >= 1 and min_scales >= 2")
@@ -334,24 +334,35 @@ def _sine_integrand(z: float, alpha: float, beta: float):
 def _cdf_quad_split(z: float, alpha: float, beta: float) -> tuple[float, float]:
     """Singular head on [0, 1] plus Fourier-weighted tails on [1, inf).
 
-    For slowly decaying envelopes (small alpha) the plain integrator loses
-    accuracy; splitting off the asymptotically linear part of the phase
+    For slowly decaying envelopes (small alpha) and far tails the plain
+    integrator loses accuracy; splitting off the asymptotically linear part
+    of the phase (``k t ln t`` remains at alpha = 1, ``-c t^alpha`` elsewhere)
     lets QUADPACK's oscillatory machinery extrapolate over the cycles.
-    Only valid for ``alpha != 1``.
     """
     from scipy import integrate
 
-    sin, cos, exp = math.sin, math.cos, math.exp
-    c = beta * math.tan(math.pi * alpha / 2.0)
-    a_lin = z + c  # linear phase coefficient for t -> inf
+    sin, cos, exp, log = math.sin, math.cos, math.exp, math.log
+    if alpha == 1.0:
+        k = 2.0 * beta / math.pi
+        a_lin = z
 
-    def g_sin(t):
-        ta = t**alpha
-        return exp(-ta) * cos(c * ta) / t
+        def g_sin(t):
+            return exp(-t) * cos(k * t * log(t)) / t
 
-    def g_cos(t):
-        ta = t**alpha
-        return -exp(-ta) * sin(c * ta) / t
+        def g_cos(t):
+            return exp(-t) * sin(k * t * log(t)) / t
+
+    else:
+        c = beta * math.tan(math.pi * alpha / 2.0)
+        a_lin = z + c  # linear phase coefficient for t -> inf
+
+        def g_sin(t):
+            ta = t**alpha
+            return exp(-ta) * cos(c * ta) / t
+
+        def g_cos(t):
+            ta = t**alpha
+            return -exp(-ta) * sin(c * ta) / t
 
     v1, e1 = integrate.quad(_sine_integrand(z, alpha, beta), 0.0, 1.0, **_QUAD_KW)
     if a_lin == 0.0:
@@ -390,7 +401,7 @@ def stable_cdf_with_error(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(_sine_integrand(z, alpha, beta), 0.0, np.inf, **_QUAD_KW)
-        if err > 1e-8 and alpha != 1.0:
+        if err > 1e-8:
             val, err = _cdf_quad_split(z, alpha, beta)
     err /= math.pi
     if err > tol:

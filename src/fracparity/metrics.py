@@ -4,7 +4,8 @@ Conventions: period returns are percent per holding period; annualization
 scales the mean by 252/n and the standard deviation by sqrt(252/n). The
 risk-free rate defaults to zero for both Sharpe and Treynor, so each report
 satisfies sharpe == return / std and treynor == 0.01 * return / beta by
-construction. Drawdown is measured on period-end equity.
+construction; each is NaN where undefined (zero deviation, zero beta).
+Drawdown is measured on period-end equity.
 """
 
 from __future__ import annotations
@@ -15,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backtest import EquityCurve, PeriodResult, TRADING_DAYS_PER_YEAR
-from .errors import (
-    DegenerateBenchmark,
-    Empty,
-    LengthMismatch,
-    TooShort,
-    ZeroBeta,
-    ZeroVolatility,
-)
+from .errors import DegenerateBenchmark, Empty, LengthMismatch, TooShort
 
 
 @dataclass(frozen=True)
@@ -73,9 +67,9 @@ def annualize_std(period_returns, n: int) -> float:
 
 
 def sharpe(annual_return: float, annual_std: float, risk_free_rate: float = 0.0) -> float:
-    """Annualized Sharpe ratio; the risk-free rate defaults to zero."""
+    """Annualized Sharpe ratio, NaN at zero deviation; the risk-free rate defaults to zero."""
     if annual_std <= 0.0:
-        raise ZeroVolatility(f"annualized std must be positive, got {annual_std}")
+        return math.nan
     return (annual_return - risk_free_rate) / annual_std
 
 
@@ -95,9 +89,9 @@ def beta(portfolio_returns, benchmark_returns) -> float:
 
 
 def treynor(annual_return: float, beta_value: float, risk_free_rate: float = 0.0) -> float:
-    """Treynor ratio scaled by 0.01, matching the table convention."""
+    """Treynor ratio scaled by 0.01, matching the table convention; NaN at beta = 0."""
     if beta_value == 0.0:
-        raise ZeroBeta("treynor undefined at beta = 0")
+        return math.nan
     return 0.01 * (annual_return - risk_free_rate) / beta_value
 
 
@@ -125,11 +119,7 @@ def build_report(
     mode: str,
     risk_free_rate: float = 0.0,
 ) -> PerformanceReport:
-    """Assemble the full metric row for one strategy against the benchmark.
-
-    Degenerate inputs that make a single ratio undefined (flat returns, zero
-    beta) surface as NaN in that field rather than failing the whole report.
-    """
+    """Assemble the full metric row for one strategy against the benchmark."""
     rets = [r.net_return for r in results]
     bench = [r.net_return for r in benchmark_results]
     if len(rets) != len(bench):
@@ -137,19 +127,11 @@ def build_report(
 
     avg = annualize_return(rets, n)
     std = annualize_std(rets, n)
-    try:
-        sh = sharpe(avg, std, risk_free_rate)
-    except ZeroVolatility:
-        sh = math.nan
     b = beta(rets, bench)
-    try:
-        tr = treynor(avg, b, risk_free_rate)
-    except ZeroBeta:
-        tr = math.nan
     protection = capital_protection(max_drawdown(equity))
     return PerformanceReport(
-        sharpe=sh,
-        treynor_x001=tr,
+        sharpe=sharpe(avg, std, risk_free_rate),
+        treynor_x001=treynor(avg, b, risk_free_rate),
         avg_annual_return=avg,
         protection=protection,
         annualized_std=std,

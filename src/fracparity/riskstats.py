@@ -5,9 +5,10 @@ standard deviation downstream inherits those units. The horizon rescaling
 ``std_n = std0 * n**h`` reduces to the familiar square-root-of-time rule at
 ``h = 0.5`` and is the only place the two allocation pipelines differ.
 
-Every function works along the last axis: a 1-d array is one series, and a
-2-d block with one row per asset gives one result per asset in a single
-array pass, which is how the walk-forward engine calls them.
+Every function works along the last axis: a 1-d array is one series (a
+numpy float result), and a 2-d block with one row per asset gives one
+result per asset in a single array pass, which is how the walk-forward
+engine calls them.
 """
 
 from __future__ import annotations
@@ -32,17 +33,12 @@ def log_returns(prices, ticker: str | None = None) -> np.ndarray:
     return r
 
 
-def _per_row(result):
-    """A float for one series, an array with one entry per row for a block."""
-    return float(result) if np.ndim(result) == 0 else result
-
-
 def mean_return(returns):
     """Arithmetic mean of the returns, percent per day."""
     v = np.asarray(returns, dtype=float)
     if v.shape[-1] == 0:
         raise Empty("mean of an empty return series")
-    return _per_row(np.mean(v, axis=-1))
+    return np.mean(v, axis=-1)
 
 
 def unbiased_std(returns):
@@ -50,7 +46,7 @@ def unbiased_std(returns):
     v = np.asarray(returns, dtype=float)
     if v.shape[-1] < 2:
         raise TooShort(f"need at least 2 returns for a standard deviation, got {v.shape[-1]}")
-    return _per_row(np.std(v, axis=-1, ddof=1))
+    return np.std(v, axis=-1, ddof=1)
 
 
 def rescale_volatility(std0, n: int, h):

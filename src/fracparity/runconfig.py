@@ -4,9 +4,9 @@ The document lists the universe (ticker, csv path, expense ratio, role),
 the benchmark ticker, horizon, variants to run, capital, compounding mode,
 commission plan and estimator knobs. CSV paths are resolved relative to the
 config file so committed fixtures stay relocatable.
-Loading checks the document's shape, the universe (which must hold at
-least one ``portfolio_asset``) and the benchmark; the rules for every other
-value belong to the engine's config classes.
+Loading checks the document's shape (a key it does not know is an error),
+the universe (which must hold at least one ``portfolio_asset``) and the
+benchmark; the rules for every other value belong to the engine's classes.
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ from .fractal import HurstConfig
 
 # libyaml's parser when PyYAML was built with it; both build the same objects
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+TOP_KEYS = ("universe", "benchmark", "horizon", "variants", "initial_capital", "compounding",
+            "commission", "hurst", "risk_free_rate", "figure_pair", "columns")
+ENTRY_KEYS = ("ticker", "csv", "expense_ratio", "role")
+COLUMN_KEYS = ("date", "price")
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,12 @@ class RunSettings:
         return names[0], BENCHMARK_LABEL
 
 
+def _known_keys(mapping: dict, keys: tuple[str, ...], context: str) -> None:
+    unknown = [key for key in mapping if key not in keys]
+    if unknown:
+        raise ConfigError(f"{context}: unknown key {unknown[0]!r}")
+
+
 def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
         raise ConfigError(f"{context}: missing required key {key!r}")
@@ -120,7 +130,7 @@ def _number(raw: dict, key: str, default: float, context: str) -> float:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
-    if not math.isfinite(number):
+    if isinstance(value, bool) or not math.isfinite(number):  # YAML's yes and on are True
         raise ConfigError(f"{context}: {key} must be a finite number, got {value!r}")
     return number
 
@@ -145,6 +155,7 @@ def load_run_settings(
         raise ConfigError(f"{path}: invalid YAML{where}: {problem}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
+    _known_keys(raw, TOP_KEYS, str(path))
 
     universe_raw = _require(raw, "universe", str(path))
     if not isinstance(universe_raw, list) or not universe_raw:
@@ -154,6 +165,7 @@ def load_run_settings(
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: universe[{i}] must be a mapping")
         where = f"{path}: universe[{i}]"
+        _known_keys(entry, ENTRY_KEYS, where)
         ticker = _text(_require(entry, "ticker", where), f"{where}: ticker")
         csv_rel = _text(_require(entry, "csv", where), f"{where}: csv")
         if "\0" in csv_rel:  # no file system takes it, and open() would raise ValueError
@@ -214,6 +226,7 @@ def load_run_settings(
     columns = raw.get("columns", {})
     if not isinstance(columns, dict):
         raise ConfigError(f"{path}: columns must be a mapping")
+    _known_keys(columns, COLUMN_KEYS, f"{path}: columns")
 
     settings = RunSettings(
         universe=universe,

@@ -17,7 +17,7 @@ from fracparity.allocation import (
 )
 from fracparity.data import AlignedPanel, AssetSpec
 from fracparity.errors import DegenerateVolatility, Empty, LengthMismatch
-from fracparity.fractal import HurstConfig
+from fracparity.fractal import HurstConfig, build_path, fit_hurst_rows
 
 
 def panel_from_columns(columns: dict[str, np.ndarray], benchmark: str | None = None):
@@ -195,15 +195,21 @@ class TestComputeWeights:
     def test_diagnostics_populated(self):
         n = 126
         panel = synthetic_panel(seed=9, n_rows=n, n_assets=3)
-        w = compute_weights(lookback_stats(panel, n), StrategyVariant.FRACTAL_BIASED, n)
-        for diagnostic in (w.mu, w.std0, w.h, w.std_n):
+        stats = lookback_stats(panel, n)
+        w = compute_weights(stats, StrategyVariant.FRACTAL_BIASED, n)
+        for diagnostic in (w.mu, w.std0, w.h, w.std_n, w.r_squared, w.clamped):
             assert diagnostic.shape == (len(w.tickers),)
+        for diagnostic in (w.mu, w.std0, w.h, w.std_n):
             assert np.isfinite(diagnostic).all()
         active = np.flatnonzero(w.weights > 0)
-        assert active.size and w.fitted.tolist() == active.tolist()
-        assert np.array_equal(w.h[active], w.fit.h)
+        assert active.size
+        fit = fit_hurst_rows(build_path(stats.returns[active]))
+        assert np.array_equal(w.h[active], fit.h)
+        assert np.array_equal(w.r_squared[active], fit.r_squared)
+        assert np.array_equal(w.clamped[active], fit.clamped)
         assert np.isfinite(w.r_squared[active]).all()
         assert np.isnan(np.delete(w.r_squared, active)).all()
+        assert not np.delete(w.clamped, active).any()
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)

@@ -19,6 +19,7 @@ from fracparity.riskstats import log_returns
 
 PANEL_CONFIG = Path(__file__).parent / "fixtures" / "panel4" / "universe.yaml"
 SERIES_DIR = Path(__file__).parent / "fixtures" / "series"
+EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "etf_universe.yaml"
 
 ARTIFACTS = [
     "report.json",
@@ -285,11 +286,35 @@ class TestConfigErrors:
             "figure_pair: [bogus, benchmark]",
             "initial_capital: .inf",
             "risk_free_rate: .nan",
+            # a misspelt key would leave its default in force
+            "horzion: 252",
+            "columns: {dat: date}",
+            # YAML 1.1 reads yes, on and true as True, which is not a number
+            "initial_capital: yes",
+            "risk_free_rate: on",
+            "commission: {per_share: true}",
+            "hurst: {min_windows: yes}",
         ],
     )
     def test_bad_value(self, tmp_path, capsys, extra):
         config = self.config_without_data(tmp_path, extra)
         self.assert_config_error(["backtest", "--config", str(config), "--out", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize(
+        ("old", "new", "message"),
+        [
+            ("horizon: 63", "horzion: 252", "unknown key 'horzion'"),
+            ("csv: missing_a.csv}", "csv: missing_a.csv, expnse_ratio: 0.09}",
+             "universe[0]: unknown key 'expnse_ratio'"),
+            ("horizon: 63", "columns: {date: date, prise: close}", "columns: unknown key 'prise'"),
+        ],
+    )
+    def test_unknown_key_is_named(self, tmp_path, capsys, old, new, message):
+        config = self.config_without_data(tmp_path, "")
+        config.write_text(config.read_text().replace(old, new))
+        argv = ["backtest", "--config", str(config), "--out", str(tmp_path / "out")]
+        err = self.assert_config_error(argv, capsys)
+        assert f"error: config: ConfigError: {config}: {message}" in err
 
     @pytest.mark.parametrize(
         ("old", "new", "key"),
@@ -416,6 +441,10 @@ class TestStableCdfCommand:
         assert lines[0] == "cdf,0.750000"
         assert lines[1].startswith("error_estimate,")
 
+    def test_cauchy_tail_point(self, capsys):
+        assert main(["stable-cdf", "--alpha", "1", "--", "200"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "cdf,0.998408"
+
     def test_invalid_alpha_exits_2(self, capsys):
         assert main(["stable-cdf", "1.0", "--alpha", "2.5"]) == 2
         assert "InvalidStableParams" in capsys.readouterr().err
@@ -533,6 +562,13 @@ class TestYamlLoader:
         assert err.startswith("error: config: ConfigError: ")
         assert "invalid YAML" in err
         assert err.count("\n") == 1
+
+
+def test_example_config_loads():
+    # the README's example; loading checks every key and value but reads no CSV
+    settings = runconfig.load_run_settings(EXAMPLE_CONFIG)
+    assert settings.horizon_n == 126
+    assert settings.figure_pair == ("fractal_biased", "standard_biased")
 
 
 class TestStableCdfNonFinitePoint:

@@ -28,6 +28,9 @@ MAX_EXAMPLES = 60  # about 5 s on a 2-vCPU machine
 BASE = yaml.safe_load(PANEL_CONFIG.read_text())
 for _entry in BASE["universe"]:
     _entry["csv"] = str(PANEL_CONFIG.parent / _entry["csv"])
+# the defaults written out, so that a mutation of one of their keys reaches the loader
+BASE.update(hurst={"h_min": 0.1, "h_max": 1.0, "min_windows": 4, "max_rungs": 4},
+            columns={"date": "date", "price": "adj_close"})
 
 DELETE = object()
 PATHS = [
@@ -38,6 +41,9 @@ PATHS = [
     *(("hurst", key) for key in ("h_min", "h_max", "min_windows", "max_rungs", "min_scales")),
     *(("universe", i, key) for i in (0, 4) for key in ("ticker", "csv", "expense_ratio", "role")),
     ("universe", 2), ("columns", "date"), ("columns", "price"),
+    # keys the loader does not know
+    ("horzion",), ("universe", 0, "expnse_ratio"), ("columns", "dat"), ("commission", "fee"),
+    ("hurst", "hmin"),
 ]
 VALUES = st.one_of(
     st.sampled_from([

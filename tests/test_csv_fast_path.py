@@ -1,13 +1,12 @@
 """The whole-text CSV parse against the ``csv.reader`` route.
 
-A file is read by one of three routes: its values straight from the bytes,
-by ``float()`` on the split text, or through ``csv.reader``. Generated files
-mix the common shape with the ways out of it: quotes, CRLF, a byte-order
-mark, padded fields, blank and trailing lines, extra and reordered columns,
-dates that are not ``YYYY-MM-DD`` or not a real day, values that Python's
-``float`` reads (or refuses) in odd ways, and fields at and over
-``csv.field_size_limit()``; about half of them write every value with one
-``%.{k}f``. For every file, loading it must give bitwise the same day
+A file is read by one of two routes: straight from its bytes, or through
+``csv.reader``. Generated files mix the common shape with the ways out of
+it: quotes, CRLF, a byte-order mark, padded fields, blank and trailing
+lines, extra and reordered columns, dates that are not ``YYYY-MM-DD`` or
+not a real day, values that Python's ``float`` reads (or refuses) in odd
+ways, and fields at and over ``csv.field_size_limit()``; about half of them
+write every value with one ``%.{k}f``. For every file, loading it must give bitwise the same day
 ordinals and values as the ``csv.reader`` route alone, or raise the same
 error class with the same message and line. The byte route and the date
 digits are also checked in bulk against ``float()`` and ``datetime.date``.
@@ -18,7 +17,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,7 +42,7 @@ ODD_VALUES = [
     "١٢٣", "７", "abc", "", "1,5", "0x10",
 ]
 # the prices of test_which_files_take_the_fast_path that the byte route reads
-# after a first row of 100.0; the other fast ones go through float()
+# after a first row of 100.0: digits.digits, one digit after the point, at most 15
 BYTE_ROUTE = {"101.0", "12345678901234.5", "99999999999999.9", "00000000000101.0"}
 ODD_EXTRAS = ["", "x y", '"a,b"', '"say ""hi"""', "x" * LIMIT, "x" * (LIMIT + 1), "\0"]
 
@@ -60,20 +58,8 @@ def outcome(load):
 
 
 def route(text, names):
-    """The route that reads ``text``: "bytes", "float()" or "csv.reader"."""
-    declined = []
-    decimal_values = data._decimal_values
-
-    def spy(*args):
-        values = decimal_values(*args)
-        declined.append(values is None)
-        return values
-
-    with mock.patch.object(data, "_decimal_values", spy):
-        columns = data._fast_columns(text, names)
-    if columns is None:
-        return "csv.reader"
-    return "float()" if declined[0] else "bytes"
+    """The route that reads ``text``: "bytes" or "csv.reader"."""
+    return "csv.reader" if data._fast_columns(text, names) is None else "bytes"
 
 
 def both_routes(path, names):
@@ -136,8 +122,10 @@ def test_fast_path_agrees_with_csv_reader(tmp_path_factory, case):
     assert shipped == rows
 
 
+# plain: a common-shape file whose every price float() reads as finite and
+# positive; the byte route takes it when the prices are also in BYTE_ROUTE
 @pytest.mark.parametrize(
-    "date, price, fast",
+    "date, price, plain",
     [
         ("2016-01-05", "101.0", True),
         ("0001-01-01", "101.0", True),
@@ -178,12 +166,11 @@ def test_fast_path_agrees_with_csv_reader(tmp_path_factory, case):
         ("2016-01-05", "1.0.1", False),
     ],
 )
-def test_which_files_take_the_fast_path(tmp_path, date, price, fast):
+def test_which_files_take_the_fast_path(tmp_path, date, price, plain):
     text = f"date,adj_close\n2016-01-04,100.0\n{date},{price}\n"
     path = tmp_path / "a.csv"
     path.write_text(text, encoding="utf-8")
-    assert (data._fast_columns(text, DATED) is not None) == fast
-    expected = "csv.reader" if not fast else "bytes" if price in BYTE_ROUTE else "float()"
+    expected = "bytes" if plain and price in BYTE_ROUTE else "csv.reader"
     assert route(text, DATED) == expected
     shipped, rows = both_routes(str(path), DATED)
     assert shipped == rows
@@ -230,14 +217,14 @@ def test_empty_header_line_goes_through_csv_reader():
     assert data._fast_columns("\n1\n2\n", {"value": ""}) is None
 
 
-def test_undated_values_may_be_negative():
-    days, values = data._fast_columns("value,note\n-1.5,a\n0,b\n2.5,c", UNDATED)
-    assert days is None
-    assert values.tolist() == [-1.5, 0.0, 2.5]
-    # a sign leaves the byte route to float()
+def test_undated_values_may_be_negative(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("value,note\n-1.5,a\n0,b\n2.5,c", encoding="utf-8")
+    assert data.load_series_csv(str(path), "value").tolist() == [-1.5, 0.0, 2.5]
+    # a sign leaves the byte route to csv.reader
     assert route("value\n1.5\n2.5\n", UNDATED) == "bytes"
-    assert route("value\n1.5\n-2.5\n", UNDATED) == "float()"
-    assert route("value\n1.5\n+2.5\n", UNDATED) == "float()"
+    assert route("value\n1.5\n-2.5\n", UNDATED) == "csv.reader"
+    assert route("value\n1.5\n+2.5\n", UNDATED) == "csv.reader"
 
 
 def test_dated_ordinals_are_day_numbers():

@@ -128,15 +128,15 @@ class TestLoadPriceCsv:
     def test_day_numbers_computed_once(self, tmp_path, monkeypatch):
         calls = []
 
-        def counting(dates):
-            calls.append(len(dates))
-            return real(dates)
+        def counting(buf, starts):
+            calls.append(len(starts))
+            return real(buf, starts)
 
-        real = data._ordinals
-        monkeypatch.setattr(data, "_ordinals", counting)
+        real = data._day_ordinals
+        monkeypatch.setattr(data, "_day_ordinals", counting)
         rows = ["2016-01-05,101.0", "2016-01-04,100.0", "2016-01-06,102.0"]
         s = load_price_csv(write_csv(tmp_path, "a.csv", rows), "AAA")
-        assert calls in ([], [3])  # the whole-text parse takes them from the digits
+        assert calls == [3]  # from the digits, and not again for the sort or the series
         assert s.ordinals.tolist() == [d.toordinal() for d in s.dates]
 
 

@@ -244,6 +244,20 @@ class TestStableCdf:
         got = stable_cdf(1.0, StableParams(alpha=1.0))
         assert got == pytest.approx(0.75, abs=1e-10)
 
+    @pytest.mark.parametrize("r", [150.0, -150.0, 200.0, -200.0, 1000.0, -1000.0])
+    def test_cauchy_tail(self, r):
+        # the plain integral fails from about |r| = 150 on the alpha = 1 branch; the split holds
+        value, err = stable_cdf_with_error(r, StableParams(alpha=1.0))
+        assert value == pytest.approx(oracles.cauchy_cdf(r), abs=5e-16)
+        assert err < 1e-10
+
+    @pytest.mark.parametrize("beta", [1.0, 0.5, -1.0])
+    def test_skewed_alpha_one_tails_evaluate(self, beta):
+        p = StableParams(alpha=1.0, beta=beta)
+        values = [stable_cdf(r, p) for r in (-1000.0, -200.0, -50.0, 50.0, 200.0, 1000.0)]
+        assert all(0.0 <= v <= 1.0 for v in values)
+        assert all(b - a >= -1e-10 for a, b in zip(values, values[1:]))
+
     @pytest.mark.parametrize("beta", [1.0, -1.0])
     def test_levy_anchor(self, beta):
         # alpha = 1/2 with full skew is the Levy law; in the 0-shift parametrization
