@@ -8,15 +8,15 @@ per asset vs pinned at 0.5). Naive risk parity skips the trend filter and
 weights every asset by inverse daily volatility, which matches the biased
 pipelines up to the horizon factor that normalization cancels anyway.
 
-A window is handled in two array passes over all portfolio columns.
-:func:`lookback_stats`, shared by every variant, turns the prices into an
-(assets x days) block with one row per asset; returns, means and ddof=1
-deviations are each one call along the rows. :func:`compute_weights` runs
-one variant: minimal-cover paths and Hurst fits are one call along the
-rows, and the trend filter, the ``h`` clamp and the inverse-volatility
-weights are masked array operations. The per-asset diagnostics are vectors
-on :class:`PortfolioWeights`, one entry per ticker, and are not kept in any
-other form.
+Lookbacks are handled in array passes over all portfolio columns.
+:func:`lookback_stats`, shared by every variant, views the panel's percent
+log returns as an (assets x lookbacks x days) array; the means and ddof=1
+deviations of every lookback are each one call along the days.
+:func:`compute_weights` runs one variant on one lookback: minimal-cover
+paths and Hurst fits are one call along the rows, and the trend filter, the
+``h`` clamp and the inverse-volatility weights are masked array operations.
+The per-asset diagnostics are vectors on :class:`PortfolioWeights`, one
+entry per ticker, and are not kept in any other form.
 """
 
 from __future__ import annotations
@@ -25,12 +25,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import AlignedPanel
 from .errors import DegenerateVolatility, Empty, LengthMismatch
 from .fractal import HurstConfig, build_path, fit_hurst_rows
 from .fractal import estimate_hurst  # noqa: F401  (perfbench/tracing.py wraps this binding)
-from .riskstats import log_returns, mean_return, rescale_volatility, unbiased_std
+from .riskstats import log_returns  # noqa: F401  (perfbench/tracing.py wraps this binding)
+from .riskstats import mean_return, rescale_volatility, unbiased_std
 
 WEIGHT_BUDGET_TOL = 1e-12
 
@@ -99,7 +101,7 @@ def inverse_volatility_weights(stds: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LookbackStats:
-    """Per-column percent log returns of a window, with their means and ddof=1 deviations."""
+    """A lookback's percent log returns (read-only, a row per column), means and ddof=1 stds."""
 
     tickers: tuple[str, ...]
     returns: np.ndarray
@@ -107,16 +109,22 @@ class LookbackStats:
     std0: np.ndarray
 
 
-def lookback_stats(window: AlignedPanel, n: int) -> LookbackStats:
-    """Statistics of a window of exactly ``n`` rows; benchmark-role columns are left out."""
-    if window.n_rows != n:
-        raise LengthMismatch(f"window has {window.n_rows} rows, expected horizon {n}")
-    columns = window.portfolio_columns
-    if not columns.size:
+def lookback_stats(window: AlignedPanel, n: int) -> list[LookbackStats]:
+    """Statistics of each consecutive ``n``-row block of a window, in row order.
+
+    ``n`` must divide the window's rows. A block's returns are the ``n - 1``
+    within its rows; the return that crosses into the next block is left out,
+    and so are the benchmark-role columns.
+    """
+    if n < 1 or window.n_rows < n or window.n_rows % n:
+        raise LengthMismatch(f"window has {window.n_rows} rows, not a multiple of horizon {n}")
+    if not window.portfolio_columns.size:
         raise Empty("window contains no portfolio assets")
-    returns = log_returns(window.prices.T[columns])  # one row per asset
-    mu, std0 = mean_return(returns), unbiased_std(returns)
-    return LookbackStats(window.portfolio_tickers, returns, mu, std0)
+    # (assets x blocks x n - 1): block k starts at return k*n, each a contiguous run of a row
+    blocks = sliding_window_view(window.returns, n - 1, axis=-1)[:, ::n]
+    mu, std0 = mean_return(blocks), unbiased_std(blocks)
+    per_block = zip(blocks.swapaxes(0, 1), mu.T, std0.T)
+    return [LookbackStats(window.portfolio_tickers, r, m, s) for r, m, s in per_block]
 
 
 def compute_weights(

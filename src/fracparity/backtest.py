@@ -3,8 +3,8 @@
 The engine tiles the panel after an initial lookback: optimize on rows
 ``[k*N, (k+1)*N)``, hold over ``[(k+1)*N, (k+2)*N)``, repeat. Those rows are
 defined in one place, :func:`run_strategies`, the one period loop of the
-three variants and the cost-free benchmark; each lookback window's return
-statistics are computed there once for all variants. Trades fill at the
+three variants and the cost-free benchmark; the return statistics of all
+lookbacks are computed there once for every variant. Trades fill at the
 holding window's first close with zero slippage; whole shares only, with
 the remainder parked in zero-earning cash. Costs are commissions per trade
 (per-share rate floored per order and capped as a percentage of trade
@@ -18,11 +18,12 @@ returns; in reinvest mode that is exactly the simulated capital path, in
 fixed-capital mode it is the reinvested view of the per-period results.
 
 Each period is a fixed set of array operations over the portfolio
-columns, from the lookback window to the net return, and builds no
+columns, from the lookback statistics to the net return, and builds no
 per-asset Python object. The lookback and holding windows are read-only
 views of the panel (:func:`slice_window`). :func:`lookback_stats` returns
-the window's statistics and :func:`compute_weights` a variant's weights
-with their diagnostics, as vectors; the holdings are an int64 share vector
+the statistics of every period's lookback from one pass, before the first
+period, and :func:`compute_weights` a variant's weights with their
+diagnostics, as vectors; the holdings are an int64 share vector
 in column order; a rebalance returns its orders as :class:`Trades`,
 parallel vectors of column, signed shares, price and fee.
 These vectors are the only form of a period's result. Sums that feed the
@@ -302,11 +303,12 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
     runs = {name: ([], [config.initial_capital]) for name in names}  # results, equity values
     reinvest = config.compounding == REINVEST
     n_periods = panel.n_rows // n - 1
+    if variants:  # period k's lookback is block k of the first n_periods * n rows
+        lookbacks = lookback_stats(slice_window(panel, n_periods * n - 1, n_periods * n), n)
     for k in range(n_periods):
         start_row = (k + 1) * n
         end_row = (k + 2) * n - 1
         if variants:
-            stats = lookback_stats(slice_window(panel, end_index=start_row - 1, length=n), n)
             hold_window = slice_window(panel, end_index=end_row, length=n)
             exec_prices = panel.prices[start_row, columns]
         for name, (results, equity) in runs.items():
@@ -316,7 +318,7 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
                 commission = drag = 0.0
                 gross = net = 100.0 * (float(bench[end_row]) / float(bench[start_row]) - 1.0)
             else:
-                weights = compute_weights(stats, variants[name], n, config.hurst)
+                weights = compute_weights(lookbacks[k], variants[name], n, config.hurst)
                 # weights.tickers are the portfolio columns in panel order
                 trades, held[name], commission = execute_rebalance(
                     weights, start_capital, exec_prices, config.commission, held[name]

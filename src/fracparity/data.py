@@ -46,6 +46,7 @@ from .errors import (
     TickerMismatch,
     TooShort,
 )
+from .riskstats import log_returns
 
 ROLE_PORTFOLIO = "portfolio_asset"
 ROLE_BENCHMARK = "benchmark"
@@ -119,7 +120,9 @@ class AlignedPanel:
     the ticker index, the ``portfolio_columns`` (role ``portfolio_asset``,
     in panel order) with their ``portfolio_tickers``, and the annual
     ``expense_ratios`` (percent, one per column). Windows made by
-    :func:`slice_window` share them.
+    :func:`slice_window` share them. ``returns``, the percent log returns
+    of the portfolio columns, is built on first use and then shared by every
+    walk over the panel and every window sliced from it.
     """
 
     dates: tuple[dt.date, ...]
@@ -170,6 +173,14 @@ class AlignedPanel:
 
     def column(self, ticker: str) -> np.ndarray:
         return self.prices[:, self.index_of(ticker)]
+
+    @cached_property
+    def returns(self) -> np.ndarray:
+        """Read-only percent log returns, one row per portfolio column (assets x rows - 1)."""
+        prices = self.prices.T[self.portfolio_columns]
+        returns = log_returns(prices) if self.n_rows > 1 else prices[:, :0]
+        returns.flags.writeable = False
+        return returns
 
 
 def read_text(path) -> str:
@@ -431,9 +442,9 @@ def align_panel(series: list[PriceSeries], specs: list[AssetSpec]) -> AlignedPan
 def slice_window(panel: AlignedPanel, end_index: int, length: int) -> AlignedPanel:
     """Contiguous sub-panel of exactly ``length`` rows ending at ``end_index``.
 
-    The window is a read-only view of ``panel``: its prices share the
-    panel's memory and cannot be written, and it shares the panel's column
-    lookups. A slice of a valid panel is valid, so it is not checked again.
+    The window is a read-only view of ``panel``: its prices and returns share
+    the panel's memory and cannot be written, and so do its column lookups.
+    A slice of a valid panel is valid, so it is not checked again.
     """
     if length < 1:
         raise OutOfRange(f"window length must be >= 1, got {length}")
@@ -446,4 +457,6 @@ def slice_window(panel: AlignedPanel, end_index: int, length: int) -> AlignedPan
     window.dates = panel.dates[start : end_index + 1]
     window.prices = panel.prices[start : end_index + 1]
     window.prices.flags.writeable = False
+    # set, not inherited: copy.copy carries over a returns block already built on ``panel``
+    window.__dict__["returns"] = panel.returns[:, start:end_index]
     return window

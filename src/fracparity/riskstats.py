@@ -7,8 +7,9 @@ standard deviation downstream inherits those units. The horizon rescaling
 
 Every function works along the last axis: a 1-d array is one series (a
 numpy float result), and a 2-d block with one row per asset gives one
-result per asset in a single array pass, which is how the walk-forward
-engine calls them.
+result per asset in a single array pass. The walk-forward engine takes a
+panel's returns in one call, and the means and deviations of an (assets x
+lookbacks x days) view of them, every lookback of a walk, in one call each.
 """
 
 from __future__ import annotations

@@ -203,6 +203,9 @@ def load_run_settings(
         raise ConfigError(f"{path}: {exc}") from None
     if not variants:
         raise ConfigError(f"{path}: variants must not be empty")
+    repeated = [v.value for i, v in enumerate(variants) if v in variants[:i]]
+    if repeated:  # it would run once, and a figure pair of it would compare it with itself
+        raise ConfigError(f"{path}: variants: {repeated[0]!r} is named twice")
 
     commission_raw = raw.get("commission", {})
     if not isinstance(commission_raw, dict):
@@ -222,6 +225,8 @@ def load_run_settings(
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(f"{path}: figure_pair must list exactly two strategy names")
         figure_pair = tuple(_text(p, f"{path}: figure_pair[{j}]") for j, p in enumerate(pair))
+        if figure_pair[0] == figure_pair[1]:
+            raise ConfigError(f"{path}: figure_pair: {figure_pair[0]!r} is named twice")
 
     columns = raw.get("columns", {})
     if not isinstance(columns, dict):

@@ -71,7 +71,7 @@ def test_degeneracy_pinned_hurst_bitwise():
     # weights identical bitwise on every lookback window
     for k in range(panel.n_rows // n - 1):
         window = slice_window(panel, end_index=(k + 1) * n - 1, length=n)
-        stats = lookback_stats(window, n)
+        stats = lookback_stats(window, n)[0]
         wf = compute_weights(stats, StrategyVariant.FRACTAL_BIASED, n, pinned)
         ws = compute_weights(stats, StrategyVariant.STANDARD_BIASED, n, pinned)
         assert np.array_equal(wf.weights, ws.weights)

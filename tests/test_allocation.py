@@ -15,9 +15,10 @@ from fracparity.allocation import (
     inverse_volatility_weights,
     lookback_stats,
 )
-from fracparity.data import AlignedPanel, AssetSpec
+from fracparity.data import AlignedPanel, AssetSpec, slice_window
 from fracparity.errors import DegenerateVolatility, Empty, LengthMismatch
 from fracparity.fractal import HurstConfig, build_path, fit_hurst_rows
+from fracparity.riskstats import log_returns, mean_return, unbiased_std
 
 
 def panel_from_columns(columns: dict[str, np.ndarray], benchmark: str | None = None):
@@ -55,7 +56,7 @@ class TestTrendFilter:
         window = panel_from_columns({f"T{i}": c for i, c in enumerate(closes)})
         masks = []
         for variant in (StrategyVariant.FRACTAL_BIASED, StrategyVariant.STANDARD_BIASED):
-            w = compute_weights(lookback_stats(window, window.n_rows), variant, window.n_rows)
+            w = compute_weights(lookback_stats(window, window.n_rows)[0], variant, window.n_rows)
             assert ((w.weights > 0.0) == (w.mu > 0.0)).all()
             masks.append((w.weights > 0.0).tolist())
         assert masks[0] == masks[1]
@@ -69,7 +70,7 @@ class TestTrendFilter:
 
     def test_zero_mean_is_inactive(self):
         window = panel_from_columns({"RT": ROUND_TRIP})
-        assert lookback_stats(window, 65).mu == [0.0]
+        assert lookback_stats(window, 65)[0].mu == [0.0]
         assert self.active(ROUND_TRIP) == [False]
 
     def test_empty(self):
@@ -77,7 +78,34 @@ class TestTrendFilter:
         panel = panel_from_columns({"BMK": drifted(24, n, 0.004)}, benchmark="BMK")
         for variant in (StrategyVariant.FRACTAL_BIASED, StrategyVariant.STANDARD_BIASED):
             with pytest.raises(Empty):
-                compute_weights(lookback_stats(panel, n), variant, n)
+                compute_weights(lookback_stats(panel, n)[0], variant, n)
+
+
+class TestLookbackStats:
+    """Every lookback of a window comes from one strided view of the panel's returns."""
+
+    @pytest.mark.parametrize("n", [8, 42, 63, 126])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_each_block_as_if_sliced_alone(self, seed, n):
+        panel = synthetic_panel(seed=seed, n_rows=4 * 126, n_assets=5)
+        # start away from row 0, at an offset that depends on n
+        rows = (panel.n_rows - 1) // n * n
+        window = slice_window(panel, end_index=panel.n_rows - 2, length=rows)
+        blocks = lookback_stats(window, n)
+        assert len(blocks) == rows // n
+        for k, stats in enumerate(blocks):
+            alone = log_returns(window.prices[k * n : (k + 1) * n].T[window.portfolio_columns])
+            assert stats.tickers == panel.portfolio_tickers
+            assert stats.returns.tobytes() == alone.tobytes()
+            assert stats.mu.tobytes() == mean_return(alone).tobytes()
+            assert stats.std0.tobytes() == unbiased_std(alone).tobytes()
+            assert not stats.returns.flags.writeable
+
+    @pytest.mark.parametrize(("rows", "n"), [(130, 63), (62, 63), (64, 63)])
+    def test_rows_not_a_multiple_of_n(self, rows, n):
+        panel = synthetic_panel(seed=5, n_rows=rows, n_assets=2)
+        with pytest.raises(LengthMismatch):
+            lookback_stats(panel, n)
 
 
 class TestInverseVolatilityWeights:
@@ -114,7 +142,7 @@ class TestComputeWeights:
         falling = drifted(seed=12, n=n, drift=-0.005)
         panel = panel_from_columns({"DN": falling, "T1": twin, "T2": twin.copy()})
         for variant in (StrategyVariant.FRACTAL_BIASED, StrategyVariant.STANDARD_BIASED):
-            w = compute_weights(lookback_stats(panel, n), variant, n)
+            w = compute_weights(lookback_stats(panel, n)[0], variant, n)
             assert w.as_dict()["DN"] == 0.0
             assert w.as_dict()["T1"] == 0.5
             assert w.as_dict()["T2"] == 0.5
@@ -125,7 +153,7 @@ class TestComputeWeights:
         panel = panel_from_columns(
             {"D1": drifted(21, n, -0.004), "D2": drifted(22, n, -0.006)}
         )
-        w = compute_weights(lookback_stats(panel, n), StrategyVariant.FRACTAL_BIASED, n)
+        w = compute_weights(lookback_stats(panel, n)[0], StrategyVariant.FRACTAL_BIASED, n)
         assert np.all(w.weights == 0.0)
         assert w.cash == 1.0
 
@@ -134,7 +162,7 @@ class TestComputeWeights:
         panel = panel_from_columns(
             {"D1": drifted(21, n, -0.004), "UP": drifted(23, n, 0.004)}
         )
-        w = compute_weights(lookback_stats(panel, n), StrategyVariant.NAIVE_RISK_PARITY, n)
+        w = compute_weights(lookback_stats(panel, n)[0], StrategyVariant.NAIVE_RISK_PARITY, n)
         assert np.all(w.weights > 0.0)
         assert w.cash == 0.0
 
@@ -145,8 +173,8 @@ class TestComputeWeights:
         )
         # constant prices mean zero volatility: an error for naive, filtered for biased
         with pytest.raises(DegenerateVolatility):
-            compute_weights(lookback_stats(panel, n), StrategyVariant.NAIVE_RISK_PARITY, n)
-        w = compute_weights(lookback_stats(panel, n), StrategyVariant.FRACTAL_BIASED, n)
+            compute_weights(lookback_stats(panel, n)[0], StrategyVariant.NAIVE_RISK_PARITY, n)
+        w = compute_weights(lookback_stats(panel, n)[0], StrategyVariant.FRACTAL_BIASED, n)
         assert w.as_dict()["C"] == 0.0
         assert w.as_dict()["UP"] == 1.0
 
@@ -155,27 +183,27 @@ class TestComputeWeights:
         panel = panel_from_columns(
             {"UP": drifted(23, n, 0.004), "BMK": drifted(24, n, 0.004)}, benchmark="BMK"
         )
-        w = compute_weights(lookback_stats(panel, n), StrategyVariant.NAIVE_RISK_PARITY, n)
+        w = compute_weights(lookback_stats(panel, n)[0], StrategyVariant.NAIVE_RISK_PARITY, n)
         assert w.tickers == ("UP",)
         assert w.as_dict()["UP"] == 1.0
 
     def test_window_length_mismatch(self):
         panel = synthetic_panel(seed=6, n_rows=64, n_assets=2)
         with pytest.raises(LengthMismatch):
-            compute_weights(lookback_stats(panel, 63), StrategyVariant.NAIVE_RISK_PARITY, 63)
+            compute_weights(lookback_stats(panel, 63)[0], StrategyVariant.NAIVE_RISK_PARITY, 63)
 
     def test_no_portfolio_assets(self):
         n = 63
         panel = panel_from_columns({"BMK": drifted(24, n, 0.004)}, benchmark="BMK")
         with pytest.raises(Empty):
-            compute_weights(lookback_stats(panel, n), StrategyVariant.NAIVE_RISK_PARITY, n)
+            compute_weights(lookback_stats(panel, n)[0], StrategyVariant.NAIVE_RISK_PARITY, n)
 
     def test_clamped_hurst_makes_variants_identical_bitwise(self):
         n = 126
         pinned = HurstConfig(h_min=0.5, h_max=0.5)
         for seed in range(8):
             panel = synthetic_panel(seed=seed, n_rows=n, n_assets=4)
-            stats = lookback_stats(panel, n)
+            stats = lookback_stats(panel, n)[0]
             wf = compute_weights(stats, StrategyVariant.FRACTAL_BIASED, n, pinned)
             ws = compute_weights(stats, StrategyVariant.STANDARD_BIASED, n, pinned)
             assert wf.tickers == ws.tickers
@@ -186,7 +214,7 @@ class TestComputeWeights:
         # the variants may only differ through the exponent h
         n = 126
         panel = synthetic_panel(seed=8, n_rows=n, n_assets=4)
-        stats = lookback_stats(panel, n)
+        stats = lookback_stats(panel, n)[0]
         fractal, *others = (compute_weights(stats, v, n) for v in StrategyVariant)
         for w in others:
             assert np.array_equal(w.mu, fractal.mu)
@@ -195,7 +223,7 @@ class TestComputeWeights:
     def test_diagnostics_populated(self):
         n = 126
         panel = synthetic_panel(seed=9, n_rows=n, n_assets=3)
-        stats = lookback_stats(panel, n)
+        stats = lookback_stats(panel, n)[0]
         w = compute_weights(stats, StrategyVariant.FRACTAL_BIASED, n)
         for diagnostic in (w.mu, w.std0, w.h, w.std_n, w.r_squared, w.clamped):
             assert diagnostic.shape == (len(w.tickers),)
@@ -217,7 +245,7 @@ class TestComputeWeights:
         n = 63
         panel = synthetic_panel(seed=seed, n_rows=n, n_assets=4)
         for variant in StrategyVariant:
-            w = compute_weights(lookback_stats(panel, n), variant, n)
+            w = compute_weights(lookback_stats(panel, n)[0], variant, n)
             assert float(np.sum(w.weights)) + w.cash == pytest.approx(1.0, abs=1e-12)
 
     def test_permuting_assets_permutes_weights(self):
@@ -228,11 +256,11 @@ class TestComputeWeights:
             "C": drifted(33, n, 0.002),
         }
         base = compute_weights(
-            lookback_stats(panel_from_columns(cols), n), StrategyVariant.FRACTAL_BIASED, n
+            lookback_stats(panel_from_columns(cols), n)[0], StrategyVariant.FRACTAL_BIASED, n
         ).as_dict()
         shuffled = {"C": cols["C"], "A": cols["A"], "B": cols["B"]}
         perm = compute_weights(
-            lookback_stats(panel_from_columns(shuffled), n), StrategyVariant.FRACTAL_BIASED, n
+            lookback_stats(panel_from_columns(shuffled), n)[0], StrategyVariant.FRACTAL_BIASED, n
         ).as_dict()
         for t in cols:
             assert perm[t] == pytest.approx(base[t], abs=1e-15)

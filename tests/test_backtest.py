@@ -12,7 +12,7 @@ import pytest
 import oracles
 from conftest import business_days, synthetic_panel, trade_rows
 from fracparity.allocation import PortfolioWeights, StrategyVariant
-from fracparity import backtest
+from fracparity import backtest, data
 from fracparity.backtest import (
     BENCHMARK_LABEL,
     FIXED_CAPITAL,
@@ -31,6 +31,7 @@ from fracparity.metrics import max_drawdown
 from fracparity.data import AlignedPanel, AssetSpec
 from fracparity.errors import ConfigError, InsufficientCapital, InsufficientHistory, NumericError
 from fracparity.fractal import HurstConfig
+from fracparity.riskstats import log_returns
 from fracparity.runconfig import load_run_settings, load_universe_panel
 
 PLAN = CommissionPlan()
@@ -474,6 +475,24 @@ class TestRunStrategies:
         panel = synthetic_panel(seed=43, n_rows=4 * 63, n_assets=2)
         results, _ = run_benchmark(panel, BacktestConfig(horizon_n=63, benchmark="BMK"))
         assert len(results) == 3
+
+    def test_walks_over_a_panel_share_one_returns_block(self, monkeypatch):
+        shapes = []
+
+        def counted(prices):
+            shapes.append(prices.shape)
+            return log_returns(prices)
+
+        monkeypatch.setattr(data, "log_returns", counted)
+        panel = synthetic_panel(seed=59, n_rows=6 * 42, n_assets=3)
+        run_benchmark(panel, BacktestConfig(horizon_n=63, benchmark="BMK"))
+        assert shapes == []
+        for n in (42, 63):
+            base = BacktestConfig(horizon_n=n, benchmark="BMK")
+            for variant in StrategyVariant:
+                run_walk_forward(panel, dataclasses.replace(base, variant=variant))
+            run_benchmark(panel, base)
+        assert shapes == [(3, 6 * 42)]
 
     def test_a_strategy_named_twice_runs_once(self):
         panel = synthetic_panel(seed=47, n_rows=4 * 63, n_assets=2)

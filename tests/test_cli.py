@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from conftest import synthetic_panel
-from fracparity import allocation, cli, runconfig
+from fracparity import cli, data, runconfig
 from fracparity.backtest import run_benchmark, run_walk_forward
 from fracparity.cli import main
 from fracparity.riskstats import log_returns
@@ -131,16 +131,16 @@ class TestBacktestCommand:
         assert code == 2
 
     def test_each_lookback_returns_computed_once(self, tmp_path, monkeypatch):
-        # three variants share one log_returns call per period, not one each
+        # three variants and five periods share one log_returns call over the panel
         calls = []
 
         def counted(prices):
             calls.append(prices.shape)
             return log_returns(prices)
 
-        monkeypatch.setattr(allocation, "log_returns", counted)
+        monkeypatch.setattr(data, "log_returns", counted)
         assert main(["backtest", "--config", str(PANEL_CONFIG), "--out", str(tmp_path)]) == 0
-        assert calls == [(4, 63)] * 5  # five periods of four portfolio assets
+        assert calls == [(4, 378)]  # four portfolio assets over the panel's 378 rows
 
     def test_horizon_override(self, tmp_path):
         out = tmp_path / "out"
@@ -294,6 +294,9 @@ class TestConfigErrors:
             "risk_free_rate: on",
             "commission: {per_share: true}",
             "hurst: {min_windows: yes}",
+            # a strategy named twice would run once, or be compared with itself
+            "variants: [naive_risk_parity, naive_risk_parity]",
+            "figure_pair: [benchmark, benchmark]",
         ],
     )
     def test_bad_value(self, tmp_path, capsys, extra):
@@ -344,6 +347,13 @@ class TestConfigErrors:
         argv = ["backtest", "--config", str(config), "--out", str(tmp_path), "--variant", "bogus"]
         err = self.assert_config_error(argv, capsys)
         assert f"{config}: 'bogus' is not a valid StrategyVariant" in err
+
+    def test_variant_override_named_twice(self, tmp_path, capsys):
+        config = self.config_without_data(tmp_path, "")
+        twice = ["--variant", "naive_risk_parity"] * 2
+        argv = ["backtest", "--config", str(config), "--out", str(tmp_path), *twice]
+        err = self.assert_config_error(argv, capsys)
+        assert f"{config}: variants: 'naive_risk_parity' is named twice" in err
 
     def test_universe_without_portfolio_asset(self, tmp_path, capsys):
         config = self.config_without_data(tmp_path, "")
@@ -595,3 +605,23 @@ def test_backtest_does_not_import_scipy(tmp_path):
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_engine_digest_is_stable():
+    # scripts/engine_digest.py hashes every run; two checkouts are compared by its output
+    root = Path(__file__).resolve().parent.parent
+    argv = [sys.executable, str(root / "scripts" / "engine_digest.py"),
+            "--config", str(PANEL_CONFIG), "--horizons", "63"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    runs = [subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+            for _ in range(2)]
+    for done in runs:
+        assert done.returncode == 0, done.stderr
+    lines = runs[0].stdout.splitlines()
+    assert runs[1].stdout.splitlines() == lines
+    strategies = ["fractal_biased", "standard_biased", "naive_risk_parity", "benchmark"]
+    assert [line.split()[:3] for line in lines] == [
+        [mode, "63", name] for mode in ("fixed_capital", "reinvest") for name in strategies
+    ]
+    assert len({line.split()[3] for line in lines}) == 8

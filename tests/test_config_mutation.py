@@ -36,7 +36,7 @@ DELETE = object()
 PATHS = [
     ("universe",), ("benchmark",), ("horizon",), ("variants",), ("initial_capital",),
     ("compounding",), ("commission",), ("risk_free_rate",), ("hurst",), ("figure_pair",),
-    ("columns",), ("variants", 0), ("figure_pair", 0),
+    ("columns",), ("variants", 0), ("variants", 1), ("figure_pair", 0), ("figure_pair", 1),
     *(("commission", key) for key in ("per_share", "min_per_order", "max_pct_of_value")),
     *(("hurst", key) for key in ("h_min", "h_max", "min_windows", "max_rungs", "min_scales")),
     *(("universe", i, key) for i in (0, 4) for key in ("ticker", "csv", "expense_ratio", "role")),
@@ -104,6 +104,8 @@ def run_cli(argv) -> tuple[int, str]:
 @example(mutations=[(("hurst", "max_rungs"), 3.5)])
 @example(mutations=[(("universe", 4, "csv"), "\x00")])
 @example(mutations=[(("commission", "per_share"), 2**63)])
+@example(mutations=[(("variants", 1), "fractal_biased")])
+@example(mutations=[(("figure_pair",), ["benchmark", "x"]), (("figure_pair", 1), "benchmark")])
 def test_mutated_config_ends_cleanly(mutations):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "run.yaml"

@@ -30,6 +30,7 @@ from fracparity.errors import (
     TickerMismatch,
     TooShort,
 )
+from fracparity.riskstats import log_returns
 
 
 def write_csv(tmp_path, name, rows, header="date,adj_close"):
@@ -241,6 +242,39 @@ class TestAlignedPanel:
                 assets=(AssetSpec("A"), AssetSpec("A")),
                 prices=np.ones((2, 2)),
             )
+
+
+class TestReturnsBlock:
+    """The panel's percent log returns, built once and viewed by every window."""
+
+    def test_log_returns_of_the_portfolio_columns(self):
+        panel = synthetic_panel(seed=7, n_rows=50, n_assets=3)
+        expected = log_returns(panel.prices.T[panel.portfolio_columns])
+        assert panel.returns.shape == (3, 49)
+        assert panel.returns.tobytes() == expected.tobytes()
+        assert panel.returns is panel.returns
+        assert not panel.returns.flags.writeable
+
+    @pytest.mark.parametrize("built", [False, True])
+    def test_windows_view_their_own_rows(self, built):
+        panel = synthetic_panel(seed=8, n_rows=60, n_assets=3)
+        if built:
+            panel.returns
+        win = slice_window(panel, end_index=45, length=30)
+        inner = slice_window(win, end_index=20, length=12)  # a window of a window
+        for w in (win, inner):
+            expected = log_returns(w.prices.T[w.portfolio_columns])
+            assert w.returns.tobytes() == expected.tobytes()
+            assert np.shares_memory(w.returns, panel.returns)
+            assert not w.returns.flags.writeable
+        with pytest.raises(ValueError):
+            inner.returns[0, 0] = 0.0
+
+    def test_one_row_panel_slices(self):
+        panel = synthetic_panel(seed=9, n_rows=1, n_assets=2)
+        win = slice_window(panel, end_index=0, length=1)
+        assert win.n_rows == 1
+        assert win.returns.shape == panel.returns.shape == (2, 0)
 
 
 class TestSliceWindow:
