@@ -11,16 +11,21 @@ pipelines up to the horizon factor that normalization cancels anyway.
 Lookbacks are handled in array passes over all portfolio columns.
 :func:`lookback_stats`, shared by every variant, views the panel's percent
 log returns as an (assets x lookbacks x days) array; the means and ddof=1
-deviations of every lookback are each one call along the days.
-:func:`compute_weights` runs one variant on one lookback: minimal-cover
-paths and Hurst fits are one call along the rows, and the trend filter, the
-``h`` clamp and the inverse-volatility weights are masked array operations.
+deviations of every lookback are each one call along the days. The first
+time ``fractal_biased`` asks for a lookback's Hurst fit, the minimal-cover
+paths and fits of the trend-surviving rows of every lookback of the walk
+are made in one call along the rows; each period reads its own run of
+rows and rejects its own constant paths. :func:`compute_weights` runs one
+variant on one lookback: the trend filter, the ``h`` clamp and the
+inverse-volatility weights are masked array operations.
 The per-asset diagnostics are vectors on :class:`PortfolioWeights`, one
 entry per ticker, and are not kept in any other form.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import AlignedPanel
 from .errors import DegenerateVolatility, Empty, LengthMismatch
-from .fractal import HurstConfig, build_path, fit_hurst_rows
+from .fractal import HurstConfig, HurstFit, build_path, fit_cover_rows, require_variation
 from .fractal import estimate_hurst  # noqa: F401  (perfbench/tracing.py wraps this binding)
 from .riskstats import log_returns  # noqa: F401  (perfbench/tracing.py wraps this binding)
 from .riskstats import mean_return, rescale_volatility, unbiased_std
@@ -84,9 +89,6 @@ class PortfolioWeights:
         if np.any(self.weights > 0.0) and self.cash != 0.0:
             raise ValueError("cash must be zero when any asset is held")
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.tickers, (float(w) for w in self.weights)))
-
 
 def inverse_volatility_weights(stds: np.ndarray) -> np.ndarray:
     """Normalize 1/std across assets; uniform rescaling of stds cancels."""
@@ -101,12 +103,20 @@ def inverse_volatility_weights(stds: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LookbackStats:
-    """A lookback's percent log returns (read-only, a row per column), means and ddof=1 stds."""
+    """A lookback's percent log returns (read-only, a row per column), means and ddof=1 stds.
+
+    ``walk_fit(config)`` is the walk's one Hurst fit per configuration, made
+    on first request, of the trend-surviving rows (``mu > 0``) of every
+    lookback: ``(bounds, fit)``, lookback ``index``'s rows running from
+    ``bounds[index]`` to ``bounds[index + 1]``.
+    """
 
     tickers: tuple[str, ...]
     returns: np.ndarray
     mu: np.ndarray
     std0: np.ndarray
+    walk_fit: Callable[[HurstConfig], tuple[np.ndarray, HurstFit]]
+    index: int
 
 
 def lookback_stats(window: AlignedPanel, n: int) -> list[LookbackStats]:
@@ -122,9 +132,18 @@ def lookback_stats(window: AlignedPanel, n: int) -> list[LookbackStats]:
         raise Empty("window contains no portfolio assets")
     # (assets x blocks x n - 1): block k starts at return k*n, each a contiguous run of a row
     blocks = sliding_window_view(window.returns, n - 1, axis=-1)[:, ::n]
-    mu, std0 = mean_return(blocks), unbiased_std(blocks)
-    per_block = zip(blocks.swapaxes(0, 1), mu.T, std0.T)
-    return [LookbackStats(window.portfolio_tickers, r, m, s) for r, m, s in per_block]
+    mu, std0 = mean_return(blocks).T, unbiased_std(blocks).T  # lookbacks x assets
+    returns = blocks.swapaxes(0, 1)
+
+    @functools.cache
+    def walk_fit(config: HurstConfig) -> tuple[np.ndarray, HurstFit]:
+        # rows lookback by lookback, in column order within each; a row's fit reads it alone
+        trend = mu > 0.0
+        bounds = np.concatenate(([0], np.cumsum(trend.sum(axis=1))))
+        return bounds, fit_cover_rows(build_path(returns[trend]), config)
+
+    tickers = window.portfolio_tickers
+    return [LookbackStats(tickers, returns[k], mu[k], std0[k], walk_fit, k) for k in range(len(mu))]
 
 
 def compute_weights(
@@ -150,8 +169,11 @@ def compute_weights(
     r_squared = np.full(len(tickers), np.nan)
     clamped = np.zeros(len(tickers), dtype=bool)
     if variant is StrategyVariant.FRACTAL_BIASED and active.any():
-        fit = fit_hurst_rows(build_path(stats.returns[active]), hurst_config)
-        h[active], r_squared[active], clamped[active] = fit.h, fit.r_squared, fit.clamped
+        bounds, fit = stats.walk_fit(hurst_config)
+        run = slice(bounds[stats.index], bounds[stats.index + 1])
+        require_variation(fit.variations[run])  # this lookback's rows only
+        h[active], r_squared[active] = fit.h[run], fit.r_squared[run]
+        clamped[active] = fit.clamped[run]
     std_n = rescale_volatility(std0s, n, h)
 
     # naive weighting uses the daily deviation; biased variants the

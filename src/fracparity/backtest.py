@@ -23,7 +23,10 @@ per-asset Python object. The lookback and holding windows are read-only
 views of the panel (:func:`slice_window`). :func:`lookback_stats` returns
 the statistics of every period's lookback from one pass, before the first
 period, and :func:`compute_weights` a variant's weights with their
-diagnostics, as vectors; the holdings are an int64 share vector
+diagnostics, as vectors. ``fractal_biased`` fits the Hurst exponents of
+every lookback in one batched call, in the first period that needs one;
+each period reads its own rows and rejects its own constant paths, so
+errors still come in period order. The holdings are an int64 share vector
 in column order; a rebalance returns its orders as :class:`Trades`,
 parallel vectors of column, signed shares, price and fee.
 These vectors are the only form of a period's result. Sums that feed the

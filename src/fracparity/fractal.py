@@ -7,13 +7,13 @@ variation against ``log(delta)``. For a self-affine path the variation
 behaves like ``delta**(H - 1)``, so the fitted slope recovers ``H``
 directly. The estimator stays usable on short windows (a few dozen points),
 which is what makes it suitable for walk-forward lookbacks. The kernel
-works on a block with one path per row (every asset of a lookback window),
-block max/min per scale and one batched log-log fit, and returns a
-:class:`HurstFit` of per-row vectors (``h``, variation index, r², clamp
-hits, V(delta)), which the walk-forward engine keeps as they are. The
-single-path functions, which the ``hurst`` CLI uses, are one-row wrappers
-over the same kernel; :func:`estimate_hurst` returns its row as a
-:class:`HurstEstimate`.
+works on a block with one path per row (the trend-surviving assets of
+every lookback of a walk), block max/min per scale, each built from the
+scale below, and one batched log-log fit, and returns a :class:`HurstFit`
+of per-row vectors (``h``, variation index, r², clamp hits, V(delta)),
+which the walk-forward engine slices per period. The single-path
+functions, which the ``hurst`` CLI uses, are one-row wrappers over the same
+kernel; :func:`estimate_hurst` returns its row as a :class:`HurstEstimate`.
 
 The stable CDF is evaluated by Fourier inversion of the characteristic
 function in the continuous ("0-shift") parametrization: a sine-kernel
@@ -156,22 +156,31 @@ def cover_variations(paths: np.ndarray, scales) -> np.ndarray:
 
     A window is a block of ``delta`` points plus the first point of the next
     block. Block extremes come from halving: the max of neighbouring pairs
-    of columns while the block width is even, then one reduction over what
-    is left of it, so a dyadic scale costs a few whole-array passes.
+    of blocks while the number of blocks to merge is even, then one
+    reduction over what is left. A scale that the previous scale divides
+    starts from the previous scale's block extremes instead of the path, so
+    a dyadic ladder costs about two whole-array passes in all; any other
+    scale restarts from the path.
     """
     n_paths, size = paths.shape
     out = np.empty((n_paths, len(scales)))
+    hi = lo = paths  # block extremes, blocks of ``width`` points
+    width = 1
     for j, delta in enumerate(scales):
         n_windows = (size - 1) // delta
-        hi = lo = paths[:, : n_windows * delta]
-        width = delta
-        while width % 2 == 0:
+        if delta % width:
+            hi = lo = paths
+            width = 1
+        merge = delta // width
+        hi, lo = hi[:, : n_windows * merge], lo[:, : n_windows * merge]
+        while merge % 2 == 0:
             hi = np.maximum(hi[:, 0::2], hi[:, 1::2])
             lo = np.minimum(lo[:, 0::2], lo[:, 1::2])
-            width //= 2
-        if width > 1:
-            hi = hi.reshape(n_paths, n_windows, width).max(axis=2)
-            lo = lo.reshape(n_paths, n_windows, width).min(axis=2)
+            merge //= 2
+        if merge > 1:
+            hi = hi.reshape(n_paths, n_windows, merge).max(axis=2)
+            lo = lo.reshape(n_paths, n_windows, merge).min(axis=2)
+        width = delta
         right = paths[:, delta : n_windows * delta + 1 : delta]
         out[:, j] = (np.maximum(hi, right) - np.minimum(lo, right)).sum(axis=1)
     return out
@@ -239,8 +248,8 @@ class HurstFit:
     variations: np.ndarray
 
 
-def fit_hurst_rows(paths, config: HurstConfig = HurstConfig()) -> HurstFit:
-    """Estimate the Hurst exponent of every row of ``paths`` via minimal-cover scaling.
+def fit_cover_rows(paths, config: HurstConfig = HurstConfig()) -> HurstFit:
+    """Fit the minimal-cover scaling of every row of ``paths``, each row on its own.
 
     Computes V(delta) on the dyadic ladder for all rows at once, fits
     ``ln V`` against ``ln delta`` by least squares (one batched fit), and
@@ -248,29 +257,29 @@ def fit_hurst_rows(paths, config: HurstConfig = HurstConfig()) -> HurstFit:
     micro-fractal dimension ``D = 1 + mu`` and the exponent
     ``h = 2 - D = 1 - mu``, clamped into ``[h_min, h_max]``.
 
-    Raises what :func:`hurst_scales` raises, and ``DegeneratePath`` when the
-    variation of some row vanishes at some scale (a constant path), since
-    ``ln V`` is undefined there.
+    A row's entries depend on that row alone, so one call over the rows of
+    many blocks gives each block's fits bit for bit. Raises what
+    :func:`hurst_scales` raises; a row whose variation vanishes at some
+    scale gets a meaningless fit, which :func:`require_variation` rejects.
     """
     p = np.asarray(paths, dtype=float)
     if p.ndim != 2:
         raise ValueError(f"paths must be 2-d, one path per row, got shape {p.shape}")
     scales = hurst_scales(p.shape[1], config)
     variations = cover_variations(p, scales)
-    if np.any(variations <= 0.0):
-        raise DegeneratePath("zero variation at some scale (constant path)")
 
     x = np.log(np.array(scales, dtype=float))
-    y = np.log(variations)
     x_c = x - x.mean()
-    y_mean = y.mean(axis=1, keepdims=True)
-    y_c = y - y_mean
-    slope = (y_c * x_c).sum(axis=1) / np.dot(x_c, x_c)
-    resid = y - (y_mean + slope[:, None] * x_c)
-    ss_res = (resid * resid).sum(axis=1)
-    ss_tot = (y_c * y_c).sum(axis=1)
+    # ln 0 of a vanishing variation spreads through its own row only;
     # flat ln V at every scale is a perfect fit with zero slope
     with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.log(variations)
+        y_mean = y.mean(axis=1, keepdims=True)
+        y_c = y - y_mean
+        slope = (y_c * x_c).sum(axis=1) / np.dot(x_c, x_c)
+        resid = y - (y_mean + slope[:, None] * x_c)
+        ss_res = (resid * resid).sum(axis=1)
+        ss_tot = (y_c * y_c).sum(axis=1)
         r_squared = np.where(ss_tot > 0.0, np.clip(1.0 - ss_res / ss_tot, 0.0, 1.0), 1.0)
 
     mu_index = -slope
@@ -283,6 +292,22 @@ def fit_hurst_rows(paths, config: HurstConfig = HurstConfig()) -> HurstFit:
         scales=tuple(scales),
         variations=variations,
     )
+
+
+def require_variation(variations: np.ndarray) -> None:
+    """Raise ``DegeneratePath`` when some V(delta) vanishes: ``ln V`` is undefined there."""
+    if np.any(variations <= 0.0):
+        raise DegeneratePath("zero variation at some scale (constant path)")
+
+
+def fit_hurst_rows(paths, config: HurstConfig = HurstConfig()) -> HurstFit:
+    """The Hurst exponent of every row of ``paths``; :func:`fit_cover_rows`, checked.
+
+    Also raises ``DegeneratePath`` when some row's variation vanishes (a constant path).
+    """
+    fit = fit_cover_rows(paths, config)
+    require_variation(fit.variations)
+    return fit
 
 
 def estimate_hurst(path, config: HurstConfig = HurstConfig()) -> HurstEstimate:

@@ -143,9 +143,10 @@ class TestComputeWeights:
         panel = panel_from_columns({"DN": falling, "T1": twin, "T2": twin.copy()})
         for variant in (StrategyVariant.FRACTAL_BIASED, StrategyVariant.STANDARD_BIASED):
             w = compute_weights(lookback_stats(panel, n)[0], variant, n)
-            assert w.as_dict()["DN"] == 0.0
-            assert w.as_dict()["T1"] == 0.5
-            assert w.as_dict()["T2"] == 0.5
+            assert w.tickers == ("DN", "T1", "T2")
+            assert w.weights[0] == 0.0
+            assert w.weights[1] == 0.5
+            assert w.weights[2] == 0.5
             assert w.cash == 0.0
 
     def test_all_filtered_goes_to_cash(self):
@@ -175,8 +176,9 @@ class TestComputeWeights:
         with pytest.raises(DegenerateVolatility):
             compute_weights(lookback_stats(panel, n)[0], StrategyVariant.NAIVE_RISK_PARITY, n)
         w = compute_weights(lookback_stats(panel, n)[0], StrategyVariant.FRACTAL_BIASED, n)
-        assert w.as_dict()["C"] == 0.0
-        assert w.as_dict()["UP"] == 1.0
+        assert w.tickers == ("C", "UP")
+        assert w.weights[0] == 0.0
+        assert w.weights[1] == 1.0
 
     def test_benchmark_column_excluded(self):
         n = 63
@@ -185,7 +187,7 @@ class TestComputeWeights:
         )
         w = compute_weights(lookback_stats(panel, n)[0], StrategyVariant.NAIVE_RISK_PARITY, n)
         assert w.tickers == ("UP",)
-        assert w.as_dict()["UP"] == 1.0
+        assert w.weights[0] == 1.0
 
     def test_window_length_mismatch(self):
         panel = synthetic_panel(seed=6, n_rows=64, n_assets=2)
@@ -257,13 +259,14 @@ class TestComputeWeights:
         }
         base = compute_weights(
             lookback_stats(panel_from_columns(cols), n)[0], StrategyVariant.FRACTAL_BIASED, n
-        ).as_dict()
+        )
         shuffled = {"C": cols["C"], "A": cols["A"], "B": cols["B"]}
         perm = compute_weights(
             lookback_stats(panel_from_columns(shuffled), n)[0], StrategyVariant.FRACTAL_BIASED, n
-        ).as_dict()
-        for t in cols:
-            assert perm[t] == pytest.approx(base[t], abs=1e-15)
+        )
+        assert base.tickers == ("A", "B", "C") and perm.tickers == ("C", "A", "B")
+        for i, j in enumerate((1, 2, 0)):  # base column i is perm column j
+            assert perm.weights[j] == pytest.approx(base.weights[i], abs=1e-15)
 
 
 class TestPortfolioWeights:

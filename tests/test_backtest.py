@@ -11,8 +11,8 @@ import pytest
 
 import oracles
 from conftest import business_days, synthetic_panel, trade_rows
-from fracparity.allocation import PortfolioWeights, StrategyVariant
-from fracparity import backtest, data
+from fracparity.allocation import PortfolioWeights, StrategyVariant, compute_weights, lookback_stats
+from fracparity import allocation, backtest, data
 from fracparity.backtest import (
     BENCHMARK_LABEL,
     FIXED_CAPITAL,
@@ -28,9 +28,15 @@ from fracparity.backtest import (
     run_walk_forward,
 )
 from fracparity.metrics import max_drawdown
-from fracparity.data import AlignedPanel, AssetSpec
-from fracparity.errors import ConfigError, InsufficientCapital, InsufficientHistory, NumericError
-from fracparity.fractal import HurstConfig
+from fracparity.data import AlignedPanel, AssetSpec, slice_window
+from fracparity.errors import (
+    ConfigError,
+    DegeneratePath,
+    InsufficientCapital,
+    InsufficientHistory,
+    NumericError,
+)
+from fracparity.fractal import HurstConfig, build_path, cover_variations, fit_hurst_rows
 from fracparity.riskstats import log_returns
 from fracparity.runconfig import load_run_settings, load_universe_panel
 
@@ -510,3 +516,77 @@ class TestRunStrategies:
             run_strategies(panel, cfg, ["standard_biased", "fractal_biased"])
         with pytest.raises(InsufficientHistory):
             run_strategies(panel, cfg, ["standard_biased"])
+
+    @pytest.mark.parametrize("source", ["panel4", "synthetic"])
+    def test_a_walk_fits_each_lookback_as_if_alone(self, source, monkeypatch):
+        if source == "panel4":
+            settings = load_run_settings(PANEL_CONFIG)
+            panel, base = load_universe_panel(settings), settings.base_config()
+            horizons = (42, 63, 126)
+        else:
+            panel = synthetic_panel(seed=61, n_rows=5 * 252, n_assets=30)
+            base, horizons = BacktestConfig(benchmark="BMK"), (42, 63, 126, 252)
+        built = []
+
+        def counted(returns):
+            built.append(returns.shape)
+            return build_path(returns)
+
+        monkeypatch.setattr(allocation, "build_path", counted)
+        fitted = 0
+        for n in horizons:
+            cfg = dataclasses.replace(base, horizon_n=n)
+            run_strategies(panel, cfg, ["standard_biased", "naive_risk_parity", BENCHMARK_LABEL])
+            assert built == []
+            results, _ = run_strategies(panel, cfg, self.NAMES)["fractal_biased"]
+            assert len(built) == 1
+            built.clear()
+            for k, result in enumerate(results):
+                lookback = lookback_stats(slice_window(panel, (k + 1) * n - 1, n), n)[0]
+                active = lookback.mu > 0.0
+                w = result.weights
+                if active.any():
+                    fit = fit_hurst_rows(build_path(lookback.returns[active]), cfg.hurst)
+                    assert w.h[active].tobytes() == fit.h.tobytes()
+                    assert w.r_squared[active].tobytes() == fit.r_squared.tobytes()
+                    assert w.clamped[active].tobytes() == fit.clamped.tobytes()
+                    fitted += 1
+                assert (w.h[~active] == 0.5).all()
+                assert np.isnan(w.r_squared[~active]).all()
+                assert not w.clamped[~active].any()
+        assert fitted > 0
+
+    def test_a_degenerate_path_raises_in_its_own_period(self):
+        n = 63
+        base = synthetic_panel(seed=67, n_rows=4 * n, n_assets=3, drift_range=(0.002, 0.003))
+        # lookback 1 of A0 is flat over its first 56 returns, then rises over its last 6:
+        # mu > 0 and std0 > 0, but V(8) = 0, as every window of 8 lies in the flat stretch
+        steps = np.diff(np.log(base.prices[:, 0]), prepend=np.log(100.0))
+        steps[n + 1 : n + 57] = 0.0
+        steps[n + 57 : 2 * n] = 0.01
+        prices = base.prices.copy()
+        prices[:, 0] = 100.0 * np.exp(np.cumsum(steps))
+        panel = AlignedPanel(dates=base.dates, assets=base.assets, prices=prices)
+        stats = lookback_stats(slice_window(panel, 3 * n - 1, 3 * n), n)
+        flat = stats[1]
+        assert flat.mu[0] > 0.0 and flat.std0[0] > 0.0
+        assert cover_variations(build_path(flat.returns[:1]), [8])[0, 0] == 0.0
+
+        fractal = StrategyVariant.FRACTAL_BIASED
+        assert (compute_weights(stats[0], fractal, n).weights > 0.0).all()
+        with pytest.raises(DegeneratePath):
+            compute_weights(stats[1], fractal, n)
+        assert compute_weights(stats[2], fractal, n).cash == 0.0
+
+        cfg = BacktestConfig(horizon_n=n, benchmark="BMK")
+        with pytest.raises(DegeneratePath):
+            run_strategies(panel, cfg, ["fractal_biased"])
+        results, _ = run_strategies(panel, cfg, ["standard_biased"])["standard_biased"]
+        assert len(results) == 3
+        # period 0's fees alone exceed the capital: its error comes first, whatever
+        # the walk's fits hold for period 1 (the cap is 100 times the trade value)
+        costly = dataclasses.replace(
+            cfg, commission=CommissionPlan(min_per_order=1e7, max_pct_of_value=1e4)
+        )
+        with pytest.raises(InsufficientCapital, match="commissions"):
+            run_strategies(panel, costly, ["fractal_biased"])

@@ -25,7 +25,9 @@ from fracparity.fractal import (
     cover_variations,
     estimate_hurst,
     fit_hurst_rows,
+    hurst_scales,
     minimal_cover_variation,
+    scale_ladder,
 )
 from fracparity.runconfig import load_run_settings, load_universe_panel
 
@@ -136,15 +138,27 @@ def test_fixture_trades_match_oracle(variant):
 
 def test_cover_variations_match_oracle():
     rng = np.random.default_rng(5)
-    for size in (9, 17, 40, 64, 129):
+    for size in (9, 17, 40, 64, 129, 253):
         paths = np.cumsum(rng.standard_normal((3, size)), axis=1)
         deltas = list(range(2, size // 2 + 1))
+        # a scale that the one before divides starts from that scale's block extremes
+        ladders = [
+            deltas,
+            scale_ladder(size - 1, HurstConfig(max_rungs=None)),
+            [d for d in (3, 4, 6, 12, 5) if 2 * d <= size],  # nested, then not
+            [d for d in (8, 2, 4, 16, 16) if 2 * d <= size],  # falling and repeated
+            *([hurst_scales(size)] if size >= 40 else []),
+        ]
         got = cover_variations(paths, deltas)
         for row, path in enumerate(paths):
             for j, delta in enumerate(deltas):
                 want = oracles.minimal_cover_variation(path, delta)
                 assert got[row, j] == pytest.approx(want, rel=1e-12)
-                assert minimal_cover_variation(path, delta) == got[row, j]
+        for scales in ladders:
+            got = cover_variations(paths, scales)
+            for row, path in enumerate(paths):
+                want = [minimal_cover_variation(path, delta) for delta in scales]
+                assert got[row].tobytes() == np.array(want).tobytes(), (size, scales)
 
 
 def test_batched_hurst_rows_equal_single_paths_bitwise():
