@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import AlignedPanel
 from .errors import DegenerateVolatility, Empty, LengthMismatch
-from .fractal import HurstConfig, HurstFit, build_path, fit_cover_rows, require_variation
+from .fractal import HurstConfig, HurstFit, build_path, fit_hurst_rows, require_variation
 from .fractal import estimate_hurst  # noqa: F401  (perfbench/tracing.py wraps this binding)
 from .riskstats import log_returns  # noqa: F401  (perfbench/tracing.py wraps this binding)
 from .riskstats import mean_return, rescale_volatility, unbiased_std
@@ -79,14 +79,14 @@ class PortfolioWeights:
             raise LengthMismatch(
                 f"{len(self.tickers)} tickers vs weights shape {self.weights.shape}"
             )
-        if np.any(self.weights < 0.0):
+        if (self.weights < 0.0).any():
             raise ValueError("weights must be non-negative (long-only)")
         if self.cash < 0.0:
             raise ValueError(f"cash must be non-negative, got {self.cash}")
-        budget = float(np.sum(self.weights)) + self.cash
+        budget = float(self.weights.sum()) + self.cash
         if abs(budget - 1.0) > WEIGHT_BUDGET_TOL:
             raise ValueError(f"weights + cash = {budget!r}, expected 1")
-        if np.any(self.weights > 0.0) and self.cash != 0.0:
+        if (self.weights > 0.0).any() and self.cash != 0.0:
             raise ValueError("cash must be zero when any asset is held")
 
 
@@ -95,10 +95,10 @@ def inverse_volatility_weights(stds: np.ndarray) -> np.ndarray:
     stds = np.asarray(stds, dtype=float)
     if stds.size == 0:
         raise Empty("no volatilities to weight")
-    if np.any(stds <= 0.0):
+    if (stds <= 0.0).any():
         raise DegenerateVolatility(f"non-positive volatility among {stds}")
     inv = 1.0 / stds
-    return inv / np.sum(inv)
+    return inv / inv.sum()
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +140,7 @@ def lookback_stats(window: AlignedPanel, n: int) -> list[LookbackStats]:
         # rows lookback by lookback, in column order within each; a row's fit reads it alone
         trend = mu > 0.0
         bounds = np.concatenate(([0], np.cumsum(trend.sum(axis=1))))
-        return bounds, fit_cover_rows(build_path(returns[trend]), config)
+        return bounds, fit_hurst_rows(build_path(returns[trend]), config)
 
     tickers = window.portfolio_tickers
     return [LookbackStats(tickers, returns[k], mu[k], std0[k], walk_fit, k) for k in range(len(mu))]

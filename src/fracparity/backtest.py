@@ -5,7 +5,7 @@ The engine tiles the panel after an initial lookback: optimize on rows
 defined in one place, :func:`run_strategies`, the one period loop of the
 three variants and the cost-free benchmark; the return statistics of all
 lookbacks are computed there once for every variant. Trades fill at the
-holding window's first close with zero slippage; whole shares only, with
+holding period's first close with zero slippage; whole shares only, with
 the remainder parked in zero-earning cash. Costs are commissions per trade
 (per-share rate floored per order and capped as a percentage of trade
 value) plus each fund's expense ratio pro-rated over the holding period.
@@ -19,16 +19,19 @@ fixed-capital mode it is the reinvested view of the per-period results.
 
 Each period is a fixed set of array operations over the portfolio
 columns, from the lookback statistics to the net return, and builds no
-per-asset Python object. The lookback and holding windows are read-only
-views of the panel (:func:`slice_window`). :func:`lookback_stats` returns
-the statistics of every period's lookback from one pass, before the first
-period, and :func:`compute_weights` a variant's weights with their
-diagnostics, as vectors. ``fractal_biased`` fits the Hurst exponents of
-every lookback in one batched call, in the first period that needs one;
-each period reads its own rows and rejects its own constant paths, so
-errors still come in period order. The holdings are an int64 share vector
-in column order; a rebalance returns its orders as :class:`Trades`,
-parallel vectors of column, signed shares, price and fee.
+per-asset Python object. Only the lookbacks are a window: one read-only
+view of the panel (:func:`slice_window`) per walk, from which
+:func:`lookback_stats` returns the statistics of every period's lookback
+in one pass, before the first period. A period is marked from the
+trade-row and mark-row prices of the portfolio columns
+(:func:`period_return`). :func:`compute_weights` returns a variant's
+weights with their diagnostics, as vectors. ``fractal_biased`` fits the
+Hurst exponents of every lookback in one batched call, in the first
+period that needs one; each period reads its own rows and rejects its own
+constant paths, so errors still come in period order. The holdings are an
+int64 share vector in portfolio-column order; a rebalance returns its
+orders as :class:`Trades`, parallel vectors of column, signed shares,
+price and fee.
 These vectors are the only form of a period's result. Sums that feed the
 reported figures run left to right in column order, so results do not
 depend on how the arrays are blocked.
@@ -165,7 +168,7 @@ class EquityCurve:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (len(self.dates),):
             raise ValueError("dates and values differ in length")
-        if np.any(self.values <= 0.0):
+        if (self.values <= 0.0).any():
             raise ValueError("equity curve must stay strictly positive")
 
 
@@ -173,25 +176,23 @@ class EquityCurve:
 Run = tuple[list[PeriodResult], EquityCurve]
 
 
-def commission_for(shares, price, plan: CommissionPlan):
-    """Commission for orders of ``shares`` at ``price``; zero shares cost zero.
+def commission_for(shares, price, plan: CommissionPlan) -> np.ndarray:
+    """Commission per order for orders of ``shares`` at ``price``; zero shares cost zero.
 
-    Takes one order as scalars or many as equal-length arrays, and returns
-    a float or an array to match.
+    ``shares`` and ``price`` are equal-shape arrays (or scalars, giving a 0-d array).
     """
     shares = np.asarray(shares)
     price = np.asarray(price, dtype=float)
-    if np.any(shares < 0):
+    if (shares < 0).any():
         raise ValueError(f"share count must be non-negative, got {shares}")
-    if np.any(price <= 0.0):
+    if (price <= 0.0).any():
         raise ValueError(f"price must be positive, got {price}")
     # float rates: an integer rate beyond int64 must not meet the int64 share counts;
     # a fee or cap that overflows to inf still orders correctly against the other
     with np.errstate(over="ignore"):
         raw = float(plan.per_share) * shares
         cap = float(plan.max_pct_of_value) * shares * price / 100.0
-    fee = np.where(shares == 0, 0.0, np.minimum(np.maximum(raw, plan.min_per_order), cap))
-    return float(fee) if fee.ndim == 0 else fee
+    return np.where(shares == 0, 0.0, np.minimum(np.maximum(raw, plan.min_per_order), cap))
 
 
 def execute_rebalance(
@@ -249,30 +250,40 @@ def execute_rebalance(
 def period_return(
     shares,
     cash: float,
-    window: AlignedPanel,
+    start_prices,
+    end_prices,
+    expense_ratios,
+    n_rows: int,
     commissions: float = 0.0,
 ) -> tuple[float, float, float]:
-    """Gross return, expense drag and net return of fixed holdings over one window.
+    """Gross return, expense drag and net return of fixed holdings over one holding period.
 
-    ``shares`` holds the position of every window column, in column order.
-    Positions are priced at the window's first row. The gross return is the
-    mark-to-market change in percent; each asset's expense ratio is
-    pro-rated by the window length over a 252-day year and applied to that
-    asset's share of start capital; commissions convert to percent of start
-    capital. The net return is gross minus both costs.
+    ``shares``, the trade-row prices ``start_prices``, the mark-row prices
+    ``end_prices`` and the annual ``expense_ratios`` (percent) are vectors
+    over the same columns. Positions are priced at the start prices. The
+    gross return is the mark-to-market change in percent; each asset's
+    expense ratio is pro-rated by the period's ``n_rows`` rows over a
+    252-day year and applied to that asset's share of start capital;
+    commissions convert to percent of start capital. The net return is
+    gross minus both costs.
     """
     shares = np.asarray(shares, dtype=float)
-    if shares.shape != (len(window.assets),):
-        raise LengthMismatch(f"{len(window.assets)} columns vs shares shape {shares.shape}")
-    start_values = shares * window.prices[0]
+    start_prices, end_prices, expense_ratios = map(
+        np.asarray, (start_prices, end_prices, expense_ratios)
+    )
+    if shares.ndim != 1 or not (
+        shares.shape == start_prices.shape == end_prices.shape == expense_ratios.shape
+    ):
+        raise LengthMismatch(f"shares {shares.shape} vs prices or expense ratios of another shape")
+    start_values = shares * start_prices
     v_start = sum(start_values.tolist(), 0.0) + cash
     if v_start <= 0.0:
         raise InsufficientCapital(f"period starts with non-positive value {v_start}")
-    v_end = sum((shares * window.prices[-1]).tolist(), cash)
+    v_end = sum((shares * end_prices).tolist(), cash)
     gross = 100.0 * (v_end - v_start) / v_start
 
-    year_fraction = window.n_rows / TRADING_DAYS_PER_YEAR
-    drag = sum((window.expense_ratios * year_fraction * (start_values / v_start)).tolist(), 0.0)
+    year_fraction = n_rows / TRADING_DAYS_PER_YEAR
+    drag = sum((expense_ratios * year_fraction * (start_values / v_start)).tolist(), 0.0)
 
     return gross, drag, gross - drag - 100.0 * commissions / v_start
 
@@ -301,8 +312,8 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
         )
     bench = panel.column(config.benchmark) if BENCHMARK_LABEL in names else None
     columns = panel.portfolio_columns
+    expense_ratios = panel.expense_ratios[columns]
     held = {name: np.zeros(len(columns), np.int64) for name in variants}  # weights.tickers order
-    shares = np.zeros(len(panel.assets), np.int64)  # panel column order, refilled per variant
     runs = {name: ([], [config.initial_capital]) for name in names}  # results, equity values
     reinvest = config.compounding == REINVEST
     n_periods = panel.n_rows // n - 1
@@ -312,8 +323,8 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
         start_row = (k + 1) * n
         end_row = (k + 2) * n - 1
         if variants:
-            hold_window = slice_window(panel, end_index=end_row, length=n)
             exec_prices = panel.prices[start_row, columns]
+            mark_prices = panel.prices[end_row, columns]
         for name, (results, equity) in runs.items():
             start_capital = equity[-1] if reinvest else config.initial_capital
             if name == BENCHMARK_LABEL:
@@ -327,8 +338,9 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
                     weights, start_capital, exec_prices, config.commission, held[name]
                 )
                 cash = start_capital - sum((held[name] * exec_prices).tolist(), 0.0)
-                shares[columns] = held[name]
-                gross, drag, net = period_return(shares, cash, hold_window, commission)
+                gross, drag, net = period_return(
+                    held[name], cash, exec_prices, mark_prices, expense_ratios, n, commission
+                )
             if not net > -100.0:
                 raise InsufficientCapital(
                     f"period ending {panel.dates[end_row]} returns {net:.2f}%, "

@@ -89,10 +89,6 @@ class DegeneratePath(NumericError):
     """The path is constant at some scale, so no scaling law can be fit."""
 
 
-class OutOfStableRange(NumericError):
-    """1/H falls outside the admissible stability interval (0, 2]."""
-
-
 class QuadratureFailure(NumericError):
     """Adaptive quadrature could not reach the requested tolerance."""
 

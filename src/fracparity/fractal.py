@@ -11,9 +11,11 @@ works on a block with one path per row (the trend-surviving assets of
 every lookback of a walk), block max/min per scale, each built from the
 scale below, and one batched log-log fit, and returns a :class:`HurstFit`
 of per-row vectors (``h``, variation index, r², clamp hits, V(delta)),
-which the walk-forward engine slices per period. The single-path
-functions, which the ``hurst`` CLI uses, are one-row wrappers over the same
-kernel; :func:`estimate_hurst` returns its row as a :class:`HurstEstimate`.
+which the walk-forward engine slices per period. A row whose variation
+vanishes at some scale has no fit; each caller rejects it with
+:func:`require_variation` on the rows it reads. :func:`estimate_hurst`,
+which the ``hurst`` CLI uses, fits one path as a one-row block and
+returns its row as a :class:`HurstEstimate`.
 
 The stable CDF is evaluated by Fourier inversion of the characteristic
 function in the continuous ("0-shift") parametrization: a sine-kernel
@@ -41,7 +43,6 @@ from .errors import (
     DeltaTooLarge,
     InvalidHurst,
     InvalidStableParams,
-    OutOfStableRange,
     QuadratureFailure,
     TooShort,
 )
@@ -186,38 +187,21 @@ def cover_variations(paths: np.ndarray, scales) -> np.ndarray:
     return out
 
 
-def minimal_cover_variation(path, delta: int) -> float:
-    """Total amplitude V(delta) of the minimal cover of one path at scale ``delta``.
+def hurst_scales(n_points: int, config: HurstConfig = HurstConfig()) -> list[int]:
+    """The dyadic ladder the estimator fits on paths of ``n_points`` points.
 
-    A one-row call of :func:`cover_variations`.
+    Scales run from 2 while ``n_points - 1`` intervals give ``min_windows``
+    windows, and only the largest ``max_rungs`` are kept. Raises ``TooShort``
+    when fewer than ``min_scales`` scales fit and ``DeltaTooLarge`` when the
+    largest scale cannot fit two windows.
     """
-    if delta < 2:
-        raise ValueError(f"delta must be >= 2, got {delta}")
-    p = np.asarray(path, dtype=float)
-    if p.size < 2 * delta:
-        raise DeltaTooLarge(f"path of {p.size} points cannot fit two windows of delta={delta}")
-    return float(cover_variations(p.reshape(1, -1), [delta])[0, 0])
-
-
-def scale_ladder(n_intervals: int, config: HurstConfig = HurstConfig()) -> list[int]:
-    """Dyadic scales usable on a path of ``n_intervals`` intervals."""
     scales: list[int] = []
     d = 2
-    while n_intervals // d >= config.min_windows:
+    while (n_points - 1) // d >= config.min_windows:
         scales.append(d)
         d *= 2
-    if config.max_rungs is not None and len(scales) > config.max_rungs:
+    if config.max_rungs is not None:
         scales = scales[-config.max_rungs :]
-    return scales
-
-
-def hurst_scales(n_points: int, config: HurstConfig = HurstConfig()) -> list[int]:
-    """The ladder the estimator fits on paths of ``n_points`` points.
-
-    Raises ``TooShort`` when fewer than ``min_scales`` scales fit and
-    ``DeltaTooLarge`` when the largest scale cannot fit two windows.
-    """
-    scales = scale_ladder(n_points - 1, config)
     if len(scales) < config.min_scales:
         raise TooShort(
             f"path of {n_points} points affords {len(scales)} scales, "
@@ -248,7 +232,7 @@ class HurstFit:
     variations: np.ndarray
 
 
-def fit_cover_rows(paths, config: HurstConfig = HurstConfig()) -> HurstFit:
+def fit_hurst_rows(paths, config: HurstConfig = HurstConfig()) -> HurstFit:
     """Fit the minimal-cover scaling of every row of ``paths``, each row on its own.
 
     Computes V(delta) on the dyadic ladder for all rows at once, fits
@@ -296,26 +280,20 @@ def fit_cover_rows(paths, config: HurstConfig = HurstConfig()) -> HurstFit:
 
 def require_variation(variations: np.ndarray) -> None:
     """Raise ``DegeneratePath`` when some V(delta) vanishes: ``ln V`` is undefined there."""
-    if np.any(variations <= 0.0):
+    if (variations <= 0.0).any():
         raise DegeneratePath("zero variation at some scale (constant path)")
 
 
-def fit_hurst_rows(paths, config: HurstConfig = HurstConfig()) -> HurstFit:
-    """The Hurst exponent of every row of ``paths``; :func:`fit_cover_rows`, checked.
-
-    Also raises ``DegeneratePath`` when some row's variation vanishes (a constant path).
-    """
-    fit = fit_cover_rows(paths, config)
-    require_variation(fit.variations)
-    return fit
-
-
 def estimate_hurst(path, config: HurstConfig = HurstConfig()) -> HurstEstimate:
-    """Estimate the Hurst exponent of one path; see :func:`fit_hurst_rows`."""
+    """Estimate the Hurst exponent of one path; see :func:`fit_hurst_rows`.
+
+    Also raises ``DegeneratePath`` when the path's variation vanishes at some scale.
+    """
     p = np.asarray(path, dtype=float)
     if p.ndim != 1:
         raise ValueError(f"path must be 1-d, got shape {p.shape}")
     fit = fit_hurst_rows(p.reshape(1, -1), config)
+    require_variation(fit.variations)
     return HurstEstimate(
         h=float(fit.h[0]),
         mu_index=float(fit.mu_index[0]),
@@ -323,16 +301,6 @@ def estimate_hurst(path, config: HurstConfig = HurstConfig()) -> HurstEstimate:
         scales=fit.scales,
         variations=tuple(fit.variations[0].tolist()),
     )
-
-
-def alpha_from_hurst(h: float) -> float:
-    """Stability index from persistence: ``alpha = 1 / h``, valid on (0, 2]."""
-    if not h > 0.0:
-        raise InvalidHurst(f"h must be positive, got {h}")
-    alpha = 1.0 / h
-    if alpha > 2.0:
-        raise OutOfStableRange(f"1/h = {alpha:.4f} exceeds 2 (h = {h} < 0.5)")
-    return alpha
 
 
 # --- stable CDF -----------------------------------------------------------

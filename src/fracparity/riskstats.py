@@ -55,11 +55,11 @@ def rescale_volatility(std0, n: int, h):
 
     ``std0`` and ``h`` may be scalars or arrays of the same shape.
     """
-    if np.any(np.asarray(std0) < 0.0):
+    if (np.asarray(std0) < 0.0).any():
         raise ValueError(f"std0 must be non-negative, got {std0}")
     if n < 1:
         raise ValueError(f"horizon must be >= 1 day, got {n}")
     h_arr = np.asarray(h)
-    if not np.all((h_arr > 0.0) & (h_arr <= 1.0)):
+    if not ((h_arr > 0.0) & (h_arr <= 1.0)).all():
         raise InvalidHurst(f"h must be in (0, 1], got {h}")
     return std0 * float(n) ** h

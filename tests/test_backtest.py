@@ -34,6 +34,7 @@ from fracparity.errors import (
     DegeneratePath,
     InsufficientCapital,
     InsufficientHistory,
+    LengthMismatch,
     NumericError,
 )
 from fracparity.fractal import HurstConfig, build_path, cover_variations, fit_hurst_rows
@@ -49,30 +50,26 @@ def single_weights(ticker="A", weight=1.0):
     return PortfolioWeights(tickers=(ticker,), weights=np.array([weight]), cash=cash)
 
 
-def flat_window(n, start, end, ticker="A", expense_ratio=0.0):
-    prices = np.geomspace(start, end, n).reshape(-1, 1)
-    prices[0, 0] = start
-    prices[-1, 0] = end
-    return AlignedPanel(
-        dates=business_days(dt.date(2012, 1, 2), n),
-        assets=(AssetSpec(ticker, expense_ratio=expense_ratio),),
-        prices=prices,
-    )
+def one_fee(shares, price, plan=PLAN) -> float:
+    """The commission of one order, which comes back as a 0-d array."""
+    fee = commission_for(shares, price, plan)
+    assert isinstance(fee, np.ndarray) and fee.shape == ()
+    return float(fee)
 
 
 class TestCommissionFor:
     def test_linear_region(self):
-        assert commission_for(1000, 100.0, PLAN) == pytest.approx(3.50, abs=1e-12)
+        assert one_fee(1000, 100.0) == pytest.approx(3.50, abs=1e-12)
 
     def test_floor_binds(self):
-        assert commission_for(50, 100.0, PLAN) == 0.35
+        assert one_fee(50, 100.0) == 0.35
 
     def test_zero_shares(self):
-        assert commission_for(0, 100.0, PLAN) == 0.0
+        assert one_fee(0, 100.0) == 0.0
 
     def test_cap_binds_on_tiny_value(self):
         # 10 shares at $1: 1% of $10 is below the per-order floor
-        assert commission_for(10, 1.0, PLAN) == pytest.approx(0.10, abs=1e-12)
+        assert one_fee(10, 1.0) == pytest.approx(0.10, abs=1e-12)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
@@ -81,7 +78,7 @@ class TestCommissionFor:
     def test_overflowing_fee_is_capped_without_a_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert commission_for(10, 100.0, CommissionPlan(per_share=1e308)) == 10.0
+            assert one_fee(10, 100.0, CommissionPlan(per_share=1e308)) == 10.0
 
     def test_plan_fields_validated(self):
         with pytest.raises(ConfigError):
@@ -136,29 +133,35 @@ class TestExecuteRebalance:
 
 class TestPeriodReturn:
     def test_cost_model(self):
-        window = flat_window(126, 100.0, 110.0, expense_ratio=0.40)
-        gross, drag, net = period_return([50], 0.0, window)
+        gross, drag, net = period_return([50], 0.0, [100.0], [110.0], [0.40], 126)
         assert gross == pytest.approx(10.0, abs=1e-12)
         assert drag == pytest.approx(0.20, abs=1e-12)
         assert net == pytest.approx(9.80, abs=1e-12)
 
     def test_flat_prices(self):
-        window = flat_window(20, 100.0, 100.0)
-        gross, _, net = period_return([10], 0.0, window)
+        gross, _, net = period_return([10], 0.0, [100.0], [100.0], [0.0], 20)
         assert gross == 0.0 and net == 0.0
 
     def test_cash_only_pays_commissions(self):
-        window = flat_window(20, 100.0, 105.0)
-        gross, _, net = period_return([0], 1_000_000.0, window, commissions=35.0)
+        gross, _, net = period_return(
+            [0], 1_000_000.0, [100.0], [105.0], [0.0], 20, commissions=35.0
+        )
         assert gross == 0.0
         assert net == pytest.approx(-100.0 * 35.0 / 1_000_000.0, abs=1e-15)
 
     def test_cash_drag_free(self):
         # half in cash halves both the move and the expense drag
-        window = flat_window(126, 100.0, 110.0, expense_ratio=0.40)
-        gross, drag, _ = period_return([50], 5_000.0, window)
+        gross, drag, _ = period_return([50], 5_000.0, [100.0], [110.0], [0.40], 126)
         assert gross == pytest.approx(5.0, abs=1e-12)
         assert drag == pytest.approx(0.10, abs=1e-12)
+
+    def test_vectors_of_one_shape(self):
+        with pytest.raises(LengthMismatch):
+            period_return([50, 10], 0.0, [100.0, 20.0], [110.0, 21.0], [0.40], 126)
+
+    def test_non_positive_start_value(self):
+        with pytest.raises(InsufficientCapital):
+            period_return([0], 0.0, [100.0], [110.0], [0.0], 126)
 
 
 class TestWalkForward:
@@ -471,6 +474,28 @@ class TestRunStrategies:
             assert [period_fields(p) for p in results] == [period_fields(p) for p in alone]
             assert equity.dates == alone_equity.dates
             assert equity.values.tobytes() == alone_equity.values.tobytes()
+        assert traded > 0
+
+    @pytest.mark.parametrize("mode", [FIXED_CAPITAL, REINVEST])
+    def test_marking_ignores_benchmark_columns_wherever_they_sit(self, mode):
+        # the benchmark column moved first and given an expense ratio changes no bit
+        last = synthetic_panel(seed=71, n_rows=6 * 63 + 17, n_assets=4)
+        *assets, bench = last.assets
+        first = AlignedPanel(
+            dates=last.dates,
+            assets=(dataclasses.replace(bench, expense_ratio=0.75), *assets),
+            prices=np.roll(last.prices, 1, axis=1),
+        )
+        assert first.assets[0].role == bench.role != assets[0].role
+        cfg = BacktestConfig(horizon_n=63, compounding=mode, benchmark=bench.ticker)
+        moved = run_strategies(first, cfg, self.NAMES)
+        traded = 0
+        for name, (results, equity) in run_strategies(last, cfg, self.NAMES).items():
+            moved_results, moved_equity = moved[name]
+            assert [period_fields(p) for p in moved_results] == [period_fields(p) for p in results]
+            assert moved_equity.dates == equity.dates
+            assert moved_equity.values.tobytes() == equity.values.tobytes()
+            traded += sum(len(p.trades) for p in results if p.trades is not None)
         assert traded > 0
 
     def test_benchmark_alone_computes_no_lookback_statistics(self, monkeypatch):

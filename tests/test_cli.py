@@ -403,22 +403,24 @@ class TestNumericErrors:
 
 
 class TestHurstCommand:
+    RAMP = "h,1.000000\nmu_index,0.000000\nr_squared,1.000000\ndelta,variation\n"
+
     def test_ramp_prints_exactly_one(self, capsys):
-        for prices in ([], ["--prices"]):
+        for prices, variation in (([], "64.000000"), (["--prices"], "200.148000")):
             assert main(["hurst", str(SERIES_DIR / "ramp.csv"), *prices]) == 0
-            out = capsys.readouterr().out.splitlines()
-            assert out[0] == "h,1.000000"
-            assert out[1] == "mu_index,0.000000"  # the slope's sign is rounding noise
-            assert out[3] == "delta,variation"
+            # the slope's sign is rounding noise, so mu_index prints unsigned
+            table = "".join(f"{delta},{variation}\n" for delta in (4, 8, 16, 32))
+            assert capsys.readouterr().out == self.RAMP + table
         assert cli._fmt(-0.0) == cli._fmt(-4e-7) == "0.000000"
 
     def test_random_walk_fixture_in_band(self, capsys):
         assert main(["hurst", str(SERIES_DIR / "randwalk.csv")]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        h = float(lines[0].split(",")[1])
-        assert 0.35 <= h <= 0.65
-        table = [line.split(",") for line in lines[4:]]
-        assert [int(r[0]) for r in table] == [16, 32, 64, 128]
+        out = capsys.readouterr().out
+        assert out == (
+            "h,0.498445\nmu_index,0.501555\nr_squared,0.995969\ndelta,variation\n"
+            "16,190.115554\n32,139.621731\n64,100.017988\n128,66.685604\n"
+        )
+        assert 0.35 <= float(out.splitlines()[0].split(",")[1]) <= 0.65
 
     def test_too_short_exits_3(self, capsys):
         assert main(["hurst", str(SERIES_DIR / "tooshort.csv")]) == 3

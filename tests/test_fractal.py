@@ -17,18 +17,17 @@ from fracparity.errors import (
     FracparityError,
     InvalidHurst,
     InvalidStableParams,
-    OutOfStableRange,
     TooShort,
 )
 from fracparity.fractal import (
     HurstConfig,
     StableParams,
-    alpha_from_hurst,
     build_path,
+    cover_variations,
     estimate_hurst,
     fit_hurst_rows,
-    minimal_cover_variation,
-    scale_ladder,
+    hurst_scales,
+    require_variation,
     stable_cdf,
     stable_cdf_with_error,
 )
@@ -47,43 +46,45 @@ class TestBuildPath:
             build_path([1.0, -1.0, 1.0])
 
 
+def cover(path, delta: int) -> float:
+    """V(delta) of one path: a one-row, one-scale call of ``cover_variations``."""
+    return float(cover_variations(np.asarray(path, dtype=float)[None], [delta])[0, 0])
+
+
 class TestMinimalCoverVariation:
     def test_zigzag(self):
-        assert minimal_cover_variation([0, 1, 0, 1, 0], 2) == 2.0
+        assert cover([0, 1, 0, 1, 0], 2) == 2.0
 
     def test_constant_path(self):
-        assert minimal_cover_variation(np.full(20, 3.3), 2) == 0.0
-        assert minimal_cover_variation(np.full(20, 3.3), 5) == 0.0
+        assert cover(np.full(20, 3.3), 2) == 0.0
+        assert cover(np.full(20, 3.3), 5) == 0.0
 
     def test_linear_path_independent_of_delta(self):
         c = 0.75
         path = c * np.arange(25.0)  # 24 intervals
         for delta in (2, 3, 4, 6, 8, 12):
-            assert minimal_cover_variation(path, delta) == pytest.approx(c * 24, rel=1e-12)
+            assert cover(path, delta) == pytest.approx(c * 24, rel=1e-12)
 
     def test_trailing_remainder_discarded(self):
         # 7 intervals at delta=2 -> 3 windows covering 6 intervals
         path = np.array([0, 1, 0, 1, 0, 1, 0, 5.0])
-        assert minimal_cover_variation(path, 2) == 1 + 1 + 1
-
-    def test_delta_too_large(self):
-        with pytest.raises(DeltaTooLarge):
-            minimal_cover_variation(np.arange(7.0), 4)
-
-    def test_delta_below_two(self):
-        with pytest.raises(ValueError):
-            minimal_cover_variation(np.arange(10.0), 1)
+        assert cover(path, 2) == 1 + 1 + 1
 
 
 class TestScaleLadder:
     def test_keeps_top_rungs(self):
-        assert scale_ladder(1023) == [16, 32, 64, 128]
-        assert scale_ladder(125) == [2, 4, 8, 16]
-        assert scale_ladder(62) == [2, 4, 8]
+        assert hurst_scales(1024) == [16, 32, 64, 128]
+        assert hurst_scales(126) == [2, 4, 8, 16]
+        assert hurst_scales(63) == [2, 4, 8]
 
     def test_uncapped(self):
         cfg = HurstConfig(max_rungs=None)
-        assert scale_ladder(1023, cfg) == [2, 4, 8, 16, 32, 64, 128]
+        assert hurst_scales(1024, cfg) == [2, 4, 8, 16, 32, 64, 128]
+
+    def test_delta_too_large(self):
+        # one window per scale: 8 intervals fit delta = 8 once, not twice
+        with pytest.raises(DeltaTooLarge):
+            hurst_scales(9, HurstConfig(min_windows=1, max_rungs=None))
 
 
 class TestEstimateHurst:
@@ -123,6 +124,14 @@ class TestEstimateHurst:
     def test_degenerate_path(self):
         with pytest.raises(DegeneratePath):
             estimate_hurst(np.full(100, 2.0))
+
+    def test_batched_fit_leaves_a_constant_row_to_its_caller(self):
+        walk = np.cumsum(np.random.default_rng(5).standard_normal(64))
+        fit = fit_hurst_rows(np.vstack([walk, np.full(64, 2.0)]))
+        assert (fit.variations[0] > 0.0).all() and (fit.variations[1] == 0.0).all()
+        require_variation(fit.variations[:1])
+        with pytest.raises(DegeneratePath):
+            require_variation(fit.variations)
 
     def test_too_short(self):
         with pytest.raises(TooShort):
@@ -190,26 +199,6 @@ class TestBiasAtEngineHorizons:
             fit = fit_hurst_rows(paths, config)
             assert not fit.clamped.any()
             assert float(np.median(fit.h)) == pytest.approx(want, abs=0.03), h_true
-
-
-class TestAlphaFromHurst:
-    def test_half_gives_two(self):
-        assert alpha_from_hurst(0.5) == 2.0
-
-    def test_one_gives_one(self):
-        assert alpha_from_hurst(1.0) == 1.0
-
-    def test_below_half_rejected(self):
-        with pytest.raises(OutOfStableRange):
-            alpha_from_hurst(0.4)
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(InvalidHurst):
-            alpha_from_hurst(0.0)
-
-    @given(alpha=st.floats(min_value=1.0, max_value=2.0))
-    def test_roundtrip_on_stable_range(self, alpha):
-        assert alpha_from_hurst(1.0 / alpha) == pytest.approx(alpha, rel=1e-12)
 
 
 class TestStableParams:
