@@ -91,12 +91,7 @@ class PortfolioWeights:
 
 
 def inverse_volatility_weights(stds: np.ndarray) -> np.ndarray:
-    """Normalize 1/std across assets; uniform rescaling of stds cancels."""
-    stds = np.asarray(stds, dtype=float)
-    if stds.size == 0:
-        raise Empty("no volatilities to weight")
-    if (stds <= 0.0).any():
-        raise DegenerateVolatility(f"non-positive volatility among {stds}")
+    """Normalize 1/std across assets (each std > 0); uniform rescaling of stds cancels."""
     inv = 1.0 / stds
     return inv / inv.sum()
 

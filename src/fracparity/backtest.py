@@ -35,6 +35,10 @@ price and fee.
 These vectors are the only form of a period's result. Sums that feed the
 reported figures run left to right in column order, so results do not
 depend on how the arrays are blocked.
+
+Values are checked once, where they enter (the config classes, ``AlignedPanel``
+and the panel length in :func:`run_strategies`); the functions a period calls
+take the shapes, prices and capital it builds as given.
 """
 
 from __future__ import annotations
@@ -164,13 +168,6 @@ class EquityCurve:
     dates: tuple[dt.date, ...]
     values: np.ndarray
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (len(self.dates),):
-            raise ValueError("dates and values differ in length")
-        if (self.values <= 0.0).any():
-            raise ValueError("equity curve must stay strictly positive")
-
 
 # a strategy's period results and equity curve
 Run = tuple[list[PeriodResult], EquityCurve]
@@ -183,10 +180,6 @@ def commission_for(shares, price, plan: CommissionPlan) -> np.ndarray:
     """
     shares = np.asarray(shares)
     price = np.asarray(price, dtype=float)
-    if (shares < 0).any():
-        raise ValueError(f"share count must be non-negative, got {shares}")
-    if (price <= 0.0).any():
-        raise ValueError(f"price must be positive, got {price}")
     # float rates: an integer rate beyond int64 must not meet the int64 share counts;
     # a fee or cap that overflows to inf still orders correctly against the other
     with np.errstate(over="ignore"):
@@ -200,40 +193,28 @@ def execute_rebalance(
     capital: float,
     prices,
     plan: CommissionPlan,
-    prior=None,
+    prior,
 ) -> tuple[Trades, np.ndarray, float]:
     """Realize target weights as whole-share positions.
 
-    ``prices`` (execution prices) and ``prior`` (shares held before, none
-    if ``None``) are vectors in ``weights.tickers`` order. Target shares
-    per asset are ``floor(weight * capital / price)``; trades are the
-    deltas against ``prior`` and each one pays its own commission. The
-    unspent remainder stays in cash. Returns the trades, the int64 target
-    share vector and the total commission. Raises
-    :class:`InsufficientCapital` when the commissions alone would consume
-    the whole capital, and :class:`NumericError` when a target share count
-    does not fit in int64.
+    ``prices`` (execution prices, positive) and ``prior`` (shares held
+    before) are vectors in ``weights.tickers`` order. Target shares per
+    asset are ``floor(weight * capital / price)``; trades are the deltas
+    against ``prior`` and each one pays its own commission. The unspent
+    remainder stays in cash. Returns the trades, the int64 target share
+    vector and the total commission. Raises :class:`InsufficientCapital`
+    when the commissions alone would consume the whole capital (any capital
+    <= 0), and :class:`NumericError` when a target does not fit in int64.
     """
-    if capital <= 0.0:
-        raise InsufficientCapital(f"capital must be positive, got {capital}")
     tickers = weights.tickers
     price = np.asarray(prices, dtype=float)
-    held = np.zeros(len(tickers), np.int64) if prior is None else np.asarray(prior, np.int64)
-    if price.shape != (len(tickers),) or held.shape != price.shape:
-        raise LengthMismatch(
-            f"{len(tickers)} tickers vs prices {price.shape} and prior holdings {held.shape}"
-        )
-    bad = np.flatnonzero(price <= 0.0)
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"{tickers[i]}: non-positive execution price {price[i]}")
     target = np.floor(weights.weights * capital / price)
     too_many = np.flatnonzero(~(target < 2.0**63))
     if too_many.size:
         i = too_many[0]
         raise NumericError(f"{tickers[i]}: target of {target[i]:.6g} shares overflows int64")
     target = target.astype(np.int64)
-    delta = target - held
+    delta = target - np.asarray(prior, np.int64)
 
     traded = np.flatnonzero(delta)
     traded_shares = delta[traded]

@@ -38,6 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    DataError,
     DuplicateDate,
     EmptyIntersection,
     MalformedRow,
@@ -80,7 +81,7 @@ class PriceSeries:
     """Adjusted daily closes for one ticker, sorted by date.
 
     ``ordinals`` are the day numbers (``date.toordinal()``) of the closes;
-    ``dates`` is built from them on first read.
+    ``dates`` is built from them on first read. The CSV readers check the closes.
     """
 
     def __init__(self, ticker: str, ordinals, closes):
@@ -97,12 +98,6 @@ class PriceSeries:
             raise DuplicateDate(ticker, self.dates[stalled[0]])
         if stalled.size:
             raise MalformedRow(ticker, 0, "dates not sorted ascending")
-        if not np.all(np.isfinite(self.closes)):
-            raise MalformedRow(ticker, 0, "non-finite price")
-        bad = np.nonzero(self.closes <= 0.0)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise NonPositivePrice(ticker, self.dates[i], float(self.closes[i]))
 
     @cached_property
     def dates(self) -> tuple[dt.date, ...]:
@@ -116,6 +111,8 @@ class PriceSeries:
 class AlignedPanel:
     """Date-aligned close-price matrix for a universe (plus benchmark).
 
+    Checks its shape, dates and tickers, and that every price is positive and
+    finite (the engine's one price check; it names the first bad price's ticker and date).
     The column lookups the engine needs every period are built once here:
     the ticker index, the ``portfolio_columns`` (role ``portfolio_asset``,
     in panel order) with their ``portfolio_tickers``, and the annual
@@ -141,8 +138,13 @@ class AlignedPanel:
                 f"panel shape {self.prices.shape} does not match "
                 f"{len(self.dates)} dates x {len(self.assets)} assets"
             )
-        if not np.all(np.isfinite(self.prices)) or np.any(self.prices <= 0.0):
-            raise NonPositivePrice("<panel>", None, float(np.min(self.prices)))
+        good = (self.prices > 0.0) & (self.prices < math.inf)  # NaN is neither
+        if not good.all():
+            row, col = np.argwhere(~good)[0]
+            ticker, date, price = self.assets[col].ticker, self.dates[row], self.prices[row, col]
+            if price <= 0.0:
+                raise NonPositivePrice(ticker, date, float(price))
+            raise DataError(f"{ticker}: non-finite price {price} on {date}")
         # the index of the first date not above the one before it, or 0
         stalled = map(operator.le, self.dates[1:], self.dates)
         i = next(itertools.compress(itertools.count(1), stalled), 0)

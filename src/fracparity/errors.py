@@ -102,7 +102,7 @@ class QuadratureFailure(NumericError):
 
 
 class InvalidHurst(ConfigError):
-    """A Hurst exponent outside (0, 1] was supplied for rescaling."""
+    """Invalid Hurst estimator settings: clamp bounds or scale counts."""
 
 
 class DegenerateVolatility(NumericError):

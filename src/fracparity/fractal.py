@@ -136,8 +136,6 @@ def build_path(returns) -> np.ndarray:
     asset gives one path per row.
     """
     r = np.asarray(returns, dtype=float)
-    if r.ndim not in (1, 2):
-        raise ValueError(f"returns must be 1-d or one row per asset, got shape {r.shape}")
     if r.shape[-1] < MIN_RETURNS_FOR_PATH:
         raise TooShort(f"need at least {MIN_RETURNS_FOR_PATH} returns, got {r.shape[-1]}")
     path = np.zeros(r.shape[:-1] + (r.shape[-1] + 1,))
@@ -247,8 +245,6 @@ def fit_hurst_rows(paths, config: HurstConfig = HurstConfig()) -> HurstFit:
     scale gets a meaningless fit, which :func:`require_variation` rejects.
     """
     p = np.asarray(paths, dtype=float)
-    if p.ndim != 2:
-        raise ValueError(f"paths must be 2-d, one path per row, got shape {p.shape}")
     scales = hurst_scales(p.shape[1], config)
     variations = cover_variations(p, scales)
 
@@ -289,10 +285,7 @@ def estimate_hurst(path, config: HurstConfig = HurstConfig()) -> HurstEstimate:
 
     Also raises ``DegeneratePath`` when the path's variation vanishes at some scale.
     """
-    p = np.asarray(path, dtype=float)
-    if p.ndim != 1:
-        raise ValueError(f"path must be 1-d, got shape {p.shape}")
-    fit = fit_hurst_rows(p.reshape(1, -1), config)
+    fit = fit_hurst_rows(np.reshape(path, (1, -1)), config)
     require_variation(fit.variations)
     return HurstEstimate(
         h=float(fit.h[0]),

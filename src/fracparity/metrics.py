@@ -95,9 +95,9 @@ def treynor(annual_return: float, beta_value: float, risk_free_rate: float = 0.0
     return 0.01 * (annual_return - risk_free_rate) / beta_value
 
 
-def max_drawdown(equity) -> float:
-    """Largest peak-to-trough decline of the equity path, in percent."""
-    values = equity.values if isinstance(equity, EquityCurve) else np.asarray(equity, dtype=float)
+def max_drawdown(values) -> float:
+    """Largest peak-to-trough decline of the (positive) equity values, in percent."""
+    values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise TooShort(f"need at least 2 equity points, got {values.size}")
     peaks = np.maximum.accumulate(values)
@@ -105,9 +105,7 @@ def max_drawdown(equity) -> float:
 
 
 def capital_protection(mdd: float) -> float:
-    """Percent of capital preserved at the worst drawdown: 100 - mdd."""
-    if not 0.0 <= mdd <= 100.0:
-        raise ValueError(f"max drawdown must be in [0, 100], got {mdd}")
+    """Percent of capital preserved at the worst drawdown ``mdd`` (0 to 100): 100 - mdd."""
     return 100.0 - mdd
 
 
@@ -122,13 +120,10 @@ def build_report(
     """Assemble the full metric row for one strategy against the benchmark."""
     rets = [r.net_return for r in results]
     bench = [r.net_return for r in benchmark_results]
-    if len(rets) != len(bench):
-        raise LengthMismatch(f"{len(rets)} strategy periods vs {len(bench)} benchmark periods")
-
     avg = annualize_return(rets, n)
     std = annualize_std(rets, n)
     b = beta(rets, bench)
-    protection = capital_protection(max_drawdown(equity))
+    protection = capital_protection(max_drawdown(equity.values))
     return PerformanceReport(
         sharpe=sharpe(avg, std, risk_free_rate),
         treynor_x001=treynor(avg, b, risk_free_rate),

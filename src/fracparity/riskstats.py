@@ -10,28 +10,24 @@ numpy float result), and a 2-d block with one row per asset gives one
 result per asset in a single array pass. The walk-forward engine takes a
 panel's returns in one call, and the means and deviations of an (assets x
 lookbacks x days) view of them, every lookback of a walk, in one call each.
+
+Inputs are checked where they enter, not here: prices (the CSV readers,
+``hurst --prices``, ``AlignedPanel``) and ``h`` (``HurstConfig``, ``BacktestConfig``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import Empty, InvalidHurst, NonPositivePrice, TooShort
+from .errors import Empty, TooShort
 
 
-def log_returns(prices, ticker: str | None = None) -> np.ndarray:
+def log_returns(prices) -> np.ndarray:
     """Percent log returns: ``r[..., k] = 100 * (ln p[..., k+1] - ln p[..., k])``."""
     p = np.asarray(prices, dtype=float)
-    if p.ndim not in (1, 2):
-        raise ValueError(f"prices must be 1-d or one row per asset, got shape {p.shape}")
     if p.shape[-1] < 2:
         raise TooShort(f"need at least 2 prices, got {p.shape[-1]}")
-    if np.any(p <= 0.0):
-        raise NonPositivePrice(ticker or "<series>", None, float(p.min()))
-    r = 100.0 * np.diff(np.log(p), axis=-1)
-    if not np.all(np.isfinite(r)):
-        raise ValueError(f"{ticker or '<series>'}: non-finite return")
-    return r
+    return 100.0 * np.diff(np.log(p), axis=-1)
 
 
 def mean_return(returns):
@@ -55,11 +51,4 @@ def rescale_volatility(std0, n: int, h):
 
     ``std0`` and ``h`` may be scalars or arrays of the same shape.
     """
-    if (np.asarray(std0) < 0.0).any():
-        raise ValueError(f"std0 must be non-negative, got {std0}")
-    if n < 1:
-        raise ValueError(f"horizon must be >= 1 day, got {n}")
-    h_arr = np.asarray(h)
-    if not ((h_arr > 0.0) & (h_arr <= 1.0)).all():
-        raise InvalidHurst(f"h must be in (0, 1], got {h}")
     return std0 * float(n) ** h

@@ -39,6 +39,8 @@ TOP_KEYS = ("universe", "benchmark", "horizon", "variants", "initial_capital", "
             "commission", "hurst", "risk_free_rate", "figure_pair", "columns")
 ENTRY_KEYS = ("ticker", "csv", "expense_ratio", "role")
 COLUMN_KEYS = ("date", "price")
+COMMISSION_KEYS = tuple(f.name for f in dataclasses.fields(CommissionPlan))
+HURST_KEYS = tuple(f.name for f in dataclasses.fields(HurstConfig))
 
 
 @dataclass(frozen=True)
@@ -65,10 +67,6 @@ class RunSettings:
 
     def base_config(self) -> BacktestConfig:
         """Engine config of the first selected variant; raises ConfigError if it cannot run."""
-        try:
-            hurst = HurstConfig(**self.hurst_options)
-        except TypeError as exc:
-            raise ConfigError(f"hurst: {exc}") from None
         return BacktestConfig(
             horizon_n=self.horizon_n,
             variant=self.variants[0],
@@ -76,7 +74,7 @@ class RunSettings:
             commission=self.commission,
             compounding=self.compounding,
             benchmark=self.benchmark,
-            hurst=hurst,
+            hurst=HurstConfig(**self.hurst_options),
         )
 
     def variant_configs(self) -> dict[StrategyVariant, BacktestConfig]:
@@ -210,14 +208,16 @@ def load_run_settings(
     commission_raw = raw.get("commission", {})
     if not isinstance(commission_raw, dict):
         raise ConfigError(f"{path}: commission must be a mapping")
+    _known_keys(commission_raw, COMMISSION_KEYS, f"{path}: commission")
     try:
         commission = CommissionPlan(**commission_raw)
-    except (TypeError, ConfigError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{path}: commission: {exc}") from None
 
     hurst_options = raw.get("hurst", {})
     if not isinstance(hurst_options, dict):
         raise ConfigError(f"{path}: hurst must be a mapping")
+    _known_keys(hurst_options, HURST_KEYS, f"{path}: hurst")
 
     figure_pair = None
     if "figure_pair" in raw:

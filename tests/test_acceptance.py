@@ -146,7 +146,7 @@ def test_backtest_accounting_invariants():
             expected = r.start_capital * (1.0 + r.net_return / 100.0)
             assert abs(r.end_capital - expected) <= 1e-9 * abs(expected)
 
-        mdd = max_drawdown(equity)
+        mdd = max_drawdown(equity.values)
         assert capital_protection(mdd) + mdd == 100.0
 
         costly, _ = run_walk_forward(panel, dataclasses.replace(cfg, commission=pricier))

@@ -130,10 +130,6 @@ class TestInverseVolatilityWeights:
             inverse_volatility_weights(s), inverse_volatility_weights(c * s), atol=1e-12
         )
 
-    def test_degenerate(self):
-        with pytest.raises(DegenerateVolatility):
-            inverse_volatility_weights(np.array([1.0, 0.0]))
-
 
 class TestComputeWeights:
     def test_filtered_asset_gets_zero_and_twins_split(self):

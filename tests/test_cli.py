@@ -310,6 +310,9 @@ class TestConfigErrors:
             ("csv: missing_a.csv}", "csv: missing_a.csv, expnse_ratio: 0.09}",
              "universe[0]: unknown key 'expnse_ratio'"),
             ("horizon: 63", "columns: {date: date, prise: close}", "columns: unknown key 'prise'"),
+            ("horizon: 63", "commission: {fee: 1}", "commission: unknown key 'fee'"),
+            ("horizon: 63", "hurst: {h_mni: 0.2}", "hurst: unknown key 'h_mni'"),
+            ("horizon: 63", "hurst: {1: 2}", "hurst: unknown key 1"),
         ],
     )
     def test_unknown_key_is_named(self, tmp_path, capsys, old, new, message):
@@ -318,6 +321,22 @@ class TestConfigErrors:
         argv = ["backtest", "--config", str(config), "--out", str(tmp_path / "out")]
         err = self.assert_config_error(argv, capsys)
         assert f"error: config: ConfigError: {config}: {message}" in err
+
+    @pytest.mark.parametrize(
+        ("old", "new", "message"),
+        [
+            ("benchmark: BMK", "benchmark: CCC", "benchmark 'CCC' is not in the universe"),
+            ("ticker: BMK", "ticker: AAA", "duplicate tickers in universe: ['AAA', 'AAA']"),
+            ("horizon: 63", "variants: []", "variants must not be empty"),
+            (None, "[universe]", "top level must be a mapping"),  # the whole document
+        ],
+    )
+    def test_document_rule_is_named(self, tmp_path, capsys, old, new, message):
+        config = self.config_without_data(tmp_path, "")
+        config.write_text(config.read_text().replace(old, new) if old else new)
+        argv = ["backtest", "--config", str(config), "--out", str(tmp_path / "out")]
+        err = self.assert_config_error(argv, capsys)
+        assert err == f"error: config: ConfigError: {config}: {message}\n"
 
     @pytest.mark.parametrize(
         ("old", "new", "key"),

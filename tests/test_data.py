@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from fracparity.data import (
     slice_window,
 )
 from fracparity.errors import (
+    DataError,
     DuplicateDate,
     EmptyIntersection,
     MalformedRow,
@@ -242,6 +245,33 @@ class TestAlignedPanel:
                 assets=(AssetSpec("A"), AssetSpec("A")),
                 prices=np.ones((2, 2)),
             )
+
+    @pytest.mark.parametrize(
+        ("change", "error", "message"),
+        [
+            ("shape", ValueError, "panel shape (2, 2) does not match 3 dates x 2 assets"),
+            (0.0, NonPositivePrice, "B: non-positive price 0.0 on 2020-01-02"),
+            (-1.0, NonPositivePrice, "B: non-positive price -1.0 on 2020-01-02"),
+            (math.nan, DataError, "B: non-finite price nan on 2020-01-02"),
+            (math.inf, DataError, "B: non-finite price inf on 2020-01-02"),
+            ("repeated date", DuplicateDate, "<panel>: duplicate date 2020-01-02"),
+            ("out-of-order date", DuplicateDate, "<panel>: duplicate date 2020-01-02"),
+        ],
+    )
+    def test_bad_panel_rejected(self, change, error, message):
+        dates = [dt.date(2020, 1, 1), dt.date(2020, 1, 2), dt.date(2020, 1, 3)]
+        prices = np.ones((3, 2))
+        if change == "shape":
+            prices = prices[:2]
+        elif change == "repeated date":
+            dates[2] = dates[1]
+        elif change == "out-of-order date":
+            dates[1], dates[2] = dates[2], dates[1]
+        else:
+            # the first bad price by date, then by column, is the one named
+            prices[1, 1], prices[2, 0] = change, -5.0
+        with pytest.raises(error, match=re.escape(message)):
+            AlignedPanel(dates=dates, assets=(AssetSpec("A"), AssetSpec("B")), prices=prices)
 
 
 class TestReturnsBlock:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracparity.errors import Empty, InvalidHurst, TooShort
+from fracparity.errors import Empty, TooShort
 from fracparity.riskstats import (
     log_returns,
     mean_return,
@@ -18,23 +18,19 @@ from fracparity.riskstats import (
 
 class TestLogReturns:
     def test_single_step(self):
-        r = log_returns([100.0, 101.0], "X")
+        r = log_returns([100.0, 101.0])
         assert r.tolist() == [pytest.approx(100 * math.log(101 / 100), rel=1e-12)]
 
     def test_symmetry(self):
-        r = log_returns([100.0, 101.0, 100.0], "X")
+        r = log_returns([100.0, 101.0, 100.0])
         assert r[0] == pytest.approx(-r[1], rel=1e-12)
 
     def test_constant_prices(self):
-        assert np.all(log_returns([5.0, 5.0, 5.0], "X") == 0.0)
+        assert np.all(log_returns([5.0, 5.0, 5.0]) == 0.0)
 
     def test_too_short(self):
         with pytest.raises(TooShort):
-            log_returns([100.0], "X")
-
-    def test_non_finite_return_rejected(self):
-        with pytest.raises(ValueError, match="X: non-finite return"):
-            log_returns([100.0, math.inf], "X")
+            log_returns([100.0])
 
     @given(
         c=st.floats(min_value=0.01, max_value=100.0),
@@ -43,8 +39,8 @@ class TestLogReturns:
     @settings(max_examples=25)
     def test_scale_invariance(self, c, seed):
         prices = 100.0 * np.exp(np.cumsum(np.random.default_rng(seed).normal(0, 0.01, 20)))
-        base = log_returns(prices, "X")
-        scaled = log_returns(c * prices, "X")
+        base = log_returns(prices)
+        scaled = log_returns(c * prices)
         assert np.allclose(base, scaled, atol=1e-9)
 
 
@@ -61,7 +57,7 @@ class TestMeanReturn:
 
     def test_accepts_return_series(self):
         # the array log_returns gives: 100 * ln(e^0.02), 100 * ln(e^0.04)
-        returns = log_returns(100.0 * np.exp([0.0, 0.02, 0.06]), "X")
+        returns = log_returns(100.0 * np.exp([0.0, 0.02, 0.06]))
         assert mean_return(returns) == pytest.approx(3.0, rel=1e-12)
 
 
@@ -92,16 +88,6 @@ class TestRescaleVolatility:
     def test_persistent_exponent(self):
         # frozen from a 50-digit power evaluation of 0.5 * 252**0.6
         assert rescale_volatility(0.5, 252, 0.6) == pytest.approx(13.797815353957125, rel=1e-12)
-
-    def test_invalid_hurst(self):
-        with pytest.raises(InvalidHurst):
-            rescale_volatility(1.0, 10, 0.0)
-        with pytest.raises(InvalidHurst):
-            rescale_volatility(1.0, 10, 1.5)
-
-    def test_negative_std_rejected(self):
-        with pytest.raises(ValueError):
-            rescale_volatility(-0.1, 10, 0.5)
 
     @given(
         h1=st.floats(min_value=0.1, max_value=0.99),
