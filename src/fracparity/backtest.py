@@ -54,14 +54,13 @@ from .allocation import PortfolioWeights, StrategyVariant, compute_weights, look
 from .data import AlignedPanel, slice_window
 from .errors import (
     ConfigError,
-    DeltaTooLarge,
     InsufficientCapital,
     InsufficientHistory,
     LengthMismatch,
     NumericError,
     TooShort,
 )
-from .fractal import MIN_RETURNS_FOR_PATH, HurstConfig, hurst_scales
+from .fractal import HurstConfig, hurst_scales
 
 FIXED_CAPITAL = "fixed_capital"
 REINVEST = "reinvest"
@@ -119,10 +118,8 @@ class BacktestConfig:
                 )
             # a lookback of N prices is a path of N points built from N - 1 returns
             try:
-                if self.horizon_n - 1 < MIN_RETURNS_FOR_PATH:
-                    raise TooShort(f"need {MIN_RETURNS_FOR_PATH} returns per lookback")
                 hurst_scales(self.horizon_n, self.hurst)
-            except (TooShort, DeltaTooLarge) as exc:
+            except TooShort as exc:
                 raise ConfigError(
                     f"horizon_n {self.horizon_n} is too short for {self.variant.value}: {exc}"
                 ) from None

@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="treat the column as prices: estimate on the cumulative log-return path",
     )
-    p_h.add_argument("--min-windows", type=int, default=4)
+    p_h.add_argument("--min-windows", type=int, default=4, help="windows per scale, >= 2")
     p_h.add_argument("--max-rungs", type=int, default=4)
     p_h.add_argument("--h-min", type=float, default=0.1)
     p_h.add_argument("--h-max", type=float, default=1.0)

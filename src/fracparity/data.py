@@ -92,7 +92,7 @@ class PriceSeries:
         if ordinals.shape != (n,):
             raise MalformedRow(ticker, 0, "ordinals and closes differ in length")
         if n < 2:
-            raise TooShort(f"{ticker}: need at least 2 prices, got {n}")
+            raise TooShort(f"{ticker}: need at least 2 rows, got {n}")
         stalled = np.flatnonzero(np.diff(ordinals) <= 0) + 1  # days not above the one before
         if stalled.size and ordinals[stalled[0]] == ordinals[stalled[0] - 1]:
             raise DuplicateDate(ticker, self.dates[stalled[0]])
@@ -148,8 +148,10 @@ class AlignedPanel:
         # the index of the first date not above the one before it, or 0
         stalled = map(operator.le, self.dates[1:], self.dates)
         i = next(itertools.compress(itertools.count(1), stalled), 0)
-        if i:
+        if i and self.dates[i] == self.dates[i - 1]:
             raise DuplicateDate("<panel>", self.dates[i])
+        if i:
+            raise MalformedRow("<panel>", 0, "dates not sorted ascending")
         self._columns = {a.ticker: i for i, a in enumerate(self.assets)}
         if len(self._columns) != len(self.assets):
             raise TickerMismatch(f"duplicate tickers in panel {self.tickers}")
@@ -179,8 +181,7 @@ class AlignedPanel:
     @cached_property
     def returns(self) -> np.ndarray:
         """Read-only percent log returns, one row per portfolio column (assets x rows - 1)."""
-        prices = self.prices.T[self.portfolio_columns]
-        returns = log_returns(prices) if self.n_rows > 1 else prices[:, :0]
+        returns = log_returns(self.prices.T[self.portfolio_columns])
         returns.flags.writeable = False
         return returns
 
@@ -388,8 +389,6 @@ def load_price_csv(
     series is sorted ascending by date.
     """
     days, closes = _read_columns(path, {"date": date_column, "price": price_column}, ticker)
-    if len(days) < 2:
-        raise TooShort(f"{ticker}: need at least 2 rows, got {len(days)}")
     order = np.argsort(days, kind="stable")
     return PriceSeries(ticker, days[order], closes[order])
 

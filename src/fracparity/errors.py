@@ -81,10 +81,6 @@ class InsufficientHistory(DataError):
 
 # --- numerics -------------------------------------------------------------
 
-class DeltaTooLarge(NumericError):
-    """The cover scale does not fit at least twice into the path."""
-
-
 class DegeneratePath(NumericError):
     """The path is constant at some scale, so no scaling law can be fit."""
 

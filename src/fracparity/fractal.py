@@ -5,17 +5,17 @@ path: partition the path into windows of ``delta`` intervals, sum the
 max-minus-min amplitude over the windows, and regress the log of that total
 variation against ``log(delta)``. For a self-affine path the variation
 behaves like ``delta**(H - 1)``, so the fitted slope recovers ``H``
-directly. The estimator stays usable on short windows (a few dozen points),
-which is what makes it suitable for walk-forward lookbacks. The kernel
-works on a block with one path per row (the trend-surviving assets of
-every lookback of a walk), block max/min per scale, each built from the
-scale below, and one batched log-log fit, and returns a :class:`HurstFit`
-of per-row vectors (``h``, variation index, r², clamp hits, V(delta)),
-which the walk-forward engine slices per period. A row whose variation
-vanishes at some scale has no fit; each caller rejects it with
-:func:`require_variation` on the rows it reads. :func:`estimate_hurst`,
-which the ``hurst`` CLI uses, fits one path as a one-row block and
-returns its row as a :class:`HurstEstimate`.
+directly. The estimator stays usable on lookbacks of a few dozen points;
+the scale ladder alone (:func:`hurst_scales`) decides whether a path is
+long enough. The kernel works on a block with one path per row (the
+trend-surviving assets of every lookback of a walk), block max/min per
+scale, each built from the scale below, and one batched log-log fit, and
+returns a :class:`HurstFit` of per-row vectors (``h``, variation index,
+r², clamp hits, V(delta)), which the walk-forward engine slices per
+period. A row whose variation vanishes at some scale has no fit; each
+caller rejects it with :func:`require_variation` on the rows it reads.
+:func:`estimate_hurst`, which the ``hurst`` CLI uses, fits one path as a
+one-row block and returns its row as a :class:`HurstEstimate`.
 
 The stable CDF is evaluated by Fourier inversion of the characteristic
 function in the continuous ("0-shift") parametrization: a sine-kernel
@@ -40,14 +40,11 @@ import numpy as np
 
 from .errors import (
     DegeneratePath,
-    DeltaTooLarge,
     InvalidHurst,
     InvalidStableParams,
     QuadratureFailure,
     TooShort,
 )
-
-MIN_RETURNS_FOR_PATH = 8
 
 
 def __getattr__(name: str):
@@ -70,7 +67,7 @@ class HurstConfig:
     inside short windows, deflating small-scale amplitudes and tilting the
     fit upward), so on long paths the ladder slides toward the coarse end
     where the scaling law is clean. Set ``max_rungs=None`` to keep every
-    scale from 2 upward.
+    scale from 2 upward. ``min_windows`` and ``min_scales`` are at least 2.
     """
 
     h_min: float = 0.1
@@ -88,8 +85,8 @@ class HurstConfig:
         counts = (self.min_windows, self.min_scales, self.max_rungs)
         if any(isinstance(x, bool) or not isinstance(x, int) for x in counts if x is not None):
             raise InvalidHurst("min_windows, min_scales and max_rungs must be integers")
-        if self.min_windows < 1 or self.min_scales < 2:
-            raise InvalidHurst("need min_windows >= 1 and min_scales >= 2")
+        if self.min_windows < 2 or self.min_scales < 2:
+            raise InvalidHurst("need min_windows >= 2 and min_scales >= 2")
         if self.max_rungs is not None and self.max_rungs < self.min_scales:
             raise InvalidHurst(
                 f"max_rungs {self.max_rungs} below the {self.min_scales}-scale minimum"
@@ -133,11 +130,9 @@ def build_path(returns) -> np.ndarray:
     ``path[..., 0] = 0`` and ``path[..., k] = path[..., k-1] + r[..., k]``,
     so the estimator sees the cumulative (log-price-like) path rather than
     the raw noise. A 1-d series gives one path; a block with one row per
-    asset gives one path per row.
+    asset gives one path per row; :func:`hurst_scales` judges its length.
     """
     r = np.asarray(returns, dtype=float)
-    if r.shape[-1] < MIN_RETURNS_FOR_PATH:
-        raise TooShort(f"need at least {MIN_RETURNS_FOR_PATH} returns, got {r.shape[-1]}")
     path = np.zeros(r.shape[:-1] + (r.shape[-1] + 1,))
     np.cumsum(r, axis=-1, out=path[..., 1:])
     return path
@@ -190,8 +185,9 @@ def hurst_scales(n_points: int, config: HurstConfig = HurstConfig()) -> list[int
 
     Scales run from 2 while ``n_points - 1`` intervals give ``min_windows``
     windows, and only the largest ``max_rungs`` are kept. Raises ``TooShort``
-    when fewer than ``min_scales`` scales fit and ``DeltaTooLarge`` when the
-    largest scale cannot fit two windows.
+    when fewer than ``min_scales`` scales fit, the one length rule for a Hurst
+    path: as ``min_windows`` and ``min_scales`` are at least 2, a ladder that
+    fits has ``n_points >= 9`` (8 returns) and ``n_points > 2 * scales[-1]``.
     """
     scales: list[int] = []
     d = 2
@@ -204,10 +200,6 @@ def hurst_scales(n_points: int, config: HurstConfig = HurstConfig()) -> list[int
         raise TooShort(
             f"path of {n_points} points affords {len(scales)} scales, "
             f"need {config.min_scales}"
-        )
-    if n_points < 2 * scales[-1]:
-        raise DeltaTooLarge(
-            f"path of {n_points} points cannot fit two windows of delta={scales[-1]}"
         )
     return scales
 

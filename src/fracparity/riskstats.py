@@ -12,7 +12,8 @@ panel's returns in one call, and the means and deviations of an (assets x
 lookbacks x days) view of them, every lookback of a walk, in one call each.
 
 Inputs are checked where they enter, not here: prices (the CSV readers,
-``hurst --prices``, ``AlignedPanel``) and ``h`` (``HurstConfig``, ``BacktestConfig``).
+``hurst --prices``, ``AlignedPanel``), ``h`` (``HurstConfig``, ``BacktestConfig``)
+and a Hurst path's length (its scale ladder, ``fractal.hurst_scales``).
 """
 
 from __future__ import annotations
@@ -24,10 +25,7 @@ from .errors import Empty, TooShort
 
 def log_returns(prices) -> np.ndarray:
     """Percent log returns: ``r[..., k] = 100 * (ln p[..., k+1] - ln p[..., k])``."""
-    p = np.asarray(prices, dtype=float)
-    if p.shape[-1] < 2:
-        raise TooShort(f"need at least 2 prices, got {p.shape[-1]}")
-    return 100.0 * np.diff(np.log(p), axis=-1)
+    return 100.0 * np.diff(np.log(np.asarray(prices, dtype=float)), axis=-1)
 
 
 def mean_return(returns):

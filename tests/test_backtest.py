@@ -406,10 +406,12 @@ class TestConfigValidation:
             with pytest.raises(ConfigError):
                 CommissionPlan(**{name: value})
 
-    def test_fractal_lookback_needs_8_returns(self):
-        # this ladder fits a path of 8 points, but 8 prices give only 7 returns
-        hurst = HurstConfig(min_windows=1, min_scales=2, max_rungs=None)
-        with pytest.raises(ConfigError, match="horizon_n 8 is too short.*need 8 returns"):
+    def test_fractal_lookback_length_is_the_ladders_rule(self):
+        # the shortest ladder, delta 2 and 4 with two windows each, needs 9 prices
+        hurst = HurstConfig(min_windows=2, min_scales=2, max_rungs=None)
+        BacktestConfig(horizon_n=9, hurst=hurst)
+        message = "horizon_n 8 is too short for fractal_biased: path of 8 points affords 1 scales"
+        with pytest.raises(ConfigError, match=message):
             BacktestConfig(horizon_n=8, hurst=hurst)
 
     def test_compounding_mode(self):

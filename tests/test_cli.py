@@ -329,6 +329,15 @@ class TestConfigErrors:
             ("ticker: BMK", "ticker: AAA", "duplicate tickers in universe: ['AAA', 'AAA']"),
             ("horizon: 63", "variants: []", "variants must not be empty"),
             (None, "[universe]", "top level must be a mapping"),  # the whole document
+            ("{ticker: AAA, csv: missing_a.csv}", "AAA", "universe[0] must be a mapping"),
+            # AssetSpec's own rules, named with the entry
+            ("role: benchmark", "role: bogus", "universe[1]: BMK: unknown role 'bogus'"),
+            ("csv: missing_a.csv}", "csv: missing_a.csv, expense_ratio: 150}",
+             "universe[0]: AAA: expense_ratio must be in [0, 100), got 150.0"),
+            ("horizon: 63", "commission: 5", "commission must be a mapping"),
+            ("horizon: 63", "hurst: 5", "hurst must be a mapping"),
+            ("horizon: 63", "figure_pair: [fractal_biased]",
+             "figure_pair must list exactly two strategy names"),
         ],
     )
     def test_document_rule_is_named(self, tmp_path, capsys, old, new, message):
@@ -385,6 +394,16 @@ class TestConfigErrors:
         extra = f"variants: {variants}\nhurst: {{h_min: 1.2, h_max: 1.5}}"
         config = self.config_without_data(tmp_path, extra)
         self.assert_config_error(["backtest", "--config", str(config), "--out", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize("variants", ["[fractal_biased]", "[standard_biased]"])
+    def test_one_window_per_scale(self, tmp_path, capsys, variants):
+        # checked with the other estimator knobs, whether or not a variant fits h
+        extra = f"variants: {variants}\nhurst: {{min_windows: 1}}"
+        config = self.config_without_data(tmp_path, extra)
+        argv = ["backtest", "--config", str(config), "--out", str(tmp_path)]
+        err = self.assert_config_error(argv, capsys)
+        detail = "need min_windows >= 2 and min_scales >= 2"
+        assert err == f"error: config: ConfigError: {config}: {detail}\n"
 
     def test_yaml_horizon_below_hurst_ladder(self, tmp_path, capsys):
         config = self.config_without_data(tmp_path, "variants: [fractal_biased]", horizon=16)
@@ -444,6 +463,23 @@ class TestHurstCommand:
     def test_too_short_exits_3(self, capsys):
         assert main(["hurst", str(SERIES_DIR / "tooshort.csv")]) == 3
         assert "TooShort" in capsys.readouterr().err
+
+    def test_too_short_prices_named_by_the_ladder(self, capsys):
+        # 5 prices give a path of 5 points: the scale ladder is the one length rule
+        assert main(["hurst", str(SERIES_DIR / "tooshort.csv"), "--prices"]) == 3
+        detail = "path of 5 points affords 0 scales, need 3"
+        assert capsys.readouterr().err == f"error: data: TooShort: {detail}\n"
+
+    def test_one_window_per_scale_exits_2(self, capsys):
+        assert main(["hurst", str(SERIES_DIR / "ramp.csv"), "--min-windows", "1"]) == 2
+        detail = "need min_windows >= 2 and min_scales >= 2"
+        assert capsys.readouterr().err == f"error: config: InvalidHurst: {detail}\n"
+
+    def test_empty_file_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert main(["hurst", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: data: MalformedRow: {path}:1: empty file\n"
 
     def test_prices_mode_names_first_non_positive_line(self, capsys):
         path = SERIES_DIR / "randwalk.csv"  # line 3 holds the first value at or below zero

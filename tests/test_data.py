@@ -122,8 +122,14 @@ class TestLoadPriceCsv:
 
     def test_single_row_too_short(self, tmp_path):
         path = write_csv(tmp_path, "a.csv", ["2016-01-04,100.0"])
-        with pytest.raises(TooShort):
+        with pytest.raises(TooShort, match="^AAA: need at least 2 rows, got 1$"):
             load_price_csv(path, "AAA")
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("")
+        with pytest.raises(MalformedRow, match=f"^{re.escape(str(path))}:1: empty file$"):
+            load_price_csv(str(path), "AAA")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -255,7 +261,8 @@ class TestAlignedPanel:
             (math.nan, DataError, "B: non-finite price nan on 2020-01-02"),
             (math.inf, DataError, "B: non-finite price inf on 2020-01-02"),
             ("repeated date", DuplicateDate, "<panel>: duplicate date 2020-01-02"),
-            ("out-of-order date", DuplicateDate, "<panel>: duplicate date 2020-01-02"),
+            pytest.param("out-of-order date", MalformedRow, "<panel>:0: dates not sorted ascending",
+                         id="out-of-order date-MalformedRow"),
         ],
     )
     def test_bad_panel_rejected(self, change, error, message):

@@ -13,7 +13,6 @@ import oracles
 from fracparity import fractal
 from fracparity.errors import (
     DegeneratePath,
-    DeltaTooLarge,
     FracparityError,
     InvalidHurst,
     InvalidStableParams,
@@ -41,9 +40,11 @@ class TestBuildPath:
     def test_zero_returns_give_constant_path(self):
         assert np.all(build_path(np.zeros(10)) == 0.0)
 
-    def test_too_short(self):
-        with pytest.raises(TooShort):
-            build_path([1.0, -1.0, 1.0])
+    def test_any_length(self):
+        # the scale ladder, not the path builder, judges whether a path is long enough
+        assert build_path([]).tolist() == [0.0]
+        assert build_path([2.0, -1.0]).tolist() == [0.0, 2.0, 1.0]
+        assert build_path(np.ones((3, 0))).shape == (3, 1)
 
 
 def cover(path, delta: int) -> float:
@@ -81,10 +82,27 @@ class TestScaleLadder:
         cfg = HurstConfig(max_rungs=None)
         assert hurst_scales(1024, cfg) == [2, 4, 8, 16, 32, 64, 128]
 
-    def test_delta_too_large(self):
-        # one window per scale: 8 intervals fit delta = 8 once, not twice
-        with pytest.raises(DeltaTooLarge):
-            hurst_scales(9, HurstConfig(min_windows=1, max_rungs=None))
+    def test_shortest_ladder(self):
+        # two windows of delta 4 need 8 intervals: 9 points, built from 8 returns
+        cfg = HurstConfig(min_windows=2, min_scales=2, max_rungs=None)
+        assert hurst_scales(9, cfg) == [2, 4]
+        with pytest.raises(TooShort, match="path of 8 points affords 1 scales, need 2"):
+            hurst_scales(8, cfg)
+
+    @pytest.mark.parametrize("min_windows", [2, 3, 4, 8])
+    @pytest.mark.parametrize("min_scales", [2, 3, 5])
+    def test_ladder_implies_the_length_rules(self, min_windows, min_scales):
+        # every ladder that fits has 9 points or more and fits its largest scale twice
+        for max_rungs in (None, *range(min_scales, 8)):
+            cfg = HurstConfig(min_windows=min_windows, min_scales=min_scales, max_rungs=max_rungs)
+            for n_points in range(400):
+                try:
+                    scales = hurst_scales(n_points, cfg)
+                except TooShort:
+                    continue
+                assert n_points >= 9
+                assert n_points > 2 * scales[-1]
+            hurst_scales(399, cfg)  # every config fits some path of the grid
 
 
 class TestEstimateHurst:
@@ -146,6 +164,9 @@ class TestEstimateHurst:
         {"h_min": math.nan}, {"h_max": math.inf}, {"h_min": "0.1"},
         pytest.param({"h_max": 10**400}, id="h_max=10**400"),
         {"min_windows": 2.5}, {"max_rungs": 3.5}, {"min_scales": "3"},
+        # counts below their minimum
+        {"min_windows": 0}, {"min_windows": 1}, {"min_scales": 1},
+        {"max_rungs": 2}, {"min_scales": 5, "max_rungs": 4},
     ])
     def test_config_rejects_non_finite_and_wrong_types(self, options):
         with pytest.raises(InvalidHurst):
