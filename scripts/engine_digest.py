@@ -3,10 +3,12 @@
 
     PYTHONPATH=src python scripts/engine_digest.py --config PATH [--horizons 42,63,126,252]
 
-Loads the configuration's panel once. For each compounding mode and
+Loads the configuration's panel twice. For each compounding mode and
 horizon it walks the configured variants and the benchmark in one
-``run_strategies`` call, and again one at a time through
-``run_walk_forward`` and ``run_benchmark``. It prints ``mode horizon
+``run_strategies`` call over the first panel, and again one at a time
+through ``run_walk_forward`` and ``run_benchmark`` over the second. A panel
+keeps the lookbacks of each horizon walked, so each route builds its own,
+and the later walks of a route reuse them. It prints ``mode horizon
 strategy sha256`` per strategy, hashing the bytes of the weights, every
 diagnostic vector, the trades, the period returns, the capital and the
 equity curve. It exits 1 if the two routes disagree, and 2 if a horizon
@@ -60,7 +62,7 @@ def run_digest(run) -> str:
 def digests(config: str, horizons: list[int]):
     """``(mode, horizon, strategy, sha256 walked together, sha256 walked alone)`` per run."""
     settings = load_run_settings(config)
-    panel = load_universe_panel(settings)
+    panel, alone_panel = load_universe_panel(settings), load_universe_panel(settings)
     for mode in (FIXED_CAPITAL, REINVEST):
         settings.compounding = mode
         for n in horizons:
@@ -69,9 +71,9 @@ def digests(config: str, horizons: list[int]):
             names = [*(v.value for v in settings.variants), BENCHMARK_LABEL]
             for name, run in run_strategies(panel, base, names).items():
                 if name == BENCHMARK_LABEL:
-                    alone = run_benchmark(panel, base)
+                    alone = run_benchmark(alone_panel, base)
                 else:
-                    alone = run_walk_forward(panel, dataclasses.replace(base, variant=name))
+                    alone = run_walk_forward(alone_panel, dataclasses.replace(base, variant=name))
                 yield mode, n, name, run_digest(run), run_digest(alone)
 
 

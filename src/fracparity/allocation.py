@@ -9,15 +9,17 @@ weights every asset by inverse daily volatility, which matches the biased
 pipelines up to the horizon factor that normalization cancels anyway.
 
 Lookbacks are handled in array passes over all portfolio columns.
-:func:`lookback_stats`, shared by every variant, views the panel's percent
-log returns as an (assets x lookbacks x days) array; the means and ddof=1
-deviations of every lookback are each one call along the days. The first
-time ``fractal_biased`` asks for a lookback's Hurst fit, the minimal-cover
-paths and fits of the trend-surviving rows of every lookback of the walk
-are made in one call along the rows; each period reads its own run of
-rows and rejects its own constant paths. :func:`compute_weights` runs one
-variant on one lookback: the trend filter, the ``h`` clamp and the
-inverse-volatility weights are masked array operations.
+:func:`lookback_stats`, shared by every variant and, kept on the panel, by
+every walk at the same horizon, views the panel's percent log returns as
+an (assets x lookbacks x days) array; the means and ddof=1 deviations of
+every lookback are each one call along the days. The first time
+``fractal_biased`` asks for a lookback's Hurst fit, the minimal-cover paths
+and fits of the trend-surviving rows of every lookback of the walk are
+made in one call along the rows; each period reads its own run of rows
+and rejects its own constant paths. What is shared is read-only.
+:func:`compute_weights` runs one variant on one lookback: the trend
+filter, the ``h`` clamp and the inverse-volatility weights are masked
+array operations.
 The per-asset diagnostics are vectors on :class:`PortfolioWeights`, one
 entry per ticker, and are not kept in any other form.
 """
@@ -98,12 +100,14 @@ def inverse_volatility_weights(stds: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LookbackStats:
-    """A lookback's percent log returns (read-only, a row per column), means and ddof=1 stds.
+    """A lookback's percent log returns (a row per column), means and ddof=1 stds.
 
     ``walk_fit(config)`` is the walk's one Hurst fit per configuration, made
     on first request, of the trend-surviving rows (``mu > 0``) of every
     lookback: ``(bounds, fit)``, lookback ``index``'s rows running from
-    ``bounds[index]`` to ``bounds[index + 1]``.
+    ``bounds[index]`` to ``bounds[index + 1]``. Every walk at this horizon
+    over the panel shares these statistics and fits, so all their arrays
+    are read-only.
     """
 
     tickers: tuple[str, ...]
@@ -119,7 +123,10 @@ def lookback_stats(window: AlignedPanel, n: int) -> list[LookbackStats]:
 
     ``n`` must divide the window's rows. A block's returns are the ``n - 1``
     within its rows; the return that crosses into the next block is left out,
-    and so are the benchmark-role columns.
+    and so are the benchmark-role columns. The returns, ``mu`` and ``std0``
+    blocks and the vectors of each Hurst fit are read-only, as
+    :func:`fracparity.backtest.run_strategies` hands them to every walk at
+    ``n`` over the panel.
     """
     if n < 1 or window.n_rows < n or window.n_rows % n:
         raise LengthMismatch(f"window has {window.n_rows} rows, not a multiple of horizon {n}")
@@ -129,13 +136,18 @@ def lookback_stats(window: AlignedPanel, n: int) -> list[LookbackStats]:
     blocks = sliding_window_view(window.returns, n - 1, axis=-1)[:, ::n]
     mu, std0 = mean_return(blocks).T, unbiased_std(blocks).T  # lookbacks x assets
     returns = blocks.swapaxes(0, 1)
+    for block in (mu, std0):  # every walk at this horizon over the panel reads them
+        block.flags.writeable = False
 
     @functools.cache
     def walk_fit(config: HurstConfig) -> tuple[np.ndarray, HurstFit]:
         # rows lookback by lookback, in column order within each; a row's fit reads it alone
         trend = mu > 0.0
         bounds = np.concatenate(([0], np.cumsum(trend.sum(axis=1))))
-        return bounds, fit_hurst_rows(build_path(returns[trend]), config)
+        fit = fit_hurst_rows(build_path(returns[trend]), config)
+        for vector in (bounds, fit.h, fit.mu_index, fit.r_squared, fit.clamped, fit.variations):
+            vector.flags.writeable = False
+        return bounds, fit
 
     tickers = window.portfolio_tickers
     return [LookbackStats(tickers, returns[k], mu[k], std0[k], walk_fit, k) for k in range(len(mu))]

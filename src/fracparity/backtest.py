@@ -4,11 +4,12 @@ The engine tiles the panel after an initial lookback: optimize on rows
 ``[k*N, (k+1)*N)``, hold over ``[(k+1)*N, (k+2)*N)``, repeat. Those rows are
 defined in one place, :func:`run_strategies`, the one period loop of the
 three variants and the cost-free benchmark; the return statistics of all
-lookbacks are computed there once for every variant. Trades fill at the
-holding period's first close with zero slippage; whole shares only, with
-the remainder parked in zero-earning cash. Costs are commissions per trade
-(per-share rate floored per order and capped as a percentage of trade
-value) plus each fund's expense ratio pro-rated over the holding period.
+lookbacks are computed there once per panel and horizon, for every variant
+and every walk. Trades fill at the holding period's first close with zero
+slippage; whole shares only, with the remainder parked in zero-earning
+cash. Costs are commissions per trade (per-share rate floored per order
+and capped as a percentage of trade value) plus each fund's expense ratio
+pro-rated over the holding period.
 
 Two compounding modes ship: ``fixed_capital`` resets the deployed capital
 to the initial amount every period, so the period returns form an i.i.d.-
@@ -20,14 +21,16 @@ fixed-capital mode it is the reinvested view of the per-period results.
 Each period is a fixed set of array operations over the portfolio
 columns, from the lookback statistics to the net return, and builds no
 per-asset Python object. Only the lookbacks are a window: one read-only
-view of the panel (:func:`slice_window`) per walk, from which
+view of the panel (:func:`slice_window`) per horizon, from which
 :func:`lookback_stats` returns the statistics of every period's lookback
-in one pass, before the first period. A period is marked from the
-trade-row and mark-row prices of the portfolio columns
-(:func:`period_return`). :func:`compute_weights` returns a variant's
-weights with their diagnostics, as vectors. ``fractal_biased`` fits the
-Hurst exponents of every lookback in one batched call, in the first
-period that needs one; each period reads its own rows and rejects its own
+in one pass, before the first period of the first walk at that horizon.
+The panel keeps them, so every later walk at that horizon reads them. A
+period is marked from the trade-row and mark-row prices of the portfolio
+columns (:func:`period_return`). :func:`compute_weights` returns a
+variant's weights with their diagnostics, as vectors. ``fractal_biased``
+fits the Hurst exponents of every lookback in one batched call, in the
+first period that needs one, once per panel, horizon and Hurst
+configuration; each period reads its own rows and rejects its own
 constant paths, so errors still come in period order. The holdings are an
 int64 share vector in portfolio-column order; a rebalance returns its
 orders as :class:`Trades`, parallel vectors of column, signed shares,
@@ -277,6 +280,11 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
     ``N`` rows before, so no holding-window price can influence them. Each
     period starts from the initial capital in ``fixed_capital`` mode and from
     the end of the strategy's equity chain in ``reinvest`` mode.
+
+    The lookback statistics are built by the first walk at horizon ``N`` over
+    ``panel`` that runs a variant and kept on the panel; every later walk at
+    ``N`` over it, of any variant, reads them, and with them their Hurst fit
+    per configuration.
     """
     names = list(dict.fromkeys(names))  # a strategy named twice runs once
     variants = {  # each checked by BacktestConfig's rules; hurst and commission are shared
@@ -295,8 +303,11 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
     runs = {name: ([], [config.initial_capital]) for name in names}  # results, equity values
     reinvest = config.compounding == REINVEST
     n_periods = panel.n_rows // n - 1
-    if variants:  # period k's lookback is block k of the first n_periods * n rows
-        lookbacks = lookback_stats(slice_window(panel, n_periods * n - 1, n_periods * n), n)
+    if variants and n not in panel._lookbacks:
+        # period k's lookback is block k of the first n_periods * n rows
+        window = slice_window(panel, n_periods * n - 1, n_periods * n)
+        panel._lookbacks[n] = lookback_stats(window, n)
+    lookbacks = panel._lookbacks.get(n)
     for k in range(n_periods):
         start_row = (k + 1) * n
         end_row = (k + 2) * n - 1

@@ -364,7 +364,8 @@ def stable_cdf_with_error(
     from ``alpha = 1`` and ``z t + (2 beta / pi) t ln t`` on that branch.
     Raises :class:`InvalidStableParams` when ``z`` is not finite and
     :class:`QuadratureFailure` when the error estimate ends up above
-    ``tol``; the value is clipped into [0, 1] at machine-level overshoot.
+    ``tol`` or, at huge ``|z|``, the phase overflows to infinity at some
+    node; the value is clipped into [0, 1] at machine-level overshoot.
     """
     z = (r - params.mu_loc) / params.sigma
     if not math.isfinite(z):
@@ -378,9 +379,12 @@ def stable_cdf_with_error(
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(_sine_integrand(z, alpha, beta), 0.0, np.inf, **_QUAD_KW)
-        if err > 1e-8:
-            val, err = _cdf_quad_split(z, alpha, beta)
+        try:
+            val, err = integrate.quad(_sine_integrand(z, alpha, beta), 0.0, np.inf, **_QUAD_KW)
+            if err > 1e-8:
+                val, err = _cdf_quad_split(z, alpha, beta)
+        except ValueError:  # math.sin of a phase z * t that overflowed: no estimate at all
+            raise QuadratureFailure(math.inf, tol) from None
     err /= math.pi
     if err > tol:
         raise QuadratureFailure(err, tol)

@@ -522,6 +522,72 @@ class TestRunStrategies:
             run_benchmark(panel, base)
         assert shapes == [(3, 6 * 42)]
 
+    def test_walks_at_one_horizon_share_its_lookbacks(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            inner = getattr(allocation, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("unbiased_std", "mean_return", "fit_hurst_rows"):
+            monkeypatch.setattr(allocation, name, counted(name))
+        panel = synthetic_panel(seed=73, n_rows=6 * 42, n_assets=3)
+        for n in (42, 63):
+            base = BacktestConfig(horizon_n=n, benchmark="BMK")
+            for variant in StrategyVariant:
+                run_walk_forward(panel, dataclasses.replace(base, variant=variant))
+            run_benchmark(panel, base)
+            assert sorted(calls) == ["fit_hurst_rows", "mean_return", "unbiased_std"]
+            calls.clear()
+        # another Hurst configuration fits again, on the statistics already built
+        run_walk_forward(panel, BacktestConfig(horizon_n=63, benchmark="BMK",
+                                               hurst=HurstConfig(max_rungs=3)))
+        assert calls == ["fit_hurst_rows"]
+
+    def test_a_window_of_a_walked_panel_walks_as_a_fresh_panel(self):
+        n = 42
+        panel = synthetic_panel(seed=79, n_rows=8 * n, n_assets=3)
+        cfg = BacktestConfig(horizon_n=n, benchmark="BMK")
+        run_strategies(panel, cfg, self.NAMES)
+        # rows 5 to 5 + 6n: none of the window's lookbacks is one of the panel's
+        window = slice_window(panel, 6 * n + 4, 6 * n)
+        fresh = AlignedPanel(dates=window.dates, assets=window.assets, prices=window.prices.copy())
+        walked = run_strategies(window, cfg, self.NAMES)
+        for name, (results, equity) in run_strategies(fresh, cfg, self.NAMES).items():
+            window_results, window_equity = walked[name]
+            assert len(results) == 5
+            assert [period_fields(p) for p in window_results] == [
+                period_fields(p) for p in results
+            ]
+            assert window_equity.values.tobytes() == equity.values.tobytes()
+
+    def test_shared_statistics_are_read_only(self):
+        n = 63
+        panel = synthetic_panel(seed=83, n_rows=5 * n, n_assets=3)
+        cfg = BacktestConfig(horizon_n=n, benchmark="BMK")
+        results, _ = run_walk_forward(panel, cfg)
+        before = [period_fields(p) for p in results]
+        weights = results[0].weights
+        for vector in (weights.mu, weights.std0):
+            with pytest.raises(ValueError):
+                vector[0] = -1.0
+        for variant in StrategyVariant:
+            run_walk_forward(panel, dataclasses.replace(cfg, variant=variant))
+        again, _ = run_walk_forward(panel, cfg)
+        assert [period_fields(p) for p in again] == before
+
+        stats = lookback_stats(slice_window(panel, 4 * n - 1, 4 * n), n)[0]
+        bounds, fit = stats.walk_fit(cfg.hurst)
+        for vector in (stats.returns, stats.mu, stats.std0, bounds, fit.h, fit.mu_index,
+                       fit.r_squared, fit.clamped, fit.variations):
+            with pytest.raises(ValueError):
+                vector[0] = 0
+
     def test_a_strategy_named_twice_runs_once(self):
         panel = synthetic_panel(seed=47, n_rows=4 * 63, n_assets=2)
         cfg = BacktestConfig(horizon_n=63, benchmark="BMK")

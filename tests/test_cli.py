@@ -648,6 +648,24 @@ class TestStableCdfNonFinitePoint:
         assert captured.err.count("\n") == 1
 
 
+class TestStableCdfHugePoint:
+    """A phase ``z * t`` that overflows to infinity fails the quadrature like 1e300 does."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--alpha", "2", "--", "1e300"],
+        ["--alpha", "2", "--", "1e305"],
+        ["--alpha", "2", "--", "-1e308"],
+        ["--alpha", "1", "--beta", "0.5", "--", "1e308"],
+        ["--alpha", "1.5", "--beta", "0.5", "--", "1e308"],
+    ])
+    def test_exits_4(self, capsys, argv):
+        assert main(["stable-cdf", *argv]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: numeric: QuadratureFailure: ")
+        assert captured.err.count("\n") == 1
+
+
 def test_backtest_does_not_import_scipy(tmp_path):
     argv = ["backtest", "--config", str(PANEL_CONFIG), "--out", str(tmp_path)]
     code = (
