@@ -9,10 +9,11 @@ weights every asset by inverse daily volatility, which matches the biased
 pipelines up to the horizon factor that normalization cancels anyway.
 
 Lookbacks are handled in array passes over all portfolio columns.
-:func:`lookback_stats`, shared by every variant and, kept on the panel, by
-every walk at the same horizon, views the panel's percent log returns as
-an (assets x lookbacks x days) array; the means and ddof=1 deviations of
-every lookback are each one call along the days. The first time
+:func:`lookback_stats`, shared by every variant and, kept per panel by
+:func:`fracparity.backtest.run_strategies`, by every walk at the same
+horizon, views the panel's percent log returns as an (assets x lookbacks
+x days) array; the means and ddof=1 deviations of every lookback are each
+one call along the days. The first time
 ``fractal_biased`` asks for a lookback's Hurst fit, the minimal-cover paths
 and fits of the trend-surviving rows of every lookback of the walk are
 made in one call along the rows; each period reads its own run of rows

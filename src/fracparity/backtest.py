@@ -24,7 +24,9 @@ per-asset Python object. Only the lookbacks are a window: one read-only
 view of the panel (:func:`slice_window`) per horizon, from which
 :func:`lookback_stats` returns the statistics of every period's lookback
 in one pass, before the first period of the first walk at that horizon.
-The panel keeps them, so every later walk at that horizon reads them. A
+They are kept for as long as the panel lives, so a later walk at that
+horizon, such as each strategy walked alone through
+:func:`run_walk_forward` and :func:`run_benchmark`, reads them. A
 period is marked from the trade-row and mark-row prices of the portfolio
 columns (:func:`period_return`). :func:`compute_weights` returns a
 variant's weights with their diagnostics, as vectors. ``fractal_biased``
@@ -49,6 +51,7 @@ from __future__ import annotations
 import dataclasses
 import datetime as dt
 import sys
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +73,9 @@ REINVEST = "reinvest"
 TRADING_DAYS_PER_YEAR = 252
 # the name the benchmark's run goes by in reports, next to the variants'
 BENCHMARK_LABEL = "benchmark"
+# panel -> {horizon N: the lookback_stats of a walk at N}. An entry lives as long as its
+# panel; a window from slice_window is a panel of its own, so it starts with none.
+_LOOKBACKS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -282,9 +288,9 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
     the end of the strategy's equity chain in ``reinvest`` mode.
 
     The lookback statistics are built by the first walk at horizon ``N`` over
-    ``panel`` that runs a variant and kept on the panel; every later walk at
-    ``N`` over it, of any variant, reads them, and with them their Hurst fit
-    per configuration.
+    ``panel`` that runs a variant and kept while ``panel`` lives; every later
+    walk at ``N`` over it, of any variant, reads them, and with them their
+    Hurst fit per configuration.
     """
     names = list(dict.fromkeys(names))  # a strategy named twice runs once
     variants = {  # each checked by BacktestConfig's rules; hurst and commission are shared
@@ -303,11 +309,11 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
     runs = {name: ([], [config.initial_capital]) for name in names}  # results, equity values
     reinvest = config.compounding == REINVEST
     n_periods = panel.n_rows // n - 1
-    if variants and n not in panel._lookbacks:
-        # period k's lookback is block k of the first n_periods * n rows
-        window = slice_window(panel, n_periods * n - 1, n_periods * n)
-        panel._lookbacks[n] = lookback_stats(window, n)
-    lookbacks = panel._lookbacks.get(n)
+    if variants:
+        built = _LOOKBACKS.setdefault(panel, {})
+        if n not in built:  # period k's lookback is block k of the first n_periods * n rows
+            built[n] = lookback_stats(slice_window(panel, n_periods * n - 1, n_periods * n), n)
+        lookbacks = built[n]
     for k in range(n_periods):
         start_row = (k + 1) * n
         end_row = (k + 2) * n - 1

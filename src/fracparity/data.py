@@ -119,10 +119,7 @@ class AlignedPanel:
     ``expense_ratios`` (percent, one per column). Windows made by
     :func:`slice_window` share them. ``returns``, the percent log returns
     of the portfolio columns, is built on first use and then shared by every
-    walk over the panel and every window sliced from it. ``_lookbacks`` maps
-    a horizon N to the lookback statistics of a walk at N (see
-    :func:`fracparity.backtest.run_strategies`): the first walk at N fills
-    it, every later walk at N over the panel reads it.
+    walk over the panel and every window sliced from it.
     """
 
     dates: tuple[dt.date, ...]
@@ -131,7 +128,6 @@ class AlignedPanel:
     portfolio_columns: np.ndarray = field(init=False, repr=False)
     portfolio_tickers: tuple[str, ...] = field(init=False, repr=False)
     expense_ratios: np.ndarray = field(init=False, repr=False)
-    _lookbacks: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.dates = tuple(self.dates)
@@ -449,7 +445,6 @@ def slice_window(panel: AlignedPanel, end_index: int, length: int) -> AlignedPan
 
     The window is a read-only view of ``panel``: its prices and returns share
     the panel's memory and cannot be written, and so do its column lookups.
-    Its lookback statistics start empty: those of ``panel`` cover other rows.
     A slice of a valid panel is valid, so it is not checked again.
     """
     if length < 1:
@@ -465,5 +460,4 @@ def slice_window(panel: AlignedPanel, end_index: int, length: int) -> AlignedPan
     window.prices.flags.writeable = False
     # set, not inherited: copy.copy carries over a returns block already built on ``panel``
     window.__dict__["returns"] = panel.returns[:, start:end_index]
-    window._lookbacks = {}
     return window

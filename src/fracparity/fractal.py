@@ -42,6 +42,7 @@ from .errors import (
     DegeneratePath,
     InvalidHurst,
     InvalidStableParams,
+    NumericError,
     QuadratureFailure,
     TooShort,
 )
@@ -362,10 +363,11 @@ def stable_cdf_with_error(
 
     where the phase is ``z t + beta tan(pi alpha / 2)(t - t^alpha)`` away
     from ``alpha = 1`` and ``z t + (2 beta / pi) t ln t`` on that branch.
-    Raises :class:`InvalidStableParams` when ``z`` is not finite and
+    Raises :class:`InvalidStableParams` when ``z`` is not finite,
     :class:`QuadratureFailure` when the error estimate ends up above
-    ``tol`` or, at huge ``|z|``, the phase overflows to infinity at some
-    node; the value is clipped into [0, 1] at machine-level overshoot.
+    ``tol``, and :class:`NumericError` when, at huge ``|z|``, the phase
+    overflows to infinity at some node and no estimate is made; the value
+    is clipped into [0, 1] at machine-level overshoot.
     """
     z = (r - params.mu_loc) / params.sigma
     if not math.isfinite(z):
@@ -383,8 +385,11 @@ def stable_cdf_with_error(
             val, err = integrate.quad(_sine_integrand(z, alpha, beta), 0.0, np.inf, **_QUAD_KW)
             if err > 1e-8:
                 val, err = _cdf_quad_split(z, alpha, beta)
-        except ValueError:  # math.sin of a phase z * t that overflowed: no estimate at all
-            raise QuadratureFailure(math.inf, tol) from None
+        except ValueError as exc:
+            # the integrands' one ValueError: math.sin or math.cos of a phase that is inf
+            raise NumericError(
+                f"the phase z t overflows to infinity at |z| = {abs(z):.3e}; no quadrature estimate"
+            ) from exc
     err /= math.pi
     if err > tol:
         raise QuadratureFailure(err, tol)

@@ -505,27 +505,13 @@ class TestRunStrategies:
         assert len(results) == 3
 
     def test_walks_over_a_panel_share_one_returns_block(self, monkeypatch):
-        shapes = []
+        shapes, calls = [], []
 
         def counted(prices):
             shapes.append(prices.shape)
             return log_returns(prices)
 
-        monkeypatch.setattr(data, "log_returns", counted)
-        panel = synthetic_panel(seed=59, n_rows=6 * 42, n_assets=3)
-        run_benchmark(panel, BacktestConfig(horizon_n=63, benchmark="BMK"))
-        assert shapes == []
-        for n in (42, 63):
-            base = BacktestConfig(horizon_n=n, benchmark="BMK")
-            for variant in StrategyVariant:
-                run_walk_forward(panel, dataclasses.replace(base, variant=variant))
-            run_benchmark(panel, base)
-        assert shapes == [(3, 6 * 42)]
-
-    def test_walks_at_one_horizon_share_its_lookbacks(self, monkeypatch):
-        calls = []
-
-        def counted(name):
+        def counted_call(name):
             inner = getattr(allocation, name)
 
             def wrapper(*args, **kwargs):
@@ -534,16 +520,20 @@ class TestRunStrategies:
 
             return wrapper
 
+        monkeypatch.setattr(data, "log_returns", counted)
         for name in ("unbiased_std", "mean_return", "fit_hurst_rows"):
-            monkeypatch.setattr(allocation, name, counted(name))
-        panel = synthetic_panel(seed=73, n_rows=6 * 42, n_assets=3)
-        for n in (42, 63):
+            monkeypatch.setattr(allocation, name, counted_call(name))
+        panel = synthetic_panel(seed=59, n_rows=6 * 42, n_assets=3)
+        run_benchmark(panel, BacktestConfig(horizon_n=63, benchmark="BMK"))
+        assert shapes == [] and calls == []
+        for n in (42, 63):  # each horizon builds its lookbacks and their Hurst fit once
             base = BacktestConfig(horizon_n=n, benchmark="BMK")
             for variant in StrategyVariant:
                 run_walk_forward(panel, dataclasses.replace(base, variant=variant))
             run_benchmark(panel, base)
             assert sorted(calls) == ["fit_hurst_rows", "mean_return", "unbiased_std"]
             calls.clear()
+        assert shapes == [(3, 6 * 42)]
         # another Hurst configuration fits again, on the statistics already built
         run_walk_forward(panel, BacktestConfig(horizon_n=63, benchmark="BMK",
                                                hurst=HurstConfig(max_rungs=3)))
