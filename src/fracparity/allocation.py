@@ -16,13 +16,20 @@ x days) array; the means and ddof=1 deviations of every lookback are each
 one call along the days. The first time
 ``fractal_biased`` asks for a lookback's Hurst fit, the minimal-cover paths
 and fits of the trend-surviving rows of every lookback of the walk are
-made in one call along the rows; each period reads its own run of rows
-and rejects its own constant paths. What is shared is read-only.
-:func:`compute_weights` runs one variant on one lookback: the trend
-filter, the ``h`` clamp and the inverse-volatility weights are masked
-array operations.
+made in one call along the rows. Every step of a variant but a lookback's
+normalization is elementwise, so the first time a variant asks for its
+weights at a horizon and Hurst configuration, its :class:`WeightsPlan`
+computes them for every lookback at once: the trend mask, ``h`` and the
+fit diagnostics scattered from the one fit, the horizon deviations, and
+per lookback its first flat column and whether one of its fitted paths is
+constant. What is shared is read-only. :func:`compute_weights` runs one
+variant on one lookback: it raises that lookback's errors, so they still
+come in period order, and weights the row's active assets by inverse
+volatility, normalized over the same values in the same order as a
+lookback computed alone.
 The per-asset diagnostics are vectors on :class:`PortfolioWeights`, one
-entry per ticker, and are not kept in any other form.
+entry per ticker, rows of the plan's blocks, and are not kept in any other
+form.
 """
 
 from __future__ import annotations
@@ -37,7 +44,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import AlignedPanel
 from .errors import DegenerateVolatility, Empty, LengthMismatch
-from .fractal import HurstConfig, HurstFit, build_path, fit_hurst_rows, require_variation
+from .fractal import (
+    HurstConfig,
+    HurstFit,
+    build_path,
+    fit_hurst_rows,
+    require_variation,
+    vanishing_rows,
+)
 from .fractal import estimate_hurst  # noqa: F401  (perfbench/tracing.py wraps this binding)
 from .riskstats import log_returns  # noqa: F401  (perfbench/tracing.py wraps this binding)
 from .riskstats import mean_return, rescale_volatility, unbiased_std
@@ -100,15 +114,39 @@ def inverse_volatility_weights(stds: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class WeightsPlan:
+    """What a variant's weights read of every lookback of a walk, before normalization.
+
+    ``active`` (the trend mask), ``h``, ``r_squared``, ``clamped``, ``std_n``
+    and ``weighting_std`` (the deviation the variant weights by: ``std_n``,
+    or the daily ``std0`` for naive risk parity) are (lookbacks x assets)
+    blocks. Per lookback, ``flat`` is the first active column with zero
+    volatility, or -1, and ``vanished`` marks a fitted path whose variation
+    vanishes. Every array is read-only.
+    """
+
+    active: np.ndarray
+    h: np.ndarray
+    r_squared: np.ndarray
+    clamped: np.ndarray
+    std_n: np.ndarray
+    weighting_std: np.ndarray
+    flat: np.ndarray
+    vanished: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class LookbackStats:
     """A lookback's percent log returns (a row per column), means and ddof=1 stds.
 
     ``walk_fit(config)`` is the walk's one Hurst fit per configuration, made
     on first request, of the trend-surviving rows (``mu > 0``) of every
     lookback: ``(bounds, fit)``, lookback ``index``'s rows running from
-    ``bounds[index]`` to ``bounds[index + 1]``. Every walk at this horizon
-    over the panel shares these statistics and fits, so all their arrays
-    are read-only.
+    ``bounds[index]`` to ``bounds[index + 1]``. ``weights_plan(variant,
+    horizon, config)`` is the walk's :class:`WeightsPlan` for that variant,
+    horizon and configuration, also made on first request. Every walk at this
+    horizon over the panel shares these statistics, fits and plans, so all
+    their arrays are read-only.
     """
 
     tickers: tuple[str, ...]
@@ -116,6 +154,7 @@ class LookbackStats:
     mu: np.ndarray
     std0: np.ndarray
     walk_fit: Callable[[HurstConfig], tuple[np.ndarray, HurstFit]]
+    weights_plan: Callable[[StrategyVariant, int, HurstConfig], WeightsPlan]
     index: int
 
 
@@ -125,9 +164,9 @@ def lookback_stats(window: AlignedPanel, n: int) -> list[LookbackStats]:
     ``n`` must divide the window's rows. A block's returns are the ``n - 1``
     within its rows; the return that crosses into the next block is left out,
     and so are the benchmark-role columns. The returns, ``mu`` and ``std0``
-    blocks and the vectors of each Hurst fit are read-only, as
-    :func:`fracparity.backtest.run_strategies` hands them to every walk at
-    ``n`` over the panel.
+    blocks, the vectors of each Hurst fit and the blocks of each weights
+    plan are read-only, as :func:`fracparity.backtest.run_strategies` hands
+    them to every walk at ``n`` over the panel.
     """
     if n < 1 or window.n_rows < n or window.n_rows % n:
         raise LengthMismatch(f"window has {window.n_rows} rows, not a multiple of horizon {n}")
@@ -137,8 +176,7 @@ def lookback_stats(window: AlignedPanel, n: int) -> list[LookbackStats]:
     blocks = sliding_window_view(window.returns, n - 1, axis=-1)[:, ::n]
     mu, std0 = mean_return(blocks).T, unbiased_std(blocks).T  # lookbacks x assets
     returns = blocks.swapaxes(0, 1)
-    for block in (mu, std0):  # every walk at this horizon over the panel reads them
-        block.flags.writeable = False
+    _read_only(mu, std0)  # every walk at this horizon over the panel reads them
 
     @functools.cache
     def walk_fit(config: HurstConfig) -> tuple[np.ndarray, HurstFit]:
@@ -146,12 +184,45 @@ def lookback_stats(window: AlignedPanel, n: int) -> list[LookbackStats]:
         trend = mu > 0.0
         bounds = np.concatenate(([0], np.cumsum(trend.sum(axis=1))))
         fit = fit_hurst_rows(build_path(returns[trend]), config)
-        for vector in (bounds, fit.h, fit.mu_index, fit.r_squared, fit.clamped, fit.variations):
-            vector.flags.writeable = False
+        _read_only(bounds, fit.h, fit.mu_index, fit.r_squared, fit.clamped, fit.variations)
         return bounds, fit
 
+    @functools.cache
+    def weights_plan(variant: StrategyVariant, horizon: int, config: HurstConfig) -> WeightsPlan:
+        # every step but a lookback's normalization is elementwise, so it runs on all at once
+        naive = variant is StrategyVariant.NAIVE_RISK_PARITY
+        # the trend filter drops an asset with a non-positive mean return; naive has none
+        active = (mu > 0.0) | naive
+        h = np.full(mu.shape, 0.5)
+        r_squared = np.full(mu.shape, np.nan)
+        clamped = np.zeros(mu.shape, dtype=bool)
+        vanishing = np.zeros(mu.shape, dtype=bool)
+        if variant is StrategyVariant.FRACTAL_BIASED and active.any():
+            fit = walk_fit(config)[1]  # its rows are the active cells, in this block's order
+            h[active], r_squared[active] = fit.h, fit.r_squared
+            clamped[active], vanishing[active] = fit.clamped, vanishing_rows(fit.variations)
+        std_n = rescale_volatility(std0, horizon, h)
+        # naive weighting uses the daily deviation; biased variants the
+        # horizon-rescaled one (a shared factor would cancel anyway)
+        weighting_std = std0 if naive else std_n
+        zero = active & (std0 == 0.0)
+        flat = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
+        plan = WeightsPlan(
+            active, h, r_squared, clamped, std_n, weighting_std, flat, vanishing.any(axis=1)
+        )
+        _read_only(*vars(plan).values())
+        return plan
+
     tickers = window.portfolio_tickers
-    return [LookbackStats(tickers, returns[k], mu[k], std0[k], walk_fit, k) for k in range(len(mu))]
+    return [
+        LookbackStats(tickers, returns[k], mu[k], std0[k], walk_fit, weights_plan, k)
+        for k in range(len(mu))
+    ]
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
 
 
 def compute_weights(
@@ -162,38 +233,25 @@ def compute_weights(
 ) -> PortfolioWeights:
     """Run one variant's pipeline on the statistics of an ``n``-row lookback window.
 
-    When a biased variant filters out every asset the result is all zeros
-    with cash = 1.
+    Reads the lookback's row of the walk's weights plan, raises its errors
+    and weights its active assets. When a biased variant filters out every
+    asset the result is all zeros with cash = 1.
     """
-    variant = StrategyVariant(variant)
-    tickers, mus, std0s = stats.tickers, stats.mu, stats.std0
-    # the trend filter drops an asset with a non-positive mean return; naive risk parity has none
-    active = (mus > 0.0) | (variant is StrategyVariant.NAIVE_RISK_PARITY)
-    flat = np.flatnonzero(active & (std0s == 0.0))
-    if flat.size:
-        raise DegenerateVolatility(f"{tickers[flat[0]]}: zero volatility over the window")
-
-    h = np.full(len(tickers), 0.5)
-    r_squared = np.full(len(tickers), np.nan)
-    clamped = np.zeros(len(tickers), dtype=bool)
-    if variant is StrategyVariant.FRACTAL_BIASED and active.any():
+    plan = stats.weights_plan(StrategyVariant(variant), n, hurst_config)
+    tickers, k = stats.tickers, stats.index
+    if plan.flat[k] >= 0:
+        raise DegenerateVolatility(f"{tickers[plan.flat[k]]}: zero volatility over the window")
+    if plan.vanished[k]:
         bounds, fit = stats.walk_fit(hurst_config)
-        run = slice(bounds[stats.index], bounds[stats.index + 1])
-        require_variation(fit.variations[run])  # this lookback's rows only
-        h[active], r_squared[active] = fit.h[run], fit.r_squared[run]
-        clamped[active] = fit.clamped[run]
-    std_n = rescale_volatility(std0s, n, h)
+        require_variation(fit.variations[bounds[k] : bounds[k + 1]])  # this lookback's rows only
 
-    # naive weighting uses the daily deviation; biased variants the
-    # horizon-rescaled one (a shared factor would cancel anyway)
-    std_invest = std0s if variant is StrategyVariant.NAIVE_RISK_PARITY else std_n
+    active = plan.active[k]
+    stds = plan.weighting_std[k][active]
     weights = np.zeros(len(tickers))
-    if active.any():
-        weights[active] = inverse_volatility_weights(std_invest[active])
-        cash = 0.0
-    else:
-        cash = 1.0
+    if stds.size:
+        weights[active] = inverse_volatility_weights(stds)
     return PortfolioWeights(
-        tickers=tickers, weights=weights, cash=cash,
-        mu=mus, std0=std0s, h=h, std_n=std_n, r_squared=r_squared, clamped=clamped,
+        tickers=tickers, weights=weights, cash=0.0 if stds.size else 1.0,
+        mu=stats.mu, std0=stats.std0, h=plan.h[k], std_n=plan.std_n[k],
+        r_squared=plan.r_squared[k], clamped=plan.clamped[k],
     )

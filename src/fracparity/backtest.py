@@ -28,18 +28,24 @@ They are kept for as long as the panel lives, so a later walk at that
 horizon, such as each strategy walked alone through
 :func:`run_walk_forward` and :func:`run_benchmark`, reads them. A
 period is marked from the trade-row and mark-row prices of the portfolio
-columns (:func:`period_return`). :func:`compute_weights` returns a
-variant's weights with their diagnostics, as vectors. ``fractal_biased``
-fits the Hurst exponents of every lookback in one batched call, in the
-first period that needs one, once per panel, horizon and Hurst
-configuration; each period reads its own rows and rejects its own
-constant paths, so errors still come in period order. The holdings are an
+columns (:func:`period_return`), gathered once per walk as two (periods x
+columns) blocks; the benchmark's net returns are one vector operation over
+its trade and mark rows. :func:`compute_weights` returns a variant's
+weights with their diagnostics, as vectors: everything but its own
+normalization is the row of a weights plan that the variant's first period
+computes for every lookback and that is kept with the lookbacks, once per
+panel, horizon, variant and Hurst configuration. ``fractal_biased`` fits
+the Hurst exponents of every lookback in one batched call for that plan;
+each period raises only its own errors (a flat asset, a constant path), so
+errors still come in period order. The holdings are an
 int64 share vector in portfolio-column order; a rebalance returns its
 orders as :class:`Trades`, parallel vectors of column, signed shares,
 price and fee.
 These vectors are the only form of a period's result. Sums that feed the
-reported figures run left to right in column order, so results do not
-depend on how the arrays are blocked.
+reported figures are plain float additions, left to right in column order
+(``_sum_left``), so results depend neither on how the arrays are
+blocked nor on the Python version, whose builtin ``sum`` of floats is
+compensated from 3.12 on.
 
 Values are checked once, where they enter (the config classes, ``AlignedPanel``
 and the panel length in :func:`run_strategies`); the functions a period calls
@@ -179,6 +185,17 @@ class EquityCurve:
 Run = tuple[list[PeriodResult], EquityCurve]
 
 
+def _sum_left(values: np.ndarray, start: float = 0.0) -> float:
+    """``start + values[0] + values[1] + ...``, added left to right in plain floats.
+
+    The order, and with it every bit, is the same on every Python; the
+    builtin ``sum`` of floats is compensated from Python 3.12 on.
+    """
+    total = np.empty(len(values) + 1)
+    total[0], total[1:] = start, values
+    return float(np.add.accumulate(total, out=total)[-1])
+
+
 def commission_for(shares, price, plan: CommissionPlan) -> np.ndarray:
     """Commission per order for orders of ``shares`` at ``price``; zero shares cost zero.
 
@@ -215,9 +232,8 @@ def execute_rebalance(
     tickers = weights.tickers
     price = np.asarray(prices, dtype=float)
     target = np.floor(weights.weights * capital / price)
-    too_many = np.flatnonzero(~(target < 2.0**63))
-    if too_many.size:
-        i = too_many[0]
+    if not (target < 2.0**63).all():
+        i = np.flatnonzero(~(target < 2.0**63))[0]
         raise NumericError(f"{tickers[i]}: target of {target[i]:.6g} shares overflows int64")
     target = target.astype(np.int64)
     delta = target - np.asarray(prior, np.int64)
@@ -226,7 +242,7 @@ def execute_rebalance(
     traded_shares = delta[traded]
     traded_price = price[traded]
     fees = commission_for(np.abs(traded_shares), traded_price, plan)
-    total_commission = sum(fees.tolist(), 0.0)
+    total_commission = _sum_left(fees)
     if total_commission >= capital:
         raise InsufficientCapital(
             f"commissions {total_commission:.2f} would consume capital {capital:.2f}"
@@ -263,14 +279,14 @@ def period_return(
     ):
         raise LengthMismatch(f"shares {shares.shape} vs prices or expense ratios of another shape")
     start_values = shares * start_prices
-    v_start = sum(start_values.tolist(), 0.0) + cash
+    v_start = _sum_left(start_values) + cash
     if v_start <= 0.0:
         raise InsufficientCapital(f"period starts with non-positive value {v_start}")
-    v_end = sum((shares * end_prices).tolist(), cash)
+    v_end = _sum_left(shares * end_prices, cash)
     gross = 100.0 * (v_end - v_start) / v_start
 
     year_fraction = n_rows / TRADING_DAYS_PER_YEAR
-    drag = sum((expense_ratios * year_fraction * (start_values / v_start)).tolist(), 0.0)
+    drag = _sum_left(expense_ratios * year_fraction * (start_values / v_start))
 
     return gross, drag, gross - drag - 100.0 * commissions / v_start
 
@@ -290,7 +306,7 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
     The lookback statistics are built by the first walk at horizon ``N`` over
     ``panel`` that runs a variant and kept while ``panel`` lives; every later
     walk at ``N`` over it, of any variant, reads them, and with them their
-    Hurst fit per configuration.
+    Hurst fit per configuration and each variant's weights plan.
     """
     names = list(dict.fromkeys(names))  # a strategy named twice runs once
     variants = {  # each checked by BacktestConfig's rules; hurst and commission are shared
@@ -302,39 +318,42 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
         raise InsufficientHistory(
             f"panel of {panel.n_rows} rows cannot fit lookback + holding of {n} days each"
         )
-    bench = panel.column(config.benchmark) if BENCHMARK_LABEL in names else None
+    n_periods = panel.n_rows // n - 1
+    trade_rows = n * np.arange(1, n_periods + 1)  # period k trades at (k+1)N, marks at (k+2)N - 1
+    mark_rows = trade_rows + n - 1
+    if BENCHMARK_LABEL in names:
+        bench = panel.column(config.benchmark)
+        bench_net = (100.0 * (bench[mark_rows] / bench[trade_rows] - 1.0)).tolist()
     columns = panel.portfolio_columns
     expense_ratios = panel.expense_ratios[columns]
     held = {name: np.zeros(len(columns), np.int64) for name in variants}  # weights.tickers order
     runs = {name: ([], [config.initial_capital]) for name in names}  # results, equity values
     reinvest = config.compounding == REINVEST
-    n_periods = panel.n_rows // n - 1
     if variants:
         built = _LOOKBACKS.setdefault(panel, {})
         if n not in built:  # period k's lookback is block k of the first n_periods * n rows
             built[n] = lookback_stats(slice_window(panel, n_periods * n - 1, n_periods * n), n)
         lookbacks = built[n]
-    for k in range(n_periods):
-        start_row = (k + 1) * n
-        end_row = (k + 2) * n - 1
-        if variants:
-            exec_prices = panel.prices[start_row, columns]
-            mark_prices = panel.prices[end_row, columns]
+        # (periods x portfolio columns): each period's trade-row and mark-row prices
+        trade_prices = panel.prices[np.ix_(trade_rows, columns)]
+        mark_prices = panel.prices[np.ix_(mark_rows, columns)]
+    for k, (start_row, end_row) in enumerate(zip(trade_rows.tolist(), mark_rows.tolist())):
         for name, (results, equity) in runs.items():
             start_capital = equity[-1] if reinvest else config.initial_capital
             if name == BENCHMARK_LABEL:
                 weights = trades = None
                 commission = drag = 0.0
-                gross = net = 100.0 * (float(bench[end_row]) / float(bench[start_row]) - 1.0)
+                gross = net = bench_net[k]
             else:
                 weights = compute_weights(lookbacks[k], variants[name], n, config.hurst)
                 # weights.tickers are the portfolio columns in panel order
                 trades, held[name], commission = execute_rebalance(
-                    weights, start_capital, exec_prices, config.commission, held[name]
+                    weights, start_capital, trade_prices[k], config.commission, held[name]
                 )
-                cash = start_capital - sum((held[name] * exec_prices).tolist(), 0.0)
+                cash = start_capital - _sum_left(held[name] * trade_prices[k])
                 gross, drag, net = period_return(
-                    held[name], cash, exec_prices, mark_prices, expense_ratios, n, commission
+                    held[name], cash, trade_prices[k], mark_prices[k], expense_ratios, n,
+                    commission,
                 )
             if not net > -100.0:
                 raise InsufficientCapital(
@@ -348,7 +367,7 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
                 end_capital=start_capital * (1.0 + net / 100.0),
             ))
             equity.append(equity[-1] * (1.0 + net / 100.0))
-    dates = (panel.dates[n], *(panel.dates[(k + 2) * n - 1] for k in range(n_periods)))
+    dates = tuple(panel.dates[row] for row in (n, *mark_rows.tolist()))
     return {
         name: (results, EquityCurve(dates=dates, values=np.array(equity)))
         for name, (results, equity) in runs.items()

@@ -267,7 +267,8 @@ def _decimal_values(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> n
     digits[point] = 0
     if not (digits <= 9).all():
         return None
-    places = np.insert(_POWERS[width - 2 :: -1], point, 0.0)
+    powers = _POWERS[width - 2 :: -1]  # the place value of each digit, the point's is 0
+    places = np.concatenate((powers[:point], [0.0], powers[point:]))
     return (places @ digits) / _POWERS[k]
 
 

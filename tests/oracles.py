@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import math
+import operator
 import re
 
 import numpy as np
@@ -209,6 +211,15 @@ def order_commission(shares: int, price: float, per_share: float, min_per_order:
     if shares == 0:
         return 0.0
     return min(max(per_share * shares, min_per_order), max_pct_of_value * shares * price / 100.0)
+
+
+def left_sum(xs, start: float = 0.0) -> float:
+    """``start + xs[0] + xs[1] + ...``, one rounded addition at a time, left to right.
+
+    The builtin ``sum`` of floats is compensated from Python 3.12 on, so it
+    gives other bits than this on some inputs.
+    """
+    return functools.reduce(operator.add, xs, start)
 
 
 def holding_net_return(targets, capital: float, start_prices, end_prices, expense_ratios,

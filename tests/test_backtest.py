@@ -31,6 +31,7 @@ from fracparity.data import AlignedPanel, AssetSpec, slice_window
 from fracparity.errors import (
     ConfigError,
     DegeneratePath,
+    DegenerateVolatility,
     InsufficientCapital,
     InsufficientHistory,
     LengthMismatch,
@@ -563,7 +564,9 @@ class TestRunStrategies:
         results, _ = run_walk_forward(panel, cfg)
         before = [period_fields(p) for p in results]
         weights = results[0].weights
-        for vector in (weights.mu, weights.std0):
+        # the diagnostics are rows of blocks that every walk at n over the panel reads
+        for vector in (weights.mu, weights.std0, weights.h, weights.std_n, weights.r_squared,
+                       weights.clamped):
             with pytest.raises(ValueError):
                 vector[0] = -1.0
         for variant in StrategyVariant:
@@ -573,10 +576,57 @@ class TestRunStrategies:
 
         stats = lookback_stats(slice_window(panel, 4 * n - 1, 4 * n), n)[0]
         bounds, fit = stats.walk_fit(cfg.hurst)
+        plans = [stats.weights_plan(variant, n, cfg.hurst) for variant in StrategyVariant]
         for vector in (stats.returns, stats.mu, stats.std0, bounds, fit.h, fit.mu_index,
-                       fit.r_squared, fit.clamped, fit.variations):
+                       fit.r_squared, fit.clamped, fit.variations,
+                       *(block for plan in plans for block in vars(plan).values())):
             with pytest.raises(ValueError):
                 vector[0] = 0
+
+    def test_a_walk_builds_one_weights_plan_per_variant(self, monkeypatch):
+        plans, rescale = [], allocation.rescale_volatility
+
+        def counted(std0, n, h):
+            plans.append(std0.shape)
+            return rescale(std0, n, h)
+
+        monkeypatch.setattr(allocation, "rescale_volatility", counted)
+        n = 42
+        panel = synthetic_panel(seed=97, n_rows=7 * n, n_assets=3)
+        cfg = BacktestConfig(horizon_n=n, benchmark="BMK")
+        runs = run_strategies(panel, cfg, self.NAMES)
+        assert [len(results) for results, _ in runs.values()] == [6] * 4
+        assert plans == [(6, 3)] * 3  # (lookbacks x assets), one per variant
+        for variant in StrategyVariant:  # later walks at n over the panel read them
+            run_walk_forward(panel, dataclasses.replace(cfg, variant=variant))
+        assert len(plans) == 3
+
+    def test_a_flat_asset_raises_in_its_own_period(self, monkeypatch):
+        n = 63
+        base = synthetic_panel(seed=73, n_rows=4 * n, n_assets=3)
+        prices = base.prices.copy()
+        prices[n : 2 * n, 1] = prices[n, 1]  # A1 is flat over lookback 1 only
+        panel = AlignedPanel(dates=base.dates, assets=base.assets, prices=prices)
+        stats = lookback_stats(slice_window(panel, 3 * n - 1, 3 * n), n)
+        assert [s.std0[1] == 0.0 for s in stats] == [False, True, False]
+
+        naive = StrategyVariant.NAIVE_RISK_PARITY
+        assert (compute_weights(stats[0], naive, n).weights > 0.0).all()
+        with pytest.raises(DegenerateVolatility, match="^A1: zero volatility"):
+            compute_weights(stats[1], naive, n)
+        assert (compute_weights(stats[2], naive, n).weights > 0.0).all()
+
+        rebalances = []
+
+        def counted(*args):
+            rebalances.append(args[0])
+            return execute_rebalance(*args)
+
+        monkeypatch.setattr(backtest, "execute_rebalance", counted)
+        cfg = BacktestConfig(horizon_n=n, benchmark="BMK")
+        with pytest.raises(DegenerateVolatility, match="^A1: zero volatility"):
+            run_strategies(panel, cfg, [naive.value])
+        assert len(rebalances) == 1  # period 0 ran; period 1 raised before its rebalance
 
     def test_a_strategy_named_twice_runs_once(self):
         panel = synthetic_panel(seed=47, n_rows=4 * 63, n_assets=2)

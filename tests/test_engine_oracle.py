@@ -18,7 +18,7 @@ import pytest
 import oracles
 from conftest import synthetic_panel, trade_rows
 from fracparity.allocation import StrategyVariant
-from fracparity.backtest import BacktestConfig, run_walk_forward
+from fracparity.backtest import FIXED_CAPITAL, REINVEST, BacktestConfig, run_walk_forward
 from fracparity.data import slice_window
 from fracparity.fractal import (
     HurstConfig,
@@ -187,9 +187,38 @@ def test_trade_vectors_add_up_and_repeat(variant):
         assert sum(len(r.trades) for r in results) > 0
         for result in results:
             assert len(trade_rows(result.trades)) == len(result.trades)
-            assert sum(result.trades.fees.tolist(), 0.0) == result.commission_cost
+            assert oracles.left_sum(result.trades.fees.tolist()) == result.commission_cost
         again, _ = run_walk_forward(panel, config)
         assert [trade_rows(r.trades) for r in again] == [trade_rows(r.trades) for r in results]
+
+
+@pytest.mark.parametrize("mode", [FIXED_CAPITAL, REINVEST])
+def test_period_sums_add_left_to_right(mode):
+    # the same bits on every Python: the builtin sum of floats, compensated from
+    # Python 3.12 on, moves the start or end value of most of these periods
+    n = 63
+    panel = synthetic_panel(seed=89, n_rows=8 * n, n_assets=120)
+    row = {date: i for i, date in enumerate(panel.dates)}
+    columns = panel.portfolio_columns
+    expense = panel.expense_ratios[columns]
+    for variant in StrategyVariant:
+        config = BacktestConfig(horizon_n=n, variant=variant, compounding=mode, benchmark="BMK")
+        results, _ = run_walk_forward(panel, config)
+        held = np.zeros(len(columns), np.int64)
+        for k, result in enumerate(results):
+            held[result.trades.columns] += result.trades.shares
+            invested = held * panel.prices[row[result.start_date], columns]
+            marked = held * panel.prices[row[result.end_date], columns]
+            commission = oracles.left_sum(result.trades.fees.tolist())
+            cash = result.start_capital - oracles.left_sum(invested.tolist())
+            v_start = oracles.left_sum(invested.tolist()) + cash
+            v_end = oracles.left_sum(marked.tolist(), cash)
+            gross = 100.0 * (v_end - v_start) / v_start
+            drag = oracles.left_sum((expense * (n / 252) * (invested / v_start)).tolist())
+            assert (result.commission_cost, result.gross_return, result.expense_drag) == (
+                commission, gross, drag
+            ), (variant, k)
+            assert result.net_return == gross - drag - 100.0 * commission / v_start
 
 
 def test_slice_window_is_a_read_only_view():
