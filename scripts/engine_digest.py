@@ -7,8 +7,9 @@ Loads the configuration's panel twice. For each compounding mode and
 horizon it walks the configured variants and the benchmark in one
 ``run_strategies`` call over the first panel, and again one at a time
 through ``run_walk_forward`` and ``run_benchmark`` over the second.
-``run_strategies`` keeps the lookbacks of each horizon walked over a panel,
-so each route builds its own, and the later walks of a route reuse them.
+``run_strategies`` keeps the lookback statistics of each horizon walked
+over a panel, so each route builds its own and the later walks of a route
+reuse them; every walk builds its own Hurst fit and weights plans.
 It prints ``mode horizon strategy sha256`` per strategy, hashing the bytes
 of the weights, every diagnostic vector, the trades, the period returns,
 the capital and the equity curve. It exits 1 if the two routes disagree, and 2 if a horizon

@@ -5,11 +5,12 @@ The engine tiles the panel after an initial lookback: optimize on rows
 defined in one place, :func:`run_strategies`, the one period loop of the
 three variants and the cost-free benchmark; the return statistics of all
 lookbacks are computed there once per panel and horizon, for every variant
-and every walk. Trades fill at the holding period's first close with zero
-slippage; whole shares only, with the remainder parked in zero-earning
-cash. Costs are commissions per trade (per-share rate floored per order
-and capped as a percentage of trade value) plus each fund's expense ratio
-pro-rated over the holding period.
+and every walk, and each variant's weights plan once per walk. Trades fill
+at the holding period's first close with zero slippage; whole shares only,
+with the remainder parked in zero-earning cash. Costs are commissions per
+trade (per-share rate floored per order and capped as a percentage of
+trade value) plus each fund's expense ratio pro-rated over the holding
+period.
 
 Two compounding modes ship: ``fixed_capital`` resets the deployed capital
 to the initial amount every period, so the period returns form an i.i.d.-
@@ -30,14 +31,14 @@ horizon, such as each strategy walked alone through
 period is marked from the trade-row and mark-row prices of the portfolio
 columns (:func:`period_return`), gathered once per walk as two (periods x
 columns) blocks; the benchmark's net returns are one vector operation over
-its trade and mark rows. :func:`compute_weights` returns a variant's
-weights with their diagnostics, as vectors: everything but its own
-normalization is the row of a weights plan that the variant's first period
-computes for every lookback and that is kept with the lookbacks, once per
-panel, horizon, variant and Hurst configuration. ``fractal_biased`` fits
-the Hurst exponents of every lookback in one batched call for that plan;
-each period raises only its own errors (a flat asset, a constant path), so
-errors still come in period order. The holdings are an
+its trade and mark rows. Before the first period a walk builds each
+variant's :func:`weights_plan` for every lookback at once
+(``fractal_biased`` fits the Hurst exponents of every lookback in one
+batched call) and drops it when the walk ends. :func:`compute_weights`
+returns a period's weights with their diagnostics, as vectors: everything
+but its own normalization is its row of the plan, and it raises only its
+own errors (a flat asset, a constant path), so errors still come in
+period order. The holdings are an
 int64 share vector in portfolio-column order; a rebalance returns its
 orders as :class:`Trades`, parallel vectors of column, signed shares,
 price and fee.
@@ -62,7 +63,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import PortfolioWeights, StrategyVariant, compute_weights, lookback_stats
+from .allocation import (
+    PortfolioWeights,
+    StrategyVariant,
+    compute_weights,
+    lookback_stats,
+    weights_plan,
+)
 from .data import AlignedPanel, slice_window
 from .errors import (
     ConfigError,
@@ -79,7 +86,7 @@ REINVEST = "reinvest"
 TRADING_DAYS_PER_YEAR = 252
 # the name the benchmark's run goes by in reports, next to the variants'
 BENCHMARK_LABEL = "benchmark"
-# panel -> {horizon N: the lookback_stats of a walk at N}. An entry lives as long as its
+# panel -> {horizon N: the Lookbacks of a walk at N}. An entry lives as long as its
 # panel; a window from slice_window is a panel of its own, so it starts with none.
 _LOOKBACKS = weakref.WeakKeyDictionary()
 
@@ -124,7 +131,10 @@ class BacktestConfig:
             )
         if self.compounding not in (FIXED_CAPITAL, REINVEST):
             raise ConfigError(f"unknown compounding mode {self.compounding!r}")
-        object.__setattr__(self, "variant", StrategyVariant(self.variant))
+        try:
+            object.__setattr__(self, "variant", StrategyVariant(self.variant))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.variant is StrategyVariant.FRACTAL_BIASED:
             if self.hurst.h_max > 1.0:
                 raise ConfigError(
@@ -252,7 +262,7 @@ def execute_rebalance(
 
 def period_return(
     shares,
-    cash: float,
+    capital: float,
     start_prices,
     end_prices,
     expense_ratios,
@@ -263,7 +273,8 @@ def period_return(
 
     ``shares``, the trade-row prices ``start_prices``, the mark-row prices
     ``end_prices`` and the annual ``expense_ratios`` (percent) are vectors
-    over the same columns. Positions are priced at the start prices. The
+    over the same columns. Positions are priced at the start prices; what
+    of the start ``capital`` they do not take is held in cash. The
     gross return is the mark-to-market change in percent; each asset's
     expense ratio is pro-rated by the period's ``n_rows`` rows over a
     252-day year and applied to that asset's share of start capital;
@@ -279,7 +290,9 @@ def period_return(
     ):
         raise LengthMismatch(f"shares {shares.shape} vs prices or expense ratios of another shape")
     start_values = shares * start_prices
-    v_start = _sum_left(start_values) + cash
+    invested = _sum_left(start_values)
+    cash = capital - invested
+    v_start = invested + cash
     if v_start <= 0.0:
         raise InsufficientCapital(f"period starts with non-positive value {v_start}")
     v_end = _sum_left(shares * end_prices, cash)
@@ -305,8 +318,9 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
 
     The lookback statistics are built by the first walk at horizon ``N`` over
     ``panel`` that runs a variant and kept while ``panel`` lives; every later
-    walk at ``N`` over it, of any variant, reads them, and with them their
-    Hurst fit per configuration and each variant's weights plan.
+    walk at ``N`` over it, of any variant, reads them. Each variant's weights
+    plan, with its Hurst fit, is built before the first period and dropped
+    when the walk ends.
     """
     names = list(dict.fromkeys(names))  # a strategy named twice runs once
     variants = {  # each checked by BacktestConfig's rules; hurst and commission are shared
@@ -333,7 +347,7 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
         built = _LOOKBACKS.setdefault(panel, {})
         if n not in built:  # period k's lookback is block k of the first n_periods * n rows
             built[n] = lookback_stats(slice_window(panel, n_periods * n - 1, n_periods * n), n)
-        lookbacks = built[n]
+        plans = {name: weights_plan(built[n], v, config.hurst) for name, v in variants.items()}
         # (periods x portfolio columns): each period's trade-row and mark-row prices
         trade_prices = panel.prices[np.ix_(trade_rows, columns)]
         mark_prices = panel.prices[np.ix_(mark_rows, columns)]
@@ -345,15 +359,14 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
                 commission = drag = 0.0
                 gross = net = bench_net[k]
             else:
-                weights = compute_weights(lookbacks[k], variants[name], n, config.hurst)
+                weights = compute_weights(plans[name], k)
                 # weights.tickers are the portfolio columns in panel order
                 trades, held[name], commission = execute_rebalance(
                     weights, start_capital, trade_prices[k], config.commission, held[name]
                 )
-                cash = start_capital - _sum_left(held[name] * trade_prices[k])
                 gross, drag, net = period_return(
-                    held[name], cash, trade_prices[k], mark_prices[k], expense_ratios, n,
-                    commission,
+                    held[name], start_capital, trade_prices[k], mark_prices[k], expense_ratios,
+                    n, commission,
                 )
             if not net > -100.0:
                 raise InsufficientCapital(

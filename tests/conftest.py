@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fracparity.allocation import compute_weights, weights_plan
 from fracparity.data import AlignedPanel, AssetSpec, ROLE_BENCHMARK
+from fracparity.fractal import HurstConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -25,6 +27,11 @@ def trade_rows(trades) -> list[tuple]:
     """One ``(column, shares, price, fee)`` tuple per order of a rebalance's trades."""
     vectors = (trades.columns, trades.shares, trades.prices, trades.fees)
     return list(zip(*(v.tolist() for v in vectors), strict=True))
+
+
+def weights_of(lookbacks, variant, config=HurstConfig(), k=0):
+    """Lookback ``k``'s weights under ``variant``, read from a plan over every lookback."""
+    return compute_weights(weights_plan(lookbacks, variant, config), k)
 
 
 def synthetic_panel(

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import synthetic_panel, trade_rows
-from fracparity.allocation import StrategyVariant, compute_weights, lookback_stats
+from conftest import synthetic_panel, trade_rows, weights_of
+from fracparity.allocation import StrategyVariant, lookback_stats
 from fracparity.backtest import (
     BacktestConfig,
     CommissionPlan,
@@ -71,9 +71,9 @@ def test_degeneracy_pinned_hurst_bitwise():
     # weights identical bitwise on every lookback window
     for k in range(panel.n_rows // n - 1):
         window = slice_window(panel, end_index=(k + 1) * n - 1, length=n)
-        stats = lookback_stats(window, n)[0]
-        wf = compute_weights(stats, StrategyVariant.FRACTAL_BIASED, n, pinned)
-        ws = compute_weights(stats, StrategyVariant.STANDARD_BIASED, n, pinned)
+        lookbacks = lookback_stats(window, n)
+        wf = weights_of(lookbacks, StrategyVariant.FRACTAL_BIASED, pinned)
+        ws = weights_of(lookbacks, StrategyVariant.STANDARD_BIASED, pinned)
         assert np.array_equal(wf.weights, ws.weights)
         assert wf.cash == ws.cash
 

@@ -7,14 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import business_days, synthetic_panel
-from fracparity.allocation import (
-    PortfolioWeights,
-    StrategyVariant,
-    compute_weights,
-    inverse_volatility_weights,
-    lookback_stats,
-)
+from conftest import business_days, synthetic_panel, weights_of
+from fracparity.allocation import StrategyVariant, inverse_volatility_weights, lookback_stats
 from fracparity.data import AlignedPanel, AssetSpec, slice_window
 from fracparity.errors import DegenerateVolatility, Empty, LengthMismatch
 from fracparity.fractal import HurstConfig, build_path, fit_hurst_rows
@@ -56,7 +50,7 @@ class TestTrendFilter:
         window = panel_from_columns({f"T{i}": c for i, c in enumerate(closes)})
         masks = []
         for variant in (StrategyVariant.FRACTAL_BIASED, StrategyVariant.STANDARD_BIASED):
-            w = compute_weights(lookback_stats(window, window.n_rows)[0], variant, window.n_rows)
+            w = weights_of(lookback_stats(window, window.n_rows), variant)
             assert ((w.weights > 0.0) == (w.mu > 0.0)).all()
             masks.append((w.weights > 0.0).tolist())
         assert masks[0] == masks[1]
@@ -70,7 +64,7 @@ class TestTrendFilter:
 
     def test_zero_mean_is_inactive(self):
         window = panel_from_columns({"RT": ROUND_TRIP})
-        assert lookback_stats(window, 65)[0].mu == [0.0]
+        assert lookback_stats(window, 65).mu.tolist() == [[0.0]]
         assert self.active(ROUND_TRIP) == [False]
 
     def test_empty(self):
@@ -78,7 +72,7 @@ class TestTrendFilter:
         panel = panel_from_columns({"BMK": drifted(24, n, 0.004)}, benchmark="BMK")
         for variant in (StrategyVariant.FRACTAL_BIASED, StrategyVariant.STANDARD_BIASED):
             with pytest.raises(Empty):
-                compute_weights(lookback_stats(panel, n)[0], variant, n)
+                weights_of(lookback_stats(panel, n), variant)
 
 
 class TestLookbackStats:
@@ -91,15 +85,16 @@ class TestLookbackStats:
         # start away from row 0, at an offset that depends on n
         rows = (panel.n_rows - 1) // n * n
         window = slice_window(panel, end_index=panel.n_rows - 2, length=rows)
-        blocks = lookback_stats(window, n)
-        assert len(blocks) == rows // n
-        for k, stats in enumerate(blocks):
+        lookbacks = lookback_stats(window, n)
+        assert lookbacks.tickers == panel.portfolio_tickers
+        assert len(lookbacks.returns) == len(lookbacks.mu) == len(lookbacks.std0) == rows // n
+        for k in range(rows // n):
             alone = log_returns(window.prices[k * n : (k + 1) * n].T[window.portfolio_columns])
-            assert stats.tickers == panel.portfolio_tickers
-            assert stats.returns.tobytes() == alone.tobytes()
-            assert stats.mu.tobytes() == mean_return(alone).tobytes()
-            assert stats.std0.tobytes() == unbiased_std(alone).tobytes()
-            assert not stats.returns.flags.writeable
+            assert lookbacks.returns[k].tobytes() == alone.tobytes()
+            assert lookbacks.mu[k].tobytes() == mean_return(alone).tobytes()
+            assert lookbacks.std0[k].tobytes() == unbiased_std(alone).tobytes()
+        for block in (lookbacks.returns, lookbacks.mu, lookbacks.std0):
+            assert not block.flags.writeable
 
     @pytest.mark.parametrize(("rows", "n"), [(130, 63), (62, 63), (64, 63)])
     def test_rows_not_a_multiple_of_n(self, rows, n):
@@ -138,7 +133,7 @@ class TestComputeWeights:
         falling = drifted(seed=12, n=n, drift=-0.005)
         panel = panel_from_columns({"DN": falling, "T1": twin, "T2": twin.copy()})
         for variant in (StrategyVariant.FRACTAL_BIASED, StrategyVariant.STANDARD_BIASED):
-            w = compute_weights(lookback_stats(panel, n)[0], variant, n)
+            w = weights_of(lookback_stats(panel, n), variant)
             assert w.tickers == ("DN", "T1", "T2")
             assert w.weights[0] == 0.0
             assert w.weights[1] == 0.5
@@ -150,7 +145,7 @@ class TestComputeWeights:
         panel = panel_from_columns(
             {"D1": drifted(21, n, -0.004), "D2": drifted(22, n, -0.006)}
         )
-        w = compute_weights(lookback_stats(panel, n)[0], StrategyVariant.FRACTAL_BIASED, n)
+        w = weights_of(lookback_stats(panel, n), StrategyVariant.FRACTAL_BIASED)
         assert np.all(w.weights == 0.0)
         assert w.cash == 1.0
 
@@ -159,7 +154,7 @@ class TestComputeWeights:
         panel = panel_from_columns(
             {"D1": drifted(21, n, -0.004), "UP": drifted(23, n, 0.004)}
         )
-        w = compute_weights(lookback_stats(panel, n)[0], StrategyVariant.NAIVE_RISK_PARITY, n)
+        w = weights_of(lookback_stats(panel, n), StrategyVariant.NAIVE_RISK_PARITY)
         assert np.all(w.weights > 0.0)
         assert w.cash == 0.0
 
@@ -170,8 +165,8 @@ class TestComputeWeights:
         )
         # constant prices mean zero volatility: an error for naive, filtered for biased
         with pytest.raises(DegenerateVolatility):
-            compute_weights(lookback_stats(panel, n)[0], StrategyVariant.NAIVE_RISK_PARITY, n)
-        w = compute_weights(lookback_stats(panel, n)[0], StrategyVariant.FRACTAL_BIASED, n)
+            weights_of(lookback_stats(panel, n), StrategyVariant.NAIVE_RISK_PARITY)
+        w = weights_of(lookback_stats(panel, n), StrategyVariant.FRACTAL_BIASED)
         assert w.tickers == ("C", "UP")
         assert w.weights[0] == 0.0
         assert w.weights[1] == 1.0
@@ -181,29 +176,29 @@ class TestComputeWeights:
         panel = panel_from_columns(
             {"UP": drifted(23, n, 0.004), "BMK": drifted(24, n, 0.004)}, benchmark="BMK"
         )
-        w = compute_weights(lookback_stats(panel, n)[0], StrategyVariant.NAIVE_RISK_PARITY, n)
+        w = weights_of(lookback_stats(panel, n), StrategyVariant.NAIVE_RISK_PARITY)
         assert w.tickers == ("UP",)
         assert w.weights[0] == 1.0
 
     def test_window_length_mismatch(self):
         panel = synthetic_panel(seed=6, n_rows=64, n_assets=2)
         with pytest.raises(LengthMismatch):
-            compute_weights(lookback_stats(panel, 63)[0], StrategyVariant.NAIVE_RISK_PARITY, 63)
+            weights_of(lookback_stats(panel, 63), StrategyVariant.NAIVE_RISK_PARITY)
 
     def test_no_portfolio_assets(self):
         n = 63
         panel = panel_from_columns({"BMK": drifted(24, n, 0.004)}, benchmark="BMK")
         with pytest.raises(Empty):
-            compute_weights(lookback_stats(panel, n)[0], StrategyVariant.NAIVE_RISK_PARITY, n)
+            weights_of(lookback_stats(panel, n), StrategyVariant.NAIVE_RISK_PARITY)
 
     def test_clamped_hurst_makes_variants_identical_bitwise(self):
         n = 126
         pinned = HurstConfig(h_min=0.5, h_max=0.5)
         for seed in range(8):
             panel = synthetic_panel(seed=seed, n_rows=n, n_assets=4)
-            stats = lookback_stats(panel, n)[0]
-            wf = compute_weights(stats, StrategyVariant.FRACTAL_BIASED, n, pinned)
-            ws = compute_weights(stats, StrategyVariant.STANDARD_BIASED, n, pinned)
+            lookbacks = lookback_stats(panel, n)
+            wf = weights_of(lookbacks, StrategyVariant.FRACTAL_BIASED, pinned)
+            ws = weights_of(lookbacks, StrategyVariant.STANDARD_BIASED, pinned)
             assert wf.tickers == ws.tickers
             assert np.array_equal(wf.weights, ws.weights)
             assert wf.cash == ws.cash
@@ -212,8 +207,8 @@ class TestComputeWeights:
         # the variants may only differ through the exponent h
         n = 126
         panel = synthetic_panel(seed=8, n_rows=n, n_assets=4)
-        stats = lookback_stats(panel, n)[0]
-        fractal, *others = (compute_weights(stats, v, n) for v in StrategyVariant)
+        lookbacks = lookback_stats(panel, n)
+        fractal, *others = (weights_of(lookbacks, v) for v in StrategyVariant)
         for w in others:
             assert np.array_equal(w.mu, fractal.mu)
             assert np.array_equal(w.std0, fractal.std0)
@@ -221,15 +216,15 @@ class TestComputeWeights:
     def test_diagnostics_populated(self):
         n = 126
         panel = synthetic_panel(seed=9, n_rows=n, n_assets=3)
-        stats = lookback_stats(panel, n)[0]
-        w = compute_weights(stats, StrategyVariant.FRACTAL_BIASED, n)
+        lookbacks = lookback_stats(panel, n)
+        w = weights_of(lookbacks, StrategyVariant.FRACTAL_BIASED)
         for diagnostic in (w.mu, w.std0, w.h, w.std_n, w.r_squared, w.clamped):
             assert diagnostic.shape == (len(w.tickers),)
         for diagnostic in (w.mu, w.std0, w.h, w.std_n):
             assert np.isfinite(diagnostic).all()
         active = np.flatnonzero(w.weights > 0)
         assert active.size
-        fit = fit_hurst_rows(build_path(stats.returns[active]))
+        fit = fit_hurst_rows(build_path(lookbacks.returns[0][active]))
         assert np.array_equal(w.h[active], fit.h)
         assert np.array_equal(w.r_squared[active], fit.r_squared)
         assert np.array_equal(w.clamped[active], fit.clamped)
@@ -243,7 +238,7 @@ class TestComputeWeights:
         n = 63
         panel = synthetic_panel(seed=seed, n_rows=n, n_assets=4)
         for variant in StrategyVariant:
-            w = compute_weights(lookback_stats(panel, n)[0], variant, n)
+            w = weights_of(lookback_stats(panel, n), variant)
             assert float(np.sum(w.weights)) + w.cash == pytest.approx(1.0, abs=1e-12)
 
     def test_permuting_assets_permutes_weights(self):
@@ -253,27 +248,11 @@ class TestComputeWeights:
             "B": drifted(32, n, 0.001),
             "C": drifted(33, n, 0.002),
         }
-        base = compute_weights(
-            lookback_stats(panel_from_columns(cols), n)[0], StrategyVariant.FRACTAL_BIASED, n
-        )
+        fractal = StrategyVariant.FRACTAL_BIASED
+        base = weights_of(lookback_stats(panel_from_columns(cols), n), fractal)
         shuffled = {"C": cols["C"], "A": cols["A"], "B": cols["B"]}
-        perm = compute_weights(
-            lookback_stats(panel_from_columns(shuffled), n)[0], StrategyVariant.FRACTAL_BIASED, n
-        )
+        perm = weights_of(lookback_stats(panel_from_columns(shuffled), n), fractal)
         assert base.tickers == ("A", "B", "C") and perm.tickers == ("C", "A", "B")
         for i, j in enumerate((1, 2, 0)):  # base column i is perm column j
             assert perm.weights[j] == pytest.approx(base.weights[i], abs=1e-15)
 
-
-class TestPortfolioWeights:
-    def test_budget_violation_rejected(self):
-        with pytest.raises(ValueError):
-            PortfolioWeights(tickers=("A",), weights=np.array([0.7]), cash=0.0)
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            PortfolioWeights(tickers=("A", "B"), weights=np.array([1.5, -0.5]), cash=0.0)
-
-    def test_cash_with_positions_rejected(self):
-        with pytest.raises(ValueError):
-            PortfolioWeights(tickers=("A",), weights=np.array([0.5]), cash=0.5)

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import business_days, synthetic_panel, trade_rows
-from fracparity.allocation import PortfolioWeights, StrategyVariant, compute_weights, lookback_stats
+from conftest import business_days, synthetic_panel, trade_rows, weights_of
+from fracparity.allocation import Lookbacks, PortfolioWeights, StrategyVariant, lookback_stats
 from fracparity import allocation, backtest, data
 from fracparity.backtest import (
     BENCHMARK_LABEL,
@@ -129,13 +129,13 @@ class TestExecuteRebalance:
 
 class TestPeriodReturn:
     def test_cost_model(self):
-        gross, drag, net = period_return([50], 0.0, [100.0], [110.0], [0.40], 126)
+        gross, drag, net = period_return([50], 5_000.0, [100.0], [110.0], [0.40], 126)
         assert gross == pytest.approx(10.0, abs=1e-12)
         assert drag == pytest.approx(0.20, abs=1e-12)
         assert net == pytest.approx(9.80, abs=1e-12)
 
     def test_flat_prices(self):
-        gross, _, net = period_return([10], 0.0, [100.0], [100.0], [0.0], 20)
+        gross, _, net = period_return([10], 1_000.0, [100.0], [100.0], [0.0], 20)
         assert gross == 0.0 and net == 0.0
 
     def test_cash_only_pays_commissions(self):
@@ -147,13 +147,13 @@ class TestPeriodReturn:
 
     def test_cash_drag_free(self):
         # half in cash halves both the move and the expense drag
-        gross, drag, _ = period_return([50], 5_000.0, [100.0], [110.0], [0.40], 126)
+        gross, drag, _ = period_return([50], 10_000.0, [100.0], [110.0], [0.40], 126)
         assert gross == pytest.approx(5.0, abs=1e-12)
         assert drag == pytest.approx(0.10, abs=1e-12)
 
     def test_vectors_of_one_shape(self):
         with pytest.raises(LengthMismatch):
-            period_return([50, 10], 0.0, [100.0, 20.0], [110.0, 21.0], [0.40], 126)
+            period_return([50, 10], 5_200.0, [100.0, 20.0], [110.0, 21.0], [0.40], 126)
 
     def test_non_positive_start_value(self):
         with pytest.raises(InsufficientCapital):
@@ -419,6 +419,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             BacktestConfig(compounding="martingale")
 
+    def test_unknown_variant(self):
+        with pytest.raises(ConfigError, match="^'bogus' is not a valid StrategyVariant$"):
+            BacktestConfig(variant="bogus")
+        panel = synthetic_panel(seed=53, n_rows=4 * 63, n_assets=2)
+        with pytest.raises(ConfigError, match="'fractal_biassed' is not a valid"):
+            run_strategies(panel, BacktestConfig(horizon_n=63), ["fractal_biassed"])
+
     def test_fractal_clamp_at_most_one(self):
         hurst = HurstConfig(h_min=0.5, h_max=1.5)
         with pytest.raises(ConfigError, match="h_max is 1.5"):
@@ -449,18 +456,22 @@ class TestRunStrategies:
     NAMES = [*(v.value for v in StrategyVariant), BENCHMARK_LABEL]
 
     @pytest.mark.parametrize("mode", [FIXED_CAPITAL, REINVEST])
-    @pytest.mark.parametrize("source", ["panel4", "synthetic"])
+    @pytest.mark.parametrize("source", ["panel4", "synthetic", "falling"])
     def test_one_walk_equals_the_wrappers_bitwise(self, source, mode):
         if source == "panel4":
             settings = load_run_settings(PANEL_CONFIG)
             panel = load_universe_panel(settings)
             cfg = dataclasses.replace(settings.base_config(), compounding=mode)
         else:
-            panel = synthetic_panel(seed=41, n_rows=6 * 63 + 17, n_assets=5)
+            if source == "synthetic":
+                panel = synthetic_panel(seed=41, n_rows=6 * 63 + 17, n_assets=5)
+            else:  # drifts low enough that the trend filter empties a lookback
+                panel = synthetic_panel(seed=47, n_rows=6 * 63 + 17, n_assets=5,
+                                        drift_range=(-0.002, 0.001))
             cfg = BacktestConfig(horizon_n=63, compounding=mode, benchmark="BMK")
         runs = run_strategies(panel, cfg, self.NAMES)
         assert list(runs) == self.NAMES
-        traded = 0
+        traded = all_cash = 0
         for name, (results, equity) in runs.items():
             if name == BENCHMARK_LABEL:
                 alone, alone_equity = run_benchmark(panel, cfg)
@@ -472,7 +483,16 @@ class TestRunStrategies:
             assert [period_fields(p) for p in results] == [period_fields(p) for p in alone]
             assert equity.dates == alone_equity.dates
             assert equity.values.tobytes() == alone_equity.values.tobytes()
+            for w in (p.weights for p in results if p.weights is not None):
+                # long-only, fully invested unless every asset was filtered out
+                assert (w.weights >= 0.0).all()
+                assert w.cash in (0.0, 1.0)
+                assert (w.cash == 1.0) == (not (w.weights > 0.0).any())
+                assert abs(w.weights.sum() + w.cash - 1.0) <= 1e-12
+                all_cash += w.cash == 1.0
         assert traded > 0
+        if source == "falling":
+            assert all_cash > 0
 
     @pytest.mark.parametrize("mode", [FIXED_CAPITAL, REINVEST])
     def test_marking_ignores_benchmark_columns_wherever_they_sit(self, mode):
@@ -527,7 +547,7 @@ class TestRunStrategies:
         panel = synthetic_panel(seed=59, n_rows=6 * 42, n_assets=3)
         run_benchmark(panel, BacktestConfig(horizon_n=63, benchmark="BMK"))
         assert shapes == [] and calls == []
-        for n in (42, 63):  # each horizon builds its lookbacks and their Hurst fit once
+        for n in (42, 63):  # each horizon builds its lookbacks once; the fractal walk fits
             base = BacktestConfig(horizon_n=n, benchmark="BMK")
             for variant in StrategyVariant:
                 run_walk_forward(panel, dataclasses.replace(base, variant=variant))
@@ -564,9 +584,8 @@ class TestRunStrategies:
         results, _ = run_walk_forward(panel, cfg)
         before = [period_fields(p) for p in results]
         weights = results[0].weights
-        # the diagnostics are rows of blocks that every walk at n over the panel reads
-        for vector in (weights.mu, weights.std0, weights.h, weights.std_n, weights.r_squared,
-                       weights.clamped):
+        # mu and std0 are rows of blocks that every walk at n over the panel reads
+        for vector in (weights.mu, weights.std0):
             with pytest.raises(ValueError):
                 vector[0] = -1.0
         for variant in StrategyVariant:
@@ -574,14 +593,10 @@ class TestRunStrategies:
         again, _ = run_walk_forward(panel, cfg)
         assert [period_fields(p) for p in again] == before
 
-        stats = lookback_stats(slice_window(panel, 4 * n - 1, 4 * n), n)[0]
-        bounds, fit = stats.walk_fit(cfg.hurst)
-        plans = [stats.weights_plan(variant, n, cfg.hurst) for variant in StrategyVariant]
-        for vector in (stats.returns, stats.mu, stats.std0, bounds, fit.h, fit.mu_index,
-                       fit.r_squared, fit.clamped, fit.variations,
-                       *(block for plan in plans for block in vars(plan).values())):
+        (lookbacks,) = backtest._LOOKBACKS[panel].values()
+        for block in (lookbacks.returns, lookbacks.mu, lookbacks.std0):
             with pytest.raises(ValueError):
-                vector[0] = 0
+                block[0] = 0
 
     def test_a_walk_builds_one_weights_plan_per_variant(self, monkeypatch):
         plans, rescale = [], allocation.rescale_volatility
@@ -597,9 +612,15 @@ class TestRunStrategies:
         runs = run_strategies(panel, cfg, self.NAMES)
         assert [len(results) for results, _ in runs.values()] == [6] * 4
         assert plans == [(6, 3)] * 3  # (lookbacks x assets), one per variant
-        for variant in StrategyVariant:  # later walks at n over the panel read them
+        for variant in StrategyVariant:  # a plan lives as long as its walk
             run_walk_forward(panel, dataclasses.replace(cfg, variant=variant))
-        assert len(plans) == 3
+        assert plans == [(6, 3)] * 6
+        # the panel keeps only the statistics of each horizon, shared by every walk
+        entry = backtest._LOOKBACKS[panel]
+        assert list(entry) == [n] and type(entry[n]) is Lookbacks
+        assert [f.name for f in dataclasses.fields(Lookbacks)] == [
+            "tickers", "returns", "mu", "std0"
+        ]
 
     def test_a_flat_asset_raises_in_its_own_period(self, monkeypatch):
         n = 63
@@ -607,14 +628,14 @@ class TestRunStrategies:
         prices = base.prices.copy()
         prices[n : 2 * n, 1] = prices[n, 1]  # A1 is flat over lookback 1 only
         panel = AlignedPanel(dates=base.dates, assets=base.assets, prices=prices)
-        stats = lookback_stats(slice_window(panel, 3 * n - 1, 3 * n), n)
-        assert [s.std0[1] == 0.0 for s in stats] == [False, True, False]
+        lookbacks = lookback_stats(slice_window(panel, 3 * n - 1, 3 * n), n)
+        assert (lookbacks.std0[:, 1] == 0.0).tolist() == [False, True, False]
 
         naive = StrategyVariant.NAIVE_RISK_PARITY
-        assert (compute_weights(stats[0], naive, n).weights > 0.0).all()
+        assert (weights_of(lookbacks, naive, k=0).weights > 0.0).all()
         with pytest.raises(DegenerateVolatility, match="^A1: zero volatility"):
-            compute_weights(stats[1], naive, n)
-        assert (compute_weights(stats[2], naive, n).weights > 0.0).all()
+            weights_of(lookbacks, naive, k=1)
+        assert (weights_of(lookbacks, naive, k=2).weights > 0.0).all()
 
         rebalances = []
 
@@ -670,11 +691,11 @@ class TestRunStrategies:
             assert len(built) == 1
             built.clear()
             for k, result in enumerate(results):
-                lookback = lookback_stats(slice_window(panel, (k + 1) * n - 1, n), n)[0]
-                active = lookback.mu > 0.0
+                lookback = lookback_stats(slice_window(panel, (k + 1) * n - 1, n), n)
+                active = lookback.mu[0] > 0.0
                 w = result.weights
                 if active.any():
-                    fit = fit_hurst_rows(build_path(lookback.returns[active]), cfg.hurst)
+                    fit = fit_hurst_rows(build_path(lookback.returns[0][active]), cfg.hurst)
                     assert w.h[active].tobytes() == fit.h.tobytes()
                     assert w.r_squared[active].tobytes() == fit.r_squared.tobytes()
                     assert w.clamped[active].tobytes() == fit.clamped.tobytes()
@@ -695,16 +716,15 @@ class TestRunStrategies:
         prices = base.prices.copy()
         prices[:, 0] = 100.0 * np.exp(np.cumsum(steps))
         panel = AlignedPanel(dates=base.dates, assets=base.assets, prices=prices)
-        stats = lookback_stats(slice_window(panel, 3 * n - 1, 3 * n), n)
-        flat = stats[1]
-        assert flat.mu[0] > 0.0 and flat.std0[0] > 0.0
-        assert cover_variations(build_path(flat.returns[:1]), [8])[0, 0] == 0.0
+        lookbacks = lookback_stats(slice_window(panel, 3 * n - 1, 3 * n), n)
+        assert lookbacks.mu[1, 0] > 0.0 and lookbacks.std0[1, 0] > 0.0
+        assert cover_variations(build_path(lookbacks.returns[1, :1]), [8])[0, 0] == 0.0
 
         fractal = StrategyVariant.FRACTAL_BIASED
-        assert (compute_weights(stats[0], fractal, n).weights > 0.0).all()
+        assert (weights_of(lookbacks, fractal, k=0).weights > 0.0).all()
         with pytest.raises(DegeneratePath):
-            compute_weights(stats[1], fractal, n)
-        assert compute_weights(stats[2], fractal, n).cash == 0.0
+            weights_of(lookbacks, fractal, k=1)
+        assert weights_of(lookbacks, fractal, k=2).cash == 0.0
 
         cfg = BacktestConfig(horizon_n=n, benchmark="BMK")
         with pytest.raises(DegeneratePath):
