@@ -19,7 +19,11 @@ one scan that parses and checks each row in file order, so the first bad
 line is the one named. Both routes give the same dates, values and errors.
 Dates are sorted, checked and intersected as integer day ordinals: a
 :class:`PriceSeries` is made from its ordinals alone and builds its
-``datetime.date`` tuple only when ``dates`` is first read.
+``datetime.date`` tuple only when ``dates`` is first read. Within one
+panel load, each distinct date column read on the byte route is parsed,
+sorted and checked once, and the series on it share its read-only
+ordinals (see :func:`load_price_csv`); series that all have one calendar
+are aligned by stacking their closes, without counting days.
 """
 
 from __future__ import annotations
@@ -82,6 +86,8 @@ class PriceSeries:
 
     ``ordinals`` are the day numbers (``date.toordinal()``) of the closes;
     ``dates`` is built from them on first read. The CSV readers check the closes.
+    The series of one panel load that share a calendar share its read-only
+    ``ordinals`` array.
     """
 
     def __init__(self, ticker: str, ordinals, closes):
@@ -220,12 +226,11 @@ _SPAN = np.arange(_MAX_DIGITS + 1)[:, None]
 _POWERS = np.array([float(10**e) for e in range(_MAX_DIGITS + 1)])
 
 
-def _day_ordinals(buf: np.ndarray, starts: np.ndarray) -> np.ndarray | None:
-    """Day numbers of the ``YYYY-MM-DD`` dates at ``starts`` in ``buf``.
+def _day_ordinals(chars: np.ndarray) -> np.ndarray | None:
+    """Day numbers of the ``YYYY-MM-DD`` dates whose bytes are ``chars`` (byte x row).
 
     None unless every date names a real day of year 1 or later.
     """
-    chars = buf[starts + _SPAN[:10]]  # (byte x row)
     if not ((chars >= _DATE_LOW) & (chars <= _DATE_HIGH)).all():
         return None
     # the dashes wrap around below "0", but their place value is 0
@@ -272,14 +277,63 @@ def _decimal_values(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> n
     return (places @ digits) / _POWERS[k]
 
 
-def _fast_columns(text: str, names: dict[str, str]):
+class _Calendar:
+    """A date column read on the byte route, for the files of one load that repeat it.
+
+    ``fields`` are its date bytes (byte x row) and ``days`` their day numbers,
+    both in file order. The first series made on it is sorted and checked,
+    and keeps its ordinals read-only; every later one is a copy of it with its
+    own ticker and closes, put in the same order.
+    """
+
+    def __init__(self, fields: np.ndarray, days: np.ndarray):
+        self.fields, self.days = fields, days
+        self.first: PriceSeries | None = None
+        self.order: np.ndarray | None = None
+
+    def series(self, ticker: str, closes: np.ndarray) -> PriceSeries:
+        if self.first is None:
+            self.first, self.order = _sorted_series(ticker, self.days, closes)
+            self.first.ordinals.flags.writeable = False
+            return self.first
+        series = copy.copy(self.first)
+        series.ticker = ticker
+        series.closes = closes if self.order is None else closes[self.order]
+        return series
+
+
+def _dates(chars: np.ndarray, calendars: dict | None):
+    """:func:`_day_ordinals` of ``chars``, or with a ``calendars`` dict their :class:`_Calendar`.
+
+    That is the calendar in ``calendars`` with the same date bytes, else a new
+    one added to it (or None if a date is not a real day). The dict is keyed by
+    the row count and eight sampled dates, so a date column not seen before is
+    told apart without comparing all of its bytes.
+    """
+    if calendars is None:
+        return _day_ordinals(chars)
+    n = chars.shape[1]
+    key = n, chars[:, np.arange(8) * (n - 1) // 7].tobytes()
+    known = calendars.get(key)
+    if known is not None and np.array_equal(known.fields, chars):
+        return known
+    days = _day_ordinals(chars)
+    if days is None:
+        return None
+    calendar = _Calendar(chars, days)
+    calendars.setdefault(key, calendar)  # a key two columns share stays with the first
+    return calendar
+
+
+def _fast_columns(text: str, names: dict[str, str], calendars: dict | None = None):
     """Day ordinals (None if undated) and values of a common-shape ``text``, else None.
 
     For the common shape (see the module docstring) ``csv.reader`` yields
     the same fields as splitting on newlines and commas, ``date.fromisoformat``
     the same dates as the digits and ``float()`` the same values as
     :func:`_decimal_values`, so the result is that of :func:`_row_columns`.
-    Any other text returns None.
+    Any other text returns None. With a ``calendars`` dict the ordinals come
+    as the :class:`_Calendar` of the dates (see :func:`_dates`).
     """
     # csv.reader before Python 3.11 rejects NUL
     if not text.isascii() or '"' in text or "\r" in text or "\0" in text:
@@ -313,7 +367,7 @@ def _fast_columns(text: str, names: dict[str, str]):
     if date_at:
         if not (lengths[:, date_at[0]] == 10).all():
             return None
-        days = _day_ordinals(buf, starts[:, date_at[0]])
+        days = _dates(buf[starts[:, date_at[0]] + _SPAN[:10]], calendars)
         if days is None:
             return None
     values = _decimal_values(buf, ends[:, value_at], lengths[:, value_at])
@@ -369,11 +423,25 @@ def _row_columns(path: str, text: str, names: dict[str, str], ticker: str = ""):
     return (np.array(days, dtype=np.int64) if date_at else None), np.array(values, dtype=float)
 
 
-def _read_columns(path: str, names: dict[str, str], ticker: str = ""):
-    """Day ordinals (None if undated) and values of a headed CSV, in file order."""
+def _read_columns(
+    path: str, names: dict[str, str], ticker: str = "", calendars: dict | None = None
+):
+    """Day ordinals (None if undated) and values of a headed CSV, in file order.
+
+    With a ``calendars`` dict, ordinals read on the byte route come as their
+    :class:`_Calendar`.
+    """
     text = read_text(path)
-    columns = _fast_columns(text, names)
+    columns = _fast_columns(text, names, calendars)
     return columns if columns is not None else _row_columns(path, text, names, ticker)
+
+
+def _sorted_series(ticker: str, days: np.ndarray, closes: np.ndarray):
+    """The series of ``closes`` on ``days`` sorted by date, and the sort (None if they ascend)."""
+    order = None if (days[1:] > days[:-1]).all() else np.argsort(days, kind="stable")
+    if order is not None:
+        days, closes = days[order], closes[order]
+    return PriceSeries(ticker, days, closes), order
 
 
 def load_price_csv(
@@ -381,6 +449,7 @@ def load_price_csv(
     ticker: str,
     date_column: str = DEFAULT_DATE_COLUMN,
     price_column: str = DEFAULT_PRICE_COLUMN,
+    calendars: dict | None = None,
 ) -> PriceSeries:
     """Read one adjusted-close series from CSV.
 
@@ -388,10 +457,17 @@ def load_price_csv(
     and ``price_column`` (decimal prices). Rows that fail to parse are
     rejected with the offending line number, not skipped. The returned
     series is sorted ascending by date.
+
+    ``calendars`` is a dict shared by the calls of one load and nothing else.
+    A file read on the byte route whose date fields are byte for byte those
+    of a file read before with it takes that file's day ordinals (read-only)
+    and sort order, checked once; only its closes are parsed.
     """
-    days, closes = _read_columns(path, {"date": date_column, "price": price_column}, ticker)
-    order = np.argsort(days, kind="stable")
-    return PriceSeries(ticker, days[order], closes[order])
+    names = {"date": date_column, "price": price_column}
+    days, closes = _read_columns(path, names, ticker, calendars)
+    if isinstance(days, _Calendar):
+        return days.series(ticker, closes)
+    return _sorted_series(ticker, days, closes)[0]
 
 
 def load_series_csv(path: str, column: str) -> np.ndarray:
@@ -403,7 +479,11 @@ def align_panel(series: list[PriceSeries], specs: list[AssetSpec]) -> AlignedPan
     """Intersect the trading dates of all series into one rectangular panel.
 
     A date survives only if every series has it; gaps shrink the panel
-    rather than getting filled. Asset order follows ``specs``.
+    rather than getting filled. Asset order follows ``specs``. When every
+    series has the same day ordinals, as the series of one calendar loaded
+    by :func:`fracparity.runconfig.load_universe_panel` share one array, the
+    closes are stacked as they are; otherwise the surviving days are found
+    by counting.
     """
     if not series:
         raise EmptyIntersection("no price series supplied")
@@ -417,27 +497,34 @@ def align_panel(series: list[PriceSeries], specs: list[AssetSpec]) -> AlignedPan
             f"universe tickers {sorted(spec_tickers)}"
         )
 
-    # how many series have each day of the overlap window, from the latest
-    # first day to the earliest last day; the days all of them have survive
-    first = max(s.ordinals[0] for s in series)
-    last = min(s.ordinals[-1] for s in series)
-    counts = np.zeros(max(last - first + 1, 0), dtype=np.intp)
-    for s in series:
-        lo, hi = s.ordinals.searchsorted((first, last + 1))
-        counts[s.ordinals[lo:hi] - first] += 1
-    common = counts == len(series)
-    n_common = np.count_nonzero(common)
-    if n_common < 2:
+    days = series[0].ordinals
+    if all(s.ordinals is days or np.array_equal(s.ordinals, days) for s in series[1:]):
+        columns = [series_by_ticker[spec.ticker].closes for spec in specs]
+    else:
+        # how many series have each day of the overlap window, from the latest
+        # first day to the earliest last day; the days all of them have survive
+        first = max(s.ordinals[0] for s in series)
+        last = min(s.ordinals[-1] for s in series)
+        counts = np.zeros(max(last - first + 1, 0), dtype=np.intp)
+        for s in series:
+            lo, hi = s.ordinals.searchsorted((first, last + 1))
+            counts[s.ordinals[lo:hi] - first] += 1
+        common = counts == len(series)
+        days = np.flatnonzero(common) + first
+        columns = []
+        for spec in specs:
+            s = series_by_ticker[spec.ticker]
+            lo, hi = s.ordinals.searchsorted((first, last + 1))
+            columns.append(s.closes[lo:hi][common[s.ordinals[lo:hi] - first]])
+    if len(days) < 2:
         raise EmptyIntersection(
-            f"date intersection across {len(series)} series has {n_common} dates"
+            f"date intersection across {len(series)} series has {len(days)} dates"
         )
 
-    prices = np.empty((n_common, len(specs)))
-    for j, spec in enumerate(specs):
-        s = series_by_ticker[spec.ticker]
-        lo, hi = s.ordinals.searchsorted((first, last + 1))
-        prices[:, j] = s.closes[lo:hi][common[s.ordinals[lo:hi] - first]]
-    dates = tuple(map(dt.date.fromordinal, (np.flatnonzero(common) + first).tolist()))
+    prices = np.empty((len(days), len(specs)))
+    for j, column in enumerate(columns):
+        prices[:, j] = column
+    dates = tuple(map(dt.date.fromordinal, days.tolist()))
     return AlignedPanel(dates=dates, assets=tuple(specs), prices=prices)
 
 

@@ -84,8 +84,9 @@ class HurstConfig:
             0.0 < self.h_min <= self.h_max <= sys.float_info.max
         ):
             raise InvalidHurst(f"clamp bounds [{self.h_min}, {self.h_max}] invalid")
-        counts = (self.min_windows, self.min_scales, self.max_rungs)
-        if any(isinstance(x, bool) or not isinstance(x, int) for x in counts if x is not None):
+        rungs = () if self.max_rungs is None else (self.max_rungs,)  # only it may be None
+        counts = (self.min_windows, self.min_scales, *rungs)
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in counts):
             raise InvalidHurst("min_windows, min_scales and max_rungs must be integers")
         if self.min_windows < 2 or self.min_scales < 2:
             raise InvalidHurst("need min_windows >= 2 and min_scales >= 2")

@@ -257,13 +257,21 @@ def load_run_settings(
 
 
 def load_universe_panel(settings: RunSettings) -> AlignedPanel:
-    """Load every universe CSV and align the series into one panel."""
+    """Load every universe CSV and align the series into one panel.
+
+    The files of the load share one ``calendars`` dict (see
+    :func:`load_price_csv`), so each distinct date column is parsed, sorted
+    and checked once, and the series of one calendar share its ordinals,
+    which :func:`align_panel` then stacks without counting days.
+    """
+    calendars: dict = {}
     series = [
         load_price_csv(
             str(entry.csv_path),
             entry.spec.ticker,
             date_column=settings.date_column,
             price_column=settings.price_column,
+            calendars=calendars,
         )
         for entry in settings.universe
     ]

@@ -10,6 +10,9 @@ write every value with one ``%.{k}f``. For every file, loading it must give bitw
 ordinals and values as the ``csv.reader`` route alone, or raise the same
 error class with the same message and line. The byte route and the date
 digits are also checked in bulk against ``float()`` and ``datetime.date``.
+A whole universe, whose files share one date column, all but one of its
+dates, its dates in another order or only its dates and not their bytes,
+must load as its files loaded one at a time and aligned.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fracparity import data
+from fracparity.data import AssetSpec
 from fracparity.errors import DataError
+from fracparity.runconfig import load_run_settings, load_universe_panel
 
 FIRST_DAY = dt.date(2011, 12, 1).toordinal()
 LIMIT = csv.field_size_limit()
@@ -120,6 +125,96 @@ def test_fast_path_agrees_with_csv_reader(tmp_path_factory, case):
     event(route(data.read_text(path), names))
     shipped, rows = both_routes(path, names)
     assert shipped == rows
+
+
+# how a file of a universe takes its dates from the shared calendar: the same
+# date bytes, all but one date, another row order, the same dates but one field
+# quoted (the csv.reader route), or dates of its own
+CALENDAR_KINDS = ("same", "same", "same", "one_off", "shuffled", "descending", "quoted", "own")
+PANEL_BAD_KINDS = ("price", "non_positive", "date", "duplicate")
+
+
+@st.composite
+def universes(draw):
+    """(tickers, CSV texts) of 1-5 files, most on one calendar; at most one bad row or date."""
+    n = draw(st.integers(2, 24))
+    calendar = sorted(draw(st.sets(st.integers(0, 60), min_size=n, max_size=n)))
+    if draw(st.sampled_from([False] * 7 + [True])):  # a date the calendar repeats
+        i = draw(st.integers(1, n - 1))
+        calendar[i] = calendar[i - 1]
+    files = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(CALENDAR_KINDS))
+        event(kind)
+        days = list(calendar)
+        if kind == "one_off":
+            i = draw(st.integers(0, n - 1))
+            days[i] = draw(st.integers(0, 90).filter(lambda d: d not in calendar))
+        elif kind == "shuffled":
+            days = draw(st.permutations(days))
+        elif kind == "descending":
+            days.reverse()
+        elif kind == "own":
+            size = draw(st.integers(2, 24))
+            days = sorted(draw(st.sets(st.integers(0, 60), min_size=size, max_size=size)))
+        k = draw(st.integers(1, 6))
+        rows = [[dt.date.fromordinal(FIRST_DAY + d).isoformat(),
+                 f"{draw(st.floats(1.0, 1e6)):.{k}f}"] for d in days]
+        if kind == "quoted":
+            i = draw(st.integers(0, len(rows) - 1))
+            rows[i][1] = f'"{rows[i][1]}"'
+        files.append(rows)
+
+    bad = draw(st.sampled_from([None] * 4 + list(PANEL_BAD_KINDS)))
+    if bad is not None:
+        rows = draw(st.sampled_from(files))
+        i = draw(st.integers(0, len(rows) - 1))
+        if bad == "price":
+            rows[i][1] = "abc"
+        elif bad == "non_positive":
+            rows[i][1] = "0.0"
+        elif bad == "date":
+            rows[i][0] = "2016-02-30"
+        else:
+            rows[i][0] = rows[(i + 1) % len(rows)][0]
+    texts = ["date,adj_close\n" + "".join(f"{d},{p}\n" for d, p in rows) for rows in files]
+    return [f"T{j}" for j in range(len(files))], texts
+
+
+def failure(exc):
+    """The class, message and line of a loader's error."""
+    return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+@given(universes())
+@settings(max_examples=300, deadline=None)
+def test_universe_loads_as_its_files_loaded_alone(tmp_path_factory, case):
+    tickers, texts = case
+    folder = tmp_path_factory.getbasetemp() / "universe_case"
+    folder.mkdir(exist_ok=True)
+    entries = []
+    for ticker, text in zip(tickers, texts):
+        (folder / f"{ticker}.csv").write_text(text, encoding="utf-8")
+        entries.append(f"  - {{ticker: {ticker}, csv: {ticker}.csv}}")
+    config = folder / "universe.yaml"
+    config.write_text("universe:\n" + "\n".join(entries) + f"\nbenchmark: {tickers[-1]}\n")
+
+    # the reference: each file loaded by itself, then the series aligned
+    try:
+        alone = [data.load_price_csv(str(folder / f"{t}.csv"), t) for t in tickers]
+        expected = data.align_panel(alone, [AssetSpec(t) for t in tickers])
+    except DataError as exc:
+        expected = failure(exc)
+    try:
+        panel = load_universe_panel(load_run_settings(config))
+    except DataError as exc:
+        event(f"error {type(exc).__name__}")
+        assert failure(exc) == expected
+    else:
+        assert not isinstance(expected, tuple), expected
+        assert panel.tickers == tuple(tickers)
+        assert panel.dates == expected.dates
+        assert panel.prices.tobytes() == expected.prices.tobytes()
 
 
 # plain: a common-shape file whose every price float() reads as finite and
@@ -275,9 +370,9 @@ ORACLE_YEARS = [1, 4, 100, 400, 1600, 1900, 2000, 2023, 2024, 9999]
 
 
 def day_ordinals(dates):
-    """:func:`data._day_ordinals` of ISO date strings, comma-separated in one buffer."""
-    buf = np.frombuffer(",".join(dates).encode("ascii"), dtype=np.uint8)
-    return data._day_ordinals(buf, np.arange(len(dates)) * 11)
+    """:func:`data._day_ordinals` of ISO date strings."""
+    buf = np.frombuffer("".join(dates).encode("ascii"), dtype=np.uint8)
+    return data._day_ordinals(buf.reshape(len(dates), 10).T)
 
 
 def test_day_ordinals_of_every_real_day():

@@ -34,12 +34,26 @@ from fracparity.errors import (
     TooShort,
 )
 from fracparity.riskstats import log_returns
+from fracparity.runconfig import load_run_settings, load_universe_panel
 
 
 def write_csv(tmp_path, name, rows, header="date,adj_close"):
     path = tmp_path / name
     path.write_text(header + "\n" + "\n".join(rows) + ("\n" if rows else ""))
     return str(path)
+
+
+def count_day_ordinals(monkeypatch):
+    """The row count of every :func:`data._day_ordinals` call from now on, in a list."""
+    calls = []
+    real = data._day_ordinals
+
+    def counting(chars):
+        calls.append(chars.shape[1])
+        return real(chars)
+
+    monkeypatch.setattr(data, "_day_ordinals", counting)
+    return calls
 
 
 def series(ticker, start, closes):
@@ -136,18 +150,41 @@ class TestLoadPriceCsv:
             load_price_csv(str(tmp_path / "nope.csv"), "AAA")
 
     def test_day_numbers_computed_once(self, tmp_path, monkeypatch):
-        calls = []
-
-        def counting(buf, starts):
-            calls.append(len(starts))
-            return real(buf, starts)
-
-        real = data._day_ordinals
-        monkeypatch.setattr(data, "_day_ordinals", counting)
+        calls = count_day_ordinals(monkeypatch)
         rows = ["2016-01-05,101.0", "2016-01-04,100.0", "2016-01-06,102.0"]
         s = load_price_csv(write_csv(tmp_path, "a.csv", rows), "AAA")
         assert calls == [3]  # from the digits, and not again for the sort or the series
         assert s.ordinals.tolist() == [d.toordinal() for d in s.dates]
+
+    def test_day_numbers_computed_once_per_calendar_of_a_load(
+        self, tmp_path, monkeypatch, panel_config_path
+    ):
+        calls = count_day_ordinals(monkeypatch)
+        panel = load_universe_panel(load_run_settings(panel_config_path))
+        assert calls == [panel.n_rows]  # five files on one calendar
+
+        # the series of one calendar share its ordinals, which no one may write
+        calendars = {}
+        eqt, bnd = (
+            load_price_csv(str(panel_config_path.parent / f"{name}.csv"), name, calendars=calendars)
+            for name in ("eqt", "bnd")
+        )
+        assert bnd.ordinals is eqt.ordinals and not eqt.ordinals.flags.writeable
+        assert (eqt.ticker, bnd.ticker) == ("eqt", "bnd")
+        assert bnd.closes.tolist() == panel.column("BND").tolist()
+
+        # every file on dates of its own: one parse each
+        calls.clear()
+        universe = []
+        for j, ticker in enumerate(["AAA", "BBB", "BMK"]):
+            rows = [f"2016-01-{day:02d},{100.0 + day:.1f}" for day in range(4 + j, 12)]
+            write_csv(tmp_path, f"{ticker}.csv", rows)
+            universe.append(f"  - {{ticker: {ticker}, csv: {ticker}.csv}}")
+        config = tmp_path / "universe.yaml"
+        config.write_text("universe:\n" + "\n".join(universe) + "\nbenchmark: BMK\n")
+        panel = load_universe_panel(load_run_settings(config))
+        assert calls == [8, 7, 6]
+        assert panel.n_rows == 6
 
 
 class TestPriceSeries:

@@ -164,6 +164,8 @@ class TestEstimateHurst:
         {"h_min": math.nan}, {"h_max": math.inf}, {"h_min": "0.1"},
         pytest.param({"h_max": 10**400}, id="h_max=10**400"),
         {"min_windows": 2.5}, {"max_rungs": 3.5}, {"min_scales": "3"},
+        # only max_rungs may be None
+        {"min_windows": None}, {"min_scales": None},
         # counts below their minimum
         {"min_windows": 0}, {"min_windows": 1}, {"min_scales": 1},
         {"max_rungs": 2}, {"min_scales": 5, "max_rungs": 4},

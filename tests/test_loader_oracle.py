@@ -102,23 +102,34 @@ def test_loader_matches_reference(tmp_path_factory, case):
 
 @st.composite
 def ragged_series(draw):
+    """(calendar, series): each series on dates of its own ("ragged"), or all on one
+    calendar, given as one ordinals array ("shared") or as equal arrays ("equal")."""
+    calendar = draw(st.sampled_from(["ragged", "ragged", "shared", "equal"]))
     k = draw(st.integers(1, 5))
     out = []
     for j in range(k):
-        days = sorted(draw(st.sets(st.integers(0, 30), min_size=2, max_size=25)))
+        if calendar == "ragged" or j == 0:
+            days = sorted(draw(st.sets(st.integers(0, 30), min_size=2, max_size=25)))
         closes = draw(st.lists(st.floats(1e-3, 1e6), min_size=len(days), max_size=len(days)))
         dates = [dt.date.fromordinal(FIRST_DAY + d) for d in days]
         out.append((f"T{j}", dates, closes))
-    return draw(st.permutations(out))
+    return calendar, draw(st.permutations(out))
 
 
 @given(ragged_series(), st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
-def test_align_matches_reference(series, rng):
+def test_align_matches_reference(case, rng):
+    calendar, series = case
     tickers = [t for t, _, _ in series]
     rng.shuffle(tickers)
     specs = [AssetSpec(t) for t in tickers]
-    price_series = [PriceSeries(t, [x.toordinal() for x in d], np.array(c)) for t, d, c in series]
+    shared = np.array([x.toordinal() for x in series[0][1]])
+    price_series = [
+        PriceSeries(t, shared if calendar == "shared" else [x.toordinal() for x in d], np.array(c))
+        for t, d, c in series
+    ]
+    if calendar == "shared":
+        assert all(s.ordinals is shared for s in price_series)
     try:
         dates, rows = oracles.align_rows(series, tickers)
     except oracles.Rejected as expected:
