@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one sha256 per engine run, to check that a rewrite is bit-identical.
 
-    PYTHONPATH=src python scripts/engine_digest.py --config PATH [--horizons 42,63,126,252]
+    PYTHONPATH=src python scripts/engine_digest.py --config PATH [--horizons 42,63,126]
 
 Loads the configuration's panel twice. For each compounding mode and
 horizon it walks the configured variants and the benchmark in one
@@ -12,7 +12,9 @@ over a panel, so each route builds its own and the later walks of a route
 reuse them; every walk builds its own Hurst fit and weights plans.
 It prints ``mode horizon strategy sha256`` per strategy, hashing the bytes
 of the weights, every diagnostic vector, the trades, the period returns,
-the capital and the equity curve. It exits 1 if the two routes disagree, and 2 if a horizon
+the capital and the equity curve. Without ``--horizons`` it walks each of
+42, 63, 126 and 252 days that the panel can hold (a lookback and two
+holding periods). It exits 1 if the two routes disagree, and 2 if a horizon
 cannot run. Diff the output of two checkouts to compare them.
 """
 
@@ -60,10 +62,18 @@ def run_digest(run) -> str:
     return digest.hexdigest()
 
 
-def digests(config: str, horizons: list[int]):
-    """``(mode, horizon, strategy, sha256 walked together, sha256 walked alone)`` per run."""
+DEFAULT_HORIZONS = (42, 63, 126, 252)
+
+
+def digests(config: str, horizons: list[int] | None = None):
+    """``(mode, horizon, strategy, sha256 walked together, sha256 walked alone)`` per run.
+
+    ``horizons`` defaults to those of :data:`DEFAULT_HORIZONS` the panel can walk.
+    """
     settings = load_run_settings(config)
     panel, alone_panel = load_universe_panel(settings), load_universe_panel(settings)
+    if horizons is None:  # run_strategies needs a lookback and two holding periods
+        horizons = [n for n in DEFAULT_HORIZONS if panel.n_rows >= 3 * n]
     for mode in (FIXED_CAPITAL, REINVEST):
         settings.compounding = mode
         for n in horizons:
@@ -81,10 +91,11 @@ def digests(config: str, horizons: list[int]):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", required=True, help="YAML run configuration")
-    parser.add_argument("--horizons", default="42,63,126,252",
-                        help="comma-separated horizons in days (default: %(default)s)")
+    parser.add_argument("--horizons", default=None,
+                        help="comma-separated horizons in days (default: each of "
+                        "42,63,126,252 that the panel can walk)")
     args = parser.parse_args(argv)
-    horizons = [int(h) for h in args.horizons.split(",")]
+    horizons = [int(h) for h in args.horizons.split(",")] if args.horizons else None
     status = 0
     try:
         for mode, n, name, together, alone in digests(args.config, horizons):

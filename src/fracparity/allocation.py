@@ -1,12 +1,12 @@
 """Turning a lookback window into portfolio weights.
 
-Three variants share one skeleton. Both biased variants drop assets whose
-mean lookback return is non-positive, rescale each survivor's daily
-volatility to the holding horizon, and weight survivors by inverse rescaled
-volatility; they differ only in where the exponent comes from (estimated
-per asset vs pinned at 0.5). Naive risk parity skips the trend filter and
-weights every asset by inverse daily volatility, which matches the biased
-pipelines up to the horizon factor that normalization cancels anyway.
+The three variants are one rule: keep the assets a trend mask lets through,
+rescale each survivor's daily volatility to the holding horizon as
+``std_n = std0 * N**h``, and weight survivors by inverse ``std_n``. Both
+biased variants drop assets whose mean lookback return is non-positive and
+differ only in where ``h`` comes from (estimated per asset vs pinned at
+0.5); naive risk parity keeps every asset and weights by ``std_n`` at
+``h = 0.5``.
 
 Lookbacks are handled in array passes over all portfolio columns.
 :func:`lookback_stats` views a window's percent log returns as a
@@ -18,14 +18,13 @@ that horizon, so they are read-only. Every step of a variant but a
 lookback's normalization is elementwise, so :func:`weights_plan` computes
 them for every lookback of a walk at once: the trend mask, ``h`` and the
 fit diagnostics (``fractal_biased`` builds and fits the paths of the
-trend survivors of every lookback in one call along the rows), the
-horizon deviations, and per lookback its first flat column and whether
-one of its fitted paths is constant. A walk builds one plan per variant
-and drops it when it ends. :func:`compute_weights` runs one variant on
-one lookback: it raises that lookback's errors, so they still come in
-period order, and weights the row's active assets by inverse volatility,
-normalized over the same values in the same order as a lookback computed
-alone.
+trend survivors of every lookback in one call along the rows) and the
+horizon deviations. It is also where a walk's data errors are raised (a
+flat active asset, a constant fitted path), before the walk's first
+period. A walk builds one plan per variant and drops it when it ends.
+:func:`compute_weights` runs one variant on one lookback: it weights the
+row's active assets by inverse volatility, normalized over the same values
+in the same order as a lookback computed alone.
 The per-asset diagnostics are vectors on :class:`PortfolioWeights`, one
 entry per ticker, rows of the lookbacks' and the plan's blocks, and are
 not kept in any other form.
@@ -41,7 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import AlignedPanel
 from .errors import DegenerateVolatility, Empty, LengthMismatch
-from .fractal import HurstConfig, build_path, fit_hurst_rows, require_variation, vanishing_rows
+from .fractal import HurstConfig, build_path, fit_hurst_rows, require_variation
 from .fractal import estimate_hurst  # noqa: F401  (perfbench/tracing.py wraps this binding)
 from .riskstats import log_returns  # noqa: F401  (perfbench/tracing.py wraps this binding)
 from .riskstats import mean_return, rescale_volatility, unbiased_std
@@ -124,13 +123,8 @@ def lookback_stats(window: AlignedPanel, n: int) -> Lookbacks:
 class WeightsPlan:
     """What a variant's weights read of every lookback of a walk, before normalization.
 
-    ``active`` (the trend mask), ``h``, ``r_squared``, ``clamped``, ``std_n``
-    and ``weighting_std`` (the deviation the variant weights by: ``std_n``,
-    or the daily ``std0`` for naive risk parity) are (lookbacks x assets)
-    blocks. Per lookback, ``flat`` is the first active column with zero
-    volatility, or -1, ``vanished`` marks a fitted path whose variation
-    vanishes, and ``variations`` holds the V(delta) rows of its fitted
-    paths (it is empty when the variant fits none).
+    ``active`` (the trend mask), ``h``, ``r_squared``, ``clamped`` and
+    ``std_n`` are (lookbacks x assets) blocks.
     """
 
     lookbacks: Lookbacks
@@ -139,10 +133,6 @@ class WeightsPlan:
     r_squared: np.ndarray
     clamped: np.ndarray
     std_n: np.ndarray
-    weighting_std: np.ndarray
-    flat: np.ndarray
-    vanished: np.ndarray
-    variations: tuple[np.ndarray, ...]
 
 
 def weights_plan(
@@ -152,56 +142,45 @@ def weights_plan(
 
     ``fractal_biased`` fits the trend-surviving rows (``mu > 0``) of every
     lookback with ``config`` in one call; a row's fit reads that row alone.
+    Raises :class:`DegenerateVolatility` for an active asset with zero
+    volatility in some lookback and ``DegeneratePath`` for a fitted path
+    whose variation vanishes, so a walk fails before its first period.
     """
     mu, std0 = lookbacks.mu, lookbacks.std0
-    naive = variant is StrategyVariant.NAIVE_RISK_PARITY
     # the trend filter drops an asset with a non-positive mean return; naive has none
-    active = (mu > 0.0) | naive
+    active = (mu > 0.0) | (variant is StrategyVariant.NAIVE_RISK_PARITY)
+    zero = active & (std0 == 0.0)
+    if zero.any():
+        j = np.argwhere(zero)[0, 1]  # the first in lookback order, then column order
+        raise DegenerateVolatility(f"{lookbacks.tickers[j]}: zero volatility over the window")
     h = np.full(mu.shape, 0.5)
     r_squared = np.full(mu.shape, np.nan)
     clamped = np.zeros(mu.shape, dtype=bool)
-    vanishing = np.zeros(mu.shape, dtype=bool)
-    variations = ()
     if variant is StrategyVariant.FRACTAL_BIASED and active.any():
         # rows lookback by lookback, in column order within each
         fit = fit_hurst_rows(build_path(lookbacks.returns[active]), config)
-        h[active], r_squared[active] = fit.h, fit.r_squared
-        clamped[active], vanishing[active] = fit.clamped, vanishing_rows(fit.variations)
-        variations = tuple(np.split(fit.variations, np.cumsum(active.sum(axis=1))[:-1]))
+        require_variation(fit.variations)
+        h[active], r_squared[active], clamped[active] = fit.h, fit.r_squared, fit.clamped
     # a lookback of n rows holds n - 1 returns
     std_n = rescale_volatility(std0, lookbacks.returns.shape[-1] + 1, h)
-    # naive weighting uses the daily deviation; biased variants the
-    # horizon-rescaled one (a shared factor would cancel anyway)
-    weighting_std = std0 if naive else std_n
-    zero = active & (std0 == 0.0)
-    flat = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
-    return WeightsPlan(
-        lookbacks, active, h, r_squared, clamped, std_n, weighting_std, flat,
-        vanishing.any(axis=1), variations,
-    )
+    return WeightsPlan(lookbacks, active, h, r_squared, clamped, std_n)
 
 
 def compute_weights(plan: WeightsPlan, k: int) -> PortfolioWeights:
     """The weights of lookback ``k`` of ``plan``'s walk, with their diagnostics.
 
-    Raises the lookback's errors and weights its active assets. When a
-    biased variant filters out every asset the result is all zeros with
+    Weights the lookback's active assets by inverse horizon volatility. When
+    a biased variant filters out every asset the result is all zeros with
     cash = 1.
     """
     lookbacks = plan.lookbacks
-    tickers = lookbacks.tickers
-    if plan.flat[k] >= 0:
-        raise DegenerateVolatility(f"{tickers[plan.flat[k]]}: zero volatility over the window")
-    if plan.vanished[k]:
-        require_variation(plan.variations[k])
-
     active = plan.active[k]
-    stds = plan.weighting_std[k][active]
-    weights = np.zeros(len(tickers))
+    stds = plan.std_n[k][active]
+    weights = np.zeros(len(lookbacks.tickers))
     if stds.size:
         weights[active] = inverse_volatility_weights(stds)
     return PortfolioWeights(
-        tickers=tickers, weights=weights, cash=0.0 if stds.size else 1.0,
+        tickers=lookbacks.tickers, weights=weights, cash=0.0 if stds.size else 1.0,
         mu=lookbacks.mu[k], std0=lookbacks.std0[k], h=plan.h[k], std_n=plan.std_n[k],
         r_squared=plan.r_squared[k], clamped=plan.clamped[k],
     )

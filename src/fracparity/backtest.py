@@ -34,23 +34,23 @@ columns) blocks; the benchmark's net returns are one vector operation over
 its trade and mark rows. Before the first period a walk builds each
 variant's :func:`weights_plan` for every lookback at once
 (``fractal_biased`` fits the Hurst exponents of every lookback in one
-batched call) and drops it when the walk ends. :func:`compute_weights`
-returns a period's weights with their diagnostics, as vectors: everything
-but its own normalization is its row of the plan, and it raises only its
-own errors (a flat asset, a constant path), so errors still come in
-period order. The holdings are an
-int64 share vector in portfolio-column order; a rebalance returns its
-orders as :class:`Trades`, parallel vectors of column, signed shares,
-price and fee.
+batched call) and drops it when the walk ends; a walk's data errors (a
+flat asset, a constant path) are raised when its plans are built.
+:func:`compute_weights` returns a period's weights with their diagnostics,
+as vectors: everything but its own normalization is its row of the plan.
+The holdings are an int64 share vector in portfolio-column order; a
+rebalance returns its orders as :class:`Trades`, parallel vectors of
+column, signed shares, price and fee.
 These vectors are the only form of a period's result. Sums that feed the
 reported figures are plain float additions, left to right in column order
 (``_sum_left``), so results depend neither on how the arrays are
 blocked nor on the Python version, whose builtin ``sum`` of floats is
 compensated from 3.12 on.
 
-Values are checked once, where they enter (the config classes, ``AlignedPanel``
-and the panel length in :func:`run_strategies`); the functions a period calls
-take the shapes, prices and capital it builds as given.
+Values are checked once, where they enter (the config classes, ``AlignedPanel``,
+the panel length in :func:`run_strategies` and the weights plans); the
+functions a period calls take the shapes, prices and capital it builds as
+given, and a period raises only what its capital path can cause.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from .errors import (
     ConfigError,
     InsufficientCapital,
     InsufficientHistory,
-    LengthMismatch,
     NumericError,
     TooShort,
 )
@@ -273,8 +272,9 @@ def period_return(
 
     ``shares``, the trade-row prices ``start_prices``, the mark-row prices
     ``end_prices`` and the annual ``expense_ratios`` (percent) are vectors
-    over the same columns. Positions are priced at the start prices; what
-    of the start ``capital`` they do not take is held in cash. The
+    over the same columns and ``capital`` is positive, as the engine builds
+    them. Positions are priced at the start prices; what of the start
+    ``capital`` they do not take is held in cash. The
     gross return is the mark-to-market change in percent; each asset's
     expense ratio is pro-rated by the period's ``n_rows`` rows over a
     252-day year and applied to that asset's share of start capital;
@@ -285,16 +285,10 @@ def period_return(
     start_prices, end_prices, expense_ratios = map(
         np.asarray, (start_prices, end_prices, expense_ratios)
     )
-    if shares.ndim != 1 or not (
-        shares.shape == start_prices.shape == end_prices.shape == expense_ratios.shape
-    ):
-        raise LengthMismatch(f"shares {shares.shape} vs prices or expense ratios of another shape")
     start_values = shares * start_prices
     invested = _sum_left(start_values)
     cash = capital - invested
     v_start = invested + cash
-    if v_start <= 0.0:
-        raise InsufficientCapital(f"period starts with non-positive value {v_start}")
     v_end = _sum_left(shares * end_prices, cash)
     gross = 100.0 * (v_end - v_start) / v_start
 
@@ -316,11 +310,13 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
     period starts from the initial capital in ``fixed_capital`` mode and from
     the end of the strategy's equity chain in ``reinvest`` mode.
 
-    The lookback statistics are built by the first walk at horizon ``N`` over
-    ``panel`` that runs a variant and kept while ``panel`` lives; every later
-    walk at ``N`` over it, of any variant, reads them. Each variant's weights
-    plan, with its Hurst fit, is built before the first period and dropped
-    when the walk ends.
+    The panel must hold a lookback and two holding periods (``3N`` rows),
+    as every report needs two periods. The lookback statistics are built by
+    the first walk at horizon ``N`` over ``panel`` that runs a variant and
+    kept while ``panel`` lives; every later walk at ``N`` over it, of any
+    variant, reads them. Each variant's weights plan, with its Hurst fit,
+    is built, and raises the walk's data errors, before the first period,
+    and is dropped when the walk ends.
     """
     names = list(dict.fromkeys(names))  # a strategy named twice runs once
     variants = {  # each checked by BacktestConfig's rules; hurst and commission are shared
@@ -328,11 +324,12 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
         for name in names if name != BENCHMARK_LABEL
     }
     n = config.horizon_n
-    if panel.n_rows < 2 * n:
-        raise InsufficientHistory(
-            f"panel of {panel.n_rows} rows cannot fit lookback + holding of {n} days each"
-        )
     n_periods = panel.n_rows // n - 1
+    if n_periods < 2:  # every report needs two periods
+        raise InsufficientHistory(
+            f"panel of {panel.n_rows} rows at horizon {n}: a lookback and two holding "
+            f"periods need {3 * n} rows"
+        )
     trade_rows = n * np.arange(1, n_periods + 1)  # period k trades at (k+1)N, marks at (k+2)N - 1
     mark_rows = trade_rows + n - 1
     if BENCHMARK_LABEL in names:

@@ -252,10 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="treat the column as prices: estimate on the cumulative log-return path",
     )
-    p_h.add_argument("--min-windows", type=int, default=4, help="windows per scale, >= 2")
-    p_h.add_argument("--max-rungs", type=int, default=4)
-    p_h.add_argument("--h-min", type=float, default=0.1)
-    p_h.add_argument("--h-max", type=float, default=1.0)
+    hurst = HurstConfig()
+    p_h.add_argument(
+        "--min-windows", type=int, default=hurst.min_windows, help="windows per scale, >= 2"
+    )
+    p_h.add_argument("--max-rungs", type=int, default=hurst.max_rungs)
+    p_h.add_argument("--h-min", type=float, default=hurst.h_min)
+    p_h.add_argument("--h-max", type=float, default=hurst.h_max)
     p_h.set_defaults(func=cmd_hurst)
 
     p_s = sub.add_parser("stable-cdf", help="evaluate the stable distribution function")

@@ -521,9 +521,7 @@ def align_panel(series: list[PriceSeries], specs: list[AssetSpec]) -> AlignedPan
             f"date intersection across {len(series)} series has {len(days)} dates"
         )
 
-    prices = np.empty((len(days), len(specs)))
-    for j, column in enumerate(columns):
-        prices[:, j] = column
+    prices = np.stack(columns, axis=1)
     dates = tuple(map(dt.date.fromordinal, days.tolist()))
     return AlignedPanel(dates=dates, assets=tuple(specs), prices=prices)
 

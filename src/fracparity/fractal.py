@@ -13,8 +13,8 @@ scale, each built from the scale below, and one batched log-log fit, and
 returns a :class:`HurstFit` of per-row vectors (``h``, variation index,
 r², clamp hits, V(delta)), which the walk-forward engine slices per
 period. A row whose variation vanishes at some scale has no fit; each
-caller rejects it with :func:`require_variation` on the rows it reads, or
-flags such rows ahead with :func:`vanishing_rows`.
+caller rejects it with :func:`require_variation` on the rows it fitted,
+before it reads any of them.
 :func:`estimate_hurst`, which the ``hurst`` CLI uses, fits one path as a
 one-row block and returns its row as a :class:`HurstEstimate`.
 
@@ -269,14 +269,9 @@ def fit_hurst_rows(paths, config: HurstConfig = HurstConfig()) -> HurstFit:
     )
 
 
-def vanishing_rows(variations: np.ndarray) -> np.ndarray:
-    """Per row of ``variations``, whether some V(delta) vanishes: ``ln V`` is undefined there."""
-    return (variations <= 0.0).any(axis=-1)
-
-
 def require_variation(variations: np.ndarray) -> None:
-    """Raise ``DegeneratePath`` when :func:`vanishing_rows` finds some row of ``variations``."""
-    if vanishing_rows(variations).any():
+    """Raise ``DegeneratePath`` when some V(delta) vanishes: ``ln V`` is undefined there."""
+    if (variations <= 0.0).any():
         raise DegeneratePath("zero variation at some scale (constant path)")
 
 

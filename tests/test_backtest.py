@@ -11,7 +11,13 @@ import pytest
 
 import oracles
 from conftest import business_days, synthetic_panel, trade_rows, weights_of
-from fracparity.allocation import Lookbacks, PortfolioWeights, StrategyVariant, lookback_stats
+from fracparity.allocation import (
+    Lookbacks,
+    PortfolioWeights,
+    StrategyVariant,
+    lookback_stats,
+    weights_plan,
+)
 from fracparity import allocation, backtest, data
 from fracparity.backtest import (
     BENCHMARK_LABEL,
@@ -34,7 +40,6 @@ from fracparity.errors import (
     DegenerateVolatility,
     InsufficientCapital,
     InsufficientHistory,
-    LengthMismatch,
     NumericError,
 )
 from fracparity.fractal import HurstConfig, build_path, cover_variations, fit_hurst_rows
@@ -151,14 +156,6 @@ class TestPeriodReturn:
         assert gross == pytest.approx(5.0, abs=1e-12)
         assert drag == pytest.approx(0.10, abs=1e-12)
 
-    def test_vectors_of_one_shape(self):
-        with pytest.raises(LengthMismatch):
-            period_return([50, 10], 5_200.0, [100.0, 20.0], [110.0, 21.0], [0.40], 126)
-
-    def test_non_positive_start_value(self):
-        with pytest.raises(InsufficientCapital):
-            period_return([0], 0.0, [100.0], [110.0], [0.0], 126)
-
 
 class TestWalkForward:
     def test_period_count(self):
@@ -258,19 +255,21 @@ class TestWalkForward:
             assert np.array_equal(base[j].weights.weights, mutated[j].weights.weights)
 
     def test_period_losing_all_its_capital_is_a_numeric_error(self):
-        # a 10% fall plus fees of 99.9% of the order's value: the period returns below -100%
+        # a 10% fall plus fees of 99.9% of the order's value: period 0 returns below -100%
         n = 20
         lookback = np.tile([100.0, 101.0], n // 2)
-        prices = np.concatenate([lookback, np.linspace(100.0, 90.0, n)]).reshape(-1, 1)
+        falls = np.linspace(100.0, 90.0, n)
+        prices = np.concatenate([lookback, falls, np.full(n, 90.0)]).reshape(-1, 1)
         panel = AlignedPanel(
-            dates=business_days(dt.date(2012, 1, 2), 2 * n), assets=(AssetSpec("A"),),
+            dates=business_days(dt.date(2012, 1, 2), 3 * n), assets=(AssetSpec("A"),),
             prices=prices,
         )
         ruinous = CommissionPlan(per_share=1e6, min_per_order=0.0, max_pct_of_value=99.9)
         cfg = BacktestConfig(
             horizon_n=n, variant=StrategyVariant.NAIVE_RISK_PARITY, commission=ruinous
         )
-        with pytest.raises(InsufficientCapital, match="wiping out its capital"):
+        period_0 = f"^period ending {panel.dates[2 * n - 1]} returns .*, wiping out its capital$"
+        with pytest.raises(InsufficientCapital, match=period_0):
             run_walk_forward(panel, cfg)
 
     def test_net_below_gross_when_costs_positive(self):
@@ -622,7 +621,7 @@ class TestRunStrategies:
             "tickers", "returns", "mu", "std0"
         ]
 
-    def test_a_flat_asset_raises_in_its_own_period(self, monkeypatch):
+    def test_a_flat_asset_raises_before_the_first_period(self, monkeypatch):
         n = 63
         base = synthetic_panel(seed=73, n_rows=4 * n, n_assets=3)
         prices = base.prices.copy()
@@ -632,10 +631,10 @@ class TestRunStrategies:
         assert (lookbacks.std0[:, 1] == 0.0).tolist() == [False, True, False]
 
         naive = StrategyVariant.NAIVE_RISK_PARITY
-        assert (weights_of(lookbacks, naive, k=0).weights > 0.0).all()
         with pytest.raises(DegenerateVolatility, match="^A1: zero volatility"):
-            weights_of(lookbacks, naive, k=1)
-        assert (weights_of(lookbacks, naive, k=2).weights > 0.0).all()
+            weights_plan(lookbacks, naive)
+        # a flat asset has mu = 0, so the trend filter drops it
+        assert weights_of(lookbacks, StrategyVariant.STANDARD_BIASED, k=1).weights[1] == 0.0
 
         rebalances = []
 
@@ -647,7 +646,7 @@ class TestRunStrategies:
         cfg = BacktestConfig(horizon_n=n, benchmark="BMK")
         with pytest.raises(DegenerateVolatility, match="^A1: zero volatility"):
             run_strategies(panel, cfg, [naive.value])
-        assert len(rebalances) == 1  # period 0 ran; period 1 raised before its rebalance
+        assert rebalances == []  # the plan raised before period 0's rebalance
 
     def test_a_strategy_named_twice_runs_once(self):
         panel = synthetic_panel(seed=47, n_rows=4 * 63, n_assets=2)
@@ -705,7 +704,7 @@ class TestRunStrategies:
                 assert not w.clamped[~active].any()
         assert fitted > 0
 
-    def test_a_degenerate_path_raises_in_its_own_period(self):
+    def test_a_degenerate_path_raises_before_the_first_period(self):
         n = 63
         base = synthetic_panel(seed=67, n_rows=4 * n, n_assets=3, drift_range=(0.002, 0.003))
         # lookback 1 of A0 is flat over its first 56 returns, then rises over its last 6:
@@ -720,21 +719,20 @@ class TestRunStrategies:
         assert lookbacks.mu[1, 0] > 0.0 and lookbacks.std0[1, 0] > 0.0
         assert cover_variations(build_path(lookbacks.returns[1, :1]), [8])[0, 0] == 0.0
 
-        fractal = StrategyVariant.FRACTAL_BIASED
-        assert (weights_of(lookbacks, fractal, k=0).weights > 0.0).all()
         with pytest.raises(DegeneratePath):
-            weights_of(lookbacks, fractal, k=1)
-        assert weights_of(lookbacks, fractal, k=2).cash == 0.0
+            weights_plan(lookbacks, StrategyVariant.FRACTAL_BIASED)
 
         cfg = BacktestConfig(horizon_n=n, benchmark="BMK")
         with pytest.raises(DegeneratePath):
             run_strategies(panel, cfg, ["fractal_biased"])
         results, _ = run_strategies(panel, cfg, ["standard_biased"])["standard_biased"]
         assert len(results) == 3
-        # period 0's fees alone exceed the capital: its error comes first, whatever
-        # the walk's fits hold for period 1 (the cap is 100 times the trade value)
+        # period 0's fees alone exceed the capital (the cap is 100 times the trade
+        # value), but the walk's plan raises first
         costly = dataclasses.replace(
             cfg, commission=CommissionPlan(min_per_order=1e7, max_pct_of_value=1e4)
         )
         with pytest.raises(InsufficientCapital, match="commissions"):
+            run_strategies(panel, costly, ["standard_biased"])
+        with pytest.raises(DegeneratePath):
             run_strategies(panel, costly, ["fractal_biased"])

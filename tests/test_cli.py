@@ -12,9 +12,10 @@ import pytest
 import yaml
 
 from conftest import synthetic_panel
-from fracparity import cli, data, runconfig
+from fracparity import backtest, cli, data, runconfig
 from fracparity.backtest import run_benchmark, run_walk_forward
 from fracparity.cli import main
+from fracparity.fractal import HurstConfig
 from fracparity.riskstats import log_returns
 
 PANEL_CONFIG = Path(__file__).parent / "fixtures" / "panel4" / "universe.yaml"
@@ -152,6 +153,18 @@ class TestBacktestCommand:
         assert doc["horizon_n"] == 126
         # 378 rows at N=126 tile into two out-of-sample periods
         assert len(read_csv_rows(out / "period_returns.csv")) == 2
+
+    def test_a_single_period_is_insufficient_history(self, tmp_path, capsys, monkeypatch):
+        # 378 rows at N=180 tile into one period, and every report needs two
+        def no_stats(window, n):
+            raise AssertionError("lookback statistics computed for a walk too short to report")
+
+        monkeypatch.setattr(backtest, "lookback_stats", no_stats)
+        argv = ["backtest", "--config", str(PANEL_CONFIG), "--out", str(tmp_path), "--horizon",
+                "180"]
+        assert main(argv) == 3
+        detail = "panel of 378 rows at horizon 180: a lookback and two holding periods need 540"
+        assert capsys.readouterr().err == f"error: data: InsufficientHistory: {detail} rows\n"
 
     def test_deterministic_artifacts(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -488,6 +501,12 @@ class TestHurstCommand:
         detail = f"{path}: non-positive price -1.251575 on line 3"
         assert err == f"error: data: NonPositivePrice: {detail}\n"
 
+    def test_parser_defaults_are_hurst_config_defaults(self):
+        args = cli.build_parser().parse_args(["hurst", str(SERIES_DIR / "ramp.csv")])
+        defaults = HurstConfig()
+        for name in ("h_min", "h_max", "min_windows", "max_rungs"):
+            assert getattr(args, name) == getattr(defaults, name), name
+
     def test_prices_mode(self, tmp_path, capsys):
         # exponential growth at a constant rate is a linear log-price path
         path = tmp_path / "exp.csv"
@@ -702,3 +721,17 @@ def test_engine_digest_is_stable():
         [mode, "63", name] for mode in ("fixed_capital", "reinvest") for name in strategies
     ]
     assert len({line.split()[3] for line in lines}) == 8
+
+
+def test_engine_digest_defaults_to_the_horizons_the_panel_holds():
+    # panel4's 378 rows hold N = 42, 63 and 126 (3N rows each), not 252
+    root = Path(__file__).resolve().parent.parent
+    argv = [sys.executable, str(root / "scripts" / "engine_digest.py"),
+            "--config", str(PANEL_CONFIG)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert [line.split()[:2] for line in done.stdout.splitlines()[::4]] == [
+        [mode, n] for mode in ("fixed_capital", "reinvest") for n in ("42", "63", "126")
+    ]
