@@ -222,9 +222,9 @@ def left_sum(xs, start: float = 0.0) -> float:
     return functools.reduce(operator.add, xs, start)
 
 
-def holding_net_return(targets, capital: float, start_prices, end_prices, expense_ratios,
-                       days: int, commissions: float) -> float:
-    """Net percent return of whole-share ``targets`` bought at ``start_prices`` and held.
+def holding_returns(targets, capital: float, start_prices, end_prices, expense_ratios,
+                    days: int, commissions: float) -> tuple[float, float, float]:
+    """(gross, drag, net) percent returns of whole-share ``targets`` bought at ``start_prices``.
 
     The capital not spent on shares stays in cash at zero return. Each
     asset's annual expense ratio (percent) is charged on its share of the
@@ -235,8 +235,16 @@ def holding_net_return(targets, capital: float, start_prices, end_prices, expens
     cash = capital - sum(invested)
     v_start = sum(invested) + cash
     v_end = sum(t * p for t, p in zip(targets, end_prices)) + cash
+    gross = 100.0 * (v_end - v_start) / v_start
     drag = sum(e * days / 252 * v / v_start for e, v in zip(expense_ratios, invested))
-    return 100.0 * (v_end - v_start) / v_start - drag - 100.0 * commissions / v_start
+    return gross, drag, gross - drag - 100.0 * commissions / v_start
+
+
+def holding_net_return(targets, capital: float, start_prices, end_prices, expense_ratios,
+                       days: int, commissions: float) -> float:
+    """The net percent return of :func:`holding_returns`."""
+    return holding_returns(targets, capital, start_prices, end_prices, expense_ratios, days,
+                           commissions)[2]
 
 
 def benchmark_period_returns(closes, n: int) -> list[float]:
@@ -251,6 +259,68 @@ def benchmark_period_returns(closes, n: int) -> list[float]:
         100.0 * (closes[(k + 2) * n - 1] / closes[(k + 1) * n] - 1.0)
         for k in range(len(closes) // n - 1)
     ]
+
+
+def period_rows(n_rows: int, n: int) -> list[tuple[int, int]]:
+    """``(trade row, mark row)`` of each holding period of a walk over ``n_rows`` rows.
+
+    After the first ``n`` lookback rows the rows tile into ``n_rows // n - 1``
+    periods; period ``k`` trades at the close of row ``(k+1)*n`` and is
+    marked at the close of row ``(k+2)*n - 1``. Its lookback is rows
+    ``[k*n, (k+1)*n)``.
+    """
+    return [((k + 1) * n, (k + 2) * n - 1) for k in range(n_rows // n - 1)]
+
+
+def walk(rows, expense_ratios, roles, n: int, strategy: str, capital: float, commission: dict,
+         mode: str, hurst_options=None) -> list[dict]:
+    """Every holding period of one strategy, walked on Python floats and ints.
+
+    ``rows`` holds one list of closes per date, and ``expense_ratios`` and
+    ``roles`` one entry per column; the portfolio is the columns of role
+    ``portfolio_asset``, in column order. ``strategy`` is a variant name,
+    weighted by :func:`risk_parity_weights` over each period's lookback and
+    traded by :func:`whole_share_trades` from the holdings the period before
+    left, with one :func:`order_commission` per order; or ``"benchmark"``,
+    the close-to-close change of the column of role ``benchmark``, with no
+    trades or costs. ``commission`` holds the plan's ``per_share``,
+    ``min_per_order`` and ``max_pct_of_value``. A period starts from
+    ``capital`` in ``fixed_capital`` mode and from the previous period's end
+    capital in ``reinvest`` mode.
+
+    Each period is a dict of its ``trade_row`` and ``mark_row``, the held
+    ``shares`` after its rebalance and its ``trades`` as ``(portfolio index,
+    signed shares)`` pairs (both None for the benchmark), and its
+    ``gross``, ``drag``, ``commission`` and ``net`` returns (percent; the
+    commission in currency) with its ``start_capital`` and ``end_capital``.
+    """
+    portfolio = [j for j, role in enumerate(roles) if role == "portfolio_asset"]
+    held = [0] * len(portfolio)
+    periods, equity = [], float(capital)
+    for k, (trade_row, mark_row) in enumerate(period_rows(len(rows), n)):
+        start_capital = equity if mode == "reinvest" else float(capital)
+        shares = trades = None
+        if strategy == "benchmark":
+            column = roles.index("benchmark")
+            gross = net = 100.0 * (rows[mark_row][column] / rows[trade_row][column] - 1.0)
+            drag = fee = 0.0
+        else:
+            lookback = [[rows[r][j] for r in range(k * n, (k + 1) * n)] for j in portfolio]
+            weights = risk_parity_weights(lookback, strategy, n, hurst_options)
+            prices = [rows[trade_row][j] for j in portfolio]
+            trades, shares = whole_share_trades(weights, start_capital, prices, held)
+            fee = left_sum(order_commission(abs(s), prices[i], **commission) for i, s in trades)
+            gross, drag, net = holding_returns(
+                shares, start_capital, prices, [rows[mark_row][j] for j in portfolio],
+                [expense_ratios[j] for j in portfolio], n, fee,
+            )
+            held = shares
+        end_capital = start_capital * (1.0 + net / 100.0)
+        equity *= 1.0 + net / 100.0
+        periods.append(dict(trade_row=trade_row, mark_row=mark_row, shares=shares, trades=trades,
+                            gross=gross, drag=drag, commission=fee, net=net,
+                            start_capital=start_capital, end_capital=end_capital))
+    return periods
 
 
 def daily_marked_equity(rows, n: int, initial_capital: float, periods) -> list[tuple[int, float]]:
