@@ -38,14 +38,22 @@ batched call) and drops it when the walk ends; a walk's data errors (a
 flat asset, a constant path) are raised when its plans are built.
 :func:`compute_weights` returns a period's weights with their diagnostics,
 as vectors: everything but its own normalization is its row of the plan.
-The holdings are an int64 share vector in portfolio-column order; a
-rebalance returns its orders as :class:`Trades`, parallel vectors of
-column, signed shares, price and fee.
+
+The strategies are then walked one at a time, in the order named. A
+variant rebalances (:func:`execute_rebalance`) and marks
+(:func:`period_return`) its periods in blocks of periods whose start
+capitals are known before the block starts: all of its periods in
+``fixed_capital`` mode, one period at a time in ``reinvest`` mode, where a
+period starts from the end of the one before. One kernel serves both: it
+takes (periods x columns) rows of weights and prices, and each row trades
+from the targets of the row before. The holdings are int64 shares in
+portfolio-column order, and each period's orders are cut from its row as
+:class:`Trades`, parallel vectors of column, signed shares, price and fee.
 These vectors are the only form of a period's result. Sums that feed the
 reported figures are plain float additions, left to right in column order
-(``_sum_left``), so results depend neither on how the arrays are
-blocked nor on the Python version, whose builtin ``sum`` of floats is
-compensated from 3.12 on.
+(``_sum_left``, one sum per row), so results depend neither on how the
+periods are blocked nor on the Python version, whose builtin ``sum`` of
+floats is compensated from 3.12 on.
 
 Values are checked once, where they enter (the config classes, ``AlignedPanel``,
 the panel length in :func:`run_strategies` and the weights plans); the
@@ -194,108 +202,125 @@ class EquityCurve:
 Run = tuple[list[PeriodResult], EquityCurve]
 
 
-def _sum_left(values: np.ndarray, start: float = 0.0) -> float:
-    """``start + values[0] + values[1] + ...``, added left to right in plain floats.
+def _sum_left(values: np.ndarray) -> np.ndarray:
+    """``values[..., 0] + values[..., 1] + ...``, added left to right in plain floats.
 
-    The order, and with it every bit, is the same on every Python; the
-    builtin ``sum`` of floats is compensated from Python 3.12 on.
+    One sum per row of the last axis; a 1-D ``values`` is one row. The
+    order, and with it every bit, is the same on every Python; the builtin
+    ``sum`` of floats is compensated from Python 3.12 on. A sum starts from
+    its first term: the engine's terms are non-negative, or the cash comes
+    first, so a start of 0.0 would change no bit (``0.0 + x`` is ``x``
+    unless ``x`` is ``-0.0``).
     """
-    total = np.empty(len(values) + 1)
-    total[0], total[1:] = start, values
-    return float(np.add.accumulate(total, out=total)[-1])
+    # .T[-1] is the last column of a block and the last element of a vector
+    return np.add.accumulate(values, axis=-1).T[-1]
 
 
 def commission_for(shares, price, plan: CommissionPlan) -> np.ndarray:
     """Commission per order for orders of ``shares`` at ``price``; zero shares cost zero.
 
-    ``shares`` and ``price`` are equal-shape arrays (or scalars, giving a 0-d array).
+    ``shares`` (>= 0) and ``price`` (positive, finite) are equal-shape
+    arrays (or scalars, giving a 0-d array); zero shares meet a cap of 0.0.
     """
-    shares = np.asarray(shares)
+    shares = np.asarray(shares, dtype=float)  # one cast of the share counts, not one per rate
     price = np.asarray(price, dtype=float)
-    # float rates: an integer rate beyond int64 must not meet the int64 share counts;
     # a fee or cap that overflows to inf still orders correctly against the other
     with np.errstate(over="ignore"):
         raw = float(plan.per_share) * shares
         cap = float(plan.max_pct_of_value) * shares * price / 100.0
-    return np.where(shares == 0, 0.0, np.minimum(np.maximum(raw, plan.min_per_order), cap))
+    return np.asarray(np.minimum(np.maximum(raw, plan.min_per_order), cap))
 
 
 def execute_rebalance(
-    weights: PortfolioWeights,
-    capital: float,
+    weights: np.ndarray,
+    capital: list[float],
     prices,
     plan: CommissionPlan,
     prior,
-) -> tuple[Trades, np.ndarray, float]:
-    """Realize target weights as whole-share positions.
+    tickers: tuple[str, ...],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
+    """Realize rows of target weights as whole-share positions, one row per period.
 
-    ``prices`` (execution prices, positive) and ``prior`` (shares held
-    before) are vectors in ``weights.tickers`` order. Target shares per
-    asset are ``floor(weight * capital / price)``; trades are the deltas
-    against ``prior`` and each one pays its own commission. The unspent
-    remainder stays in cash. Returns the trades, the int64 target share
-    vector and the total commission. Raises :class:`InsufficientCapital`
-    when the commissions alone would consume the whole capital (any capital
-    <= 0), and :class:`NumericError` when a target does not fit in int64.
+    ``weights`` and the execution ``prices`` (positive) are (periods x
+    columns) blocks with the columns in ``tickers`` order, ``capital`` lists
+    each row's start capital and ``prior`` holds the shares held before the
+    first row; each later row trades from the targets of the row before.
+    Target shares are ``floor(weight * capital / price)``; the trades are
+    the deltas, and each traded column pays its own commission (an untraded
+    one 0.0, which leaves the row's sum unchanged). The unspent remainder
+    stays in cash. Returns the int64 targets, the deltas, the fees and the
+    list of each row's total commission.
+
+    Rows are realized in order up to the first that fails: a target that
+    does not fit in int64 (:class:`NumericError`), or commissions that alone
+    would consume the row's capital (:class:`InsufficientCapital`; any
+    capital <= 0). The first row's failure is raised; a later one ends the
+    block before it, so the caller settles the rows before it and then starts
+    a block at the failing row.
     """
-    tickers = weights.tickers
     price = np.asarray(prices, dtype=float)
-    target = np.floor(weights.weights * capital / price)
-    if not (target < 2.0**63).all():
-        i = np.flatnonzero(~(target < 2.0**63))[0]
-        raise NumericError(f"{tickers[i]}: target of {target[i]:.6g} shares overflows int64")
-    target = target.astype(np.int64)
-    delta = target - np.asarray(prior, np.int64)
-
-    traded = np.flatnonzero(delta)
-    traded_shares = delta[traded]
-    traded_price = price[traded]
-    fees = commission_for(np.abs(traded_shares), traded_price, plan)
-    total_commission = _sum_left(fees)
-    if total_commission >= capital:
-        raise InsufficientCapital(
-            f"commissions {total_commission:.2f} would consume capital {capital:.2f}"
-        )
-    return Trades(traded, traded_shares, traded_price, fees), target, total_commission
+    target = np.floor(weights * np.asarray(capital, dtype=float)[:, None] / price)
+    fits = target < 2.0**63
+    rows = len(target)
+    if np.count_nonzero(fits) < fits.size:  # stop before the first row that does not fit
+        rows = int(np.argmin(fits.all(axis=1)))
+    if not rows:
+        i = np.argmin(fits[0])
+        raise NumericError(f"{tickers[i]}: target of {target[0, i]:.6g} shares overflows int64")
+    target = target[:rows].astype(np.int64)
+    delta = target - prior
+    if rows > 1:  # each later row trades from the targets of the row before
+        np.subtract(target[1:], target[:-1], out=delta[1:])
+    fees = commission_for(np.abs(delta, dtype=float), price[:rows], plan)
+    commissions = _sum_left(fees).tolist()
+    for row, (commission, start) in enumerate(zip(commissions, capital)):
+        if commission >= start:
+            if not row:
+                raise InsufficientCapital(
+                    f"commissions {commission:.2f} would consume capital {start:.2f}"
+                )
+            return target[:row], delta[:row], fees[:row], commissions[:row]
+    return target, delta, fees, commissions
 
 
 def period_return(
     shares,
-    capital: float,
+    capital: list[float],
     start_prices,
     end_prices,
-    expense_ratios,
-    n_rows: int,
-    commissions: float = 0.0,
-) -> tuple[float, float, float]:
-    """Gross return, expense drag and net return of fixed holdings over one holding period.
+    expense_rates,
+    commissions: list[float],
+) -> tuple[list[float], list[float], list[float]]:
+    """Gross returns, expense drags and net returns of fixed holdings, one per holding period.
 
-    ``shares``, the trade-row prices ``start_prices``, the mark-row prices
-    ``end_prices`` and the annual ``expense_ratios`` (percent) are vectors
-    over the same columns and ``capital`` is positive, as the engine builds
-    them. Positions are priced at the start prices; what of the start
-    ``capital`` they do not take is held in cash. The
-    gross return is the mark-to-market change in percent; each asset's
-    expense ratio is pro-rated by the period's ``n_rows`` rows over a
-    252-day year and applied to that asset's share of start capital;
-    commissions convert to percent of start capital. The net return is
-    gross minus both costs.
+    ``shares``, the trade-row prices ``start_prices`` and the mark-row
+    prices ``end_prices`` are (periods x columns) blocks, and
+    ``expense_rates`` holds each column's expense charge over a holding
+    period, in percent: its annual expense ratio pro-rated by the period's
+    N rows over a 252-day year. ``capital`` and ``commissions`` list one
+    value per row, each capital positive, as the engine builds them.
+    Positions are priced at the start prices; what of the start ``capital``
+    they do not take is held in cash. The gross return is the
+    mark-to-market change in percent; the expense drag charges each
+    asset's rate on its share of start capital; commissions convert to
+    percent of start capital. The net return is gross minus both costs.
+    Each comes as a list of floats, one per row.
     """
     shares = np.asarray(shares, dtype=float)
-    start_prices, end_prices, expense_ratios = map(
-        np.asarray, (start_prices, end_prices, expense_ratios)
-    )
     start_values = shares * start_prices
     invested = _sum_left(start_values)
-    cash = capital - invested
+    cash = np.asarray(capital) - invested
     v_start = invested + cash
-    v_end = _sum_left(shares * end_prices, cash)
-    gross = 100.0 * (v_end - v_start) / v_start
-
-    year_fraction = n_rows / TRADING_DAYS_PER_YEAR
-    drag = _sum_left(expense_ratios * year_fraction * (start_values / v_start))
-
-    return gross, drag, gross - drag - 100.0 * commissions / v_start
+    end_values = np.empty((len(shares), shares.shape[-1] + 1))  # the cash, then each position
+    end_values[:, 0] = cash
+    np.multiply(shares, end_prices, out=end_values[:, 1:])
+    v_end = _sum_left(end_values)
+    drag = _sum_left(expense_rates * (start_values / v_start[:, None]))
+    # a row's scalars in plain floats, which one-row blocks would pay for as arrays
+    v_start, drag = v_start.tolist(), drag.tolist()
+    gross = [100.0 * (end - start) / start for start, end in zip(v_start, v_end.tolist())]
+    net = [g - d - 100.0 * c / start for g, d, c, start in zip(gross, drag, commissions, v_start)]
+    return gross, drag, net
 
 
 def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]) -> dict[str, Run]:
@@ -316,7 +341,11 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
     kept while ``panel`` lives; every later walk at ``N`` over it, of any
     variant, reads them. Each variant's weights plan, with its Hurst fit,
     is built, and raises the walk's data errors, before the first period,
-    and is dropped when the walk ends.
+    and is dropped when the walk ends. The strategies then walk one after
+    the other, in ``names`` order, so of two that fail the first named
+    raises. A variant rebalances and marks its periods in blocks whose start
+    capitals are known before the block starts: all of them in
+    ``fixed_capital`` mode, one at a time in ``reinvest`` mode.
     """
     names = list(dict.fromkeys(names))  # a strategy named twice runs once
     variants = {  # each checked by BacktestConfig's rules; hurst and commission are shared
@@ -332,14 +361,13 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
         )
     trade_rows = n * np.arange(1, n_periods + 1)  # period k trades at (k+1)N, marks at (k+2)N - 1
     mark_rows = trade_rows + n - 1
-    if BENCHMARK_LABEL in names:
-        bench = panel.column(config.benchmark)
-        bench_net = (100.0 * (bench[mark_rows] / bench[trade_rows] - 1.0)).tolist()
+    starts = [panel.dates[row] for row in trade_rows.tolist()]
+    ends = [panel.dates[row] for row in mark_rows.tolist()]
     columns = panel.portfolio_columns
-    expense_ratios = panel.expense_ratios[columns]
-    held = {name: np.zeros(len(columns), np.int64) for name in variants}  # weights.tickers order
-    runs = {name: ([], [config.initial_capital]) for name in names}  # results, equity values
+    # each column's expense charge over a period of N rows, in percent
+    expense_rates = panel.expense_ratios[columns] * (n / TRADING_DAYS_PER_YEAR)
     reinvest = config.compounding == REINVEST
+    block = 1 if reinvest else n_periods  # the periods whose start capitals are known in advance
     if variants:
         built = _LOOKBACKS.setdefault(panel, {})
         if n not in built:  # period k's lookback is block k of the first n_periods * n rows
@@ -348,40 +376,54 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
         # (periods x portfolio columns): each period's trade-row and mark-row prices
         trade_prices = panel.prices[np.ix_(trade_rows, columns)]
         mark_prices = panel.prices[np.ix_(mark_rows, columns)]
-    for k, (start_row, end_row) in enumerate(zip(trade_rows.tolist(), mark_rows.tolist())):
-        for name, (results, equity) in runs.items():
-            start_capital = equity[-1] if reinvest else config.initial_capital
-            if name == BENCHMARK_LABEL:
-                weights = trades = None
-                commission = drag = 0.0
-                gross = net = bench_net[k]
+    runs = {}
+    for name in names:
+        results, equity = [], [config.initial_capital]
+        if name != BENCHMARK_LABEL:  # the walk's weights, and the same rows as one block
+            weights = [compute_weights(plans[name], k) for k in range(n_periods)]
+            targets = np.stack([w.weights for w in weights])
+            held = np.zeros((1, len(columns)), np.int64)  # weights.tickers order
+        k = 0
+        while k < n_periods:
+            if name == BENCHMARK_LABEL:  # no capital enters its returns: one block
+                bench = panel.column(config.benchmark)
+                nets = (100.0 * (bench[mark_rows] / bench[trade_rows] - 1.0)).tolist()
+                stop, none, zeros = n_periods, [None] * n_periods, [0.0] * n_periods
+                rows = zip(none, none, none, nets, zeros, zeros, nets)
             else:
-                weights = compute_weights(plans[name], k)
-                # weights.tickers are the portfolio columns in panel order
-                trades, held[name], commission = execute_rebalance(
-                    weights, start_capital, trade_prices[k], config.commission, held[name]
+                capital = [equity[-1] if reinvest else config.initial_capital]
+                capital *= min(block, n_periods - k)
+                shares, deltas, fees, commissions = execute_rebalance(
+                    targets[k : k + block], capital, trade_prices[k : k + block],
+                    config.commission, held, panel.portfolio_tickers,
                 )
+                stop = k + len(shares)  # a failing period starts the next block
                 gross, drag, net = period_return(
-                    held[name], start_capital, trade_prices[k], mark_prices[k], expense_ratios,
-                    n, commission,
+                    shares, capital[: stop - k], trade_prices[k:stop], mark_prices[k:stop],
+                    expense_rates, commissions,
                 )
-            if not net > -100.0:
-                raise InsufficientCapital(
-                    f"period ending {panel.dates[end_row]} returns {net:.2f}%, "
-                    "wiping out its capital"
-                )
-            results.append(PeriodResult(
-                start_date=panel.dates[start_row], end_date=panel.dates[end_row],
-                weights=weights, trades=trades, gross_return=gross, expense_drag=drag,
-                commission_cost=commission, net_return=net, start_capital=start_capital,
-                end_capital=start_capital * (1.0 + net / 100.0),
-            ))
-            equity.append(equity[-1] * (1.0 + net / 100.0))
-    dates = tuple(panel.dates[row] for row in (n, *mark_rows.tolist()))
-    return {
-        name: (results, EquityCurve(dates=dates, values=np.array(equity)))
-        for name, (results, equity) in runs.items()
-    }
+                rows = zip(weights[k:stop], deltas, fees, gross, drag, commissions, net)
+                held = shares[-1:]
+            for k, (weights_k, delta, fee, gross_k, drag_k, cost, net_k) in enumerate(rows, k):
+                if not net_k > -100.0:
+                    raise InsufficientCapital(
+                        f"period ending {ends[k]} returns {net_k:.2f}%, wiping out its capital"
+                    )
+                trades = None
+                if delta is not None:  # the period's orders, cut from its row
+                    traded = delta.nonzero()[0]
+                    trades = Trades(traded, delta[traded], trade_prices[k][traded], fee[traded])
+                start_capital = equity[-1] if reinvest else config.initial_capital
+                results.append(PeriodResult(
+                    start_date=starts[k], end_date=ends[k], weights=weights_k, trades=trades,
+                    gross_return=gross_k, expense_drag=drag_k, commission_cost=cost,
+                    net_return=net_k, start_capital=start_capital,
+                    end_capital=start_capital * (1.0 + net_k / 100.0),
+                ))
+                equity.append(equity[-1] * (1.0 + net_k / 100.0))
+            k = stop
+        runs[name] = results, EquityCurve(dates=(panel.dates[n], *ends), values=np.array(equity))
+    return runs
 
 
 def run_walk_forward(panel: AlignedPanel, config: BacktestConfig) -> Run:

@@ -521,7 +521,7 @@ def align_panel(series: list[PriceSeries], specs: list[AssetSpec]) -> AlignedPan
             f"date intersection across {len(series)} series has {len(days)} dates"
         )
 
-    prices = np.stack(columns, axis=1)
+    prices = np.stack(columns).T  # (assets x rows) viewed as (rows x assets): contiguous columns
     dates = tuple(map(dt.date.fromordinal, days.tolist()))
     return AlignedPanel(dates=dates, assets=tuple(specs), prices=prices)
 

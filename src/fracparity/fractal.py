@@ -83,7 +83,8 @@ class HurstConfig:
         if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in bounds) or not (
             0.0 < self.h_min <= self.h_max <= sys.float_info.max
         ):
-            raise InvalidHurst(f"clamp bounds [{self.h_min}, {self.h_max}] invalid")
+            bounds = f"[{self.h_min!r}, {self.h_max!r}]"
+            raise InvalidHurst(f"clamp bounds [h_min, h_max] = {bounds} invalid")
         rungs = () if self.max_rungs is None else (self.max_rungs,)  # only it may be None
         counts = (self.min_windows, self.min_scales, *rungs)
         if any(isinstance(x, bool) or not isinstance(x, int) for x in counts):

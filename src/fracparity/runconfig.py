@@ -12,14 +12,15 @@ benchmark; the rules for every other value belong to the engine's classes.
 from __future__ import annotations
 
 import dataclasses
-import math
+import functools
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
 from .allocation import StrategyVariant
-from .backtest import BENCHMARK_LABEL, FIXED_CAPITAL, BacktestConfig, CommissionPlan
+from .backtest import BENCHMARK_LABEL, FIXED_CAPITAL, BacktestConfig, CommissionPlan, _finite_number
 from .data import (
     DEFAULT_DATE_COLUMN,
     DEFAULT_PRICE_COLUMN,
@@ -35,6 +36,8 @@ from .fractal import HurstConfig
 
 # libyaml's parser when PyYAML was built with it; both build the same objects
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# the exponent forms YAML 1.1 leaves as strings: no point (1e6, 35e-4) or an unsigned exponent
+EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$")
 TOP_KEYS = ("universe", "benchmark", "horizon", "variants", "initial_capital", "compounding",
             "commission", "hurst", "risk_free_rate", "figure_pair", "columns")
 ENTRY_KEYS = ("ticker", "csv", "expense_ratio", "role")
@@ -122,15 +125,20 @@ def _text(value, context: str) -> str:
     return value
 
 
+@functools.cache
+def _loader(base: type) -> type:
+    """``base`` that also reads the exponent forms as floats, as YAML 1.2 does."""
+    loader = type("ConfigLoader", (base,), {})
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", EXPONENT_FLOAT, list("+-.0123456789"))
+    return loader
+
+
 def _number(raw: dict, key: str, default: float, context: str) -> float:
+    """``raw[key]`` as a float; only a YAML number is one, not a string or YAML's yes and on."""
     value = raw.get(key, default)
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if isinstance(value, bool) or not math.isfinite(number):  # YAML's yes and on are True
+    if not _finite_number(value):
         raise ConfigError(f"{context}: {key} must be a finite number, got {value!r}")
-    return number
+    return float(value)
 
 
 def load_run_settings(
@@ -145,7 +153,7 @@ def load_run_settings(
     path = Path(path)
     text = read_text(path)
     try:
-        raw = yaml.load(text, Loader=YAML_LOADER)
+        raw = yaml.load(text, Loader=_loader(YAML_LOADER))
     except yaml.YAMLError as exc:  # PyYAML's message spans lines; the error line may not
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -50,9 +50,9 @@ PLAN = CommissionPlan()
 PANEL_CONFIG = Path(__file__).parent / "fixtures" / "panel4" / "universe.yaml"
 
 
-def single_weights(ticker="A", weight=1.0):
-    cash = 1.0 - weight
-    return PortfolioWeights(tickers=(ticker,), weights=np.array([weight]), cash=cash)
+def rebalance(weight, capital, price, prior, plan=PLAN):
+    """``execute_rebalance`` of one period of one asset, as a one-row block."""
+    return execute_rebalance(np.array([[weight]]), [capital], [[price]], plan, [prior], ("A",))
 
 
 def one_fee(shares, price, plan=PLAN) -> float:
@@ -88,73 +88,139 @@ class TestCommissionFor:
 
 class TestExecuteRebalance:
     def test_full_deployment(self):
-        trades, holdings, fee = execute_rebalance(
-            single_weights(), 1_000_000.0, [100.0], PLAN, [0]
-        )
-        assert holdings.tolist() == [10_000]
-        assert fee == pytest.approx(35.00, abs=1e-12)
-        assert trades.shares.tolist() == [10_000]
+        holdings, deltas, fees, commissions = rebalance(1.0, 1_000_000.0, 100.0, 0)
+        assert holdings.tolist() == [[10_000]]
+        assert commissions == [pytest.approx(35.00, abs=1e-12)]
+        assert deltas.tolist() == [[10_000]] and fees.tolist() == [commissions]
 
     def test_noop_rebalance(self):
-        trades, holdings, fee = execute_rebalance(
-            single_weights(), 1_000_000.0, [100.0], PLAN, [10_000]
-        )
-        assert len(trades) == 0 and fee == 0.0
-        assert holdings.tolist() == [10_000]
+        holdings, deltas, fees, commissions = rebalance(1.0, 1_000_000.0, 100.0, 10_000)
+        assert deltas.tolist() == [[0]] and fees.tolist() == [[0.0]]
+        assert commissions == [0.0]
+        assert holdings.tolist() == [[10_000]]
 
     def test_liquidation(self):
-        all_cash = PortfolioWeights(tickers=("A",), weights=np.array([0.0]), cash=1.0)
-        trades, holdings, fee = execute_rebalance(
-            all_cash, 1_000_000.0, [100.0], PLAN, [10_000]
-        )
-        assert holdings.tolist() == [0]
-        assert trades.shares.tolist() == [-10_000]
-        assert fee == pytest.approx(35.00, abs=1e-12)
+        holdings, deltas, _, commissions = rebalance(0.0, 1_000_000.0, 100.0, 10_000)
+        assert holdings.tolist() == [[0]]
+        assert deltas.tolist() == [[-10_000]]
+        assert commissions == [pytest.approx(35.00, abs=1e-12)]
 
     def test_whole_shares_leave_remainder(self):
-        _, holdings, _ = execute_rebalance(single_weights(), 1_050.0, [100.0], PLAN, [0])
-        assert holdings.tolist() == [10]
+        holdings, *_ = rebalance(1.0, 1_050.0, 100.0, 0)
+        assert holdings.tolist() == [[10]]
 
     def test_insufficient_capital(self):
-        all_cash = PortfolioWeights(tickers=("A",), weights=np.array([0.0]), cash=1.0)
         with pytest.raises(InsufficientCapital):
-            execute_rebalance(all_cash, 0.30, [100.0], PLAN, [1000])
+            rebalance(0.0, 0.30, 100.0, 1000)
 
     def test_non_positive_capital(self):
         with pytest.raises(InsufficientCapital):
-            execute_rebalance(single_weights(), 0.0, [100.0], PLAN, [0])
+            rebalance(1.0, 0.0, 100.0, 0)
 
     def test_share_count_beyond_int64(self):
         # 2**63 shares at $1 is one share more than int64 holds
-        with pytest.raises(NumericError, match="overflows int64"):
-            execute_rebalance(single_weights(), 2.0**63, [1.0], PLAN, [0])
-        _, holdings, _ = execute_rebalance(single_weights(), 2.0**62, [1.0], PLAN, [0])
-        assert holdings.tolist() == [2**62]
+        overflow = "^A: target of 9.22337e[+]18 shares overflows int64$"
+        with pytest.raises(NumericError, match=overflow):
+            rebalance(1.0, 2.0**63, 1.0, 0)
+        holdings, *_ = rebalance(1.0, 2.0**62, 1.0, 0)
+        assert holdings.tolist() == [[2**62]]
+
+    def test_a_block_equals_its_rows_one_at_a_time(self):
+        rng = np.random.default_rng(3)
+        weights = rng.dirichlet(np.ones(7), size=9)
+        weights[2] = 0.0  # an all-cash period liquidates
+        weights[5, :3] = 0.0
+        capital = rng.uniform(1e4, 1e7, 9)
+        prices = rng.uniform(1.0, 400.0, (9, 7))
+        prior = rng.integers(0, 500, 7)
+        weights[6], capital[6], prices[6] = weights[5], capital[5], prices[5]  # no trade
+        block = execute_rebalance(weights, capital, prices, PLAN, prior, tuple("ABCDEFG"))
+        held = prior
+        for k in range(9):
+            row = execute_rebalance(weights[k : k + 1], capital[k : k + 1], prices[k : k + 1],
+                                    PLAN, held, tuple("ABCDEFG"))
+            for got, want in zip(block[:3], row[:3]):
+                assert got[k : k + 1].tobytes() == want.tobytes(), k
+            assert np.float64(block[3][k]).tobytes() == np.float64(row[3][0]).tobytes(), k
+            held = row[0][0]
+        assert (block[1] == 0).any() and (block[1] != 0).any()
+
+    def test_an_untraded_column_leaves_the_commission_sum_unchanged(self):
+        # fees of many magnitudes, so that the order of the additions shows in the last bits
+        rng = np.random.default_rng(5)
+        prices = rng.uniform(1.0, 400.0, (1, 40))
+        prior = rng.integers(0, 10**6, 40)
+        weights = rng.dirichlet(np.ones(40), size=1)
+        holdings, deltas, fees, commissions = execute_rebalance(
+            weights, [1e9], prices, PLAN, prior, tuple(f"T{j}" for j in range(40))
+        )
+        prior[::3] = holdings[0, ::3]  # every third column already holds its target
+        _, deltas, fees, commissions = execute_rebalance(
+            weights, [1e9], prices, PLAN, prior, tuple(f"T{j}" for j in range(40))
+        )
+        traded = np.flatnonzero(deltas[0])
+        assert 0 < len(traded) < 40 and (fees[0, deltas[0] == 0] == 0.0).all()
+        assert commissions[0] == oracles.left_sum(fees[0, traded].tolist())
+
+    def test_a_failing_row_ends_the_block_before_it(self):
+        weights = np.full((4, 1), 1.0)
+        prices = np.array([[100.0], [100.0], [1e-300], [50.0]])  # row 2's target overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflowing row is not cast
+            holdings, deltas, fees, commissions = execute_rebalance(
+                weights, [1e6] * 4, prices, PLAN, [0], ("A",)
+            )
+            assert holdings.tolist() == [[10_000], [10_000]] and len(commissions) == 2
+            with pytest.raises(NumericError, match="^A: target of 1e[+]306 shares"):
+                execute_rebalance(weights[2:], [1e6] * 2, prices[2:], PLAN, [10_000], ("A",))
+        # row 1's capital of 50 buys no share: selling row 0's 10,000 costs $1 each
+        costly = CommissionPlan(per_share=1.0, min_per_order=0.0, max_pct_of_value=100.0)
+        holdings, *_ = execute_rebalance(weights[:2], [1e6, 50.0], prices[:2], costly, [0], ("A",))
+        assert holdings.tolist() == [[10_000]]
+        consumed = "^commissions 10000.00 would consume capital 50.00$"
+        with pytest.raises(InsufficientCapital, match=consumed):
+            execute_rebalance(weights[1:2], [50.0], prices[1:2], costly, [10_000], ("A",))
 
 
 class TestPeriodReturn:
     def test_cost_model(self):
-        gross, drag, net = period_return([50], 5_000.0, [100.0], [110.0], [0.40], 126)
-        assert gross == pytest.approx(10.0, abs=1e-12)
-        assert drag == pytest.approx(0.20, abs=1e-12)
-        assert net == pytest.approx(9.80, abs=1e-12)
+        # an annual ratio of 0.40% over half a year
+        gross, drag, net = period_return([[50]], [5_000.0], [[100.0]], [[110.0]], [0.20], [0.0])
+        assert gross == [pytest.approx(10.0, abs=1e-12)]
+        assert drag == [pytest.approx(0.20, abs=1e-12)]
+        assert net == [pytest.approx(9.80, abs=1e-12)]
 
     def test_flat_prices(self):
-        gross, _, net = period_return([10], 1_000.0, [100.0], [100.0], [0.0], 20)
-        assert gross == 0.0 and net == 0.0
+        gross, _, net = period_return([[10]], [1_000.0], [[100.0]], [[100.0]], [0.0], [0.0])
+        assert gross == [0.0] and net == [0.0]
 
     def test_cash_only_pays_commissions(self):
         gross, _, net = period_return(
-            [0], 1_000_000.0, [100.0], [105.0], [0.0], 20, commissions=35.0
+            [[0]], [1_000_000.0], [[100.0]], [[105.0]], [0.0], commissions=[35.0]
         )
-        assert gross == 0.0
-        assert net == pytest.approx(-100.0 * 35.0 / 1_000_000.0, abs=1e-15)
+        assert gross == [0.0]
+        assert net == [pytest.approx(-100.0 * 35.0 / 1_000_000.0, abs=1e-15)]
 
     def test_cash_drag_free(self):
         # half in cash halves both the move and the expense drag
-        gross, drag, _ = period_return([50], 10_000.0, [100.0], [110.0], [0.40], 126)
-        assert gross == pytest.approx(5.0, abs=1e-12)
-        assert drag == pytest.approx(0.10, abs=1e-12)
+        gross, drag, _ = period_return([[50]], [10_000.0], [[100.0]], [[110.0]], [0.20], [0.0])
+        assert gross == [pytest.approx(5.0, abs=1e-12)]
+        assert drag == [pytest.approx(0.10, abs=1e-12)]
+
+    def test_a_block_equals_its_rows_one_at_a_time(self):
+        rng = np.random.default_rng(4)
+        shares = rng.integers(0, 10**5, (9, 30))
+        shares[3] = 0  # an all-cash period
+        capital = ((shares * 200.0).sum(axis=1) + rng.uniform(0.0, 1e5, 9)).tolist()
+        start, end = rng.uniform(1.0, 200.0, (2, 9, 30))
+        expense, commissions = rng.uniform(0.0, 1.0, 30), rng.uniform(0.0, 100.0, 9).tolist()
+        block = period_return(shares, capital, start, end, expense, commissions)
+        for k in range(9):
+            rows = slice(k, k + 1)
+            row = period_return(shares[rows], capital[rows], start[rows], end[rows], expense,
+                                commissions[rows])
+            got = [values[rows] for values in block]
+            assert np.array(got).tobytes() == np.array(row).tobytes(), k
 
 
 class TestWalkForward:
@@ -647,6 +713,27 @@ class TestRunStrategies:
         with pytest.raises(DegenerateVolatility, match="^A1: zero volatility"):
             run_strategies(panel, cfg, [naive.value])
         assert rebalances == []  # the plan raised before period 0's rebalance
+
+    def test_of_two_failing_strategies_the_first_named_raises(self):
+        # one asset falls over lookback 0 and then rises; an expense ratio of 99% and fees
+        # of 99.9% of each order's value take any period that trades below -100%
+        n = 20
+        steps = np.where(np.arange(3 * n) % 2, 0.004, -0.004)
+        steps += np.where(np.arange(3 * n) < n, -0.003, 0.001)
+        panel = AlignedPanel(
+            dates=business_days(dt.date(2012, 1, 2), 3 * n),
+            assets=(AssetSpec("A", expense_ratio=99.0), AssetSpec("BMK", role="benchmark")),
+            prices=100.0 * np.exp(np.cumsum(np.tile(steps, (2, 1)).T, axis=0)),
+        )
+        ruinous = CommissionPlan(per_share=1e6, min_per_order=0.0, max_pct_of_value=99.9)
+        cfg = BacktestConfig(horizon_n=n, variant="standard_biased", commission=ruinous,
+                             benchmark="BMK")
+        # naive risk parity trades in period 0; standard_biased holds cash until period 1
+        naive, standard = "naive_risk_parity", "standard_biased"
+        for names, end_row in (([standard, naive], 3 * n - 1), ([naive, standard], 2 * n - 1)):
+            message = f"^period ending {panel.dates[end_row]} returns .*, wiping out its capital$"
+            with pytest.raises(InsufficientCapital, match=message):
+                run_strategies(panel, cfg, names)
 
     def test_a_strategy_named_twice_runs_once(self):
         panel = synthetic_panel(seed=47, n_rows=4 * 63, n_assets=2)

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -620,6 +621,68 @@ class TestInputOutputErrors:
         argv = ["backtest", "--config", str(PANEL_CONFIG), "--out", str(out / "run")]
         self.assert_data_error(argv, capsys, "NotADirectoryError")
         self.assert_data_error(argv[:-1] + [str(out)], capsys, "FileExistsError")
+
+
+# every key that takes a float, in the exponent form YAML 1.1 would leave a string
+EXPONENT_FORMS = {
+    "initial_capital": ("initial_capital: 1e6", 1e6),
+    "risk_free_rate": ("risk_free_rate: 1e-2", 0.01),
+    "expense_ratio": ("", 0.9),  # written into the first universe entry
+    "per_share": ("commission: {per_share: 35e-4, min_per_order: 35e-2, max_pct_of_value: 1e0}",
+                  0.0035),
+    "min_per_order": ("commission: {min_per_order: 35e-2}", 0.35),
+    "max_pct_of_value": ("commission: {max_pct_of_value: 0.1e1}", 1.0),
+    "h_min": ("hurst: {h_min: 1e-1, h_max: 1e0}", 0.1),
+    "h_max": ("hurst: {h_max: 0.9e0}", 0.9),
+}
+
+
+class TestConfigNumbers:
+    """A float key reads every YAML number, exponent forms too; a quoted number is a string."""
+
+    @staticmethod
+    def config(tmp_path: Path, key: str, line: str, expense: str = "9e-1") -> Path:
+        text = PANEL_CONFIG.read_text().replace("csv: ", f"csv: {PANEL_CONFIG.parent}/")
+        text = text.replace("expense_ratio: 0.09", f"expense_ratio: {expense}", 1)
+        config = tmp_path / "run.yaml"
+        config.write_text(text + line + "\n")
+        return config
+
+    @staticmethod
+    def value(settings, key):
+        if key == "expense_ratio":
+            return settings.universe[0].spec.expense_ratio
+        if key in ("h_min", "h_max"):
+            return getattr(settings.base_config().hurst, key)
+        if key in ("per_share", "min_per_order", "max_pct_of_value"):
+            return getattr(settings.commission, key)
+        return getattr(settings, key)
+
+    @pytest.mark.parametrize("key", list(EXPONENT_FORMS))
+    def test_exponent_forms_are_floats(self, tmp_path, key):
+        line, want = EXPONENT_FORMS[key]
+        settings = runconfig.load_run_settings(self.config(tmp_path, key, line))
+        assert self.value(settings, key) == want
+
+    def test_a_run_with_exponent_forms(self, tmp_path):
+        lines = "\n".join(line for line, _ in EXPONENT_FORMS.values() if line.startswith(
+            ("initial_capital", "risk_free_rate", "commission: {per_share", "hurst: {h_min")))
+        config = self.config(tmp_path, "all", lines)
+        assert main(["backtest", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("key", list(EXPONENT_FORMS))
+    def test_a_quoted_number_is_a_config_error_naming_its_key(self, tmp_path, capsys, key):
+        line, _ = EXPONENT_FORMS[key]
+        expense = "9e-1"
+        if key == "expense_ratio":
+            expense = '"0.9"'
+        else:  # the key's own value, quoted
+            line = re.sub(rf"({key}): ([^,}}]+)", r'\1: "\2"', line)
+        config = self.config(tmp_path, key, line, expense)
+        assert main(["backtest", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and err.count("\n") == 1
+        assert key in err and "Traceback" not in err
 
 
 class TestYamlLoader:
