@@ -483,7 +483,8 @@ def align_panel(series: list[PriceSeries], specs: list[AssetSpec]) -> AlignedPan
     series has the same day ordinals, as the series of one calendar loaded
     by :func:`fracparity.runconfig.load_universe_panel` share one array, the
     closes are stacked as they are; otherwise the surviving days are found
-    by counting.
+    by counting. The prices are an (assets x rows) block viewed as (rows x
+    assets), so each column is contiguous.
     """
     if not series:
         raise EmptyIntersection("no price series supplied")
@@ -521,7 +522,7 @@ def align_panel(series: list[PriceSeries], specs: list[AssetSpec]) -> AlignedPan
             f"date intersection across {len(series)} series has {len(days)} dates"
         )
 
-    prices = np.stack(columns).T  # (assets x rows) viewed as (rows x assets): contiguous columns
+    prices = np.stack(columns).T
     dates = tuple(map(dt.date.fromordinal, days.tolist()))
     return AlignedPanel(dates=dates, assets=tuple(specs), prices=prices)
 

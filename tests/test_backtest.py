@@ -151,13 +151,10 @@ class TestExecuteRebalance:
         prices = rng.uniform(1.0, 400.0, (1, 40))
         prior = rng.integers(0, 10**6, 40)
         weights = rng.dirichlet(np.ones(40), size=1)
-        holdings, deltas, fees, commissions = execute_rebalance(
-            weights, [1e9], prices, PLAN, prior, tuple(f"T{j}" for j in range(40))
-        )
+        tickers = tuple(f"T{j}" for j in range(40))
+        holdings, *_ = execute_rebalance(weights, [1e9], prices, PLAN, prior, tickers)
         prior[::3] = holdings[0, ::3]  # every third column already holds its target
-        _, deltas, fees, commissions = execute_rebalance(
-            weights, [1e9], prices, PLAN, prior, tuple(f"T{j}" for j in range(40))
-        )
+        _, deltas, fees, commissions = execute_rebalance(weights, [1e9], prices, PLAN, prior, tickers)
         traded = np.flatnonzero(deltas[0])
         assert 0 < len(traded) < 40 and (fees[0, deltas[0] == 0] == 0.0).all()
         assert commissions[0] == oracles.left_sum(fees[0, traded].tolist())
