@@ -39,8 +39,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import AlignedPanel
-from .errors import DegenerateVolatility, Empty, LengthMismatch
-from .fractal import HurstConfig, build_path, fit_hurst_rows, require_variation
+from .errors import DegenerateVolatility, Empty
+from .fractal import HurstConfig, build_path, fit_hurst_rows
 from .fractal import estimate_hurst  # noqa: F401  (perfbench/tracing.py wraps this binding)
 from .riskstats import log_returns  # noqa: F401  (perfbench/tracing.py wraps this binding)
 from .riskstats import mean_return, rescale_volatility, unbiased_std
@@ -103,12 +103,12 @@ class Lookbacks:
 def lookback_stats(window: AlignedPanel, n: int) -> Lookbacks:
     """Statistics of each consecutive ``n``-row block of a window, in row order.
 
-    ``n`` must divide the window's rows. A block's returns are the ``n - 1``
-    within its rows; the return that crosses into the next block is left out,
-    and so are the benchmark-role columns.
+    ``n`` must divide the window's rows, as in every walk's window of
+    ``n_periods * n`` rows (``n >= 8`` is ``BacktestConfig``'s rule, so a
+    block has at least 7 returns). A block's returns are the ``n - 1``
+    within its rows; the return that crosses into the next block is left
+    out, and so are the benchmark-role columns.
     """
-    if n < 1 or window.n_rows < n or window.n_rows % n:
-        raise LengthMismatch(f"window has {window.n_rows} rows, not a multiple of horizon {n}")
     if not window.portfolio_columns.size:
         raise Empty("window contains no portfolio assets")
     # (assets x blocks x n - 1): block k starts at return k*n, each a contiguous run of a row
@@ -159,7 +159,6 @@ def weights_plan(
     if variant is StrategyVariant.FRACTAL_BIASED and active.any():
         # rows lookback by lookback, in column order within each
         fit = fit_hurst_rows(build_path(lookbacks.returns[active]), config)
-        require_variation(fit.variations)
         h[active], r_squared[active], clamped[active] = fit.h, fit.r_squared, fit.clamped
     # a lookback of n rows holds n - 1 returns
     std_n = rescale_volatility(std0, lookbacks.returns.shape[-1] + 1, h)

@@ -45,10 +45,11 @@ variant rebalances (:func:`execute_rebalance`) and marks
 capitals are known before the block starts: all of its periods in
 ``fixed_capital`` mode, one period at a time in ``reinvest`` mode, where a
 period starts from the end of the one before. One kernel serves both: it
-takes (periods x columns) rows of weights and prices, and each row trades
-from the targets of the row before. The holdings are int64 shares in
-portfolio-column order, and each period's orders are cut from its row as
-:class:`Trades`, parallel vectors of column, signed shares, price and fee.
+takes (periods x columns) rows of weights and prices, each row trades from
+the targets of the row before, and it computes every row it is given. The
+holdings are int64 shares in portfolio-column order, and each period's
+orders are cut from its row as :class:`Trades`, parallel vectors of
+column, signed shares, price and fee.
 These vectors are the only form of a period's result. Sums that feed the
 reported figures are plain float additions, left to right in column order
 (``_sum_left``, one sum per row), so results depend neither on how the
@@ -58,7 +59,10 @@ floats is compensated from 3.12 on.
 Values are checked once, where they enter (the config classes, ``AlignedPanel``,
 the panel length in :func:`run_strategies` and the weights plans); the
 functions a period calls take the shapes, prices and capital it builds as
-given, and a period raises only what its capital path can cause.
+given and judge nothing. A period can fail only by what its capital path
+causes, and :func:`run_strategies` alone judges that, period by period in
+period order: a target that overflows int64, then commissions that consume
+the period's capital, then a net return at or below -100%.
 """
 
 from __future__ import annotations
@@ -93,6 +97,8 @@ REINVEST = "reinvest"
 TRADING_DAYS_PER_YEAR = 252
 # the name the benchmark's run goes by in reports, next to the variants'
 BENCHMARK_LABEL = "benchmark"
+# the first share count that int64 cannot hold
+_INT64_END = 2.0**63
 # panel -> {horizon N: the Lookbacks of a walk at N}. An entry lives as long as its
 # panel; a window from slice_window is a panel of its own, so it starts with none.
 _LOOKBACKS = weakref.WeakKeyDictionary()
@@ -232,55 +238,37 @@ def commission_for(shares, price, plan: CommissionPlan) -> np.ndarray:
 
 
 def execute_rebalance(
-    weights: np.ndarray,
-    capital: list[float],
-    prices,
-    plan: CommissionPlan,
-    prior,
-    tickers: tuple[str, ...],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
+    weights: np.ndarray, capital: list[float], prices, plan: CommissionPlan, prior
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[float]]:
     """Realize rows of target weights as whole-share positions, one row per period.
 
     ``weights`` and the execution ``prices`` (positive) are (periods x
-    columns) blocks with the columns in ``tickers`` order, ``capital`` lists
-    each row's start capital and ``prior`` holds the shares held before the
-    first row; each later row trades from the targets of the row before.
-    Target shares are ``floor(weight * capital / price)``; the trades are
-    the deltas, and each traded column pays its own commission (an untraded
-    one 0.0, which leaves the row's sum unchanged). The unspent remainder
-    stays in cash. Returns the int64 targets, the deltas, the fees and the
-    list of each row's total commission.
+    columns) blocks, ``capital`` lists each row's start capital and
+    ``prior`` holds the shares held before the first row; each later row
+    trades from the targets of the row before. Target shares are
+    ``floor(weight * capital / price)``; the trades are the deltas, and each
+    traded column pays its own commission (an untraded one 0.0, which leaves
+    the row's sum unchanged). The unspent remainder stays in cash. Returns,
+    for every row, the targets as floats, the int64 holdings, the deltas,
+    the fees and the list of each row's total commission.
 
-    Rows are realized in order up to the first that fails: a target that
-    does not fit in int64 (:class:`NumericError`), or commissions that alone
-    would consume the row's capital (:class:`InsufficientCapital`; any
-    capital <= 0). The first row's failure is raised; a later one ends the
-    block before it, so the caller settles the rows before it and then starts
-    a block at the failing row.
+    Nothing is judged here; :func:`run_strategies` judges each period. A
+    target of ``2**63`` shares or more does not fit in int64 and is never
+    cast: its column holds 0 shares instead, and the walk rejects that
+    row's period before it records it or any later one.
     """
     price = np.asarray(prices, dtype=float)
-    target = np.floor(weights * np.asarray(capital, dtype=float)[:, None] / price)
-    fits = target < 2.0**63
-    rows = len(target)
-    if np.count_nonzero(fits) < fits.size:  # stop before the first row that does not fit
-        rows = int(np.argmin(fits.all(axis=1)))
-    if not rows:
-        i = np.argmin(fits[0])
-        raise NumericError(f"{tickers[i]}: target of {target[0, i]:.6g} shares overflows int64")
-    target = target[:rows].astype(np.int64)
-    delta = target - prior
-    if rows > 1:  # each later row trades from the targets of the row before
-        np.subtract(target[1:], target[:-1], out=delta[1:])
-    fees = commission_for(np.abs(delta, dtype=float), price[:rows], plan)
-    commissions = _sum_left(fees).tolist()
-    for row, (commission, start) in enumerate(zip(commissions, capital)):
-        if commission >= start:
-            if not row:
-                raise InsufficientCapital(
-                    f"commissions {commission:.2f} would consume capital {start:.2f}"
-                )
-            return target[:row], delta[:row], fees[:row], commissions[:row]
-    return target, delta, fees, commissions
+    with np.errstate(over="ignore"):  # a quotient that overflows is an inf target, not a warning
+        target = np.floor(weights * np.asarray(capital, dtype=float)[:, None] / price)
+    held, fits = target, target < _INT64_END
+    if np.count_nonzero(fits) < fits.size:  # int64 cannot hold these: hold 0, never cast them
+        held = np.where(fits, target, 0.0)
+    shares = held.astype(np.int64)
+    delta = shares - prior
+    if len(shares) > 1:  # each later row trades from the targets of the row before
+        np.subtract(shares[1:], shares[:-1], out=delta[1:])
+    fees = commission_for(np.abs(delta, dtype=float), price, plan)
+    return target, shares, delta, fees, _sum_left(fees).tolist()
 
 
 def period_return(
@@ -345,7 +333,14 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
     the other, in ``names`` order, so of two that fail the first named
     raises. A variant rebalances and marks its periods in blocks whose start
     capitals are known before the block starts: all of them in
-    ``fixed_capital`` mode, one at a time in ``reinvest`` mode.
+    ``fixed_capital`` mode, one at a time in ``reinvest`` mode; the
+    benchmark's periods are one block with no costs.
+
+    Each period is then judged, in period order, before it is recorded, so
+    of two failing periods the earlier raises: a target of ``2**63`` shares
+    or more (:class:`NumericError`), commissions at or above the period's
+    start capital, and a net return at or below -100%
+    (:class:`InsufficientCapital`), in that order within a period.
     """
     names = list(dict.fromkeys(names))  # a strategy named twice runs once
     variants = {  # each checked by BacktestConfig's rules; hurst and commission are shared
@@ -367,7 +362,6 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
     # each column's expense charge over a period of N rows, in percent
     expense_rates = panel.expense_ratios[columns] * (n / TRADING_DAYS_PER_YEAR)
     reinvest = config.compounding == REINVEST
-    block = 1 if reinvest else n_periods  # the periods whose start capitals are known in advance
     if variants:
         built = _LOOKBACKS.setdefault(panel, {})
         if n not in built:  # period k's lookback is block k of the first n_periods * n rows
@@ -379,49 +373,60 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
     runs = {}
     for name in names:
         results, equity = [], [config.initial_capital]
+        # blocks of the periods whose start capitals are known in advance; no capital
+        # enters the benchmark's returns, so its periods are one block, with no costs
+        size = 1 if reinvest and name != BENCHMARK_LABEL else n_periods
         if name != BENCHMARK_LABEL:  # the walk's weights, and the same rows as one block
             weights = [compute_weights(plans[name], k) for k in range(n_periods)]
             targets = np.stack([w.weights for w in weights])
             held = np.zeros((1, len(columns)), np.int64)  # weights.tickers order
-        k = 0
-        while k < n_periods:
-            if name == BENCHMARK_LABEL:  # no capital enters its returns: one block
+        for first in range(0, n_periods, size):
+            rows = slice(first, min(first + size, n_periods))
+            if name == BENCHMARK_LABEL:
                 bench = panel.column(config.benchmark)
-                nets = (100.0 * (bench[mark_rows] / bench[trade_rows] - 1.0)).tolist()
-                stop, none, zeros = n_periods, [None] * n_periods, [0.0] * n_periods
-                rows = zip(none, none, none, nets, zeros, zeros, nets)
+                gross = net = (100.0 * (bench[mark_rows] / bench[trade_rows] - 1.0)).tolist()
+                drag = [0.0] * n_periods
             else:
-                capital = [equity[-1] if reinvest else config.initial_capital]
-                capital *= min(block, n_periods - k)
-                shares, deltas, fees, commissions = execute_rebalance(
-                    targets[k : k + block], capital, trade_prices[k : k + block],
-                    config.commission, held, panel.portfolio_tickers,
+                capital = [equity[-1] if reinvest else config.initial_capital] * (rows.stop - first)
+                target, shares, deltas, fees, commissions = execute_rebalance(
+                    targets[rows], capital, trade_prices[rows], config.commission, held
                 )
-                stop = k + len(shares)  # a failing period starts the next block
                 gross, drag, net = period_return(
-                    shares, capital[: stop - k], trade_prices[k:stop], mark_prices[k:stop],
-                    expense_rates, commissions,
+                    shares, capital, trade_prices[rows], mark_prices[rows], expense_rates,
+                    commissions,
                 )
-                rows = zip(weights[k:stop], deltas, fees, gross, drag, commissions, net)
+                fits = (target < _INT64_END).all(axis=1).tolist()
                 held = shares[-1:]
-            for k, (weights_k, delta, fee, gross_k, drag_k, cost, net_k) in enumerate(rows, k):
-                if not net_k > -100.0:
-                    raise InsufficientCapital(
-                        f"period ending {ends[k]} returns {net_k:.2f}%, wiping out its capital"
-                    )
-                trades = None
-                if delta is not None:  # the period's orders, cut from its row
-                    traded = delta.nonzero()[0]
-                    trades = Trades(traded, delta[traded], trade_prices[k][traded], fee[traded])
+            for i, k in enumerate(range(first, rows.stop)):
                 start_capital = equity[-1] if reinvest else config.initial_capital
+                weights_k = trades = None
+                cost = 0.0
+                if name != BENCHMARK_LABEL:  # the period's rebalance is judged before its return
+                    if not fits[i]:
+                        j = np.argmin(target[i] < _INT64_END)
+                        raise NumericError(
+                            f"{panel.portfolio_tickers[j]}: target of {target[i, j]:.6g} shares "
+                            "overflows int64"
+                        )
+                    cost = commissions[i]
+                    if cost >= start_capital:
+                        raise InsufficientCapital(
+                            f"commissions {cost:.2f} would consume capital {start_capital:.2f}"
+                        )
+                    weights_k, delta = weights[k], deltas[i]
+                    traded = delta.nonzero()[0]  # the period's orders, cut from its row
+                    trades = Trades(traded, delta[traded], trade_prices[k][traded], fees[i][traded])
+                if not net[i] > -100.0:
+                    raise InsufficientCapital(
+                        f"period ending {ends[k]} returns {net[i]:.2f}%, wiping out its capital"
+                    )
                 results.append(PeriodResult(
                     start_date=starts[k], end_date=ends[k], weights=weights_k, trades=trades,
-                    gross_return=gross_k, expense_drag=drag_k, commission_cost=cost,
-                    net_return=net_k, start_capital=start_capital,
-                    end_capital=start_capital * (1.0 + net_k / 100.0),
+                    gross_return=gross[i], expense_drag=drag[i], commission_cost=cost,
+                    net_return=net[i], start_capital=start_capital,
+                    end_capital=start_capital * (1.0 + net[i] / 100.0),
                 ))
-                equity.append(equity[-1] * (1.0 + net_k / 100.0))
-            k = stop
+                equity.append(equity[-1] * (1.0 + net[i] / 100.0))
         runs[name] = results, EquityCurve(dates=(panel.dates[n], *ends), values=np.array(equity))
     return runs
 

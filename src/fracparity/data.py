@@ -42,6 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DataError,
     DuplicateDate,
     EmptyIntersection,
@@ -71,14 +72,14 @@ class AssetSpec:
 
     def __post_init__(self):
         if not self.ticker:
-            raise TickerMismatch("empty ticker in asset spec")
+            raise ConfigError("empty ticker in asset spec")
         if not 0.0 <= self.expense_ratio < 100.0:
-            raise ValueError(
+            raise ConfigError(
                 f"{self.ticker}: expense_ratio must be in [0, 100), "
                 f"got {self.expense_ratio}"
             )
         if self.role not in VALID_ROLES:
-            raise ValueError(f"{self.ticker}: unknown role {self.role!r}")
+            raise ConfigError(f"{self.ticker}: unknown role {self.role!r}")
 
 
 class PriceSeries:

@@ -12,9 +12,8 @@ trend-surviving assets of every lookback of a walk), block max/min per
 scale, each built from the scale below, and one batched log-log fit, and
 returns a :class:`HurstFit` of per-row vectors (``h``, variation index,
 r², clamp hits, V(delta)), which the walk-forward engine slices per
-period. A row whose variation vanishes at some scale has no fit; each
-caller rejects it with :func:`require_variation` on the rows it fitted,
-before it reads any of them.
+period. A row whose variation vanishes at some scale has no fit, so the
+kernel raises ``DegeneratePath`` for the whole block before it fits any row.
 :func:`estimate_hurst`, which the ``hurst`` CLI uses, fits one path as a
 one-row block and returns its row as a :class:`HurstEstimate`.
 
@@ -237,16 +236,17 @@ def fit_hurst_rows(paths, config: HurstConfig = HurstConfig()) -> HurstFit:
 
     A row's entries depend on that row alone, so one call over the rows of
     many blocks gives each block's fits bit for bit. Raises what
-    :func:`hurst_scales` raises; a row whose variation vanishes at some
-    scale gets a meaningless fit, which :func:`require_variation` rejects.
+    :func:`hurst_scales` raises, and ``DegeneratePath`` when some row's
+    variation vanishes at some scale: ``ln V`` is undefined there.
     """
     p = np.asarray(paths, dtype=float)
     scales = hurst_scales(p.shape[1], config)
     variations = cover_variations(p, scales)
+    if (variations <= 0.0).any():
+        raise DegeneratePath("zero variation at some scale (constant path)")
 
     x = np.log(np.array(scales, dtype=float))
     x_c = x - x.mean()
-    # ln 0 of a vanishing variation spreads through its own row only;
     # flat ln V at every scale is a perfect fit with zero slope
     with np.errstate(divide="ignore", invalid="ignore"):
         y = np.log(variations)
@@ -270,19 +270,9 @@ def fit_hurst_rows(paths, config: HurstConfig = HurstConfig()) -> HurstFit:
     )
 
 
-def require_variation(variations: np.ndarray) -> None:
-    """Raise ``DegeneratePath`` when some V(delta) vanishes: ``ln V`` is undefined there."""
-    if (variations <= 0.0).any():
-        raise DegeneratePath("zero variation at some scale (constant path)")
-
-
 def estimate_hurst(path, config: HurstConfig = HurstConfig()) -> HurstEstimate:
-    """Estimate the Hurst exponent of one path; see :func:`fit_hurst_rows`.
-
-    Also raises ``DegeneratePath`` when the path's variation vanishes at some scale.
-    """
+    """Estimate the Hurst exponent of one path; see :func:`fit_hurst_rows`."""
     fit = fit_hurst_rows(np.reshape(path, (1, -1)), config)
-    require_variation(fit.variations)
     return HurstEstimate(
         h=float(fit.h[0]),
         mu_index=float(fit.mu_index[0]),
@@ -355,9 +345,7 @@ def _cdf_quad_split(z: float, alpha: float, beta: float) -> tuple[float, float]:
     return v1 + v2 + v3, e1 + e2 + e3
 
 
-def stable_cdf_with_error(
-    r: float, params: StableParams, tol: float = _DEFAULT_CDF_TOL
-) -> tuple[float, float]:
+def stable_cdf_with_error(r: float, params: StableParams) -> tuple[float, float]:
     """CDF value at ``r`` plus the achieved quadrature error estimate.
 
     Standardizes to ``z = (r - mu_loc) / sigma`` and evaluates
@@ -368,9 +356,9 @@ def stable_cdf_with_error(
     from ``alpha = 1`` and ``z t + (2 beta / pi) t ln t`` on that branch.
     Raises :class:`InvalidStableParams` when ``z`` is not finite,
     :class:`QuadratureFailure` when the error estimate ends up above
-    ``tol``, and :class:`NumericError` when, at huge ``|z|``, the phase
-    overflows to infinity at some node and no estimate is made; the value
-    is clipped into [0, 1] at machine-level overshoot.
+    ``_DEFAULT_CDF_TOL``, and :class:`NumericError` when, at huge ``|z|``,
+    the phase overflows to infinity at some node and no estimate is made;
+    the value is clipped into [0, 1] at machine-level overshoot.
     """
     z = (r - params.mu_loc) / params.sigma
     if not math.isfinite(z):
@@ -394,12 +382,7 @@ def stable_cdf_with_error(
                 f"the phase z t overflows to infinity at |z| = {abs(z):.3e}; no quadrature estimate"
             ) from exc
     err /= math.pi
-    if err > tol:
-        raise QuadratureFailure(err, tol)
+    if err > _DEFAULT_CDF_TOL:
+        raise QuadratureFailure(err, _DEFAULT_CDF_TOL)
     cdf = 0.5 + val / math.pi
     return min(max(cdf, 0.0), 1.0), err
-
-
-def stable_cdf(r: float, params: StableParams, tol: float = _DEFAULT_CDF_TOL) -> float:
-    """Probability that a stable variate with ``params`` is at most ``r``."""
-    return stable_cdf_with_error(r, params, tol)[0]

@@ -12,15 +12,15 @@ panel's returns in one call, and the means and deviations of an (assets x
 lookbacks x days) view of them, every lookback of a walk, in one call each.
 
 Inputs are checked where they enter, not here: prices (the CSV readers,
-``hurst --prices``, ``AlignedPanel``), ``h`` (``HurstConfig``, ``BacktestConfig``)
-and a Hurst path's length (its scale ladder, ``fractal.hurst_scales``).
+``hurst --prices``, ``AlignedPanel``), ``h`` (``HurstConfig``, ``BacktestConfig``),
+a Hurst path's length (its scale ladder, ``fractal.hurst_scales``) and the
+length of a lookback (``BacktestConfig``'s ``horizon_n >= 8``, so each of
+the engine's series has at least 7 returns).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import Empty, TooShort
 
 
 def log_returns(prices) -> np.ndarray:
@@ -30,18 +30,12 @@ def log_returns(prices) -> np.ndarray:
 
 def mean_return(returns):
     """Arithmetic mean of the returns, percent per day."""
-    v = np.asarray(returns, dtype=float)
-    if v.shape[-1] == 0:
-        raise Empty("mean of an empty return series")
-    return np.mean(v, axis=-1)
+    return np.mean(np.asarray(returns, dtype=float), axis=-1)
 
 
 def unbiased_std(returns):
     """Sample standard deviation with the n-1 denominator."""
-    v = np.asarray(returns, dtype=float)
-    if v.shape[-1] < 2:
-        raise TooShort(f"need at least 2 returns for a standard deviation, got {v.shape[-1]}")
-    return np.std(v, axis=-1, ddof=1)
+    return np.std(np.asarray(returns, dtype=float), axis=-1, ddof=1)
 
 
 def rescale_volatility(std0, n: int, h):

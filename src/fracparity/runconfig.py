@@ -176,13 +176,11 @@ def load_run_settings(
         csv_rel = _text(_require(entry, "csv", where), f"{where}: csv")
         if "\0" in csv_rel:  # no file system takes it, and open() would raise ValueError
             raise ConfigError(f"{where}: csv path contains a NUL character")
+        expense_ratio = _number(entry, "expense_ratio", 0.0, where)
+        role = _text(entry.get("role", ROLE_PORTFOLIO), f"{where}: role")
         try:
-            spec = AssetSpec(
-                ticker=ticker,
-                expense_ratio=_number(entry, "expense_ratio", 0.0, where),
-                role=_text(entry.get("role", ROLE_PORTFOLIO), f"{where}: role"),
-            )
-        except ValueError as exc:
+            spec = AssetSpec(ticker=ticker, expense_ratio=expense_ratio, role=role)
+        except ConfigError as exc:
             raise ConfigError(f"{where}: {exc}") from None
         csv_path = Path(csv_rel)
         if not csv_path.is_absolute():

@@ -248,16 +248,10 @@ def holding_net_return(targets, capital: float, start_prices, end_prices, expens
 
 
 def benchmark_period_returns(closes, n: int) -> list[float]:
-    """Close-to-close percent change of ``closes`` over each holding period.
-
-    After the first ``n`` lookback rows the closes tile into
-    ``len(closes) // n - 1`` periods; period ``k`` starts at row ``(k+1)*n``
-    and ends at row ``(k+2)*n - 1``.
-    """
+    """Close-to-close percent change of ``closes`` over each period of :func:`period_rows`."""
     closes = [float(c) for c in closes]
     return [
-        100.0 * (closes[(k + 2) * n - 1] / closes[(k + 1) * n] - 1.0)
-        for k in range(len(closes) // n - 1)
+        100.0 * (closes[mark] / closes[trade] - 1.0) for trade, mark in period_rows(len(closes), n)
     ]
 
 
@@ -329,19 +323,20 @@ def daily_marked_equity(rows, n: int, initial_capital: float, periods) -> list[t
     ``rows`` holds one list of closes per date, in panel column order;
     ``periods`` lists ``(start_capital, net_return, trades)`` per period,
     with ``trades`` as ``(column, signed shares)`` pairs. Holdings add up
-    the trades. Inside period ``k`` (rows ``(k+1)*n`` to ``(k+2)*n - 1``) the
-    shares plus the cash left at the start are marked at each close and
-    scaled onto the chained equity; the period's last close carries its
-    net return, costs included. The first point is the initial capital at
-    row ``n``.
+    the trades. Inside each period, from its trade row to its mark row
+    (:func:`period_rows`), the shares plus the cash left at the start are
+    marked at each close and scaled onto the chained equity; the period's
+    last close carries its net return, costs included. The first point is
+    the initial capital at row ``n``.
     """
     shares = [0] * len(rows[0])
     marks = [(n, initial_capital)]
     base = initial_capital
-    for k, (start_capital, net_return, trades) in enumerate(periods):
+    for (start_capital, net_return, trades), (start, end) in zip(
+        periods, period_rows(len(rows), n)
+    ):
         for column, delta in trades:
             shares[column] += delta
-        start, end = (k + 1) * n, (k + 2) * n - 1
         cash = start_capital - sum(s * p for s, p in zip(shares, rows[start]))
         for row in range(start + 1, end):
             value = cash + sum(s * p for s, p in zip(shares, rows[row]))

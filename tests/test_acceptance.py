@@ -31,7 +31,7 @@ from fracparity.data import (
     load_price_csv,
     slice_window,
 )
-from fracparity.fractal import HurstConfig, StableParams, estimate_hurst, stable_cdf
+from fracparity.fractal import HurstConfig, StableParams, estimate_hurst, stable_cdf_with_error
 from fracparity.metrics import (
     build_report,
     capital_protection,
@@ -110,11 +110,11 @@ def test_stable_law_anchors():
     gauss = StableParams(alpha=2.0, beta=0.0)
     for z in np.linspace(-5.0, 5.0, 50):
         want = oracles.gaussian_cdf(float(z), std=math.sqrt(2.0))
-        assert stable_cdf(float(z), gauss) == pytest.approx(want, abs=1e-4)
+        assert stable_cdf_with_error(float(z), gauss)[0] == pytest.approx(want, abs=1e-4)
 
     cauchy = StableParams(alpha=1.0, beta=0.0)
     for z in np.linspace(-5.0, 5.0, 50):
-        assert stable_cdf(float(z), cauchy) == pytest.approx(
+        assert stable_cdf_with_error(float(z), cauchy)[0] == pytest.approx(
             oracles.cauchy_cdf(float(z)), abs=1e-6
         )
 
@@ -124,12 +124,13 @@ def test_stable_law_anchors():
             alpha=float(rng.uniform(0.5, 2.0)), beta=float(rng.uniform(-1.0, 1.0))
         )
         grid = np.linspace(-8.0, 8.0, 100)
-        values = [stable_cdf(float(z), params) for z in grid]
+        values = [stable_cdf_with_error(float(z), params)[0] for z in grid]
         assert all(b - a >= -1e-9 for a, b in zip(values, values[1:])), params
     for _ in range(6):
         params = StableParams(alpha=float(rng.uniform(0.5, 2.0)), beta=0.0)
         for z in rng.uniform(0.0, 6.0, 5):
-            total = stable_cdf(float(z), params) + stable_cdf(float(-z), params)
+            total = (stable_cdf_with_error(float(z), params)[0]
+                     + stable_cdf_with_error(float(-z), params)[0])
             assert total == pytest.approx(1.0, abs=1e-8), params
     report_pass("stable-law anchors (Gaussian 1e-4, Cauchy 1e-6, monotone + symmetric)")
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import business_days, synthetic_panel, weights_of
 from fracparity.allocation import StrategyVariant, inverse_volatility_weights, lookback_stats
 from fracparity.data import AlignedPanel, AssetSpec, slice_window
-from fracparity.errors import DegenerateVolatility, Empty, LengthMismatch
+from fracparity.errors import DegenerateVolatility, Empty
 from fracparity.fractal import HurstConfig, build_path, fit_hurst_rows
 from fracparity.riskstats import log_returns, mean_return, unbiased_std
 
@@ -96,12 +96,6 @@ class TestLookbackStats:
         for block in (lookbacks.returns, lookbacks.mu, lookbacks.std0):
             assert not block.flags.writeable
 
-    @pytest.mark.parametrize(("rows", "n"), [(130, 63), (62, 63), (64, 63)])
-    def test_rows_not_a_multiple_of_n(self, rows, n):
-        panel = synthetic_panel(seed=5, n_rows=rows, n_assets=2)
-        with pytest.raises(LengthMismatch):
-            lookback_stats(panel, n)
-
 
 class TestInverseVolatilityWeights:
     def test_two_assets(self):
@@ -179,11 +173,6 @@ class TestComputeWeights:
         w = weights_of(lookback_stats(panel, n), StrategyVariant.NAIVE_RISK_PARITY)
         assert w.tickers == ("UP",)
         assert w.weights[0] == 1.0
-
-    def test_window_length_mismatch(self):
-        panel = synthetic_panel(seed=6, n_rows=64, n_assets=2)
-        with pytest.raises(LengthMismatch):
-            weights_of(lookback_stats(panel, 63), StrategyVariant.NAIVE_RISK_PARITY)
 
     def test_no_portfolio_assets(self):
         n = 63

@@ -52,7 +52,18 @@ PANEL_CONFIG = Path(__file__).parent / "fixtures" / "panel4" / "universe.yaml"
 
 def rebalance(weight, capital, price, prior, plan=PLAN):
     """``execute_rebalance`` of one period of one asset, as a one-row block."""
-    return execute_rebalance(np.array([[weight]]), [capital], [[price]], plan, [prior], ("A",))
+    return execute_rebalance(np.array([[weight]]), [capital], [[price]], plan, [prior])
+
+
+def one_asset_panel(*periods, n=20):
+    """Asset A over a lookback and one block of ``n`` rows per ``(trade, mark)`` price pair.
+
+    The lookback alternates 100 and 99; each holding block alternates its
+    pair, so the period trades at the first price and is marked at the second.
+    """
+    prices = np.concatenate([np.tile(pair, n // 2) for pair in ((100.0, 99.0), *periods)])
+    return AlignedPanel(dates=business_days(dt.date(2012, 1, 2), len(prices)),
+                        assets=(AssetSpec("A"),), prices=prices.reshape(-1, 1))
 
 
 def one_fee(shares, price, plan=PLAN) -> float:
@@ -88,42 +99,36 @@ class TestCommissionFor:
 
 class TestExecuteRebalance:
     def test_full_deployment(self):
-        holdings, deltas, fees, commissions = rebalance(1.0, 1_000_000.0, 100.0, 0)
+        _, holdings, deltas, fees, commissions = rebalance(1.0, 1_000_000.0, 100.0, 0)
         assert holdings.tolist() == [[10_000]]
         assert commissions == [pytest.approx(35.00, abs=1e-12)]
         assert deltas.tolist() == [[10_000]] and fees.tolist() == [commissions]
 
     def test_noop_rebalance(self):
-        holdings, deltas, fees, commissions = rebalance(1.0, 1_000_000.0, 100.0, 10_000)
+        _, holdings, deltas, fees, commissions = rebalance(1.0, 1_000_000.0, 100.0, 10_000)
         assert deltas.tolist() == [[0]] and fees.tolist() == [[0.0]]
         assert commissions == [0.0]
         assert holdings.tolist() == [[10_000]]
 
     def test_liquidation(self):
-        holdings, deltas, _, commissions = rebalance(0.0, 1_000_000.0, 100.0, 10_000)
+        _, holdings, deltas, _, commissions = rebalance(0.0, 1_000_000.0, 100.0, 10_000)
         assert holdings.tolist() == [[0]]
         assert deltas.tolist() == [[-10_000]]
         assert commissions == [pytest.approx(35.00, abs=1e-12)]
 
     def test_whole_shares_leave_remainder(self):
-        holdings, *_ = rebalance(1.0, 1_050.0, 100.0, 0)
+        _, holdings, *_ = rebalance(1.0, 1_050.0, 100.0, 0)
         assert holdings.tolist() == [[10]]
 
-    def test_insufficient_capital(self):
-        with pytest.raises(InsufficientCapital):
-            rebalance(0.0, 0.30, 100.0, 1000)
-
-    def test_non_positive_capital(self):
-        with pytest.raises(InsufficientCapital):
-            rebalance(1.0, 0.0, 100.0, 0)
-
     def test_share_count_beyond_int64(self):
-        # 2**63 shares at $1 is one share more than int64 holds
-        overflow = "^A: target of 9.22337e[+]18 shares overflows int64$"
-        with pytest.raises(NumericError, match=overflow):
-            rebalance(1.0, 2.0**63, 1.0, 0)
-        holdings, *_ = rebalance(1.0, 2.0**62, 1.0, 0)
-        assert holdings.tolist() == [[2**62]]
+        # 2**63 shares at $1 is one share more than int64 holds: the target comes back
+        # as a float and is not cast (the walk rejects its period; see TestRunStrategies)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            target, holdings, *_ = rebalance(1.0, 2.0**63, 1.0, 0)
+        assert target.tolist() == [[2.0**63]] and holdings.tolist() == [[0]]
+        target, holdings, *_ = rebalance(1.0, 2.0**62, 1.0, 0)
+        assert target.tolist() == [[2.0**62]] and holdings.tolist() == [[2**62]]
 
     def test_a_block_equals_its_rows_one_at_a_time(self):
         rng = np.random.default_rng(3)
@@ -134,16 +139,16 @@ class TestExecuteRebalance:
         prices = rng.uniform(1.0, 400.0, (9, 7))
         prior = rng.integers(0, 500, 7)
         weights[6], capital[6], prices[6] = weights[5], capital[5], prices[5]  # no trade
-        block = execute_rebalance(weights, capital, prices, PLAN, prior, tuple("ABCDEFG"))
+        block = execute_rebalance(weights, capital, prices, PLAN, prior)
         held = prior
         for k in range(9):
             row = execute_rebalance(weights[k : k + 1], capital[k : k + 1], prices[k : k + 1],
-                                    PLAN, held, tuple("ABCDEFG"))
-            for got, want in zip(block[:3], row[:3]):
+                                    PLAN, held)
+            for got, want in zip(block[:4], row[:4]):
                 assert got[k : k + 1].tobytes() == want.tobytes(), k
-            assert np.float64(block[3][k]).tobytes() == np.float64(row[3][0]).tobytes(), k
-            held = row[0][0]
-        assert (block[1] == 0).any() and (block[1] != 0).any()
+            assert np.float64(block[4][k]).tobytes() == np.float64(row[4][0]).tobytes(), k
+            held = row[1][0]
+        assert (block[2] == 0).any() and (block[2] != 0).any()
 
     def test_an_untraded_column_leaves_the_commission_sum_unchanged(self):
         # fees of many magnitudes, so that the order of the additions shows in the last bits
@@ -151,32 +156,12 @@ class TestExecuteRebalance:
         prices = rng.uniform(1.0, 400.0, (1, 40))
         prior = rng.integers(0, 10**6, 40)
         weights = rng.dirichlet(np.ones(40), size=1)
-        tickers = tuple(f"T{j}" for j in range(40))
-        holdings, *_ = execute_rebalance(weights, [1e9], prices, PLAN, prior, tickers)
+        _, holdings, *_ = execute_rebalance(weights, [1e9], prices, PLAN, prior)
         prior[::3] = holdings[0, ::3]  # every third column already holds its target
-        _, deltas, fees, commissions = execute_rebalance(weights, [1e9], prices, PLAN, prior, tickers)
+        *_, deltas, fees, commissions = execute_rebalance(weights, [1e9], prices, PLAN, prior)
         traded = np.flatnonzero(deltas[0])
         assert 0 < len(traded) < 40 and (fees[0, deltas[0] == 0] == 0.0).all()
         assert commissions[0] == oracles.left_sum(fees[0, traded].tolist())
-
-    def test_a_failing_row_ends_the_block_before_it(self):
-        weights = np.full((4, 1), 1.0)
-        prices = np.array([[100.0], [100.0], [1e-300], [50.0]])  # row 2's target overflows
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the overflowing row is not cast
-            holdings, deltas, fees, commissions = execute_rebalance(
-                weights, [1e6] * 4, prices, PLAN, [0], ("A",)
-            )
-            assert holdings.tolist() == [[10_000], [10_000]] and len(commissions) == 2
-            with pytest.raises(NumericError, match="^A: target of 1e[+]306 shares"):
-                execute_rebalance(weights[2:], [1e6] * 2, prices[2:], PLAN, [10_000], ("A",))
-        # row 1's capital of 50 buys no share: selling row 0's 10,000 costs $1 each
-        costly = CommissionPlan(per_share=1.0, min_per_order=0.0, max_pct_of_value=100.0)
-        holdings, *_ = execute_rebalance(weights[:2], [1e6, 50.0], prices[:2], costly, [0], ("A",))
-        assert holdings.tolist() == [[10_000]]
-        consumed = "^commissions 10000.00 would consume capital 50.00$"
-        with pytest.raises(InsufficientCapital, match=consumed):
-            execute_rebalance(weights[1:2], [50.0], prices[1:2], costly, [10_000], ("A",))
 
 
 class TestPeriodReturn:
@@ -731,6 +716,58 @@ class TestRunStrategies:
             message = f"^period ending {panel.dates[end_row]} returns .*, wiping out its capital$"
             with pytest.raises(InsufficientCapital, match=message):
                 run_strategies(panel, cfg, names)
+
+    @pytest.mark.parametrize("mode", [FIXED_CAPITAL, REINVEST])
+    def test_an_overflowing_target_raises_without_a_cast(self, mode):
+        # 2**63 shares at $1 is one share more than int64 holds; 2**62 shares fit
+        naive = "naive_risk_parity"
+        panel = one_asset_panel((1.0, 0.99), (1.0, 0.99))
+        overflow = "^A: target of 9.22337e[+]18 shares overflows int64$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an out-of-range cast would warn
+            cfg = BacktestConfig(horizon_n=20, variant=naive, initial_capital=2.0**63,
+                                 compounding=mode)
+            with pytest.raises(NumericError, match=overflow):
+                run_strategies(panel, cfg, [naive])
+            # $1e6 over $1e-305 overflows to an infinite target
+            tiny = one_asset_panel((1e-305, 0.99e-305), (1.0, 0.99))
+            with pytest.raises(NumericError, match="^A: target of inf shares overflows int64$"):
+                run_strategies(tiny, dataclasses.replace(cfg, initial_capital=1e6), [naive])
+        cfg = dataclasses.replace(cfg, initial_capital=2.0**62)
+        results, _ = run_strategies(panel, cfg, [naive])[naive]
+        assert len(results) == 2 and results[0].trades.shares.tolist() == [2**62]
+
+    # per-share fees far above the price: the cap binds, at 99.9% or 100 times an order's value
+    RUINOUS = CommissionPlan(per_share=1e6, min_per_order=0.0, max_pct_of_value=99.9)
+    HUNDREDFOLD = CommissionPlan(per_share=1e6, min_per_order=0.0, max_pct_of_value=1e4)
+
+    @pytest.mark.parametrize(("periods", "plan", "error", "message"), [
+        # period 0 buys 1e6 shares and falls 1%, below -100% after its fees; period 1
+        # sells 990,000 of them at $100, fees of 99.9% of $99 million
+        pytest.param(((1.0, 0.99), (100.0, 99.0)), RUINOUS, InsufficientCapital,
+                     "^period ending 2012-02-24 returns -100.90%, wiping out its capital$",
+                     id="return-then-commissions"),
+        # period 0 rises 1% and survives its fees; period 1 is the sale above
+        pytest.param(((0.99, 1.0), (100.0, 99.0)), RUINOUS, InsufficientCapital,
+                     "^commissions 99910089.90 would consume capital 1000000.00$",
+                     id="commissions-alone"),
+        # period 0's target of 1e306 shares overflows, and buying 10,000 shares at $100
+        # in period 1 costs 100 times their value
+        pytest.param(((1e-300, 0.99e-300), (100.0, 99.0)), HUNDREDFOLD, NumericError,
+                     "^A: target of 1e[+]306 shares overflows int64$",
+                     id="overflow-then-commissions"),
+        pytest.param(((100.0, 99.0), (1e-300, 0.99e-300)), HUNDREDFOLD, InsufficientCapital,
+                     "^commissions 100000000.00 would consume capital 1000000.00$",
+                     id="commissions-then-overflow"),
+    ])
+    def test_of_two_failing_periods_the_earlier_raises(self, periods, plan, error, message):
+        panel = one_asset_panel(*periods)
+        naive = "naive_risk_parity"
+        cfg = BacktestConfig(horizon_n=20, variant=naive, commission=plan)  # one block
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                run_strategies(panel, cfg, [naive])
 
     def test_a_strategy_named_twice_runs_once(self):
         panel = synthetic_panel(seed=47, n_rows=4 * 63, n_assets=2)

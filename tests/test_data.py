@@ -24,6 +24,7 @@ from fracparity.data import (
     slice_window,
 )
 from fracparity.errors import (
+    ConfigError,
     DataError,
     DuplicateDate,
     EmptyIntersection,
@@ -388,15 +389,16 @@ class TestSliceWindow:
 
 class TestAssetSpec:
     def test_expense_ratio_bounds(self):
-        with pytest.raises(ValueError):
+        bounds = r"^A: expense_ratio must be in \[0, 100\), got -0.1$"
+        with pytest.raises(ConfigError, match=bounds):
             AssetSpec("A", expense_ratio=-0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             AssetSpec("A", expense_ratio=100.0)
 
     def test_bad_role(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^A: unknown role 'index'$"):
             AssetSpec("A", role="index")
 
     def test_empty_ticker(self):
-        with pytest.raises(TickerMismatch):
+        with pytest.raises(ConfigError, match="^empty ticker in asset spec$"):
             AssetSpec("")

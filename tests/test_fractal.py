@@ -26,8 +26,6 @@ from fracparity.fractal import (
     estimate_hurst,
     fit_hurst_rows,
     hurst_scales,
-    require_variation,
-    stable_cdf,
     stable_cdf_with_error,
 )
 
@@ -143,13 +141,13 @@ class TestEstimateHurst:
         with pytest.raises(DegeneratePath):
             estimate_hurst(np.full(100, 2.0))
 
-    def test_batched_fit_leaves_a_constant_row_to_its_caller(self):
+    def test_batched_fit_rejects_a_constant_row(self):
         walk = np.cumsum(np.random.default_rng(5).standard_normal(64))
-        fit = fit_hurst_rows(np.vstack([walk, np.full(64, 2.0)]))
-        assert (fit.variations[0] > 0.0).all() and (fit.variations[1] == 0.0).all()
-        require_variation(fit.variations[:1])
-        with pytest.raises(DegeneratePath):
-            require_variation(fit.variations)
+        fit = fit_hurst_rows(walk[None, :])
+        assert (fit.variations > 0.0).all()
+        assert (cover_variations(np.full((1, 64), 2.0), fit.scales) == 0.0).all()
+        with pytest.raises(DegeneratePath, match="^zero variation at some scale"):
+            fit_hurst_rows(np.vstack([walk, np.full(64, 2.0)]))
 
     def test_too_short(self):
         with pytest.raises(TooShort):
@@ -244,16 +242,17 @@ class TestStableParams:
 
 class TestStableCdf:
     def test_symmetric_center_is_half(self):
-        assert stable_cdf(3.5, StableParams(alpha=2.0, beta=0.0, sigma=2.0, mu_loc=3.5)) == 0.5
+        params = StableParams(alpha=2.0, beta=0.0, sigma=2.0, mu_loc=3.5)
+        assert stable_cdf_with_error(3.5, params)[0] == 0.5
 
     def test_gaussian_anchor(self):
         # alpha = 2 is a Normal with variance 2 sigma^2
-        got = stable_cdf(1.0, StableParams(alpha=2.0))
+        got = stable_cdf_with_error(1.0, StableParams(alpha=2.0))[0]
         assert got == pytest.approx(oracles.gaussian_cdf(1.0, std=math.sqrt(2.0)), abs=1e-10)
         assert got == pytest.approx(0.760250, abs=5e-7)
 
     def test_cauchy_anchor(self):
-        got = stable_cdf(1.0, StableParams(alpha=1.0))
+        got = stable_cdf_with_error(1.0, StableParams(alpha=1.0))[0]
         assert got == pytest.approx(0.75, abs=1e-10)
 
     @pytest.mark.parametrize("r", [150.0, -150.0, 200.0, -200.0, 1000.0, -1000.0])
@@ -266,7 +265,8 @@ class TestStableCdf:
     @pytest.mark.parametrize("beta", [1.0, 0.5, -1.0])
     def test_skewed_alpha_one_tails_evaluate(self, beta):
         p = StableParams(alpha=1.0, beta=beta)
-        values = [stable_cdf(r, p) for r in (-1000.0, -200.0, -50.0, 50.0, 200.0, 1000.0)]
+        points = (-1000.0, -200.0, -50.0, 50.0, 200.0, 1000.0)
+        values = [stable_cdf_with_error(r, p)[0] for r in points]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(b - a >= -1e-10 for a, b in zip(values, values[1:]))
 
@@ -284,11 +284,12 @@ class TestStableCdf:
                 want = oracles.levy_cdf(r, loc=-1.0)
             else:
                 want = 1.0 - oracles.levy_cdf(-r, loc=-1.0)
-            assert stable_cdf(r, p) == pytest.approx(want, abs=5e-9), r
+            assert stable_cdf_with_error(r, p)[0] == pytest.approx(want, abs=5e-9), r
 
     def test_location_scale_standardization(self):
         p = StableParams(alpha=1.0, beta=0.0, sigma=2.0, mu_loc=-1.0)
-        assert stable_cdf(-1.0 + 2.0, p) == pytest.approx(oracles.cauchy_cdf(1.0), abs=1e-10)
+        want = oracles.cauchy_cdf(1.0)
+        assert stable_cdf_with_error(-1.0 + 2.0, p)[0] == pytest.approx(want, abs=1e-10)
 
     def test_error_estimate_reported(self):
         value, err = stable_cdf_with_error(0.7, StableParams(alpha=1.7, beta=0.4))
@@ -297,8 +298,8 @@ class TestStableCdf:
 
     def test_tail_limits(self):
         p = StableParams(alpha=1.5, beta=0.2)
-        assert stable_cdf(-40.0, p) < 0.01
-        assert stable_cdf(40.0, p) > 0.99
+        assert stable_cdf_with_error(-40.0, p)[0] < 0.01
+        assert stable_cdf_with_error(40.0, p)[0] > 0.99
 
     @given(
         alpha=st.floats(min_value=0.5, max_value=2.0),
@@ -307,7 +308,8 @@ class TestStableCdf:
     @settings(max_examples=30, deadline=None)
     def test_symmetry_at_zero_beta(self, alpha, r):
         p = StableParams(alpha=alpha, beta=0.0)
-        assert stable_cdf(r, p) + stable_cdf(-r, p) == pytest.approx(1.0, abs=1e-8)
+        total = stable_cdf_with_error(r, p)[0] + stable_cdf_with_error(-r, p)[0]
+        assert total == pytest.approx(1.0, abs=1e-8)
 
     @given(
         alpha=st.floats(min_value=0.5, max_value=2.0),
@@ -317,7 +319,7 @@ class TestStableCdf:
     def test_monotone_in_r(self, alpha, beta):
         p = StableParams(alpha=alpha, beta=beta)
         grid = np.linspace(-6.0, 6.0, 25)
-        values = [stable_cdf(r, p) for r in grid]
+        values = [stable_cdf_with_error(r, p)[0] for r in grid]
         assert all(b - a >= -1e-7 for a, b in zip(values, values[1:]))
 
 
