@@ -356,8 +356,9 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
         )
     trade_rows = n * np.arange(1, n_periods + 1)  # period k trades at (k+1)N, marks at (k+2)N - 1
     mark_rows = trade_rows + n - 1
-    starts = [panel.dates[row] for row in trade_rows.tolist()]
-    ends = [panel.dates[row] for row in mark_rows.tolist()]
+    # date objects only for the rows the periods trade and mark on
+    starts = list(map(dt.date.fromordinal, panel.ordinals[trade_rows].tolist()))
+    ends = list(map(dt.date.fromordinal, panel.ordinals[mark_rows].tolist()))
     columns = panel.portfolio_columns
     # each column's expense charge over a period of N rows, in percent
     expense_rates = panel.expense_ratios[columns] * (n / TRADING_DAYS_PER_YEAR)
@@ -427,7 +428,7 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
                     end_capital=start_capital * (1.0 + net[i] / 100.0),
                 ))
                 equity.append(equity[-1] * (1.0 + net[i] / 100.0))
-        runs[name] = results, EquityCurve(dates=(panel.dates[n], *ends), values=np.array(equity))
+        runs[name] = results, EquityCurve(dates=(starts[0], *ends), values=np.array(equity))
     return runs
 
 

@@ -206,12 +206,12 @@ def cmd_hurst(args) -> int:
         min_windows=args.min_windows,
         max_rungs=args.max_rungs,
     )
-    est = estimate_hurst(path, config)
-    print(f"h,{_fmt(est.h)}")
-    print(f"mu_index,{_fmt(est.mu_index)}")
-    print(f"r_squared,{_fmt(est.r_squared)}")
+    fit = estimate_hurst(path, config)
+    print(f"h,{_fmt(fit.h[0])}")
+    print(f"mu_index,{_fmt(fit.mu_index[0])}")
+    print(f"r_squared,{_fmt(fit.r_squared[0])}")
     print("delta,variation")
-    for scale, variation in zip(est.scales, est.variations):
+    for scale, variation in zip(fit.scales, fit.variations[0]):
         print(f"{scale},{_fmt(variation)}")
     return 0
 

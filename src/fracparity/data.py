@@ -18,12 +18,14 @@ summation order, and one division by the exact float 10**k rounds it as
 one scan that parses and checks each row in file order, so the first bad
 line is the one named. Both routes give the same dates, values and errors.
 Dates are sorted, checked and intersected as integer day ordinals: a
-:class:`PriceSeries` is made from its ordinals alone and builds its
+:class:`PriceSeries` and an :class:`AlignedPanel` are each made from
+read-only ordinals, whose order one rule judges for both, and build their
 ``datetime.date`` tuple only when ``dates`` is first read. Within one
 panel load, each distinct date column read on the byte route is parsed,
-sorted and checked once, and the series on it share its read-only
-ordinals (see :func:`load_price_csv`); series that all have one calendar
-are aligned by stacking their closes, without counting days.
+sorted and checked once, and the series on it share its ordinals (see
+:func:`load_price_csv`); series that all have one calendar are aligned by
+stacking their closes, without counting days, and the panel takes their
+ordinals as they are.
 """
 
 from __future__ import annotations
@@ -32,9 +34,7 @@ import copy
 import csv
 import datetime as dt
 import io
-import itertools
 import math
-import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -82,29 +82,40 @@ class AssetSpec:
             raise ConfigError(f"{self.ticker}: unknown role {self.role!r}")
 
 
+def _check_calendar(name: str, ordinals: np.ndarray) -> None:
+    """Raise unless the day numbers ``ordinals`` ascend strictly.
+
+    The first day not above the one before it raises ``DuplicateDate``
+    naming ``name`` and that day if it repeats it, else ``MalformedRow``
+    (``<name>:0: dates not sorted ascending``).
+    """
+    stalled = np.flatnonzero(np.diff(ordinals) <= 0) + 1
+    if stalled.size and ordinals[stalled[0]] == ordinals[stalled[0] - 1]:
+        raise DuplicateDate(name, dt.date.fromordinal(int(ordinals[stalled[0]])))
+    if stalled.size:
+        raise MalformedRow(name, 0, "dates not sorted ascending")
+
+
 class PriceSeries:
     """Adjusted daily closes for one ticker, sorted by date.
 
-    ``ordinals`` are the day numbers (``date.toordinal()``) of the closes;
-    ``dates`` is built from them on first read. The CSV readers check the closes.
-    The series of one panel load that share a calendar share its read-only
-    ``ordinals`` array.
+    ``ordinals`` are the day numbers (``date.toordinal()``) of the closes,
+    which the series makes read-only; ``dates`` is built from them on first
+    read. The CSV readers check the closes. The series of one panel load
+    that share a calendar share its ``ordinals`` array.
     """
 
     def __init__(self, ticker: str, ordinals, closes):
         self.ticker = ticker
         self.ordinals = ordinals = np.asarray(ordinals)
+        ordinals.flags.writeable = False
         self.closes = np.asarray(closes, dtype=float)
         n = len(self.closes)
         if ordinals.shape != (n,):
             raise MalformedRow(ticker, 0, "ordinals and closes differ in length")
         if n < 2:
             raise TooShort(f"{ticker}: need at least 2 rows, got {n}")
-        stalled = np.flatnonzero(np.diff(ordinals) <= 0) + 1  # days not above the one before
-        if stalled.size and ordinals[stalled[0]] == ordinals[stalled[0] - 1]:
-            raise DuplicateDate(ticker, self.dates[stalled[0]])
-        if stalled.size:
-            raise MalformedRow(ticker, 0, "dates not sorted ascending")
+        _check_calendar(ticker, ordinals)
 
     @cached_property
     def dates(self) -> tuple[dt.date, ...]:
@@ -118,8 +129,12 @@ class PriceSeries:
 class AlignedPanel:
     """Date-aligned close-price matrix for a universe (plus benchmark).
 
-    Checks its shape, dates and tickers, and that every price is positive and
-    finite (the engine's one price check; it names the first bad price's ticker and date).
+    ``ordinals`` are the day numbers of the rows, which the panel makes
+    read-only, as a :class:`PriceSeries` holds its own; ``dates`` is built
+    from them on first read. Checks its shape, calendar (as
+    :class:`PriceSeries` does, naming ``<panel>``) and tickers, and that
+    every price is positive and finite (the engine's one price check; it
+    names the first bad price's ticker and date).
     The column lookups the engine needs every period are built once here:
     the ticker index, the ``portfolio_columns`` (role ``portfolio_asset``,
     in panel order) with their ``portfolio_tickers``, and the annual
@@ -129,7 +144,7 @@ class AlignedPanel:
     walk over the panel and every window sliced from it.
     """
 
-    dates: tuple[dt.date, ...]
+    ordinals: np.ndarray
     assets: tuple[AssetSpec, ...]
     prices: np.ndarray  # shape (n_dates, n_assets)
     portfolio_columns: np.ndarray = field(init=False, repr=False)
@@ -137,13 +152,14 @@ class AlignedPanel:
     expense_ratios: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.dates = tuple(self.dates)
+        self.ordinals = np.asarray(self.ordinals)
+        self.ordinals.flags.writeable = False
         self.assets = tuple(self.assets)
         self.prices = np.asarray(self.prices, dtype=float)
-        if self.prices.shape != (len(self.dates), len(self.assets)):
+        if self.prices.shape != (len(self.ordinals), len(self.assets)):
             raise ValueError(
                 f"panel shape {self.prices.shape} does not match "
-                f"{len(self.dates)} dates x {len(self.assets)} assets"
+                f"{len(self.ordinals)} dates x {len(self.assets)} assets"
             )
         good = (self.prices > 0.0) & (self.prices < math.inf)  # NaN is neither
         if not good.all():
@@ -152,13 +168,7 @@ class AlignedPanel:
             if price <= 0.0:
                 raise NonPositivePrice(ticker, date, float(price))
             raise DataError(f"{ticker}: non-finite price {price} on {date}")
-        # the index of the first date not above the one before it, or 0
-        stalled = map(operator.le, self.dates[1:], self.dates)
-        i = next(itertools.compress(itertools.count(1), stalled), 0)
-        if i and self.dates[i] == self.dates[i - 1]:
-            raise DuplicateDate("<panel>", self.dates[i])
-        if i:
-            raise MalformedRow("<panel>", 0, "dates not sorted ascending")
+        _check_calendar("<panel>", self.ordinals)
         self._columns = {a.ticker: i for i, a in enumerate(self.assets)}
         if len(self._columns) != len(self.assets):
             raise TickerMismatch(f"duplicate tickers in panel {self.tickers}")
@@ -168,9 +178,13 @@ class AlignedPanel:
         self.portfolio_columns.flags.writeable = False
         self.expense_ratios.flags.writeable = False
 
+    @cached_property
+    def dates(self) -> tuple[dt.date, ...]:
+        return tuple(map(dt.date.fromordinal, self.ordinals.tolist()))
+
     @property
     def n_rows(self) -> int:
-        return len(self.dates)
+        return len(self.ordinals)
 
     @property
     def tickers(self) -> tuple[str, ...]:
@@ -282,9 +296,9 @@ class _Calendar:
     """A date column read on the byte route, for the files of one load that repeat it.
 
     ``fields`` are its date bytes (byte x row) and ``days`` their day numbers,
-    both in file order. The first series made on it is sorted and checked,
-    and keeps its ordinals read-only; every later one is a copy of it with its
-    own ticker and closes, put in the same order.
+    both in file order. The first series made on it is sorted and checked;
+    every later one is a copy of it, sharing its ordinals, with its own
+    ticker and closes, put in the same order.
     """
 
     def __init__(self, fields: np.ndarray, days: np.ndarray):
@@ -295,7 +309,6 @@ class _Calendar:
     def series(self, ticker: str, closes: np.ndarray) -> PriceSeries:
         if self.first is None:
             self.first, self.order = _sorted_series(ticker, self.days, closes)
-            self.first.ordinals.flags.writeable = False
             return self.first
         series = copy.copy(self.first)
         series.ticker = ticker
@@ -524,8 +537,7 @@ def align_panel(series: list[PriceSeries], specs: list[AssetSpec]) -> AlignedPan
         )
 
     prices = np.stack(columns).T
-    dates = tuple(map(dt.date.fromordinal, days.tolist()))
-    return AlignedPanel(dates=dates, assets=tuple(specs), prices=prices)
+    return AlignedPanel(ordinals=days, assets=tuple(specs), prices=prices)
 
 
 def slice_window(panel: AlignedPanel, end_index: int, length: int) -> AlignedPanel:
@@ -543,7 +555,8 @@ def slice_window(panel: AlignedPanel, end_index: int, length: int) -> AlignedPan
             f"window [{start}, {end_index}] does not fit in panel of {panel.n_rows} rows"
         )
     window = copy.copy(panel)
-    window.dates = panel.dates[start : end_index + 1]
+    window.__dict__.pop("dates", None)  # a dates tuple that copy.copy carried from ``panel``
+    window.ordinals = panel.ordinals[start : end_index + 1]
     window.prices = panel.prices[start : end_index + 1]
     window.prices.flags.writeable = False
     # set, not inherited: copy.copy carries over a returns block already built on ``panel``

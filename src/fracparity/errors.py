@@ -71,10 +71,6 @@ class Empty(DataError):
     """An operation that needs at least one element got none."""
 
 
-class LengthMismatch(DataError):
-    """Two series that must be aligned have different lengths."""
-
-
 class InsufficientHistory(DataError):
     """The panel cannot accommodate even one lookback-plus-holding cycle."""
 

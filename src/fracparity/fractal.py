@@ -15,7 +15,7 @@ r², clamp hits, V(delta)), which the walk-forward engine slices per
 period. A row whose variation vanishes at some scale has no fit, so the
 kernel raises ``DegeneratePath`` for the whole block before it fits any row.
 :func:`estimate_hurst`, which the ``hurst`` CLI uses, fits one path as a
-one-row block and returns its row as a :class:`HurstEstimate`.
+one-row block and returns that block's :class:`HurstFit`.
 
 The stable CDF is evaluated by Fourier inversion of the characteristic
 function in the continuous ("0-shift") parametrization: a sine-kernel
@@ -59,7 +59,7 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True)
 class HurstConfig:
-    """Scale-ladder and clamping knobs for :func:`estimate_hurst`.
+    """Scale-ladder and clamping knobs for :func:`fit_hurst_rows` and :func:`estimate_hurst`.
 
     The ladder is dyadic: powers of two from 2 up to the largest scale that
     still yields ``min_windows`` windows. When more than ``max_rungs``
@@ -94,17 +94,6 @@ class HurstConfig:
             raise InvalidHurst(
                 f"max_rungs {self.max_rungs} below the {self.min_scales}-scale minimum"
             )
-
-
-@dataclass(eq=False)
-class HurstEstimate:
-    """Estimated exponent plus the log-log fit it came from."""
-
-    h: float
-    mu_index: float
-    r_squared: float
-    scales: tuple[int, ...]
-    variations: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -270,16 +259,9 @@ def fit_hurst_rows(paths, config: HurstConfig = HurstConfig()) -> HurstFit:
     )
 
 
-def estimate_hurst(path, config: HurstConfig = HurstConfig()) -> HurstEstimate:
-    """Estimate the Hurst exponent of one path; see :func:`fit_hurst_rows`."""
-    fit = fit_hurst_rows(np.reshape(path, (1, -1)), config)
-    return HurstEstimate(
-        h=float(fit.h[0]),
-        mu_index=float(fit.mu_index[0]),
-        r_squared=float(fit.r_squared[0]),
-        scales=fit.scales,
-        variations=tuple(fit.variations[0].tolist()),
-    )
+def estimate_hurst(path, config: HurstConfig = HurstConfig()) -> HurstFit:
+    """The one-row :class:`HurstFit` of one path; see :func:`fit_hurst_rows`."""
+    return fit_hurst_rows(np.reshape(path, (1, -1)), config)
 
 
 # --- stable CDF -----------------------------------------------------------

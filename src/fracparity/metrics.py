@@ -6,6 +6,14 @@ risk-free rate defaults to zero for both Sharpe and Treynor, so each report
 satisfies sharpe == return / std and treynor == 0.01 * return / beta by
 construction; each is NaN where undefined (zero deviation, zero beta).
 Drawdown is measured on period-end equity.
+
+The statistics take their samples as a walk builds them and judge only
+what a walk can produce: every report rests on two or more periods, with
+the strategy's and the benchmark's returns on the same periods, because
+:func:`fracparity.backtest.run_strategies` rejects a panel shorter than a
+lookback and two holding periods (``InsufficientHistory``). The one
+failure left here is a benchmark whose returns do not vary
+(``DegenerateBenchmark``), for which beta is undefined.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backtest import EquityCurve, PeriodResult, TRADING_DAYS_PER_YEAR
-from .errors import DegenerateBenchmark, Empty, LengthMismatch, TooShort
+from .errors import DegenerateBenchmark
 
 
 @dataclass(frozen=True)
@@ -52,18 +60,12 @@ class PerformanceReport:
 
 def annualize_return(period_returns, n: int) -> float:
     """Mean period return scaled to a 252-day year."""
-    r = np.asarray(period_returns, dtype=float)
-    if r.size == 0:
-        raise Empty("no period returns to annualize")
-    return float(np.mean(r)) * (TRADING_DAYS_PER_YEAR / n)
+    return float(np.mean(period_returns)) * (TRADING_DAYS_PER_YEAR / n)
 
 
 def annualize_std(period_returns, n: int) -> float:
     """Unbiased standard deviation of period returns scaled by sqrt(252/n)."""
-    r = np.asarray(period_returns, dtype=float)
-    if r.size < 2:
-        raise TooShort(f"need at least 2 period returns, got {r.size}")
-    return float(np.std(r, ddof=1)) * math.sqrt(TRADING_DAYS_PER_YEAR / n)
+    return float(np.std(period_returns, ddof=1)) * math.sqrt(TRADING_DAYS_PER_YEAR / n)
 
 
 def sharpe(annual_return: float, annual_std: float, risk_free_rate: float = 0.0) -> float:
@@ -75,16 +77,10 @@ def sharpe(annual_return: float, annual_std: float, risk_free_rate: float = 0.0)
 
 def beta(portfolio_returns, benchmark_returns) -> float:
     """Covariance with the benchmark over benchmark variance (n-1 conventions)."""
-    p = np.asarray(portfolio_returns, dtype=float)
-    b = np.asarray(benchmark_returns, dtype=float)
-    if p.shape != b.shape:
-        raise LengthMismatch(f"portfolio has {p.size} periods, benchmark {b.size}")
-    if p.size < 2:
-        raise TooShort(f"need at least 2 periods for beta, got {p.size}")
-    var_b = float(np.var(b, ddof=1))
+    var_b = float(np.var(benchmark_returns, ddof=1))
     if var_b == 0.0:
         raise DegenerateBenchmark("benchmark returns have zero variance")
-    cov = float(np.cov(p, b, ddof=1)[0, 1])
+    cov = float(np.cov(portfolio_returns, benchmark_returns, ddof=1)[0, 1])
     return cov / var_b
 
 
@@ -98,8 +94,6 @@ def treynor(annual_return: float, beta_value: float, risk_free_rate: float = 0.0
 def max_drawdown(values) -> float:
     """Largest peak-to-trough decline of the (positive) equity values, in percent."""
     values = np.asarray(values, dtype=float)
-    if values.size < 2:
-        raise TooShort(f"need at least 2 equity points, got {values.size}")
     peaks = np.maximum.accumulate(values)
     return float(np.max((peaks - values) / peaks)) * 100.0
 

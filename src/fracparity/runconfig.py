@@ -5,8 +5,9 @@ the benchmark ticker, horizon, variants to run, capital, compounding mode,
 commission plan and estimator knobs. CSV paths are resolved relative to the
 config file so committed fixtures stay relocatable.
 Loading checks the document's shape (a key it does not know is an error),
-the universe (which must hold at least one ``portfolio_asset``) and the
-benchmark; the rules for every other value belong to the engine's classes.
+the universe (which must hold at least one ``portfolio_asset``), the
+benchmark and the CSV ``columns`` (the date and the price are two different
+columns); the rules for every other value belong to the engine's classes.
 """
 
 from __future__ import annotations
@@ -238,6 +239,10 @@ def load_run_settings(
     if not isinstance(columns, dict):
         raise ConfigError(f"{path}: columns must be a mapping")
     _known_keys(columns, COLUMN_KEYS, f"{path}: columns")
+    date_column = _text(columns.get("date", DEFAULT_DATE_COLUMN), f"{path}: columns: date")
+    price_column = _text(columns.get("price", DEFAULT_PRICE_COLUMN), f"{path}: columns: price")
+    if date_column == price_column:
+        raise ConfigError(f"{path}: columns: date and price both name column {date_column!r}")
 
     settings = RunSettings(
         universe=universe,
@@ -250,8 +255,8 @@ def load_run_settings(
         hurst_options=hurst_options,
         risk_free_rate=_number(raw, "risk_free_rate", 0.0, str(path)),
         figure_pair=figure_pair,
-        date_column=_text(columns.get("date", DEFAULT_DATE_COLUMN), f"{path}: columns: date"),
-        price_column=_text(columns.get("price", DEFAULT_PRICE_COLUMN), f"{path}: columns: price"),
+        date_column=date_column,
+        price_column=price_column,
         config_path=path,
     )
     try:

@@ -23,6 +23,11 @@ def business_days(start: dt.date, count: int) -> tuple[dt.date, ...]:
     return tuple(days)
 
 
+def business_ordinals(start: dt.date, count: int) -> list[int]:
+    """The day numbers of :func:`business_days`."""
+    return [d.toordinal() for d in business_days(start, count)]
+
+
 def trade_rows(trades) -> list[tuple]:
     """One ``(column, shares, price, fee)`` tuple per order of a rebalance's trades."""
     vectors = (trades.columns, trades.shares, trades.prices, trades.fees)
@@ -54,7 +59,7 @@ def synthetic_panel(
     if with_benchmark:
         assets.append(AssetSpec("BMK", expense_ratio=0.0, role=ROLE_BENCHMARK))
     return AlignedPanel(
-        dates=business_days(dt.date(2010, 1, 4), n_rows),
+        ordinals=business_ordinals(dt.date(2010, 1, 4), n_rows),
         assets=tuple(assets),
         prices=prices,
     )

@@ -97,12 +97,12 @@ def test_degeneracy_pinned_hurst_bitwise():
 def test_hurst_oracle_recovery():
     for h_true in (0.3, 0.5, 0.7):
         estimates = [
-            estimate_hurst(oracles.fbm_path(1024, h_true, np.random.default_rng(seed))).h
+            estimate_hurst(oracles.fbm_path(1024, h_true, np.random.default_rng(seed))).h[0]
             for seed in range(100)
         ]
         median = float(np.median(estimates))
         assert abs(median - h_true) <= 0.10, (h_true, median)
-    assert estimate_hurst(np.arange(1025.0)).h == 1.0
+    assert estimate_hurst(np.arange(1025.0)).h[0] == 1.0
     report_pass("hurst oracle recovery (fBm H in {0.3, 0.5, 0.7} +-0.10; ramp == 1.0)")
 
 
@@ -174,7 +174,7 @@ def test_backtest_accounting_invariants():
         tail = slice((k + 1) * n, None)
         mutated_prices[tail, :] *= rng.uniform(0.5, 2.0, size=mutated_prices[tail, :].shape)
         mutated_panel = AlignedPanel(
-            dates=panel.dates, assets=panel.assets, prices=mutated_prices
+            ordinals=panel.ordinals, assets=panel.assets, prices=mutated_prices
         )
         mutated, _ = run_walk_forward(mutated_panel, cfg)
         for j in range(k + 1):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import business_days, synthetic_panel, weights_of
+from conftest import business_ordinals, synthetic_panel, weights_of
 from fracparity.allocation import StrategyVariant, inverse_volatility_weights, lookback_stats
 from fracparity.data import AlignedPanel, AssetSpec, slice_window
 from fracparity.errors import DegenerateVolatility, Empty
@@ -22,7 +22,7 @@ def panel_from_columns(columns: dict[str, np.ndarray], benchmark: str | None = N
         for t in columns
     )
     prices = np.column_stack([columns[a.ticker] for a in assets])
-    return AlignedPanel(dates=business_days(dt.date(2015, 1, 5), n), assets=assets, prices=prices)
+    return AlignedPanel(ordinals=business_ordinals(dt.date(2015, 1, 5), n), assets=assets, prices=prices)
 
 
 def drifted(seed, n, drift, vol=0.01):

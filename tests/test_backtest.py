@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import business_days, synthetic_panel, trade_rows, weights_of
+from conftest import business_ordinals, synthetic_panel, trade_rows, weights_of
 from fracparity.allocation import (
     Lookbacks,
     PortfolioWeights,
@@ -62,7 +62,7 @@ def one_asset_panel(*periods, n=20):
     pair, so the period trades at the first price and is marked at the second.
     """
     prices = np.concatenate([np.tile(pair, n // 2) for pair in ((100.0, 99.0), *periods)])
-    return AlignedPanel(dates=business_days(dt.date(2012, 1, 2), len(prices)),
+    return AlignedPanel(ordinals=business_ordinals(dt.date(2012, 1, 2), len(prices)),
                         assets=(AssetSpec("A"),), prices=prices.reshape(-1, 1))
 
 
@@ -225,7 +225,7 @@ class TestWalkForward:
         rows = 4 * n
         assets = (AssetSpec("A"), AssetSpec("B"))
         panel = AlignedPanel(
-            dates=business_days(dt.date(2012, 1, 2), rows),
+            ordinals=business_ordinals(dt.date(2012, 1, 2), rows),
             assets=assets,
             prices=np.full((rows, 2), 50.0),
         )
@@ -297,7 +297,7 @@ class TestWalkForward:
         poisoned_prices[(k + 1) * n :, :] *= np.random.default_rng(0).uniform(
             1.5, 2.5, size=poisoned_prices[(k + 1) * n :, :].shape
         )
-        poisoned = AlignedPanel(dates=panel.dates, assets=panel.assets, prices=poisoned_prices)
+        poisoned = AlignedPanel(ordinals=panel.ordinals, assets=panel.assets, prices=poisoned_prices)
         mutated, _ = run_walk_forward(poisoned, cfg)
         for j in range(k + 1):
             assert np.array_equal(base[j].weights.weights, mutated[j].weights.weights)
@@ -309,7 +309,7 @@ class TestWalkForward:
         falls = np.linspace(100.0, 90.0, n)
         prices = np.concatenate([lookback, falls, np.full(n, 90.0)]).reshape(-1, 1)
         panel = AlignedPanel(
-            dates=business_days(dt.date(2012, 1, 2), 3 * n), assets=(AssetSpec("A"),),
+            ordinals=business_ordinals(dt.date(2012, 1, 2), 3 * n), assets=(AssetSpec("A"),),
             prices=prices,
         )
         ruinous = CommissionPlan(per_share=1e6, min_per_order=0.0, max_pct_of_value=99.9)
@@ -547,7 +547,7 @@ class TestRunStrategies:
         last = synthetic_panel(seed=71, n_rows=6 * 63 + 17, n_assets=4)
         *assets, bench = last.assets
         first = AlignedPanel(
-            dates=last.dates,
+            ordinals=last.ordinals,
             assets=(dataclasses.replace(bench, expense_ratio=0.75), *assets),
             prices=np.roll(last.prices, 1, axis=1),
         )
@@ -614,7 +614,7 @@ class TestRunStrategies:
         run_strategies(panel, cfg, self.NAMES)
         # rows 5 to 5 + 6n: none of the window's lookbacks is one of the panel's
         window = slice_window(panel, 6 * n + 4, 6 * n)
-        fresh = AlignedPanel(dates=window.dates, assets=window.assets, prices=window.prices.copy())
+        fresh = AlignedPanel(ordinals=window.ordinals, assets=window.assets, prices=window.prices.copy())
         walked = run_strategies(window, cfg, self.NAMES)
         for name, (results, equity) in run_strategies(fresh, cfg, self.NAMES).items():
             window_results, window_equity = walked[name]
@@ -674,7 +674,7 @@ class TestRunStrategies:
         base = synthetic_panel(seed=73, n_rows=4 * n, n_assets=3)
         prices = base.prices.copy()
         prices[n : 2 * n, 1] = prices[n, 1]  # A1 is flat over lookback 1 only
-        panel = AlignedPanel(dates=base.dates, assets=base.assets, prices=prices)
+        panel = AlignedPanel(ordinals=base.ordinals, assets=base.assets, prices=prices)
         lookbacks = lookback_stats(slice_window(panel, 3 * n - 1, 3 * n), n)
         assert (lookbacks.std0[:, 1] == 0.0).tolist() == [False, True, False]
 
@@ -703,7 +703,7 @@ class TestRunStrategies:
         steps = np.where(np.arange(3 * n) % 2, 0.004, -0.004)
         steps += np.where(np.arange(3 * n) < n, -0.003, 0.001)
         panel = AlignedPanel(
-            dates=business_days(dt.date(2012, 1, 2), 3 * n),
+            ordinals=business_ordinals(dt.date(2012, 1, 2), 3 * n),
             assets=(AssetSpec("A", expense_ratio=99.0), AssetSpec("BMK", role="benchmark")),
             prices=100.0 * np.exp(np.cumsum(np.tile(steps, (2, 1)).T, axis=0)),
         )
@@ -835,7 +835,7 @@ class TestRunStrategies:
         steps[n + 57 : 2 * n] = 0.01
         prices = base.prices.copy()
         prices[:, 0] = 100.0 * np.exp(np.cumsum(steps))
-        panel = AlignedPanel(dates=base.dates, assets=base.assets, prices=prices)
+        panel = AlignedPanel(ordinals=base.ordinals, assets=base.assets, prices=prices)
         lookbacks = lookback_stats(slice_window(panel, 3 * n - 1, 3 * n), n)
         assert lookbacks.mu[1, 0] > 0.0 and lookbacks.std0[1, 0] > 0.0
         assert cover_variations(build_path(lookbacks.returns[1, :1]), [8])[0, 0] == 0.0

@@ -352,6 +352,11 @@ class TestConfigErrors:
             ("horizon: 63", "hurst: 5", "hurst must be a mapping"),
             ("horizon: 63", "figure_pair: [fractal_biased]",
              "figure_pair must list exactly two strategy names"),
+            # one CSV column cannot hold both the dates and the prices
+            ("horizon: 63", "columns: {date: adj_close}",
+             "columns: date and price both name column 'adj_close'"),
+            ("horizon: 63", "columns: {date: close, price: close}",
+             "columns: date and price both name column 'close'"),
         ],
     )
     def test_document_rule_is_named(self, tmp_path, capsys, old, new, message):

@@ -240,6 +240,27 @@ class TestAlignPanel:
         assert panel.column("A").tolist() == [2.0, 3.0]
         assert panel.column("B").tolist() == [10.0, 20.0]
 
+    def test_one_calendar_is_handed_over_as_day_numbers(self, panel_config_path):
+        calendars = {}
+        series = [
+            load_price_csv(str(panel_config_path.parent / f"{name}.csv"), name, calendars=calendars)
+            for name in ("eqt", "bnd")
+        ]
+        panel = align_panel(series, [AssetSpec("eqt"), AssetSpec("bnd")])
+        # the series' read-only day numbers, not a copy, and no date object until dates is read
+        assert panel.ordinals is series[0].ordinals and not panel.ordinals.flags.writeable
+        assert "dates" not in vars(panel) and "dates" not in vars(series[0])
+        assert panel.dates == series[0].dates
+
+    def test_counted_days_are_read_only(self):
+        d = dt.date(2020, 1, 1)
+        panel = align_panel(
+            [series("A", d, [1.0, 2.0, 3.0]), series("B", d, [1.0, 2.0])],
+            [AssetSpec("A"), AssetSpec("B")],
+        )
+        assert panel.ordinals.tolist() == [d.toordinal(), d.toordinal() + 1]
+        assert not panel.ordinals.flags.writeable and "dates" not in vars(panel)
+
     def test_single_series_identity(self):
         s = series("A", dt.date(2020, 1, 1), [1.0, 2.0, 3.0])
         panel = align_panel([s], [AssetSpec("A")])
@@ -285,7 +306,7 @@ class TestAlignedPanel:
     def test_duplicate_tickers_rejected(self):
         with pytest.raises(TickerMismatch):
             AlignedPanel(
-                dates=(dt.date(2020, 1, 1), dt.date(2020, 1, 2)),
+                ordinals=(dt.date(2020, 1, 1).toordinal(), dt.date(2020, 1, 2).toordinal()),
                 assets=(AssetSpec("A"), AssetSpec("A")),
                 prices=np.ones((2, 2)),
             )
@@ -304,19 +325,23 @@ class TestAlignedPanel:
         ],
     )
     def test_bad_panel_rejected(self, change, error, message):
-        dates = [dt.date(2020, 1, 1), dt.date(2020, 1, 2), dt.date(2020, 1, 3)]
+        days = [dt.date(2020, 1, d).toordinal() for d in (1, 2, 3)]
         prices = np.ones((3, 2))
         if change == "shape":
             prices = prices[:2]
         elif change == "repeated date":
-            dates[2] = dates[1]
+            days[2] = days[1]
         elif change == "out-of-order date":
-            dates[1], dates[2] = dates[2], dates[1]
+            days[1], days[2] = days[2], days[1]
         else:
             # the first bad price by date, then by column, is the one named
             prices[1, 1], prices[2, 0] = change, -5.0
         with pytest.raises(error, match=re.escape(message)):
-            AlignedPanel(dates=dates, assets=(AssetSpec("A"), AssetSpec("B")), prices=prices)
+            AlignedPanel(ordinals=days, assets=(AssetSpec("A"), AssetSpec("B")), prices=prices)
+        if change in ("repeated date", "out-of-order date"):
+            # a series on the same days is judged by the same rule, with the same detail
+            with pytest.raises(error, match=re.escape(message.replace("<panel>", "S"))):
+                PriceSeries("S", days, prices[:, 0])
 
 
 class TestReturnsBlock:
@@ -359,6 +384,13 @@ class TestSliceWindow:
         assert win.n_rows == 252
         assert win.dates == panel.dates[:252]
         assert np.array_equal(win.prices, panel.prices[:252])
+
+    def test_a_window_has_its_own_dates(self):
+        panel = synthetic_panel(seed=2, n_rows=60, n_assets=2)
+        assert len(panel.dates) == 60  # read before the cut: copy.copy carries the tuple over
+        win = slice_window(panel, end_index=45, length=20)
+        assert win.ordinals.tolist() == panel.ordinals[26:46].tolist()
+        assert win.dates == panel.dates[26:46]
 
     def test_whole_panel(self):
         panel = synthetic_panel(seed=3, n_rows=40, n_assets=2)

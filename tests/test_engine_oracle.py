@@ -168,9 +168,9 @@ def test_batched_hurst_rows_equal_single_paths_bitwise():
         for row, path in enumerate(paths):
             single = estimate_hurst(path)
             assert (fit.h[row], fit.mu_index[row], fit.r_squared[row]) == (
-                single.h, single.mu_index, single.r_squared
+                single.h[0], single.mu_index[0], single.r_squared[0]
             )
-            assert tuple(fit.variations[row].tolist()) == single.variations
+            assert fit.variations[row].tobytes() == single.variations[0].tobytes()
             assert fit.h[row] == pytest.approx(oracles.minimal_cover_hurst(path), rel=1e-12)
 
 

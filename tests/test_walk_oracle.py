@@ -72,7 +72,8 @@ def engine_walk(case):
         for j, (role, e) in enumerate(zip(case["roles"], case["expense_ratios"]))
     )
     dates = business_days(dt.date(2011, 3, 1), len(case["rows"]))
-    panel = AlignedPanel(dates=dates, assets=assets, prices=np.array(case["rows"]))
+    ordinals = [d.toordinal() for d in dates]
+    panel = AlignedPanel(ordinals=ordinals, assets=assets, prices=np.array(case["rows"]))
     config = BacktestConfig(
         horizon_n=case["n"], initial_capital=case["capital"],
         commission=CommissionPlan(**case["commission"]), compounding=case["mode"],
