@@ -9,12 +9,15 @@ differ only in where ``h`` comes from (estimated per asset vs pinned at
 ``h = 0.5``.
 
 Lookbacks are handled in array passes over all portfolio columns.
-:func:`lookback_stats` views a window's percent log returns as a
-(lookbacks x assets x days) array; the means and ddof=1 deviations of
-every lookback are each one call along the days. These
-:class:`Lookbacks` are shared by every variant and, kept per panel and
-horizon by :func:`fracparity.backtest.run_strategies`, by every walk at
-that horizon, so they are read-only. Every step of a variant but a
+:func:`lookback_stats` views a window's percent log returns
+(:func:`fracparity.data.log_returns`) as a (lookbacks x assets x days)
+array; the means and ddof=1 deviations of every lookback are each one
+call along the days (:func:`mean_return`, :func:`unbiased_std`, which,
+like :func:`rescale_volatility`, work along the last axis and keep the
+percent units). These :class:`Lookbacks` are shared by every variant
+and, kept per panel and horizon by
+:func:`fracparity.backtest.run_strategies`, by every walk at that
+horizon, so they are read-only. Every step of a variant but a
 lookback's normalization is elementwise, so :func:`weights_plan` computes
 them for every lookback of a walk at once: the trend mask, ``h`` and the
 fit diagnostics (``fractal_biased`` builds and fits the paths of the
@@ -39,11 +42,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import AlignedPanel
+from .data import log_returns  # noqa: F401  (perfbench/tracing.py wraps this binding)
 from .errors import DegenerateVolatility, Empty
 from .fractal import HurstConfig, build_path, fit_hurst_rows
 from .fractal import estimate_hurst  # noqa: F401  (perfbench/tracing.py wraps this binding)
-from .riskstats import log_returns  # noqa: F401  (perfbench/tracing.py wraps this binding)
-from .riskstats import mean_return, rescale_volatility, unbiased_std
 
 
 class StrategyVariant(str, Enum):
@@ -77,6 +79,25 @@ class PortfolioWeights:
     std_n: np.ndarray | None = None
     r_squared: np.ndarray | None = None
     clamped: np.ndarray | None = None
+
+
+def mean_return(returns):
+    """Arithmetic mean of percent returns along the last axis, percent per day."""
+    return np.mean(np.asarray(returns, dtype=float), axis=-1)
+
+
+def unbiased_std(returns):
+    """Sample standard deviation along the last axis, with the n-1 denominator."""
+    return np.std(np.asarray(returns, dtype=float), axis=-1, ddof=1)
+
+
+def rescale_volatility(std0, n: int, h):
+    """Rescale one-day standard deviations to an n-day horizon: ``std0 * n**h``.
+
+    At ``h = 0.5`` this is the square-root-of-time rule. ``std0`` and ``h``
+    may be scalars or arrays of the same shape.
+    """
+    return std0 * float(n) ** h
 
 
 def inverse_volatility_weights(stds: np.ndarray) -> np.ndarray:

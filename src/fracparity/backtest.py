@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
-import sys
 import weakref
 from dataclasses import dataclass, field
 
@@ -89,6 +88,7 @@ from .errors import (
     InsufficientHistory,
     NumericError,
     TooShort,
+    finite_number,
 )
 from .fractal import HurstConfig, hurst_scales
 
@@ -115,14 +115,8 @@ class CommissionPlan:
     def __post_init__(self):
         for name in ("per_share", "min_per_order", "max_pct_of_value"):
             value = getattr(self, name)
-            if not (_finite_number(value) and value >= 0.0):
+            if not (finite_number(value) and value >= 0.0):
                 raise ConfigError(f"commission {name} must be a finite number >= 0")
-
-
-def _finite_number(value) -> bool:
-    """True for an int or float, not a bool, inside the range of finite floats."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return number and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -138,7 +132,7 @@ class BacktestConfig:
     def __post_init__(self):
         if not isinstance(self.horizon_n, int) or self.horizon_n < 8:
             raise ConfigError(f"horizon must be an integer >= 8 days, got {self.horizon_n!r}")
-        if not (_finite_number(self.initial_capital) and self.initial_capital > 0.0):
+        if not (finite_number(self.initial_capital) and self.initial_capital > 0.0):
             raise ConfigError(
                 f"initial_capital must be finite and positive, got {self.initial_capital!r}"
             )

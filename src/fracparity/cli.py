@@ -24,11 +24,10 @@ from . import __version__
 from .backtest import BENCHMARK_LABEL, run_strategies
 # perfbench/tracing.py wraps these bindings
 from .backtest import run_benchmark, run_walk_forward  # noqa: F401
-from .data import load_series_csv
+from .data import load_series_csv, log_returns
 from .errors import ConfigError, DataError, NonPositivePrice, NumericError
 from .fractal import HurstConfig, StableParams, build_path, estimate_hurst, stable_cdf_with_error
 from .metrics import PerformanceReport, build_report
-from .riskstats import log_returns
 from .runconfig import RunSettings, load_run_settings, load_universe_panel
 
 

@@ -17,15 +17,19 @@ summation order, and one division by the exact float 10**k rounds it as
 ``float()`` rounds the text. Any other file goes through ``csv.reader`` in
 one scan that parses and checks each row in file order, so the first bad
 line is the one named. Both routes give the same dates, values and errors.
+:func:`load_price_csv` alone decides a file's route and its calendar:
+:func:`_fast_columns` only splits a common-shape text into date bytes and
+values, and within one panel load each distinct date column is parsed,
+sorted and checked once, and the series on it share its ordinals.
 Dates are sorted, checked and intersected as integer day ordinals: a
 :class:`PriceSeries` and an :class:`AlignedPanel` are each made from
 read-only ordinals, whose order one rule judges for both, and build their
-``datetime.date`` tuple only when ``dates`` is first read. Within one
-panel load, each distinct date column read on the byte route is parsed,
-sorted and checked once, and the series on it share its ordinals (see
-:func:`load_price_csv`); series that all have one calendar are aligned by
-stacking their closes, without counting days, and the panel takes their
-ordinals as they are.
+``datetime.date`` tuple only when ``dates`` is first read. Series that
+all have one calendar are aligned by stacking their closes, without
+counting days, and the panel takes their ordinals as they are.
+:func:`log_returns` gives a panel's returns, and those of
+``fracparity hurst --prices``: daily log returns in percent
+(100 * delta-log-price), along the last axis.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ from .errors import (
     OutOfRange,
     TickerMismatch,
     TooShort,
+    finite_number,
 )
-from .riskstats import log_returns
 
 ROLE_PORTFOLIO = "portfolio_asset"
 ROLE_BENCHMARK = "benchmark"
@@ -73,7 +77,7 @@ class AssetSpec:
     def __post_init__(self):
         if not self.ticker:
             raise ConfigError("empty ticker in asset spec")
-        if not 0.0 <= self.expense_ratio < 100.0:
+        if not (finite_number(self.expense_ratio) and 0.0 <= self.expense_ratio < 100.0):
             raise ConfigError(
                 f"{self.ticker}: expense_ratio must be in [0, 100), "
                 f"got {self.expense_ratio}"
@@ -123,6 +127,14 @@ class PriceSeries:
 
     def __len__(self) -> int:
         return len(self.closes)
+
+
+def log_returns(prices) -> np.ndarray:
+    """Percent log returns along the last axis: ``100 * (ln p[..., k+1] - ln p[..., k])``.
+
+    Every standard deviation downstream inherits the percent units.
+    """
+    return 100.0 * np.diff(np.log(np.asarray(prices, dtype=float)), axis=-1)
 
 
 @dataclass(eq=False)
@@ -292,62 +304,14 @@ def _decimal_values(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> n
     return (places @ digits) / _POWERS[k]
 
 
-class _Calendar:
-    """A date column read on the byte route, for the files of one load that repeat it.
-
-    ``fields`` are its date bytes (byte x row) and ``days`` their day numbers,
-    both in file order. The first series made on it is sorted and checked;
-    every later one is a copy of it, sharing its ordinals, with its own
-    ticker and closes, put in the same order.
-    """
-
-    def __init__(self, fields: np.ndarray, days: np.ndarray):
-        self.fields, self.days = fields, days
-        self.first: PriceSeries | None = None
-        self.order: np.ndarray | None = None
-
-    def series(self, ticker: str, closes: np.ndarray) -> PriceSeries:
-        if self.first is None:
-            self.first, self.order = _sorted_series(ticker, self.days, closes)
-            return self.first
-        series = copy.copy(self.first)
-        series.ticker = ticker
-        series.closes = closes if self.order is None else closes[self.order]
-        return series
-
-
-def _dates(chars: np.ndarray, calendars: dict | None):
-    """:func:`_day_ordinals` of ``chars``, or with a ``calendars`` dict their :class:`_Calendar`.
-
-    That is the calendar in ``calendars`` with the same date bytes, else a new
-    one added to it (or None if a date is not a real day). The dict is keyed by
-    the row count and eight sampled dates, so a date column not seen before is
-    told apart without comparing all of its bytes.
-    """
-    if calendars is None:
-        return _day_ordinals(chars)
-    n = chars.shape[1]
-    key = n, chars[:, np.arange(8) * (n - 1) // 7].tobytes()
-    known = calendars.get(key)
-    if known is not None and np.array_equal(known.fields, chars):
-        return known
-    days = _day_ordinals(chars)
-    if days is None:
-        return None
-    calendar = _Calendar(chars, days)
-    calendars.setdefault(key, calendar)  # a key two columns share stays with the first
-    return calendar
-
-
-def _fast_columns(text: str, names: dict[str, str], calendars: dict | None = None):
-    """Day ordinals (None if undated) and values of a common-shape ``text``, else None.
+def _fast_columns(text: str, names: dict[str, str]):
+    """Date bytes (byte x row; None if undated) and values of a common-shape ``text``.
 
     For the common shape (see the module docstring) ``csv.reader`` yields
-    the same fields as splitting on newlines and commas, ``date.fromisoformat``
-    the same dates as the digits and ``float()`` the same values as
-    :func:`_decimal_values`, so the result is that of :func:`_row_columns`.
-    Any other text returns None. With a ``calendars`` dict the ordinals come
-    as the :class:`_Calendar` of the dates (see :func:`_dates`).
+    the same fields as splitting on newlines and commas and ``float()`` the
+    same values as :func:`_decimal_values`; dates whose bytes
+    :func:`_day_ordinals` reads are those ``date.fromisoformat`` reads, so
+    the result is that of :func:`_row_columns`. Any other text gives None.
     """
     # csv.reader before Python 3.11 rejects NUL
     if not text.isascii() or '"' in text or "\r" in text or "\0" in text:
@@ -377,17 +341,15 @@ def _fast_columns(text: str, names: dict[str, str], calendars: dict | None = Non
     lengths = ends - starts
     if lengths.max() > limit:
         return None
-    days = None
+    dates = None
     if date_at:
         if not (lengths[:, date_at[0]] == 10).all():
             return None
-        days = _dates(buf[starts[:, date_at[0]] + _SPAN[:10]], calendars)
-        if days is None:
-            return None
+        dates = buf[starts[:, date_at[0]] + _SPAN[:10]]
     values = _decimal_values(buf, ends[:, value_at], lengths[:, value_at])
     if values is None or (date_at and not (values > 0.0).all()):
         return None
-    return days, values
+    return dates, values
 
 
 def _row_columns(path: str, text: str, names: dict[str, str], ticker: str = ""):
@@ -437,19 +399,6 @@ def _row_columns(path: str, text: str, names: dict[str, str], ticker: str = ""):
     return (np.array(days, dtype=np.int64) if date_at else None), np.array(values, dtype=float)
 
 
-def _read_columns(
-    path: str, names: dict[str, str], ticker: str = "", calendars: dict | None = None
-):
-    """Day ordinals (None if undated) and values of a headed CSV, in file order.
-
-    With a ``calendars`` dict, ordinals read on the byte route come as their
-    :class:`_Calendar`.
-    """
-    text = read_text(path)
-    columns = _fast_columns(text, names, calendars)
-    return columns if columns is not None else _row_columns(path, text, names, ticker)
-
-
 def _sorted_series(ticker: str, days: np.ndarray, closes: np.ndarray):
     """The series of ``closes`` on ``days`` sorted by date, and the sort (None if they ascend)."""
     order = None if (days[1:] > days[:-1]).all() else np.argsort(days, kind="stable")
@@ -472,21 +421,45 @@ def load_price_csv(
     rejected with the offending line number, not skipped. The returned
     series is sorted ascending by date.
 
-    ``calendars`` is a dict shared by the calls of one load and nothing else.
-    A file read on the byte route whose date fields are byte for byte those
-    of a file read before with it takes that file's day ordinals (read-only)
-    and sort order, checked once; only its closes are parsed.
+    This is where a file's route and calendar are decided. A common-shape
+    file (:func:`_fast_columns`) whose dates are all real days is read from
+    its bytes; any other goes through :func:`_row_columns`. ``calendars`` is
+    a dict shared by the calls of one load and nothing else, keyed by the row
+    count and eight sampled dates. A byte-route file whose date bytes are
+    those of a file read before with it is a copy of that file's series, with
+    the same read-only ordinals and sort order, checked once; only its closes
+    are parsed.
     """
+    calendars = {} if calendars is None else calendars
     names = {"date": date_column, "price": price_column}
-    days, closes = _read_columns(path, names, ticker, calendars)
-    if isinstance(days, _Calendar):
-        return days.series(ticker, closes)
+    text = read_text(path)
+    columns = _fast_columns(text, names)
+    if columns is not None:
+        chars, closes = columns
+        n = chars.shape[1]
+        key = n, chars[:, np.arange(8) * (n - 1) // 7].tobytes()
+        known = calendars.get(key)
+        if known is not None and np.array_equal(known[0], chars):
+            _, first, order = known
+            series = copy.copy(first)
+            series.ticker = ticker
+            series.closes = closes if order is None else closes[order]
+            return series
+        days = _day_ordinals(chars)
+        if days is not None:
+            series, order = _sorted_series(ticker, days, closes)
+            # of two date columns on one key, the first keeps it
+            calendars.setdefault(key, (chars, series, order))
+            return series
+    days, closes = _row_columns(path, text, names, ticker)
     return _sorted_series(ticker, days, closes)[0]
 
 
 def load_series_csv(path: str, column: str) -> np.ndarray:
     """Read one numeric column from CSV, in file order, no date handling."""
-    return _read_columns(path, {"value": column})[1]
+    names = {"value": column}
+    text = read_text(path)
+    return (_fast_columns(text, names) or _row_columns(path, text, names))[1]
 
 
 def align_panel(series: list[PriceSeries], specs: list[AssetSpec]) -> AlignedPanel:

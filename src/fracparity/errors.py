@@ -3,9 +3,18 @@
 Three branches matter to the CLI exit-code mapping: ConfigError (bad run
 configuration or parameters), DataError (bad or insufficient input data) and
 NumericError (a numerical procedure failed or hit a degenerate input).
+:func:`finite_number` is the one rule for what a numeric setting may be.
 """
 
 from __future__ import annotations
+
+import sys
+
+
+def finite_number(value) -> bool:
+    """True for an int or float, not a bool, inside the range of finite floats."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
 
 
 class FracparityError(Exception):

@@ -32,7 +32,6 @@ scipy.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -45,6 +44,7 @@ from .errors import (
     NumericError,
     QuadratureFailure,
     TooShort,
+    finite_number,
 )
 
 
@@ -79,9 +79,7 @@ class HurstConfig:
 
     def __post_init__(self):
         bounds = (self.h_min, self.h_max)
-        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in bounds) or not (
-            0.0 < self.h_min <= self.h_max <= sys.float_info.max
-        ):
+        if not all(map(finite_number, bounds)) or not 0.0 < self.h_min <= self.h_max:
             bounds = f"[{self.h_min!r}, {self.h_max!r}]"
             raise InvalidHurst(f"clamp bounds [h_min, h_max] = {bounds} invalid")
         rungs = () if self.max_rungs is None else (self.max_rungs,)  # only it may be None

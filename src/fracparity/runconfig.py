@@ -4,10 +4,11 @@ The document lists the universe (ticker, csv path, expense ratio, role),
 the benchmark ticker, horizon, variants to run, capital, compounding mode,
 commission plan and estimator knobs. CSV paths are resolved relative to the
 config file so committed fixtures stay relocatable.
-Loading checks the document's shape (a key it does not know is an error),
-the universe (which must hold at least one ``portfolio_asset``), the
-benchmark and the CSV ``columns`` (the date and the price are two different
-columns); the rules for every other value belong to the engine's classes.
+Loading checks the document's shape (a key it does not know, or one
+written twice in a mapping, is an error), the universe (which must hold at
+least one ``portfolio_asset``), the benchmark and the CSV ``columns`` (the
+date and the price are two different columns); the rules for every other
+value belong to the engine's classes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import yaml
 
 from .allocation import StrategyVariant
-from .backtest import BENCHMARK_LABEL, FIXED_CAPITAL, BacktestConfig, CommissionPlan, _finite_number
+from .backtest import BENCHMARK_LABEL, FIXED_CAPITAL, BacktestConfig, CommissionPlan
 from .data import (
     DEFAULT_DATE_COLUMN,
     DEFAULT_PRICE_COLUMN,
@@ -32,7 +33,7 @@ from .data import (
     load_price_csv,
     read_text,
 )
-from .errors import ConfigError
+from .errors import ConfigError, finite_number
 from .fractal import HurstConfig
 
 # libyaml's parser when PyYAML was built with it; both build the same objects
@@ -128,8 +129,31 @@ def _text(value, context: str) -> str:
 
 @functools.cache
 def _loader(base: type) -> type:
-    """``base`` that also reads the exponent forms as floats, as YAML 1.2 does."""
-    loader = type("ConfigLoader", (base,), {})
+    """``base`` that also reads the exponent forms as floats, as YAML 1.2 does.
+
+    It also refuses a key written twice in one mapping, which ``base`` would
+    read as its last value, with a ``ConstructorError`` at the second one.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":  # ``<<: *base``'s keys may be overridden
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                repeated = key in seen
+            except TypeError:  # an unhashable key, which ``base`` refuses
+                continue
+            if repeated:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark,
+                )
+            seen.add(key)
+        return base.construct_mapping(self, node, deep)
+
+    loader = type("ConfigLoader", (base,), {"construct_mapping": construct_mapping})
     loader.add_implicit_resolver("tag:yaml.org,2002:float", EXPONENT_FLOAT, list("+-.0123456789"))
     return loader
 
@@ -137,7 +161,7 @@ def _loader(base: type) -> type:
 def _number(raw: dict, key: str, default: float, context: str) -> float:
     """``raw[key]`` as a float; only a YAML number is one, not a string or YAML's yes and on."""
     value = raw.get(key, default)
-    if not _finite_number(value):
+    if not finite_number(value):
         raise ConfigError(f"{context}: {key} must be a finite number, got {value!r}")
     return float(value)
 

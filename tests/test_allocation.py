@@ -8,11 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import business_ordinals, synthetic_panel, weights_of
-from fracparity.allocation import StrategyVariant, inverse_volatility_weights, lookback_stats
-from fracparity.data import AlignedPanel, AssetSpec, slice_window
+from fracparity.allocation import (
+    StrategyVariant,
+    inverse_volatility_weights,
+    lookback_stats,
+    mean_return,
+    unbiased_std,
+)
+from fracparity.data import AlignedPanel, AssetSpec, log_returns, slice_window
 from fracparity.errors import DegenerateVolatility, Empty
 from fracparity.fractal import HurstConfig, build_path, fit_hurst_rows
-from fracparity.riskstats import log_returns, mean_return, unbiased_std
 
 
 def panel_from_columns(columns: dict[str, np.ndarray], benchmark: str | None = None):

@@ -33,7 +33,7 @@ from fracparity.backtest import (
     run_walk_forward,
 )
 from fracparity.metrics import max_drawdown
-from fracparity.data import AlignedPanel, AssetSpec, slice_window
+from fracparity.data import AlignedPanel, AssetSpec, log_returns, slice_window
 from fracparity.errors import (
     ConfigError,
     DegeneratePath,
@@ -43,7 +43,6 @@ from fracparity.errors import (
     NumericError,
 )
 from fracparity.fractal import HurstConfig, build_path, cover_variations, fit_hurst_rows
-from fracparity.riskstats import log_returns
 from fracparity.runconfig import load_run_settings, load_universe_panel
 
 PLAN = CommissionPlan()

@@ -16,8 +16,8 @@ from conftest import synthetic_panel
 from fracparity import backtest, cli, data, runconfig
 from fracparity.backtest import run_benchmark, run_walk_forward
 from fracparity.cli import main
+from fracparity.data import log_returns
 from fracparity.fractal import HurstConfig
-from fracparity.riskstats import log_returns
 
 PANEL_CONFIG = Path(__file__).parent / "fixtures" / "panel4" / "universe.yaml"
 SERIES_DIR = Path(__file__).parent / "fixtures" / "series"
@@ -649,6 +649,10 @@ class TestConfigNumbers:
     def config(tmp_path: Path, key: str, line: str, expense: str = "9e-1") -> Path:
         text = PANEL_CONFIG.read_text().replace("csv: ", f"csv: {PANEL_CONFIG.parent}/")
         text = text.replace("expense_ratio: 0.09", f"expense_ratio: {expense}", 1)
+        # ``line`` replaces panel4's own lines for its keys, as a key written twice is an error
+        keys = {added.split(":")[0] for added in line.splitlines()}
+        text = "".join(kept for kept in text.splitlines(keepends=True)
+                       if kept.split(":")[0] not in keys)
         config = tmp_path / "run.yaml"
         config.write_text(text + line + "\n")
         return config
@@ -716,6 +720,52 @@ class TestYamlLoader:
         assert err.startswith("error: config: ConfigError: ")
         assert "invalid YAML" in err
         assert err.count("\n") == 1
+
+    # a key written twice at each level: the top, a universe entry, commission, hurst, columns
+    @pytest.mark.parametrize("key, edit", [
+        ("horizon", ("", "horizon: 126\n")),
+        ("csv", ("csv: eqt.csv,", "csv: eqt.csv, csv: bnd.csv,")),
+        ("per_share", ("per_share: 0.0035,", "per_share: 0.0035, per_share: 0.01,")),
+        ("h_min", ("", "hurst: {h_min: 0.1, h_min: 0.2}\n")),
+        ("date", ("", "columns: {date: date, date: day}\n")),
+    ])
+    @pytest.mark.parametrize("loader", ["default", "SafeLoader"])
+    def test_a_repeated_key_exits_2_at_its_mark(self, tmp_path, capsys, monkeypatch, loader,
+                                                key, edit):
+        if loader != "default":
+            monkeypatch.setattr(runconfig, "YAML_LOADER", getattr(yaml, loader))
+        old, new = edit
+        text = PANEL_CONFIG.read_text()
+        text = text.replace(old, new, 1) if old else text + new
+        at = text.index(f"{key}:", text.index(f"{key}:") + 1)
+        line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+        # panel4's csv paths name no file beside this copy, so reading a CSV would exit 3
+        config = tmp_path / "run.yaml"
+        config.write_text(text)
+        assert main(["backtest", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config: ConfigError: {config}: invalid YAML at line {line}, "
+            f"column {column}: found duplicate key {key!r}\n"
+        )
+
+    @pytest.mark.parametrize("loader", ["default", "SafeLoader"])
+    def test_an_unhashable_key_exits_2(self, tmp_path, capsys, monkeypatch, loader):
+        if loader != "default":
+            monkeypatch.setattr(runconfig, "YAML_LOADER", getattr(yaml, loader))
+        config = tmp_path / "run.yaml"
+        config.write_text(PANEL_CONFIG.read_text() + "? [a, b]\n: 1\n")
+        assert main(["backtest", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ConfigError: ") and err.count("\n") == 1
+        assert err.endswith("found unhashable key\n")
+
+    @pytest.mark.parametrize("base", ["CSafeLoader", "SafeLoader"])
+    def test_a_merged_key_may_be_overridden(self, base):
+        if not hasattr(yaml, base):
+            pytest.skip("PyYAML built without libyaml")
+        text = "base: &base {h_min: 0.1, h_max: 1.0}\nhurst: {<<: *base, h_max: 0.9}\n"
+        raw = yaml.load(text, Loader=runconfig._loader(getattr(yaml, base)))
+        assert raw["hurst"] == {"h_min": 0.1, "h_max": 0.9}
 
 
 def test_example_config_loads():

@@ -7,8 +7,8 @@ lines, extra and reordered columns, dates that are not ``YYYY-MM-DD`` or
 not a real day, values that Python's ``float`` reads (or refuses) in odd
 ways, and fields at and over ``csv.field_size_limit()``; about half of them
 write every value with one ``%.{k}f``. For every file, loading it must give bitwise the same day
-ordinals and values as the ``csv.reader`` route alone, or raise the same
-error class with the same message and line. The byte route and the date
+ordinals and values as the ``csv.reader`` route alone, sorted as a series
+is, or raise the same error class with the same message and line. The byte route and the date
 digits are also checked in bulk against ``float()`` and ``datetime.date``.
 A whole universe, whose files share one date column, all but one of its
 dates, its dates in another order or only its dates and not their bytes,
@@ -63,15 +63,34 @@ def outcome(load):
 
 
 def route(text, names):
-    """The route that reads ``text``: "bytes" or "csv.reader"."""
-    return "csv.reader" if data._fast_columns(text, names) is None else "bytes"
+    """The route that reads ``text``: "bytes" (common shape, real days) or "csv.reader"."""
+    columns = data._fast_columns(text, names)
+    if columns is None or (columns[0] is not None and data._day_ordinals(columns[0]) is None):
+        return "csv.reader"
+    return "bytes"
 
 
 def both_routes(path, names):
-    """Outcome of the loader as shipped, outcome of the csv.reader route alone."""
-    shipped = outcome(lambda: data._read_columns(path, names, "AAA"))
-    rows = outcome(lambda: data._row_columns(path, data.read_text(path), names, "AAA"))
-    return shipped, rows
+    """Outcome of the loader as shipped, outcome of the csv.reader route alone.
+
+    A dated file is loaded by ``load_price_csv`` and an undated one by
+    ``load_series_csv``; the rows of ``_row_columns`` are sorted as the
+    loader sorts a series.
+    """
+    def shipped():
+        if "date" not in names:
+            return None, data.load_series_csv(path, names["value"])
+        series = data.load_price_csv(path, "AAA", names["date"], names["price"])
+        return series.ordinals, series.closes
+
+    def rows():
+        days, values = data._row_columns(path, data.read_text(path), names, "AAA")
+        if days is None:
+            return None, values
+        series, _ = data._sorted_series("AAA", days, values)
+        return series.ordinals, series.closes
+
+    return outcome(shipped), outcome(rows)
 
 
 @st.composite
@@ -322,11 +341,14 @@ def test_undated_values_may_be_negative(tmp_path):
     assert route("value\n1.5\n+2.5\n", UNDATED) == "csv.reader"
 
 
-def test_dated_ordinals_are_day_numbers():
+def test_dated_ordinals_are_day_numbers(tmp_path):
     dates = [dt.date(1, 1, 1), dt.date(1900, 3, 1), dt.date(2000, 2, 29), dt.date(9999, 12, 31)]
     text = "date,adj_close\n" + "".join(f"{d.isoformat()},1.0\n" for d in dates)
-    days, _ = data._fast_columns(text, DATED)
-    assert days.tolist() == [d.toordinal() for d in dates]
+    assert route(text, DATED) == "bytes"
+    path = tmp_path / "a.csv"
+    path.write_text(text, encoding="utf-8")
+    series = data.load_price_csv(str(path), "A")
+    assert series.ordinals.tolist() == [d.toordinal() for d in dates]
 
 
 def field_columns(fields):

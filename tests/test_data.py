@@ -21,6 +21,7 @@ from fracparity.data import (
     align_panel,
     load_price_csv,
     load_series_csv,
+    log_returns,
     slice_window,
 )
 from fracparity.errors import (
@@ -34,7 +35,6 @@ from fracparity.errors import (
     TickerMismatch,
     TooShort,
 )
-from fracparity.riskstats import log_returns
 from fracparity.runconfig import load_run_settings, load_universe_panel
 
 
@@ -426,6 +426,12 @@ class TestAssetSpec:
             AssetSpec("A", expense_ratio=-0.1)
         with pytest.raises(ConfigError):
             AssetSpec("A", expense_ratio=100.0)
+
+    @pytest.mark.parametrize("ratio", ["0.1", None, True, math.nan, math.inf])
+    def test_expense_ratio_must_be_a_finite_number(self, ratio):
+        # one number rule with the engine's other settings: a string is not compared
+        with pytest.raises(ConfigError, match=r"^A: expense_ratio must be in \[0, 100\)"):
+            AssetSpec("A", expense_ratio=ratio)
 
     def test_bad_role(self):
         with pytest.raises(ConfigError, match="^A: unknown role 'index'$"):

@@ -1,3 +1,6 @@
+"""The percent return statistics: ``data.log_returns`` and ``allocation``'s
+``mean_return``, ``unbiased_std`` and ``rescale_volatility``."""
+
 from __future__ import annotations
 
 import math
@@ -7,12 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracparity.riskstats import (
-    log_returns,
-    mean_return,
-    rescale_volatility,
-    unbiased_std,
-)
+from fracparity.allocation import mean_return, rescale_volatility, unbiased_std
+from fracparity.data import log_returns
 
 
 class TestLogReturns:
