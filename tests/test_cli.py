@@ -479,6 +479,18 @@ class TestHurstCommand:
         )
         assert 0.35 <= float(out.splitlines()[0].split(",")[1]) <= 0.65
 
+    def test_overflowing_amplitude_exits_4(self, tmp_path, capsys):
+        # finite values whose max - min overflows: a numeric error, not an inf table
+        values = ["1.0"] * 40
+        values[10:12] = "1e308", "-1e308"
+        path = tmp_path / "overflow.csv"
+        path.write_text("value\n" + "\n".join(values) + "\n")
+        assert main(["hurst", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        detail = "variation at scale 2 is not finite: the amplitude overflows"
+        assert captured.err == f"error: numeric: NumericError: {detail}\n"
+
     def test_too_short_exits_3(self, capsys):
         assert main(["hurst", str(SERIES_DIR / "tooshort.csv")]) == 3
         assert "TooShort" in capsys.readouterr().err
@@ -819,6 +831,31 @@ def test_backtest_does_not_import_scipy(tmp_path):
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_stable_cdf_loads_quadpack_alone():
+    # the CDF loads scipy's QUADPACK extension, not the scipy.integrate package; a
+    # later import of that package shares the extension, and its quad still agrees
+    code = (
+        "import sys\n"
+        "from fracparity import fractal\n"
+        "from fracparity.cli import main\n"
+        "assert main(['stable-cdf', '--alpha', '0.5', '--beta', '1', '--', '1.0']) == 0\n"
+        "print(sorted({'scipy.integrate', 'scipy.special'} & set(sys.modules)))\n"
+        "f = fractal._sine_integrand(1.0, 0.5, 1.0)\n"
+        "raw = fractal._quadpack()._qagie(f, 0.0, 1, (), 0, 1e-12, 1e-12, 200)[:2]\n"
+        "import warnings\n"
+        "from scipy import integrate\n"
+        "warnings.simplefilter('ignore', integrate.IntegrationWarning)\n"
+        "kw = dict(limit=200, epsabs=1e-12, epsrel=1e-12)\n"
+        "print(repr(integrate.quad(f, 0.0, float('inf'), **kw)) == repr(raw))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["cdf,0.479500", "error_estimate,6.756e-09", "[]", "True"]
 
 
 def test_engine_digest_is_stable():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from fracparity.errors import (
     FracparityError,
     InvalidHurst,
     InvalidStableParams,
+    NumericError,
     TooShort,
 )
 from fracparity.fractal import (
@@ -147,6 +149,13 @@ class TestEstimateHurst:
         assert (cover_variations(np.full((1, 64), 2.0), fit.scales) == 0.0).all()
         with pytest.raises(DegeneratePath, match="^zero variation at some scale"):
             fit_hurst_rows(np.vstack([walk, np.full(64, 2.0)]))
+
+    def test_overflowing_variation_names_its_scale(self):
+        # a finite path whose amplitude overflows: V(delta) is inf, and no warning leaks
+        path = np.ones(41)
+        path[10:12] = 1e308, -1e308
+        with pytest.raises(NumericError, match="^variation at scale 2 is not finite"):
+            estimate_hurst(path)
 
     def test_too_short(self):
         with pytest.raises(TooShort):
@@ -365,3 +374,81 @@ class TestStableCdfGolden:
             if got != {key: row[key] for key in got}:
                 mismatches.append((row, got))
         assert not mismatches, mismatches[:5]
+
+
+class _Recorder:
+    """Stands in for ``fractal._quadpack()``, recording each routine call and its result."""
+
+    def __init__(self, quadpack):
+        self.quadpack = quadpack
+        self.calls = []
+
+    def __getattr__(self, name):
+        routine = getattr(self.quadpack, name)
+
+        def call(*args):
+            out = routine(*args)
+            self.calls.append((name, args, out))
+            return out
+
+        return call
+
+
+def _public_quad(name, args):
+    """The ``scipy.integrate.quad`` call that the private routine call replaced."""
+    from scipy import integrate
+
+    f, a = args[0], args[1]
+    kw = dict(limit=200, epsabs=1e-12, epsrel=1e-12)
+    if name == "_qagse":
+        return integrate.quad(f, a, args[2], **kw)
+    if name == "_qagie":
+        assert args[2] == 1  # [a, inf)
+        return integrate.quad(f, a, np.inf, **kw)
+    assert name == "_qawfe"
+    weight = {1: "cos", 2: "sin"}[args[3]]
+    return integrate.quad(f, a, np.inf, weight=weight, wvar=args[2], limit=200)
+
+
+class TestQuadpackMatchesQuad:
+    """Each private QUADPACK call gives ``scipy.integrate.quad``'s (value, error) bit for bit.
+
+    The CDF calls the routines of ``scipy.integrate._quadpack`` that ``quad``
+    dispatches to, with ``quad``'s arguments spelled out. Every call a point
+    makes is recorded and replayed through the public ``quad`` call it
+    replaced, so a scipy whose private signatures or defaults drift fails here.
+    """
+
+    @pytest.fixture
+    def recorder(self, monkeypatch):
+        recorder = _Recorder(fractal._quadpack())
+        monkeypatch.setattr(fractal, "_quadpack", lambda: recorder)
+        return recorder
+
+    @pytest.mark.parametrize("point, routines", [
+        # the plain [0, inf) integral
+        ((0.7, 1.7, 0.4), [("_qagie", 0)]),
+        # the Levy law at r = 1: the plain integral ends with ier = 1, on which quad
+        # warns, and the split takes the [0, 1] head and both Fourier tails
+        ((1.0, 0.5, 1.0), [("_qagie", 1), ("_qagse", 0), ("_qawfe", 0), ("_qawfe", 0)]),
+    ])
+    def test_cdf_calls(self, recorder, point, routines):
+        r, alpha, beta = point
+        stable_cdf_with_error(r, StableParams(alpha, beta))
+        self.assert_replayed(recorder.calls, routines)
+
+    def test_unweighted_tail_of_the_split(self, recorder):
+        # a_lin == 0 (alpha = 1, z = 0 with skew): the [1, inf) tail has no Fourier
+        # weight; no golden point reaches this branch
+        fractal._cdf_quad_split(0.0, 1.0, 0.5)
+        self.assert_replayed(recorder.calls, [("_qagse", 0), ("_qagie", 0)])
+
+    @staticmethod
+    def assert_replayed(calls, routines):
+        assert [(name, out[2]) for name, _, out in calls] == routines
+        for name, args, (value, error, ier) in calls:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                want = _public_quad(name, args)
+            assert (repr(value), repr(error)) == tuple(map(repr, want)), name
+            assert [w.category.__name__ for w in caught] == ["IntegrationWarning"] * (ier != 0)
