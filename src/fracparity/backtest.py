@@ -3,14 +3,11 @@
 The engine tiles the panel after an initial lookback: optimize on rows
 ``[k*N, (k+1)*N)``, hold over ``[(k+1)*N, (k+2)*N)``, repeat. Those rows are
 defined in one place, :func:`run_strategies`, the one period loop of the
-three variants and the cost-free benchmark; the return statistics of all
-lookbacks are computed there once per panel and horizon, for every variant
-and every walk, and each variant's weights plan once per walk. Trades fill
-at the holding period's first close with zero slippage; whole shares only,
-with the remainder parked in zero-earning cash. Costs are commissions per
-trade (per-share rate floored per order and capped as a percentage of
-trade value) plus each fund's expense ratio pro-rated over the holding
-period.
+three variants and the cost-free benchmark. Trades fill at the holding
+period's first close with zero slippage; whole shares only, with the
+remainder parked in zero-earning cash. Costs are commissions per trade
+(per-share rate floored per order and capped as a percentage of trade
+value) plus each fund's expense ratio pro-rated over the holding period.
 
 Two compounding modes ship: ``fixed_capital`` resets the deployed capital
 to the initial amount every period, so the period returns form an i.i.d.-
@@ -19,50 +16,35 @@ capital into the next. The equity curve always compounds the per-period net
 returns; in reinvest mode that is exactly the simulated capital path, in
 fixed-capital mode it is the reinvested view of the per-period results.
 
-Each period is a fixed set of array operations over the portfolio
-columns, from the lookback statistics to the net return, and builds no
-per-asset Python object. Only the lookbacks are a window: one read-only
-view of the panel (:func:`slice_window`) per horizon, from which
-:func:`lookback_stats` returns the statistics of every period's lookback
-in one pass, before the first period of the first walk at that horizon.
-They are kept for as long as the panel lives, so a later walk at that
-horizon, such as each strategy walked alone through
-:func:`run_walk_forward` and :func:`run_benchmark`, reads them. A
-period is marked from the trade-row and mark-row prices of the portfolio
-columns (:func:`period_return`), gathered once per walk as two (periods x
-columns) blocks; the benchmark's net returns are one vector operation over
-its trade and mark rows. Before the first period a walk builds each
-variant's :func:`weights_plan` for every lookback at once
+Each period of a variant is a fixed set of array operations over the
+portfolio columns, from the lookback statistics to the net return, and
+builds no per-asset Python object. Only the lookbacks are a window: one
+read-only view of the panel (:func:`slice_window`) per horizon, from which
+:func:`lookback_stats` returns the statistics of every lookback in one
+pass. Each variant's :func:`weights_plan` covers every lookback at once
 (``fractal_biased`` fits the Hurst exponents of every lookback in one
-batched call) and drops it when the walk ends; a walk's data errors (a
-flat asset, a constant path) are raised when its plans are built.
-:func:`compute_weights` returns a period's weights with their diagnostics,
-as vectors: everything but its own normalization is its row of the plan.
+batched call), and :func:`compute_weights` returns a period's weights with
+their diagnostics, as vectors: everything but its own normalization is its
+row of the plan.
 
-The strategies are then walked one at a time, in the order named. A
-variant rebalances (:func:`execute_rebalance`) and marks
-(:func:`period_return`) its periods in blocks of periods whose start
-capitals are known before the block starts: all of its periods in
-``fixed_capital`` mode, one period at a time in ``reinvest`` mode, where a
-period starts from the end of the one before. One kernel serves both: it
-takes (periods x columns) rows of weights and prices, each row trades from
-the targets of the row before, and it computes every row it is given. The
-holdings are int64 shares in portfolio-column order, and each period's
-orders are cut from its row as :class:`Trades`, parallel vectors of
-column, signed shares, price and fee.
-These vectors are the only form of a period's result. Sums that feed the
-reported figures are plain float additions, left to right in column order
-(``_sum_left``, one sum per row), so results depend neither on how the
-periods are blocked nor on the Python version, whose builtin ``sum`` of
-floats is compensated from 3.12 on.
+A variant rebalances (:func:`execute_rebalance`) and marks
+(:func:`period_return`) a block of periods in one pass. The kernel takes
+(periods x columns) rows of weights and of trade-row and mark-row prices;
+each row trades from the targets of the row before, and it computes every
+row it is given. The holdings are int64 shares in portfolio-column order,
+and each period's orders are cut from its row as :class:`Trades`, parallel
+vectors of column, signed shares, price and fee. These vectors are the only
+form of a period's result. Sums that feed the reported figures are plain
+float additions, left to right in column order (``_sum_left``, one sum per
+row), so results depend neither on how the periods are blocked nor on the
+Python version, whose builtin ``sum`` of floats is compensated from 3.12 on.
 
-Values are checked once, where they enter (the config classes, ``AlignedPanel``,
-the panel length in :func:`run_strategies` and the weights plans); the
-functions a period calls take the shapes, prices and capital it builds as
-given and judge nothing. A period can fail only by what its capital path
-causes, and :func:`run_strategies` alone judges that, period by period in
-period order: a target that overflows int64, then commissions that consume
-the period's capital, then a net return at or below -100%.
+Values are checked once, where they enter (the config classes,
+``AlignedPanel``, the panel length in :func:`run_strategies` and the
+weights plans); the functions a period calls take the shapes, prices and
+capital it builds as given and judge nothing. A period can fail only by
+what its capital path causes, and the record step of :func:`run_strategies`
+alone judges that.
 """
 
 from __future__ import annotations
@@ -309,32 +291,35 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
     """Walk the named strategies over the same periods; results by name, in ``names`` order.
 
     ``names`` lists variant values, each run as ``config`` with that variant
-    (checked before the walk starts), and :data:`BENCHMARK_LABEL`, the raw
-    close-to-close change of the ``config.benchmark`` column with no weights,
-    trades or costs. Period ``k`` trades at the close of row ``(k+1)*N`` and
-    is marked at the close of row ``(k+2)*N - 1``; its weights come from the
-    ``N`` rows before, so no holding-window price can influence them. Each
-    period starts from the initial capital in ``fixed_capital`` mode and from
-    the end of the strategy's equity chain in ``reinvest`` mode.
+    (checked before the walk starts), and :data:`BENCHMARK_LABEL`, the
+    cost-free run of the ``config.benchmark`` column. Period ``k`` trades at
+    the close of row ``(k+1)*N`` and is marked at the close of row
+    ``(k+2)*N - 1``; its weights come from the ``N`` rows before, so no
+    holding-window price can influence them. Each period starts from the
+    initial capital in ``fixed_capital`` mode and from the end of the
+    strategy's equity chain in ``reinvest`` mode. The panel must hold a
+    lookback and two holding periods (``3N`` rows), as every report needs
+    two periods.
 
-    The panel must hold a lookback and two holding periods (``3N`` rows),
-    as every report needs two periods. The lookback statistics are built by
-    the first walk at horizon ``N`` over ``panel`` that runs a variant and
-    kept while ``panel`` lives; every later walk at ``N`` over it, of any
-    variant, reads them. Each variant's weights plan, with its Hurst fit,
-    is built, and raises the walk's data errors, before the first period,
-    and is dropped when the walk ends. The strategies then walk one after
-    the other, in ``names`` order, so of two that fail the first named
-    raises. A variant rebalances and marks its periods in blocks whose start
+    If any variant runs, the lookback statistics at ``N`` are read from
+    those kept with ``panel``, or built and kept while it lives, and each
+    variant's weights plan, with its Hurst fit, is built for this walk;
+    building them raises the walk's data errors before the first period.
+    The strategies then walk one after the other, in ``names`` order, so of
+    two that fail the first named raises. A strategy's name chooses only how
+    its period returns are computed. The benchmark's are its close-to-close
+    changes, one vector operation, with no drag, commission, weights or
+    trades. A variant rebalances and marks its periods in blocks whose start
     capitals are known before the block starts: all of them in
-    ``fixed_capital`` mode, one at a time in ``reinvest`` mode; the
-    benchmark's periods are one block with no costs.
+    ``fixed_capital`` mode, one at a time in ``reinvest`` mode.
 
-    Each period is then judged, in period order, before it is recorded, so
-    of two failing periods the earlier raises: a target of ``2**63`` shares
-    or more (:class:`NumericError`), commissions at or above the period's
-    start capital, and a net return at or below -100%
-    (:class:`InsufficientCapital`), in that order within a period.
+    Every period of every strategy then passes through one record step, in
+    period order, which judges the period before it appends its result and
+    its equity point, so of two failing periods the earlier raises. It
+    checks a target of ``2**63`` shares or more (:class:`NumericError`; only
+    a variant has targets), commissions at or above the period's start
+    capital, and a net return at or below -100% (:class:`InsufficientCapital`),
+    in that order.
     """
     names = list(dict.fromkeys(names))  # a strategy named twice runs once
     variants = {  # each checked by BacktestConfig's rules; hurst and commission are shared
@@ -365,59 +350,64 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
         # (periods x portfolio columns): each period's trade-row and mark-row prices
         trade_prices = panel.prices[np.ix_(trade_rows, columns)]
         mark_prices = panel.prices[np.ix_(mark_rows, columns)]
+
+    def rebalanced(plan, equity: list[float]):
+        """A variant's blocks of periods, each rebalanced and marked in one pass.
+
+        A block's start capital is read from ``equity`` when the block is
+        drawn, so in ``reinvest`` mode after the period before it is recorded.
+        """
+        weights = [compute_weights(plan, k) for k in range(n_periods)]
+        targets = np.stack([w.weights for w in weights])
+        held = np.zeros((1, len(columns)), np.int64)  # weights.tickers order
+        size = 1 if reinvest else n_periods
+        for first in range(0, n_periods, size):
+            rows = slice(first, min(first + size, n_periods))
+            capital = [equity[-1] if reinvest else config.initial_capital] * (rows.stop - first)
+            target, shares, deltas, fees, commissions = execute_rebalance(
+                targets[rows], capital, trade_prices[rows], config.commission, held
+            )
+            gross, drag, net = period_return(
+                shares, capital, trade_prices[rows], mark_prices[rows], expense_rates, commissions
+            )
+            held = shares[-1:]
+            yield first, gross, drag, commissions, net, (weights, target, deltas, fees)
+
     runs = {}
     for name in names:
         results, equity = [], [config.initial_capital]
-        # blocks of the periods whose start capitals are known in advance; no capital
-        # enters the benchmark's returns, so its periods are one block, with no costs
-        size = 1 if reinvest and name != BENCHMARK_LABEL else n_periods
-        if name != BENCHMARK_LABEL:  # the walk's weights, and the same rows as one block
-            weights = [compute_weights(plans[name], k) for k in range(n_periods)]
-            targets = np.stack([w.weights for w in weights])
-            held = np.zeros((1, len(columns)), np.int64)  # weights.tickers order
-        for first in range(0, n_periods, size):
-            rows = slice(first, min(first + size, n_periods))
-            if name == BENCHMARK_LABEL:
-                bench = panel.column(config.benchmark)
-                gross = net = (100.0 * (bench[mark_rows] / bench[trade_rows] - 1.0)).tolist()
-                drag = [0.0] * n_periods
-            else:
-                capital = [equity[-1] if reinvest else config.initial_capital] * (rows.stop - first)
-                target, shares, deltas, fees, commissions = execute_rebalance(
-                    targets[rows], capital, trade_prices[rows], config.commission, held
-                )
-                gross, drag, net = period_return(
-                    shares, capital, trade_prices[rows], mark_prices[rows], expense_rates,
-                    commissions,
-                )
-                fits = (target < _INT64_END).all(axis=1).tolist()
-                held = shares[-1:]
-            for i, k in enumerate(range(first, rows.stop)):
+        if name == BENCHMARK_LABEL:  # no capital enters its returns: one block, with no costs
+            bench = panel.column(config.benchmark)
+            change = (100.0 * (bench[mark_rows] / bench[trade_rows] - 1.0)).tolist()
+            blocks = [(0, change, [0.0] * n_periods, [0.0] * n_periods, change, None)]
+        else:
+            blocks = rebalanced(plans[name], equity)
+        for first, gross, drag, commissions, net, orders in blocks:
+            for i, k in enumerate(range(first, first + len(net))):  # the record step
                 start_capital = equity[-1] if reinvest else config.initial_capital
                 weights_k = trades = None
-                cost = 0.0
-                if name != BENCHMARK_LABEL:  # the period's rebalance is judged before its return
-                    if not fits[i]:
+                if orders is not None:
+                    weights, target, deltas, fees = orders
+                    if not (target[i] < _INT64_END).all():  # a NaN target does not fit either
                         j = np.argmin(target[i] < _INT64_END)
                         raise NumericError(
                             f"{panel.portfolio_tickers[j]}: target of {target[i, j]:.6g} shares "
                             "overflows int64"
                         )
-                    cost = commissions[i]
-                    if cost >= start_capital:
-                        raise InsufficientCapital(
-                            f"commissions {cost:.2f} would consume capital {start_capital:.2f}"
-                        )
                     weights_k, delta = weights[k], deltas[i]
                     traded = delta.nonzero()[0]  # the period's orders, cut from its row
                     trades = Trades(traded, delta[traded], trade_prices[k][traded], fees[i][traded])
+                if commissions[i] >= start_capital:
+                    raise InsufficientCapital(
+                        f"commissions {commissions[i]:.2f} would consume capital {start_capital:.2f}"
+                    )
                 if not net[i] > -100.0:
                     raise InsufficientCapital(
                         f"period ending {ends[k]} returns {net[i]:.2f}%, wiping out its capital"
                     )
                 results.append(PeriodResult(
                     start_date=starts[k], end_date=ends[k], weights=weights_k, trades=trades,
-                    gross_return=gross[i], expense_drag=drag[i], commission_cost=cost,
+                    gross_return=gross[i], expense_drag=drag[i], commission_cost=commissions[i],
                     net_return=net[i], start_capital=start_capital,
                     end_capital=start_capital * (1.0 + net[i] / 100.0),
                 ))

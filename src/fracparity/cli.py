@@ -119,7 +119,9 @@ def _write_manifest(path: Path, settings: RunSettings, outputs: list[Path]):
             "compounding": settings.compounding,
             "risk_free_rate": settings.risk_free_rate,
             "commission": dataclasses.asdict(settings.commission),
-            "hurst": settings.hurst_options,
+            "hurst": dataclasses.asdict(settings.hurst),
+            "figure_pair": list(settings.difference_pair()),
+            "columns": {"date": settings.date_column, "price": settings.price_column},
             "universe": [
                 {
                     "ticker": e.spec.ticker,

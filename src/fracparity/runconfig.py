@@ -44,8 +44,6 @@ TOP_KEYS = ("universe", "benchmark", "horizon", "variants", "initial_capital", "
             "commission", "hurst", "risk_free_rate", "figure_pair", "columns")
 ENTRY_KEYS = ("ticker", "csv", "expense_ratio", "role")
 COLUMN_KEYS = ("date", "price")
-COMMISSION_KEYS = tuple(f.name for f in dataclasses.fields(CommissionPlan))
-HURST_KEYS = tuple(f.name for f in dataclasses.fields(HurstConfig))
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,7 @@ class RunSettings:
     initial_capital: float
     compounding: str
     commission: CommissionPlan
-    hurst_options: dict
+    hurst: HurstConfig
     risk_free_rate: float = 0.0
     figure_pair: tuple[str, str] | None = None
     date_column: str = DEFAULT_DATE_COLUMN
@@ -79,7 +77,7 @@ class RunSettings:
             commission=self.commission,
             compounding=self.compounding,
             benchmark=self.benchmark,
-            hurst=HurstConfig(**self.hurst_options),
+            hurst=self.hurst,
         )
 
     def variant_configs(self) -> dict[StrategyVariant, BacktestConfig]:
@@ -156,6 +154,18 @@ def _loader(base: type) -> type:
     loader = type("ConfigLoader", (base,), {"construct_mapping": construct_mapping})
     loader.add_implicit_resolver("tag:yaml.org,2002:float", EXPONENT_FLOAT, list("+-.0123456789"))
     return loader
+
+
+def _options(raw: dict, key: str, cls: type, path: Path, where: str):
+    """``cls`` built from the mapping ``raw[key]`` (empty when absent); its errors follow ``where``."""
+    options = raw.get(key, {})
+    if not isinstance(options, dict):
+        raise ConfigError(f"{path}: {key} must be a mapping")
+    _known_keys(options, tuple(f.name for f in dataclasses.fields(cls)), f"{path}: {key}")
+    try:
+        return cls(**options)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _number(raw: dict, key: str, default: float, context: str) -> float:
@@ -236,19 +246,8 @@ def load_run_settings(
     if repeated:  # it would run once, and a figure pair of it would compare it with itself
         raise ConfigError(f"{path}: variants: {repeated[0]!r} is named twice")
 
-    commission_raw = raw.get("commission", {})
-    if not isinstance(commission_raw, dict):
-        raise ConfigError(f"{path}: commission must be a mapping")
-    _known_keys(commission_raw, COMMISSION_KEYS, f"{path}: commission")
-    try:
-        commission = CommissionPlan(**commission_raw)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: commission: {exc}") from None
-
-    hurst_options = raw.get("hurst", {})
-    if not isinstance(hurst_options, dict):
-        raise ConfigError(f"{path}: hurst must be a mapping")
-    _known_keys(hurst_options, HURST_KEYS, f"{path}: hurst")
+    commission = _options(raw, "commission", CommissionPlan, path, f"{path}: commission")
+    hurst = _options(raw, "hurst", HurstConfig, path, str(path))  # its errors name their keys
 
     figure_pair = None
     if "figure_pair" in raw:
@@ -276,7 +275,7 @@ def load_run_settings(
         initial_capital=_number(raw, "initial_capital", 1_000_000.0, str(path)),
         compounding=str(raw.get("compounding", FIXED_CAPITAL)),
         commission=commission,
-        hurst_options=hurst_options,
+        hurst=hurst,
         risk_free_rate=_number(raw, "risk_free_rate", 0.0, str(path)),
         figure_pair=figure_pair,
         date_column=date_column,

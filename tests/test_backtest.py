@@ -768,6 +768,31 @@ class TestRunStrategies:
             with pytest.raises(error, match=message):
                 run_strategies(panel, cfg, [naive])
 
+    @pytest.mark.parametrize("mode", [FIXED_CAPITAL, REINVEST])
+    def test_a_benchmark_that_loses_everything_is_judged_as_a_variant(self, mode):
+        # the benchmark closes at 1e300 through period 0's trade row and at 1e-300 from its
+        # mark row on: its change underflows to -100% in period 0, and 0% in period 1
+        n = 15
+        bench = np.where(np.arange(3 * n) < 2 * n - 1, 1e300, 1e-300)
+        panel = AlignedPanel(
+            ordinals=business_ordinals(dt.date(2012, 1, 2), 3 * n),
+            assets=(AssetSpec("A"), AssetSpec("BMK", role="benchmark")),
+            prices=np.column_stack([np.where(np.arange(3 * n) % 2, 99.0, 100.0), bench]),
+        )
+        naive = "naive_risk_parity"
+        cfg = BacktestConfig(horizon_n=n, variant=naive, compounding=mode, benchmark="BMK")
+        message = "^period ending 2012-02-10 returns -100.00%, wiping out its capital$"
+        assert panel.dates[2 * n - 1] == dt.date(2012, 2, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the quotient underflows to 0.0 without a warning
+            with pytest.raises(InsufficientCapital, match=message):
+                run_strategies(panel, cfg, [BENCHMARK_LABEL])
+            # the variant walks first and records both its periods; the benchmark then raises
+            with pytest.raises(InsufficientCapital, match=message):
+                run_strategies(panel, cfg, [naive, BENCHMARK_LABEL])
+            results, _ = run_walk_forward(panel, cfg)
+        assert len(results) == 2
+
     def test_a_strategy_named_twice_runs_once(self):
         panel = synthetic_panel(seed=47, n_rows=4 * 63, n_assets=2)
         cfg = BacktestConfig(horizon_n=63, benchmark="BMK")

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -200,6 +201,22 @@ class TestBacktestCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == ARTIFACTS[:-1]
         assert all(len(d) == 64 for d in manifest["inputs"].values())
+
+    @pytest.mark.parametrize(("extra", "h_max"), [("", 1.0), ("hurst: {h_max: 0.9}\n", 0.9)],
+                             ids=["panel4", "h_max"])
+    def test_manifest_lists_the_settings_in_force(self, tmp_path, extra, h_max):
+        text = PANEL_CONFIG.read_text().replace("csv: ", f"csv: {PANEL_CONFIG.parent}/")
+        config = tmp_path / "run.yaml"
+        config.write_text(text + extra)
+        out = tmp_path / "out"
+        assert main(["backtest", "--config", str(config), "--out", str(out)]) == 0
+        written = json.loads((out / "manifest.json").read_text())["config"]
+        # each estimator setting, the ones the document leaves out at their defaults
+        hurst = {"h_min": 0.1, "h_max": h_max, "min_windows": 4, "max_rungs": 4, "min_scales": 3}
+        assert written["hurst"] == hurst
+        # the pair that names difference.csv's column, and the columns read from each CSV
+        assert written["figure_pair"] == ["fractal_biased", "standard_biased"]
+        assert written["columns"] == {"date": "date", "price": "adj_close"}
 
     def test_difference_column_names_pair(self, tmp_path):
         out = tmp_path / "out"
@@ -457,6 +474,19 @@ class TestNumericErrors:
         assert err.startswith("error: numeric: ")
         assert err.count("\n") == 1
         assert "int64" in err
+
+    def test_a_benchmark_that_loses_everything_exits_4(self, tmp_path, capsys):
+        # panel4's benchmark at 1e300 through row 124 and at 1e-300 after it: period 0 at
+        # N = 63 trades at row 63 and is marked at row 125, a change of -100%
+        panel = shutil.copytree(PANEL_CONFIG.parent, tmp_path / "panel4")
+        header, *lines = (panel / "bmk.csv").read_text().splitlines()
+        dates = [line.split(",")[0] for line in lines]
+        closes = ["1e300" if row <= 124 else "1e-300" for row in range(len(dates))]
+        (panel / "bmk.csv").write_text("\n".join([header, *map(",".join, zip(dates, closes))]))
+        argv = ["backtest", "--config", str(panel / "universe.yaml"), "--out", str(tmp_path / "o")]
+        assert main(argv) == 4
+        detail = f"period ending {dates[125]} returns -100.00%, wiping out its capital"
+        assert capsys.readouterr().err == f"error: numeric: InsufficientCapital: {detail}\n"
 
 
 class TestHurstCommand:
