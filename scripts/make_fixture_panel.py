@@ -52,16 +52,26 @@ def business_days(start: dt.date, count: int) -> list[dt.date]:
     return days
 
 
+def holding_rows(k: int) -> tuple[int, int]:
+    """(trade row, mark row) of holding period ``k`` at HORIZON: the rows BENCH_WINDOWS anchors.
+
+    The walk's period rule: period ``k`` looks back over rows ``[k*N, (k+1)*N)``,
+    trades at row ``(k+1)*N`` and is marked at row ``(k+2)*N - 1``.
+    """
+    lookback_end = (k + 1) * HORIZON
+    return lookback_end, lookback_end + HORIZON - 1
+
+
 def benchmark_column() -> np.ndarray:
     values = np.empty(ROWS)
-    values[:HORIZON] = np.geomspace(96.0, 99.5, HORIZON)
+    first, _ = holding_rows(0)
+    values[:first] = np.geomspace(96.0, 99.5, first)
     for k, (start, end) in enumerate(BENCH_WINDOWS):
-        lo = (k + 1) * HORIZON
-        hi = (k + 2) * HORIZON
-        seg = np.geomspace(start, end, hi - lo)
+        trade, mark = holding_rows(k)
+        seg = np.geomspace(start, end, mark + 1 - trade)
         seg[0] = start
         seg[-1] = end
-        values[lo:hi] = seg
+        values[trade : mark + 1] = seg
     return values
 
 

@@ -2,12 +2,16 @@
 
 The engine tiles the panel after an initial lookback: optimize on rows
 ``[k*N, (k+1)*N)``, hold over ``[(k+1)*N, (k+2)*N)``, repeat. Those rows are
-defined in one place, :func:`run_strategies`, the one period loop of the
-three variants and the cost-free benchmark. Trades fill at the holding
-period's first close with zero slippage; whole shares only, with the
-remainder parked in zero-earning cash. Costs are commissions per trade
-(per-share rate floored per order and capped as a percentage of trade
-value) plus each fund's expense ratio pro-rated over the holding period.
+defined in one place, :func:`_period_rows`, and :func:`run_strategies`, the
+one period loop of the three variants and the cost-free benchmark, reads
+them there; the tests' oracles state the rule once more, in
+``oracles.period_rows``. A period holds N-1 daily returns today: the return
+from one period's mark close to the next one's trade close belongs to none
+(ROADMAP item 1). Trades fill at the holding period's first close with zero
+slippage; whole shares only, with the remainder parked in zero-earning
+cash. Costs are commissions per trade (per-share rate floored per order and
+capped as a percentage of trade value) plus each fund's expense ratio
+pro-rated over the holding period.
 
 Two compounding modes ship: ``fixed_capital`` resets the deployed capital
 to the initial amount every period, so the period returns form an i.i.d.-
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
+import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -287,19 +292,33 @@ def period_return(
     return gross, drag, net
 
 
+def _period_rows(n_rows: int, n: int) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
+    """The walk's rows at horizon ``n`` over ``n_rows`` rows: the one home of the period rule.
+
+    Returns the lookback window, as the ``(end_index, length)`` of
+    :func:`slice_window` (period ``k``'s lookback is its block ``k`` of ``n``
+    rows), and each period's trade row and mark row. After the first ``n``
+    lookback rows the rows tile into ``n_rows // n - 1`` periods: period ``k``
+    looks back over rows ``[k*n, (k+1)*n)``, trades at the close of row
+    ``(k+1)*n`` and is marked at the close of row ``(k+2)*n - 1``, the last
+    row of the next lookback.
+    """
+    ends = n * np.arange(1, n_rows // n)  # each lookback's end, one row past its last
+    return (len(ends) * n - 1, len(ends) * n), ends, ends + n - 1
+
+
 def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]) -> dict[str, Run]:
     """Walk the named strategies over the same periods; results by name, in ``names`` order.
 
     ``names`` lists variant values, each run as ``config`` with that variant
     (checked before the walk starts), and :data:`BENCHMARK_LABEL`, the
-    cost-free run of the ``config.benchmark`` column. Period ``k`` trades at
-    the close of row ``(k+1)*N`` and is marked at the close of row
-    ``(k+2)*N - 1``; its weights come from the ``N`` rows before, so no
-    holding-window price can influence them. Each period starts from the
-    initial capital in ``fixed_capital`` mode and from the end of the
-    strategy's equity chain in ``reinvest`` mode. The panel must hold a
-    lookback and two holding periods (``3N`` rows), as every report needs
-    two periods.
+    cost-free run of the ``config.benchmark`` column. The periods' rows are
+    those of :func:`_period_rows`: each period trades and is marked after its
+    lookback, so no holding-window price can influence its weights. Each
+    period starts from the initial capital in ``fixed_capital`` mode and from
+    the end of the strategy's equity chain in ``reinvest`` mode. The panel
+    must hold a lookback and two holding periods (``3N`` rows), as every
+    report needs two periods.
 
     If any variant runs, the lookback statistics at ``N`` are read from
     those kept with ``panel``, or built and kept while it lives, and each
@@ -318,8 +337,12 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
     its equity point, so of two failing periods the earlier raises. It
     checks a target of ``2**63`` shares or more (:class:`NumericError`; only
     a variant has targets), commissions at or above the period's start
-    capital, and a net return at or below -100% (:class:`InsufficientCapital`),
-    in that order.
+    capital (:class:`InsufficientCapital`), a net return or next equity
+    point that is not a finite number (:class:`NumericError`, naming for a
+    variant the first ticker whose marked value is not finite), and a net
+    return at or below -100% (:class:`InsufficientCapital`), in that order.
+    The strategies walk under one ``np.errstate`` that lets an overflow
+    through as ``inf``, for the record step to judge.
     """
     names = list(dict.fromkeys(names))  # a strategy named twice runs once
     variants = {  # each checked by BacktestConfig's rules; hurst and commission are shared
@@ -327,14 +350,13 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
         for name in names if name != BENCHMARK_LABEL
     }
     n = config.horizon_n
-    n_periods = panel.n_rows // n - 1
+    window, trade_rows, mark_rows = _period_rows(panel.n_rows, n)
+    n_periods = len(trade_rows)
     if n_periods < 2:  # every report needs two periods
         raise InsufficientHistory(
             f"panel of {panel.n_rows} rows at horizon {n}: a lookback and two holding "
             f"periods need {3 * n} rows"
         )
-    trade_rows = n * np.arange(1, n_periods + 1)  # period k trades at (k+1)N, marks at (k+2)N - 1
-    mark_rows = trade_rows + n - 1
     # date objects only for the rows the periods trade and mark on
     starts = list(map(dt.date.fromordinal, panel.ordinals[trade_rows].tolist()))
     ends = list(map(dt.date.fromordinal, panel.ordinals[mark_rows].tolist()))
@@ -344,8 +366,8 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
     reinvest = config.compounding == REINVEST
     if variants:
         built = _LOOKBACKS.setdefault(panel, {})
-        if n not in built:  # period k's lookback is block k of the first n_periods * n rows
-            built[n] = lookback_stats(slice_window(panel, n_periods * n - 1, n_periods * n), n)
+        if n not in built:
+            built[n] = lookback_stats(slice_window(panel, *window), n)
         plans = {name: weights_plan(built[n], v, config.hurst) for name, v in variants.items()}
         # (periods x portfolio columns): each period's trade-row and mark-row prices
         trade_prices = panel.prices[np.ix_(trade_rows, columns)]
@@ -374,45 +396,60 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
             yield first, gross, drag, commissions, net, (weights, target, deltas, fees)
 
     runs = {}
-    for name in names:
-        results, equity = [], [config.initial_capital]
-        if name == BENCHMARK_LABEL:  # no capital enters its returns: one block, with no costs
-            bench = panel.column(config.benchmark)
-            change = (100.0 * (bench[mark_rows] / bench[trade_rows] - 1.0)).tolist()
-            blocks = [(0, change, [0.0] * n_periods, [0.0] * n_periods, change, None)]
-        else:
-            blocks = rebalanced(plans[name], equity)
-        for first, gross, drag, commissions, net, orders in blocks:
-            for i, k in enumerate(range(first, first + len(net))):  # the record step
-                start_capital = equity[-1] if reinvest else config.initial_capital
-                weights_k = trades = None
-                if orders is not None:
-                    weights, target, deltas, fees = orders
-                    if not (target[i] < _INT64_END).all():  # a NaN target does not fit either
-                        j = np.argmin(target[i] < _INT64_END)
-                        raise NumericError(
-                            f"{panel.portfolio_tickers[j]}: target of {target[i, j]:.6g} shares "
-                            "overflows int64"
+    with np.errstate(over="ignore"):  # an overflow is judged as a value that is not finite
+        for name in names:
+            results, equity = [], [config.initial_capital]
+            if name == BENCHMARK_LABEL:  # no capital enters its returns: one block, with no costs
+                bench = panel.column(config.benchmark)
+                change = (100.0 * (bench[mark_rows] / bench[trade_rows] - 1.0)).tolist()
+                blocks = [(0, change, [0.0] * n_periods, [0.0] * n_periods, change, None)]
+            else:
+                blocks = rebalanced(plans[name], equity)
+            for first, gross, drag, commissions, net, orders in blocks:
+                for i, k in enumerate(range(first, first + len(net))):  # the record step
+                    start_capital = equity[-1] if reinvest else config.initial_capital
+                    weights_k = trades = None
+                    if orders is not None:
+                        weights, target, deltas, fees = orders
+                        if not (target[i] < _INT64_END).all():  # a NaN target does not fit either
+                            j = np.argmin(target[i] < _INT64_END)
+                            raise NumericError(
+                                f"{panel.portfolio_tickers[j]}: target of {target[i, j]:.6g} "
+                                "shares overflows int64"
+                            )
+                        weights_k, delta = weights[k], deltas[i]
+                        traded = delta.nonzero()[0]  # the period's orders, cut from its row
+                        trades = Trades(traded, delta[traded], trade_prices[k][traded],
+                                        fees[i][traded])
+                    if commissions[i] >= start_capital:
+                        raise InsufficientCapital(
+                            f"commissions {commissions[i]:.2f} would consume capital "
+                            f"{start_capital:.2f}"
                         )
-                    weights_k, delta = weights[k], deltas[i]
-                    traded = delta.nonzero()[0]  # the period's orders, cut from its row
-                    trades = Trades(traded, delta[traded], trade_prices[k][traded], fees[i][traded])
-                if commissions[i] >= start_capital:
-                    raise InsufficientCapital(
-                        f"commissions {commissions[i]:.2f} would consume capital {start_capital:.2f}"
-                    )
-                if not net[i] > -100.0:
-                    raise InsufficientCapital(
-                        f"period ending {ends[k]} returns {net[i]:.2f}%, wiping out its capital"
-                    )
-                results.append(PeriodResult(
-                    start_date=starts[k], end_date=ends[k], weights=weights_k, trades=trades,
-                    gross_return=gross[i], expense_drag=drag[i], commission_cost=commissions[i],
-                    net_return=net[i], start_capital=start_capital,
-                    end_capital=start_capital * (1.0 + net[i] / 100.0),
-                ))
-                equity.append(equity[-1] * (1.0 + net[i] / 100.0))
-        runs[name] = results, EquityCurve(dates=(starts[0], *ends), values=np.array(equity))
+                    point = equity[-1] * (1.0 + net[i] / 100.0)
+                    if not math.isfinite(point):  # a finite net return can overflow the chain too
+                        detail = (f"returns {net[i]:.6g}%" if not math.isfinite(net[i])
+                                  else f"takes the equity curve to {point:.6g}")
+                        # the targets fit int64 here, so they are the held shares as floats
+                        marked = [] if orders is None else target[i] * mark_prices[k]
+                        bad = np.flatnonzero(~np.isfinite(marked))
+                        if bad.size:
+                            j = bad[0]
+                            detail = f"marks {panel.portfolio_tickers[j]} at {marked[j]:.6g}"
+                        raise NumericError(f"{name}: period ending {ends[k]} {detail}, "
+                                           "which is not finite")
+                    if not net[i] > -100.0:
+                        raise InsufficientCapital(
+                            f"period ending {ends[k]} returns {net[i]:.2f}%, wiping out its capital"
+                        )
+                    results.append(PeriodResult(
+                        start_date=starts[k], end_date=ends[k], weights=weights_k, trades=trades,
+                        gross_return=gross[i], expense_drag=drag[i], commission_cost=commissions[i],
+                        net_return=net[i], start_capital=start_capital,
+                        end_capital=start_capital * (1.0 + net[i] / 100.0),
+                    ))
+                    equity.append(point)
+            runs[name] = results, EquityCurve(dates=(starts[0], *ends), values=np.array(equity))
     return runs
 
 

@@ -251,19 +251,25 @@ def benchmark_period_returns(closes, n: int) -> list[float]:
     """Close-to-close percent change of ``closes`` over each period of :func:`period_rows`."""
     closes = [float(c) for c in closes]
     return [
-        100.0 * (closes[mark] / closes[trade] - 1.0) for trade, mark in period_rows(len(closes), n)
+        100.0 * (closes[mark] / closes[trade] - 1.0)
+        for _, trade, mark in period_rows(len(closes), n)
     ]
 
 
-def period_rows(n_rows: int, n: int) -> list[tuple[int, int]]:
-    """``(trade row, mark row)`` of each holding period of a walk over ``n_rows`` rows.
+def period_rows(n_rows: int, n: int) -> list[tuple[range, int, int]]:
+    """``(lookback rows, trade row, mark row)`` of each period of a walk over ``n_rows`` rows.
 
-    After the first ``n`` lookback rows the rows tile into ``n_rows // n - 1``
-    periods; period ``k`` trades at the close of row ``(k+1)*n`` and is
-    marked at the close of row ``(k+2)*n - 1``. Its lookback is rows
-    ``[k*n, (k+1)*n)``.
+    The one statement of the period rule on this side. After the first ``n``
+    lookback rows the rows tile into ``n_rows // n - 1`` periods: period
+    ``k`` looks back over rows ``[k*n, (k+1)*n)``, trades at the close of
+    row ``(k+1)*n`` and is marked at the close of row ``(k+2)*n - 1``, the
+    last row of the next lookback.
     """
-    return [((k + 1) * n, (k + 2) * n - 1) for k in range(n_rows // n - 1)]
+    periods = []
+    for k in range(n_rows // n - 1):
+        lookback = range(k * n, (k + 1) * n)
+        periods.append((lookback, lookback.stop, lookback[-1] + n))
+    return periods
 
 
 def walk(rows, expense_ratios, roles, n: int, strategy: str, capital: float, commission: dict,
@@ -291,7 +297,7 @@ def walk(rows, expense_ratios, roles, n: int, strategy: str, capital: float, com
     portfolio = [j for j, role in enumerate(roles) if role == "portfolio_asset"]
     held = [0] * len(portfolio)
     periods, equity = [], float(capital)
-    for k, (trade_row, mark_row) in enumerate(period_rows(len(rows), n)):
+    for lookback, trade_row, mark_row in period_rows(len(rows), n):
         start_capital = equity if mode == "reinvest" else float(capital)
         shares = trades = None
         if strategy == "benchmark":
@@ -299,8 +305,8 @@ def walk(rows, expense_ratios, roles, n: int, strategy: str, capital: float, com
             gross = net = 100.0 * (rows[mark_row][column] / rows[trade_row][column] - 1.0)
             drag = fee = 0.0
         else:
-            lookback = [[rows[r][j] for r in range(k * n, (k + 1) * n)] for j in portfolio]
-            weights = risk_parity_weights(lookback, strategy, n, hurst_options)
+            columns = [[rows[r][j] for r in lookback] for j in portfolio]
+            weights = risk_parity_weights(columns, strategy, n, hurst_options)
             prices = [rows[trade_row][j] for j in portfolio]
             trades, shares = whole_share_trades(weights, start_capital, prices, held)
             fee = left_sum(order_commission(abs(s), prices[i], **commission) for i, s in trades)
@@ -327,14 +333,13 @@ def daily_marked_equity(rows, n: int, initial_capital: float, periods) -> list[t
     (:func:`period_rows`), the shares plus the cash left at the start are
     marked at each close and scaled onto the chained equity; the period's
     last close carries its net return, costs included. The first point is
-    the initial capital at row ``n``.
+    the initial capital at the first period's trade row.
     """
     shares = [0] * len(rows[0])
-    marks = [(n, initial_capital)]
+    tiling = period_rows(len(rows), n)
+    marks = [(tiling[0][1], initial_capital)]
     base = initial_capital
-    for (start_capital, net_return, trades), (start, end) in zip(
-        periods, period_rows(len(rows), n)
-    ):
+    for (start_capital, net_return, trades), (_, start, end) in zip(periods, tiling):
         for column, delta in trades:
             shares[column] += delta
         cash = start_capital - sum(s * p for s, p in zip(shares, rows[start]))

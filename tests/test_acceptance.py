@@ -69,8 +69,8 @@ def test_degeneracy_pinned_hurst_bitwise():
     pinned = HurstConfig(h_min=0.5, h_max=0.5)
 
     # weights identical bitwise on every lookback window
-    for k in range(panel.n_rows // n - 1):
-        window = slice_window(panel, end_index=(k + 1) * n - 1, length=n)
+    for lookback, _, _ in oracles.period_rows(panel.n_rows, n):
+        window = slice_window(panel, end_index=lookback[-1], length=len(lookback))
         lookbacks = lookback_stats(window, n)
         wf = weights_of(lookbacks, StrategyVariant.FRACTAL_BIASED, pinned)
         ws = weights_of(lookbacks, StrategyVariant.STANDARD_BIASED, pinned)
@@ -168,10 +168,10 @@ def test_backtest_accounting_invariants():
         panel = synthetic_panel(seed=1000 + seed, n_rows=5 * n, n_assets=4)
         cfg = BacktestConfig(horizon_n=n, variant=StrategyVariant.FRACTAL_BIASED)
         base, _ = run_walk_forward(panel, cfg)
-        k = seed % len(base)  # poison from period k's holding start onward
+        k = seed % len(base)  # poison every row after period k's lookback
         mutated_prices = panel.prices.copy()
         rng = np.random.default_rng(seed)
-        tail = slice((k + 1) * n, None)
+        tail = slice(oracles.period_rows(panel.n_rows, n)[k][0].stop, None)
         mutated_prices[tail, :] *= rng.uniform(0.5, 2.0, size=mutated_prices[tail, :].shape)
         mutated_panel = AlignedPanel(
             ordinals=panel.ordinals, assets=panel.assets, prices=mutated_prices

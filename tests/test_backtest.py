@@ -55,14 +55,24 @@ def rebalance(weight, capital, price, prior, plan=PLAN):
 
 
 def one_asset_panel(*periods, n=20):
-    """Asset A over a lookback and one block of ``n`` rows per ``(trade, mark)`` price pair.
+    """Asset A over a lookback and one holding period per ``(trade, mark)`` price pair.
 
-    The lookback alternates 100 and 99; each holding block alternates its
-    pair, so the period trades at the first price and is marked at the second.
+    The rows alternate 100 and 99, except each period's rows from its trade
+    row to its mark row (:func:`oracles.period_rows`), which alternate its
+    pair: the period trades at the first price and is marked at the second.
     """
-    prices = np.concatenate([np.tile(pair, n // 2) for pair in ((100.0, 99.0), *periods)])
+    prices = np.tile((100.0, 99.0), (len(periods) + 1) * n // 2)
+    for (_, trade, mark), pair in zip(oracles.period_rows(len(prices), n), periods, strict=True):
+        prices[trade : mark + 1] = np.resize(pair, mark + 1 - trade)
+        prices[mark] = pair[1]
     return AlignedPanel(ordinals=business_ordinals(dt.date(2012, 1, 2), len(prices)),
                         assets=(AssetSpec("A"),), prices=prices.reshape(-1, 1))
+
+
+def walk_lookbacks(panel, n):
+    """``lookback_stats`` of every lookback of a walk at ``n`` (:func:`oracles.period_rows`)."""
+    last, _, _ = oracles.period_rows(panel.n_rows, n)[-1]
+    return lookback_stats(slice_window(panel, last[-1], last.stop), n)
 
 
 def one_fee(shares, price, plan=PLAN) -> float:
@@ -291,15 +301,42 @@ class TestWalkForward:
         panel = synthetic_panel(seed=13, n_rows=5 * n, n_assets=3)
         cfg = BacktestConfig(horizon_n=n, variant=StrategyVariant.FRACTAL_BIASED)
         base, _ = run_walk_forward(panel, cfg)
-        k = 1  # poison everything from period k's holding start onward
+        k = 1  # poison every row after period k's lookback
+        future = slice(oracles.period_rows(panel.n_rows, n)[k][0].stop, None)
         poisoned_prices = panel.prices.copy()
-        poisoned_prices[(k + 1) * n :, :] *= np.random.default_rng(0).uniform(
-            1.5, 2.5, size=poisoned_prices[(k + 1) * n :, :].shape
+        poisoned_prices[future] *= np.random.default_rng(0).uniform(
+            1.5, 2.5, size=poisoned_prices[future].shape
         )
         poisoned = AlignedPanel(ordinals=panel.ordinals, assets=panel.assets, prices=poisoned_prices)
         mutated, _ = run_walk_forward(poisoned, cfg)
         for j in range(k + 1):
             assert np.array_equal(base[j].weights.weights, mutated[j].weights.weights)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 1: each period drops the return from its mark close to the next "
+        "period's trade close"
+    ))
+    @pytest.mark.parametrize("source", ["panel4 benchmark", "one cost-free asset"])
+    def test_the_chained_equity_is_buy_and_hold(self, source):
+        # every day of the covered span belongs to a period: the chain telescopes to the
+        # closes at the curve's first and last dates, whichever rows the periods use
+        if source == "panel4 benchmark":
+            settings = load_run_settings(PANEL_CONFIG)
+            panel, cfg, name = load_universe_panel(settings), settings.base_config(), "BMK"
+            (_, equity), rel = run_benchmark(panel, cfg), 1e-12
+        else:  # weight 1 on a fixed price path; whole shares leave under 1e-10 in cash
+            base = synthetic_panel(seed=37, n_rows=5 * 63, n_assets=1, with_benchmark=False)
+            panel = AlignedPanel(ordinals=base.ordinals, assets=(AssetSpec("A0"),),
+                                 prices=base.prices)
+            cfg = BacktestConfig(horizon_n=63, variant=StrategyVariant.NAIVE_RISK_PARITY,
+                                 initial_capital=1e12, compounding=REINVEST,
+                                 commission=CommissionPlan(0.0, 0.0, 0.0))
+            (_, equity), rel, name = run_walk_forward(panel, cfg), 1e-9, "A0"
+        closes = panel.column(name)
+        first, last = (panel.dates.index(day) for day in (equity.dates[0], equity.dates[-1]))
+        assert equity.values[-1] / equity.values[0] == pytest.approx(
+            closes[last] / closes[first], rel=rel
+        )
 
     def test_period_losing_all_its_capital_is_a_numeric_error(self):
         # a 10% fall plus fees of 99.9% of the order's value: period 0 returns below -100%
@@ -315,7 +352,8 @@ class TestWalkForward:
         cfg = BacktestConfig(
             horizon_n=n, variant=StrategyVariant.NAIVE_RISK_PARITY, commission=ruinous
         )
-        period_0 = f"^period ending {panel.dates[2 * n - 1]} returns .*, wiping out its capital$"
+        _, _, mark = oracles.period_rows(panel.n_rows, n)[0]
+        period_0 = f"^period ending {panel.dates[mark]} returns .*, wiping out its capital$"
         with pytest.raises(InsufficientCapital, match=period_0):
             run_walk_forward(panel, cfg)
 
@@ -370,8 +408,7 @@ class TestRunBenchmark:
         results, equity = run_benchmark(panel, cfg)
         assert len(results) == 4
         col = panel.column("BMK")
-        for k, r in enumerate(results):
-            start, end = (k + 1) * n, (k + 2) * n - 1
+        for r, (_, start, end) in zip(results, oracles.period_rows(panel.n_rows, n), strict=True):
             assert r.net_return == pytest.approx(
                 100.0 * (col[end] / col[start] - 1.0), rel=1e-12
             )
@@ -672,9 +709,10 @@ class TestRunStrategies:
         n = 63
         base = synthetic_panel(seed=73, n_rows=4 * n, n_assets=3)
         prices = base.prices.copy()
-        prices[n : 2 * n, 1] = prices[n, 1]  # A1 is flat over lookback 1 only
+        lookback, _, _ = oracles.period_rows(base.n_rows, n)[1]
+        prices[lookback, 1] = prices[lookback[0], 1]  # A1 is flat over lookback 1 only
         panel = AlignedPanel(ordinals=base.ordinals, assets=base.assets, prices=prices)
-        lookbacks = lookback_stats(slice_window(panel, 3 * n - 1, 3 * n), n)
+        lookbacks = walk_lookbacks(panel, n)
         assert (lookbacks.std0[:, 1] == 0.0).tolist() == [False, True, False]
 
         naive = StrategyVariant.NAIVE_RISK_PARITY
@@ -700,7 +738,8 @@ class TestRunStrategies:
         # of 99.9% of each order's value take any period that trades below -100%
         n = 20
         steps = np.where(np.arange(3 * n) % 2, 0.004, -0.004)
-        steps += np.where(np.arange(3 * n) < n, -0.003, 0.001)
+        lookback, _, _ = oracles.period_rows(3 * n, n)[0]
+        steps += np.where(np.arange(3 * n) < lookback.stop, -0.003, 0.001)
         panel = AlignedPanel(
             ordinals=business_ordinals(dt.date(2012, 1, 2), 3 * n),
             assets=(AssetSpec("A", expense_ratio=99.0), AssetSpec("BMK", role="benchmark")),
@@ -711,7 +750,8 @@ class TestRunStrategies:
                              benchmark="BMK")
         # naive risk parity trades in period 0; standard_biased holds cash until period 1
         naive, standard = "naive_risk_parity", "standard_biased"
-        for names, end_row in (([standard, naive], 3 * n - 1), ([naive, standard], 2 * n - 1)):
+        marks = [mark for *_, mark in oracles.period_rows(panel.n_rows, n)]
+        for names, end_row in (([standard, naive], marks[1]), ([naive, standard], marks[0])):
             message = f"^period ending {panel.dates[end_row]} returns .*, wiping out its capital$"
             with pytest.raises(InsufficientCapital, match=message):
                 run_strategies(panel, cfg, names)
@@ -773,7 +813,8 @@ class TestRunStrategies:
         # the benchmark closes at 1e300 through period 0's trade row and at 1e-300 from its
         # mark row on: its change underflows to -100% in period 0, and 0% in period 1
         n = 15
-        bench = np.where(np.arange(3 * n) < 2 * n - 1, 1e300, 1e-300)
+        _, _, mark = oracles.period_rows(3 * n, n)[0]
+        bench = np.where(np.arange(3 * n) < mark, 1e300, 1e-300)
         panel = AlignedPanel(
             ordinals=business_ordinals(dt.date(2012, 1, 2), 3 * n),
             assets=(AssetSpec("A"), AssetSpec("BMK", role="benchmark")),
@@ -782,7 +823,7 @@ class TestRunStrategies:
         naive = "naive_risk_parity"
         cfg = BacktestConfig(horizon_n=n, variant=naive, compounding=mode, benchmark="BMK")
         message = "^period ending 2012-02-10 returns -100.00%, wiping out its capital$"
-        assert panel.dates[2 * n - 1] == dt.date(2012, 2, 10)
+        assert panel.dates[mark] == dt.date(2012, 2, 10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the quotient underflows to 0.0 without a warning
             with pytest.raises(InsufficientCapital, match=message):
@@ -792,6 +833,29 @@ class TestRunStrategies:
                 run_strategies(panel, cfg, [naive, BENCHMARK_LABEL])
             results, _ = run_walk_forward(panel, cfg)
         assert len(results) == 2
+
+    @pytest.mark.parametrize("mode", [FIXED_CAPITAL, REINVEST])
+    def test_an_equity_curve_that_overflows_is_a_numeric_error(self, mode):
+        # the benchmark climbs from 1e-300 to 1e300 at a steady rate: each period's change
+        # is finite, but the chained equity passes the largest float in period 2 (in
+        # fixed_capital mode too, whose curve compounds the net returns)
+        n = 20
+        bench = np.logspace(-300.0, 300.0, 5 * n)
+        panel = AlignedPanel(
+            ordinals=business_ordinals(dt.date(2012, 1, 2), 5 * n),
+            assets=(AssetSpec("A"), AssetSpec("BMK", role="benchmark")),
+            prices=np.column_stack([np.where(np.arange(5 * n) % 2, 99.0, 100.0), bench]),
+        )
+        nets = oracles.benchmark_period_returns(bench.tolist(), n)
+        assert all(map(math.isfinite, nets)) and len(nets) == 4
+        _, _, mark = oracles.period_rows(5 * n, n)[2]
+        cfg = BacktestConfig(horizon_n=n, variant="naive_risk_parity", compounding=mode,
+                             benchmark="BMK")
+        message = f"^benchmark: period ending {panel.dates[mark]} takes the equity curve to inf,"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=message):
+                run_strategies(panel, cfg, [BENCHMARK_LABEL])
 
     def test_a_strategy_named_twice_runs_once(self):
         panel = synthetic_panel(seed=47, n_rows=4 * 63, n_assets=2)
@@ -834,8 +898,9 @@ class TestRunStrategies:
             results, _ = run_strategies(panel, cfg, self.NAMES)["fractal_biased"]
             assert len(built) == 1
             built.clear()
-            for k, result in enumerate(results):
-                lookback = lookback_stats(slice_window(panel, (k + 1) * n - 1, n), n)
+            tiling = oracles.period_rows(panel.n_rows, n)
+            for result, (rows, _, _) in zip(results, tiling, strict=True):
+                lookback = lookback_stats(slice_window(panel, rows[-1], len(rows)), n)
                 active = lookback.mu[0] > 0.0
                 w = result.weights
                 if active.any():
@@ -855,12 +920,13 @@ class TestRunStrategies:
         # lookback 1 of A0 is flat over its first 56 returns, then rises over its last 6:
         # mu > 0 and std0 > 0, but V(8) = 0, as every window of 8 lies in the flat stretch
         steps = np.diff(np.log(base.prices[:, 0]), prepend=np.log(100.0))
-        steps[n + 1 : n + 57] = 0.0
-        steps[n + 57 : 2 * n] = 0.01
+        lookback, _, _ = oracles.period_rows(base.n_rows, n)[1]
+        steps[lookback[1] : lookback[57]] = 0.0
+        steps[lookback[57] : lookback.stop] = 0.01
         prices = base.prices.copy()
         prices[:, 0] = 100.0 * np.exp(np.cumsum(steps))
         panel = AlignedPanel(ordinals=base.ordinals, assets=base.assets, prices=prices)
-        lookbacks = lookback_stats(slice_window(panel, 3 * n - 1, 3 * n), n)
+        lookbacks = walk_lookbacks(panel, n)
         assert lookbacks.mu[1, 0] > 0.0 and lookbacks.std0[1, 0] > 0.0
         assert cover_variations(build_path(lookbacks.returns[1, :1]), [8])[0, 0] == 0.0
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import oracles
 from conftest import synthetic_panel
 from fracparity import backtest, cli, data, runconfig
 from fracparity.backtest import run_benchmark, run_walk_forward
@@ -475,18 +476,52 @@ class TestNumericErrors:
         assert err.count("\n") == 1
         assert "int64" in err
 
-    def test_a_benchmark_that_loses_everything_exits_4(self, tmp_path, capsys):
-        # panel4's benchmark at 1e300 through row 124 and at 1e-300 after it: period 0 at
-        # N = 63 trades at row 63 and is marked at row 125, a change of -100%
+    # the mark row of period 0 of panel4's walk (378 rows at N = 63); the cases below
+    # rewrite closes of a panel4 copy around it
+    MARK = oracles.period_rows(378, 63)[0][2]
+
+    def backtest_copy(self, tmp_path, csv_name, close) -> tuple[int, list[str]]:
+        """Exit code of a backtest of panel4 with ``close(row, old close)`` in ``csv_name``.
+
+        Also returns the copy's dates.
+        """
         panel = shutil.copytree(PANEL_CONFIG.parent, tmp_path / "panel4")
-        header, *lines = (panel / "bmk.csv").read_text().splitlines()
-        dates = [line.split(",")[0] for line in lines]
-        closes = ["1e300" if row <= 124 else "1e-300" for row in range(len(dates))]
-        (panel / "bmk.csv").write_text("\n".join([header, *map(",".join, zip(dates, closes))]))
+        header, *lines = (panel / csv_name).read_text().splitlines()
+        dates, closes = zip(*(line.split(",") for line in lines))
+        closes = [close(row, old) for row, old in enumerate(closes)]
+        (panel / csv_name).write_text("\n".join([header, *map(",".join, zip(dates, closes))]))
         argv = ["backtest", "--config", str(panel / "universe.yaml"), "--out", str(tmp_path / "o")]
-        assert main(argv) == 4
-        detail = f"period ending {dates[125]} returns -100.00%, wiping out its capital"
+        return main(argv), dates
+
+    def test_a_benchmark_that_loses_everything_exits_4(self, tmp_path, capsys):
+        # panel4's benchmark at 1e300 before period 0's mark row and at 1e-300 from it on:
+        # a change of -100%
+        status, dates = self.backtest_copy(
+            tmp_path, "bmk.csv", lambda row, _: "1e300" if row < self.MARK else "1e-300"
+        )
+        assert status == 4
+        detail = f"period ending {dates[self.MARK]} returns -100.00%, wiping out its capital"
         assert capsys.readouterr().err == f"error: numeric: InsufficientCapital: {detail}\n"
+
+    def test_a_benchmark_that_overflows_exits_4(self, tmp_path, capsys):
+        # the other way round: a change of 1e600-fold overflows to inf
+        status, dates = self.backtest_copy(
+            tmp_path, "bmk.csv", lambda row, _: "1e-300" if row < self.MARK else "1e300"
+        )
+        assert status == 4
+        detail = f"benchmark: period ending {dates[self.MARK]} returns inf%, which is not finite"
+        assert capsys.readouterr().err == f"error: numeric: NumericError: {detail}\n"
+
+    def test_a_marked_value_that_overflows_exits_4(self, tmp_path, capsys):
+        # EQT at 1e307 from row 100 through period 0's mark row: its thousands of shares
+        # are worth more than a float holds, in every variant; the first named raises
+        status, dates = self.backtest_copy(
+            tmp_path, "eqt.csv", lambda row, old: "1e307" if 100 <= row <= self.MARK else old
+        )
+        assert status == 4
+        detail = (f"fractal_biased: period ending {dates[self.MARK]} marks EQT at inf, "
+                  "which is not finite")
+        assert capsys.readouterr().err == f"error: numeric: NumericError: {detail}\n"
 
 
 class TestHurstCommand:

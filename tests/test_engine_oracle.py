@@ -34,9 +34,9 @@ WEIGHT_RTOL = 1e-12
 
 
 def lookback_columns(panel, n, k):
-    """Price lists of the portfolio assets over lookback rows ``[k*n, (k+1)*n)``."""
-    rows = panel.prices[k * n : (k + 1) * n]
-    return rows[:, panel.portfolio_columns].T.tolist()
+    """Price lists of the portfolio assets over period ``k``'s lookback rows."""
+    lookback, _, _ = oracles.period_rows(panel.n_rows, n)[k]
+    return panel.prices[np.ix_(lookback, panel.portfolio_columns)].T.tolist()
 
 
 def oracle_weights(panel, variant, n, k, hurst_options=None):
@@ -115,8 +115,9 @@ def test_fixture_trades_match_oracle(variant):
     plan = dataclasses.asdict(config.commission)
     expense = panel.expense_ratios[columns].tolist()
     prior = [0] * len(columns)
-    for k, result in enumerate(results):
-        prices = panel.prices[(k + 1) * n, columns].tolist()
+    tiling = oracles.period_rows(panel.n_rows, n)
+    for k, (result, (_, trade, mark)) in enumerate(zip(results, tiling, strict=True)):
+        prices = panel.prices[trade, columns].tolist()
         weights = oracle_weights(panel, variant, n, k)
         want, prior = oracles.whole_share_trades(
             weights, config.initial_capital, prices, prior
@@ -126,7 +127,7 @@ def test_fixture_trades_match_oracle(variant):
 
         fees = [oracles.order_commission(abs(s), prices[i], **plan) for i, s in want]
         assert [fee for *_, fee in rows] == pytest.approx(fees, rel=1e-12)
-        end_prices = panel.prices[(k + 2) * n - 1, columns].tolist()
+        end_prices = panel.prices[mark, columns].tolist()
         net = oracles.holding_net_return(
             prior, config.initial_capital, prices, end_prices, expense, n, sum(fees)
         )
