@@ -148,13 +148,15 @@ def cmd_backtest(args) -> int:
     strategies = [*(v.value for v in settings.variants), BENCHMARK_LABEL]
     runs = run_strategies(panel, settings.base_config(), strategies)
     periods, equity = runs[BENCHMARK_LABEL]  # every run shares these dates
-    reports = {
-        name: build_report(
-            results, curve, periods, settings.horizon_n,
-            mode=settings.compounding, risk_free_rate=settings.risk_free_rate,
-        )
-        for name, (results, curve) in runs.items()
-    }
+    reports = {}
+    for name, (results, curve) in runs.items():
+        try:
+            reports[name] = build_report(
+                results, curve, periods, settings.horizon_n,
+                mode=settings.compounding, risk_free_rate=settings.risk_free_rate,
+            )
+        except NumericError as exc:
+            raise NumericError(f"{name}: {exc}") from None
     cumulated = {name: 100.0 * (c.values / c.values[0] - 1.0) for name, (_, c) in runs.items()}
     dates = [d.isoformat() for d in equity.dates]
 

@@ -8,8 +8,10 @@ into return and scaling statistics.
 Files are read as UTF-8 (a byte-order mark is dropped), by one of two
 routes. A CSV of the common shape is read straight from its bytes: ASCII
 with no quote, carriage return or NUL, at least two data rows, every line
-with the header's field count (found from the byte positions of newlines
-and commas), no field over ``csv.field_size_limit()``, every date exactly
+with the header's field count and no byte at or below ``,`` in a field (one
+comparison finds the commas and newlines, and a space, tab, ``#`` or ``+``
+among them sends the file to ``csv.reader``), no field over
+``csv.field_size_limit()``, every date exactly
 ``YYYY-MM-DD`` naming a real day of year 1 or later, and every value
 ``digits.digits`` with one fraction width k and at most 15 digits (above 0
 for prices). The digits make an integer below 10**15 < 2**53, exact in any
@@ -19,8 +21,10 @@ one scan that parses and checks each row in file order, so the first bad
 line is the one named. Both routes give the same dates, values and errors.
 :func:`load_price_csv` alone decides a file's route and its calendar:
 :func:`_fast_columns` only splits a common-shape text into date bytes and
-values, and within one panel load each distinct date column is parsed,
-sorted and checked once, and the series on it share its ordinals.
+values, copying each field out through one byte window per row. Within one
+panel load each distinct date column is parsed, sorted and checked once; a
+later file's date bytes are matched against it as they lie in the file,
+row by row, and the series on it share its ordinals.
 Dates are sorted, checked and intersected as integer day ordinals: a
 :class:`PriceSeries` and an :class:`AlignedPanel` are each made from
 read-only ordinals, whose order one rule judges for both, and build their
@@ -248,16 +252,18 @@ _DATE_PLACES = np.array(
 _ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 # the byte route reads fields of at most 15 digits and a point
 _MAX_DIGITS = 15
-_SPAN = np.arange(_MAX_DIGITS + 1)[:, None]
+# the byte offsets of a window, one row each
+_SPAN = np.arange(_MAX_DIGITS + 1, dtype=np.uint8)[:, None]
 # 10**0 .. 10**15, each exact as a float
 _POWERS = np.array([float(10**e) for e in range(_MAX_DIGITS + 1)])
 
 
 def _day_ordinals(chars: np.ndarray) -> np.ndarray | None:
-    """Day numbers of the ``YYYY-MM-DD`` dates whose bytes are ``chars`` (byte x row).
+    """Day numbers of the ``YYYY-MM-DD`` dates whose bytes are ``chars`` (row x byte).
 
     None unless every date names a real day of year 1 or later.
     """
+    chars = np.ascontiguousarray(chars.T)  # (byte x row): each byte's test is one long pass
     if not ((chars >= _DATE_LOW) & (chars <= _DATE_HIGH)).all():
         return None
     # the dashes wrap around below "0", but their place value is 0
@@ -271,31 +277,46 @@ def _day_ordinals(chars: np.ndarray) -> np.ndarray | None:
     return _DAYS_BEFORE_YEAR[year] + _DAYS_BEFORE_MONTH[month] + (leap & (month > 2)) + day
 
 
+def _windows(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes of ``buf`` from each of ``starts``, one row each (row x byte).
+
+    One ``V{width}`` item per row is copied out of a strided view of ``buf``;
+    every window must lie inside it.
+    """
+    view = np.ndarray((len(buf) - width + 1,), f"V{width}", buf, strides=(1,))
+    return view[starts].view(np.uint8).reshape(len(starts), width)
+
+
 def _decimal_values(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
     """``float()`` of the fields ending at ``ends`` in ``buf``, or None.
 
     None unless every field is ``digits.digits`` with one number k of
     digits after the point, at least one before it and at most 15 in all.
-    The digits of a field then make an integer m below 10**15 < 2**53: each
-    place value is an exact power of ten, so each product and partial sum
-    is an integer below 2**53 and m is exact in any summation order. The
-    value m / 10**k is one division of two exact floats, correctly rounded
-    as ``float()`` rounds the decimal (Clinger's fast path).
+    Each field is read through a right-aligned window as wide as the
+    widest field (:func:`_windows`; the buffer is padded at its front when
+    the first window would start before it), and the window's bytes left
+    of a narrower field are zeroed. The digits of a field then make an
+    integer m below 10**15 < 2**53: each place value is an exact power of
+    ten, so each product and partial sum is an integer below 2**53 and m is
+    exact in any summation order. The value m / 10**k is one division of
+    two exact floats, correctly rounded as ``float()`` rounds the decimal
+    (Clinger's fast path).
     """
     width = int(lengths.max())
     first = buf[ends[0] - lengths[0] : ends[0]].tobytes()
     k = len(first) - 1 - first.find(b".")
     if width > _MAX_DIGITS + 1 or not 1 <= k <= lengths.min() - 2:
         return None
-    # right-aligned (byte x row) gather, clipped to the buffer; the bytes
-    # left of a narrower field are zeroed
-    span = _SPAN[:width]
-    chars = buf.take(ends - width + span, mode="clip")
+    if ends[0] < width:  # a window, the first at the latest, starts before the buffer
+        buf = np.concatenate((np.zeros(width, np.uint8), buf))
+        ends = ends + width
+    # right-aligned windows, transposed to (byte x row)
+    chars = _windows(buf, ends - width, width).T
     point = width - 1 - k
     if not (chars[point] == ord(".")).all():
         return None
     digits = chars - np.uint8(ord("0"))
-    digits *= span >= width - lengths
+    digits *= _SPAN[:width] >= (width - lengths).astype(np.uint8)  # one-byte compares
     digits[point] = 0
     if not (digits <= 9).all():
         return None
@@ -305,13 +326,19 @@ def _decimal_values(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> n
 
 
 def _fast_columns(text: str, names: dict[str, str]):
-    """Date bytes (byte x row; None if undated) and values of a common-shape ``text``.
+    """Date bytes (row x byte; None if undated) and values of a common-shape ``text``.
 
     For the common shape (see the module docstring) ``csv.reader`` yields
     the same fields as splitting on newlines and commas and ``float()`` the
     same values as :func:`_decimal_values`; dates whose bytes
     :func:`_day_ordinals` reads are those ``date.fromisoformat`` reads, so
-    the result is that of :func:`_row_columns`. Any other text gives None.
+    the result is that of :func:`_row_columns`. Any other text gives None,
+    among them a body with any byte at or below ``,`` but its separators.
+    Each date is copied out through one 10-byte window per row and kept
+    row-major, as the file holds it: that is the layout
+    :func:`load_price_csv` keys and matches a shared calendar on, and only
+    a calendar parsed for the first time is transposed, by
+    :func:`_day_ordinals`.
     """
     # csv.reader before Python 3.11 rejects NUL
     if not text.isascii() or '"' in text or "\r" in text or "\0" in text:
@@ -327,16 +354,18 @@ def _fast_columns(text: str, names: dict[str, str]):
     if not body.endswith("\n"):
         body += "\n"
     buf = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    newline = buf == ord("\n")
-    ends = np.flatnonzero(newline | (buf == ord(",")))  # one past each field
+    # every byte at or below "," (newline, space, tab, "#", "+", ...), one past each field
+    ends = np.flatnonzero(buf <= ord(","))
     n_rows = len(ends) // width
     if n_rows < 2 or len(ends) != n_rows * width:
         return None
     starts = np.concatenate(([0], ends[:-1] + 1)).reshape(n_rows, width)
     ends = ends.reshape(n_rows, width)
-    # every line is width - 1 commas and then a newline; an empty line, which
-    # csv.reader reads as no field, fails this or, in a one-column file, _decimal_values
-    if np.count_nonzero(newline) != n_rows or not newline[ends[:, -1]].all():
+    # every line is width - 1 commas and then a newline, and no other byte at or
+    # below "," is in a field; an empty line, which csv.reader reads as no field,
+    # fails this or, in a one-column file, _decimal_values
+    separators = buf[ends]
+    if not ((separators[:, :-1] == ord(",")).all() and (separators[:, -1] == ord("\n")).all()):
         return None
     lengths = ends - starts
     if lengths.max() > limit:
@@ -345,7 +374,7 @@ def _fast_columns(text: str, names: dict[str, str]):
     if date_at:
         if not (lengths[:, date_at[0]] == 10).all():
             return None
-        dates = buf[starts[:, date_at[0]] + _SPAN[:10]]
+        dates = _windows(buf, starts[:, date_at[0]], 10)
     values = _decimal_values(buf, ends[:, value_at], lengths[:, value_at])
     if values is None or (date_at and not (values > 0.0).all()):
         return None
@@ -436,8 +465,8 @@ def load_price_csv(
     columns = _fast_columns(text, names)
     if columns is not None:
         chars, closes = columns
-        n = chars.shape[1]
-        key = n, chars[:, np.arange(8) * (n - 1) // 7].tobytes()
+        n = len(chars)
+        key = n, chars[np.arange(8) * (n - 1) // 7].tobytes()
         known = calendars.get(key)
         if known is not None and np.array_equal(known[0], chars):
             _, first, order = known

@@ -11,9 +11,12 @@ The statistics take their samples as a walk builds them and judge only
 what a walk can produce: every report rests on two or more periods, with
 the strategy's and the benchmark's returns on the same periods, because
 :func:`fracparity.backtest.run_strategies` rejects a panel shorter than a
-lookback and two holding periods (``InsufficientHistory``). The one
-failure left here is a benchmark whose returns do not vary
-(``DegenerateBenchmark``), for which beta is undefined.
+lookback and two holding periods (``InsufficientHistory``). Two failures
+are left here: a benchmark whose returns do not vary
+(``DegenerateBenchmark``), for which beta is undefined, and finite returns
+so large that their mean, variance or covariance is not finite
+(``NumericError`` naming the statistic). Outside these two rules the only
+non-finite values a report holds are its documented NaNs.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backtest import EquityCurve, PeriodResult, TRADING_DAYS_PER_YEAR
-from .errors import DegenerateBenchmark
+from .errors import DegenerateBenchmark, NumericError
 
 
 @dataclass(frozen=True)
@@ -58,14 +61,22 @@ class PerformanceReport:
         }
 
 
+def _finite(statistic: str, value: float) -> float:
+    """``value``, or NumericError naming ``statistic`` when it is not finite."""
+    if not math.isfinite(value):
+        raise NumericError(f"{statistic} is {value}, which is not finite")
+    return value
+
+
 def annualize_return(period_returns, n: int) -> float:
     """Mean period return scaled to a 252-day year."""
-    return float(np.mean(period_returns)) * (TRADING_DAYS_PER_YEAR / n)
+    return _finite("mean return", float(np.mean(period_returns)) * (TRADING_DAYS_PER_YEAR / n))
 
 
 def annualize_std(period_returns, n: int) -> float:
     """Unbiased standard deviation of period returns scaled by sqrt(252/n)."""
-    return float(np.std(period_returns, ddof=1)) * math.sqrt(TRADING_DAYS_PER_YEAR / n)
+    std = float(np.std(period_returns, ddof=1)) * math.sqrt(TRADING_DAYS_PER_YEAR / n)
+    return _finite("standard deviation", std)
 
 
 def sharpe(annual_return: float, annual_std: float, risk_free_rate: float = 0.0) -> float:
@@ -77,11 +88,11 @@ def sharpe(annual_return: float, annual_std: float, risk_free_rate: float = 0.0)
 
 def beta(portfolio_returns, benchmark_returns) -> float:
     """Covariance with the benchmark over benchmark variance (n-1 conventions)."""
-    var_b = float(np.var(benchmark_returns, ddof=1))
+    var_b = _finite("benchmark variance", float(np.var(benchmark_returns, ddof=1)))
     if var_b == 0.0:
         raise DegenerateBenchmark("benchmark returns have zero variance")
-    cov = float(np.cov(portfolio_returns, benchmark_returns, ddof=1)[0, 1])
-    return cov / var_b
+    cov = np.cov(portfolio_returns, benchmark_returns, ddof=1)[0, 1]
+    return _finite("covariance with the benchmark", float(cov)) / var_b
 
 
 def treynor(annual_return: float, beta_value: float, risk_free_rate: float = 0.0) -> float:
@@ -111,12 +122,18 @@ def build_report(
     mode: str,
     risk_free_rate: float = 0.0,
 ) -> PerformanceReport:
-    """Assemble the full metric row for one strategy against the benchmark."""
+    """Assemble the full metric row for one strategy against the benchmark.
+
+    The mean, variance and covariance are computed with numpy's overflow
+    and invalid-value warnings off, and each one is judged: one that is not
+    finite raises ``NumericError`` naming it. The caller names the strategy.
+    """
     rets = [r.net_return for r in results]
     bench = [r.net_return for r in benchmark_results]
-    avg = annualize_return(rets, n)
-    std = annualize_std(rets, n)
-    b = beta(rets, bench)
+    with np.errstate(over="ignore", invalid="ignore"):
+        avg = annualize_return(rets, n)
+        std = annualize_std(rets, n)
+        b = beta(rets, bench)
     protection = capital_protection(max_drawdown(equity.values))
     return PerformanceReport(
         sharpe=sharpe(avg, std, risk_free_rate),

@@ -512,6 +512,16 @@ class TestNumericErrors:
         detail = f"benchmark: period ending {dates[self.MARK]} returns inf%, which is not finite"
         assert capsys.readouterr().err == f"error: numeric: NumericError: {detail}\n"
 
+    def test_a_finite_but_huge_return_exits_4(self, tmp_path, capsys):
+        # a change of 1e300-fold: period 0 returns a finite 1e302%, whose square
+        # overflows the benchmark's variance; the first strategy reported raises
+        status, _ = self.backtest_copy(
+            tmp_path, "bmk.csv", lambda row, _: "1e-150" if row < self.MARK else "1e150"
+        )
+        assert status == 4
+        detail = "fractal_biased: benchmark variance is inf, which is not finite"
+        assert capsys.readouterr().err == f"error: numeric: NumericError: {detail}\n"
+
     def test_a_marked_value_that_overflows_exits_4(self, tmp_path, capsys):
         # EQT at 1e307 from row 100 through period 0's mark row: its thousands of shares
         # are worth more than a float holds, in every variant; the first named raises

@@ -387,6 +387,38 @@ def test_byte_route_is_float_bit_for_bit(k):
     assert data._decimal_values(*field_columns(fields)) is None
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "value\n1.5\n12.5\n123.5\n",
+        # the windows of the first two fields both start before the buffer
+        "value\n1.0\n2.0\n12345678901.5\n",
+        "value,note\n1.25,a\n100.25,b\n",
+    ],
+)
+def test_a_first_field_narrower_than_its_window_loads_as_csv_reader_reads_it(tmp_path, text):
+    path = tmp_path / "s.csv"
+    path.write_text(text, encoding="utf-8")
+    assert route(text, UNDATED) == "bytes"
+    shipped, rows = both_routes(str(path), UNDATED)
+    assert shipped == rows
+    assert data.load_series_csv(str(path), "value").tolist() == [
+        float(line.split(",")[0]) for line in text.splitlines()[1:]
+    ]
+
+
+@pytest.mark.parametrize("note", ["x y", "+1", "#", "a\tb"])
+@pytest.mark.parametrize("price", ["101.0", "-101.0", "abc"])
+def test_a_note_with_a_byte_below_the_comma_goes_through_csv_reader(tmp_path, note, price):
+    text = f"date,adj_close,note\n2016-01-04,100.0,a\n2016-01-05,{price},{note}\n"
+    path = tmp_path / "a.csv"
+    path.write_text(text, encoding="utf-8")
+    assert route(text, DATED) == "csv.reader"
+    assert route(text.replace(note, "n"), DATED) == ("bytes" if price == "101.0" else "csv.reader")
+    shipped, rows = both_routes(str(path), DATED)
+    assert shipped == rows
+
+
 # leap and common years at every rule of the Gregorian calendar, and both ends
 ORACLE_YEARS = [1, 4, 100, 400, 1600, 1900, 2000, 2023, 2024, 9999]
 
@@ -394,7 +426,7 @@ ORACLE_YEARS = [1, 4, 100, 400, 1600, 1900, 2000, 2023, 2024, 9999]
 def day_ordinals(dates):
     """:func:`data._day_ordinals` of ISO date strings."""
     buf = np.frombuffer("".join(dates).encode("ascii"), dtype=np.uint8)
-    return data._day_ordinals(buf.reshape(len(dates), 10).T)
+    return data._day_ordinals(buf.reshape(len(dates), 10))
 
 
 def test_day_ordinals_of_every_real_day():
