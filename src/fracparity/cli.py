@@ -44,29 +44,27 @@ def _print_error(category: str, exc: BaseException) -> None:
 # --- backtest artifacts -----------------------------------------------------
 
 
+# report.txt's metric columns, each a (header, PerformanceReport field) pair
+REPORT_COLUMNS = (
+    ("Sharpe", "sharpe"),
+    ("Treynor x 0.01", "treynor_x001"),
+    ("Return, %", "avg_annual_return"),
+    ("Protection, %", "protection"),
+    ("STD, %", "annualized_std"),
+    ("beta", "beta"),
+)
+
+
 def _report_table(reports: dict[str, PerformanceReport], benchmark_ticker: str) -> str:
-    headers = ["", "Sharpe", "Treynor x 0.01", "Return, %", "Protection, %", "STD, %", "beta"]
-    rows = []
+    """The comparison table: a row per strategy, each REPORT_COLUMNS field to 2 decimals."""
+    rows = [["", *(header for header, _ in REPORT_COLUMNS)]]
     for name, rep in reports.items():
         label = f"{BENCHMARK_LABEL} ({benchmark_ticker})" if name == BENCHMARK_LABEL else name
-        rows.append(
-            [
-                label,
-                f"{rep.sharpe:.2f}",
-                f"{rep.treynor_x001:.2f}",
-                f"{rep.avg_annual_return:.2f}",
-                f"{rep.protection:.2f}",
-                f"{rep.annualized_std:.2f}",
-                f"{rep.beta:.2f}",
-            ]
-        )
-    widths = [max(len(headers[j]), *(len(r[j]) for r in rows)) for j in range(len(headers))]
-    lines = ["  ".join(h.rjust(widths[j]) for j, h in enumerate(headers)).rstrip()]
-    for r in rows:
-        lines.append(
-            r[0].ljust(widths[0]) + "  " + "  ".join(r[j].rjust(widths[j]) for j in range(1, len(r)))
-        )
-    return "\n".join(lines) + "\n"
+        rows.append([label, *(f"{getattr(rep, field):.2f}" for _, field in REPORT_COLUMNS)])
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join(
+        "  ".join([r[0].ljust(widths[0]), *map(str.rjust, r[1:], widths[1:])]) + "\n" for r in rows
+    )
 
 
 def _round6(doc: dict) -> dict:
@@ -98,16 +96,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
 def _write_manifest(path: Path, settings: RunSettings, outputs: list[Path]):
-    inputs = {str(settings.config_path): _sha256(settings.config_path)}
-    for entry in settings.universe:
-        inputs[str(entry.csv_path)] = _sha256(entry.csv_path)
+    paths = [settings.config_path, *(e.csv_path for e in settings.universe)]
+    inputs = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     doc = {
         "engine_version": __version__,
         "timestamp": dt.datetime.now(dt.timezone.utc).isoformat(),

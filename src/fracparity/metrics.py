@@ -22,7 +22,7 @@ non-finite values a report holds are its documented NaNs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,19 +45,14 @@ class PerformanceReport:
     period_returns: tuple[float, ...]
 
     def to_dict(self) -> dict:
+        """Every field by name, the period returns as a list and each non-finite float as None."""
+
         def clean(x):
             return None if isinstance(x, float) and not math.isfinite(x) else x
 
         return {
-            "sharpe": clean(self.sharpe),
-            "treynor_x001": clean(self.treynor_x001),
-            "avg_annual_return": clean(self.avg_annual_return),
-            "protection": clean(self.protection),
-            "annualized_std": clean(self.annualized_std),
-            "beta": clean(self.beta),
-            "periods_used": self.periods_used,
-            "mode": self.mode,
-            "period_returns": [clean(r) for r in self.period_returns],
+            f.name: list(map(clean, v)) if isinstance(v := getattr(self, f.name), tuple) else clean(v)
+            for f in fields(self)
         }
 
 
