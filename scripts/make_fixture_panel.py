@@ -23,14 +23,15 @@ SEED = 2024
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
-# per-period benchmark anchors (start value, end value) at exact decimals;
-# period 1 is the engineered crash from the running peak
+# per-period benchmark anchors (start value, end value) at exact decimals, each
+# start the previous end, as consecutive periods share an endpoint; period 1 is
+# the engineered crash from the running peak
 BENCH_WINDOWS = [
     (100.0, 105.0),       # +5%
-    (100.0, 64.0),        # -36%
-    (64.0, 69.12),        # +8%
-    (69.12, 73.2672),     # +6%
-    (73.2672, 78.395904), # +7%
+    (105.0, 67.2),        # -36%
+    (67.2, 72.576),       # +8%
+    (72.576, 76.93056),   # +6%
+    (76.93056, 80.776088),  # +5%
 ]
 
 PORTFOLIO = [
@@ -56,10 +57,11 @@ def holding_rows(k: int) -> tuple[int, int]:
     """(trade row, mark row) of holding period ``k`` at HORIZON: the rows BENCH_WINDOWS anchors.
 
     The walk's period rule: period ``k`` looks back over rows ``[k*N, (k+1)*N)``,
-    trades at row ``(k+1)*N`` and is marked at row ``(k+2)*N - 1``.
+    trades at row ``(k+1)*N - 1``, the last lookback row, and is marked at row
+    ``(k+2)*N - 1``, where period ``k + 1`` trades.
     """
     lookback_end = (k + 1) * HORIZON
-    return lookback_end, lookback_end + HORIZON - 1
+    return lookback_end - 1, lookback_end + HORIZON - 1
 
 
 def benchmark_column() -> np.ndarray:

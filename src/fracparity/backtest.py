@@ -1,17 +1,19 @@
 """Walk-forward out-of-sample simulator.
 
 The engine tiles the panel after an initial lookback: optimize on rows
-``[k*N, (k+1)*N)``, hold over ``[(k+1)*N, (k+2)*N)``, repeat. Those rows are
-defined in one place, :func:`_period_rows`, and :func:`run_strategies`, the
-one period loop of the three variants and the cost-free benchmark, reads
-them there; the tests' oracles state the rule once more, in
-``oracles.period_rows``. A period holds N-1 daily returns today: the return
-from one period's mark close to the next one's trade close belongs to none
-(ROADMAP item 1). Trades fill at the holding period's first close with zero
-slippage; whole shares only, with the remainder parked in zero-earning
-cash. Costs are commissions per trade (per-share rate floored per order and
-capped as a percentage of trade value) plus each fund's expense ratio
-pro-rated over the holding period.
+``[k*N, (k+1)*N)``, trade at the close of the last of them, row
+``(k+1)*N - 1``, and hold until the close of row ``(k+2)*N - 1``, where the
+next period trades; repeat. A period holds N daily returns, consecutive
+periods share an endpoint, and every daily return from the first trade to
+the last mark belongs to exactly one period; the rows after the last full
+period belong to none. Those rows are defined in one place,
+:func:`_period_rows`, and :func:`run_strategies`, the one period loop of the
+three variants and the cost-free benchmark, reads them there; the tests'
+oracles state the rule once more, in ``oracles.period_rows``. Trades fill at
+the trade-row close with zero slippage; whole shares only, with the
+remainder parked in zero-earning cash. Costs are commissions per trade
+(per-share rate floored per order and capped as a percentage of trade
+value) plus each fund's expense ratio pro-rated over the holding period.
 
 Two compounding modes ship: ``fixed_capital`` resets the deployed capital
 to the initial amount every period, so the period returns form an i.i.d.-
@@ -71,6 +73,8 @@ from .allocation import (
 from .data import AlignedPanel, slice_window
 from .errors import (
     ConfigError,
+    DegeneratePath,
+    DegenerateVolatility,
     InsufficientCapital,
     InsufficientHistory,
     NumericError,
@@ -266,8 +270,9 @@ def period_return(
     prices ``end_prices`` are (periods x columns) blocks, and
     ``expense_rates`` holds each column's expense charge over a holding
     period, in percent: its annual expense ratio pro-rated by the period's
-    N rows over a 252-day year. ``capital`` and ``commissions`` list one
-    value per row, each capital positive, as the engine builds them.
+    N daily returns over a 252-day year. ``capital`` and ``commissions``
+    list one value per row, each capital positive, as the engine builds
+    them.
     Positions are priced at the start prices; what of the start ``capital``
     they do not take is held in cash. The gross return is the
     mark-to-market change in percent; the expense drag charges each
@@ -299,12 +304,13 @@ def _period_rows(n_rows: int, n: int) -> tuple[tuple[int, int], np.ndarray, np.n
     :func:`slice_window` (period ``k``'s lookback is its block ``k`` of ``n``
     rows), and each period's trade row and mark row. After the first ``n``
     lookback rows the rows tile into ``n_rows // n - 1`` periods: period ``k``
-    looks back over rows ``[k*n, (k+1)*n)``, trades at the close of row
-    ``(k+1)*n`` and is marked at the close of row ``(k+2)*n - 1``, the last
-    row of the next lookback.
+    looks back over rows ``[k*n, (k+1)*n)``, trades at the close of its last
+    row, ``(k+1)*n - 1``, and is marked at the close of row ``(k+2)*n - 1``,
+    the last row of the next lookback, where period ``k + 1`` trades. So
+    each period holds ``n`` daily returns and none falls between two.
     """
     ends = n * np.arange(1, n_rows // n)  # each lookback's end, one row past its last
-    return (len(ends) * n - 1, len(ends) * n), ends, ends + n - 1
+    return (len(ends) * n - 1, len(ends) * n), ends - 1, ends + n - 1
 
 
 def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]) -> dict[str, Run]:
@@ -313,17 +319,18 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
     ``names`` lists variant values, each run as ``config`` with that variant
     (checked before the walk starts), and :data:`BENCHMARK_LABEL`, the
     cost-free run of the ``config.benchmark`` column. The periods' rows are
-    those of :func:`_period_rows`: each period trades and is marked after its
-    lookback, so no holding-window price can influence its weights. Each
-    period starts from the initial capital in ``fixed_capital`` mode and from
-    the end of the strategy's equity chain in ``reinvest`` mode. The panel
-    must hold a lookback and two holding periods (``3N`` rows), as every
-    report needs two periods.
+    those of :func:`_period_rows`: each period trades at its lookback's last
+    close and is marked after it, so no holding-window price can influence
+    its weights. Each period starts from the initial capital in
+    ``fixed_capital`` mode and from the end of the strategy's equity chain
+    in ``reinvest`` mode. The panel must hold a lookback and two holding
+    periods (``3N`` rows), as every report needs two periods.
 
     If any variant runs, the lookback statistics at ``N`` are read from
     those kept with ``panel``, or built and kept while it lives, and each
     variant's weights plan, with its Hurst fit, is built for this walk;
-    building them raises the walk's data errors before the first period.
+    building them raises the walk's data errors before the first period,
+    each prefixed with the variant's name.
     The strategies then walk one after the other, in ``names`` order, so of
     two that fail the first named raises. A strategy's name chooses only how
     its period returns are computed. The benchmark's are its close-to-close
@@ -341,6 +348,7 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
     point that is not a finite number (:class:`NumericError`, naming for a
     variant the first ticker whose marked value is not finite), and a net
     return at or below -100% (:class:`InsufficientCapital`), in that order.
+    Each message starts with the strategy's name.
     The strategies walk under one ``np.errstate`` that lets an overflow
     through as ``inf``, for the record step to judge.
     """
@@ -361,14 +369,19 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
     starts = list(map(dt.date.fromordinal, panel.ordinals[trade_rows].tolist()))
     ends = list(map(dt.date.fromordinal, panel.ordinals[mark_rows].tolist()))
     columns = panel.portfolio_columns
-    # each column's expense charge over a period of N rows, in percent
+    # each column's expense charge over a period of N daily returns, in percent
     expense_rates = panel.expense_ratios[columns] * (n / TRADING_DAYS_PER_YEAR)
     reinvest = config.compounding == REINVEST
     if variants:
         built = _LOOKBACKS.setdefault(panel, {})
         if n not in built:
             built[n] = lookback_stats(slice_window(panel, *window), n)
-        plans = {name: weights_plan(built[n], v, config.hurst) for name, v in variants.items()}
+        plans = {}
+        for name, variant in variants.items():
+            try:
+                plans[name] = weights_plan(built[n], variant, config.hurst)
+            except (DegeneratePath, DegenerateVolatility) as exc:
+                raise type(exc)(f"{name}: {exc}") from None
         # (periods x portfolio columns): each period's trade-row and mark-row prices
         trade_prices = panel.prices[np.ix_(trade_rows, columns)]
         mark_prices = panel.prices[np.ix_(mark_rows, columns)]
@@ -414,8 +427,8 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
                         if not (target[i] < _INT64_END).all():  # a NaN target does not fit either
                             j = np.argmin(target[i] < _INT64_END)
                             raise NumericError(
-                                f"{panel.portfolio_tickers[j]}: target of {target[i, j]:.6g} "
-                                "shares overflows int64"
+                                f"{name}: {panel.portfolio_tickers[j]}: target of "
+                                f"{target[i, j]:.6g} shares overflows int64"
                             )
                         weights_k, delta = weights[k], deltas[i]
                         traded = delta.nonzero()[0]  # the period's orders, cut from its row
@@ -423,7 +436,7 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
                                         fees[i][traded])
                     if commissions[i] >= start_capital:
                         raise InsufficientCapital(
-                            f"commissions {commissions[i]:.2f} would consume capital "
+                            f"{name}: commissions {commissions[i]:.2f} would consume capital "
                             f"{start_capital:.2f}"
                         )
                     point = equity[-1] * (1.0 + net[i] / 100.0)
@@ -439,9 +452,8 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
                         raise NumericError(f"{name}: period ending {ends[k]} {detail}, "
                                            "which is not finite")
                     if not net[i] > -100.0:
-                        raise InsufficientCapital(
-                            f"period ending {ends[k]} returns {net[i]:.2f}%, wiping out its capital"
-                        )
+                        raise InsufficientCapital(f"{name}: period ending {ends[k]} returns "
+                                                  f"{net[i]:.2f}%, wiping out its capital")
                     results.append(PeriodResult(
                         start_date=starts[k], end_date=ends[k], weights=weights_k, trades=trades,
                         gross_return=gross[i], expense_drag=drag[i], commission_cost=commissions[i],

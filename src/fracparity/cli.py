@@ -147,7 +147,7 @@ def cmd_backtest(args) -> int:
                 mode=settings.compounding, risk_free_rate=settings.risk_free_rate,
             )
         except NumericError as exc:
-            raise NumericError(f"{name}: {exc}") from None
+            raise type(exc)(f"{name}: {exc}") from None
     cumulated = {name: 100.0 * (c.values / c.values[0] - 1.0) for name, (_, c) in runs.items()}
     dates = [d.isoformat() for d in equity.dates]
 

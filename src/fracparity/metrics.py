@@ -50,10 +50,9 @@ class PerformanceReport:
         def clean(x):
             return None if isinstance(x, float) and not math.isfinite(x) else x
 
-        return {
-            f.name: list(map(clean, v)) if isinstance(v := getattr(self, f.name), tuple) else clean(v)
-            for f in fields(self)
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(map(clean, v)) if isinstance(v, tuple) else clean(v)
+                for k, v in values.items()}
 
 
 def _finite(statistic: str, value: float) -> float:

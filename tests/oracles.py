@@ -262,13 +262,14 @@ def period_rows(n_rows: int, n: int) -> list[tuple[range, int, int]]:
     The one statement of the period rule on this side. After the first ``n``
     lookback rows the rows tile into ``n_rows // n - 1`` periods: period
     ``k`` looks back over rows ``[k*n, (k+1)*n)``, trades at the close of
-    row ``(k+1)*n`` and is marked at the close of row ``(k+2)*n - 1``, the
-    last row of the next lookback.
+    its last row, ``(k+1)*n - 1``, and is marked at the close of row
+    ``(k+2)*n - 1``, the last row of the next lookback, where period
+    ``k + 1`` trades: ``n`` daily returns per period, and none between two.
     """
     periods = []
     for k in range(n_rows // n - 1):
         lookback = range(k * n, (k + 1) * n)
-        periods.append((lookback, lookback.stop, lookback[-1] + n))
+        periods.append((lookback, lookback[-1], lookback[-1] + n))
     return periods
 
 

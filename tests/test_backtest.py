@@ -60,6 +60,8 @@ def one_asset_panel(*periods, n=20):
     The rows alternate 100 and 99, except each period's rows from its trade
     row to its mark row (:func:`oracles.period_rows`), which alternate its
     pair: the period trades at the first price and is marked at the second.
+    A period trades on the row the one before is marked on, so each pair's
+    first price is the mark of the pair before, or that mark is overwritten.
     """
     prices = np.tile((100.0, 99.0), (len(periods) + 1) * n // 2)
     for (_, trade, mark), pair in zip(oracles.period_rows(len(prices), n), periods, strict=True):
@@ -312,10 +314,6 @@ class TestWalkForward:
         for j in range(k + 1):
             assert np.array_equal(base[j].weights.weights, mutated[j].weights.weights)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 1: each period drops the return from its mark close to the next "
-        "period's trade close"
-    ))
     @pytest.mark.parametrize("source", ["panel4 benchmark", "one cost-free asset"])
     def test_the_chained_equity_is_buy_and_hold(self, source):
         # every day of the covered span belongs to a period: the chain telescopes to the
@@ -339,7 +337,8 @@ class TestWalkForward:
         )
 
     def test_period_losing_all_its_capital_is_a_numeric_error(self):
-        # a 10% fall plus fees of 99.9% of the order's value: period 0 returns below -100%
+        # a fall from 101 to 90 plus fees of 99.9% of the order's value: period 0 returns
+        # below -100%
         n = 20
         lookback = np.tile([100.0, 101.0], n // 2)
         falls = np.linspace(100.0, 90.0, n)
@@ -353,7 +352,8 @@ class TestWalkForward:
             horizon_n=n, variant=StrategyVariant.NAIVE_RISK_PARITY, commission=ruinous
         )
         _, _, mark = oracles.period_rows(panel.n_rows, n)[0]
-        period_0 = f"^period ending {panel.dates[mark]} returns .*, wiping out its capital$"
+        period_0 = (f"^naive_risk_parity: period ending {panel.dates[mark]} returns .*, "
+                    "wiping out its capital$")
         with pytest.raises(InsufficientCapital, match=period_0):
             run_walk_forward(panel, cfg)
 
@@ -729,7 +729,7 @@ class TestRunStrategies:
 
         monkeypatch.setattr(backtest, "execute_rebalance", counted)
         cfg = BacktestConfig(horizon_n=n, benchmark="BMK")
-        with pytest.raises(DegenerateVolatility, match="^A1: zero volatility"):
+        with pytest.raises(DegenerateVolatility, match="^naive_risk_parity: A1: zero volatility"):
             run_strategies(panel, cfg, [naive.value])
         assert rebalances == []  # the plan raised before period 0's rebalance
 
@@ -752,7 +752,8 @@ class TestRunStrategies:
         naive, standard = "naive_risk_parity", "standard_biased"
         marks = [mark for *_, mark in oracles.period_rows(panel.n_rows, n)]
         for names, end_row in (([standard, naive], marks[1]), ([naive, standard], marks[0])):
-            message = f"^period ending {panel.dates[end_row]} returns .*, wiping out its capital$"
+            message = (f"^{names[0]}: period ending {panel.dates[end_row]} returns .*, "
+                       "wiping out its capital$")
             with pytest.raises(InsufficientCapital, match=message):
                 run_strategies(panel, cfg, names)
 
@@ -760,8 +761,8 @@ class TestRunStrategies:
     def test_an_overflowing_target_raises_without_a_cast(self, mode):
         # 2**63 shares at $1 is one share more than int64 holds; 2**62 shares fit
         naive = "naive_risk_parity"
-        panel = one_asset_panel((1.0, 0.99), (1.0, 0.99))
-        overflow = "^A: target of 9.22337e[+]18 shares overflows int64$"
+        panel = one_asset_panel((1.0, 0.99), (0.99, 0.98))
+        overflow = "^naive_risk_parity: A: target of 9.22337e[+]18 shares overflows int64$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an out-of-range cast would warn
             cfg = BacktestConfig(horizon_n=20, variant=naive, initial_capital=2.0**63,
@@ -769,8 +770,9 @@ class TestRunStrategies:
             with pytest.raises(NumericError, match=overflow):
                 run_strategies(panel, cfg, [naive])
             # $1e6 over $1e-305 overflows to an infinite target
-            tiny = one_asset_panel((1e-305, 0.99e-305), (1.0, 0.99))
-            with pytest.raises(NumericError, match="^A: target of inf shares overflows int64$"):
+            tiny = one_asset_panel((1e-305, 1.0), (1.0, 0.99))
+            infinite = "^naive_risk_parity: A: target of inf shares overflows int64$"
+            with pytest.raises(NumericError, match=infinite):
                 run_strategies(tiny, dataclasses.replace(cfg, initial_capital=1e6), [naive])
         cfg = dataclasses.replace(cfg, initial_capital=2.0**62)
         results, _ = run_strategies(panel, cfg, [naive])[naive]
@@ -779,24 +781,30 @@ class TestRunStrategies:
     # per-share fees far above the price: the cap binds, at 99.9% or 100 times an order's value
     RUINOUS = CommissionPlan(per_share=1e6, min_per_order=0.0, max_pct_of_value=99.9)
     HUNDREDFOLD = CommissionPlan(per_share=1e6, min_per_order=0.0, max_pct_of_value=1e4)
+    # 99 cents a share, whatever the price: the cap of 100 times an order's value never binds
+    STEEP = CommissionPlan(per_share=0.99, min_per_order=0.0, max_pct_of_value=1e4)
 
     @pytest.mark.parametrize(("periods", "plan", "error", "message"), [
-        # period 0 buys 1e6 shares and falls 1%, below -100% after its fees; period 1
-        # sells 990,000 of them at $100, fees of 99.9% of $99 million
-        pytest.param(((1.0, 0.99), (100.0, 99.0)), RUINOUS, InsufficientCapital,
-                     "^period ending 2012-02-24 returns -100.90%, wiping out its capital$",
+        # period 0 buys 1e6 shares at $1 for $990,000 in fees and falls to $0.40, below
+        # -100% after them; period 1 buys 1.5e6 more at $0.40, fees of $1,485,000
+        pytest.param(((1.0, 0.4), (0.4, 0.39)), STEEP, InsufficientCapital,
+                     "^naive_risk_parity: period ending 2012-02-24 returns -159.00%, "
+                     "wiping out its capital$",
                      id="return-then-commissions"),
-        # period 0 rises 1% and survives its fees; period 1 is the sale above
-        pytest.param(((0.99, 1.0), (100.0, 99.0)), RUINOUS, InsufficientCapital,
-                     "^commissions 99910089.90 would consume capital 1000000.00$",
+        # period 0 buys 1,010,101 shares at $0.99 and survives its fees; period 1 sells
+        # 1,000,101 of them at $100, fees of 99.9% of $100 million
+        pytest.param(((0.99, 100.0), (100.0, 99.0)), RUINOUS, InsufficientCapital,
+                     "^naive_risk_parity: commissions 99910089.90 would consume capital "
+                     "1000000.00$",
                      id="commissions-alone"),
         # period 0's target of 1e306 shares overflows, and buying 10,000 shares at $100
         # in period 1 costs 100 times their value
-        pytest.param(((1e-300, 0.99e-300), (100.0, 99.0)), HUNDREDFOLD, NumericError,
-                     "^A: target of 1e[+]306 shares overflows int64$",
+        pytest.param(((1e-300, 100.0), (100.0, 99.0)), HUNDREDFOLD, NumericError,
+                     "^naive_risk_parity: A: target of 1e[+]306 shares overflows int64$",
                      id="overflow-then-commissions"),
-        pytest.param(((100.0, 99.0), (1e-300, 0.99e-300)), HUNDREDFOLD, InsufficientCapital,
-                     "^commissions 100000000.00 would consume capital 1000000.00$",
+        pytest.param(((100.0, 1e-300), (1e-300, 0.99e-300)), HUNDREDFOLD, InsufficientCapital,
+                     "^naive_risk_parity: commissions 100000000.00 would consume capital "
+                     "1000000.00$",
                      id="commissions-then-overflow"),
     ])
     def test_of_two_failing_periods_the_earlier_raises(self, periods, plan, error, message):
@@ -822,7 +830,7 @@ class TestRunStrategies:
         )
         naive = "naive_risk_parity"
         cfg = BacktestConfig(horizon_n=n, variant=naive, compounding=mode, benchmark="BMK")
-        message = "^period ending 2012-02-10 returns -100.00%, wiping out its capital$"
+        message = "^benchmark: period ending 2012-02-10 returns -100.00%, wiping out its capital$"
         assert panel.dates[mark] == dt.date(2012, 2, 10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the quotient underflows to 0.0 without a warning
@@ -934,7 +942,7 @@ class TestRunStrategies:
             weights_plan(lookbacks, StrategyVariant.FRACTAL_BIASED)
 
         cfg = BacktestConfig(horizon_n=n, benchmark="BMK")
-        with pytest.raises(DegeneratePath):
+        with pytest.raises(DegeneratePath, match="^fractal_biased: "):
             run_strategies(panel, cfg, ["fractal_biased"])
         results, _ = run_strategies(panel, cfg, ["standard_biased"])["standard_biased"]
         assert len(results) == 3
@@ -943,7 +951,7 @@ class TestRunStrategies:
         costly = dataclasses.replace(
             cfg, commission=CommissionPlan(min_per_order=1e7, max_pct_of_value=1e4)
         )
-        with pytest.raises(InsufficientCapital, match="commissions"):
+        with pytest.raises(InsufficientCapital, match="^standard_biased: commissions"):
             run_strategies(panel, costly, ["standard_biased"])
-        with pytest.raises(DegeneratePath):
+        with pytest.raises(DegeneratePath, match="^fractal_biased: "):
             run_strategies(panel, costly, ["fractal_biased"])

@@ -472,7 +472,7 @@ class TestNumericErrors:
         config.write_text(text.replace("csv: ", f"csv: {PANEL_CONFIG.parent}/"))
         assert main(["backtest", "--config", str(config), "--out", str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("error: numeric: ")
+        assert err.startswith("error: numeric: NumericError: fractal_biased: EQT: target of ")
         assert err.count("\n") == 1
         assert "int64" in err
 
@@ -500,7 +500,8 @@ class TestNumericErrors:
             tmp_path, "bmk.csv", lambda row, _: "1e300" if row < self.MARK else "1e-300"
         )
         assert status == 4
-        detail = f"period ending {dates[self.MARK]} returns -100.00%, wiping out its capital"
+        detail = (f"benchmark: period ending {dates[self.MARK]} returns -100.00%, "
+                  "wiping out its capital")
         assert capsys.readouterr().err == f"error: numeric: InsufficientCapital: {detail}\n"
 
     def test_a_benchmark_that_overflows_exits_4(self, tmp_path, capsys):
@@ -511,6 +512,14 @@ class TestNumericErrors:
         assert status == 4
         detail = f"benchmark: period ending {dates[self.MARK]} returns inf%, which is not finite"
         assert capsys.readouterr().err == f"error: numeric: NumericError: {detail}\n"
+
+    def test_a_flat_benchmark_exits_4_under_its_own_class(self, tmp_path, capsys):
+        # a benchmark that never moves has zero variance, so no report has a beta; the
+        # line names the first strategy reported and keeps the error's class
+        status, _ = self.backtest_copy(tmp_path, "bmk.csv", lambda row, _: "100.0")
+        assert status == 4
+        detail = "fractal_biased: benchmark returns have zero variance"
+        assert capsys.readouterr().err == f"error: numeric: DegenerateBenchmark: {detail}\n"
 
     def test_a_finite_but_huge_return_exits_4(self, tmp_path, capsys):
         # a change of 1e300-fold: period 0 returns a finite 1e302%, whose square
