@@ -10,7 +10,7 @@ also records whether it took the split quadrature (``_cdf_quad_split``).
 
 The points cover every branch: seeded (r, alpha, beta) draws in the ranges
 of the ``stable_grid`` benchmark workload, alpha = 1 with and without skew,
-the ``z == 0, beta == 0`` short-circuit, the totally skewed Levy law (whose
+the symmetry point ``z == 0, beta == 0``, the totally skewed Levy law (whose
 points near r = 1..5 fall back to the split quadrature), non-unit scale and
 location, and the inputs that raise. Rerunning on unchanged code
 reproduces the file byte for byte; run it only on code whose values are

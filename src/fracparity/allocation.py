@@ -197,8 +197,7 @@ def compute_weights(plan: WeightsPlan, k: int) -> PortfolioWeights:
     active = plan.active[k]
     stds = plan.std_n[k][active]
     weights = np.zeros(len(lookbacks.tickers))
-    if stds.size:
-        weights[active] = inverse_volatility_weights(stds)
+    weights[active] = inverse_volatility_weights(stds)
     return PortfolioWeights(
         tickers=lookbacks.tickers, weights=weights, cash=0.0 if stds.size else 1.0,
         mu=lookbacks.mu[k], std0=lookbacks.std0[k], h=plan.h[k], std_n=plan.std_n[k],

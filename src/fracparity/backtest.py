@@ -245,13 +245,9 @@ def execute_rebalance(
     price = np.asarray(prices, dtype=float)
     with np.errstate(over="ignore"):  # a quotient that overflows is an inf target, not a warning
         target = np.floor(weights * np.asarray(capital, dtype=float)[:, None] / price)
-    held, fits = target, target < _INT64_END
-    if np.count_nonzero(fits) < fits.size:  # int64 cannot hold these: hold 0, never cast them
-        held = np.where(fits, target, 0.0)
-    shares = held.astype(np.int64)
+    shares = np.where(target < _INT64_END, target, 0.0).astype(np.int64)  # hold 0, never cast
     delta = shares - prior
-    if len(shares) > 1:  # each later row trades from the targets of the row before
-        np.subtract(shares[1:], shares[:-1], out=delta[1:])
+    np.subtract(shares[1:], shares[:-1], out=delta[1:])  # later rows trade from the row before
     fees = commission_for(np.abs(delta, dtype=float), price, plan)
     return target, shares, delta, fees, _sum_left(fees).tolist()
 

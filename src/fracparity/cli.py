@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import datetime as dt
+import gc
 import hashlib
 import json
 import sys
@@ -281,5 +282,16 @@ def main(argv=None) -> int:
         return 4
 
 
+def console_main() -> int:
+    """The process entry of the ``fracparity`` script and of ``python -m fracparity.cli``.
+
+    What the imports built lives until the process exits, so ``gc.freeze``
+    leaves it out of every later collection, the ones at exit included.
+    ``main`` itself freezes nothing: it also runs inside other processes.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -40,7 +40,6 @@ class MalformedRow(DataError):
 
     def __init__(self, path: str, line: int, detail: str):
         super().__init__(f"{path}:{line}: {detail}")
-        self.path = path
         self.line = line
 
 
@@ -49,7 +48,6 @@ class NonPositivePrice(DataError):
 
     def __init__(self, ticker: str, date, price: float):
         super().__init__(f"{ticker}: non-positive price {price} on {date}")
-        self.date = date
 
 
 class DuplicateDate(DataError):
@@ -57,7 +55,6 @@ class DuplicateDate(DataError):
 
     def __init__(self, ticker: str, date):
         super().__init__(f"{ticker}: duplicate date {date}")
-        self.date = date
 
 
 class EmptyIntersection(DataError):
@@ -98,8 +95,6 @@ class QuadratureFailure(NumericError):
             f"quadrature error estimate {achieved_error:.3e} exceeds "
             f"tolerance {tolerance:.3e}"
         )
-        self.achieved_error = achieved_error
-        self.tolerance = tolerance
 
 
 class InvalidHurst(ConfigError):

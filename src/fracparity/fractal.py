@@ -391,10 +391,6 @@ def stable_cdf_with_error(r: float, params: StableParams) -> tuple[float, float]
     if not math.isfinite(z):
         raise InvalidStableParams(f"r must give a finite (r - mu_loc) / sigma, got r = {r}")
     alpha, beta = params.alpha, params.beta
-    if z == 0.0 and beta == 0.0:
-        # integrand vanishes identically at the symmetry point
-        return 0.5, 0.0
-
     f = _sine_integrand(z, alpha, beta)
     try:
         val, err, _ = _quadpack()._qagie(f, 0.0, _UPPER_INF, (), 0, *_QUAD_TOL)

@@ -217,10 +217,7 @@ def load_run_settings(
             spec = AssetSpec(ticker=ticker, expense_ratio=expense_ratio, role=role)
         except ConfigError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-        csv_path = Path(csv_rel)
-        if not csv_path.is_absolute():
-            csv_path = path.parent / csv_path
-        universe.append(UniverseEntry(spec=spec, csv_path=csv_path))
+        universe.append(UniverseEntry(spec=spec, csv_path=path.parent / csv_rel))
 
     tickers = [u.spec.ticker for u in universe]
     if len(set(tickers)) != len(tickers):

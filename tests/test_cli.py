@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -915,6 +916,30 @@ def test_backtest_does_not_import_scipy(tmp_path):
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_module_entry_writes_what_main_writes(tmp_path):
+    # python -m fracparity.cli enters through console_main, which freezes the heap the
+    # imports built before it calls main: the same artifacts, bar the manifest timestamp
+    argv = ["backtest", "--config", str(PANEL_CONFIG), "--out"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "fracparity.cli", *argv, str(tmp_path / "module")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert main([*argv, str(tmp_path / "main")]) == 0
+    for name in ARTIFACTS:
+        module, here = (
+            re.sub(rb'"timestamp": "[^"]*"', b"", (tmp_path / run / name).read_bytes())
+            for run in ("module", "main")
+        )
+        assert module == here, name
+
+
+def test_main_in_process_freezes_nothing(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert main(["backtest", "--config", str(PANEL_CONFIG), "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_stable_cdf_loads_quadpack_alone():
