@@ -250,9 +250,13 @@ class TestStableParams:
 
 
 class TestStableCdf:
+    def test_symmetric_center_is_half(self):
+        params = StableParams(alpha=2.0, beta=0.0, sigma=2.0, mu_loc=3.5)
+        assert stable_cdf_with_error(3.5, params)[0] == 0.5
+
     @pytest.mark.parametrize("beta", [0.0, -0.0])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
-    def test_symmetric_center_is_half(self, alpha, beta):
+    def test_symmetric_center_is_exact(self, alpha, beta):
         # at z = 0 without skew the integrand is identically zero, and the general
         # quadrature returns exactly 1/2 with an error estimate of exactly 0
         params = StableParams(alpha=alpha, beta=beta, sigma=2.0, mu_loc=3.5)
