@@ -9,7 +9,8 @@ a rewrite of the quadrature has to reproduce the recorded bits. Each point
 also records whether it took the split quadrature (``_cdf_quad_split``).
 
 The points cover every branch: seeded (r, alpha, beta) draws in the ranges
-of the ``stable_grid`` benchmark workload, alpha = 1 with and without skew,
+of the ``stable_grid`` benchmark workload, alpha = 1 with and without skew
+(far skewed alpha = 1 points take the split quadrature and return a value),
 the symmetry point ``z == 0, beta == 0``, the totally skewed Levy law (whose
 points near r = 1..5 fall back to the split quadrature), non-unit scale and
 location, and the inputs that raise. Rerunning on unchanged code
@@ -45,6 +46,8 @@ def points() -> list[dict]:
     grid += [(r, 1.0, b) for r in (-6.0, -1.5, -0.2, 0.0, 0.4, 2.5, 9.0)
              for b in (-1.0, 0.35)]
     grid += [(r, 1.0, 0.0) for r in (-3.0, 0.75, 4.0)]
+    # far alpha = 1 points with skew: the split runs with the logarithmic phase
+    grid += [(r, 1.0, b) for r in (80.0, -200.0, 800.0) for b in (0.5, -0.5)]
     grid += [(0.0, a, 0.0) for a in (0.5, 1.0, 1.3, 2.0)]
     grid += [(r, 0.5, b) for r in (-2.0, 0.5, 1.0, 2.0, 5.0, 40.0) for b in (1.0, -1.0)]
     grid += [(r, 2.0, 0.0) for r in (-1.0, 0.3, 3.0)]

@@ -23,9 +23,13 @@ function in the continuous ("0-shift") parametrization: a sine-kernel
 oscillatory integral handled by adaptive quadrature, with the ``alpha = 1``
 branch carrying its own logarithmic phase term. Validation anchors it on
 closed forms: alpha = 2 is a Gaussian with variance two, alpha = 1 with zero
-skew is the Cauchy law and alpha = 1/2 with full skew the Levy law. The
-integrand binds each point's constants once and computes ``t**alpha`` once
-per call, keeping the formula's order of operations. The quadrature is
+skew is the Cauchy law and alpha = 1/2 with full skew the Levy law. One
+builder decides each point's phase once and binds its constants into the
+integrands of both tiers: the plain [0, inf) integrand, which is also the
+split's [0, 1] head, and the split's linear phase coefficient with the two
+residual factors its Fourier-weighted tails integrate. Each computes
+``t**alpha`` once per call, keeping the formula's order of operations. The
+quadrature is
 scipy's QUADPACK extension alone, loaded on the first CDF evaluation without
 the rest of ``scipy.integrate`` (which would pull in scipy.special,
 scipy.optimize and scipy.sparse.linalg), so the backtest never loads scipy and
@@ -74,14 +78,16 @@ class HurstConfig:
     carry a known finite-sample bias (a sampled path misses excursions
     inside short windows, deflating small-scale amplitudes and tilting the
     fit upward), so on long paths the ladder slides toward the coarse end
-    where the scaling law is clean. Set ``max_rungs=None`` to keep every
-    scale from 2 upward. ``min_windows`` and ``min_scales`` are at least 2.
+    where the scaling law is clean. A cap at least the ladder's length keeps
+    every scale from 2 upward (a path of ``n`` points has fewer than
+    ``log2(n)`` rungs). ``min_windows`` and ``min_scales`` are at least 2, and
+    ``max_rungs`` at least ``min_scales``.
     """
 
     h_min: float = 0.1
     h_max: float = 1.0
     min_windows: int = 4
-    max_rungs: int | None = 4
+    max_rungs: int = 4
     min_scales: int = 3
 
     def __post_init__(self):
@@ -89,13 +95,12 @@ class HurstConfig:
         if not all(map(finite_number, bounds)) or not 0.0 < self.h_min <= self.h_max:
             bounds = f"[{self.h_min!r}, {self.h_max!r}]"
             raise InvalidHurst(f"clamp bounds [h_min, h_max] = {bounds} invalid")
-        rungs = () if self.max_rungs is None else (self.max_rungs,)  # only it may be None
-        counts = (self.min_windows, self.min_scales, *rungs)
+        counts = (self.min_windows, self.min_scales, self.max_rungs)
         if any(isinstance(x, bool) or not isinstance(x, int) for x in counts):
             raise InvalidHurst("min_windows, min_scales and max_rungs must be integers")
         if self.min_windows < 2 or self.min_scales < 2:
             raise InvalidHurst("need min_windows >= 2 and min_scales >= 2")
-        if self.max_rungs is not None and self.max_rungs < self.min_scales:
+        if self.max_rungs < self.min_scales:
             raise InvalidHurst(
                 f"max_rungs {self.max_rungs} below the {self.min_scales}-scale minimum"
             )
@@ -191,8 +196,7 @@ def hurst_scales(n_points: int, config: HurstConfig = HurstConfig()) -> list[int
     while (n_points - 1) // d >= config.min_windows:
         scales.append(d)
         d *= 2
-    if config.max_rungs is not None:
-        scales = scales[-config.max_rungs :]
+    scales = scales[-config.max_rungs :]
     if len(scales) < config.min_scales:
         raise TooShort(
             f"path of {n_points} points affords {len(scales)} scales, "
@@ -316,33 +320,22 @@ def _quadpack():
     return module
 
 
-def _sine_integrand(z: float, alpha: float, beta: float):
-    """``sin(phase) e^{-t^alpha} / t`` with the point's constants bound once."""
-    sin, exp, log = math.sin, math.exp, math.log
-    if alpha == 1.0:
-        k = 2.0 * beta / math.pi
-        return lambda t: sin(z * t + k * t * log(t)) * exp(-t) / t
-    c = beta * math.tan(math.pi * alpha / 2.0)
+def _integrands(z: float, alpha: float, beta: float):
+    """A point's integrands, its phase decided once: ``(f, a_lin, g_sin, g_cos)``.
 
-    def f(t):
-        ta = t**alpha
-        return sin(z * t + c * (t - ta)) * exp(-ta) / t
-
-    return f
-
-
-def _cdf_quad_split(z: float, alpha: float, beta: float) -> tuple[float, float]:
-    """Singular head on [0, 1] plus Fourier-weighted tails on [1, inf).
-
-    For slowly decaying envelopes (small alpha) and far tails the plain
-    integrator loses accuracy; splitting off the asymptotically linear part
-    of the phase (``k t ln t`` remains at alpha = 1, ``-c t^alpha`` elsewhere)
-    lets QUADPACK's oscillatory machinery extrapolate over the cycles.
+    ``f`` is ``sin(phase) e^{-t^alpha} / t``, the first pass's integrand on
+    [0, inf) and the split's head on [0, 1]. Splitting off the asymptotically
+    linear part ``a_lin t`` of the phase leaves the residual factors ``g_sin``
+    and ``g_cos``, which :func:`_cdf_quad_split` integrates against
+    ``sin(a_lin t)`` and ``cos(a_lin t)`` on [1, inf): ``k t ln t`` remains
+    of the phase at alpha = 1, ``-c t^alpha`` elsewhere.
     """
     sin, cos, exp, log = math.sin, math.cos, math.exp, math.log
     if alpha == 1.0:
         k = 2.0 * beta / math.pi
-        a_lin = z
+
+        def f(t):
+            return sin(z * t + k * t * log(t)) * exp(-t) / t
 
         def g_sin(t):
             return exp(-t) * cos(k * t * log(t)) / t
@@ -350,20 +343,35 @@ def _cdf_quad_split(z: float, alpha: float, beta: float) -> tuple[float, float]:
         def g_cos(t):
             return exp(-t) * sin(k * t * log(t)) / t
 
-    else:
-        c = beta * math.tan(math.pi * alpha / 2.0)
-        a_lin = z + c  # linear phase coefficient for t -> inf
+        return f, z, g_sin, g_cos
+    c = beta * math.tan(math.pi * alpha / 2.0)
 
-        def g_sin(t):
-            ta = t**alpha
-            return exp(-ta) * cos(c * ta) / t
+    def f(t):
+        ta = t**alpha
+        return sin(z * t + c * (t - ta)) * exp(-ta) / t
 
-        def g_cos(t):
-            ta = t**alpha
-            return -exp(-ta) * sin(c * ta) / t
+    def g_sin(t):
+        ta = t**alpha
+        return exp(-ta) * cos(c * ta) / t
 
+    def g_cos(t):
+        ta = t**alpha
+        return -exp(-ta) * sin(c * ta) / t
+
+    return f, z + c, g_sin, g_cos
+
+
+def _cdf_quad_split(f, a_lin: float, g_sin, g_cos) -> tuple[float, float]:
+    """Singular head ``f`` on [0, 1] plus Fourier-weighted tails on [1, inf).
+
+    For slowly decaying envelopes (small alpha) and far tails the plain
+    integrator loses accuracy; weighting the residual factors of
+    :func:`_integrands` by the linear part of the phase lets QUADPACK's
+    oscillatory machinery extrapolate over the cycles. With ``a_lin == 0``
+    there is nothing to weight, and ``g_cos`` is the whole tail.
+    """
     quadpack = _quadpack()
-    v1, e1, _ = quadpack._qagse(_sine_integrand(z, alpha, beta), 0.0, 1.0, (), 0, *_QUAD_TOL)
+    v1, e1, _ = quadpack._qagse(f, 0.0, 1.0, (), 0, *_QUAD_TOL)
     if a_lin == 0.0:
         v2, e2, _ = quadpack._qagie(g_cos, 1.0, _UPPER_INF, (), 0, *_QUAD_TOL)
         return v1 + v2, e1 + e2
@@ -390,12 +398,11 @@ def stable_cdf_with_error(r: float, params: StableParams) -> tuple[float, float]
     z = (r - params.mu_loc) / params.sigma
     if not math.isfinite(z):
         raise InvalidStableParams(f"r must give a finite (r - mu_loc) / sigma, got r = {r}")
-    alpha, beta = params.alpha, params.beta
-    f = _sine_integrand(z, alpha, beta)
+    f, a_lin, g_sin, g_cos = _integrands(z, params.alpha, params.beta)
     try:
         val, err, _ = _quadpack()._qagie(f, 0.0, _UPPER_INF, (), 0, *_QUAD_TOL)
         if err > 1e-8:
-            val, err = _cdf_quad_split(z, alpha, beta)
+            val, err = _cdf_quad_split(f, a_lin, g_sin, g_cos)
     except ValueError as exc:
         # the integrands' one ValueError: math.sin or math.cos of a phase that is inf
         raise NumericError(

@@ -492,7 +492,7 @@ class TestConfigValidation:
 
     def test_fractal_lookback_length_is_the_ladders_rule(self):
         # the shortest ladder, delta 2 and 4 with two windows each, needs 9 prices
-        hurst = HurstConfig(min_windows=2, min_scales=2, max_rungs=None)
+        hurst = HurstConfig(min_windows=2, min_scales=2, max_rungs=64)
         BacktestConfig(horizon_n=9, hurst=hurst)
         message = "horizon_n 8 is too short for fractal_biased: path of 8 points affords 1 scales"
         with pytest.raises(ConfigError, match=message):

@@ -443,6 +443,18 @@ class TestConfigErrors:
         detail = "need min_windows >= 2 and min_scales >= 2"
         assert err == f"error: config: ConfigError: {config}: {detail}\n"
 
+    def test_uncapped_ladder_is_an_integer_cap(self, tmp_path, capsys):
+        # max_rungs is an integer, never null: a cap at least the ladder's length keeps
+        # every scale
+        for src in PANEL_CONFIG.parent.iterdir():
+            (tmp_path / src.name).write_bytes(src.read_bytes())
+        config = tmp_path / PANEL_CONFIG.name
+        config.write_text(PANEL_CONFIG.read_text() + "hurst: {max_rungs: null}\n")
+        argv = ["backtest", "--config", str(config), "--out", str(tmp_path / "out")]
+        err = self.assert_config_error(argv, capsys)
+        detail = "min_windows, min_scales and max_rungs must be integers"
+        assert err == f"error: config: ConfigError: {config}: {detail}\n"
+
     def test_yaml_horizon_below_hurst_ladder(self, tmp_path, capsys):
         config = self.config_without_data(tmp_path, "variants: [fractal_biased]", horizon=16)
         self.assert_config_error(["backtest", "--config", str(config), "--out", str(tmp_path)], capsys)
@@ -951,7 +963,7 @@ def test_stable_cdf_loads_quadpack_alone():
         "from fracparity.cli import main\n"
         "assert main(['stable-cdf', '--alpha', '0.5', '--beta', '1', '--', '1.0']) == 0\n"
         "print(sorted({'scipy.integrate', 'scipy.special'} & set(sys.modules)))\n"
-        "f = fractal._sine_integrand(1.0, 0.5, 1.0)\n"
+        "f = fractal._integrands(1.0, 0.5, 1.0)[0]\n"
         "raw = fractal._quadpack()._qagie(f, 0.0, 1, (), 0, 1e-12, 1e-12, 200)[:2]\n"
         "import warnings\n"
         "from scipy import integrate\n"

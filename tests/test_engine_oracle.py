@@ -90,7 +90,7 @@ def test_synthetic_weights_match_oracle(variant, n):
 @pytest.mark.parametrize(
     "options",
     [
-        {"min_windows": 2, "max_rungs": None, "h_min": 0.2, "h_max": 0.9},
+        {"min_windows": 2, "max_rungs": 64, "h_min": 0.2, "h_max": 0.9},
         {"h_min": 0.6, "h_max": 0.65},  # both clamps bind on some windows
     ],
 )

@@ -79,12 +79,13 @@ class TestScaleLadder:
         assert hurst_scales(63) == [2, 4, 8]
 
     def test_uncapped(self):
-        cfg = HurstConfig(max_rungs=None)
+        # a cap at least the ladder's length keeps every scale
+        cfg = HurstConfig(max_rungs=64)
         assert hurst_scales(1024, cfg) == [2, 4, 8, 16, 32, 64, 128]
 
     def test_shortest_ladder(self):
         # two windows of delta 4 need 8 intervals: 9 points, built from 8 returns
-        cfg = HurstConfig(min_windows=2, min_scales=2, max_rungs=None)
+        cfg = HurstConfig(min_windows=2, min_scales=2, max_rungs=64)
         assert hurst_scales(9, cfg) == [2, 4]
         with pytest.raises(TooShort, match="path of 8 points affords 1 scales, need 2"):
             hurst_scales(8, cfg)
@@ -93,7 +94,7 @@ class TestScaleLadder:
     @pytest.mark.parametrize("min_scales", [2, 3, 5])
     def test_ladder_implies_the_length_rules(self, min_windows, min_scales):
         # every ladder that fits has 9 points or more and fits its largest scale twice
-        for max_rungs in (None, *range(min_scales, 8)):
+        for max_rungs in (64, *range(min_scales, 8)):
             cfg = HurstConfig(min_windows=min_windows, min_scales=min_scales, max_rungs=max_rungs)
             for n_points in range(400):
                 try:
@@ -170,11 +171,13 @@ class TestEstimateHurst:
         {"h_min": math.nan}, {"h_max": math.inf}, {"h_min": "0.1"},
         pytest.param({"h_max": 10**400}, id="h_max=10**400"),
         {"min_windows": 2.5}, {"max_rungs": 3.5}, {"min_scales": "3"},
-        # only max_rungs may be None
+        # no count may be None
         {"min_windows": None}, {"min_scales": None},
         # counts below their minimum
         {"min_windows": 0}, {"min_windows": 1}, {"min_scales": 1},
         {"max_rungs": 2}, {"min_scales": 5, "max_rungs": 4},
+        # an uncapped ladder is a cap at least its length, not None
+        {"max_rungs": None},
     ])
     def test_config_rejects_non_finite_and_wrong_types(self, options):
         with pytest.raises(InvalidHurst):
@@ -359,6 +362,8 @@ class TestStableCdfGolden:
         assert len(golden) >= 250
         assert sum(row["split"] for row in golden) >= 5
         assert any(row["alpha"] == 1.0 and row["beta"] != 0.0 for row in golden)
+        # the logarithmic phase's split factors, pinned by a value and not an error message
+        assert any(row["alpha"] == 1.0 and row["split"] and "value" in row for row in golden)
         assert any(row["r"] == 0.0 and row["beta"] == 0.0 for row in golden)
         raised = [row["raises"] for row in golden if "raises" in row]
         assert raised.count("QuadratureFailure") == 2 and "InvalidStableParams" in raised
@@ -439,6 +444,8 @@ class TestQuadpackMatchesQuad:
         # the Levy law at r = 1: the plain integral ends with ier = 1, on which quad
         # warns, and the split takes the [0, 1] head and both Fourier tails
         ((1.0, 0.5, 1.0), [("_qagie", 1), ("_qagse", 0), ("_qawfe", 0), ("_qawfe", 0)]),
+        # alpha = 1 far out with skew: the same calls with the logarithmic phase's factors
+        ((80.0, 1.0, 0.5), [("_qagie", 1), ("_qagse", 0), ("_qawfe", 0), ("_qawfe", 0)]),
     ])
     def test_cdf_calls(self, recorder, point, routines):
         r, alpha, beta = point
@@ -448,7 +455,7 @@ class TestQuadpackMatchesQuad:
     def test_unweighted_tail_of_the_split(self, recorder):
         # a_lin == 0 (alpha = 1, z = 0 with skew): the [1, inf) tail has no Fourier
         # weight; no golden point reaches this branch
-        fractal._cdf_quad_split(0.0, 1.0, 0.5)
+        fractal._cdf_quad_split(*fractal._integrands(0.0, 1.0, 0.5))
         self.assert_replayed(recorder.calls, [("_qagse", 0), ("_qagie", 0)])
 
     @staticmethod

@@ -34,7 +34,7 @@ from fracparity.fractal import HurstConfig
 MAX_EXAMPLES = 200  # about 1.5 s on a 2-vCPU machine
 RTOL = ATOL = 1e-12  # percent returns of O(1), and currency amounts
 # the default estimator needs lookbacks of 33 rows; this looser one fits from 17
-LOOSE_HURST = {"min_windows": 2, "max_rungs": None}
+LOOSE_HURST = {"min_windows": 2, "max_rungs": 64}
 COMMISSIONS = st.fixed_dictionaries({
     "per_share": st.sampled_from([0.0, 0.0035, 0.01]),
     "min_per_order": st.sampled_from([0.0, 0.35, 25.0]),  # 25 binds below 2,500 shares
