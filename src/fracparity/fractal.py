@@ -19,30 +19,23 @@ and ``NumericError`` when some variation overflows to infinity.
 one-row block and returns that block's :class:`HurstFit`.
 
 The stable CDF is evaluated by Fourier inversion of the characteristic
-function in the continuous ("0-shift") parametrization: a sine-kernel
-oscillatory integral handled by adaptive quadrature, with the ``alpha = 1``
+function in the continuous ("0-shift") parametrization, with the ``alpha = 1``
 branch carrying its own logarithmic phase term. Validation anchors it on
 closed forms: alpha = 2 is a Gaussian with variance two, alpha = 1 with zero
-skew is the Cauchy law and alpha = 1/2 with full skew the Levy law. One
-builder decides each point's phase once and binds its constants into the
-integrands of both tiers: the plain [0, inf) integrand, which is also the
-split's [0, 1] head, and the split's linear phase coefficient with the two
-residual factors its Fourier-weighted tails integrate. Each computes
-``t**alpha`` once per call, keeping the formula's order of operations. The
-quadrature is
-scipy's QUADPACK extension alone, loaded on the first CDF evaluation without
-the rest of ``scipy.integrate`` (which would pull in scipy.special,
-scipy.optimize and scipy.sparse.linalg), so the backtest never loads scipy and
-one ``stable-cdf`` call takes a median 0.30 s instead of 0.93 s on a 2-vCPU
-machine.
+skew is the Cauchy law and alpha = 1/2 with full skew the Levy law. Each
+point splits its phase into a linear part and a residual, and sums the
+residual's factors against the Ooura–Mori double-exponential rule for
+Fourier integrals (Ooura and Mori, J. Comput. Appl. Math. 38, 1991, and
+112, 1999), or the exp-sinh rule when the linear part is too small to
+oscillate. The nodes are fixed numpy tables, built on the first CDF
+evaluation, so a point is a few array operations, and the package never
+imports scipy.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +53,7 @@ from .errors import (
 
 def __getattr__(name: str):
     # serves only perfbench's tracing, which wraps ``fracparity.fractal.integrate.quad``;
-    # the CDF itself calls QUADPACK through :func:`_quadpack`
+    # nothing in the package calls scipy
     if name == "integrate":
         from scipy import integrate
 
@@ -283,133 +276,143 @@ def estimate_hurst(path, config: HurstConfig = HurstConfig()) -> HurstFit:
 # --- stable CDF -----------------------------------------------------------
 
 _DEFAULT_CDF_TOL = 1e-6
-# QUADPACK's routines, called with the arguments ``scipy.integrate.quad``
-# passes them: ``args=()`` and ``full_output=0`` in every call. Each returns
-# (value, error estimate, ier); ``quad`` returns the same pair and warns when
-# ier != 0, or raises on ier = 6 (invalid input), which these constants rule out.
-_QUAD_TOL = (1e-12, 1e-12, 200)  # epsabs, epsrel, limit of _qagse and _qagie
-_UPPER_INF = 1  # _qagie's code for the range [bound, inf)
-_QAWF_COS, _QAWF_SIN = 1, 2  # _qawfe's weight codes
-# _qawfe's epsabs, limlst, limit, maxp1: quad's defaults (QAWF takes no
-# epsrel; 50 cycles, 50 Chebyshev moments) but for limit=200
-_QAWF_TOL = (1.49e-8, 50, 200, 50)
+_STEP = 1.0 / 128  # h of the rule that gives the value; the 2h rule's sum sets the estimate
+_U_MAX = 4.0  # every rule's last node is at u = 4, and the Ooura–Mori rules' first at -4
+# exp-sinh's first node, t = 2.5e-51; from u = -4 (t = 2.3e-19) the mass below the
+# first node was 3e-10 of the Levy law at r = -1
+_U_MIN_EXP_SINH = -5.0
+_NEAR_ONE = 0.2  # below this |alpha - 1| the linear part of the phase is z t alone
+_MIN_LINEAR = 0.1  # below this |a| the exp-sinh rule integrates the whole phase
+
+
+def _ooura_mori(h: float, cosine: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes ``x`` and weights of the Ooura–Mori rule of step ``h`` for ``sin x`` or ``cos x``.
+
+    ``x = M phi(u)`` with ``phi(u) = u / (1 - exp(-6 sinh u))`` and ``M h = pi``.
+    Sine nodes sit at ``u = n h`` and cosine nodes at ``u = (n + 1/2) h``, so
+    as ``u`` grows, ``x`` nears the kernel's zeros ``n pi`` or ``(n + 1/2) pi``
+    double-exponentially fast. With the weight ``phi'(u) sin(x) / x`` (or
+    ``cos(x) / x``), ``sum w_n x_n G(x_n)`` is the rule for
+    ``(1/pi) int_0^inf sin(x) G(x) dx`` (or ``cos``). Past ``u = 1`` the
+    kernel is taken as ``(-1)^n sin(M (phi(u) - u))`` (negated for cosine),
+    because ``sin`` of the rounded ``x`` would have lost those digits.
+    """
+    n = np.arange(-round(_U_MAX / h), round(_U_MAX / h) + (not cosine))
+    u = (n + 0.5 * cosine) * h
+    s = 6.0 * np.sinh(u)
+    with np.errstate(divide="ignore", invalid="ignore"):  # at u = 0, set below
+        d = -np.expm1(-s)
+        phi, dphi = u / d, (d - u * 6.0 * np.cosh(u) * (1.0 - d)) / (d * d)
+        tail = (-1.0) ** (n + cosine) * np.sin(math.pi / h * (u / np.expm1(s)))
+    phi[u == 0.0], dphi[u == 0.0] = 1.0 / 6.0, 0.5
+    x = math.pi / h * phi
+    return x, dphi * np.where(u > 1.0, tail, np.cos(x) if cosine else np.sin(x)) / x
 
 
 @functools.cache
-def _quadpack():
-    """scipy's QUADPACK extension, loaded without running ``scipy.integrate/__init__``.
+def _fourier_nodes() -> tuple[np.ndarray, int, np.ndarray]:
+    """``log x`` of the h and 2h Ooura–Mori rules, the count of sine nodes, and the weights.
 
-    That package imports scipy.special, scipy.optimize and scipy.sparse.linalg
-    (about 0.45 s), while the CDF needs three routines of one extension that
-    loads in about 1 ms. The extension is found beside the package and put in
-    ``sys.modules`` under its own name, so a later ``from scipy import
-    integrate`` shares it; once that package is imported, its entry is reused.
+    The nodes lie end to end, sine nodes first and the h rule's first of
+    all. Row j of the weights holds rule j's, zero on the other rule's nodes.
     """
-    import importlib.util
-    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-
-    name = "scipy.integrate._quadpack"
-    if name in sys.modules:
-        return sys.modules[name]
-    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    loaders = (ExtensionFileLoader, EXTENSION_SUFFIXES)
-    spec = FileFinder(os.path.join(scipy_dir, "integrate"), loaders).find_spec(name)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[name] = module
-    return module
+    blocks = [_ooura_mori(h, cosine) for cosine in (False, True) for h in (_STEP, 2.0 * _STEP)]
+    rows = [np.concatenate([w * (k % 2 == j) for k, (_, w) in enumerate(blocks)]) for j in (0, 1)]
+    n_sin = blocks[0][0].size + blocks[1][0].size
+    return np.log(np.concatenate([x for x, _ in blocks])), n_sin, np.stack(rows)
 
 
-def _integrands(z: float, alpha: float, beta: float):
-    """A point's integrands, its phase decided once: ``(f, a_lin, g_sin, g_cos)``.
+@functools.cache
+def _exp_sinh_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``t = exp(pi/2 sinh u)`` at ``u = n h`` from -5 to 4: t, log t, and the h and 2h weights.
 
-    ``f`` is ``sin(phase) e^{-t^alpha} / t``, the first pass's integrand on
-    [0, inf) and the split's head on [0, 1]. Splitting off the asymptotically
-    linear part ``a_lin t`` of the phase leaves the residual factors ``g_sin``
-    and ``g_cos``, which :func:`_cdf_quad_split` integrates against
-    ``sin(a_lin t)`` and ``cos(a_lin t)`` on [1, inf): ``k t ln t`` remains
-    of the phase at alpha = 1, ``-c t^alpha`` elsewhere.
+    ``dt = t (pi/2) cosh(u) du`` cancels the integrand's ``1/t``, so the h rule
+    for ``(1/pi) int_0^inf sin(phase) e^{-t^alpha} / t dt`` weighs each node by
+    ``(h/2) cosh u``. The 2h rule takes every other node, at twice the weight.
     """
-    sin, cos, exp, log = math.sin, math.cos, math.exp, math.log
+    n = np.arange(round(_U_MIN_EXP_SINH / _STEP), round(_U_MAX / _STEP) + 1)
+    log_t = 0.5 * math.pi * np.sinh(n * _STEP)
+    w = 0.5 * _STEP * np.cosh(n * _STEP)
+    return np.exp(log_t), log_t, np.stack([w, np.where(n % 2, 0.0, 2.0 * w)])
+
+
+def _cdf_quad_split(z: float, alpha: float, beta: float) -> tuple[float, float]:
+    """The CDF at standardized ``z`` and its error estimate, on fixed nodes.
+
+    The phase ``z t + c (t - t^alpha)``, with ``c = beta tan(pi alpha / 2)``
+    computed as ``beta / tan(pi (1 - alpha) / 2)``, or ``z t + k t ln t``
+    with ``k = 2 beta / pi`` at alpha = 1, is split into a linear part
+    ``a t`` and a residual ``psi``. Within ``_NEAR_ONE`` of alpha = 1,
+    ``a = z`` and ``psi = -c t expm1((alpha - 1) ln t)``, which keeps its
+    digits as ``c`` grows without bound; elsewhere ``a = z + c`` and
+    ``psi = -c t^alpha``. As sine is odd, a negative ``a`` negates the phase
+    and the sums, so mirror points ``(z, beta)`` and ``(-z, -beta)`` give
+    sums of opposite sign, bit for bit. The Ooura–Mori rules of
+    :func:`_ooura_mori` weigh ``sin(|a| t)`` and ``cos(|a| t)`` against
+    ``e^{-t^alpha} cos(psi)`` and ``e^{-t^alpha} sin(psi)``; below
+    ``|a| = _MIN_LINEAR`` the exp-sinh rule takes the whole integrand. Each
+    node's envelope is ``e^{-t^alpha} / x`` with ``x = |a| t`` folded into
+    the weights, so no node divides by zero or overflows at any finite ``z``.
+
+    The estimate is the distance between the h and 2h rules, plus a bound
+    on what no node reaches: below the first node ``lo``,
+    ``|sin(phase)| / t <= |z| + |c| |1 - t^(alpha - 1)|`` (``|z| + |k ln t|``
+    at alpha = 1), and past the exp-sinh rule's last node ``hi``,
+    ``int e^{-t^alpha} / t dt <= e^{-hi^alpha} / (alpha hi^alpha)``. Both
+    rules leave the same parts out, so their distance alone cannot see them.
+    """
+    d = alpha - 1.0
+    near = abs(d) < _NEAR_ONE
+    coef = 2.0 * beta / math.pi if alpha == 1.0 else beta / math.tan(-0.5 * math.pi * d)
+    a = z if near else z + coef
+    sign = -1.0 if a < 0.0 else 1.0
+    exp_sinh = abs(a) < _MIN_LINEAR
+    if exp_sinh:
+        t, log_t, weights = _exp_sinh_nodes()
+    else:
+        log_x, n_sin, weights = _fourier_nodes()
+        log_t = log_x - math.log(abs(a))
+    ta = np.exp(alpha * log_t)
     if alpha == 1.0:
-        k = 2.0 * beta / math.pi
+        psi = sign * coef * ta * log_t  # ta is t at alpha = 1
+    elif near:
+        psi = -sign * coef * (t if exp_sinh else np.exp(log_t)) * np.expm1(d * log_t)
+    else:
+        psi = -sign * coef * ta
+    if exp_sinh:
+        kernel = np.sin(abs(a) * t + psi)
+    else:
+        kernel = np.concatenate((np.cos(psi[:n_sin]), np.sin(psi[n_sin:])))
+    s_h, s_2h = sign * (weights * (np.exp(-ta) * kernel)).sum(axis=1)
 
-        def f(t):
-            return sin(z * t + k * t * log(t)) * exp(-t) / t
-
-        def g_sin(t):
-            return exp(-t) * cos(k * t * log(t)) / t
-
-        def g_cos(t):
-            return exp(-t) * sin(k * t * log(t)) / t
-
-        return f, z, g_sin, g_cos
-    c = beta * math.tan(math.pi * alpha / 2.0)
-
-    def f(t):
-        ta = t**alpha
-        return sin(z * t + c * (t - ta)) * exp(-ta) / t
-
-    def g_sin(t):
-        ta = t**alpha
-        return exp(-ta) * cos(c * ta) / t
-
-    def g_cos(t):
-        ta = t**alpha
-        return -exp(-ta) * sin(c * ta) / t
-
-    return f, z + c, g_sin, g_cos
-
-
-def _cdf_quad_split(f, a_lin: float, g_sin, g_cos) -> tuple[float, float]:
-    """Singular head ``f`` on [0, 1] plus Fourier-weighted tails on [1, inf).
-
-    For slowly decaying envelopes (small alpha) and far tails the plain
-    integrator loses accuracy; weighting the residual factors of
-    :func:`_integrands` by the linear part of the phase lets QUADPACK's
-    oscillatory machinery extrapolate over the cycles. With ``a_lin == 0``
-    there is nothing to weight, and ``g_cos`` is the whole tail.
-    """
-    quadpack = _quadpack()
-    v1, e1, _ = quadpack._qagse(f, 0.0, 1.0, (), 0, *_QUAD_TOL)
-    if a_lin == 0.0:
-        v2, e2, _ = quadpack._qagie(g_cos, 1.0, _UPPER_INF, (), 0, *_QUAD_TOL)
-        return v1 + v2, e1 + e2
-    v2, e2, _ = quadpack._qawfe(g_sin, 1.0, a_lin, _QAWF_SIN, (), 0, *_QAWF_TOL)
-    v3, e3, _ = quadpack._qawfe(g_cos, 1.0, a_lin, _QAWF_COS, (), 0, *_QAWF_TOL)
-    return v1 + v2 + v3, e1 + e2 + e3
+    lo = log_t[0]  # the mass below it, bounded by the integral of |phase| / t
+    head = (abs(coef) * math.exp(lo) * (1.0 - lo) if alpha == 1.0
+            else abs(coef * (math.exp(alpha * lo) - alpha * math.exp(lo))) / alpha)
+    left_out = abs(z) * math.exp(lo) + head
+    if exp_sinh and (z or beta):
+        hi_alpha = math.exp(alpha * log_t[-1])
+        left_out += math.exp(-hi_alpha) / (alpha * hi_alpha)
+    return float(0.5 + s_h), float(abs(s_h - s_2h) + left_out / math.pi)
 
 
 def stable_cdf_with_error(r: float, params: StableParams) -> tuple[float, float]:
-    """CDF value at ``r`` plus the achieved quadrature error estimate.
+    """CDF value at ``r`` plus the quadrature's error estimate.
 
     Standardizes to ``z = (r - mu_loc) / sigma`` and evaluates
 
         F(z) = 1/2 + (1/pi) * integral_0^inf sin(phase(z, t)) e^{-t^alpha} / t dt
 
     where the phase is ``z t + beta tan(pi alpha / 2)(t - t^alpha)`` away
-    from ``alpha = 1`` and ``z t + (2 beta / pi) t ln t`` on that branch.
-    Raises :class:`InvalidStableParams` when ``z`` is not finite,
-    :class:`QuadratureFailure` when the error estimate ends up above
-    ``_DEFAULT_CDF_TOL``, and :class:`NumericError` when, at huge ``|z|``,
-    the phase overflows to infinity at some node and no estimate is made;
-    the value is clipped into [0, 1] at machine-level overshoot.
+    from ``alpha = 1`` and ``z t + (2 beta / pi) t ln t`` on that branch
+    (:func:`_cdf_quad_split`). Raises :class:`InvalidStableParams` when ``z``
+    is not finite and :class:`QuadratureFailure` when the error estimate is
+    above ``_DEFAULT_CDF_TOL``; the value is clipped into [0, 1] at
+    machine-level overshoot.
     """
     z = (r - params.mu_loc) / params.sigma
     if not math.isfinite(z):
         raise InvalidStableParams(f"r must give a finite (r - mu_loc) / sigma, got r = {r}")
-    f, a_lin, g_sin, g_cos = _integrands(z, params.alpha, params.beta)
-    try:
-        val, err, _ = _quadpack()._qagie(f, 0.0, _UPPER_INF, (), 0, *_QUAD_TOL)
-        if err > 1e-8:
-            val, err = _cdf_quad_split(f, a_lin, g_sin, g_cos)
-    except ValueError as exc:
-        # the integrands' one ValueError: math.sin or math.cos of a phase that is inf
-        raise NumericError(
-            f"the phase z t overflows to infinity at |z| = {abs(z):.3e}; no quadrature estimate"
-        ) from exc
-    err /= math.pi
+    cdf, err = _cdf_quad_split(z, params.alpha, params.beta)
     if err > _DEFAULT_CDF_TOL:
         raise QuadratureFailure(err, _DEFAULT_CDF_TOL)
-    cdf = 0.5 + val / math.pi
     return min(max(cdf, 0.0), 1.0), err

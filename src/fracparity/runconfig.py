@@ -157,7 +157,10 @@ def _loader(base: type) -> type:
 
 
 def _options(raw: dict, key: str, cls: type, path: Path, where: str):
-    """``cls`` built from the mapping ``raw[key]`` (empty when absent); its errors follow ``where``."""
+    """``cls`` built from the mapping ``raw[key]`` (empty when absent).
+
+    An error of ``cls`` keeps its class, with ``where`` put before its message.
+    """
     options = raw.get(key, {})
     if not isinstance(options, dict):
         raise ConfigError(f"{path}: {key} must be a mapping")
@@ -165,7 +168,7 @@ def _options(raw: dict, key: str, cls: type, path: Path, where: str):
     try:
         return cls(**options)
     except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def _number(raw: dict, key: str, default: float, context: str) -> float:

@@ -2,16 +2,14 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fracparity import fractal
 from fracparity.errors import (
     DegeneratePath,
     FracparityError,
@@ -252,6 +250,24 @@ class TestStableParams:
             StableParams(**kwargs)
 
 
+# F(6; alpha, beta = 1) near alpha = 1, from the Fourier integral in mpmath: 30 digits,
+# which agree at 40 and at 50 working digits on two partitions of the t axis. Keys step
+# |alpha - 1| from 1e-16 (one ulp either side of 1) to 1e-3; at alpha = 1 the value is
+# 0.881440531622793612780309...
+NEAR_ONE = {
+    0.9999999999999999: "0.881440531622793586055521883223",
+    1.0000000000000002: "0.881440531622793666229883230367",
+    0.999999999999: "0.881440531622552902622757579706",
+    1.000000000001: "0.881440531623034349662647177527",
+    0.99999999: "0.881440529215638756950515471188",
+    1.00000001: "0.881440534029948406251993606212",
+    0.99999: "0.881438124450150968522103888693",
+    1.00001: "0.881442938759802961920479125551",
+    0.999: "0.881199637897035484143118919572",
+    1.001: "0.881681069015285423732809825111",
+}
+
+
 class TestStableCdf:
     def test_symmetric_center_is_half(self):
         params = StableParams(alpha=2.0, beta=0.0, sigma=2.0, mu_loc=3.5)
@@ -277,7 +293,8 @@ class TestStableCdf:
 
     @pytest.mark.parametrize("r", [150.0, -150.0, 200.0, -200.0, 1000.0, -1000.0])
     def test_cauchy_tail(self, r):
-        # the plain integral fails from about |r| = 150 on the alpha = 1 branch; the split holds
+        # numpy's pairwise sum keeps these within 2.2e-16; a BLAS dot product of the
+        # same weights and nodes misses r = 1000 by 6.7e-16
         value, err = stable_cdf_with_error(r, StableParams(alpha=1.0))
         assert value == pytest.approx(oracles.cauchy_cdf(r), abs=5e-16)
         assert err < 1e-10
@@ -293,10 +310,8 @@ class TestStableCdf:
     @pytest.mark.parametrize("beta", [1.0, -1.0])
     def test_levy_anchor(self, beta):
         # alpha = 1/2 with full skew is the Levy law; in the 0-shift parametrization
-        # its support starts at r = -tan(pi/4) = -1, and beta = -1 mirrors it. Points
-        # such as r = 1, 2 and 5 take the split quadrature, whose error estimate is
-        # about 5e-9; the largest miss on a 0.1-step grid over [-3, 100] is 2.4e-9
-        # (r = 6.8 and 8.8), while integer r stay within 2e-10
+        # its support starts at r = -tan(pi/4) = -1, and beta = -1 mirrors it. The
+        # largest miss on a 0.1-step grid over [-3, 100] is 3.3e-16
         p = StableParams(alpha=0.5, beta=beta)
         grid = {*np.linspace(-3.0, 100.0, 31).tolist(), -1.0, 1.0, 2.0, 5.0, 6.8, 8.8}
         for r in sorted(grid):
@@ -305,6 +320,28 @@ class TestStableCdf:
             else:
                 want = 1.0 - oracles.levy_cdf(-r, loc=-1.0)
             assert stable_cdf_with_error(r, p)[0] == pytest.approx(want, abs=5e-9), r
+
+    @pytest.mark.parametrize("r", [s * r for r in np.logspace(0.0, 6.0, 25).tolist()
+                                   for s in (1.0, -1.0)])
+    def test_closed_forms_on_the_whole_line(self, r):
+        cauchy = stable_cdf_with_error(r, StableParams(alpha=1.0))[0]
+        assert cauchy == pytest.approx(oracles.cauchy_cdf(r), abs=1e-10)
+        gauss = stable_cdf_with_error(r, StableParams(alpha=2.0))[0]
+        assert gauss == pytest.approx(oracles.gaussian_cdf(r, std=math.sqrt(2.0)), abs=1e-10)
+        levy = stable_cdf_with_error(r, StableParams(alpha=0.5, beta=1.0))[0]
+        assert levy == pytest.approx(oracles.levy_cdf(r, loc=-1.0), abs=5e-9)
+
+    @pytest.mark.parametrize("r", [6.0, -6.0])
+    @pytest.mark.parametrize("beta", [1.0, -1.0])
+    @pytest.mark.parametrize("alpha", list(NEAR_ONE))
+    def test_near_alpha_one_matches_mpmath(self, alpha, beta, r):
+        # F(r; alpha, -1) = 1 - F(-r; alpha, 1), and F(-6; alpha, 1) < 1e-30 at each alpha
+        at_six = float(NEAR_ONE[alpha])
+        want = at_six if r * beta > 0 else 0.0
+        want = want if beta > 0 else 1.0 - want
+        assert stable_cdf_with_error(r, StableParams(alpha, beta))[0] == pytest.approx(
+            want, abs=1e-9
+        )
 
     def test_location_scale_standardization(self):
         p = StableParams(alpha=1.0, beta=0.0, sigma=2.0, mu_loc=-1.0)
@@ -336,6 +373,7 @@ class TestStableCdf:
         beta=st.floats(min_value=-1.0, max_value=1.0),
     )
     @settings(max_examples=15, deadline=None)
+    @example(alpha=0.9999999999999999, beta=1.0)
     def test_monotone_in_r(self, alpha, beta):
         p = StableParams(alpha=alpha, beta=beta)
         grid = np.linspace(-6.0, 6.0, 25)
@@ -350,8 +388,7 @@ class TestStableCdfGolden:
     """Every point of ``scripts/make_stable_cdf_golden.py`` reproduces bit for bit.
 
     A point records the ``repr`` of the value and of the error estimate, or
-    the type and message of the error it raised, and whether it took the
-    split quadrature.
+    the type and message of the error it raised.
     """
 
     @pytest.fixture(scope="class")
@@ -360,110 +397,26 @@ class TestStableCdfGolden:
 
     def test_covers_every_branch(self, golden):
         assert len(golden) >= 250
-        assert sum(row["split"] for row in golden) >= 5
         assert any(row["alpha"] == 1.0 and row["beta"] != 0.0 for row in golden)
-        # the logarithmic phase's split factors, pinned by a value and not an error message
-        assert any(row["alpha"] == 1.0 and row["split"] and "value" in row for row in golden)
+        # no linear phase (alpha = 1, z = 0, with skew): the exp-sinh rule
+        assert any(row["alpha"] == 1.0 and row["r"] == 0.0 and row["beta"] != 0.0 for row in golden)
         assert any(row["r"] == 0.0 and row["beta"] == 0.0 for row in golden)
+        # the near-one residual one ulp from alpha = 1, and far tails, each pinned by a value
+        assert any(0.0 < abs(row["alpha"] - 1.0) < 1e-15 and "value" in row for row in golden)
+        assert sum(abs(row["r"]) >= 1e6 and "value" in row for row in golden) >= 8
         raised = [row["raises"] for row in golden if "raises" in row]
-        assert raised.count("QuadratureFailure") == 2 and "InvalidStableParams" in raised
+        assert sorted(raised) == ["InvalidStableParams", "QuadratureFailure"]
 
-    def test_bitwise(self, golden, monkeypatch):
-        split_args = []
-        split = fractal._cdf_quad_split
-        monkeypatch.setattr(
-            fractal, "_cdf_quad_split", lambda *args: split_args.append(args) or split(*args)
-        )
+    def test_bitwise(self, golden):
         mismatches = []
         for row in golden:
             params = StableParams(row["alpha"], row["beta"], row["sigma"], row["mu_loc"])
-            split_args.clear()
             try:
                 value, err = stable_cdf_with_error(row["r"], params)
                 got = dict(value=repr(value), error=repr(err))
             except FracparityError as exc:
                 got = dict(raises=type(exc).__name__, message=str(exc))
-            got["split"] = bool(split_args)
-            if got != {key: row[key] for key in got}:
+            want = {key: row[key] for key in row.keys() & {"value", "error", "raises", "message"}}
+            if got != want:
                 mismatches.append((row, got))
         assert not mismatches, mismatches[:5]
-
-
-class _Recorder:
-    """Stands in for ``fractal._quadpack()``, recording each routine call and its result."""
-
-    def __init__(self, quadpack):
-        self.quadpack = quadpack
-        self.calls = []
-
-    def __getattr__(self, name):
-        routine = getattr(self.quadpack, name)
-
-        def call(*args):
-            out = routine(*args)
-            self.calls.append((name, args, out))
-            return out
-
-        return call
-
-
-def _public_quad(name, args):
-    """The ``scipy.integrate.quad`` call that the private routine call replaced."""
-    from scipy import integrate
-
-    f, a = args[0], args[1]
-    kw = dict(limit=200, epsabs=1e-12, epsrel=1e-12)
-    if name == "_qagse":
-        return integrate.quad(f, a, args[2], **kw)
-    if name == "_qagie":
-        assert args[2] == 1  # [a, inf)
-        return integrate.quad(f, a, np.inf, **kw)
-    assert name == "_qawfe"
-    weight = {1: "cos", 2: "sin"}[args[3]]
-    return integrate.quad(f, a, np.inf, weight=weight, wvar=args[2], limit=200)
-
-
-class TestQuadpackMatchesQuad:
-    """Each private QUADPACK call gives ``scipy.integrate.quad``'s (value, error) bit for bit.
-
-    The CDF calls the routines of ``scipy.integrate._quadpack`` that ``quad``
-    dispatches to, with ``quad``'s arguments spelled out. Every call a point
-    makes is recorded and replayed through the public ``quad`` call it
-    replaced, so a scipy whose private signatures or defaults drift fails here.
-    """
-
-    @pytest.fixture
-    def recorder(self, monkeypatch):
-        recorder = _Recorder(fractal._quadpack())
-        monkeypatch.setattr(fractal, "_quadpack", lambda: recorder)
-        return recorder
-
-    @pytest.mark.parametrize("point, routines", [
-        # the plain [0, inf) integral
-        ((0.7, 1.7, 0.4), [("_qagie", 0)]),
-        # the Levy law at r = 1: the plain integral ends with ier = 1, on which quad
-        # warns, and the split takes the [0, 1] head and both Fourier tails
-        ((1.0, 0.5, 1.0), [("_qagie", 1), ("_qagse", 0), ("_qawfe", 0), ("_qawfe", 0)]),
-        # alpha = 1 far out with skew: the same calls with the logarithmic phase's factors
-        ((80.0, 1.0, 0.5), [("_qagie", 1), ("_qagse", 0), ("_qawfe", 0), ("_qawfe", 0)]),
-    ])
-    def test_cdf_calls(self, recorder, point, routines):
-        r, alpha, beta = point
-        stable_cdf_with_error(r, StableParams(alpha, beta))
-        self.assert_replayed(recorder.calls, routines)
-
-    def test_unweighted_tail_of_the_split(self, recorder):
-        # a_lin == 0 (alpha = 1, z = 0 with skew): the [1, inf) tail has no Fourier
-        # weight; no golden point reaches this branch
-        fractal._cdf_quad_split(*fractal._integrands(0.0, 1.0, 0.5))
-        self.assert_replayed(recorder.calls, [("_qagse", 0), ("_qagie", 0)])
-
-    @staticmethod
-    def assert_replayed(calls, routines):
-        assert [(name, out[2]) for name, _, out in calls] == routines
-        for name, args, (value, error, ier) in calls:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                want = _public_quad(name, args)
-            assert (repr(value), repr(error)) == tuple(map(repr, want)), name
-            assert [w.category.__name__ for w in caught] == ["IntegrationWarning"] * (ier != 0)
