@@ -88,7 +88,7 @@ class DegeneratePath(NumericError):
 
 
 class QuadratureFailure(NumericError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """The stable CDF's fixed-node quadrature has an error estimate above the tolerance."""
 
     def __init__(self, achieved_error: float, tolerance: float):
         super().__init__(

@@ -29,7 +29,10 @@ Fourier integrals (Ooura and Mori, J. Comput. Appl. Math. 38, 1991, and
 112, 1999), or the exp-sinh rule when the linear part is too small to
 oscillate. The nodes are fixed numpy tables, built on the first CDF
 evaluation, so a point is a few array operations, and the package never
-imports scipy.
+imports scipy. A point evaluates only the nodes where ``t^alpha <= 746``:
+past 745.14 the envelope ``e^{-t^alpha}`` is exactly 0.0, so every other
+node's term is a zero, and the sums, taken over the whole table with those
+zeros in place, keep the bits they had with every node evaluated.
 """
 
 from __future__ import annotations
@@ -283,6 +286,9 @@ _U_MAX = 4.0  # every rule's last node is at u = 4, and the Ooura–Mori rules' 
 _U_MIN_EXP_SINH = -5.0
 _NEAR_ONE = 0.2  # below this |alpha - 1| the linear part of the phase is z t alone
 _MIN_LINEAR = 0.1  # below this |a| the exp-sinh rule integrates the whole phase
+# past t^alpha = 745.14, e^{-t^alpha} is exactly 0.0: a node whose alpha ln t is above
+# this adds only a zero to the sums, so it is not evaluated
+_LOG_LIVE = math.log(746.0)
 
 
 def _ooura_mori(h: float, cosine: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -336,6 +342,11 @@ def _exp_sinh_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.exp(log_t), log_t, np.stack([w, np.where(n % 2, 0.0, 2.0 * w)])
 
 
+def _live(scaled: np.ndarray) -> np.ndarray:
+    """The nodes, given ``alpha ln t``, to evaluate: the others' ``e^{-t^alpha}`` is 0.0."""
+    return scaled <= _LOG_LIVE
+
+
 def _cdf_quad_split(z: float, alpha: float, beta: float) -> tuple[float, float]:
     """The CDF at standardized ``z`` and its error estimate, on fixed nodes.
 
@@ -353,6 +364,12 @@ def _cdf_quad_split(z: float, alpha: float, beta: float) -> tuple[float, float]:
     ``|a| = _MIN_LINEAR`` the exp-sinh rule takes the whole integrand. Each
     node's envelope is ``e^{-t^alpha} / x`` with ``x = |a| t`` folded into
     the weights, so no node divides by zero or overflows at any finite ``z``.
+    Only the nodes with ``alpha ln t <= ln 746`` are evaluated. The others'
+    envelope is exactly 0.0, so their term is a zero; their slots hold 0.0
+    and both rules sum the whole table in its order, so the sums are those
+    of every node evaluated, up to the sign of a zero total, which neither
+    the value nor the estimate shows. In each Ooura–Mori block and in the
+    exp-sinh table ``t`` ascends, so the evaluated nodes are a prefix of each.
 
     The estimate is the distance between the h and 2h rules, plus a bound
     on what no node reaches: below the first node ``lo``,
@@ -372,18 +389,23 @@ def _cdf_quad_split(z: float, alpha: float, beta: float) -> tuple[float, float]:
     else:
         log_x, n_sin, weights = _fourier_nodes()
         log_t = log_x - math.log(abs(a))
-    ta = np.exp(alpha * log_t)
+    scaled = alpha * log_t
+    live = _live(scaled)
+    ta, lt = np.exp(scaled[live]), log_t[live]
     if alpha == 1.0:
-        psi = sign * coef * ta * log_t  # ta is t at alpha = 1
+        psi = sign * coef * ta * lt  # ta is t at alpha = 1
     elif near:
-        psi = -sign * coef * (t if exp_sinh else np.exp(log_t)) * np.expm1(d * log_t)
+        psi = -sign * coef * (t[live] if exp_sinh else np.exp(lt)) * np.expm1(d * lt)
     else:
         psi = -sign * coef * ta
     if exp_sinh:
-        kernel = np.sin(abs(a) * t + psi)
+        kernel = np.sin(abs(a) * t[live] + psi)
     else:
-        kernel = np.concatenate((np.cos(psi[:n_sin]), np.sin(psi[n_sin:])))
-    s_h, s_2h = sign * (weights * (np.exp(-ta) * kernel)).sum(axis=1)
+        k = np.count_nonzero(live[:n_sin])
+        kernel = np.concatenate((np.cos(psi[:k]), np.sin(psi[k:])))
+    terms = np.zeros(log_t.size)
+    terms[live] = np.exp(-ta) * kernel
+    s_h, s_2h = sign * (weights * terms).sum(axis=1)
 
     lo = log_t[0]  # the mass below it, bounded by the integral of |phase| / t
     head = (abs(coef) * math.exp(lo) * (1.0 - lo) if alpha == 1.0

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fracparity import fractal
 from fracparity.errors import (
     DegeneratePath,
     FracparityError,
@@ -267,6 +268,23 @@ NEAR_ONE = {
     1.001: "0.881681069015285423732809825111",
 }
 
+# F(r; alpha, beta) at generic points, from the Fourier integral
+# 1/2 + (1/pi) int_0^T sin(r t + c (t - t^alpha)) e^{-t^alpha} / t dt, c = beta tan(pi alpha / 2),
+# by mpmath.quad over [0, 1e-6, 1e-3] and steps of 0.5 at 40 working digits, and of 0.37 at 50,
+# with T where e^{-T^alpha} = 10^-(digits + 5): the two agree to 30 digits. scipy's
+# levy_stable in its S0 parameterization, which integrates Nolan's non-oscillating form,
+# is within 2e-16 of each
+GENERIC = {
+    (-1.5, 0.7, 0.5): "0.109656677997406189178097426142",
+    (2.0, 0.7, -0.8): "0.963734617239365202526375221944",
+    (0.3, 0.7, 0.9): "0.424409792691765820430800254685",
+    (-0.8, 1.3, 0.6): "0.221428598787962180697650454305",
+    (3.0, 1.3, -0.4): "0.95950685953110066958767883554",
+    (0.4, 1.7, 0.9): "0.565154349431522779813945233594",
+    (-2.5, 1.7, -0.5): "0.0776709858128624796939302962814",
+    (6.0, 1.7, 0.3): "0.990182575662853845247044012586",
+}
+
 
 class TestStableCdf:
     def test_symmetric_center_is_half(self):
@@ -343,6 +361,12 @@ class TestStableCdf:
             want, abs=1e-9
         )
 
+    @pytest.mark.parametrize("point", list(GENERIC))
+    def test_generic_points_match_mpmath(self, point):
+        r, alpha, beta = point
+        value = stable_cdf_with_error(r, StableParams(alpha, beta))[0]
+        assert value == pytest.approx(float(GENERIC[point]), abs=1e-15)
+
     def test_location_scale_standardization(self):
         p = StableParams(alpha=1.0, beta=0.0, sigma=2.0, mu_loc=-1.0)
         want = oracles.cauchy_cdf(1.0)
@@ -379,6 +403,44 @@ class TestStableCdf:
         grid = np.linspace(-6.0, 6.0, 25)
         values = [stable_cdf_with_error(r, p)[0] for r in grid]
         assert all(b - a >= -1e-7 for a, b in zip(values, values[1:]))
+
+
+class TestSkippedNodes:
+    """The kernel skips only nodes whose envelope ``e^{-t^alpha}`` is exactly 0.0."""
+
+    @staticmethod
+    def nodes(z, alpha, beta):
+        """``alpha ln t`` of the point's table and the mask of the nodes the kernel evaluates."""
+        calls, kernel_live = [], fractal._live
+
+        def live(scaled):
+            calls.append((scaled, kernel_live(scaled)))
+            return calls[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fractal, "_live", live)
+            fractal._cdf_quad_split(z, alpha, beta)
+        (call,) = calls
+        return call
+
+    @given(
+        z=st.one_of(st.floats(-0.1, 0.1), st.floats(-1e300, 1e300)),
+        alpha=st.floats(0.05, 2.0),
+        beta=st.floats(-1.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(z=0.05, alpha=2.0, beta=0.0)  # exp-sinh
+    @example(z=1.3, alpha=1.5, beta=0.3)  # Fourier
+    def test_every_skipped_envelope_is_zero(self, z, alpha, beta):
+        scaled, live = self.nodes(z, alpha, beta)
+        assert (np.exp(-np.exp(scaled[~live])) == 0.0).all()
+
+    @pytest.mark.parametrize("point, size", [((1.3, 1.5, 0.3), 3074), ((0.05, 2.0, 0.0), 1153)])
+    def test_nodes_are_skipped(self, point, size):
+        # a Fourier point and an exp-sinh point: the tables hold 3,074 and 1,153 nodes
+        _, live = self.nodes(*point)
+        assert live.size == size
+        assert 0 < np.count_nonzero(live) < size
 
 
 GOLDEN = Path(__file__).parent / "fixtures" / "stable_cdf_golden.json"
