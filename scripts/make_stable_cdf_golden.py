@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record the stable-CDF golden fixture.
 
-Writes tests/fixtures/stable_cdf_golden.json: about 300 inputs of
+Writes tests/fixtures/stable_cdf_golden.json: 335 inputs of
 ``fractal.stable_cdf_with_error`` with the ``repr`` of the value and of the
 error estimate each one returned, or the type and message of the error it
 raised. ``tests/test_fractal.py`` asserts exact equality on every point, so
@@ -67,6 +67,10 @@ def points() -> list[dict]:
     # 24% and none of the nodes there, and exp-sinh points with 29% and 15% there
     grid += [(0.1000000001, 2.0, 0.0), (0.3, 1.9, -0.8), (2.5, 1.2, 0.9), (0.05, 0.16, 0.3),
              (0.05, 2.0, 0.0), (-0.09, 0.6, 0.0)]
+    # the near-one residual psi = -c t expm1((alpha - 1) ln t) on the exp-sinh rule, and
+    # alpha = 1's c t ln t there; then a near-one Fourier point with every node evaluated
+    grid += [(-0.07, 0.85, -0.4), (0.03, 1.1, 0.5), (0.09, 0.81, 0.2), (-0.02, 1.19, 1.0),
+             (0.08, 1.0, 0.3), (-0.6, 0.832, -0.689)]
     # alpha = 0.2 without skew just left of 0: the exp-sinh rule's estimate fails it
     grid += [(-0.05, 0.2, 0.0), (float("inf"), 1.5, 0.0)]
     out = [dict(r=r, alpha=a, beta=b, sigma=1.0, mu_loc=0.0) for r, a, b in grid]
