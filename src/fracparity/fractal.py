@@ -29,10 +29,14 @@ Fourier integrals (Ooura and Mori, J. Comput. Appl. Math. 38, 1991, and
 112, 1999), or the exp-sinh rule when the linear part is too small to
 oscillate. The nodes are fixed numpy tables, built on the first CDF
 evaluation, so a point is a few array operations, and the package never
-imports scipy. A point evaluates only the nodes where ``t^alpha <= 746``:
-past 745.14 the envelope ``e^{-t^alpha}`` is exactly 0.0, so every other
-node's term is a zero, and the sums, taken over the whole table with those
-zeros in place, keep the bits they had with every node evaluated.
+imports scipy. A point evaluates only the nodes where ``t^alpha <= 746``,
+found by one comparison of the table's log nodes with ``ln 746 / alpha``
+(plus ``ln|a|`` for the Fourier nodes, which are ``x = |a| t``): past 745.14
+the envelope ``e^{-t^alpha}`` is exactly 0.0, so every other node's term is
+a zero, and rounding in the comparison moves only nodes whose envelope is
+0.0 either way. The evaluated nodes run through their steps in place, and
+the sums, taken over the whole table with the zeros in place, keep the bits
+they had with every node evaluated.
 """
 
 from __future__ import annotations
@@ -287,7 +291,9 @@ _U_MIN_EXP_SINH = -5.0
 _NEAR_ONE = 0.2  # below this |alpha - 1| the linear part of the phase is z t alone
 _MIN_LINEAR = 0.1  # below this |a| the exp-sinh rule integrates the whole phase
 # past t^alpha = 745.14, e^{-t^alpha} is exactly 0.0: a node whose alpha ln t is above
-# this adds only a zero to the sums, so it is not evaluated
+# this adds only a zero to the sums, so it is not evaluated. The cut compares the table's
+# log nodes with ln 746 / alpha + ln|a| (Fourier) or ln 746 / alpha (exp-sinh) once; that
+# moves only nodes within rounding of t^alpha = 746, whose envelope is 0.0 either way
 _LOG_LIVE = math.log(746.0)
 
 
@@ -342,9 +348,13 @@ def _exp_sinh_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.exp(log_t), log_t, np.stack([w, np.where(n % 2, 0.0, 2.0 * w)])
 
 
-def _live(scaled: np.ndarray) -> np.ndarray:
-    """The nodes, given ``alpha ln t``, to evaluate: the others' ``e^{-t^alpha}`` is 0.0."""
-    return scaled <= _LOG_LIVE
+def _live(log_nodes: np.ndarray, alpha: float, shift: float) -> np.ndarray:
+    """The nodes to evaluate, given the table's log nodes and ``ln t = log node - shift``.
+
+    One comparison against a per-point bound, ``ln t <= ln 746 / alpha``: the
+    others' ``e^{-t^alpha}`` is 0.0.
+    """
+    return log_nodes <= _LOG_LIVE / alpha + shift
 
 
 def _cdf_quad_split(z: float, alpha: float, beta: float) -> tuple[float, float]:
@@ -364,12 +374,20 @@ def _cdf_quad_split(z: float, alpha: float, beta: float) -> tuple[float, float]:
     ``|a| = _MIN_LINEAR`` the exp-sinh rule takes the whole integrand. Each
     node's envelope is ``e^{-t^alpha} / x`` with ``x = |a| t`` folded into
     the weights, so no node divides by zero or overflows at any finite ``z``.
-    Only the nodes with ``alpha ln t <= ln 746`` are evaluated. The others'
-    envelope is exactly 0.0, so their term is a zero; their slots hold 0.0
-    and both rules sum the whole table in its order, so the sums are those
-    of every node evaluated, up to the sign of a zero total, which neither
-    the value nor the estimate shows. In each Ooura–Mori block and in the
-    exp-sinh table ``t`` ascends, so the evaluated nodes are a prefix of each.
+    Only the nodes with ``t^alpha <= 746`` are evaluated, decided by one
+    comparison of the table's log nodes with a per-point bound (:func:`_live`):
+    ``ln x <= ln 746 / alpha + ln|a|`` on the Fourier table and
+    ``ln t <= ln 746 / alpha`` on the exp-sinh table. It can differ from
+    ``alpha ln t <= ln 746`` only at nodes within rounding of
+    ``t^alpha = 746``, past 745.14, so every node left out has an envelope of
+    exactly 0.0 and its term is a zero; its slot holds 0.0 and both rules
+    sum the whole table in its order, so the sums are those of every node
+    evaluated, up to the sign of a zero total, which neither the value nor
+    the estimate shows. In each Ooura–Mori block and in the exp-sinh table
+    ``t`` ascends, so the evaluated nodes are a prefix of each. ``ln t`` and
+    ``alpha ln t`` are formed on those nodes only, and each later step runs
+    in place on them, the same ufunc on the same operands as on fresh
+    arrays, so every term keeps its bits.
 
     The estimate is the distance between the h and 2h rules, plus a bound
     on what no node reaches: below the first node ``lo``,
@@ -385,34 +403,47 @@ def _cdf_quad_split(z: float, alpha: float, beta: float) -> tuple[float, float]:
     sign = -1.0 if a < 0.0 else 1.0
     exp_sinh = abs(a) < _MIN_LINEAR
     if exp_sinh:
-        t, log_t, weights = _exp_sinh_nodes()
+        t, log_nodes, weights = _exp_sinh_nodes()
+        shift = 0.0
     else:
-        log_x, n_sin, weights = _fourier_nodes()
-        log_t = log_x - math.log(abs(a))
-    scaled = alpha * log_t
-    live = _live(scaled)
-    ta, lt = np.exp(scaled[live]), log_t[live]
+        log_nodes, n_sin, weights = _fourier_nodes()
+        shift = math.log(abs(a))  # ln t = ln x - ln|a|
+    live = _live(log_nodes, alpha, shift)
+    # each step below is the same ufunc on the same operands as on fresh arrays, written
+    # in place on the evaluated nodes: lt holds ln t, then (far from 1) alpha ln t
+    lt = log_nodes[live]
+    lt -= shift
+    ta = np.multiply(lt, alpha, out=None if near else lt)
+    np.exp(ta, out=ta)  # t^alpha
     if alpha == 1.0:
-        psi = sign * coef * ta * lt  # ta is t at alpha = 1
+        psi = sign * coef * ta  # ta is t at alpha = 1
+        psi *= lt
     elif near:
-        psi = -sign * coef * (t[live] if exp_sinh else np.exp(lt)) * np.expm1(d * lt)
+        psi = t[live] if exp_sinh else np.exp(lt)
+        psi *= -sign * coef
+        lt *= d
+        psi *= np.expm1(lt, out=lt)
     else:
         psi = -sign * coef * ta
     if exp_sinh:
-        kernel = np.sin(abs(a) * t[live] + psi)
-    else:
+        psi += abs(a) * t[live]
+        np.sin(psi, out=psi)
+    else:  # sine nodes weigh cos(psi), cosine nodes sin(psi)
         k = np.count_nonzero(live[:n_sin])
-        kernel = np.concatenate((np.cos(psi[:k]), np.sin(psi[k:])))
-    terms = np.zeros(log_t.size)
-    terms[live] = np.exp(-ta) * kernel
+        np.cos(psi[:k], out=psi[:k])
+        np.sin(psi[k:], out=psi[k:])
+    np.negative(ta, out=ta)
+    psi *= np.exp(ta, out=ta)
+    terms = np.zeros(log_nodes.size)
+    terms[live] = psi
     s_h, s_2h = sign * (weights * terms).sum(axis=1)
 
-    lo = log_t[0]  # the mass below it, bounded by the integral of |phase| / t
+    lo = log_nodes[0] - shift  # the mass below it, bounded by the integral of |phase| / t
     head = (abs(coef) * math.exp(lo) * (1.0 - lo) if alpha == 1.0
             else abs(coef * (math.exp(alpha * lo) - alpha * math.exp(lo))) / alpha)
     left_out = abs(z) * math.exp(lo) + head
     if exp_sinh and (z or beta):
-        hi_alpha = math.exp(alpha * log_t[-1])
+        hi_alpha = math.exp(alpha * log_nodes[-1])
         left_out += math.exp(-hi_alpha) / (alpha * hi_alpha)
     return float(0.5 + s_h), float(abs(s_h - s_2h) + left_out / math.pi)
 

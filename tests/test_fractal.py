@@ -273,7 +273,8 @@ NEAR_ONE = {
 # by mpmath.quad over [0, 1e-6, 1e-3] and steps of 0.5 at 40 working digits, and of 0.37 at 50,
 # with T where e^{-T^alpha} = 10^-(digits + 5): the two agree to 30 digits. scipy's
 # levy_stable in its S0 parameterization, which integrates Nolan's non-oscillating form,
-# is within 2e-16 of each
+# is within 2e-16 of each of the first eight and 3.4e-16 of the last six. Those six lie
+# within 0.2 of alpha = 1, where the kernel's residual is -c t expm1((alpha - 1) ln t)
 GENERIC = {
     (-1.5, 0.7, 0.5): "0.109656677997406189178097426142",
     (2.0, 0.7, -0.8): "0.963734617239365202526375221944",
@@ -283,6 +284,12 @@ GENERIC = {
     (0.4, 1.7, 0.9): "0.565154349431522779813945233594",
     (-2.5, 1.7, -0.5): "0.0776709858128624796939302962814",
     (6.0, 1.7, 0.3): "0.990182575662853845247044012586",
+    (1.3, 0.85, 0.5): "0.686060716681846136725685434514",
+    (-0.7, 0.95, -0.6): "0.411650259098733115393759002501",
+    (2.2, 1.05, 0.4): "0.816577105641510521031712626928",
+    (-1.1, 1.15, 0.8): "0.119893632888182458093264433695",
+    (0.6, 0.9, -0.9): "0.801184204388992587819602022825",
+    (4.0, 1.1, 0.3): "0.910780846666649069265561265626",
 }
 
 
@@ -410,11 +417,15 @@ class TestSkippedNodes:
 
     @staticmethod
     def nodes(z, alpha, beta):
-        """``alpha ln t`` of the point's table and the mask of the nodes the kernel evaluates."""
+        """``alpha ln t`` of the point's table and the mask of the nodes the kernel evaluates.
+
+        ``alpha ln t`` is formed as ``alpha * (log node - shift)`` over the whole table,
+        not by the kernel's one comparison against a per-point bound.
+        """
         calls, kernel_live = [], fractal._live
 
-        def live(scaled):
-            calls.append((scaled, kernel_live(scaled)))
+        def live(log_nodes, alpha, shift):
+            calls.append((alpha * (log_nodes - shift), kernel_live(log_nodes, alpha, shift)))
             return calls[-1][1]
 
         with pytest.MonkeyPatch.context() as mp:
@@ -434,6 +445,9 @@ class TestSkippedNodes:
     def test_every_skipped_envelope_is_zero(self, z, alpha, beta):
         scaled, live = self.nodes(z, alpha, beta)
         assert (np.exp(-np.exp(scaled[~live])) == 0.0).all()
+        # the one comparison differs from alpha ln t <= ln 746 only where the envelope is 0.0
+        moved = live != (scaled <= math.log(746.0))
+        assert (np.exp(-np.exp(scaled[moved])) == 0.0).all()
 
     @pytest.mark.parametrize("point, size", [((1.3, 1.5, 0.3), 3074), ((0.05, 2.0, 0.0), 1153)])
     def test_nodes_are_skipped(self, point, size):
