@@ -27,9 +27,13 @@ point splits its phase into a linear part and a residual, and sums the
 residual's factors against the Ooura–Mori double-exponential rule for
 Fourier integrals (Ooura and Mori, J. Comput. Appl. Math. 38, 1991, and
 112, 1999), or the exp-sinh rule when the linear part is too small to
-oscillate. The nodes are fixed numpy tables, built on the first CDF
-evaluation, so a point is a few array operations, and the package never
-imports scipy. A point evaluates only the nodes where ``t^alpha <= 746``,
+oscillate. The nodes are fixed numpy tables, each built on its first use,
+so a point is a few array operations, and the package never imports scipy.
+A Fourier point is summed in two levels. The steps 1/64 and 1/32 come first,
+on one table; where they agree within 1e-12, counting the bound on the mass
+below the first node, the 1/64 rule gives the value and that agreement is the
+estimate. Elsewhere the 1/128 rule, on a table of its own, gives the value,
+and its distance from the 1/64 rule is the estimate. A point evaluates only the nodes where ``t^alpha <= 746``,
 found by one comparison of the table's log nodes with ``ln 746 / alpha``
 (plus ``ln|a|`` for the Fourier nodes, which are ``x = |a| t``): past 745.14
 the envelope ``e^{-t^alpha}`` is exactly 0.0, so every other node's term is
@@ -283,13 +287,16 @@ def estimate_hurst(path, config: HurstConfig = HurstConfig()) -> HurstFit:
 # --- stable CDF -----------------------------------------------------------
 
 _DEFAULT_CDF_TOL = 1e-6
-_STEP = 1.0 / 128  # h of the rule that gives the value; the 2h rule's sum sets the estimate
+_STEP = 1.0 / 128  # h of the fine rule; the coarse pair is 2h and 4h, the exp-sinh pair h and 2h
 _U_MAX = 4.0  # every rule's last node is at u = 4, and the Ooura–Mori rules' first at -4
 # exp-sinh's first node, t = 2.5e-51; from u = -4 (t = 2.3e-19) the mass below the
 # first node was 3e-10 of the Levy law at r = -1
 _U_MIN_EXP_SINH = -5.0
 _NEAR_ONE = 0.2  # below this |alpha - 1| the linear part of the phase is z t alone
 _MIN_LINEAR = 0.1  # below this |a| the exp-sinh rule integrates the whole phase
+# a Fourier point whose coarse estimate is at most this returns the 2h rule's value: on the
+# stable_grid points, each such value is within 4.4e-16 of the h rule's
+_CONVERGED = 1e-12
 # past t^alpha = 745.14, e^{-t^alpha} is exactly 0.0: a node whose alpha ln t is above
 # this adds only a zero to the sums, so it is not evaluated. The cut compares the table's
 # log nodes with ln 746 / alpha + ln|a| (Fourier) or ln 746 / alpha (exp-sinh) once; that
@@ -322,15 +329,16 @@ def _ooura_mori(h: float, cosine: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _fourier_nodes() -> tuple[np.ndarray, int, np.ndarray]:
-    """``log x`` of the h and 2h Ooura–Mori rules, the count of sine nodes, and the weights.
+def _fourier_nodes(steps: tuple[float, ...]) -> tuple[np.ndarray, int, np.ndarray]:
+    """``log x`` of the Ooura–Mori rules of these steps, the count of sine nodes, and the weights.
 
-    The nodes lie end to end, sine nodes first and the h rule's first of
-    all. Row j of the weights holds rule j's, zero on the other rule's nodes.
+    The nodes lie end to end, sine nodes first and the first rule's first of
+    all. Row j of the weights holds rule j's, zero on the other rules' nodes.
     """
-    blocks = [_ooura_mori(h, cosine) for cosine in (False, True) for h in (_STEP, 2.0 * _STEP)]
-    rows = [np.concatenate([w * (k % 2 == j) for k, (_, w) in enumerate(blocks)]) for j in (0, 1)]
-    n_sin = blocks[0][0].size + blocks[1][0].size
+    blocks = [_ooura_mori(h, cosine) for cosine in (False, True) for h in steps]
+    rows = [np.concatenate([w * (k % len(steps) == j) for k, (_, w) in enumerate(blocks)])
+            for j in range(len(steps))]
+    n_sin = sum(x.size for x, _ in blocks[: len(steps)])
     return np.log(np.concatenate([x for x, _ in blocks])), n_sin, np.stack(rows)
 
 
@@ -374,14 +382,25 @@ def _cdf_quad_split(z: float, alpha: float, beta: float) -> tuple[float, float]:
     ``|a| = _MIN_LINEAR`` the exp-sinh rule takes the whole integrand. Each
     node's envelope is ``e^{-t^alpha} / x`` with ``x = |a| t`` folded into
     the weights, so no node divides by zero or overflows at any finite ``z``.
-    Only the nodes with ``t^alpha <= 746`` are evaluated, decided by one
-    comparison of the table's log nodes with a per-point bound (:func:`_live`):
-    ``ln x <= ln 746 / alpha + ln|a|`` on the Fourier table and
-    ``ln t <= ln 746 / alpha`` on the exp-sinh table. It can differ from
-    ``alpha ln t <= ln 746`` only at nodes within rounding of
-    ``t^alpha = 746``, past 745.14, so every node left out has an envelope of
-    exactly 0.0 and its term is a zero; its slot holds 0.0 and both rules
-    sum the whole table in its order, so the sums are those of every node
+
+    A Fourier point is summed in two levels, each on its own cached table.
+    The coarse table holds the rules of steps 1/64 and 1/32. When their
+    distance, plus the 1/64 rule's bound on the mass below its first node,
+    is at most ``_CONVERGED`` (1e-12), that is the estimate and the 1/64
+    rule gives the value. Otherwise the fine table, the 1/128 rule alone,
+    gives the value, and the estimate is its distance from the coarse
+    pass's 1/64 sum plus the 1/128 rule's own bound below its first node;
+    no node is evaluated twice. An exp-sinh point sums its h and 2h rules
+    on one table, and the h rule gives the value.
+
+    On each table only the nodes with ``t^alpha <= 746`` are evaluated,
+    decided by one comparison of the table's log nodes with a per-point
+    bound (:func:`_live`): ``ln x <= ln 746 / alpha + ln|a|`` on the Fourier
+    tables and ``ln t <= ln 746 / alpha`` on the exp-sinh table. It can
+    differ from ``alpha ln t <= ln 746`` only at nodes within rounding of
+    ``t^alpha = 746``, past 745.14, so every node left out has an envelope
+    of exactly 0.0 and its term is a zero; its slot holds 0.0 and each rule
+    sums the whole table in its order, so the sums are those of every node
     evaluated, up to the sign of a zero total, which neither the value nor
     the estimate shows. In each Ooura–Mori block and in the exp-sinh table
     ``t`` ascends, so the evaluated nodes are a prefix of each. ``ln t`` and
@@ -389,12 +408,12 @@ def _cdf_quad_split(z: float, alpha: float, beta: float) -> tuple[float, float]:
     in place on them, the same ufunc on the same operands as on fresh
     arrays, so every term keeps its bits.
 
-    The estimate is the distance between the h and 2h rules, plus a bound
-    on what no node reaches: below the first node ``lo``,
+    Each estimate adds to the distance between two rules a bound on what no
+    node reaches: below the first node ``lo``,
     ``|sin(phase)| / t <= |z| + |c| |1 - t^(alpha - 1)|`` (``|z| + |k ln t|``
     at alpha = 1), and past the exp-sinh rule's last node ``hi``,
-    ``int e^{-t^alpha} / t dt <= e^{-hi^alpha} / (alpha hi^alpha)``. Both
-    rules leave the same parts out, so their distance alone cannot see them.
+    ``int e^{-t^alpha} / t dt <= e^{-hi^alpha} / (alpha hi^alpha)``. The
+    distance alone cannot see those parts, which both rules leave out.
     """
     d = alpha - 1.0
     near = abs(d) < _NEAR_ONE
@@ -406,46 +425,62 @@ def _cdf_quad_split(z: float, alpha: float, beta: float) -> tuple[float, float]:
         t, log_nodes, weights = _exp_sinh_nodes()
         shift = 0.0
     else:
-        log_nodes, n_sin, weights = _fourier_nodes()
         shift = math.log(abs(a))  # ln t = ln x - ln|a|
-    live = _live(log_nodes, alpha, shift)
-    # each step below is the same ufunc on the same operands as on fresh arrays, written
-    # in place on the evaluated nodes: lt holds ln t, then (far from 1) alpha ln t
-    lt = log_nodes[live]
-    lt -= shift
-    ta = np.multiply(lt, alpha, out=None if near else lt)
-    np.exp(ta, out=ta)  # t^alpha
-    if alpha == 1.0:
-        psi = sign * coef * ta  # ta is t at alpha = 1
-        psi *= lt
-    elif near:
-        psi = t[live] if exp_sinh else np.exp(lt)
-        psi *= -sign * coef
-        lt *= d
-        psi *= np.expm1(lt, out=lt)
-    else:
-        psi = -sign * coef * ta
-    if exp_sinh:
-        psi += abs(a) * t[live]
-        np.sin(psi, out=psi)
-    else:  # sine nodes weigh cos(psi), cosine nodes sin(psi)
-        k = np.count_nonzero(live[:n_sin])
-        np.cos(psi[:k], out=psi[:k])
-        np.sin(psi[k:], out=psi[k:])
-    np.negative(ta, out=ta)
-    psi *= np.exp(ta, out=ta)
-    terms = np.zeros(log_nodes.size)
-    terms[live] = psi
-    s_h, s_2h = sign * (weights * terms).sum(axis=1)
 
-    lo = log_nodes[0] - shift  # the mass below it, bounded by the integral of |phase| / t
-    head = (abs(coef) * math.exp(lo) * (1.0 - lo) if alpha == 1.0
-            else abs(coef * (math.exp(alpha * lo) - alpha * math.exp(lo))) / alpha)
-    left_out = abs(z) * math.exp(lo) + head
-    if exp_sinh and (z or beta):
-        hi_alpha = math.exp(alpha * log_nodes[-1])
-        left_out += math.exp(-hi_alpha) / (alpha * hi_alpha)
-    return float(0.5 + s_h), float(abs(s_h - s_2h) + left_out / math.pi)
+    def sums(log_nodes, n_sin, weights):
+        """Each weight row's sum over the table; ``n_sin`` is None on the exp-sinh table."""
+        live = _live(log_nodes, alpha, shift)
+        # each step below is the same ufunc on the same operands as on fresh arrays, written
+        # in place on the evaluated nodes: lt holds ln t, then (far from 1) alpha ln t
+        lt = log_nodes[live]
+        lt -= shift
+        ta = np.multiply(lt, alpha, out=None if near else lt)
+        np.exp(ta, out=ta)  # t^alpha
+        if alpha == 1.0:
+            psi = sign * coef * ta  # ta is t at alpha = 1
+            psi *= lt
+        elif near:
+            psi = t[live] if exp_sinh else np.exp(lt)
+            psi *= -sign * coef
+            lt *= d
+            psi *= np.expm1(lt, out=lt)
+        else:
+            psi = -sign * coef * ta
+        if exp_sinh:
+            psi += abs(a) * t[live]
+            np.sin(psi, out=psi)
+        else:  # sine nodes weigh cos(psi), cosine nodes sin(psi)
+            k = np.count_nonzero(live[:n_sin])
+            np.cos(psi[:k], out=psi[:k])
+            np.sin(psi[k:], out=psi[k:])
+        np.negative(ta, out=ta)
+        psi *= np.exp(ta, out=ta)
+        terms = np.zeros(log_nodes.size)
+        terms[live] = psi
+        return sign * (weights * terms).sum(axis=1)
+
+    def below(log_nodes):
+        """Bound on the mass below the table's first node, times pi: the integral of |phase| / t."""
+        lo = log_nodes[0] - shift
+        head = (abs(coef) * math.exp(lo) * (1.0 - lo) if alpha == 1.0
+                else abs(coef * (math.exp(alpha * lo) - alpha * math.exp(lo))) / alpha)
+        return abs(z) * math.exp(lo) + head
+
+    if exp_sinh:
+        s_h, s_2h = sums(log_nodes, None, weights)
+        left_out = below(log_nodes)
+        if z or beta:
+            hi_alpha = math.exp(alpha * log_nodes[-1])
+            left_out += math.exp(-hi_alpha) / (alpha * hi_alpha)
+        return float(0.5 + s_h), float(abs(s_h - s_2h) + left_out / math.pi)
+    log_nodes, n_sin, weights = _fourier_nodes((2.0 * _STEP, 4.0 * _STEP))
+    s_2h, s_4h = sums(log_nodes, n_sin, weights)
+    err = abs(s_2h - s_4h) + below(log_nodes) / math.pi
+    if err <= _CONVERGED:
+        return float(0.5 + s_2h), float(err)
+    log_nodes, n_sin, weights = _fourier_nodes((_STEP,))
+    (s_h,) = sums(log_nodes, n_sin, weights)
+    return float(0.5 + s_h), float(abs(s_h - s_2h) + below(log_nodes) / math.pi)
 
 
 def stable_cdf_with_error(r: float, params: StableParams) -> tuple[float, float]:
@@ -457,7 +492,11 @@ def stable_cdf_with_error(r: float, params: StableParams) -> tuple[float, float]
 
     where the phase is ``z t + beta tan(pi alpha / 2)(t - t^alpha)`` away
     from ``alpha = 1`` and ``z t + (2 beta / pi) t ln t`` on that branch
-    (:func:`_cdf_quad_split`). Raises :class:`InvalidStableParams` when ``z``
+    (:func:`_cdf_quad_split`). Away from the exp-sinh branch the value is the
+    step-1/64 Ooura–Mori rule's where the 1/32 rule agrees with it within
+    1e-12, counting the mass below the first node, and that agreement is the
+    estimate; elsewhere it is the 1/128 rule's, and the estimate is its
+    distance from the 1/64 rule. Raises :class:`InvalidStableParams` when ``z``
     is not finite and :class:`QuadratureFailure` when the error estimate is
     above ``_DEFAULT_CDF_TOL``; the value is clipped into [0, 1] at
     machine-level overshoot.

@@ -273,8 +273,9 @@ NEAR_ONE = {
 # by mpmath.quad over [0, 1e-6, 1e-3] and steps of 0.5 at 40 working digits, and of 0.37 at 50,
 # with T where e^{-T^alpha} = 10^-(digits + 5): the two agree to 30 digits. scipy's
 # levy_stable in its S0 parameterization, which integrates Nolan's non-oscillating form,
-# is within 2e-16 of each of the first eight and 3.4e-16 of the last six. Those six lie
-# within 0.2 of alpha = 1, where the kernel's residual is -c t expm1((alpha - 1) ln t)
+# is within 2e-16 of each of the first eight and 3.4e-16 of the next six, and rounds the
+# last to the same double. Those seven lie within 0.2 of alpha = 1 (0.8 - 1.0 rounds to
+# just above -0.2), where the kernel's residual is -c t expm1((alpha - 1) ln t)
 GENERIC = {
     (-1.5, 0.7, 0.5): "0.109656677997406189178097426142",
     (2.0, 0.7, -0.8): "0.963734617239365202526375221944",
@@ -290,6 +291,8 @@ GENERIC = {
     (-1.1, 1.15, 0.8): "0.119893632888182458093264433695",
     (0.6, 0.9, -0.9): "0.801184204388992587819602022825",
     (4.0, 1.1, 0.3): "0.910780846666649069265561265626",
+    # the 1/64 and 1/32 rules differ by 1.8e-8 here, so the 1/128 rule gives the value
+    (-1.0, 0.8, 1.0): "0.0620139861523708110617749066826",
 }
 
 
@@ -336,7 +339,7 @@ class TestStableCdf:
     def test_levy_anchor(self, beta):
         # alpha = 1/2 with full skew is the Levy law; in the 0-shift parametrization
         # its support starts at r = -tan(pi/4) = -1, and beta = -1 mirrors it. The
-        # largest miss on a 0.1-step grid over [-3, 100] is 3.3e-16
+        # largest miss on a 0.1-step grid over [-3, 100] is 2.6e-16
         p = StableParams(alpha=0.5, beta=beta)
         grid = {*np.linspace(-3.0, 100.0, 31).tolist(), -1.0, 1.0, 2.0, 5.0, 6.8, 8.8}
         for r in sorted(grid):
@@ -417,7 +420,7 @@ class TestSkippedNodes:
 
     @staticmethod
     def nodes(z, alpha, beta):
-        """``alpha ln t`` of the point's table and the mask of the nodes the kernel evaluates.
+        """``alpha ln t`` and the mask of evaluated nodes, for every table the point sums.
 
         ``alpha ln t`` is formed as ``alpha * (log node - shift)`` over the whole table,
         not by the kernel's one comparison against a per-point bound.
@@ -431,8 +434,7 @@ class TestSkippedNodes:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fractal, "_live", live)
             fractal._cdf_quad_split(z, alpha, beta)
-        (call,) = calls
-        return call
+        return calls
 
     @given(
         z=st.one_of(st.floats(-0.1, 0.1), st.floats(-1e300, 1e300)),
@@ -441,20 +443,55 @@ class TestSkippedNodes:
     )
     @settings(max_examples=200, deadline=None)
     @example(z=0.05, alpha=2.0, beta=0.0)  # exp-sinh
-    @example(z=1.3, alpha=1.5, beta=0.3)  # Fourier
+    @example(z=1.3, alpha=1.5, beta=0.3)  # Fourier, the coarse pair
+    @example(z=-3.0, alpha=1.3, beta=1.0)  # Fourier, refined by the 1/128 rule
     def test_every_skipped_envelope_is_zero(self, z, alpha, beta):
-        scaled, live = self.nodes(z, alpha, beta)
-        assert (np.exp(-np.exp(scaled[~live])) == 0.0).all()
-        # the one comparison differs from alpha ln t <= ln 746 only where the envelope is 0.0
-        moved = live != (scaled <= math.log(746.0))
-        assert (np.exp(-np.exp(scaled[moved])) == 0.0).all()
+        calls = self.nodes(z, alpha, beta)
+        assert 1 <= len(calls) <= 2
+        for scaled, live in calls:
+            assert (np.exp(-np.exp(scaled[~live])) == 0.0).all()
+            # the one comparison differs from alpha ln t <= ln 746 only where the envelope is 0.0
+            moved = live != (scaled <= math.log(746.0))
+            assert (np.exp(-np.exp(scaled[moved])) == 0.0).all()
 
-    @pytest.mark.parametrize("point, size", [((1.3, 1.5, 0.3), 3074), ((0.05, 2.0, 0.0), 1153)])
+    @pytest.mark.parametrize(
+        "point, size", [((1.3, 1.5, 0.3), 1538), ((0.05, 2.0, 0.0), 1153), ((-3.0, 1.3, 1.0), 2049)]
+    )
     def test_nodes_are_skipped(self, point, size):
-        # a Fourier point and an exp-sinh point: the tables hold 3,074 and 1,153 nodes
-        _, live = self.nodes(*point)
-        assert live.size == size
+        # the coarse Fourier table (1/64 and 1/32 rules), the exp-sinh table, and the fine
+        # Fourier table (1/128 rule), which only a refined point sums
+        (live,) = [live for _, live in self.nodes(*point) if live.size == size]
         assert 0 < np.count_nonzero(live) < size
+
+
+class TestCoarsePair:
+    """A Fourier point returns the 1/64 rule's value only where the 1/32 rule agrees within 1e-12."""
+
+    @staticmethod
+    def split(z, alpha, beta, converged):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fractal, "_CONVERGED", converged)
+            return fractal._cdf_quad_split(z, alpha, beta)
+
+    def test_accepted_values_match_the_fine_rule(self):
+        # 300 points drawn as the stable_grid benchmark draws them
+        rng = np.random.default_rng(39)
+        alphas = rng.uniform(0.5, 2.0, 300).tolist()
+        betas = rng.uniform(-1.0, 1.0, 300).tolist()
+        rs = (2.0 * rng.standard_t(3, 300)).tolist()
+        accepted = refined = 0
+        for point in zip(rs, alphas, betas):
+            got = fractal._cdf_quad_split(*point)
+            coarse = self.split(*point, math.inf)  # the 1/64 value and the coarse estimate
+            fine = self.split(*point, -1.0)  # the 1/128 value and the fine estimate
+            if coarse[1] <= 1e-12:
+                assert got == coarse
+                assert abs(got[0] - fine[0]) <= 1e-15, point
+                accepted += 1
+            else:
+                assert got == fine
+                refined += 1
+        assert accepted >= 250 and refined >= 5
 
 
 GOLDEN = Path(__file__).parent / "fixtures" / "stable_cdf_golden.json"
@@ -480,6 +517,13 @@ class TestStableCdfGolden:
         # the near-one residual one ulp from alpha = 1, and far tails, each pinned by a value
         assert any(0.0 < abs(row["alpha"] - 1.0) < 1e-15 and "value" in row for row in golden)
         assert sum(abs(row["r"]) >= 1e6 and "value" in row for row in golden) >= 8
+        # a Fourier point whose 1/64 and 1/32 rules differ by more than 1e-12: the 1/128
+        # rule decides it, on a second table
+        assert any(
+            len(TestSkippedNodes.nodes(
+                (row["r"] - row["mu_loc"]) / row["sigma"], row["alpha"], row["beta"])) == 2
+            for row in golden if "value" in row
+        )
         raised = [row["raises"] for row in golden if "raises" in row]
         assert sorted(raised) == ["InvalidStableParams", "QuadratureFailure"]
 
