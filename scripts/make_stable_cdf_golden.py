@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record the stable-CDF golden fixture.
 
-Writes tests/fixtures/stable_cdf_golden.json: 338 inputs of
+Writes tests/fixtures/stable_cdf_golden.json: 341 inputs of
 ``fractal.stable_cdf_with_error`` with the ``repr`` of the value and of the
 error estimate each one returned, or the type and message of the error it
 raised. ``tests/test_fractal.py`` asserts exact equality on every point, so
@@ -74,6 +74,9 @@ def points() -> list[dict]:
     # Fourier points about the coarse pair's acceptance (1/64 against 1/32 within 1e-12):
     # estimates 1.8e-8 and 2.06e-12, which the 1/128 rule refines, and 9.8e-13, which it does not
     grid += [(-1.0, 0.8, 1.0), (-3.0, 1.3, 1.0), (0.2, 2.0, 0.0)]
+    # small alpha: |a| = 1.03 at alpha = 0.06, where the mass below the first node still
+    # fails the estimate; and two points with |a| below 0.1 without skew
+    grid += [(-1.0, 0.06, -0.3), (-0.09, 0.35, 0.0), (0.05, 0.05, 0.0)]
     # alpha = 0.2 without skew just left of 0: the exp-sinh rule's estimate fails it
     grid += [(-0.05, 0.2, 0.0), (float("inf"), 1.5, 0.0)]
     out = [dict(r=r, alpha=a, beta=b, sigma=1.0, mu_loc=0.0) for r, a, b in grid]
