@@ -9,7 +9,8 @@ a rewrite of the quadrature has to reproduce the recorded bits.
 
 The points cover every branch: seeded (r, alpha, beta) draws in the ranges
 of the ``stable_grid`` benchmark workload, alpha = 1 with and without skew
-(z = 0 with skew leaves no linear phase, so the exp-sinh rule takes it),
+(z = 0 with skew leaves no linear phase, so the rules' frequency is the
+floor of 0.1),
 alpha within 1e-16 to 1e-3 of 1, the symmetry point ``z == 0, beta == 0``,
 the totally skewed Levy law, far tails out to |r| = 1e308, non-unit scale
 and location, and the inputs that raise. Rerunning on unchanged code
@@ -63,21 +64,22 @@ def points() -> list[dict]:
     # far tails: every point evaluates, to the closed forms' limits
     grid += [(r, a, b) for r in (-1e6, 1e6) for a, b in ((0.5, 1.0), (1.0, 0.0), (2.0, 0.0))]
     grid += [(1e300, 1.5, 0.0), (1e10, 1.0, -1.0), (-1e308, 2.0, 0.0), (1e308, 1.0, 0.5)]
-    # about the envelope's underflow, t^alpha past 746: Fourier points with 58%, 55%,
-    # 24% and none of the nodes there, and exp-sinh points with 29% and 15% there
+    # about the envelope's underflow, t^alpha past 746: points with 58%, 55%, 24% and
+    # none of the nodes there, and two whose linear phase |a| is below the floor of 0.1
     grid += [(0.1000000001, 2.0, 0.0), (0.3, 1.9, -0.8), (2.5, 1.2, 0.9), (0.05, 0.16, 0.3),
              (0.05, 2.0, 0.0), (-0.09, 0.6, 0.0)]
-    # the near-one residual psi = -c t expm1((alpha - 1) ln t) on the exp-sinh rule, and
-    # alpha = 1's c t ln t there; then a near-one Fourier point with every node evaluated
+    # the near-one residual psi = -c t expm1((alpha - 1) ln t) with |a| below 0.1, and
+    # alpha = 1's c t ln t there; then a near-one point with every node evaluated
     grid += [(-0.07, 0.85, -0.4), (0.03, 1.1, 0.5), (0.09, 0.81, 0.2), (-0.02, 1.19, 1.0),
              (0.08, 1.0, 0.3), (-0.6, 0.832, -0.689)]
-    # Fourier points about the coarse pair's acceptance (1/64 against 1/32 within 1e-12):
+    # points about the coarse pair's acceptance (1/64 against 1/32 within 1e-12):
     # estimates 1.8e-8 and 2.06e-12, which the 1/128 rule refines, and 9.8e-13, which it does not
     grid += [(-1.0, 0.8, 1.0), (-3.0, 1.3, 1.0), (0.2, 2.0, 0.0)]
-    # small alpha: |a| = 1.03 at alpha = 0.06, where the mass below the first node still
-    # fails the estimate; and two points with |a| below 0.1 without skew
+    # small alpha: |a| = 1.03 at alpha = 0.06, where the bound on the mass below the first
+    # node fails the tolerance (the file's one QuadratureFailure); and two points with |a|
+    # below 0.1 without skew
     grid += [(-1.0, 0.06, -0.3), (-0.09, 0.35, 0.0), (0.05, 0.05, 0.0)]
-    # alpha = 0.2 without skew just left of 0: the exp-sinh rule's estimate fails it
+    # alpha = 0.2 without skew just left of 0, and the one non-finite r
     grid += [(-0.05, 0.2, 0.0), (float("inf"), 1.5, 0.0)]
     out = [dict(r=r, alpha=a, beta=b, sigma=1.0, mu_loc=0.0) for r, a, b in grid]
     out += [

@@ -26,21 +26,22 @@ skew is the Cauchy law and alpha = 1/2 with full skew the Levy law. Each
 point splits its phase into a linear part and a residual, and sums the
 residual's factors against the Ooura–Mori double-exponential rule for
 Fourier integrals (Ooura and Mori, J. Comput. Appl. Math. 38, 1991, and
-112, 1999), or the exp-sinh rule when the linear part is too small to
-oscillate. The nodes are fixed numpy tables, each built on its first use,
-so a point is a few array operations, and the package never imports scipy.
-A Fourier point is summed in two levels. The steps 1/64 and 1/32 come first,
-on one table; where they agree within 1e-12, counting the bound on the mass
-below the first node, the 1/64 rule gives the value and that agreement is the
-estimate. Elsewhere the 1/128 rule, on a table of its own, gives the value,
-and its distance from the 1/64 rule is the estimate. A point evaluates only the nodes where ``t^alpha <= 746``,
-found by one comparison of the table's log nodes with ``ln 746 / alpha``
-(plus ``ln|a|`` for the Fourier nodes, which are ``x = |a| t``): past 745.14
-the envelope ``e^{-t^alpha}`` is exactly 0.0, so every other node's term is
-a zero, and rounding in the comparison moves only nodes whose envelope is
-0.0 either way. The evaluated nodes run through their steps in place, and
-the sums, taken over the whole table with the zeros in place, keep the bits
-they had with every node evaluated.
+112, 1999), whose frequency is the linear part floored at 0.1: below the
+floor, the rest of the linear part joins the residual. The nodes are fixed
+numpy tables, each built on its first use, so a point is a few array
+operations, and the package never imports scipy. A point is summed in two
+levels. The steps 1/64 and 1/32 come first, on one table; where they agree
+within 1e-12, counting the bound on the mass below the first node, the 1/64
+rule gives the value and that agreement is the estimate. Elsewhere the 1/128
+rule, on a table of its own, gives the value, and its distance from the 1/64
+rule is the estimate. A point evaluates only the nodes where ``t^alpha <=
+746``, found by one comparison of the table's log nodes with ``ln 746 /
+alpha`` plus the log of the frequency: past 745.14 the envelope
+``e^{-t^alpha}`` is exactly 0.0, so every other node's term is a zero, and
+rounding in the comparison moves only nodes whose envelope is 0.0 either
+way. The evaluated nodes run through their steps in place, and the sums,
+taken over the whole table with the zeros in place, keep the bits they had
+with every node evaluated.
 """
 
 from __future__ import annotations
@@ -287,20 +288,19 @@ def estimate_hurst(path, config: HurstConfig = HurstConfig()) -> HurstFit:
 # --- stable CDF -----------------------------------------------------------
 
 _DEFAULT_CDF_TOL = 1e-6
-_STEP = 1.0 / 128  # h of the fine rule; the coarse pair is 2h and 4h, the exp-sinh pair h and 2h
-_U_MAX = 4.0  # every rule's last node is at u = 4, and the Ooura–Mori rules' first at -4
-# exp-sinh's first node, t = 2.5e-51; from u = -4 (t = 2.3e-19) the mass below the
-# first node was 3e-10 of the Levy law at r = -1
-_U_MIN_EXP_SINH = -5.0
+_STEP = 1.0 / 128  # h of the fine rule; the coarse pair is 2h and 4h
+_U_MAX = 4.0  # every rule's nodes run from u = -4 to u = 4
 _NEAR_ONE = 0.2  # below this |alpha - 1| the linear part of the phase is z t alone
-_MIN_LINEAR = 0.1  # below this |a| the exp-sinh rule integrates the whole phase
-# a Fourier point whose coarse estimate is at most this returns the 2h rule's value: on the
+# the rules' frequency is |a| floored at this: below it, x = 0.1 t and (|a| - 0.1) t
+# joins the residual
+_MIN_LINEAR = 0.1
+# a point whose coarse estimate is at most this returns the 2h rule's value: on the
 # stable_grid points, each such value is within 4.4e-16 of the h rule's
 _CONVERGED = 1e-12
 # past t^alpha = 745.14, e^{-t^alpha} is exactly 0.0: a node whose alpha ln t is above
 # this adds only a zero to the sums, so it is not evaluated. The cut compares the table's
-# log nodes with ln 746 / alpha + ln|a| (Fourier) or ln 746 / alpha (exp-sinh) once; that
-# moves only nodes within rounding of t^alpha = 746, whose envelope is 0.0 either way
+# log nodes with ln 746 / alpha + ln(lin) once; that moves only nodes within rounding of
+# t^alpha = 746, whose envelope is 0.0 either way
 _LOG_LIVE = math.log(746.0)
 
 
@@ -342,20 +342,6 @@ def _fourier_nodes(steps: tuple[float, ...]) -> tuple[np.ndarray, int, np.ndarra
     return np.log(np.concatenate([x for x, _ in blocks])), n_sin, np.stack(rows)
 
 
-@functools.cache
-def _exp_sinh_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``t = exp(pi/2 sinh u)`` at ``u = n h`` from -5 to 4: t, log t, and the h and 2h weights.
-
-    ``dt = t (pi/2) cosh(u) du`` cancels the integrand's ``1/t``, so the h rule
-    for ``(1/pi) int_0^inf sin(phase) e^{-t^alpha} / t dt`` weighs each node by
-    ``(h/2) cosh u``. The 2h rule takes every other node, at twice the weight.
-    """
-    n = np.arange(round(_U_MIN_EXP_SINH / _STEP), round(_U_MAX / _STEP) + 1)
-    log_t = 0.5 * math.pi * np.sinh(n * _STEP)
-    w = 0.5 * _STEP * np.cosh(n * _STEP)
-    return np.exp(log_t), log_t, np.stack([w, np.where(n % 2, 0.0, 2.0 * w)])
-
-
 def _live(log_nodes: np.ndarray, alpha: float, shift: float) -> np.ndarray:
     """The nodes to evaluate, given the table's log nodes and ``ln t = log node - shift``.
 
@@ -374,85 +360,82 @@ def _cdf_quad_split(z: float, alpha: float, beta: float) -> tuple[float, float]:
     ``a t`` and a residual ``psi``. Within ``_NEAR_ONE`` of alpha = 1,
     ``a = z`` and ``psi = -c t expm1((alpha - 1) ln t)``, which keeps its
     digits as ``c`` grows without bound; elsewhere ``a = z + c`` and
-    ``psi = -c t^alpha``. As sine is odd, a negative ``a`` negates the phase
-    and the sums, so mirror points ``(z, beta)`` and ``(-z, -beta)`` give
-    sums of opposite sign, bit for bit. The Ooura–Mori rules of
-    :func:`_ooura_mori` weigh ``sin(|a| t)`` and ``cos(|a| t)`` against
-    ``e^{-t^alpha} cos(psi)`` and ``e^{-t^alpha} sin(psi)``; below
-    ``|a| = _MIN_LINEAR`` the exp-sinh rule takes the whole integrand. Each
-    node's envelope is ``e^{-t^alpha} / x`` with ``x = |a| t`` folded into
-    the weights, so no node divides by zero or overflows at any finite ``z``.
+    ``psi = -c t^alpha``. As sine is odd, a negative ``a`` (where ``a`` is
+    zero, a negative ``c`` or ``k``) negates the phase and the sums, so
+    mirror points ``(z, beta)`` and ``(-z, -beta)`` give sums of opposite
+    sign, bit for bit. The Ooura–Mori rules of :func:`_ooura_mori` weigh
+    ``sin(x)`` and ``cos(x)`` at ``x = lin t`` against ``e^{-t^alpha}
+    cos(psi)`` and ``e^{-t^alpha} sin(psi)``, where the frequency ``lin`` is
+    ``|a|`` floored at ``_MIN_LINEAR``; below the floor the residual gains
+    ``(|a| - lin) t``. Each node's envelope is ``e^{-t^alpha} / x`` with
+    ``x`` folded into the weights, so no node divides by zero or overflows
+    at any finite ``z``. The phase is identically zero only at ``z = 0``
+    without skew, and there the value is exactly 1/2 and the estimate 0.
 
-    A Fourier point is summed in two levels, each on its own cached table.
-    The coarse table holds the rules of steps 1/64 and 1/32. When their
+    A point is summed in two levels, each on its own cached table. The
+    coarse table holds the rules of steps 1/64 and 1/32. When their
     distance, plus the 1/64 rule's bound on the mass below its first node,
     is at most ``_CONVERGED`` (1e-12), that is the estimate and the 1/64
     rule gives the value. Otherwise the fine table, the 1/128 rule alone,
     gives the value, and the estimate is its distance from the coarse
     pass's 1/64 sum plus the 1/128 rule's own bound below its first node;
-    no node is evaluated twice. An exp-sinh point sums its h and 2h rules
-    on one table, and the h rule gives the value.
+    no node is evaluated twice.
 
     On each table only the nodes with ``t^alpha <= 746`` are evaluated,
     decided by one comparison of the table's log nodes with a per-point
-    bound (:func:`_live`): ``ln x <= ln 746 / alpha + ln|a|`` on the Fourier
-    tables and ``ln t <= ln 746 / alpha`` on the exp-sinh table. It can
+    bound (:func:`_live`): ``ln x <= ln 746 / alpha + ln(lin)``. It can
     differ from ``alpha ln t <= ln 746`` only at nodes within rounding of
     ``t^alpha = 746``, past 745.14, so every node left out has an envelope
     of exactly 0.0 and its term is a zero; its slot holds 0.0 and each rule
     sums the whole table in its order, so the sums are those of every node
     evaluated, up to the sign of a zero total, which neither the value nor
-    the estimate shows. In each Ooura–Mori block and in the exp-sinh table
-    ``t`` ascends, so the evaluated nodes are a prefix of each. ``ln t`` and
-    ``alpha ln t`` are formed on those nodes only, and each later step runs
-    in place on them, the same ufunc on the same operands as on fresh
-    arrays, so every term keeps its bits.
+    the estimate shows. In each Ooura–Mori block ``t`` ascends, so the
+    evaluated nodes are a prefix of each. ``ln t`` and ``alpha ln t`` are
+    formed on those nodes only, and each later step runs in place on them,
+    the same ufunc on the same operands as on fresh arrays, so every term
+    keeps its bits.
 
-    Each estimate adds to the distance between two rules a bound on what no
-    node reaches: below the first node ``lo``,
-    ``|sin(phase)| / t <= |z| + |c| |1 - t^(alpha - 1)|`` (``|z| + |k ln t|``
-    at alpha = 1), and past the exp-sinh rule's last node ``hi``,
-    ``int e^{-t^alpha} / t dt <= e^{-hi^alpha} / (alpha hi^alpha)``. The
-    distance alone cannot see those parts, which both rules leave out.
+    Each estimate adds to the distance between two rules a bound on the
+    mass below the first node ``lo``, which both rules leave out and the
+    distance alone cannot see: ``|sin(phase)| / t <= |z| + |c| |1 -
+    t^(alpha - 1)|`` (``|z| + |k ln t|`` at alpha = 1).
     """
+    if not (z or beta):
+        return 0.5, 0.0
     d = alpha - 1.0
     near = abs(d) < _NEAR_ONE
     coef = 2.0 * beta / math.pi if alpha == 1.0 else beta / math.tan(-0.5 * math.pi * d)
     a = z if near else z + coef
-    sign = -1.0 if a < 0.0 else 1.0
-    exp_sinh = abs(a) < _MIN_LINEAR
-    if exp_sinh:
-        t, log_nodes, weights = _exp_sinh_nodes()
-        shift = 0.0
-    else:
-        shift = math.log(abs(a))  # ln t = ln x - ln|a|
+    sign = -1.0 if (a or coef) < 0.0 else 1.0
+    lin = max(abs(a), _MIN_LINEAR)
+    shift = math.log(lin)  # ln t = ln x - ln(lin)
 
     def sums(log_nodes, n_sin, weights):
-        """Each weight row's sum over the table; ``n_sin`` is None on the exp-sinh table."""
+        """Each weight row's sum over the table."""
         live = _live(log_nodes, alpha, shift)
         # each step below is the same ufunc on the same operands as on fresh arrays, written
         # in place on the evaluated nodes: lt holds ln t, then (far from 1) alpha ln t
         lt = log_nodes[live]
         lt -= shift
+        slow = (abs(a) - lin) * np.exp(lt) if lin > abs(a) else None  # before lt is overwritten
         ta = np.multiply(lt, alpha, out=None if near else lt)
         np.exp(ta, out=ta)  # t^alpha
         if alpha == 1.0:
             psi = sign * coef * ta  # ta is t at alpha = 1
             psi *= lt
         elif near:
-            psi = t[live] if exp_sinh else np.exp(lt)
+            psi = np.exp(lt)
             psi *= -sign * coef
             lt *= d
             psi *= np.expm1(lt, out=lt)
         else:
             psi = -sign * coef * ta
-        if exp_sinh:
-            psi += abs(a) * t[live]
-            np.sin(psi, out=psi)
-        else:  # sine nodes weigh cos(psi), cosine nodes sin(psi)
-            k = np.count_nonzero(live[:n_sin])
-            np.cos(psi[:k], out=psi[:k])
-            np.sin(psi[k:], out=psi[k:])
+        if slow is not None:
+            psi += slow
+        # sine nodes weigh cos(psi), cosine nodes sin(psi)
+        k = np.count_nonzero(live[:n_sin])
+        np.cos(psi[:k], out=psi[:k])
+        np.sin(psi[k:], out=psi[k:])
         np.negative(ta, out=ta)
         psi *= np.exp(ta, out=ta)
         terms = np.zeros(log_nodes.size)
@@ -466,13 +449,6 @@ def _cdf_quad_split(z: float, alpha: float, beta: float) -> tuple[float, float]:
                 else abs(coef * (math.exp(alpha * lo) - alpha * math.exp(lo))) / alpha)
         return abs(z) * math.exp(lo) + head
 
-    if exp_sinh:
-        s_h, s_2h = sums(log_nodes, None, weights)
-        left_out = below(log_nodes)
-        if z or beta:
-            hi_alpha = math.exp(alpha * log_nodes[-1])
-            left_out += math.exp(-hi_alpha) / (alpha * hi_alpha)
-        return float(0.5 + s_h), float(abs(s_h - s_2h) + left_out / math.pi)
     log_nodes, n_sin, weights = _fourier_nodes((2.0 * _STEP, 4.0 * _STEP))
     s_2h, s_4h = sums(log_nodes, n_sin, weights)
     err = abs(s_2h - s_4h) + below(log_nodes) / math.pi
@@ -492,11 +468,12 @@ def stable_cdf_with_error(r: float, params: StableParams) -> tuple[float, float]
 
     where the phase is ``z t + beta tan(pi alpha / 2)(t - t^alpha)`` away
     from ``alpha = 1`` and ``z t + (2 beta / pi) t ln t`` on that branch
-    (:func:`_cdf_quad_split`). Away from the exp-sinh branch the value is the
-    step-1/64 Ooura–Mori rule's where the 1/32 rule agrees with it within
-    1e-12, counting the mass below the first node, and that agreement is the
-    estimate; elsewhere it is the 1/128 rule's, and the estimate is its
-    distance from the 1/64 rule. Raises :class:`InvalidStableParams` when ``z``
+    (:func:`_cdf_quad_split`). One rule takes every point: Ooura–Mori's at
+    the frequency of the phase's linear part, floored at 0.1. The value is
+    its step-1/64 sum where the 1/32 sum agrees with it within 1e-12,
+    counting the mass below the first node, and that agreement is the
+    estimate; elsewhere it is the 1/128 sum, and the estimate is its
+    distance from the 1/64 sum. Raises :class:`InvalidStableParams` when ``z``
     is not finite and :class:`QuadratureFailure` when the error estimate is
     above ``_DEFAULT_CDF_TOL``; the value is clipped into [0, 1] at
     machine-level overshoot.
