@@ -22,15 +22,16 @@ lookback's normalization is elementwise, so :func:`weights_plan` computes
 them for every lookback of a walk at once: the trend mask, ``h`` and the
 fit diagnostics (``fractal_biased`` builds and fits the paths of the
 trend survivors of every lookback in one call along the rows) and the
-horizon deviations. It is also where a walk's data errors are raised (a
-flat active asset, a constant fitted path), before the walk's first
-period. A walk builds one plan per variant and drops it when it ends.
-:func:`compute_weights` runs one variant on one lookback: it weights the
-row's active assets by inverse volatility, normalized over the same values
-in the same order as a lookback computed alone.
-The per-asset diagnostics are vectors on :class:`PortfolioWeights`, one
-entry per ticker, rows of the lookbacks' and the plan's blocks, and are
-not kept in any other form.
+horizon deviations; it then normalizes each lookback's inverse horizon
+deviations over its active assets, in row order, into the plan's
+(lookbacks x assets) ``weights`` block. It is also where a walk's data
+errors are raised (a flat active asset, a constant fitted path), before
+the walk's first period. A walk builds one plan per variant and drops it
+when it ends. A period's weights are its row of the plan:
+:func:`compute_weights` does no arithmetic, and its
+:class:`PortfolioWeights` holds the row's views of the plan's and the
+lookbacks' blocks, one entry per ticker. Weights and diagnostics are not
+kept in any other form.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ class PortfolioWeights:
 
     Weights are normalized to full investment whenever any asset survives;
     cash is 1 only when the trend filter removed everything.
-    :func:`compute_weights` builds them so, and they are not re-checked.
+    :func:`compute_weights` returns a period's as its row of the plan's
+    normalized ``weights``, and they are not re-checked.
 
     The diagnostics the weights were built from are vectors in ``tickers``
     order: ``mu`` and ``std0`` (mean and ddof=1 deviation of the percent log
@@ -142,13 +144,16 @@ def lookback_stats(window: AlignedPanel, n: int) -> Lookbacks:
 
 @dataclass(frozen=True, eq=False)
 class WeightsPlan:
-    """What a variant's weights read of every lookback of a walk, before normalization.
+    """A variant's normalized weights for every lookback of a walk, with their diagnostics.
 
-    ``active`` (the trend mask), ``h``, ``r_squared``, ``clamped`` and
-    ``std_n`` are (lookbacks x assets) blocks.
+    ``weights`` (each lookback's inverse-volatility weights over its active
+    assets, zero elsewhere), ``active`` (the trend mask), ``h``,
+    ``r_squared``, ``clamped`` and ``std_n`` are (lookbacks x assets)
+    blocks; a period's weights are its row.
     """
 
     lookbacks: Lookbacks
+    weights: np.ndarray
     active: np.ndarray
     h: np.ndarray
     r_squared: np.ndarray
@@ -183,23 +188,23 @@ def weights_plan(
         h[active], r_squared[active], clamped[active] = fit.h, fit.r_squared, fit.clamped
     # a lookback of n rows holds n - 1 returns
     std_n = rescale_volatility(std0, lookbacks.returns.shape[-1] + 1, h)
-    return WeightsPlan(lookbacks, active, h, r_squared, clamped, std_n)
+    weights = np.zeros(mu.shape)
+    for w, row, stds in zip(weights, active, std_n):  # each lookback normalized on its own
+        w[row] = inverse_volatility_weights(stds[row])
+    return WeightsPlan(lookbacks, weights, active, h, r_squared, clamped, std_n)
 
 
 def compute_weights(plan: WeightsPlan, k: int) -> PortfolioWeights:
     """The weights of lookback ``k`` of ``plan``'s walk, with their diagnostics.
 
-    Weights the lookback's active assets by inverse horizon volatility. When
-    a biased variant filters out every asset the result is all zeros with
-    cash = 1.
+    Every field is row ``k`` of a block of the plan or its lookbacks; the
+    weights are the plan's normalized row. When a biased variant filters
+    out every asset the weights are all zeros with cash = 1.
     """
     lookbacks = plan.lookbacks
-    active = plan.active[k]
-    stds = plan.std_n[k][active]
-    weights = np.zeros(len(lookbacks.tickers))
-    weights[active] = inverse_volatility_weights(stds)
     return PortfolioWeights(
-        tickers=lookbacks.tickers, weights=weights, cash=0.0 if stds.size else 1.0,
+        tickers=lookbacks.tickers, weights=plan.weights[k],
+        cash=0.0 if plan.active[k].any() else 1.0,
         mu=lookbacks.mu[k], std0=lookbacks.std0[k], h=plan.h[k], std_n=plan.std_n[k],
         r_squared=plan.r_squared[k], clamped=plan.clamped[k],
     )

@@ -29,9 +29,10 @@ read-only view of the panel (:func:`slice_window`) per horizon, from which
 :func:`lookback_stats` returns the statistics of every lookback in one
 pass. Each variant's :func:`weights_plan` covers every lookback at once
 (``fractal_biased`` fits the Hurst exponents of every lookback in one
-batched call), and :func:`compute_weights` returns a period's weights with
-their diagnostics, as vectors: everything but its own normalization is its
-row of the plan.
+batched call) and normalizes every lookback's weights into one (lookbacks
+x assets) block. A period's weights are its row of that block: a variant
+rebalances on the plan's rows, and :func:`compute_weights` returns a
+recorded period's weights with their diagnostics as row views of the plan.
 
 A variant rebalances (:func:`execute_rebalance`) and marks
 (:func:`period_return`) a block of periods in one pass. The kernel takes
@@ -388,21 +389,19 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
         A block's start capital is read from ``equity`` when the block is
         drawn, so in ``reinvest`` mode after the period before it is recorded.
         """
-        weights = [compute_weights(plan, k) for k in range(n_periods)]
-        targets = np.stack([w.weights for w in weights])
-        held = np.zeros((1, len(columns)), np.int64)  # weights.tickers order
+        held = np.zeros((1, len(columns)), np.int64)  # the plan's column order
         size = 1 if reinvest else n_periods
         for first in range(0, n_periods, size):
             rows = slice(first, min(first + size, n_periods))
             capital = [equity[-1] if reinvest else config.initial_capital] * (rows.stop - first)
             target, shares, deltas, fees, commissions = execute_rebalance(
-                targets[rows], capital, trade_prices[rows], config.commission, held
+                plan.weights[rows], capital, trade_prices[rows], config.commission, held
             )
             gross, drag, net = period_return(
                 shares, capital, trade_prices[rows], mark_prices[rows], expense_rates, commissions
             )
             held = shares[-1:]
-            yield first, gross, drag, commissions, net, (weights, target, deltas, fees)
+            yield first, gross, drag, commissions, net, (plan, target, deltas, fees)
 
     runs = {}
     with np.errstate(over="ignore"):  # an overflow is judged as a value that is not finite
@@ -419,14 +418,14 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
                     start_capital = equity[-1] if reinvest else config.initial_capital
                     weights_k = trades = None
                     if orders is not None:
-                        weights, target, deltas, fees = orders
+                        plan, target, deltas, fees = orders
                         if not (target[i] < _INT64_END).all():  # a NaN target does not fit either
                             j = np.argmin(target[i] < _INT64_END)
                             raise NumericError(
                                 f"{name}: {panel.portfolio_tickers[j]}: target of "
                                 f"{target[i, j]:.6g} shares overflows int64"
                             )
-                        weights_k, delta = weights[k], deltas[i]
+                        weights_k, delta = compute_weights(plan, k), deltas[i]
                         traded = delta.nonzero()[0]  # the period's orders, cut from its row
                         trades = Trades(traded, delta[traded], trade_prices[k][traded],
                                         fees[i][traded])

@@ -7,17 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import business_ordinals, synthetic_panel, weights_of
+import oracles
+from conftest import FIXTURES, business_ordinals, synthetic_panel, weights_of
 from fracparity.allocation import (
     StrategyVariant,
+    compute_weights,
     inverse_volatility_weights,
     lookback_stats,
     mean_return,
     unbiased_std,
+    weights_plan,
 )
 from fracparity.data import AlignedPanel, AssetSpec, log_returns, slice_window
 from fracparity.errors import DegenerateVolatility, Empty
 from fracparity.fractal import HurstConfig, build_path, fit_hurst_rows
+from fracparity.runconfig import load_run_settings, load_universe_panel
 
 
 def panel_from_columns(columns: dict[str, np.ndarray], benchmark: str | None = None):
@@ -250,3 +254,41 @@ class TestComputeWeights:
         for i, j in enumerate((1, 2, 0)):  # base column i is perm column j
             assert perm.weights[j] == pytest.approx(base.weights[i], abs=1e-15)
 
+
+
+def walk_lookbacks(source: str):
+    """The lookbacks of a walk at N = 63: panel4's, or two whose second is all falling."""
+    n = 63
+    if source == "panel4":
+        panel = load_universe_panel(load_run_settings(FIXTURES / "panel4" / "universe.yaml"))
+    else:  # each column rises over rows [0, 63), falls over [63, 126) and rises again
+        panel = panel_from_columns({
+            f"T{i}": np.concatenate([zigzag(up, 0.01, n), zigzag(0.01, up, n), zigzag(up, 0.01, n)])
+            for i, up in enumerate((0.02, 0.03, 0.025))
+        })
+    rows = len(oracles.period_rows(panel.n_rows, n)) * n
+    return lookback_stats(slice_window(panel, rows - 1, rows), n)
+
+
+class TestWeightsPlan:
+    """A plan holds each lookback's normalized weights; a period's weights are its row."""
+
+    @pytest.mark.parametrize("variant", list(StrategyVariant))
+    @pytest.mark.parametrize("source", ["panel4", "all_cash_row"])
+    def test_a_period_is_its_row_of_the_plan(self, source, variant):
+        lookbacks = walk_lookbacks(source)
+        plan = weights_plan(lookbacks, variant)
+        assert plan.weights.shape == lookbacks.mu.shape
+        if source == "all_cash_row" and variant is not StrategyVariant.NAIVE_RISK_PARITY:
+            assert plan.active[0].all() and not plan.active[1].any()
+        for k, row in enumerate(plan.weights):
+            alone = np.zeros(len(lookbacks.tickers))
+            alone[plan.active[k]] = inverse_volatility_weights(plan.std_n[k][plan.active[k]])
+            assert row.tobytes() == alone.tobytes()
+            w = compute_weights(plan, k)
+            assert np.shares_memory(w.weights, plan.weights[k])
+            assert w.weights.tobytes() == row.tobytes()
+            if plan.active[k].any():
+                assert w.cash == 0.0
+            else:
+                assert w.cash == 1.0 and (w.weights == 0.0).all()

@@ -226,6 +226,15 @@ class TestBacktestCommand:
         rows = read_csv_rows(out / "difference.csv")
         assert set(rows[0]) == {"date", "fractal_biased_minus_standard_biased"}
 
+    def test_difference_column_falls_back_to_first_two_variants(self, tmp_path):
+        # no figure_pair and no fractal_biased: the first two variants, in their order
+        out = tmp_path / "out"
+        argv = ["backtest", "--config", str(PANEL_CONFIG), "--out", str(out),
+                "--variant", "standard_biased", "--variant", "naive_risk_parity"]
+        assert main(argv) == 0
+        rows = read_csv_rows(out / "difference.csv")
+        assert set(rows[0]) == {"date", "standard_biased_minus_naive_risk_parity"}
+
     def test_benchmark_row_identity(self, tmp_path):
         out = tmp_path / "out"
         assert main(["backtest", "--config", str(PANEL_CONFIG), "--out", str(out)]) == 0
@@ -369,6 +378,7 @@ class TestConfigErrors:
              "universe[0]: AAA: expense_ratio must be in [0, 100), got 150.0"),
             ("horizon: 63", "commission: 5", "commission must be a mapping"),
             ("horizon: 63", "hurst: 5", "hurst must be a mapping"),
+            ("horizon: 63", "columns: [date, close]", "columns must be a mapping"),
             ("horizon: 63", "figure_pair: [fractal_biased]",
              "figure_pair must list exactly two strategy names"),
             # one CSV column cannot hold both the dates and the prices

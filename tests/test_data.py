@@ -272,6 +272,8 @@ class TestAlignPanel:
         s2 = series("B", dt.date(2021, 1, 1), [1.0, 2.0])
         with pytest.raises(EmptyIntersection):
             align_panel([s1, s2], [AssetSpec("A"), AssetSpec("B")])
+        with pytest.raises(EmptyIntersection, match="no price series supplied"):
+            align_panel([], [])
 
     def test_ticker_mismatch(self):
         s = series("A", dt.date(2020, 1, 1), [1.0, 2.0])
@@ -403,6 +405,8 @@ class TestSliceWindow:
             slice_window(panel, end_index=39, length=41)
         with pytest.raises(OutOfRange):
             slice_window(panel, end_index=40, length=10)
+        with pytest.raises(OutOfRange, match="window length must be >= 1, got 0"):
+            slice_window(panel, end_index=39, length=0)
 
     def test_slice_of_slice_is_identity(self):
         panel = synthetic_panel(seed=5, n_rows=60, n_assets=2)
