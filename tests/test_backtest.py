@@ -270,15 +270,23 @@ class TestWalkForward:
                     assert r.end_capital == pytest.approx(expected, rel=1e-12)
 
     def test_reinvest_chains_end_capital(self):
+        # every strategy of one walk, bit for bit: a reinvested period starts at the equity
+        # point before it and ends at its own; a fixed-capital one starts at the initial capital
         n = 63
         panel = synthetic_panel(seed=11, n_rows=6 * n, n_assets=3)
-        cfg = BacktestConfig(horizon_n=n, compounding=REINVEST)
-        results, equity = run_walk_forward(panel, cfg)
-        product = cfg.initial_capital
-        for r in results:
-            assert r.start_capital == pytest.approx(product, rel=1e-12)
-            product *= 1.0 + r.net_return / 100.0
-        assert equity.values[-1] == pytest.approx(product, rel=1e-9)
+        names = [*(v.value for v in StrategyVariant), BENCHMARK_LABEL]
+        for mode in (REINVEST, FIXED_CAPITAL):
+            cfg = BacktestConfig(horizon_n=n, compounding=mode, benchmark="BMK")
+            runs = run_strategies(panel, cfg, names)
+            assert list(runs) == names
+            for results, equity in runs.values():
+                assert len(results) == 5
+                starts = [r.start_capital for r in results]
+                if mode == REINVEST:
+                    assert starts == equity.values[:-1].tolist()
+                    assert [r.end_capital for r in results] == equity.values[1:].tolist()
+                else:
+                    assert starts == [cfg.initial_capital] * 5
 
     def test_fixed_mode_resets_start_capital(self):
         n = 63
@@ -783,38 +791,46 @@ class TestRunStrategies:
     HUNDREDFOLD = CommissionPlan(per_share=1e6, min_per_order=0.0, max_pct_of_value=1e4)
     # 99 cents a share, whatever the price: the cap of 100 times an order's value never binds
     STEEP = CommissionPlan(per_share=0.99, min_per_order=0.0, max_pct_of_value=1e4)
+    BOTH = (FIXED_CAPITAL, REINVEST)
 
-    @pytest.mark.parametrize(("periods", "plan", "error", "message"), [
+    @pytest.mark.parametrize(("periods", "plan", "error", "message", "modes"), [
         # period 0 buys 1e6 shares at $1 for $990,000 in fees and falls to $0.40, below
         # -100% after them; period 1 buys 1.5e6 more at $0.40, fees of $1,485,000
         pytest.param(((1.0, 0.4), (0.4, 0.39)), STEEP, InsufficientCapital,
                      "^naive_risk_parity: period ending 2012-02-24 returns -159.00%, "
                      "wiping out its capital$",
+                     BOTH,
                      id="return-then-commissions"),
         # period 0 buys 1,010,101 shares at $0.99 and survives its fees; period 1 sells
-        # 1,000,101 of them at $100, fees of 99.9% of $100 million
+        # 1,000,101 of them at $100, fees of 99.9% of $100 million; in reinvest mode
+        # period 1 starts from period 0's end capital and nothing raises
         pytest.param(((0.99, 100.0), (100.0, 99.0)), RUINOUS, InsufficientCapital,
                      "^naive_risk_parity: commissions 99910089.90 would consume capital "
                      "1000000.00$",
+                     (FIXED_CAPITAL,),
                      id="commissions-alone"),
         # period 0's target of 1e306 shares overflows, and buying 10,000 shares at $100
         # in period 1 costs 100 times their value
         pytest.param(((1e-300, 100.0), (100.0, 99.0)), HUNDREDFOLD, NumericError,
                      "^naive_risk_parity: A: target of 1e[+]306 shares overflows int64$",
+                     BOTH,
                      id="overflow-then-commissions"),
         pytest.param(((100.0, 1e-300), (1e-300, 0.99e-300)), HUNDREDFOLD, InsufficientCapital,
                      "^naive_risk_parity: commissions 100000000.00 would consume capital "
                      "1000000.00$",
+                     BOTH,
                      id="commissions-then-overflow"),
     ])
-    def test_of_two_failing_periods_the_earlier_raises(self, periods, plan, error, message):
+    def test_of_two_failing_periods_the_earlier_raises(self, periods, plan, error, message,
+                                                        modes):
         panel = one_asset_panel(*periods)
         naive = "naive_risk_parity"
-        cfg = BacktestConfig(horizon_n=20, variant=naive, commission=plan)  # one block
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(error, match=message):
-                run_strategies(panel, cfg, [naive])
+        for mode in modes:  # one block of two periods, or two blocks of one
+            cfg = BacktestConfig(horizon_n=20, variant=naive, commission=plan, compounding=mode)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(error, match=message):
+                    run_strategies(panel, cfg, [naive])
 
     @pytest.mark.parametrize("mode", [FIXED_CAPITAL, REINVEST])
     def test_a_benchmark_that_loses_everything_is_judged_as_a_variant(self, mode):
