@@ -34,6 +34,9 @@ x assets) block. A period's weights are its row of that block: a variant
 rebalances on the plan's rows, and :func:`compute_weights` returns a
 recorded period's weights with their diagnostics as row views of the plan.
 
+A strategy walks its periods in blocks, all of them at once in
+``fixed_capital`` mode and one at a time in ``reinvest`` mode, so that every
+start capital of a block is known, and computed once, as the block starts.
 A variant rebalances (:func:`execute_rebalance`) and marks
 (:func:`period_return`) a block of periods in one pass. The kernel takes
 (periods x columns) rows of weights and of trade-row and mark-row prices;
@@ -327,14 +330,19 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
     those kept with ``panel``, or built and kept while it lives, and each
     variant's weights plan, with its Hurst fit, is built for this walk;
     building them raises the walk's data errors before the first period,
-    each prefixed with the variant's name.
+    each prefixed with the variant's name. If the benchmark runs, its
+    close-to-close changes are then computed, one vector operation, so a
+    panel without the ``config.benchmark`` column raises
+    :class:`TickerMismatch` before the first period too.
     The strategies then walk one after the other, in ``names`` order, so of
-    two that fail the first named raises. A strategy's name chooses only how
-    its period returns are computed. The benchmark's are its close-to-close
-    changes, one vector operation, with no drag, commission, weights or
-    trades. A variant rebalances and marks its periods in blocks whose start
-    capitals are known before the block starts: all of them in
-    ``fixed_capital`` mode, one at a time in ``reinvest`` mode.
+    two that fail the first named raises. Each walks one loop over blocks of
+    its periods: all of them in ``fixed_capital`` mode, one at a time in
+    ``reinvest`` mode. A block's start capitals are computed once, as the
+    block starts, from the initial capital or from the last equity point.
+    A strategy's plan, which the benchmark has none of, chooses only how a
+    block's returns are computed: a variant rebalances and marks the block
+    in one pass, and the benchmark takes its changes, with no drag,
+    commission, weights or trades.
 
     Every period of every strategy then passes through one record step, in
     period order, which judges the period before it appends its result and
@@ -369,11 +377,12 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
     # each column's expense charge over a period of N daily returns, in percent
     expense_rates = panel.expense_ratios[columns] * (n / TRADING_DAYS_PER_YEAR)
     reinvest = config.compounding == REINVEST
+    size = 1 if reinvest else n_periods  # periods per block, whose start capitals are known
+    plans = {}
     if variants:
         built = _LOOKBACKS.setdefault(panel, {})
         if n not in built:
             built[n] = lookback_stats(slice_window(panel, *window), n)
-        plans = {}
         for name, variant in variants.items():
             try:
                 plans[name] = weights_plan(built[n], variant, config.hurst)
@@ -383,42 +392,31 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
         trade_prices = panel.prices[np.ix_(trade_rows, columns)]
         mark_prices = panel.prices[np.ix_(mark_rows, columns)]
 
-    def rebalanced(plan, equity: list[float]):
-        """A variant's blocks of periods, each rebalanced and marked in one pass.
-
-        A block's start capital is read from ``equity`` when the block is
-        drawn, so in ``reinvest`` mode after the period before it is recorded.
-        """
-        held = np.zeros((1, len(columns)), np.int64)  # the plan's column order
-        size = 1 if reinvest else n_periods
-        for first in range(0, n_periods, size):
-            rows = slice(first, min(first + size, n_periods))
-            capital = [equity[-1] if reinvest else config.initial_capital] * (rows.stop - first)
-            target, shares, deltas, fees, commissions = execute_rebalance(
-                plan.weights[rows], capital, trade_prices[rows], config.commission, held
-            )
-            gross, drag, net = period_return(
-                shares, capital, trade_prices[rows], mark_prices[rows], expense_rates, commissions
-            )
-            held = shares[-1:]
-            yield first, gross, drag, commissions, net, (plan, target, deltas, fees)
-
     runs = {}
     with np.errstate(over="ignore"):  # an overflow is judged as a value that is not finite
+        if BENCHMARK_LABEL in names:  # no capital enters its changes: one vector operation
+            bench = panel.column(config.benchmark)
+            change = (100.0 * (bench[mark_rows] / bench[trade_rows] - 1.0)).tolist()
         for name in names:
+            plan = plans.get(name)  # none for the benchmark
             results, equity = [], [config.initial_capital]
-            if name == BENCHMARK_LABEL:  # no capital enters its returns: one block, with no costs
-                bench = panel.column(config.benchmark)
-                change = (100.0 * (bench[mark_rows] / bench[trade_rows] - 1.0)).tolist()
-                blocks = [(0, change, [0.0] * n_periods, [0.0] * n_periods, change, None)]
-            else:
-                blocks = rebalanced(plans[name], equity)
-            for first, gross, drag, commissions, net, orders in blocks:
-                for i, k in enumerate(range(first, first + len(net))):  # the record step
-                    start_capital = equity[-1] if reinvest else config.initial_capital
+            held = np.zeros((1, len(columns)), np.int64)  # the plan's column order
+            for first in range(0, n_periods, size):
+                rows = slice(first, first + size)  # size divides n_periods
+                capital = [equity[-1] if reinvest else config.initial_capital] * size
+                if plan is None:  # the benchmark's changes, with no costs
+                    gross = net = change[rows]
+                    drag = commissions = [0.0] * size
+                else:
+                    target, shares, deltas, fees, commissions = execute_rebalance(
+                        plan.weights[rows], capital, trade_prices[rows], config.commission, held
+                    )
+                    gross, drag, net = period_return(shares, capital, trade_prices[rows],
+                                                     mark_prices[rows], expense_rates, commissions)
+                    held = shares[-1:]
+                for i, k in enumerate(range(first, first + size)):  # the record step
                     weights_k = trades = None
-                    if orders is not None:
-                        plan, target, deltas, fees = orders
+                    if plan is not None:
                         if not (target[i] < _INT64_END).all():  # a NaN target does not fit either
                             j = np.argmin(target[i] < _INT64_END)
                             raise NumericError(
@@ -429,17 +427,18 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
                         traded = delta.nonzero()[0]  # the period's orders, cut from its row
                         trades = Trades(traded, delta[traded], trade_prices[k][traded],
                                         fees[i][traded])
-                    if commissions[i] >= start_capital:
+                    if commissions[i] >= capital[i]:
                         raise InsufficientCapital(
                             f"{name}: commissions {commissions[i]:.2f} would consume capital "
-                            f"{start_capital:.2f}"
+                            f"{capital[i]:.2f}"
                         )
-                    point = equity[-1] * (1.0 + net[i] / 100.0)
+                    growth = 1.0 + net[i] / 100.0
+                    point = equity[-1] * growth
                     if not math.isfinite(point):  # a finite net return can overflow the chain too
                         detail = (f"returns {net[i]:.6g}%" if not math.isfinite(net[i])
                                   else f"takes the equity curve to {point:.6g}")
                         # the targets fit int64 here, so they are the held shares as floats
-                        marked = [] if orders is None else target[i] * mark_prices[k]
+                        marked = [] if plan is None else target[i] * mark_prices[k]
                         bad = np.flatnonzero(~np.isfinite(marked))
                         if bad.size:
                             j = bad[0]
@@ -452,8 +451,8 @@ def run_strategies(panel: AlignedPanel, config: BacktestConfig, names: list[str]
                     results.append(PeriodResult(
                         start_date=starts[k], end_date=ends[k], weights=weights_k, trades=trades,
                         gross_return=gross[i], expense_drag=drag[i], commission_cost=commissions[i],
-                        net_return=net[i], start_capital=start_capital,
-                        end_capital=start_capital * (1.0 + net[i] / 100.0),
+                        net_return=net[i], start_capital=capital[i],
+                        end_capital=capital[i] * growth,
                     ))
                     equity.append(point)
             runs[name] = results, EquityCurve(dates=(starts[0], *ends), values=np.array(equity))

@@ -22,7 +22,7 @@ from pathlib import Path
 import yaml
 
 from .allocation import StrategyVariant
-from .backtest import BENCHMARK_LABEL, FIXED_CAPITAL, BacktestConfig, CommissionPlan
+from .backtest import BENCHMARK_LABEL, BacktestConfig, CommissionPlan
 from .data import (
     DEFAULT_DATE_COLUMN,
     DEFAULT_PRICE_COLUMN,
@@ -62,11 +62,11 @@ class RunSettings:
     compounding: str
     commission: CommissionPlan
     hurst: HurstConfig
-    risk_free_rate: float = 0.0
-    figure_pair: tuple[str, str] | None = None
-    date_column: str = DEFAULT_DATE_COLUMN
-    price_column: str = DEFAULT_PRICE_COLUMN
-    config_path: Path | None = None
+    risk_free_rate: float
+    figure_pair: tuple[str, str] | None
+    date_column: str
+    price_column: str
+    config_path: Path
 
     def base_config(self) -> BacktestConfig:
         """Engine config of the first selected variant; raises ConfigError if it cannot run."""
@@ -270,10 +270,11 @@ def load_run_settings(
     settings = RunSettings(
         universe=universe,
         benchmark=benchmark,
-        horizon_n=raw.get("horizon", 252) if horizon is None else horizon,
+        # the engine's defaults: a dataclass field's default is its class attribute
+        horizon_n=raw.get("horizon", BacktestConfig.horizon_n) if horizon is None else horizon,
         variants=variants,
-        initial_capital=_number(raw, "initial_capital", 1_000_000.0, str(path)),
-        compounding=str(raw.get("compounding", FIXED_CAPITAL)),
+        initial_capital=_number(raw, "initial_capital", BacktestConfig.initial_capital, str(path)),
+        compounding=str(raw.get("compounding", BacktestConfig.compounding)),
         commission=commission,
         hurst=hurst,
         risk_free_rate=_number(raw, "risk_free_rate", 0.0, str(path)),

@@ -66,10 +66,5 @@ def synthetic_panel(
 
 
 @pytest.fixture
-def fixtures_dir() -> Path:
-    return FIXTURES
-
-
-@pytest.fixture
 def panel_config_path() -> Path:
     return FIXTURES / "panel4" / "universe.yaml"

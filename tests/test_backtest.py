@@ -41,6 +41,7 @@ from fracparity.errors import (
     InsufficientCapital,
     InsufficientHistory,
     NumericError,
+    TickerMismatch,
 )
 from fracparity.fractal import HurstConfig, build_path, cover_variations, fit_hurst_rows
 from fracparity.runconfig import load_run_settings, load_universe_panel
@@ -740,6 +741,20 @@ class TestRunStrategies:
         with pytest.raises(DegenerateVolatility, match="^naive_risk_parity: A1: zero volatility"):
             run_strategies(panel, cfg, [naive.value])
         assert rebalances == []  # the plan raised before period 0's rebalance
+
+    def test_a_missing_benchmark_column_raises_before_the_first_period(self, monkeypatch):
+        rebalances = []
+
+        def counted(*args):
+            rebalances.append(args[0])
+            return execute_rebalance(*args)
+
+        monkeypatch.setattr(backtest, "execute_rebalance", counted)
+        panel = synthetic_panel(seed=3, n_rows=4 * 63, n_assets=3)  # BMK, and no SPY
+        with pytest.raises(TickerMismatch):
+            run_strategies(panel, BacktestConfig(horizon_n=63),
+                           ["naive_risk_parity", BENCHMARK_LABEL])
+        assert rebalances == []  # the variant named first never walked
 
     def test_of_two_failing_strategies_the_first_named_raises(self):
         # one asset falls over lookback 0 and then rises; an expense ratio of 99% and fees

@@ -894,6 +894,21 @@ def test_example_config_loads():
     assert settings.figure_pair == ("fractal_biased", "standard_biased")
 
 
+def test_a_document_of_universe_and_benchmark_loads_the_defaults(tmp_path):
+    # every other key takes the engine's default, which BacktestConfig declares; no CSV is read
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        "universe:\n"
+        "  - {ticker: AAA, csv: missing_a.csv}\n"
+        "  - {ticker: BMK, csv: missing_b.csv, role: benchmark}\n"
+        "benchmark: BMK\n"
+    )
+    settings = runconfig.load_run_settings(config)
+    assert settings.base_config() == backtest.BacktestConfig(benchmark="BMK")
+    assert settings.risk_free_rate == 0.0
+    assert (settings.date_column, settings.price_column) == ("date", "adj_close")
+
+
 class TestStableCdfNonFinitePoint:
     @pytest.mark.parametrize("r", ["nan", "inf", "-inf"])
     def test_exits_2(self, capsys, r):
