@@ -213,27 +213,54 @@ class TestBacktestCommand:
         out = tmp_path / "out"
         assert main(["backtest", "--config", str(config), "--out", str(out)]) == 0
         written = json.loads((out / "manifest.json").read_text())["config"]
-        # each estimator setting, the ones the document leaves out at their defaults
-        hurst = {"h_min": 0.1, "h_max": h_max, "min_windows": 4, "max_rungs": 4, "min_scales": 3}
-        assert written["hurst"] == hurst
-        # the pair that names difference.csv's column, and the columns read from each CSV
-        assert written["figure_pair"] == ["fractal_biased", "standard_biased"]
-        assert written["columns"] == {"date": "date", "price": "adj_close"}
+        entries = [("EQT", 0.09), ("BND", 0.15), ("REI", 0.43), ("CMD", 0.4), ("BMK", 0.0)]
+        assert written == {
+            "benchmark": "BMK",
+            "horizon_n": 63,
+            "variants": ["fractal_biased", "standard_biased", "naive_risk_parity"],
+            "initial_capital": 1000000.0,
+            "compounding": "fixed_capital",
+            "risk_free_rate": 0.0,
+            "commission": {"per_share": 0.0035, "min_per_order": 0.35, "max_pct_of_value": 1.0},
+            # each estimator setting, the ones the document leaves out at their defaults
+            "hurst": {"h_min": 0.1, "h_max": h_max, "min_windows": 4, "max_rungs": 4,
+                      "min_scales": 3},
+            # the pair that names difference.csv's column, and the columns read from each CSV
+            "figure_pair": ["fractal_biased", "standard_biased"],
+            "columns": {"date": "date", "price": "adj_close"},
+            "universe": [
+                {"ticker": ticker, "expense_ratio": ratio,
+                 "role": "benchmark" if ticker == "BMK" else "portfolio_asset",
+                 "csv": f"{PANEL_CONFIG.parent}/{ticker.lower()}.csv"}
+                for ticker, ratio in entries
+            ],
+        }
 
-    def test_difference_column_names_pair(self, tmp_path):
+    @pytest.mark.parametrize(
+        ("extra", "variants", "column"),
+        [
+            # the document's figure_pair, in its order
+            ("figure_pair: [benchmark, naive_risk_parity]\n", [],
+             "benchmark_minus_naive_risk_parity"),
+            # fractal against standard biased when both run, whatever their order
+            ("", ["standard_biased", "fractal_biased"], "fractal_biased_minus_standard_biased"),
+            # no figure_pair and no fractal_biased: the first two variants, in their order
+            ("", ["standard_biased", "naive_risk_parity"],
+             "standard_biased_minus_naive_risk_parity"),
+            # one variant against the benchmark
+            ("", ["naive_risk_parity"], "naive_risk_parity_minus_benchmark"),
+        ],
+        ids=["figure_pair", "fractal_standard", "first_two", "one_variant"],
+    )
+    def test_difference_column_names_pair(self, tmp_path, extra, variants, column):
+        text = PANEL_CONFIG.read_text().replace("csv: ", f"csv: {PANEL_CONFIG.parent}/")
+        config = tmp_path / "run.yaml"
+        config.write_text(text + extra)
         out = tmp_path / "out"
-        assert main(["backtest", "--config", str(PANEL_CONFIG), "--out", str(out)]) == 0
+        argv = ["backtest", "--config", str(config), "--out", str(out)]
+        assert main(argv + [arg for v in variants for arg in ("--variant", v)]) == 0
         rows = read_csv_rows(out / "difference.csv")
-        assert set(rows[0]) == {"date", "fractal_biased_minus_standard_biased"}
-
-    def test_difference_column_falls_back_to_first_two_variants(self, tmp_path):
-        # no figure_pair and no fractal_biased: the first two variants, in their order
-        out = tmp_path / "out"
-        argv = ["backtest", "--config", str(PANEL_CONFIG), "--out", str(out),
-                "--variant", "standard_biased", "--variant", "naive_risk_parity"]
-        assert main(argv) == 0
-        rows = read_csv_rows(out / "difference.csv")
-        assert set(rows[0]) == {"date", "standard_biased_minus_naive_risk_parity"}
+        assert set(rows[0]) == {"date", column}
 
     def test_benchmark_row_identity(self, tmp_path):
         out = tmp_path / "out"
