@@ -29,7 +29,7 @@ from .data import load_series_csv, log_returns
 from .errors import ConfigError, DataError, NonPositivePrice, NumericError
 from .fractal import HurstConfig, StableParams, build_path, estimate_hurst, stable_cdf_with_error
 from .metrics import PerformanceReport, build_report
-from .runconfig import RunSettings, load_run_settings, load_universe_panel
+from .runconfig import RunSettings, UniverseEntry, load_run_settings, load_universe_panel
 
 
 def _fmt(x: float) -> str:
@@ -97,42 +97,31 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _manifest_value(obj):
+    """A universe entry as one flat mapping, a dataclass by its fields: ``json``'s default."""
+    if isinstance(obj, UniverseEntry):
+        return {**dataclasses.asdict(obj.spec), "csv": str(obj.csv_path)}
+    return dataclasses.asdict(obj)
+
+
 def _write_manifest(path: Path, settings: RunSettings, outputs: list[Path]):
     paths = [settings.config_path, *(e.csv_path for e in settings.universe)]
     inputs = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     doc = {
         "engine_version": __version__,
         "timestamp": dt.datetime.now(dt.timezone.utc).isoformat(),
-        "config": {
-            "benchmark": settings.benchmark,
-            "horizon_n": settings.horizon_n,
-            "variants": [v.value for v in settings.variants],
-            "initial_capital": settings.initial_capital,
-            "compounding": settings.compounding,
-            "risk_free_rate": settings.risk_free_rate,
-            "commission": dataclasses.asdict(settings.commission),
-            "hurst": dataclasses.asdict(settings.hurst),
-            "figure_pair": list(settings.difference_pair()),
-            "columns": {"date": settings.date_column, "price": settings.price_column},
-            "universe": [
-                {
-                    "ticker": e.spec.ticker,
-                    "expense_ratio": e.spec.expense_ratio,
-                    "role": e.spec.role,
-                    "csv": str(e.csv_path),
-                }
-                for e in settings.universe
-            ],
-        },
+        # every setting in force, but the config file, whose hash is among the inputs
+        "config": {f.name: getattr(settings, f.name) for f in dataclasses.fields(settings)
+                   if f.name != "config_path"},
         "inputs": inputs,
         "outputs": [p.name for p in outputs],
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=_manifest_value) + "\n")
 
 
 def cmd_backtest(args) -> int:
     settings = load_run_settings(args.config, args.horizon, args.variant)
-    a, b = settings.difference_pair()
+    a, b = settings.figure_pair
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any CSV is read
     panel = load_universe_panel(settings)

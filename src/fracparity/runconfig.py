@@ -2,13 +2,15 @@
 
 The document lists the universe (ticker, csv path, expense ratio, role),
 the benchmark ticker, horizon, variants to run, capital, compounding mode,
-commission plan and estimator knobs. CSV paths are resolved relative to the
-config file so committed fixtures stay relocatable.
+commission plan, estimator knobs, figure pair and CSV columns. CSV paths are
+resolved relative to the config file so committed fixtures stay relocatable.
 Loading checks the document's shape (a key it does not know, or one
 written twice in a mapping, is an error), the universe (which must hold at
-least one ``portfolio_asset``), the benchmark and the CSV ``columns`` (the
-date and the price are two different columns); the rules for every other
-value belong to the engine's classes.
+least one ``portfolio_asset``), the benchmark and the figure pair, which it
+resolves once into ``RunSettings.figure_pair``. Every other value is checked
+by the class that holds it: ``Columns`` here (the date and the price are two
+different columns), and the engine's classes for the rest. ``RunSettings``'s
+fields are the whole of what a run records in its manifest.
 """
 
 from __future__ import annotations
@@ -43,7 +45,20 @@ EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE]
 TOP_KEYS = ("universe", "benchmark", "horizon", "variants", "initial_capital", "compounding",
             "commission", "hurst", "risk_free_rate", "figure_pair", "columns")
 ENTRY_KEYS = ("ticker", "csv", "expense_ratio", "role")
-COLUMN_KEYS = ("date", "price")
+
+
+@dataclass(frozen=True)
+class Columns:
+    """The header names of the date and the price column of every universe CSV."""
+
+    date: str = DEFAULT_DATE_COLUMN
+    price: str = DEFAULT_PRICE_COLUMN
+
+    def __post_init__(self):
+        for name in ("date", "price"):
+            _text(getattr(self, name), name)
+        if self.date == self.price:
+            raise ConfigError(f"date and price both name column {self.date!r}")
 
 
 @dataclass(frozen=True)
@@ -63,9 +78,8 @@ class RunSettings:
     commission: CommissionPlan
     hurst: HurstConfig
     risk_free_rate: float
-    figure_pair: tuple[str, str] | None
-    date_column: str
-    price_column: str
+    figure_pair: tuple[str, str]  # the two runs that difference.csv compares
+    columns: Columns
     config_path: Path
 
     def base_config(self) -> BacktestConfig:
@@ -80,30 +94,21 @@ class RunSettings:
             hurst=self.hurst,
         )
 
-    def variant_configs(self) -> dict[StrategyVariant, BacktestConfig]:
-        """One validated engine config per selected variant, in the configured order."""
-        base = self.base_config()
-        return {v: dataclasses.replace(base, variant=v) for v in self.variants}
 
-    def difference_pair(self) -> tuple[str, str]:
-        """The two runs that ``difference.csv`` compares; raises ConfigError for unknown names.
+def _difference_pair(pair: tuple[str, str] | None, names: list[str]) -> tuple[str, str]:
+    """The two runs that ``difference.csv`` compares; raises ConfigError for unknown names.
 
-        ``figure_pair`` when given, else fractal vs standard biased when both
-        run, else the first two variants, else the one variant vs the benchmark.
-        """
-        names = [v.value for v in self.variants]
-        if self.figure_pair is not None:
-            known = {*names, BENCHMARK_LABEL}
-            if not known.issuperset(self.figure_pair):
-                raise ConfigError(f"figure_pair {self.figure_pair} not among {sorted(known)}")
-            return self.figure_pair
-        fractal = StrategyVariant.FRACTAL_BIASED.value
-        standard = StrategyVariant.STANDARD_BIASED.value
-        if fractal in names and standard in names:
-            return fractal, standard
-        if len(names) >= 2:
-            return names[0], names[1]
-        return names[0], BENCHMARK_LABEL
+    ``pair`` (the document's ``figure_pair``) when given, else fractal vs
+    standard biased when both of the variants ``names`` run, else the first
+    two variants, else the one variant vs the benchmark.
+    """
+    if pair is None:
+        preferred = (StrategyVariant.FRACTAL_BIASED.value, StrategyVariant.STANDARD_BIASED.value)
+        return preferred if set(preferred) <= set(names) else (*names, BENCHMARK_LABEL)[:2]
+    known = {*names, BENCHMARK_LABEL}
+    if not known.issuperset(pair):
+        raise ConfigError(f"figure_pair {pair} not among {sorted(known)}")
+    return pair
 
 
 def _known_keys(mapping: dict, keys: tuple[str, ...], context: str) -> None:
@@ -185,8 +190,8 @@ def load_run_settings(
     """Parse and validate a YAML run configuration.
 
     ``horizon`` and ``variants`` (names), when given, replace the document's
-    values. Every selected variant's engine config and the figure pair are
-    then checked before any CSV is read, so the result can run.
+    values. Every selected variant's engine config is then checked, and the
+    figure pair resolved, before any CSV is read, so the result can run.
     """
     path = Path(path)
     text = read_text(path)
@@ -258,14 +263,7 @@ def load_run_settings(
         if figure_pair[0] == figure_pair[1]:
             raise ConfigError(f"{path}: figure_pair: {figure_pair[0]!r} is named twice")
 
-    columns = raw.get("columns", {})
-    if not isinstance(columns, dict):
-        raise ConfigError(f"{path}: columns must be a mapping")
-    _known_keys(columns, COLUMN_KEYS, f"{path}: columns")
-    date_column = _text(columns.get("date", DEFAULT_DATE_COLUMN), f"{path}: columns: date")
-    price_column = _text(columns.get("price", DEFAULT_PRICE_COLUMN), f"{path}: columns: price")
-    if date_column == price_column:
-        raise ConfigError(f"{path}: columns: date and price both name column {date_column!r}")
+    columns = _options(raw, "columns", Columns, path, f"{path}: columns")
 
     settings = RunSettings(
         universe=universe,
@@ -278,14 +276,15 @@ def load_run_settings(
         commission=commission,
         hurst=hurst,
         risk_free_rate=_number(raw, "risk_free_rate", 0.0, str(path)),
-        figure_pair=figure_pair,
-        date_column=date_column,
-        price_column=price_column,
+        figure_pair=figure_pair,  # the document's, resolved below
+        columns=columns,
         config_path=path,
     )
     try:
-        settings.variant_configs()
-        settings.difference_pair()
+        base = settings.base_config()
+        for v in variants:
+            dataclasses.replace(base, variant=v)
+        settings.figure_pair = _difference_pair(figure_pair, [v.value for v in variants])
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return settings
@@ -304,8 +303,8 @@ def load_universe_panel(settings: RunSettings) -> AlignedPanel:
         load_price_csv(
             str(entry.csv_path),
             entry.spec.ticker,
-            date_column=settings.date_column,
-            price_column=settings.price_column,
+            date_column=settings.columns.date,
+            price_column=settings.columns.price,
             calendars=calendars,
         )
         for entry in settings.universe

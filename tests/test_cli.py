@@ -287,7 +287,9 @@ class TestArtifactCells:
 
         settings = runconfig.load_run_settings(config)
         panel = runconfig.load_universe_panel(settings)
-        runs = {v.value: run_walk_forward(panel, c) for v, c in settings.variant_configs().items()}
+        base = settings.base_config()
+        runs = {v.value: run_walk_forward(panel, dataclasses.replace(base, variant=v))
+                for v in settings.variants}
         runs["benchmark"] = run_benchmark(panel, settings.base_config())
         names = ["fractal_biased", "standard_biased", "naive_risk_parity", "benchmark"]
         assert list(runs) == names
@@ -919,6 +921,9 @@ def test_example_config_loads():
     settings = runconfig.load_run_settings(EXAMPLE_CONFIG)
     assert settings.horizon_n == 126
     assert settings.figure_pair == ("fractal_biased", "standard_biased")
+    # "defaults shown": the document writes out every estimator and commission default
+    assert settings.hurst == HurstConfig()
+    assert settings.commission == backtest.CommissionPlan()
 
 
 def test_a_document_of_universe_and_benchmark_loads_the_defaults(tmp_path):
@@ -933,7 +938,7 @@ def test_a_document_of_universe_and_benchmark_loads_the_defaults(tmp_path):
     settings = runconfig.load_run_settings(config)
     assert settings.base_config() == backtest.BacktestConfig(benchmark="BMK")
     assert settings.risk_free_rate == 0.0
-    assert (settings.date_column, settings.price_column) == ("date", "adj_close")
+    assert settings.columns == runconfig.Columns("date", "adj_close")
 
 
 class TestStableCdfNonFinitePoint:

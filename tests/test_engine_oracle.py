@@ -75,7 +75,7 @@ def assert_diagnostic_vectors_match_oracle(weights, columns, variant, hurst_opti
 def test_fixture_weights_match_oracle(variant):
     settings = load_run_settings(PANEL_CONFIG)
     panel = load_universe_panel(settings)
-    config = settings.variant_configs()[variant]
+    config = dataclasses.replace(settings.base_config(), variant=variant)
     assert_weights_match_oracle(panel, config)
 
 
@@ -106,7 +106,7 @@ def test_fixture_trades_match_oracle(variant):
     # a floor tie flipped by a last-bit weight difference would show up here
     settings = load_run_settings(PANEL_CONFIG)
     panel = load_universe_panel(settings)
-    config = settings.variant_configs()[variant]
+    config = dataclasses.replace(settings.base_config(), variant=variant)
     assert config.compounding == "fixed_capital"
     n = config.horizon_n
     columns = panel.portfolio_columns
@@ -179,7 +179,7 @@ def test_batched_hurst_rows_equal_single_paths_bitwise():
 def test_trade_vectors_add_up_and_repeat(variant):
     settings = load_run_settings(PANEL_CONFIG)
     fixture = load_universe_panel(settings)
-    runs = [(fixture, settings.variant_configs()[variant])]
+    runs = [(fixture, dataclasses.replace(settings.base_config(), variant=variant))]
     for seed in range(3):
         panel = synthetic_panel(seed=seed, n_rows=1260, n_assets=4)
         runs.append((panel, BacktestConfig(horizon_n=42, variant=variant)))
